@@ -331,14 +331,8 @@ class CoLiePresentation:
                 idxs.append(len(self.basis))
                 self.basis.append((w, v))
             self.by_weight[w] = idxs
-            cols = reps + decomp_basis
-            self._gamma_proj[w] = (
-                linalg.SparseMatrix.from_columns(cols, piece.dim)
-                if cols
-                else None,
-                len(reps),
-                idxs,
-            )
+            self._gamma_proj[w] = linalg.ClassProjector(
+                reps, decomp_basis, piece.dim)
         self.cobracket = {g: self._cobracket(g) for g in range(len(self.basis))}
 
     def dims(self):
@@ -346,15 +340,9 @@ class CoLiePresentation:
 
     def project(self, class_vec, w):
         """gamma coordinates (global indices) of a weight-w H^0_+ vector."""
-        mat, nreps, idxs = self._gamma_proj[w]
-        if mat is None:
-            if class_vec:
-                raise ValueError("nonzero vector in trivial weight piece")
-            return {}
-        sol = linalg.solve(mat, class_vec)
-        if sol is None:
-            raise ValueError("vector outside weight piece span")
-        return {idxs[i]: c for i, c in sol.items() if i < nreps and c}
+        idxs = self.by_weight[w]
+        coords = self._gamma_proj[w].class_coords(class_vec)
+        return {idxs[i]: c for i, c in coords.items()}
 
     def _cobracket(self, g):
         w, class_vec = self.basis[g]

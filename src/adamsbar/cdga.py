@@ -213,20 +213,19 @@ class CdgaPresentation:
                     sgn = -sgn
         return out
 
-    def apply_aug(self, a):
-        """Substitute generators by their augmentation values.
+    def substitute(self, a, gen_map):
+        """Replace each generator of a by its image in gen_map, multiplying
+        the images in this algebra factor by factor.
 
-        Generators absent from the augmentation map are fixed (base
-        generators); an explicit empty value kills the generator.
+        Generators absent from gen_map are fixed; an explicit empty image
+        kills the generator.  With gen_map = self.augmentation this applies
+        the augmentation (absent generators are base generators).
         """
         out = {}
         for m, c in a.items():
             term = el_scalar(1)
             for name in self._flat(m):
-                val = self.augmentation.get(name)
-                if name not in self.augmentation:
-                    val = el_gen(name)
-                term = self.multiply(term, val)
+                term = self.multiply(term, gen_map.get(name, el_gen(name)))
                 if not term:
                     break
             out = el_add(out, term, c)
@@ -308,8 +307,9 @@ class CdgaPresentation:
 # ---- validation --------------------------------------------------------
 
 
-def validate(A: CdgaPresentation, coh_max=5, adams_max=4):
-    """Check the presentation axioms; returns (ok, list of failure strings)."""
+def differential_bidegree_failures(A: CdgaPresentation):
+    """One message per generator whose differential is inhomogeneous or
+    not of bidegree (deg + 1, wt)."""
     failures = []
     for g in A.generators:
         dg = A.differential.get(g.name)
@@ -323,6 +323,20 @@ def validate(A: CdgaPresentation, coh_max=5, adams_max=4):
         if bd is not None and bd != (g.coh + 1, g.adams):
             failures.append(
                 f"d({g.name}) has bidegree {bd}, expected {(g.coh + 1, g.adams)}")
+    return failures
+
+
+def check_differential_bidegrees(A: CdgaPresentation):
+    """Raise CdgaError naming the generators whose differential has the
+    wrong bidegree; every slice computation assumes d is homogeneous."""
+    failures = differential_bidegree_failures(A)
+    if failures:
+        raise CdgaError(f"{A.name}: " + "; ".join(failures))
+
+
+def validate(A: CdgaPresentation, coh_max=5, adams_max=4):
+    """Check the presentation axioms; returns (ok, list of failure strings)."""
+    failures = differential_bidegree_failures(A)
     for g in A.generators:
         dg = A.differential.get(g.name)
         if dg and A.apply_d(dg):
@@ -334,7 +348,7 @@ def validate(A: CdgaPresentation, coh_max=5, adams_max=4):
             continue
         # augmentation must be a chain map generator-wise
         lhs = A.apply_d(A.augmentation[g.name])
-        rhs = A.apply_aug(A.differential.get(g.name, {}))
+        rhs = A.substitute(A.differential.get(g.name, {}), A.augmentation)
         if el_add(lhs, rhs, F(-1)):
             failures.append(f"augmentation not a chain map at {g.name}")
     return (not failures), failures

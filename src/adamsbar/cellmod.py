@@ -520,9 +520,11 @@ def t_truncate(M: CellModule, n: int):
     def build_part(keep_low):
         """keep_low: the sub tau_{<=n}; otherwise the quotient tau^{>n}.
 
-        Returns (new_basis, kept vectors, complementary vectors); kept +
-        complementary span the whole module, so every column decomposes
-        and the quotient drops the complementary coordinates."""
+        Returns (new_basis, kept vectors, projector onto kept
+        coordinates).  The sub is spanned by its kept vectors alone, so a
+        column outside their span means d leaves the sub; the quotient
+        projects along the complementary vectors (degrees < n and the
+        degree-n kernel of d0), which with the kept ones form a basis."""
         new_basis = []
         kept = []  # each: {orig_index: coeff}
         other = []
@@ -530,45 +532,38 @@ def t_truncate(M: CellModule, n: int):
             if (c < n and keep_low) or (c > n and not keep_low):
                 new_basis.append((nm, c, a))
                 kept.append({i: F(1)})
-            elif c != n:
+            elif c < n:
                 other.append({i: F(1)})
         for r, (idxs, ker, comp) in split.items():
-            chosen, rest = (ker, comp) if keep_low else (comp, ker)
-            for t, v in enumerate(chosen):
+            for t, v in enumerate(ker if keep_low else comp):
                 tag = "k" if keep_low else "c"
                 new_basis.append((f"{tag}{n}w{r}_{t}", n, r))
                 kept.append({idxs[b]: c for b, c in v.items()})
-            for v in rest:
-                other.append({idxs[b]: c for b, c in v.items()})
-        return new_basis, kept, other
+            if not keep_low:
+                other.extend({idxs[b]: c for b, c in v.items()} for v in ker)
+        return new_basis, kept, linalg.ClassProjector(kept, other,
+                                                      len(M.basis))
 
-    def express(el_by_index, kept, other, strict):
-        """Rewrite a column {orig_index: Element} in kept coordinates,
-        projecting out the complementary part (error when strict)."""
+    def express(el_by_index, proj):
+        """Rewrite a column {orig_index: Element} in kept coordinates."""
         out = {}
-        mat = linalg.SparseMatrix.from_columns(
-            [dict(v) for v in kept] + [dict(v) for v in other], len(M.basis))
         by_mono = {}
         for i, el in el_by_index.items():
             for mono, c in el.items():
                 by_mono.setdefault(mono, {})[i] = c
         for mono, vec in by_mono.items():
-            sol = linalg.solve(mat, vec)
+            sol = proj.class_coords(vec, strict=False)
             if sol is None:
-                raise ModuleError("column outside the module span")
-            dropped = {k: c for k, c in sol.items() if k >= len(kept) and c}
-            if strict and dropped:
                 raise ModuleError(
                     f"tau_<= not closed under d at degree {n}, monomial {mono}")
             for k, c in sol.items():
-                if k < len(kept) and c:
-                    out.setdefault(k, {})
-                    out[k] = el_add(out[k], {mono: F(1)}, c)
+                out.setdefault(k, {})
+                out[k] = el_add(out[k], {mono: F(1)}, c)
         return out
 
     results = []
     for keep_low in (True, False):
-        new_basis, kept, other = build_part(keep_low)
+        new_basis, kept, proj = build_part(keep_low)
         diff = {}
         for j, vj in enumerate(kept):
             # d of the j-th new basis vector, as {orig_index: Element}
@@ -578,7 +573,7 @@ def t_truncate(M: CellModule, n: int):
                     if ii == i:
                         col[k] = el_add(col.get(k, {}), a, c)
             col = {k: v for k, v in col.items() if v}
-            out = express(col, kept, other, strict=keep_low)
+            out = express(col, proj)
             for k, a in out.items():
                 if a:
                     diff[(k, j)] = a
@@ -709,19 +704,6 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
     def P_module():
         return CellModule(A, basis, diff, _strict_filtration(basis, diff),
                           0, "P")
-
-    def phi_slice(P, n, r):
-        """Matrix of phi on the (n, r) slice of P into D's slice."""
-        src = P.slice_basis(n, r)
-        dst = D.indices(n, r)
-        pos = {b: k for k, b in enumerate(dst)}
-        mat = linalg.SparseMatrix(len(dst), len(src))
-        for j, (mono, bi) in enumerate(src):
-            img = D.act(mono, phi[bi])
-            for i, c in img.items():
-                if i in pos:
-                    mat.entries[(pos[i], j)] = c
-        return mat
 
     for n in range(coh_min, coh_max + 1):
         for r in range(0, adams_max + 1):

@@ -8,7 +8,6 @@ property failed (see the report's verdict), 2 = input error.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -60,6 +59,7 @@ def _load_cdga(path):
     kind, obj = parse_file(path)
     if kind != "cdga":
         raise ParseError("expected a cdga presentation", 1)
+    cdga_mod.check_differential_bidegrees(obj)
     return obj
 
 
@@ -108,6 +108,8 @@ def cmd_cohomology(args):
         kind, obj = _load_any(args.file, base)
     else:
         kind, obj = _load_any(args.file)
+    if kind == "cdga":
+        cdga_mod.check_differential_bidegrees(obj)
     tables = {}
     for n in range(0, args.deg_max + 1):
         for r in range(0, args.wt_max + 1):
@@ -299,18 +301,12 @@ def build_arg_parser():
 
 
 def main(argv=None):
-    # advisory knob: caps internal parallelism; evaluation here is
-    # single-process, so it has no semantic effect
-    os.environ.get("ADAMS_BAR_THREADS")
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
         report, code = args.func(args)
     except (ParseError, OSError, RelativeError, ModuleError,
-            cdga_mod.CdgaError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except ValueError as e:
+            cdga_mod.CdgaError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     emit(report, args.out)

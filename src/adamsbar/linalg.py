@@ -2,7 +2,10 @@
 
 Everything downstream (cohomology slices, Hopf structure constants,
 minimal-model stages) reduces to kernels, solves and quotient
-representatives over Q.  All arithmetic uses fractions.Fraction, so
+representatives over Q.  Repeated questions "what are the coordinates of
+v in this fixed independent family?" go through ClassProjector, which
+factors the family once; solve is for one-off systems whose matrix need
+not be injective.  All arithmetic uses fractions.Fraction, so
 results are exact and bit-for-bit reproducible: elimination always picks
 the pivot in the lowest remaining row, then the lowest column.
 
@@ -33,10 +36,6 @@ def vec_scale(u, c):
     if not c:
         return {}
     return {i: c * x for i, x in u.items()}
-
-
-def vec_is_zero(u):
-    return not u
 
 
 class SparseMatrix:
@@ -230,14 +229,6 @@ def quotient_basis(sub_vectors, vectors):
     return reps
 
 
-def coords_in_basis(basis_vectors, target):
-    """Coordinates of target in the given (independent) vectors, or None."""
-    m = SparseMatrix.from_columns(
-        basis_vectors, 1 + max([max(v) for v in basis_vectors if v] + [max(target) if target else 0, 0])
-    )
-    return solve(m, target)
-
-
 def cohomology(d_out: SparseMatrix, d_in: SparseMatrix):
     """(dimension, representative vectors) of ker(d_out)/im(d_in).
 
@@ -251,30 +242,45 @@ def cohomology(d_out: SparseMatrix, d_in: SparseMatrix):
 
 
 class ClassProjector:
-    """Project vectors of a space onto cohomology-class coordinates.
+    """Coordinates in a fixed linearly independent family reps + image.
 
-    Built from representative vectors and an image basis; class_coords(v)
-    solves v = sum reps + sum image (+ residue) and returns the rep
-    coordinates, or None when v is not in ker+im (strict=True raises).
+    The family is eliminated once, when the projector is built: each
+    reduced vector remembers which combination of family members it is, so
+    class_coords(v) reduces only v.  class_coords returns the coordinates
+    of v on reps (dropping those on image), or None when v is outside the
+    span of the family (strict=True raises).  A dependent family raises
+    ValueError at construction.
     """
 
     def __init__(self, reps, image, dim):
         self.reps = reps
         self.image = image
         self.dim = dim
-        self._cols = list(reps) + list(image)
-        self._m = SparseMatrix.from_columns(self._cols, dim) if self._cols else None
+        # (pivot, reduced vector with entry 1 at pivot, its combination of
+        # family members); each vector is 0 at the pivots before it
+        self._rows = []
+        for k, col in enumerate(list(reps) + list(image)):
+            w, combo = self._reduce(col, {k: Fraction(1)})
+            if not w:
+                raise ValueError("family vectors are not linearly independent")
+            p = min(w)
+            c = Fraction(1) / w[p]
+            self._rows.append((p, vec_scale(w, c), vec_scale(combo, c)))
+
+    def _reduce(self, v, combo):
+        for p, row, rcombo in self._rows:
+            c = v.get(p)
+            if c:
+                v = vec_add(v, row, -c)
+                combo = vec_add(combo, rcombo, -c)
+        return v, combo
 
     def class_coords(self, v, strict=True):
-        if not v:
-            return {}
-        if self._m is None:
+        residue, combo = self._reduce(v, {})
+        if residue:
             if strict:
-                raise ValueError("vector not in kernel+image of trivial projector")
+                raise ValueError("vector outside the span of reps + image")
             return None
-        sol = solve(self._m, v)
-        if sol is None:
-            if strict:
-                raise ValueError("vector is not a cocycle modulo coboundaries")
-            return None
-        return {i: c for i, c in sol.items() if i < len(self.reps) and c}
+        # v = -combo; keep the rep coordinates, in index order
+        nreps = len(self.reps)
+        return {i: -combo[i] for i in sorted(combo) if i < nreps}

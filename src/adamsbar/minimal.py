@@ -19,7 +19,6 @@ from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
     el_add,
-    el_gen,
     el_scale,
     is_coh_connected,
 )
@@ -45,6 +44,7 @@ class IdealComplex:
     def __init__(self, A: CdgaPresentation):
         self.A = A
         self._ker = {}
+        self._proj = {}  # slice -> (monomial index, kernel-basis projector)
         self._coh = {}
 
     def kernel(self, i, m):
@@ -55,19 +55,21 @@ class IdealComplex:
             idx = {mm: k for k, mm in enumerate(basis)}
             eps = linalg.SparseMatrix(len(basis), len(basis))
             for j, mono in enumerate(basis):
-                for em, c in self.A.apply_aug({mono: F(1)}).items():
+                for em, c in self.A.substitute(
+                        {mono: F(1)}, self.A.augmentation).items():
                     eps.entries[(idx[em], j)] = c
             # ideal = kernel of eps on the slice
-            self._ker[key] = (basis, linalg.kernel_basis(eps))
+            ker = linalg.kernel_basis(eps)
+            self._ker[key] = (basis, ker)
+            self._proj[key] = (idx, linalg.ClassProjector(ker, [], len(basis)))
         return self._ker[key]
 
     def to_coords(self, el, i, m):
         """Coordinates of an ideal element in the kernel basis."""
-        basis, ker = self.kernel(i, m)
-        idx = {mm: k for k, mm in enumerate(basis)}
-        vec = {idx[mm]: c for mm, c in el.items()}
-        mat = linalg.SparseMatrix.from_columns(ker, len(basis))
-        sol = linalg.solve(mat, vec)
+        self.kernel(i, m)  # builds the slice projector
+        idx, proj = self._proj[(i, m)]
+        sol = proj.class_coords({idx[mm]: c for mm, c in el.items()},
+                                strict=False)
         if sol is None:
             raise ValueError("element not in the augmentation ideal")
         return sol
@@ -135,20 +137,6 @@ class MinimalModelResult:
     def fiber_count(self):
         return len(self.fiber_names)
 
-    def s_apply(self, el, target: CdgaPresentation):
-        """Push a model element through the structure map into the target."""
-        out = {}
-        for mono, c in el.items():
-            term = {(): F(1)}
-            for name, e in mono:
-                img = self.structure_map.get(name, el_gen(name))
-                for _ in range(e):
-                    term = target.multiply(term, img)
-                if not term:
-                    break
-            out = el_add(out, term, c)
-        return out
-
 
 def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
                            max_stage_iters=6):
@@ -214,22 +202,9 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
         cols = []
         for rv in repsM:
             el = ic_M.from_coords(rv, i, m)
-            img = _push(el)
+            img = A.substitute(el, structure_map)
             cols.append(projA.class_coords(ic_A.to_coords(img, i, m)))
         return dimM, cols
-
-    def _push(el):
-        out = {}
-        for mono, c in el.items():
-            term = {(): F(1)}
-            for gname, e in mono:
-                img = structure_map.get(gname, el_gen(gname))
-                for _ in range(e):
-                    term = A.multiply(term, img)
-                if not term:
-                    break
-            out = el_add(out, term, c)
-        return out
 
     for m in range(1, w_max + 1):
         for i in range(1, n + 1):
@@ -265,7 +240,7 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
                     z = {}
                     for k, c in kv.items():
                         z = el_add(z, ic_M.from_coords(repsM2[k], i + 1, m), c)
-                    b = ic_A.solve_d(i, m, _push(z))
+                    b = ic_A.solve_d(i, m, A.substitute(z, structure_map))
                     if b is None:
                         raise RuntimeError(
                             f"structure-map image of a kernel class not exact "
@@ -302,7 +277,7 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
     )
     # sanity: structure map commutes with d on every fiber generator
     for name in fiber_names:
-        lhs = result.s_apply(model.differential.get(name, {}), A)
+        lhs = A.substitute(model.differential.get(name, {}), structure_map)
         rhs = A.apply_d(structure_map[name])
         if el_add(lhs, rhs, F(-1)):
             raise RuntimeError(f"structure map fails to commute with d at {name}")
@@ -447,7 +422,7 @@ def quillen_compare(A: CdgaPresentation, w_max):
         for word, c in lin.items():
             expanded = {(): c}
             for letter in word:
-                img = mm.s_apply({letter: F(1)}, A)
+                img = A.substitute({letter: F(1)}, mm.structure_map)
                 nxt = {}
                 for wd, cc in expanded.items():
                     for mono, mc in img.items():

@@ -85,6 +85,18 @@ def test_validate_broken_exits_1(capsys, tmp_path):
     assert rep["witnesses"]
 
 
+@pytest.mark.parametrize("command", ["bar-h0", "colie", "quillen",
+                                     "cohomology"])
+@pytest.mark.parametrize("dz", ["99", "1*x"])
+def test_wrong_bidegree_differential_exits_2(capsys, tmp_path, command, dz):
+    f = write(tmp_path, "bad.cdga", E3_TEXT.replace("1*x*y", dz))
+    code = main([command, f])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "d(z) has bidegree" in captured.err
+
+
 def test_unknown_command_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,0 +1,69 @@
+"""Golden reports: re-run fast CLI cases and compare the report bytes.
+
+Every report under tests/golden/ was written by the CLI on the fixtures of
+test_cli.py.  A change that alters any of them on purpose must say why in
+CHANGES.md and re-record them:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from adamsbar.cli import main
+from test_cli import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
+            "e4.cdga": E4_TEXT}
+
+# name -> argv; "@file" is a fixture from FIXTURES
+CASES = {
+    "bar-h0_e3_w4": ["bar-h0", "@e3.cdga", "--wt-max", "4"],
+    "colie_e3_w4": ["colie", "@e3.cdga", "--wt-max", "4"],
+    "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
+    "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",
+                                  "@e1.cdga", "--n", "2", "--wt-max", "3"],
+    "kernel_e1_e4_w4": ["kernel", "--base", "@e1.cdga", "--total",
+                        "@e4.cdga", "--wt-max", "4"],
+    "coaction-check_e1_e4_w3": ["coaction-check", "--base", "@e1.cdga",
+                                "--total", "@e4.cdga", "--wt-max", "3"],
+    "delta-approx_e2_n2_w2": ["delta-approx", "@e2.cdga", "--n", "2",
+                              "--wt-max", "2"],
+    "pi1-demo_k4_w4": ["pi1-demo", "--punctures", "4", "--wt-max", "4"],
+}
+
+
+def run_case(name, workdir):
+    """Run one case in workdir; returns (exit code, report bytes)."""
+    workdir = Path(workdir)
+    for fname, text in FIXTURES.items():
+        (workdir / fname).write_text(text)
+    out = workdir / f"{name}.json"
+    argv = [str(workdir / a[1:]) if a.startswith("@") else a
+            for a in CASES[name]]
+    code = main(argv + ["--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path):
+    code, got = run_case(name, tmp_path)
+    assert code == 0
+    assert got == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            code, data = run_case(case, tmp)
+            if code != 0:
+                sys.exit(f"{case}: exit code {code}")
+            (GOLDEN / f"{case}.json").write_bytes(data)
+            print(f"recorded {case}")

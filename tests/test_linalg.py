@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adamsbar.linalg import (
     ClassProjector,
@@ -133,3 +133,45 @@ def test_class_projector():
     assert proj.class_coords({2: F(1)}, strict=False) is None
     with pytest.raises(ValueError):
         proj.class_coords({2: F(1)})
+
+
+@st.composite
+def families(draw):
+    """(dim, family vectors, number of reps, target vectors): the targets
+    are a random vector (often outside the span), a combination of the
+    family (inside it) and 0."""
+    dim = draw(st.integers(1, 6))
+    vec = st.lists(small, min_size=dim, max_size=dim).map(
+        lambda xs: {i: F(x) for i, x in enumerate(xs) if x})
+    family = draw(st.lists(vec, max_size=dim))
+    nreps = draw(st.integers(0, len(family)))
+    coeffs = draw(st.lists(small, min_size=len(family), max_size=len(family)))
+    inside = {i: x for i in range(dim)
+              if (x := sum(c * u.get(i, 0) for c, u in zip(coeffs, family)))}
+    return dim, family, nreps, [draw(vec), inside, {}]
+
+
+@example((3, [], 0, [{1: F(2)}, {}]))                      # empty family
+@example((2, [{0: F(1)}, {0: F(2)}], 1, [{0: F(1)}]))      # dependent
+@example((3, [{0: F(1), 1: F(1)}], 1, [{1: F(1)}, {0: F(3), 1: F(3)}]))
+@given(families())
+def test_class_projector_matches_solve(case):
+    """Factor-once coordinates agree with a fresh solve against the family,
+    in values and key order; dependent families are rejected."""
+    dim, family, nreps, targets = case
+    m = SparseMatrix.from_columns(family, dim)
+    if rank(m) < len(family):
+        with pytest.raises(ValueError):
+            ClassProjector(family[:nreps], family[nreps:], dim)
+        return
+    proj = ClassProjector(family[:nreps], family[nreps:], dim)
+    for v in targets:
+        sol = solve(m, v)
+        got = proj.class_coords(v, strict=False)
+        if sol is None:
+            assert got is None
+            with pytest.raises(ValueError):
+                proj.class_coords(v)
+        else:
+            want = {i: c for i, c in sol.items() if i < nreps and c}
+            assert list(got.items()) == list(want.items())
