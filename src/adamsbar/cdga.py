@@ -307,36 +307,46 @@ class CdgaPresentation:
 # ---- validation --------------------------------------------------------
 
 
-def differential_bidegree_failures(A: CdgaPresentation):
-    """One message per generator whose differential is inhomogeneous or
-    not of bidegree (deg + 1, wt)."""
-    failures = []
+def bidegree_failures(A: CdgaPresentation):
+    """One message per differential, augmentation value or table product
+    that is inhomogeneous or of the wrong bidegree: d(g) must have
+    bidegree (deg + 1, wt), aug(g) that of g, and g*h the sum of theirs."""
+    expected = []
     for g in A.generators:
-        dg = A.differential.get(g.name)
-        if not dg:
+        expected.append((f"d({g.name})", A.differential.get(g.name),
+                         (g.coh + 1, g.adams)))
+        expected.append((f"aug({g.name})", A.augmentation.get(g.name),
+                         (g.coh, g.adams)))
+    for (a, b), val in A.products.items():
+        ga, gb = A.gen[a], A.gen[b]
+        expected.append((f"{a}*{b}", val,
+                         (ga.coh + gb.coh, ga.adams + gb.adams)))
+    failures = []
+    for label, val, want in expected:
+        if not val:
             continue
         try:
-            bd = A.el_bidegree(dg)
+            bd = A.el_bidegree(val)
         except CdgaError as e:
-            failures.append(f"d({g.name}) inhomogeneous: {e}")
+            failures.append(f"{label} inhomogeneous: {e}")
             continue
-        if bd is not None and bd != (g.coh + 1, g.adams):
-            failures.append(
-                f"d({g.name}) has bidegree {bd}, expected {(g.coh + 1, g.adams)}")
+        if bd != want:
+            failures.append(f"{label} has bidegree {bd}, expected {want}")
     return failures
 
 
-def check_differential_bidegrees(A: CdgaPresentation):
-    """Raise CdgaError naming the generators whose differential has the
-    wrong bidegree; every slice computation assumes d is homogeneous."""
-    failures = differential_bidegree_failures(A)
+def check_bidegrees(A: CdgaPresentation):
+    """Raise CdgaError naming each differential, augmentation value or
+    table product of the wrong bidegree; every slice computation assumes
+    they are homogeneous of the right bidegree."""
+    failures = bidegree_failures(A)
     if failures:
         raise CdgaError(f"{A.name}: " + "; ".join(failures))
 
 
 def validate(A: CdgaPresentation, coh_max=5, adams_max=4):
     """Check the presentation axioms; returns (ok, list of failure strings)."""
-    failures = differential_bidegree_failures(A)
+    failures = bidegree_failures(A)
     for g in A.generators:
         dg = A.differential.get(g.name)
         if dg and A.apply_d(dg):
@@ -362,10 +372,6 @@ def _validate_table(A):
             if g.group != h.group:
                 continue
             val = A.multiply(el_gen(g.name), el_gen(h.name))
-            if val:
-                bd = A.el_bidegree(val)
-                if bd != (g.coh + h.coh, g.adams + h.adams):
-                    failures.append(f"table product {g.name}*{h.name} bidegree {bd}")
             # graded commutativity is automatic from storage; associativity:
             for k in grouped:
                 if k.group != g.group:

@@ -9,6 +9,14 @@ windows: true adams = stored adams + twist.
 Splitting each entry into its scalar part and its positive-weight part
 gives the equivalent connection presentation (M_0, d0) with Gamma valued
 in A+; flatness of Gamma is exactly the positive-weight part of d^2 = 0.
+
+The three checks on matrices of algebra elements share one sparse signed
+composition, _compose: d^2 = 0 composes d with itself on top of d applied
+entrywise; flatness is that same d^2 for d = d0 + Gamma with its scalar
+(d0^2) part dropped; a chain map f composes f with d_N and subtracts d_M
+composed with f, on top of d applied to f.  Scalar complexes (q of a cell
+module, the finite dg modules that cell_resolution resolves) are one
+class, ScalarComplex.
 """
 
 from __future__ import annotations
@@ -23,6 +31,33 @@ F = Fraction
 
 class ModuleError(Exception):
     pass
+
+
+def _compose(A, acc, X, Y, c=F(1)):
+    """Add c * sum_i (-1)^|X_ij| X_ij * Y_ki to acc[(k, j)], for matrices
+    X, Y of algebra elements {(row, col): Element}.
+
+    Only nonzero entries are visited: Y is indexed by column once and X is
+    walked in ascending i, so each acc[(k, j)] receives its terms in the
+    order of the dense loop over i.  The sign is taken monomial by
+    monomial, which is (-1)^|X_ij| for a homogeneous entry.
+    """
+    by_col = {}
+    for (k, i), y in Y.items():
+        by_col.setdefault(i, []).append((k, y))
+    for (i, j), x in sorted(X.items()):
+        if i not in by_col:
+            continue
+        sx = {m: -v * c if A.mono_bidegree(m)[0] % 2 else v * c
+              for m, v in x.items()}
+        for k, y in by_col[i]:
+            acc[(k, j)] = el_add(acc.get((k, j), {}), A.multiply(sx, y))
+
+
+def _nonzero(acc):
+    """Positions (k, j) of the nonzero entries of acc, ordered by j then k."""
+    return sorted((kj for kj, a in acc.items() if a),
+                  key=lambda kj: (kj[1], kj[0]))
 
 
 class CellModule:
@@ -64,25 +99,11 @@ class CellModule:
                 failures.append(f"entry ({i},{j}) lowers Adams weight")
             if self.stage(i) >= self.stage(j):
                 failures.append(f"entry ({i},{j}) breaks filtration strictness")
-        failures.extend(self._d_squared_failures(self.differential))
+        acc = {kj: A.apply_d(a) for kj, a in self.differential.items()}
+        _compose(A, acc, self.differential, self.differential)
+        failures.extend(f"d^2 != 0 at (k={k}, j={j}): {acc[(k, j)]}"
+                        for k, j in _nonzero(acc))
         return (not failures), failures
-
-    def _d_squared_failures(self, entries, label="d^2"):
-        A = self.algebra
-        n = len(self.basis)
-        failures = []
-        for j in range(n):
-            for k in range(n):
-                acc = A.apply_d(entries.get((k, j), {}))
-                for i in range(n):
-                    a_ij = entries.get((i, j))
-                    a_ki = entries.get((k, i))
-                    if a_ij and a_ki:
-                        deg = A.el_bidegree(a_ij)[0]
-                        acc = el_add(acc, A.multiply(a_ij, a_ki), F((-1) ** deg))
-                if acc:
-                    failures.append(f"{label} != 0 at (k={k}, j={j}): {acc}")
-        return failures
 
     # ---- slice complexes over Q ---------------------------------------
 
@@ -142,40 +163,60 @@ class CellModule:
             c = a.get(UNIT)
             if c:
                 d0[(i, j)] = c
-        return QComplex(self.basis, d0, self.twist)
+        return ScalarComplex(self.basis, d0)
 
 
-class QComplex:
-    """Finite complex of bigraded rational spaces."""
+class ScalarComplex:
+    """Finite complex of bigraded rational spaces.
 
-    def __init__(self, basis, entries, twist=0):
+    basis: list of (name, coh, adams); d: {(i, j): Fraction} of bidegree
+    (+1, 0), meaning d b_j = sum_i d_ij b_i.
+    """
+
+    def __init__(self, basis, d):
         self.basis = list(basis)
-        self.entries = {k: F(v) for k, v in entries.items() if v}
-        self.twist = twist
+        self.d = {k: F(v) for k, v in d.items() if v}
+        self._indices = {}
+        for i, (_, c, a) in enumerate(self.basis):
+            self._indices.setdefault((c, a), []).append(i)
+        self._by_col = {}
+        for (i, j), c in self.d.items():
+            self._by_col.setdefault(j, []).append((i, c))
 
     def indices(self, n, r):
-        return [i for i, (_, c, a) in enumerate(self.basis) if c == n and a == r]
+        return self._indices.get((n, r), [])
 
     def d_matrix(self, n, r):
         src = self.indices(n, r)
-        dst = self.indices(n + 1, r)
-        pos = {b: k for k, b in enumerate(dst)}
-        mat = linalg.SparseMatrix(len(dst), len(src))
+        pos = {b: k for k, b in enumerate(self.indices(n + 1, r))}
+        mat = linalg.SparseMatrix(len(pos), len(src))
         for j, b in enumerate(src):
-            for (i, jj), c in self.entries.items():
-                if jj == b and i in pos:
+            for i, c in self._by_col.get(b, ()):
+                if i in pos:
                     mat.entries[(pos[i], j)] = c
         return mat
+
+    def cohomology(self, n, r):
+        """(dim, representatives, ClassProjector) of H^n at weight r, as
+        vectors over the positions of indices(n, r)."""
+        image = linalg.image_basis(self.d_matrix(n - 1, r))
+        reps = linalg.quotient_basis(
+            image, linalg.kernel_basis(self.d_matrix(n, r)))
+        return len(reps), reps, linalg.ClassProjector(
+            reps, image, len(self.indices(n, r)))
 
     def cohomology_dim(self, n, r):
         dim, _ = linalg.cohomology(self.d_matrix(n, r), self.d_matrix(n - 1, r))
         return dim
 
+    def cohomology_dims(self):
+        """{(n, r): dim H^n at weight r} over the bidegrees of the basis,
+        nonzero dimensions only; H vanishes at every other bidegree."""
+        dims = {nr: self.cohomology_dim(*nr) for nr in sorted(self._indices)}
+        return {nr: dim for nr, dim in dims.items() if dim}
+
     def weights(self):
         return sorted({a for (_, _, a) in self.basis})
-
-    def degrees(self):
-        return sorted({c for (_, c, _) in self.basis})
 
 
 class ConnectionModule:
@@ -188,35 +229,25 @@ class ConnectionModule:
         self.gamma = {k: v for k, v in gamma.items() if v}
         self.twist = twist
 
-    def check_flat(self):
-        """dGamma + Gamma^2 (+ the d0 cross terms) = 0, entrywise.
+    def _d(self):
+        """d = d0 + Gamma as one matrix of algebra elements."""
+        d = {}
+        for (i, j), c in self.d0.items():
+            d[(i, j)] = el_add(d.get((i, j), {}), {UNIT: F(1)}, c)
+        for (i, j), g in self.gamma.items():
+            d[(i, j)] = el_add(d.get((i, j), {}), g)
+        return d
 
-        This is the positive-weight part of d^2 = 0 for d = d0 + Gamma.
-        """
-        A = self.algebra
-        n = len(self.basis)
-        failures = []
-        for j in range(n):
-            for k in range(n):
-                acc = A.apply_d(self.gamma.get((k, j), {}))
-                for i in range(n):
-                    g_ij = self.gamma.get((i, j))
-                    if g_ij:
-                        deg = A.el_bidegree(g_ij)[0]
-                        g_ki = self.gamma.get((k, i))
-                        if g_ki:
-                            acc = el_add(acc, A.multiply(g_ij, g_ki),
-                                         F((-1) ** deg))
-                        c = self.d0.get((k, i))
-                        if c:
-                            acc = el_add(acc, g_ij, F((-1) ** deg) * c)
-                    c0 = self.d0.get((i, j))
-                    if c0:
-                        g_ki = self.gamma.get((k, i))
-                        if g_ki:
-                            acc = el_add(acc, g_ki, c0)
-                if acc:
-                    failures.append((k, j))
+    def check_flat(self):
+        """Positions where the positive-weight part of d^2, d = d0 + Gamma,
+        is nonzero: dGamma + Gamma^2 plus the d0 cross terms.  The scalar
+        part d0^2 is not checked."""
+        d = self._d()
+        acc = {kj: self.algebra.apply_d(a) for kj, a in d.items()}
+        _compose(self.algebra, acc, d, d)
+        for a in acc.values():
+            a.pop(UNIT, None)
+        failures = _nonzero(acc)
         return (not failures), failures
 
 
@@ -234,16 +265,8 @@ def to_connection(M: CellModule) -> ConnectionModule:
 
 
 def from_connection(C: ConnectionModule, filtration=None, name="M") -> CellModule:
-    diff = {}
-    for (i, j), c in C.d0.items():
-        diff[(i, j)] = el_add(diff.get((i, j), {}), {UNIT: F(1)}, c)
-    for (i, j), g in C.gamma.items():
-        diff[(i, j)] = el_add(diff.get((i, j), {}), g)
+    diff = C._d()
     if filtration is None:
-        # order stages by Adams weight then degree: strictness holds for
-        # any valid connection since Gamma raises weight and d0 is
-        # intra-weight... d0 connects same-weight elements, so group by
-        # weight and let scalar entries order inside via a topological sort
         filtration = _strict_filtration(C.basis, diff)
     return CellModule(C.algebra, C.basis, diff, filtration, C.twist, name)
 
@@ -293,27 +316,13 @@ class CellMorphism:
         self.entries = {k: v for k, v in entries.items() if v}
 
     def check_chain_map(self):
+        """Positions (k, j) where d_N f - f d_M is nonzero on b^M_j,
+        component on b^N_k."""
         A = self.M.algebra
-        failures = []
-        for j in range(len(self.M.basis)):
-            for k in range(len(self.N.basis)):
-                # d_N(f(b_j)) - f(d_M b_j), component on b^N_k
-                acc = A.apply_d(self.entries.get((k, j), {}))
-                for i in range(len(self.N.basis)):
-                    f_ij = self.entries.get((i, j))
-                    a_ki = self.N.differential.get((k, i))
-                    if f_ij and a_ki:
-                        deg = A.el_bidegree(f_ij)[0]
-                        acc = el_add(acc, A.multiply(f_ij, a_ki), F((-1) ** deg))
-                for i in range(len(self.M.basis)):
-                    a_ij = self.M.differential.get((i, j))
-                    f_ki = self.entries.get((k, i))
-                    if a_ij and f_ki:
-                        deg = A.el_bidegree(a_ij)[0]
-                        acc = el_add(acc, A.multiply(a_ij, f_ki),
-                                     F(-((-1) ** deg)))
-                if acc:
-                    failures.append((k, j))
+        acc = {kj: A.apply_d(a) for kj, a in self.entries.items()}
+        _compose(A, acc, self.entries, self.N.differential)
+        _compose(A, acc, self.M.differential, self.entries, F(-1))
+        failures = _nonzero(acc)
         return (not failures), failures
 
 
@@ -470,40 +479,18 @@ def weight_truncate(M: CellModule, n: int):
     return sub(low), sub(exact, keep_scalar_only=True), sub(high)
 
 
-def is_finite_tate(M: CellModule, coh_max=5):
-    """gr^W_n cohomology finite and vanishing outside finitely many n."""
-    weights = sorted({a + M.twist for (_, _, a) in M.basis})
+def is_finite_tate(M: CellModule):
+    """{n: {degree: dim}}: the q-cohomology of gr^W_n M for each true
+    weight n of M's basis.  A finite cell module is finite Tate: each
+    gr^W_n has finite cohomology and only the listed n can be nonzero."""
     report = {}
-    for n in weights:
-        _, gr, _ = weight_truncate(M, n)
-        q = gr.q_complex()
-        dims = {}
-        for c in range(-coh_max, coh_max + 1):
-            d = q.cohomology_dim(c, n - M.twist)
-            if d:
-                dims[c] = d
-        report[n] = dims
-    return True, report
+    for n in sorted({a + M.twist for (_, _, a) in M.basis}):
+        dims = weight_truncate(M, n)[1].q_complex().cohomology_dims()
+        report[n] = {c: dim for (c, _), dim in dims.items()}
+    return report
 
 
 # ---- t-structure -------------------------------------------------------
-
-
-def _scalar_kernel_split(M: CellModule, n: int):
-    """Per stored Adams weight r: kernel of d0 on the (n, r) part of M_0,
-    plus complement representatives, as vectors over the degree-n basis
-    indices."""
-    q = M.q_complex()
-    out = {}
-    weights = sorted({a for (_, c, a) in M.basis if c == n})
-    for r in weights:
-        idxs = q.indices(n, r)
-        pos = {b: k for k, b in enumerate(idxs)}
-        mat = q.d_matrix(n, r)
-        ker = linalg.kernel_basis(mat)
-        comp = linalg.quotient_basis(ker, [{k: F(1)} for k in range(len(idxs))])
-        out[r] = (idxs, ker, comp)
-    return out
 
 
 def t_truncate(M: CellModule, n: int):
@@ -515,7 +502,16 @@ def t_truncate(M: CellModule, n: int):
     the d0-cohomology of the degree-n slice.
     """
     A = M.algebra
-    split = _scalar_kernel_split(M, n)
+    q = M.q_complex()
+    weights = sorted({a for (_, c, a) in M.basis if c == n})
+    # per weight r: the degree-n basis indices, the kernel of d0 there and
+    # complement representatives, as vectors over those indices
+    split = {}
+    for r in weights:
+        idxs = q.indices(n, r)
+        ker = linalg.kernel_basis(q.d_matrix(n, r))
+        split[r] = (idxs, ker, linalg.quotient_basis(
+            ker, [{k: F(1)} for k in range(len(idxs))]))
 
     def build_part(keep_low):
         """keep_low: the sub tau_{<=n}; otherwise the quotient tau^{>n}.
@@ -582,17 +578,14 @@ def t_truncate(M: CellModule, n: int):
                                   f"tau{'<=' if keep_low else '>'}{n}{M.name}"))
 
     # H^n as a connection on d0-cohomology classes of the degree-n slice
-    q = M.q_complex()
     hn_basis = []
     hn_vectors = []
     projectors = {}
-    for r in sorted({a for (_, c, a) in M.basis if c == n}):
+    for r in weights:
         idxs = q.indices(n, r)
-        mat_out = q.d_matrix(n, r)
-        mat_in = q.d_matrix(n - 1, r)
-        dim, reps = linalg.cohomology(mat_out, mat_in)
-        proj = linalg.ClassProjector(reps, linalg.image_basis(mat_in), len(idxs))
-        projectors[r] = (idxs, proj, len(hn_basis))
+        _, reps, proj = q.cohomology(n, r)
+        projectors[r] = ({b: t for t, b in enumerate(idxs)}, proj,
+                         len(hn_basis))
         for t, v in enumerate(reps):
             hn_basis.append((f"h{n}w{r}_{t}", n, r))
             hn_vectors.append({idxs[b]: c for b, c in v.items()})
@@ -613,8 +606,7 @@ def t_truncate(M: CellModule, n: int):
             for mono, c in el.items():
                 by_mono.setdefault((rk, mono), {})[k] = c
         for (rk, mono), vec in by_mono.items():
-            idxs, proj, base = projectors[rk]
-            pos = {b: t for t, b in enumerate(idxs)}
+            pos, proj, base = projectors[rk]
             cls = proj.class_coords({pos[k]: c for k, c in vec.items()})
             for t, c in cls.items():
                 key = (base + t, j)
@@ -623,22 +615,15 @@ def t_truncate(M: CellModule, n: int):
     return results[0], results[1], hn_conn
 
 
-def in_heart(M: CellModule, coh_max=5, adams_max=6):
+def in_heart(M: CellModule):
     """Heart membership: H^n(qM) = 0 for all n != 0."""
-    q = M.q_complex()
-    for n in range(-coh_max, coh_max + 1):
-        if n == 0:
-            continue
-        for r in sorted({a for (_, _, a) in M.basis}):
-            if q.cohomology_dim(n, r):
-                return False
-    return True
+    return all(n == 0 for n, _ in M.q_complex().cohomology_dims())
 
 
 # ---- cell resolutions --------------------------------------------------
 
 
-class FiniteDgModule:
+class FiniteDgModule(ScalarComplex):
     """Finite-dimensional Adams-graded dg A-module given by matrices.
 
     basis: list of (name, coh, adams); d: {(i, j): Fraction} of bidegree
@@ -647,40 +632,15 @@ class FiniteDgModule:
     """
 
     def __init__(self, algebra, basis, d, action):
+        super().__init__(basis, d)
         self.algebra = algebra
-        self.basis = list(basis)
-        self.d = {k: F(v) for k, v in d.items() if v}
         self.action = {g: {k: F(v) for k, v in m.items() if v}
                        for g, m in action.items()}
-
-    def indices(self, n, r):
-        return [i for i, (_, c, a) in enumerate(self.basis) if c == n and a == r]
-
-    def d_matrix(self, n, r):
-        src = self.indices(n, r)
-        dst = self.indices(n + 1, r)
-        pos = {b: k for k, b in enumerate(dst)}
-        mat = linalg.SparseMatrix(len(dst), len(src))
-        for j, b in enumerate(src):
-            for (i, jj), c in self.d.items():
-                if jj == b and i in pos:
-                    mat.entries[(pos[i], j)] = c
-        return mat
-
-    def cohomology(self, n, r):
-        dim, reps = linalg.cohomology(self.d_matrix(n, r), self.d_matrix(n - 1, r))
-        proj = linalg.ClassProjector(
-            reps, linalg.image_basis(self.d_matrix(n - 1, r)),
-            len(self.indices(n, r)))
-        return dim, reps, proj
 
     def act(self, mono, vec_by_index):
         """Multiply a vector {index: coeff} by an algebra monomial."""
         out = dict(vec_by_index)
-        flat = []
-        for g, e in mono:
-            flat.extend([g] * e)
-        for g in reversed(flat):
+        for g in reversed(self.algebra._flat(mono)):
             mat = self.action.get(g, {})
             nxt = {}
             for (i, j), c in mat.items():
@@ -699,11 +659,33 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
     basis = []      # (name, coh, adams)
     diff = {}
     phi = []        # image vectors {D-index: coeff} per P basis element
-    counter = [0]
 
     def P_module():
         return CellModule(A, basis, diff, _strict_filtration(basis, diff),
                           0, "P")
+
+    def phi_of(src, vec):
+        """phi of a P-slice vector {position in src: coeff}, as
+        {D-index: coeff}."""
+        img = {}
+        for j, c in vec.items():
+            mono, bi = src[j]
+            for i, cc in D.act(mono, phi[bi]).items():
+                img[i] = img.get(i, F(0)) + c * cc
+        return {i: c for i, c in img.items() if c}
+
+    def class_map(P, n, r, strict=True):
+        """D's (dim, reps) of H^n(r), P's reps of H^n(r), and the D-class
+        coordinates of phi of each P rep; an image outside the span of D's
+        reps and coboundaries raises, or is None when not strict."""
+        dimD, repsD, projD = D.cohomology(n, r)
+        _, repsP = P.cohomology_slice(n, r)
+        src = P.slice_basis(n, r)
+        pos = {b: k for k, b in enumerate(D.indices(n, r))}
+        cols = [projD.class_coords(
+                    {pos[i]: c for i, c in phi_of(src, rv).items()}, strict)
+                for rv in repsP]
+        return dimD, repsD, repsP, cols
 
     for n in range(coh_min, coh_max + 1):
         for r in range(0, adams_max + 1):
@@ -714,51 +696,25 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
                 changed = False
                 P = P_module()
                 # surjectivity on H^n(r)
-                dimD, repsD, projD = D.cohomology(n, r)
-                dimP, repsP = P.cohomology_slice(n, r)
-                cols = []
-                srcP = P.slice_basis(n, r)
-                for rv in repsP:
-                    img = {}
-                    for j, c in rv.items():
-                        mono, bi = srcP[j]
-                        for i, cc in D.act(mono, phi[bi]).items():
-                            img[i] = img.get(i, F(0)) + c * cc
-                    pos = {b: k for k, b in enumerate(D.indices(n, r))}
-                    cls = projD.class_coords(
-                        {pos[i]: c for i, c in img.items() if c})
-                    cols.append(cls)
+                dimD, repsD, _, cols = class_map(P, n, r)
                 span = linalg.echelon_basis(cols)
                 missing = linalg.quotient_basis(
                     span, [{k: F(1)} for k in range(dimD)])
+                idxs = D.indices(n, r)
                 for cv in missing:
                     vec = {}
-                    pos_list = D.indices(n, r)
                     for k, c in cv.items():
                         for b, cc in repsD[k].items():
-                            vec[pos_list[b]] = vec.get(pos_list[b], F(0)) + c * cc
-                    name = f"p{counter[0]}"
-                    counter[0] += 1
-                    basis.append((name, n, r))
+                            vec[idxs[b]] = vec.get(idxs[b], F(0)) + c * cc
+                    basis.append((f"p{len(basis)}", n, r))
                     phi.append({k: v for k, v in vec.items() if v})
                     changed = True
                 if changed:
                     continue
                 # kill the kernel on H^{n+1}(r) with degree-n generators
-                P = P_module()
-                dimP2, repsP2 = P.cohomology_slice(n + 1, r)
-                dimD2, repsD2, projD2 = D.cohomology(n + 1, r)
+                dimD2, _, repsP2, cols2 = class_map(P, n + 1, r)
                 src2 = P.slice_basis(n + 1, r)
-                cols2 = []
-                for rv in repsP2:
-                    img = {}
-                    for j, c in rv.items():
-                        mono, bi = src2[j]
-                        for i, cc in D.act(mono, phi[bi]).items():
-                            img[i] = img.get(i, F(0)) + c * cc
-                    pos = {b: k for k, b in enumerate(D.indices(n + 1, r))}
-                    cols2.append(projD2.class_coords(
-                        {pos[i]: c for i, c in img.items() if c}))
+                pos2 = {b: k for k, b in enumerate(D.indices(n + 1, r))}
                 phi_mat = linalg.SparseMatrix.from_columns(cols2, dimD2)
                 for kv in linalg.kernel_basis(phi_mat):
                     # cocycle z in P with [phi(z)] = 0; adjoin g, dg = z,
@@ -767,58 +723,33 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
                     for k, c in kv.items():
                         for j, cc in repsP2[k].items():
                             zvec[j] = zvec.get(j, F(0)) + c * cc
-                    z_entries = {}
-                    img = {}
-                    for j, c in zvec.items():
-                        if not c:
-                            continue
-                        mono, bi = src2[j]
-                        z_entries[bi] = el_add(
-                            z_entries.get(bi, {}), {mono: F(1)}, c)
-                        for i, cc in D.act(mono, phi[bi]).items():
-                            img[i] = img.get(i, F(0)) + c * cc
-                    img = {i: c for i, c in img.items() if c}
-                    pos_src = {b: k for k, b in enumerate(D.indices(n, r))}
-                    pos_dst = {b: k for k, b in enumerate(D.indices(n + 1, r))}
+                    zvec = {j: c for j, c in zvec.items() if c}
                     bsol = linalg.solve(
                         D.d_matrix(n, r),
-                        {pos_dst[i]: c for i, c in img.items()})
+                        {pos2[i]: c for i, c in phi_of(src2, zvec).items()})
                     if bsol is None:
                         raise ModuleError(
                             "image of kernel class not exact in target")
-                    name = f"p{counter[0]}"
-                    counter[0] += 1
                     new_idx = len(basis)
-                    basis.append((name, n, r))
-                    inv_src = D.indices(n, r)
-                    phi.append({inv_src[k]: c for k, c in bsol.items() if c})
-                    for bi, el in z_entries.items():
-                        diff[(bi, new_idx)] = el
+                    basis.append((f"p{new_idx}", n, r))
+                    phi.append({idxs[k]: c for k, c in bsol.items() if c})
+                    for j, c in zvec.items():
+                        mono, bi = src2[j]
+                        diff[(bi, new_idx)] = el_add(
+                            diff.get((bi, new_idx), {}), {mono: F(1)}, c)
                     changed = True
 
     P = P_module()
     certificate = {}
     for n in range(coh_min, coh_max + 2):
         for r in range(0, adams_max + 1):
-            dimD, repsD, projD = D.cohomology(n, r)
-            dimP, repsP = P.cohomology_slice(n, r)
-            srcP = P.slice_basis(n, r)
-            cols = []
-            for rv in repsP:
-                img = {}
-                for j, c in rv.items():
-                    mono, bi = srcP[j]
-                    for i, cc in D.act(mono, phi[bi]).items():
-                        img[i] = img.get(i, F(0)) + c * cc
-                pos = {b: k for k, b in enumerate(D.indices(n, r))}
-                cols.append(projD.class_coords(
-                    {pos[i]: c for i, c in img.items() if c}, strict=False))
+            dimD, _, repsP, cols = class_map(P, n, r, strict=False)
             if any(c is None for c in cols):
                 certificate[(n, r)] = False
                 continue
             rk = len(linalg.echelon_basis(cols))
             if n <= coh_max:
-                certificate[(n, r)] = dimD == dimP == rk
+                certificate[(n, r)] = dimD == len(repsP) == rk
             else:
-                certificate[(n, r)] = dimP == rk
+                certificate[(n, r)] = len(repsP) == rk
     return P, phi, certificate

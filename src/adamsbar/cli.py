@@ -59,7 +59,7 @@ def _load_cdga(path):
     kind, obj = parse_file(path)
     if kind != "cdga":
         raise ParseError("expected a cdga presentation", 1)
-    cdga_mod.check_differential_bidegrees(obj)
+    cdga_mod.check_bidegrees(obj)
     return obj
 
 
@@ -109,7 +109,7 @@ def cmd_cohomology(args):
     else:
         kind, obj = _load_any(args.file)
     if kind == "cdga":
-        cdga_mod.check_differential_bidegrees(obj)
+        cdga_mod.check_bidegrees(obj)
     tables = {}
     for n in range(0, args.deg_max + 1):
         for r in range(0, args.wt_max + 1):

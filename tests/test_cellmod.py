@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from adamsbar.cdga import UNIT, el_gen
+from adamsbar.cdga import UNIT, el_add, el_gen
 from adamsbar.cellmod import (
     CellModule,
     CellMorphism,
+    ConnectionModule,
     cone,
     cell_resolution,
     from_connection,
@@ -25,6 +27,11 @@ from corpus import (
     make_e1,
     make_e3,
     random_cell_module,
+)
+from oracles import (
+    dense_check_chain_map,
+    dense_check_flat,
+    dense_d_squared_failures,
 )
 
 F = Fraction
@@ -121,8 +128,8 @@ def test_tensor_hom_d_squared(seed):
     ok, fails = T.check()
     assert ok, fails
     H = hom_complex(M, N)
-    okh = not H._d_squared_failures(H.differential)
-    assert okh, H._d_squared_failures(H.differential)
+    ok, fails = H.check()
+    assert ok, fails
 
 
 def test_hom_tate(e3):
@@ -234,9 +241,19 @@ def test_heart_and_double_truncation(seed):
 
 def test_is_finite_tate(e3):
     M = random_cell_module(make_e3(), 3)
-    ok, report = is_finite_tate(M)
-    assert ok
+    report = is_finite_tate(M)
     assert set(report) <= {a for (_, _, a) in M.basis}
+    # q(M) splits by weight, so gr^W_w carries the weight-w part of H(qM)
+    dims = M.q_complex().cohomology_dims()
+    assert report == {w: {c: d for (c, r), d in dims.items() if r == w}
+                      for w in report}
+
+
+def test_heart_and_weights_see_every_degree(e1):
+    # H^7(qM) = 1 lies outside any fixed degree window around 0
+    M = CellModule(e1, [("b", 7, 0)], {})
+    assert not in_heart(M)
+    assert is_finite_tate(M) == {0: {7: 1}}
 
 
 def test_orthogonality(e3):
@@ -285,3 +302,113 @@ def test_cell_resolution_acyclic(e3):
     P, phi, cert = cell_resolution(D, 0, 3, 3)
     assert len(P.basis) == 0
     assert all(cert.values())
+
+
+def non_square_zero_module(e3):
+    """b (0,0), c (0,1), e (-1,1), f (0,2) over E3 with dc = x b, de = c,
+    df = y c + z b: d^2 e = x b and d^2 f = 2 xy b."""
+    return CellModule(
+        e3,
+        [("b", 0, 0), ("c", 0, 1), ("e", -1, 1), ("f", 0, 2)],
+        {(0, 1): el_gen("x"), (1, 2): {UNIT: F(1)}, (1, 3): el_gen("y"),
+         (0, 3): el_gen("z")},
+    )
+
+
+def test_check_reports_d_squared(e3):
+    ok, fails = non_square_zero_module(e3).check()
+    assert not ok
+    assert fails == [
+        "d^2 != 0 at (k=0, j=2): {(('x', 1),): Fraction(1, 1)}",
+        "d^2 != 0 at (k=0, j=3): {(('x', 1), ('y', 1)): Fraction(2, 1)}",
+    ]
+
+
+def test_d_squared_witness_terms_in_dense_order(e3):
+    # (k=0, j=3) gets -z*x from i=1 before -y*z from i=2, although the
+    # entry (2, 3) is listed first
+    M = CellModule(
+        e3,
+        [("b", 0, 0), ("c", 0, 1), ("e", 0, 2), ("f", 0, 3)],
+        {(2, 3): el_gen("y"), (1, 3): el_gen("z"), (0, 1): el_gen("x"),
+         (0, 2): el_gen("z"), (1, 2): {(("y", 1),): F(-1)}},
+    )
+    assert M.check()[1] == [
+        "d^2 != 0 at (k=0, j=3): {(('x', 1), ('z', 1)): Fraction(1, 1), "
+        "(('y', 1), ('z', 1)): Fraction(-1, 1)}",
+        "d^2 != 0 at (k=1, j=3): {(('x', 1), ('y', 1)): Fraction(1, 1)}",
+    ]
+
+
+def test_check_flat_reports_curvature(e3):
+    assert to_connection(non_square_zero_module(e3)).check_flat() == (
+        False, [(0, 2), (0, 3)])
+    basis = [("b", 0, 0), ("c", 0, 1), ("f", 0, 2)]
+    gamma = {(0, 1): el_gen("x"), (1, 2): el_gen("y")}
+    # dz = xy cancels -y*x = xy only with the coefficient -1
+    for cz, expected in ((1, (False, [(0, 2)])), (-1, (True, []))):
+        C = ConnectionModule(e3, basis, {}, {**gamma, (0, 2): {
+            (("z", 1),): F(cz)}})
+        assert C.check_flat() == expected
+
+
+def test_check_chain_map_reports_positions(e1):
+    M = two_step_module(e1)
+    f = CellMorphism(M, M, {(1, 0): {UNIT: F(1)}})
+    # d(f b) = dc = x b but f(db) = 0; d(f c) = 0 but f(dc) = x c
+    assert f.check_chain_map() == (False, [(0, 0), (1, 1)])
+
+
+def _random_entries(A, rng, rows, cols, shift):
+    """A few random entries (i, j) of bidegree bidegree(j) - bidegree(i) +
+    (shift, 0), at positions where that slice of A is nonzero."""
+    slots = []
+    for i, (_, ci, ri) in enumerate(rows):
+        for j, (_, cj, rj) in enumerate(cols):
+            sl = A.basis_slice(cj + shift - ci, rj - ri) if rj >= ri else []
+            if sl:
+                slots.append(((i, j), sl))
+    entries = {}
+    for _ in range(min(len(slots), rng.randint(0, 4))):
+        key, sl = rng.choice(slots)
+        entries[key] = el_add(entries.get(key, {}), {
+            rng.choice(sl): F(rng.choice([-2, -1, 1, 3]))})
+    return entries
+
+
+def _perturbed(M, rng):
+    """M with a few random entries of the right bidegree added to d, its
+    entries in random order."""
+    diff = dict(M.differential)
+    for key, a in _random_entries(M.algebra, rng, M.basis, M.basis,
+                                  1).items():
+        diff[key] = el_add(diff.get(key, {}), a)
+    # the witnesses must not depend on the order entries were given in
+    items = list(diff.items())
+    rng.shuffle(items)
+    return CellModule(M.algebra, M.basis, dict(items), M.filtration,
+                      M.twist)
+
+
+def _random_map(M, N, rng):
+    return CellMorphism(M, N, _random_entries(M.algebra, rng, N.basis,
+                                              M.basis, 0))
+
+
+def test_checks_match_dense_oracle():
+    A = make_e3()
+    failed = {"d^2": 0, "flat": 0, "chain": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        M = _perturbed(random_cell_module(A, seed, max_basis=7), rng)
+        N = random_cell_module(A, seed + 1000, max_basis=6)
+        d2 = [w for w in M.check()[1] if w.startswith("d^2")]
+        assert d2 == dense_d_squared_failures(M, M.differential), seed
+        C = to_connection(M)
+        assert C.check_flat() == dense_check_flat(C), seed
+        failed["d^2"] += bool(d2)
+        failed["flat"] += not C.check_flat()[0]
+        for f in (_random_map(M, N, rng), _random_map(N, M, rng)):
+            assert f.check_chain_map() == dense_check_chain_map(f), seed
+            failed["chain"] += not f.check_chain_map()[0]
+    assert all(failed.values()), failed

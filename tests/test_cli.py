@@ -85,16 +85,51 @@ def test_validate_broken_exits_1(capsys, tmp_path):
     assert rep["witnesses"]
 
 
-@pytest.mark.parametrize("command", ["bar-h0", "colie", "quillen",
-                                     "cohomology"])
-@pytest.mark.parametrize("dz", ["99", "1*x"])
-def test_wrong_bidegree_differential_exits_2(capsys, tmp_path, command, dz):
-    f = write(tmp_path, "bad.cdga", E3_TEXT.replace("1*x*y", dz))
-    code = main([command, f])
+# (command, presentation text, --base text or None, expected message)
+WRONG_BIDEGREE = [
+    pytest.param(command, E3_TEXT.replace("1*x*y", dz), None,
+                 f"d(z) has bidegree {bd}, expected (2, 2)",
+                 id=f"{dz}-{command}")
+    for dz, bd in (("1*x", "(1, 1)"), ("99", "(0, 0)"))
+    for command in ("bar-h0", "cohomology", "colie", "quillen")
+] + [
+    pytest.param("minimal-model", E4_TEXT.replace("aug u = 0", "aug u = 99"),
+                 E1_TEXT, "aug(u) has bidegree (0, 0), expected (1, 1)",
+                 id="aug-minimal-model"),
+] + [
+    pytest.param(command, E2_TEXT + "mul x0 x1 = -1\n", None,
+                 "x0*x1 has bidegree (0, 0), expected (2, 2)",
+                 id=f"mul-{command}")
+    for command in ("bar-h0", "colie", "delta-approx", "quillen")
+]
+
+
+@pytest.mark.parametrize("command,text,base,message", WRONG_BIDEGREE)
+def test_wrong_bidegree_differential_exits_2(capsys, tmp_path, command, text,
+                                            base, message):
+    argv = [command, write(tmp_path, "bad.cdga", text)]
+    if base is not None:
+        argv += ["--base", write(tmp_path, "base.cdga", base)]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "d(z) has bidegree" in captured.err
+    assert message in captured.err
+    # validate reports the same fault as a failed property
+    code, rep = run(capsys, "validate", argv[1])
+    assert code == 1
+    assert message in rep["witnesses"]
+
+
+def test_validate_cell_d_squared_witness(capsys, tmp_path):
+    # the extra cell e has d e = c, so d^2 e = t b
+    b = write(tmp_path, "e1.cdga", E1_TEXT)
+    f = write(tmp_path, "broken.cell",
+              CELL_TEXT + "elt e deg -1 wt 1\nd e = 1 c\n")
+    code, rep = run(capsys, "validate", "--base", b, f)
+    assert code == 1
+    assert rep["witnesses"] == [
+        "d^2 != 0 at (k=0, j=2): {(('t', 1),): Fraction(1, 1)}"]
 
 
 def test_unknown_command_exits_2(tmp_path):
