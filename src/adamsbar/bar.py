@@ -42,6 +42,7 @@ class BarComplex:
         self._letters = {}
         self._words = {}
         self._slices = {}
+        self._indexes = {}  # slice key -> {word: position in the slice}
         if A.generators:
             self._min_d = min(g.coh for g in A.generators)
             self._max_d = max(g.coh for g in A.generators)
@@ -97,6 +98,14 @@ class BarComplex:
             self._slices[key] = sorted(ws)
         return self._slices[key]
 
+    def _index(self, n, w, max_len=None):
+        """{word: position} of the slice (n, w, max_len)."""
+        key = (n, w, max_len)
+        if key not in self._indexes:
+            self._indexes[key] = {
+                word: i for i, word in enumerate(self.slice(n, w, max_len))}
+        return self._indexes[key]
+
     # ---- structure maps ------------------------------------------------
 
     def _ebar(self, m):
@@ -125,9 +134,8 @@ class BarComplex:
 
     def d_matrix(self, n, w, max_len=None):
         src = self.slice(n, w, max_len)
-        dst = self.slice(n + 1, w, max_len)
-        idx = {word: i for i, word in enumerate(dst)}
-        mat = linalg.SparseMatrix(len(dst), len(src))
+        idx = self._index(n + 1, w, max_len)
+        mat = linalg.SparseMatrix(len(idx), len(src))
         for j, word in enumerate(src):
             for dw, c in self.d_word(word).items():
                 mat.entries[(idx[dw], j)] = c
@@ -177,7 +185,7 @@ class BarComplex:
         return out
 
     def vector(self, lin, n, w, max_len=None):
-        idx = {word: i for i, word in enumerate(self.slice(n, w, max_len))}
+        idx = self._index(n, w, max_len)
         return {idx[word]: c for word, c in lin.items()}
 
     def lin(self, vec, n, w, max_len=None):
@@ -193,8 +201,10 @@ class WeightPiece:
         self.words = bar.slice(0, w, max_len)
         d_out = bar.d_matrix(0, w, max_len)
         d_in = bar.d_matrix(-1, w, max_len)
-        self.dim, self.reps = linalg.cohomology(d_out, d_in)
         self.image = linalg.image_basis(d_in)
+        self.reps = linalg.quotient_basis(
+            self.image, linalg.kernel_basis(d_out))
+        self.dim = len(self.reps)
         self.projector = linalg.ClassProjector(
             self.reps, self.image, len(self.words)
         )
@@ -210,6 +220,17 @@ class HopfPresentation:
     coproduct[(w, k)]: dict {(w1, i, j): coeff} meaning class_i(w1) (x)
     class_j(w - w1), including the w1 = 0 and w1 = w (grouplike) parts.
     antipode[(w, k)]: dict {k2: coeff} within weight w.
+
+    Only the constants that carry information are classified; the rest are
+    exact by construction:
+    - commutativity: representatives have bar degree 0, so the Koszul sign
+      of every shuffle u * v against v * u is +1 and the two products are
+      the same chain; each unordered pair is classified once.
+    - unit: H^0 in weight 0 is the class of the empty word, whose shuffle
+      with a representative is that representative, so 1 * x_j = x_j.
+    - grouplike terms: every letter has weight >= 1, so the only splits of
+      prefix weight 0 and w are ([], word) and (word, []); they give
+      exactly 1 (x) x_k and x_k (x) 1, with coefficient 1.
     """
 
     def __init__(self, A: CdgaPresentation, w_max, max_len=None):
@@ -234,13 +255,19 @@ class HopfPresentation:
 
     def _compute_product(self):
         bar = self.bar
-        for w1 in range(self.w_max + 1):
-            for w2 in range(self.w_max + 1 - w1):
-                p1, p2 = self.pieces[w1], self.pieces[w2]
-                for i, u in enumerate(p1.rep_lins(bar)):
-                    for j, v in enumerate(p2.rep_lins(bar)):
-                        prod = bar.shuffle_lin(u, v)
-                        self.product[(w1, i, w2, j)] = self.classify(prod, w1 + w2)
+        reps = {w: p.rep_lins(bar) for w, p in self.pieces.items()}
+        for w1 in range(self.w_max // 2 + 1):
+            for w2 in range(w1, self.w_max + 1 - w1):
+                for i, u in enumerate(reps[w1]):
+                    for j, v in enumerate(reps[w2]):
+                        if (w1, i) > (w2, j):
+                            continue
+                        if w1 == 0:
+                            val = {j: F(1)}
+                        else:
+                            val = self.classify(bar.shuffle_lin(u, v), w1 + w2)
+                        self.product[(w1, i, w2, j)] = val
+                        self.product[(w2, j, w1, i)] = dict(val)
 
     def _compute_coproduct(self):
         bar = self.bar
@@ -248,14 +275,23 @@ class HopfPresentation:
             piece = self.pieces[w]
             for k, rep in enumerate(piece.rep_lins(bar)):
                 out = {}
-                # split the deconcatenation by prefix weight
-                by_weight = {}
+                # split the deconcatenation by prefix weight; the splits of
+                # prefix weight 0 and w are only recorded, to keep the
+                # order in which the weights first occur
+                by_weight = {0: None}
                 for word, c in rep.items():
-                    for u, v in bar.coprod_word(word):
-                        w1 = bar.word_bidegree(u)[1]
-                        by_weight.setdefault(w1, {})
-                        _wadd(by_weight[w1], (u, v), c)
+                    w1 = 0
+                    for u, v in bar.coprod_word(word)[1:-1]:
+                        w1 += self.A.mono_bidegree(u[-1])[1]
+                        _wadd(by_weight.setdefault(w1, {}), (u, v), c)
+                    by_weight.setdefault(w, None)
                 for w1, pairs in by_weight.items():
+                    if w1 == 0:
+                        out[(0, 0, k)] = F(1)
+                        continue
+                    if w1 == w:
+                        out[(w, k, 0)] = F(1)
+                        continue
                     w2 = w - w1
                     # expand over the suffix word basis; each prefix
                     # coefficient vector is then a cocycle (no negative
@@ -288,7 +324,7 @@ class HopfPresentation:
 def h0_hopf(A: CdgaPresentation, w_max, max_len=None):
     from .cdga import is_coh_connected
 
-    ok, wit = is_coh_connected(A, coh_max=3, adams_max=w_max)
+    ok, wit = is_coh_connected(A, adams_max=w_max)
     if not ok:
         raise ValueError(f"algebra {A.name} not cohomologically connected: {wit}")
     return HopfPresentation(A, w_max, max_len=max_len)
@@ -297,7 +333,12 @@ def h0_hopf(A: CdgaPresentation, w_max, max_len=None):
 def bar_truncated_h0(A: CdgaPresentation, m, w_max):
     """Per-weight H^0 dims computed on words of length <= m."""
     bar = BarComplex(A)
-    return {w: WeightPiece(bar, w, max_len=m).dim for w in range(w_max + 1)}
+    dims = {}
+    for w in range(w_max + 1):
+        d_out = bar.d_matrix(0, w, m)
+        dims[w] = (d_out.cols - linalg.rank(d_out)
+                   - linalg.rank(bar.d_matrix(-1, w, m)))
+    return dims
 
 
 class CoLiePresentation:

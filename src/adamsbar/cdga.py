@@ -393,11 +393,16 @@ def _validate_table(A):
     return failures
 
 
-def is_coh_connected(A: CdgaPresentation, coh_max=5, adams_max=4):
-    """H^n(r) = 0 for n <= 0, r >= 1 within the window, H^0(0) = Q."""
+def is_coh_connected(A: CdgaPresentation, adams_max=4):
+    """H^n(r) = 0 for n <= 0 and 1 <= r <= adams_max, H^0(0) = Q.
+
+    A monomial of weight r has at most r factors (every generator has
+    weight >= 1), so at weight r only the degrees from
+    min(0, r * lowest generator degree) to 0 need checking."""
+    low = min([0] + [g.coh for g in A.generators])
     witnesses = []
     for r in range(1, adams_max + 1):
-        for n in range(-coh_max, 1):
+        for n in range(r * low, 1):
             dim, _ = A.cohomology_slice(n, r)
             if dim:
                 witnesses.append((n, r, dim))

@@ -4,10 +4,12 @@ Everything downstream (cohomology slices, Hopf structure constants,
 minimal-model stages) reduces to kernels, solves and quotient
 representatives over Q.  Repeated questions "what are the coordinates of
 v in this fixed independent family?" go through ClassProjector, which
-factors the family once; solve is for one-off systems whose matrix need
-not be injective.  All arithmetic uses fractions.Fraction, so
-results are exact and bit-for-bit reproducible: elimination always picks
-the pivot in the lowest remaining row, then the lowest column.
+factors the family once into fully reduced rows keyed by pivot, so a
+query touches only the rows its own support picks; solve is for one-off
+systems whose matrix need not be injective.  All arithmetic uses
+fractions.Fraction, so results are exact and bit-for-bit reproducible:
+elimination always picks the pivot in the lowest remaining row, then the
+lowest column.
 
 Vectors are dicts {index: Fraction} with no stored zeros; matrices store
 a dict {(row, col): Fraction}.
@@ -20,15 +22,20 @@ from fractions import Fraction
 Vec = dict  # {int: Fraction}, zero entries absent
 
 
+def _vec_iadd(u, v, c):
+    """u += c*v in place; new keys are appended in v's order."""
+    for i, x in v.items():
+        y = u.get(i, Fraction(0)) + c * x
+        if y:
+            u[i] = y
+        else:
+            u.pop(i, None)
+
+
 def vec_add(u, v, c=Fraction(1)):
     """u + c*v as a new sparse vector."""
     out = dict(u)
-    for i, x in v.items():
-        y = out.get(i, Fraction(0)) + c * x
-        if y:
-            out[i] = y
-        else:
-            out.pop(i, None)
+    _vec_iadd(out, v, c)
     return out
 
 
@@ -110,7 +117,7 @@ def _echelonize(rows):
         for p, prow in zip(pivots, reduced):
             c = row.get(p)
             if c:
-                row = vec_add(row, prow, -c)
+                _vec_iadd(row, prow, -c)
         if not row:
             continue
         p = min(row)
@@ -120,7 +127,7 @@ def _echelonize(rows):
         for k in range(len(reduced)):
             ck = reduced[k].get(p)
             if ck:
-                reduced[k] = vec_add(reduced[k], row, -ck)
+                _vec_iadd(reduced[k], row, -ck)
         reduced.append(row)
         pivots.append(p)
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
@@ -219,7 +226,7 @@ def quotient_basis(sub_vectors, vectors):
         for p, row in zip(acc_piv, acc_rows):
             c = w.get(p)
             if c:
-                w = vec_add(w, row, -c)
+                _vec_iadd(w, row, -c)
         if w:
             p = min(w)
             w = vec_scale(w, Fraction(1) / w[p])
@@ -244,11 +251,14 @@ def cohomology(d_out: SparseMatrix, d_in: SparseMatrix):
 class ClassProjector:
     """Coordinates in a fixed linearly independent family reps + image.
 
-    The family is eliminated once, when the projector is built: each
-    reduced vector remembers which combination of family members it is, so
-    class_coords(v) reduces only v.  class_coords returns the coordinates
-    of v on reps (dropping those on image), or None when v is outside the
-    span of the family (strict=True raises).  A dependent family raises
+    The family is eliminated once, when the projector is built, into fully
+    reduced rows keyed by pivot: each row is 1 at its own pivot, 0 at every
+    other pivot, and remembers which combination of reps it is (its image
+    part is never needed).  class_coords(v) then subtracts only the rows
+    whose pivot lies in the support of v, once each, from one copy of v.
+    It returns the coordinates of v on reps, in index order, or None when
+    v is outside the span of the family (strict=True raises).  The family
+    is independent, so both answers are unique; a dependent family raises
     ValueError at construction.
     """
 
@@ -256,31 +266,43 @@ class ClassProjector:
         self.reps = reps
         self.image = image
         self.dim = dim
-        # (pivot, reduced vector with entry 1 at pivot, its combination of
-        # family members); each vector is 0 at the pivots before it
-        self._rows = []
+        nreps = len(reps)
+        # pivot -> (row, its combination of reps)
+        self._rows = {}
         for k, col in enumerate(list(reps) + list(image)):
-            w, combo = self._reduce(col, {k: Fraction(1)})
+            w, combo = self._reduce(col)
             if not w:
                 raise ValueError("family vectors are not linearly independent")
+            if k < nreps:  # the reps part of w = col - rows is e_k - combo
+                combo[k] = Fraction(-1)
             p = min(w)
             c = Fraction(1) / w[p]
-            self._rows.append((p, vec_scale(w, c), vec_scale(combo, c)))
+            row, combo = vec_scale(w, c), vec_scale(combo, -c)
+            # back-substitute, so the earlier rows vanish at p
+            for q, (qrow, qcombo) in self._rows.items():
+                cq = qrow.get(p)
+                if cq:
+                    _vec_iadd(qrow, row, -cq)
+                    _vec_iadd(qcombo, combo, -cq)
+            self._rows[p] = (row, combo)
 
-    def _reduce(self, v, combo):
-        for p, row, rcombo in self._rows:
-            c = v.get(p)
-            if c:
-                v = vec_add(v, row, -c)
-                combo = vec_add(combo, rcombo, -c)
-        return v, combo
+    def _reduce(self, v):
+        """(v minus its multiples of the rows, the reps part of that
+        multiple); the rows are 0 at each other's pivots, so each row is
+        subtracted once, by v's own entry at its pivot."""
+        residue = dict(v)
+        combo = {}
+        for p, c in v.items():
+            if p in self._rows:
+                row, rcombo = self._rows[p]
+                _vec_iadd(residue, row, -c)
+                _vec_iadd(combo, rcombo, c)
+        return residue, combo
 
     def class_coords(self, v, strict=True):
-        residue, combo = self._reduce(v, {})
+        residue, combo = self._reduce(v)
         if residue:
             if strict:
                 raise ValueError("vector outside the span of reps + image")
             return None
-        # v = -combo; keep the rep coordinates, in index order
-        nreps = len(self.reps)
-        return {i: -combo[i] for i in sorted(combo) if i < nreps}
+        return {i: combo[i] for i in sorted(combo)}

@@ -148,7 +148,7 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
     adjoined, certified by slice cohomology comparison within the
     (coh <= n+1, adams <= w_max) window.
     """
-    ok, wit = is_coh_connected(N, coh_max=n + 2, adams_max=w_max)
+    ok, wit = is_coh_connected(N, adams_max=w_max)
     if not ok:
         raise ValueError(f"base {N.name} not cohomologically connected: {wit}")
     base_names = {g.name for g in N.generators}
@@ -373,7 +373,7 @@ class QAColie:
 
 
 def qa_colie(A: CdgaPresentation, w_max):
-    ok, wit = is_coh_connected(A, coh_max=3, adams_max=w_max)
+    ok, wit = is_coh_connected(A, adams_max=w_max)
     if not ok:
         raise ValueError(f"{A.name} not cohomologically connected: {wit}")
     mm = relative_minimal_model(trivial_base(), augment_absolute(A), 1, w_max)

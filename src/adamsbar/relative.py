@@ -330,7 +330,7 @@ class RelativeBarH0:
 
 
 def relative_bar_h0(X: AugmentedOverN, w_max):
-    ok, wit = is_coh_connected(X.base, coh_max=3, adams_max=w_max)
+    ok, wit = is_coh_connected(X.base, adams_max=w_max)
     if not ok:
         raise RelativeError(f"base not cohomologically connected: {wit}")
     ok, wit = generalized_nilpotent_check(X.base, X.total)

@@ -2,6 +2,11 @@
 
 Everything lives in bar degree 0, so no Koszul signs appear in these
 identities; products are plain commutative and tensors unsigned.
+
+HopfPresentation classifies each unordered pair of classes once and
+stores the product under both orders, so product_commutative holds by
+construction there; it can still fail on constants that classify every
+ordered pair, such as oracles.reference_hopf.
 """
 
 from fractions import Fraction

@@ -7,10 +7,14 @@
   enumeration and unsigned shuffle, sharing only the generic row
   reduction.
 - Dense triple-loop d^2, flatness and chain-map checks for cell modules.
+- The reference elimination and Hopf structure constants: row reduction
+  and a projector that walk every row, the product of every ordered pair
+  of classes and the coproduct classified over every split.
 """
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 from adamsbar import linalg
 from adamsbar.cdga import el_add
@@ -152,3 +156,153 @@ def dense_check_chain_map(f):
             if acc:
                 failures.append((k, j))
     return (not failures), failures
+
+
+# ---- reference elimination ----------------------------------------------
+#
+# Row reduction that builds a new vector at every step and a projector
+# that reduces every query against all of its rows in construction order.
+# linalg's fast paths must reproduce their rows, pivots, key order and
+# coordinates exactly.
+
+
+def _vec_add(u, v, c=Fraction(1)):
+    """u + c*v as a new sparse vector."""
+    out = dict(u)
+    for i, x in v.items():
+        y = out.get(i, Fraction(0)) + c * x
+        if y:
+            out[i] = y
+        else:
+            out.pop(i, None)
+    return out
+
+
+def _vec_scale(u, c):
+    if not c:
+        return {}
+    return {i: c * x for i, x in u.items()}
+
+
+def reference_echelonize(rows):
+    """(reduced rows, pivots) of linalg._echelonize, one new dict a step."""
+    work = [dict(r) for r in rows if r]
+    reduced = []
+    pivots = []
+    for row in work:
+        for p, prow in zip(pivots, reduced):
+            c = row.get(p)
+            if c:
+                row = _vec_add(row, prow, -c)
+        if not row:
+            continue
+        p = min(row)
+        c = row[p]
+        row = _vec_scale(row, Fraction(1) / c)
+        # back-substitute into earlier rows
+        for k in range(len(reduced)):
+            ck = reduced[k].get(p)
+            if ck:
+                reduced[k] = _vec_add(reduced[k], row, -ck)
+        reduced.append(row)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    return [reduced[k] for k in order], [pivots[k] for k in order]
+
+
+class ReferenceProjector:
+    """Coordinates on reps of a vector in span(reps + image): each query is
+    reduced against every row, in the order the rows were built."""
+
+    def __init__(self, reps, image):
+        self.nreps = len(reps)
+        # (pivot, reduced vector with entry 1 at pivot, its combination of
+        # family members); each vector is 0 at the pivots before it
+        self._rows = []
+        for k, col in enumerate(list(reps) + list(image)):
+            w, combo = self._reduce(col, {k: Fraction(1)})
+            if not w:
+                raise ValueError("family vectors are not linearly independent")
+            p = min(w)
+            c = Fraction(1) / w[p]
+            self._rows.append((p, _vec_scale(w, c), _vec_scale(combo, c)))
+
+    def _reduce(self, v, combo):
+        for p, row, rcombo in self._rows:
+            c = v.get(p)
+            if c:
+                v = _vec_add(v, row, -c)
+                combo = _vec_add(combo, rcombo, -c)
+        return v, combo
+
+    def class_coords(self, v):
+        residue, combo = self._reduce(v, {})
+        if residue:
+            raise ValueError("vector outside the span of reps + image")
+        return {i: -combo[i] for i in sorted(combo) if i < self.nreps}
+
+
+# ---- reference Hopf structure constants ---------------------------------
+
+
+def _wadd(out, w, c):
+    y = out.get(w, F(0)) + c
+    if y:
+        out[w] = y
+    else:
+        out.pop(w, None)
+
+
+def reference_hopf(h):
+    """The structure constants of the HopfPresentation h, recomputed from
+    its representatives: every ordered product (the unit included) and
+    every split of the coproduct is classified, against a
+    ReferenceProjector per weight.  The result has the attributes w_max,
+    pieces, product, coproduct and antipode that hopf_checks reads."""
+    bar = h.bar
+    projectors = {w: ReferenceProjector(p.reps, p.image)
+                  for w, p in h.pieces.items()}
+
+    def classify(lin, w):
+        return projectors[w].class_coords(bar.vector(lin, 0, w))
+
+    product, coproduct, antipode = {}, {}, {}
+    for w1 in range(h.w_max + 1):
+        for w2 in range(h.w_max + 1 - w1):
+            p1, p2 = h.pieces[w1], h.pieces[w2]
+            for i, u in enumerate(p1.rep_lins(bar)):
+                for j, v in enumerate(p2.rep_lins(bar)):
+                    prod = bar.shuffle_lin(u, v)
+                    product[(w1, i, w2, j)] = classify(prod, w1 + w2)
+    for w in range(h.w_max + 1):
+        piece = h.pieces[w]
+        for k, rep in enumerate(piece.rep_lins(bar)):
+            out = {}
+            # split the deconcatenation by prefix weight
+            by_weight = {}
+            for word, c in rep.items():
+                for u, v in bar.coprod_word(word):
+                    w1 = bar.word_bidegree(u)[1]
+                    by_weight.setdefault(w1, {})
+                    _wadd(by_weight[w1], (u, v), c)
+            for w1, pairs in by_weight.items():
+                w2 = w - w1
+                suffix_basis = {}
+                for (u, v), c in pairs.items():
+                    suffix_basis.setdefault(v, {})
+                    _wadd(suffix_basis[v], u, c)
+                suff_by_class = {}
+                for v, ulin in suffix_basis.items():
+                    ucls = classify(ulin, w1)
+                    for i, c in ucls.items():
+                        suff_by_class.setdefault(i, {})
+                        _wadd(suff_by_class[i], v, c)
+                for i, vlin in suff_by_class.items():
+                    vcls = classify(vlin, w2)
+                    for j, c in vcls.items():
+                        out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
+            coproduct[(w, k)] = {k2: c for k2, c in out.items() if c}
+        for k, rep in enumerate(piece.rep_lins(bar)):
+            antipode[(w, k)] = classify(bar.antipode_lin(rep), w)
+    return SimpleNamespace(w_max=h.w_max, pieces=h.pieces, product=product,
+                           coproduct=coproduct, antipode=antipode)

@@ -85,13 +85,13 @@ def test_cohomology_slices(e1, e3):
 
 def test_connectedness(e1, e2, e3):
     for A in (e1, e2, e3):
-        ok, wit = is_coh_connected(A, coh_max=3, adams_max=3)
+        ok, wit = is_coh_connected(A, adams_max=3)
         assert ok, wit
 
 
 def test_not_connected():
     A = CdgaPresentation("nc", "free", [GeneratorSpec("v", 0, 1)])
-    ok, wit = is_coh_connected(A, coh_max=2, adams_max=2)
+    ok, wit = is_coh_connected(A, adams_max=2)
     assert not ok
     assert (0, 1, 1) in wit
 

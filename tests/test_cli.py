@@ -121,6 +121,30 @@ def test_wrong_bidegree_differential_exits_2(capsys, tmp_path, command, text,
     assert message in rep["witnesses"]
 
 
+NOT_CONNECTED = "cdga N free\ngen a deg -4 wt 1\ngen b deg 5 wt 1\n"
+NOT_CONNECTED_TOTAL = NOT_CONNECTED.replace("cdga N", "cdga T") + (
+    "gen f deg 1 wt 1\naug f = 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bar-h0", "@n"],
+    ["colie", "@n"],
+    ["quillen", "@n"],
+    ["coaction-check", "--base", "@n", "--total", "@t"],
+], ids=lambda argv: argv[0])
+def test_class_below_degree_minus_3_exits_2(capsys, tmp_path, argv):
+    # H^-4(1) = Q a: the connectivity window reaches down to the lowest
+    # degree of the presentation, not a fixed -3
+    files = {"@n": write(tmp_path, "n.cdga", NOT_CONNECTED),
+             "@t": write(tmp_path, "t.cdga", NOT_CONNECTED_TOTAL)}
+    code = main([files.get(a, a) for a in argv] + ["--wt-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not cohomologically connected" in captured.err
+    assert "(-4, 1, 1)" in captured.err
+
+
 def test_validate_cell_d_squared_witness(capsys, tmp_path):
     # the extra cell e has d e = c, so d^2 e = t b
     b = write(tmp_path, "e1.cdga", E1_TEXT)

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from adamsbar.linalg import (
     ClassProjector,
     SparseMatrix,
+    _echelonize,
     echelon_basis,
     image_basis,
     kernel_basis,
@@ -14,6 +15,7 @@ from adamsbar.linalg import (
     rank,
     solve,
 )
+import oracles
 
 F = Fraction
 
@@ -159,12 +161,19 @@ def test_class_projector_matches_solve(case):
     """Factor-once coordinates agree with a fresh solve against the family,
     in values and key order; dependent families are rejected."""
     dim, family, nreps, targets = case
+
+    def snapshot():
+        return [list(v.items()) for v in family + targets]
+
+    before = snapshot()
     m = SparseMatrix.from_columns(family, dim)
     if rank(m) < len(family):
         with pytest.raises(ValueError):
             ClassProjector(family[:nreps], family[nreps:], dim)
+        assert snapshot() == before
         return
     proj = ClassProjector(family[:nreps], family[nreps:], dim)
+    assert snapshot() == before
     for v in targets:
         sol = solve(m, v)
         got = proj.class_coords(v, strict=False)
@@ -175,3 +184,44 @@ def test_class_projector_matches_solve(case):
         else:
             want = {i: c for i, c in sol.items() if i < nreps and c}
             assert list(got.items()) == list(want.items())
+    # the reduction works on copies: neither the family nor a query moved
+    assert snapshot() == before
+
+
+@st.composite
+def sparse_families(draw):
+    """Sparse rows over 8 columns with keys in random order; some rows are
+    combinations of earlier ones, so the family is often dependent."""
+    entry = st.integers(-4, 4).filter(bool).map(F)
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        if rows and draw(st.booleans()):
+            # a combination of two earlier rows, keys in first-seen order
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entry)
+            row = dict(a)
+            for i, x in b.items():
+                row[i] = row.get(i, F(0)) + c * x
+            rows.append({i: x for i, x in row.items() if x})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, 7), entry,
+                                             max_size=5)))
+    return rows
+
+
+# the third row meets pivots 0 and 1, and the order of those two steps
+# decides the key order {5, 4} of the last row
+@example([{0: F(1), 5: F(1)}, {1: F(1), 4: F(1)}, {0: F(1), 1: F(1)}])
+@given(sparse_families())
+def test_echelonize_matches_reference(rows):
+    """In-place elimination returns the reference's rows, pivots and key
+    order, and leaves its input rows alone."""
+    before = [list(r.items()) for r in rows]
+    want_rows, want_piv = oracles.reference_echelonize(rows)
+    got_rows, got_piv = _echelonize(rows)
+    assert got_piv == want_piv
+    assert [list(r.items()) for r in got_rows] == [
+        list(r.items()) for r in want_rows]
+    assert [list(r.items()) for r in echelon_basis(rows)] == [
+        list(r.items()) for r in want_rows]
+    assert [list(r.items()) for r in rows] == before
