@@ -116,12 +116,14 @@ class BarComplex:
         sig = 0
         for i, letter in enumerate(word):
             for lm, c in self.A.apply_d({letter: F(1)}).items():
-                _wadd(out, word[:i] + (lm,) + word[i + 1:], c * (-1) ** sig)
+                _wadd(out, word[:i] + (lm,) + word[i + 1:],
+                      c * (-1) ** (sig % 2))
             if i < len(word) - 1:
                 prod = self.A.multiply({letter: F(1)}, {word[i + 1]: F(1)})
                 s = sig + self._ebar(letter)
                 for lm, c in prod.items():
-                    _wadd(out, word[:i] + (lm,) + word[i + 2:], c * (-1) ** s)
+                    _wadd(out, word[:i] + (lm,) + word[i + 2:],
+                          c * (-1) ** (s % 2))
             sig += self._ebar(letter)
         return out
 
@@ -152,7 +154,7 @@ class BarComplex:
                 rec(uu[1:], vv, acc + [uu[0]], sign)
             if vv:
                 s = sign * (-1) ** (
-                    self._ebar(vv[0]) * sum(self._ebar(l) for l in uu)
+                    self._ebar(vv[0]) * sum(self._ebar(l) for l in uu) % 2
                 )
                 rec(uu, vv[1:], acc + [vv[0]], s)
 
@@ -196,18 +198,10 @@ class BarComplex:
 class WeightPiece:
     """H^0 of the bar complex in one Adams weight."""
 
-    def __init__(self, bar: BarComplex, w, max_len=None):
+    def __init__(self, bar: BarComplex, w):
         self.w = w
-        self.words = bar.slice(0, w, max_len)
-        d_out = bar.d_matrix(0, w, max_len)
-        d_in = bar.d_matrix(-1, w, max_len)
-        self.image = linalg.image_basis(d_in)
-        self.reps = linalg.quotient_basis(
-            self.image, linalg.kernel_basis(d_out))
-        self.dim = len(self.reps)
-        self.projector = linalg.ClassProjector(
-            self.reps, self.image, len(self.words)
-        )
+        self.dim, self.reps, self.projector = linalg.cohomology(
+            bar.d_matrix(0, w), bar.d_matrix(-1, w))
 
     def rep_lins(self, bar):
         return [bar.lin(v, 0, self.w) for v in self.reps]
@@ -233,11 +227,11 @@ class HopfPresentation:
       exactly 1 (x) x_k and x_k (x) 1, with coefficient 1.
     """
 
-    def __init__(self, A: CdgaPresentation, w_max, max_len=None):
+    def __init__(self, A: CdgaPresentation, w_max):
         self.A = A
         self.w_max = w_max
         self.bar = BarComplex(A)
-        self.pieces = {w: WeightPiece(self.bar, w, max_len) for w in range(w_max + 1)}
+        self.pieces = {w: WeightPiece(self.bar, w) for w in range(w_max + 1)}
         self.product = {}
         self.coproduct = {}
         self.antipode = {}
@@ -321,13 +315,13 @@ class HopfPresentation:
                 self.antipode[(w, k)] = self.classify(bar.antipode_lin(rep), w)
 
 
-def h0_hopf(A: CdgaPresentation, w_max, max_len=None):
+def h0_hopf(A: CdgaPresentation, w_max):
     from .cdga import is_coh_connected
 
     ok, wit = is_coh_connected(A, adams_max=w_max)
     if not ok:
         raise ValueError(f"algebra {A.name} not cohomologically connected: {wit}")
-    return HopfPresentation(A, w_max, max_len=max_len)
+    return HopfPresentation(A, w_max)
 
 
 def bar_truncated_h0(A: CdgaPresentation, m, w_max):
@@ -347,33 +341,37 @@ class CoLiePresentation:
     basis: list of (w, class_coords) pairs; index in this list is the
     global generator index.  cobracket[g]: dict {(p, q): coeff} with
     p < q global indices, the coefficient of gen_p wedge gen_q.
+
+    In each weight the products of positive lower weights, one per
+    unordered pair (the product is commutative), go into one Echelon; the
+    generators are the classes e_j at its non-pivot columns j.  The
+    projection is exact and read off the same rows: row p is
+    e_p + sum_j a_pj e_j and lies in the decomposables, so
+    e_p = -sum_j a_pj e_j mod decomposables, and the residue of x against
+    the rows is x mod decomposables, in the generators.  The rows are the
+    reduced row echelon form of the decomposable span, which is unique, so
+    neither the order of the products nor a repeated one changes them.
     """
 
     def __init__(self, hopf: HopfPresentation):
         self.hopf = hopf
         self.basis = []
         self.by_weight = {}
-        self._gamma_proj = {}
+        self._gamma = {}  # w -> (decomposables, non-pivot column -> index)
         for w in range(1, hopf.w_max + 1):
-            piece = hopf.pieces[w]
-            # decomposables: products of positive lower weights
-            decomp = []
-            for w1 in range(1, w):
+            decomp = linalg.Echelon()
+            for w1 in range(1, w // 2 + 1):
                 w2 = w - w1
                 for i in range(hopf.pieces[w1].dim):
                     for j in range(hopf.pieces[w2].dim):
-                        v = hopf.product[(w1, i, w2, j)]
-                        if v:
-                            decomp.append(v)
-            decomp_basis = linalg.echelon_basis(decomp)
-            reps = linalg.quotient_reps(decomp_basis, piece.dim)
-            idxs = []
-            for v in reps:
-                idxs.append(len(self.basis))
-                self.basis.append((w, v))
-            self.by_weight[w] = idxs
-            self._gamma_proj[w] = linalg.ClassProjector(
-                reps, decomp_basis, piece.dim)
+                        if (w1, i) <= (w2, j):
+                            decomp.add(hopf.product[(w1, i, w2, j)])
+            cols = {}
+            for j in decomp.non_pivots(hopf.pieces[w].dim):
+                cols[j] = len(self.basis)
+                self.basis.append((w, {j: F(1)}))
+            self.by_weight[w] = list(cols.values())
+            self._gamma[w] = (decomp, cols)
         self.cobracket = {g: self._cobracket(g) for g in range(len(self.basis))}
 
     def dims(self):
@@ -381,9 +379,9 @@ class CoLiePresentation:
 
     def project(self, class_vec, w):
         """gamma coordinates (global indices) of a weight-w H^0_+ vector."""
-        idxs = self.by_weight[w]
-        coords = self._gamma_proj[w].class_coords(class_vec)
-        return {idxs[i]: c for i, c in coords.items()}
+        decomp, cols = self._gamma[w]
+        residue, _ = decomp.reduce(class_vec)
+        return {cols[j]: c for j, c in sorted(residue.items())}
 
     def _cobracket(self, g):
         w, class_vec = self.basis[g]

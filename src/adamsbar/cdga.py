@@ -36,10 +36,6 @@ class CdgaError(Exception):
     pass
 
 
-def el_zero():
-    return {}
-
-
 def el_gen(name):
     return {((name, 1),): F(1)}
 
@@ -97,7 +93,7 @@ class CdgaPresentation:
         if (a, b) <= (b, a):
             self.products[(a, b)] = val
         else:
-            sign = (-1) ** (ga.coh * gb.coh)
+            sign = (-1) ** (ga.coh * gb.coh % 2)
             self.products[(b, a)] = el_scale(val, sign)
 
     # ---- degrees -------------------------------------------------------
@@ -165,7 +161,7 @@ class CdgaPresentation:
                 a, b = fs[i], fs[j]
                 val = self.products.get((a, b) if a <= b else (b, a), {})
                 if a > b:
-                    val = el_scale(val, (-1) ** (gi.coh * gj.coh))
+                    val = el_scale(val, (-1) ** (gi.coh * gj.coh % 2))
                 mid = fs[i + 1:j] + fs[j + 1:]
                 out = {}
                 for vm, vc in val.items():
@@ -275,14 +271,6 @@ class CdgaPresentation:
         self._slice_cache[key] = basis
         return basis
 
-    def el_vector(self, a, basis_index):
-        v = {}
-        for m, c in a.items():
-            if m not in basis_index:
-                raise CdgaError(f"monomial {m} outside expected slice")
-            v[basis_index[m]] = c
-        return v
-
     def vector_el(self, v, basis):
         return {basis[i]: c for i, c in v.items() if c}
 
@@ -299,7 +287,8 @@ class CdgaPresentation:
 
     def cohomology_slice(self, n, r):
         """(dimension, representative Elements) of H^n(A)(r)."""
-        dim, reps = linalg.cohomology(self.d_matrix(n, r), self.d_matrix(n - 1, r))
+        dim, reps, _ = linalg.cohomology(
+            self.d_matrix(n, r), self.d_matrix(n - 1, r))
         basis = self.basis_slice(n, r)
         return dim, [self.vector_el(v, basis) for v in reps]
 
@@ -344,7 +333,7 @@ def check_bidegrees(A: CdgaPresentation):
         raise CdgaError(f"{A.name}: " + "; ".join(failures))
 
 
-def validate(A: CdgaPresentation, coh_max=5, adams_max=4):
+def validate(A: CdgaPresentation):
     """Check the presentation axioms; returns (ok, list of failure strings)."""
     failures = bidegree_failures(A)
     for g in A.generators:

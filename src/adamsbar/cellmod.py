@@ -33,6 +33,16 @@ class ModuleError(Exception):
     pass
 
 
+def _entries_at(matrix, axis):
+    """{t: [(s, entry), ...]}: the entries of a sparse matrix
+    {(row, col): entry} grouped by column (axis=1) or by row (axis=0), s the
+    other index; each list keeps the matrix's own order."""
+    out = {}
+    for key, a in matrix.items():
+        out.setdefault(key[axis], []).append((key[1 - axis], a))
+    return out
+
+
 def _compose(A, acc, X, Y, c=F(1)):
     """Add c * sum_i (-1)^|X_ij| X_ij * Y_ki to acc[(k, j)], for matrices
     X, Y of algebra elements {(row, col): Element}.
@@ -42,9 +52,7 @@ def _compose(A, acc, X, Y, c=F(1)):
     order of the dense loop over i.  The sign is taken monomial by
     monomial, which is (-1)^|X_ij| for a homogeneous entry.
     """
-    by_col = {}
-    for (k, i), y in Y.items():
-        by_col.setdefault(i, []).append((k, y))
+    by_col = _entries_at(Y, 1)
     for (i, j), x in sorted(X.items()):
         if i not in by_col:
             continue
@@ -68,6 +76,7 @@ class CellModule:
         self.algebra = algebra
         self.basis = list(basis)
         self.differential = {k: v for k, v in differential.items() if v}
+        self._d_by_col = _entries_at(self.differential, 1)
         self.twist = twist
         self.name = name
         if filtration is None:
@@ -129,10 +138,8 @@ class CellModule:
         out = {}
         for dm, c in A.apply_d({mono: F(1)}).items():
             out[(dm, j)] = out.get((dm, j), F(0)) + c
-        sign = (-1) ** A.mono_bidegree(mono)[0]
-        for (i, jj), a in self.differential.items():
-            if jj != j:
-                continue
+        sign = (-1) ** (A.mono_bidegree(mono)[0] % 2)
+        for i, a in self._d_by_col.get(j, ()):
             prod = A.multiply({mono: F(1)}, a)
             for pm, c in prod.items():
                 key = (pm, i)
@@ -151,7 +158,8 @@ class CellModule:
 
     def cohomology_slice(self, n, r):
         """H of the full module slice complex (stored degrees)."""
-        dim, reps = linalg.cohomology(self.d_matrix(n, r), self.d_matrix(n - 1, r))
+        dim, reps, _ = linalg.cohomology(
+            self.d_matrix(n, r), self.d_matrix(n - 1, r))
         return dim, reps
 
     # ---- q functor -----------------------------------------------------
@@ -179,9 +187,8 @@ class ScalarComplex:
         self._indices = {}
         for i, (_, c, a) in enumerate(self.basis):
             self._indices.setdefault((c, a), []).append(i)
-        self._by_col = {}
-        for (i, j), c in self.d.items():
-            self._by_col.setdefault(j, []).append((i, c))
+        self._by_col = _entries_at(self.d, 1)
+        self._coh = {}  # (n, r) -> (dim, reps, projector)
 
     def indices(self, n, r):
         return self._indices.get((n, r), [])
@@ -197,17 +204,15 @@ class ScalarComplex:
         return mat
 
     def cohomology(self, n, r):
-        """(dim, representatives, ClassProjector) of H^n at weight r, as
-        vectors over the positions of indices(n, r)."""
-        image = linalg.image_basis(self.d_matrix(n - 1, r))
-        reps = linalg.quotient_basis(
-            image, linalg.kernel_basis(self.d_matrix(n, r)))
-        return len(reps), reps, linalg.ClassProjector(
-            reps, image, len(self.indices(n, r)))
+        """(dim, representatives, projector) of H^n at weight r, as vectors
+        over the positions of indices(n, r); computed once per (n, r)."""
+        if (n, r) not in self._coh:
+            self._coh[(n, r)] = linalg.cohomology(
+                self.d_matrix(n, r), self.d_matrix(n - 1, r))
+        return self._coh[(n, r)]
 
     def cohomology_dim(self, n, r):
-        dim, _ = linalg.cohomology(self.d_matrix(n, r), self.d_matrix(n - 1, r))
-        return dim
+        return self.cohomology(n, r)[0]
 
     def cohomology_dims(self):
         """{(n, r): dim H^n at weight r} over the bidegrees of the basis,
@@ -273,7 +278,8 @@ def from_connection(C: ConnectionModule, filtration=None, name="M") -> CellModul
 
 def _strict_filtration(basis, diff):
     n = len(basis)
-    deps = {j: {i for (i, jj) in diff if jj == j} for j in range(n)}
+    by_col = _entries_at(diff, 1)
+    deps = {j: {i for i, _ in by_col.get(j, ())} for j in range(n)}
     stages = []
     placed = set()
     remaining = set(range(n))
@@ -298,7 +304,8 @@ def tate(A: CdgaPresentation, n: int) -> CellModule:
 def shift(M: CellModule, k: int = 1) -> CellModule:
     """M[k]: cohomological degrees drop by k, differential times (-1)^k."""
     basis = [(nm, c - k, a) for (nm, c, a) in M.basis]
-    diff = {key: el_scale(a, (-1) ** k) for key, a in M.differential.items()}
+    diff = {key: el_scale(a, (-1) ** (k % 2))
+            for key, a in M.differential.items()}
     return CellModule(M.algebra, basis, diff, M.filtration, M.twist,
                       f"{M.name}[{k}]")
 
@@ -371,7 +378,7 @@ def tensor_mod(M: CellModule, N: CellModule) -> CellModule:
         for i, (_, ci, _) in enumerate(M.basis):
             # d(m (x) n): the sign for passing d over m, plus the Koszul
             # sign for moving the coefficient a across m
-            s = (-1) ** (ci + deg_a * ci)
+            s = (-1) ** ((ci + deg_a * ci) % 2)
             diff[(pair(i, l), pair(i, j))] = el_add(
                 diff.get((pair(i, l), pair(i, j)), {}), el_scale(a, s))
     stageM = {i: M.stage(i) for i in range(len(M.basis))}
@@ -414,19 +421,18 @@ def hom_complex(M: CellModule, N: CellModule) -> CellModule:
         if val:
             diff[(dst, src)] = el_add(diff.get((dst, src), {}), val)
 
+    d_M = _entries_at(M.differential, 0)
     for i, (_, ci, _) in enumerate(N.basis):
         for j, (_, cj, _) in enumerate(M.basis):
             n_deg = ci - cj
             # post-compose with d_N
-            for (k, ii), a in N.differential.items():
-                if ii == i:
-                    add(pair(k, j), pair(i, j), a)
+            for k, a in N._d_by_col.get(i, ()):
+                add(pair(k, j), pair(i, j), a)
             # pre-compose with d_M
-            for (jj, l), a in M.differential.items():
-                if jj == j:
-                    deg_a = A.el_bidegree(a)[0]
-                    s = (-1) ** ((n_deg + 1) + n_deg * deg_a)
-                    add(pair(i, l), pair(i, j), el_scale(a, s))
+            for l, a in d_M.get(j, ()):
+                deg_a = A.el_bidegree(a)[0]
+                s = (-1) ** ((n_deg + 1 + n_deg * deg_a) % 2)
+                add(pair(i, l), pair(i, j), el_scale(a, s))
     filtration = _strict_filtration(basis, diff)
     return CellModule(A, basis, diff, filtration,
                       N.twist - M.twist - offset, f"Hom({M.name},{N.name})")
@@ -537,8 +543,7 @@ def t_truncate(M: CellModule, n: int):
                 kept.append({idxs[b]: c for b, c in v.items()})
             if not keep_low:
                 other.extend({idxs[b]: c for b, c in v.items()} for v in ker)
-        return new_basis, kept, linalg.ClassProjector(kept, other,
-                                                      len(M.basis))
+        return new_basis, kept, linalg.ClassProjector(kept, other)
 
     def express(el_by_index, proj):
         """Rewrite a column {orig_index: Element} in kept coordinates."""
@@ -565,9 +570,8 @@ def t_truncate(M: CellModule, n: int):
             # d of the j-th new basis vector, as {orig_index: Element}
             col = {}
             for i, c in vj.items():
-                for (k, ii), a in M.differential.items():
-                    if ii == i:
-                        col[k] = el_add(col.get(k, {}), a, c)
+                for k, a in M._d_by_col.get(i, ()):
+                    col[k] = el_add(col.get(k, {}), a, c)
             col = {k: v for k, v in col.items() if v}
             out = express(col, proj)
             for k, a in out.items():
@@ -590,13 +594,12 @@ def t_truncate(M: CellModule, n: int):
             hn_basis.append((f"h{n}w{r}_{t}", n, r))
             hn_vectors.append({idxs[b]: c for b, c in v.items()})
     gamma = {}
-    conn = to_connection(M)
+    gamma_by_col = _entries_at(to_connection(M).gamma, 1)
     for j, vj in enumerate(hn_vectors):
         col = {}
         for i, c in vj.items():
-            for (k, ii), g in conn.gamma.items():
-                if ii == i:
-                    col[k] = el_add(col.get(k, {}), g, c)
+            for k, g in gamma_by_col.get(i, ()):
+                col[k] = el_add(col.get(k, {}), g, c)
         # project the degree-n components to classes, weight by weight
         by_mono = {}
         for k, el in col.items():
@@ -697,9 +700,8 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
                 P = P_module()
                 # surjectivity on H^n(r)
                 dimD, repsD, _, cols = class_map(P, n, r)
-                span = linalg.echelon_basis(cols)
                 missing = linalg.quotient_basis(
-                    span, [{k: F(1)} for k in range(dimD)])
+                    cols, [{k: F(1)} for k in range(dimD)])
                 idxs = D.indices(n, r)
                 for cv in missing:
                     vec = {}

@@ -93,8 +93,7 @@ def cmd_validate(args):
     else:
         kind, obj = _load_any(args.file)
     if kind == "cdga":
-        ok, fails = cdga_mod.validate(obj, coh_max=args.deg_max,
-                                      adams_max=args.wt_max)
+        ok, fails = cdga_mod.validate(obj)
     else:
         ok, fails = obj.check()
     report = _base_report("validate", args, ok)

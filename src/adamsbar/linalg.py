@@ -1,15 +1,24 @@
 """Exact sparse rational linear algebra.
 
 Everything downstream (cohomology slices, Hopf structure constants,
-minimal-model stages) reduces to kernels, solves and quotient
-representatives over Q.  Repeated questions "what are the coordinates of
-v in this fixed independent family?" go through ClassProjector, which
-factors the family once into fully reduced rows keyed by pivot, so a
-query touches only the rows its own support picks; solve is for one-off
-systems whose matrix need not be injective.  All arithmetic uses
-fractions.Fraction, so results are exact and bit-for-bit reproducible:
-elimination always picks the pivot in the lowest remaining row, then the
-lowest column.
+minimal-model stages) reduces to kernels, solves, quotient
+representatives and class coordinates over Q.  All of them read off one
+elimination, Echelon: vectors are added one at a time and kept as fully
+reduced rows keyed by pivot (each row 1 at its own pivot, 0 at every
+other pivot), so a new vector or a query is reduced only by the rows
+whose pivots lie in its own support.  What each view reads off it:
+
+- rank, echelon_basis, image_basis: the rows, sorted by pivot;
+- kernel_basis: one vector per non-pivot column of the rows of m;
+- solve: the rows of m augmented by the right-hand side;
+- quotient_basis: the vectors that find a new pivot after the sub;
+- cohomology: the image, then the kernel vectors; those that find a new
+  pivot are the representatives, and the same echelon is the projector;
+- ClassProjector: the echelon of an independent family, reps tagged.
+
+All arithmetic uses fractions.Fraction, so results are exact and
+bit-for-bit reproducible: elimination always picks the pivot in the
+lowest remaining row, then the lowest column.
 
 Vectors are dicts {index: Fraction} with no stored zeros; matrices store
 a dict {(row, col): Fraction}.
@@ -18,8 +27,6 @@ a dict {(row, col): Fraction}.
 from __future__ import annotations
 
 from fractions import Fraction
-
-Vec = dict  # {int: Fraction}, zero entries absent
 
 
 def _vec_iadd(u, v, c):
@@ -68,9 +75,6 @@ class SparseMatrix:
                     m.entries[(i, j)] = Fraction(x)
         return m
 
-    def column(self, j):
-        return {i: x for (i, jj), x in self.entries.items() if jj == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
         for (i, j), x in self.entries.items():
@@ -96,42 +100,81 @@ class SparseMatrix:
                     out.pop(i, None)
         return out
 
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): x for (i, j), x in self.entries.items()}
-        )
+
+class Echelon:
+    """Fully reduced rows keyed by pivot, grown one vector at a time.
+
+    rows: {pivot: row}, in the order the pivots were found.  A vector
+    added with a tag (its index in a family) makes its row remember the
+    combination of tagged vectors it stands for, modulo the untagged ones;
+    back-substitution keeps those combinations in step with the rows.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows = {}
+        self._combos = {}  # pivot -> {tag: coeff}
+        self._found = {}   # pivot -> how many pivots were found before it
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v):
+        """(residue, combination) with v = residue + the combination of
+        tagged vectors, modulo the untagged ones.  The rows at the pivots
+        in v's support are subtracted once each, in the order they were
+        found; the rows are 0 at each other's pivots, so each coefficient
+        is v's own entry there."""
+        residue = dict(v)
+        combo = {}
+        for _, p in sorted((self._found[p], p) for p in v if p in self.rows):
+            c = v[p]
+            _vec_iadd(residue, self.rows[p], -c)
+            _vec_iadd(combo, self._combos[p], c)
+        return residue, combo
+
+    def add(self, v, tag=None):
+        """Keep v as a new row and return its pivot, or return None and keep
+        nothing when v is in the span of the rows."""
+        w, combo = self.reduce(v)
+        if not w:
+            return None
+        p = min(w)
+        c = Fraction(1) / w[p]
+        row, combo = vec_scale(w, c), vec_scale(combo, -c)
+        if tag is not None:
+            combo[tag] = c
+        # back-substitute, so the earlier rows vanish at p
+        for q, qrow in self.rows.items():
+            cq = qrow.get(p)
+            if cq:
+                _vec_iadd(qrow, row, -cq)
+                _vec_iadd(self._combos[q], combo, -cq)
+        self._found[p] = len(self.rows)
+        self.rows[p] = row
+        self._combos[p] = combo
+        return p
+
+    def non_pivots(self, n):
+        """The columns below n that are not pivots, in order."""
+        return [j for j in range(n) if j not in self.rows]
+
+    def class_coords(self, v, strict=True):
+        """Coordinates of v on the tagged vectors, in tag order, or None
+        when v is outside the span of the rows (strict=True raises).  They
+        are unique when the added vectors were independent."""
+        residue, combo = self.reduce(v)
+        if residue:
+            if strict:
+                raise ValueError("vector outside the span of reps + image")
+            return None
+        return {i: combo[i] for i in sorted(combo)}
 
 
 def _echelonize(rows):
-    """Row-reduce a list of sparse row-vectors in place (new list returned).
-
-    Returns (reduced_rows, pivot_cols): fully reduced echelon form, pivots
-    are 1, pivot columns cleared elsewhere, zero rows dropped.  Pivot choice
-    is the lowest column with a nonzero entry in the lowest unused row, so
-    the output is canonical for a given input order.
-    """
-    work = [dict(r) for r in rows if r]
-    reduced = []
-    pivots = []
-    for row in work:
-        for p, prow in zip(pivots, reduced):
-            c = row.get(p)
-            if c:
-                _vec_iadd(row, prow, -c)
-        if not row:
-            continue
-        p = min(row)
-        c = row[p]
-        row = vec_scale(row, Fraction(1) / c)
-        # back-substitute into earlier rows
-        for k in range(len(reduced)):
-            ck = reduced[k].get(p)
-            if ck:
-                _vec_iadd(reduced[k], row, -ck)
-        reduced.append(row)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [reduced[k] for k in order], [pivots[k] for k in order]
+    """(rows, pivots) of the reduced echelon form, sorted by pivot, zero
+    rows dropped; the input rows are left alone."""
+    e = Echelon(rows)
+    pivots = sorted(e.rows)
+    return [e.rows[p] for p in pivots], pivots
 
 
 def echelon_basis(vectors):
@@ -141,8 +184,7 @@ def echelon_basis(vectors):
 
 
 def rank(m: SparseMatrix):
-    reduced, _ = _echelonize(m.row_list())
-    return len(reduced)
+    return len(Echelon(m.row_list()).rows)
 
 
 def kernel_basis(m: SparseMatrix):
@@ -150,21 +192,15 @@ def kernel_basis(m: SparseMatrix):
 
     Representation is canonical: for each free column f the basis vector has
     entry 1 at f and the pivot columns carry the negated elimination
-    coefficients.
+    coefficients, in ascending pivot order.
     """
-    reduced, pivots = _echelonize(m.row_list())
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = {f: Fraction(1)}
-        for p, row in zip(pivots, reduced):
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    e = Echelon(m.row_list())
+    basis = {f: {f: Fraction(1)} for f in e.non_pivots(m.cols)}
+    for p in sorted(e.rows):
+        for f, c in e.rows[p].items():
+            if f != p:
+                basis[f][p] = -c
+    return list(basis.values())
 
 
 def solve(m: SparseMatrix, b):
@@ -172,20 +208,17 @@ def solve(m: SparseMatrix, b):
 
     Deterministic: echelon-form particular solution (free variables 0).
     """
-    rows = m.row_list()
-    aug = []
     BCOL = m.cols  # augmented column index
+    rows = m.row_list()
     for i, r in enumerate(rows):
-        r = dict(r)
         if b.get(i):
             r[BCOL] = b[i]
-        aug.append(r)
-    reduced, pivots = _echelonize(aug)
+    e = Echelon(rows)
+    if BCOL in e.rows:
+        return None  # inconsistent system
     x = {}
-    for p, row in zip(pivots, reduced):
-        if p == BCOL:
-            return None  # inconsistent system
-        c = row.get(BCOL)
+    for p in sorted(e.rows):
+        c = e.rows[p].get(BCOL)
         if c:
             x[p] = c
     return x
@@ -196,113 +229,44 @@ def image_basis(m: SparseMatrix):
     return echelon_basis(m.columns())
 
 
-def quotient_reps(sub_vectors, ambient_dim):
-    """Standard basis vectors projecting to a basis of ambient/span(sub).
-
-    Deterministic: the non-pivot coordinates of the echelonized subspace.
-    Raises ValueError if sub_vectors are linearly dependent.
-    """
-    reduced, pivots = _echelonize(sub_vectors)
-    if len(reduced) != len([v for v in sub_vectors if v]) or any(
-        not v for v in sub_vectors
-    ):
-        raise ValueError("subspace vectors are not linearly independent")
-    pivot_set = set(pivots)
-    return [{j: Fraction(1)} for j in range(ambient_dim) if j not in pivot_set]
-
-
 def quotient_basis(sub_vectors, vectors):
     """Representatives among `vectors` of a basis of span(vectors)/span(sub).
 
-    Returned vectors are actual members of `vectors`'s span (echelonized
-    against sub), canonical given the input order.
+    Returned vectors are members of `vectors`, each independent of sub and
+    of the ones before it, canonical given the input order.
     """
-    sub_red, sub_piv = _echelonize(sub_vectors)
-    reps = []
-    acc_rows = list(sub_red)
-    acc_piv = list(sub_piv)
-    for v in vectors:
-        w = dict(v)
-        for p, row in zip(acc_piv, acc_rows):
-            c = w.get(p)
-            if c:
-                _vec_iadd(w, row, -c)
-        if w:
-            p = min(w)
-            w = vec_scale(w, Fraction(1) / w[p])
-            acc_rows.append(w)
-            acc_piv.append(p)
-            reps.append(v)
-    return reps
+    e = Echelon(sub_vectors)
+    return [v for v in vectors if e.add(v) is not None]
 
 
 def cohomology(d_out: SparseMatrix, d_in: SparseMatrix):
-    """(dimension, representative vectors) of ker(d_out)/im(d_in).
+    """(dimension, representatives, projector) of ker(d_out)/im(d_in).
 
     d_out maps the space to the next degree, d_in maps the previous degree
-    in.  Representatives are kernel vectors, echelonized against the image.
+    in.  One Echelon takes the columns of d_in, then the kernel vectors of
+    d_out, each tagged by the number of representatives so far; those that
+    find a new pivot are the representatives, and the Echelon is the
+    projector: class_coords gives a cocycle's coordinates on them.
     """
-    ker = kernel_basis(d_out)
-    im = image_basis(d_in)
-    reps = quotient_basis(im, ker)
-    return len(reps), reps
+    projector = Echelon(d_in.columns())
+    reps = []
+    for v in kernel_basis(d_out):
+        if projector.add(v, len(reps)) is not None:
+            reps.append(v)
+    return len(reps), reps, projector
 
 
-class ClassProjector:
-    """Coordinates in a fixed linearly independent family reps + image.
-
-    The family is eliminated once, when the projector is built, into fully
-    reduced rows keyed by pivot: each row is 1 at its own pivot, 0 at every
-    other pivot, and remembers which combination of reps it is (its image
-    part is never needed).  class_coords(v) then subtracts only the rows
-    whose pivot lies in the support of v, once each, from one copy of v.
-    It returns the coordinates of v on reps, in index order, or None when
-    v is outside the span of the family (strict=True raises).  The family
-    is independent, so both answers are unique; a dependent family raises
-    ValueError at construction.
+class ClassProjector(Echelon):
+    """The Echelon of a fixed linearly independent family reps + image,
+    the reps tagged by index: class_coords(v) gives the coordinates of v on
+    reps, or None when v is outside the span of the family.  A dependent
+    family raises ValueError.
     """
 
-    def __init__(self, reps, image, dim):
-        self.reps = reps
-        self.image = image
-        self.dim = dim
+    def __init__(self, reps, image=()):
+        super().__init__()
         nreps = len(reps)
-        # pivot -> (row, its combination of reps)
-        self._rows = {}
-        for k, col in enumerate(list(reps) + list(image)):
-            w, combo = self._reduce(col)
-            if not w:
-                raise ValueError("family vectors are not linearly independent")
-            if k < nreps:  # the reps part of w = col - rows is e_k - combo
-                combo[k] = Fraction(-1)
-            p = min(w)
-            c = Fraction(1) / w[p]
-            row, combo = vec_scale(w, c), vec_scale(combo, -c)
-            # back-substitute, so the earlier rows vanish at p
-            for q, (qrow, qcombo) in self._rows.items():
-                cq = qrow.get(p)
-                if cq:
-                    _vec_iadd(qrow, row, -cq)
-                    _vec_iadd(qcombo, combo, -cq)
-            self._rows[p] = (row, combo)
-
-    def _reduce(self, v):
-        """(v minus its multiples of the rows, the reps part of that
-        multiple); the rows are 0 at each other's pivots, so each row is
-        subtracted once, by v's own entry at its pivot."""
-        residue = dict(v)
-        combo = {}
-        for p, c in v.items():
-            if p in self._rows:
-                row, rcombo = self._rows[p]
-                _vec_iadd(residue, row, -c)
-                _vec_iadd(combo, rcombo, c)
-        return residue, combo
-
-    def class_coords(self, v, strict=True):
-        residue, combo = self._reduce(v)
-        if residue:
-            if strict:
-                raise ValueError("vector outside the span of reps + image")
-            return None
-        return {i: combo[i] for i in sorted(combo)}
+        for k, v in enumerate(list(reps) + list(image)):
+            if self.add(v, k if k < nreps else None) is None:
+                raise ValueError(
+                    "family vectors are not linearly independent")

@@ -61,7 +61,7 @@ class IdealComplex:
             # ideal = kernel of eps on the slice
             ker = linalg.kernel_basis(eps)
             self._ker[key] = (basis, ker)
-            self._proj[key] = (idx, linalg.ClassProjector(ker, [], len(basis)))
+            self._proj[key] = (idx, linalg.ClassProjector(ker))
         return self._ker[key]
 
     def to_coords(self, el, i, m):
@@ -100,13 +100,8 @@ class IdealComplex:
         """(dim, class reps as kernel-coordinate vectors, projector)."""
         key = (i, m)
         if key not in self._coh:
-            d_out = self.d_matrix(i, m)
-            d_in = self.d_matrix(i - 1, m)
-            dim, reps = linalg.cohomology(d_out, d_in)
-            proj = linalg.ClassProjector(
-                reps, linalg.image_basis(d_in), len(self.kernel(i, m)[1])
-            )
-            self._coh[key] = (dim, reps, proj)
+            self._coh[key] = linalg.cohomology(
+                self.d_matrix(i, m), self.d_matrix(i - 1, m))
         return self._coh[key]
 
     def solve_d(self, i, m, target_el):
@@ -217,10 +212,8 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
                 # Step A: surjectivity on H^i(I)(m)
                 dimA, repsA, projA = ic_A.cohomology(i, m)
                 _, cols = h_map_columns(ic_M, i, m)
-                span = linalg.echelon_basis(cols)
                 missing = linalg.quotient_basis(
-                    span, [{k: F(1)} for k in range(dimA)]
-                )
+                    cols, [{k: F(1)} for k in range(dimA)])
                 for cv in missing:
                     z = {}
                     for k, c in cv.items():

@@ -120,7 +120,7 @@ def split_monomial(A: CdgaPresentation, mono, base_names):
     for name, e in mono:
         deg = A.gen[name].coh
         if name in base_names:
-            sign *= (-1) ** (deg * e * fiber_deg)
+            sign *= (-1) ** (deg * e * fiber_deg % 2)
             base[name] = base.get(name, 0) + e
         else:
             fiber_deg += deg * e
@@ -240,7 +240,7 @@ class RelativeBarH0:
                     bdeg = A.mono_bidegree(b)[0]
                     # derivation sign for passing the prefix, plus the
                     # Koszul sign for pulling b to the far left
-                    sgn = (-1) ** (prefix_deg * (1 + bdeg))
+                    sgn = (-1) ** (prefix_deg * (1 + bdeg) % 2)
                     term = {UNIT: F(sgn)}
                     for nm in prefix:
                         term = self.F.multiply(term, el_gen(nm))
@@ -267,7 +267,7 @@ class RelativeBarH0:
         for i, letter in enumerate(word):
             for b, fel in self.gamma_mono(letter).items():
                 bdeg = A.mono_bidegree(b)[0]
-                sgn = (-1) ** (sig * (1 + bdeg))
+                sgn = (-1) ** (sig * (1 + bdeg) % 2)
                 for fm, c in fel.items():
                     if fm == UNIT:
                         nw = word[:i] + word[i + 1:]
@@ -562,14 +562,14 @@ class DeltaApprox:
             if letter != UNIT:
                 for lm, c in self.A.apply_d({letter: F(1)}).items():
                     key = (S, word[:i] + (lm,) + word[i + 1:])
-                    _wadd(out, key, c * (-1) ** sig)
+                    _wadd(out, key, c * (-1) ** (sig % 2))
             if i < m - 1:
                 prod = self.A.multiply({letter: F(1)}, {word[i + 1]: F(1)})
                 s = sig + self._ebar(letter)
                 S2 = S[:i + 1] + S[i + 2:]
                 for lm, c in prod.items():
                     key = (S2, word[:i] + (lm,) + word[i + 2:])
-                    _wadd(out, key, c * (-1) ** s)
+                    _wadd(out, key, c * (-1) ** (s % 2))
             sig += self._ebar(letter)
         # counit end faces
         if m and word[0] == UNIT:
@@ -599,9 +599,8 @@ class DeltaApprox:
     def h0_dims(self):
         out = {}
         for w in range(self.w_max + 1):
-            dim, _ = linalg.cohomology(self.d_matrix(0, w),
-                                       self.d_matrix(-1, w))
-            out[w] = dim
+            out[w] = linalg.cohomology(self.d_matrix(0, w),
+                                       self.d_matrix(-1, w))[0]
         return out
 
     def d_squared_ok(self):

@@ -10,13 +10,16 @@
 - The reference elimination and Hopf structure constants: row reduction
   and a projector that walk every row, the product of every ordered pair
   of classes and the coproduct classified over every split.
+- The reference cohomology and co-Lie quotient: kernel, image and
+  quotient representatives each from their own elimination, and the
+  indecomposables from the products of every ordered pair, echelonized,
+  with a separate projector.
 """
 
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
-from adamsbar import linalg
 from adamsbar.cdga import el_add
 
 F = Fraction
@@ -72,7 +75,7 @@ def brute_force_gamma_dim(k, w):
                 for s in _shuffles(u, v):
                     vec[index[s]] = vec.get(index[s], F(0)) + F(1)
                 decomposables.append(vec)
-    basis = linalg.echelon_basis(decomposables)
+    basis, _ = reference_echelonize(decomposables)
     return len(words) - len(basis)
 
 
@@ -260,8 +263,10 @@ def reference_hopf(h):
     ReferenceProjector per weight.  The result has the attributes w_max,
     pieces, product, coproduct and antipode that hopf_checks reads."""
     bar = h.bar
-    projectors = {w: ReferenceProjector(p.reps, p.image)
-                  for w, p in h.pieces.items()}
+    projectors = {}
+    for w, p in h.pieces.items():
+        image, _ = reference_echelonize(bar.d_matrix(-1, w).columns())
+        projectors[w] = ReferenceProjector(p.reps, image)
 
     def classify(lin, w):
         return projectors[w].class_coords(bar.vector(lin, 0, w))
@@ -306,3 +311,107 @@ def reference_hopf(h):
             antipode[(w, k)] = classify(bar.antipode_lin(rep), w)
     return SimpleNamespace(w_max=h.w_max, pieces=h.pieces, product=product,
                            coproduct=coproduct, antipode=antipode)
+
+
+# ---- reference cohomology and co-Lie quotient ---------------------------
+
+
+def reference_kernel_basis(m):
+    """linalg.kernel_basis: one vector per free column, the pivot entries
+    in ascending pivot order."""
+    reduced, pivots = reference_echelonize(m.row_list())
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = {f: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            c = row.get(f)
+            if c:
+                v[p] = -c
+        basis.append(v)
+    return basis
+
+
+def reference_quotient_basis(sub_vectors, vectors):
+    """The members of `vectors` independent of sub and of the ones kept
+    before them, each tested against every row so far."""
+    acc_rows, acc_piv = reference_echelonize(sub_vectors)
+    reps = []
+    for v in vectors:
+        w = dict(v)
+        for p, row in zip(acc_piv, acc_rows):
+            c = w.get(p)
+            if c:
+                w = _vec_add(w, row, -c)
+        if w:
+            p = min(w)
+            acc_rows.append(_vec_scale(w, Fraction(1) / w[p]))
+            acc_piv.append(p)
+            reps.append(v)
+    return reps
+
+
+def reference_quotient_reps(sub_vectors, ambient_dim):
+    """Unit vectors at the non-pivot columns of an independent sub."""
+    reduced, pivots = reference_echelonize(sub_vectors)
+    if len(reduced) != len(sub_vectors):
+        raise ValueError("subspace vectors are not linearly independent")
+    return [{j: Fraction(1)} for j in range(ambient_dim) if j not in pivots]
+
+
+def reference_cohomology(d_out, d_in):
+    """(dim, reps, projector) of ker(d_out)/im(d_in) from three separate
+    eliminations and a ReferenceProjector."""
+    image, _ = reference_echelonize(d_in.columns())
+    reps = reference_quotient_basis(image, reference_kernel_basis(d_out))
+    return len(reps), reps, ReferenceProjector(reps, image)
+
+
+def reference_colie(h):
+    """basis, by_weight, project and cobracket of CoLiePresentation(h),
+    from the products of every ordered pair of positive weights, their
+    echelon basis, the non-pivot unit vectors as reps and a
+    ReferenceProjector onto them."""
+    basis, by_weight, projectors = [], {}, {}
+    for w in range(1, h.w_max + 1):
+        decomp = []
+        for w1 in range(1, w):
+            w2 = w - w1
+            for i in range(h.pieces[w1].dim):
+                for j in range(h.pieces[w2].dim):
+                    v = h.product[(w1, i, w2, j)]
+                    if v:
+                        decomp.append(v)
+        decomp_basis, _ = reference_echelonize(decomp)
+        reps = reference_quotient_reps(decomp_basis, h.pieces[w].dim)
+        by_weight[w] = list(range(len(basis), len(basis) + len(reps)))
+        basis.extend((w, v) for v in reps)
+        projectors[w] = ReferenceProjector(reps, decomp_basis)
+
+    def project(class_vec, w):
+        coords = projectors[w].class_coords(class_vec)
+        return {by_weight[w][i]: c for i, c in coords.items()}
+
+    cobracket = {}
+    for g, (w, class_vec) in enumerate(basis):
+        tensor = {}
+        for k, c in class_vec.items():
+            for (w1, i, j), cc in h.coproduct[(w, k)].items():
+                w2 = w - w1
+                if w1 == 0 or w2 == 0:
+                    continue
+                gi = project({i: F(1)}, w1)
+                gj = project({j: F(1)}, w2)
+                for p, cp in gi.items():
+                    for q, cq in gj.items():
+                        _wadd(tensor, (p, q), c * cc * cp * cq)
+        out = {}
+        for (p, q), c in tensor.items():
+            if p < q:
+                _wadd(out, (p, q), -c)
+            elif q < p:
+                _wadd(out, (q, p), c)
+        cobracket[g] = out
+    return SimpleNamespace(basis=basis, by_weight=by_weight, project=project,
+                           cobracket=cobracket)

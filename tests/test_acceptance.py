@@ -61,7 +61,7 @@ def test_criterion_1_structural_soundness():
     with criterion(1, "structural soundness"):
         algebras = fixtures() + [random_free_cdga(s) for s in range(50)]
         for A in algebras:
-            ok, fails = validate(A, coh_max=5, adams_max=4)
+            ok, fails = validate(A)
             assert ok, (A.name, fails)
             bar = BarComplex(A)
             for w in range(5):

@@ -222,6 +222,47 @@ def test_hopf_constants_match_reference(mk, w_max):
     assert ok, wit
 
 
+# the reference cases, plus E2 at w = 6, where the products of
+# unordered pairs are dependent
+@pytest.mark.parametrize("mk,w_max", HOPF_CASES + [
+    pytest.param(make_e3, 5, id="make_e3-w5"),
+    pytest.param(lambda: punctured_line_model(3), 5, id="P1minus3-w5"),
+    pytest.param(make_e2, 6, id="make_e2-w6")])
+def test_colie_matches_reference(mk, w_max):
+    """The co-Lie quotient read off one echelon of the unordered products
+    has the basis, weights, projection of every class and cobracket
+    (key order included) of the reference's ordered products, echelon
+    basis, non-pivot reps and separate projector."""
+    h = h0_hopf(mk(), w_max)
+    g, ref = CoLiePresentation(h), oracles.reference_colie(h)
+    assert g.basis == ref.basis
+    assert g.by_weight == ref.by_weight
+    for w in range(1, w_max + 1):
+        for k in range(h.pieces[w].dim):
+            got = g.project({k: F(1)}, w)
+            assert list(got.items()) == list(ref.project({k: F(1)}, w).items())
+    assert g.cobracket.keys() == ref.cobracket.keys()
+    for key, val in ref.cobracket.items():
+        assert list(g.cobracket[key].items()) == list(val.items()), key
+
+
+def test_signs_exact_at_negative_degrees():
+    """A generator of degree -1 makes the Koszul and bar signs meet
+    negative exponents; products and bar differentials must stay
+    Fractions (a float would make the elimination inexact)."""
+    A = CdgaPresentation("NEG", "free", [GeneratorSpec("u", -1, 1),
+                                         GeneratorSpec("x", 1, 1)])
+    for a in ("u", "x"):
+        for b in ("u", "x"):
+            for c in A.multiply(el_gen(a), el_gen(b)).values():
+                assert type(c) is F, (a, b, c)
+    bar = BarComplex(A)
+    for w in range(1, 4):
+        for n in range(-2 * w, 1):
+            for c in bar.d_matrix(n, w).entries.values():
+                assert type(c) is F, (n, w, c)
+
+
 def test_gamma_dims_vs_oracles(e1, e2):
     g1 = gamma(e1, 4)
     assert g1.dims() == {1: 1, 2: 0, 3: 0, 4: 0}

@@ -24,6 +24,7 @@ FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
 CASES = {
     "bar-h0_e3_w4": ["bar-h0", "@e3.cdga", "--wt-max", "4"],
     "colie_e2_w4": ["colie", "@e2.cdga", "--wt-max", "4"],
+    "colie_e2_w6": ["colie", "@e2.cdga", "--wt-max", "6"],
     "colie_e3_w4": ["colie", "@e3.cdga", "--wt-max", "4"],
     "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
     "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",

@@ -5,13 +5,14 @@ from hypothesis import example, given, strategies as st
 
 from adamsbar.linalg import (
     ClassProjector,
+    Echelon,
     SparseMatrix,
     _echelonize,
+    cohomology,
     echelon_basis,
     image_basis,
     kernel_basis,
     quotient_basis,
-    quotient_reps,
     rank,
     solve,
 )
@@ -62,22 +63,20 @@ def test_solve_unsolvable():
     assert solve(mat([[1, 0], [0, 0]]), {1: F(1)}) is None
 
 
+# quotient representatives of Q^n / span(sub): the unit vectors at the
+# non-pivot columns of sub's echelon
+
+
 def test_quotient_reps_trivial_sub():
-    reps = quotient_reps([], 2)
-    assert reps == [{0: F(1)}, {1: F(1)}]
+    assert Echelon([]).non_pivots(2) == [0, 1]
 
 
 def test_quotient_reps_standard():
-    assert quotient_reps([{0: F(1)}], 2) == [{1: F(1)}]
+    assert Echelon([{0: F(1)}]).non_pivots(2) == [1]
 
 
 def test_quotient_reps_echelon_pivot():
-    assert quotient_reps([{0: F(1), 1: F(1)}], 2) == [{1: F(1)}]
-
-
-def test_quotient_reps_dependent_raises():
-    with pytest.raises(ValueError):
-        quotient_reps([{0: F(1)}, {0: F(2)}], 2)
+    assert Echelon([{0: F(1), 1: F(1)}]).non_pivots(2) == [1]
 
 
 def test_quotient_basis():
@@ -123,14 +122,14 @@ def test_kernel_vectors_in_kernel(m):
 @given(matrices())
 def test_quotient_reps_complete_basis(m):
     sub = image_basis(m)
-    reps = quotient_reps(sub, m.rows)
+    reps = [{j: F(1)} for j in Echelon(sub).non_pivots(m.rows)]
     full = echelon_basis(sub + reps)
     assert len(full) == m.rows
 
 
 def test_class_projector():
     # space Q^3, classes spanned by e0 mod span{e1}
-    proj = ClassProjector([{0: F(1)}], [{1: F(1)}], 3)
+    proj = ClassProjector([{0: F(1)}], [{1: F(1)}])
     assert proj.class_coords({0: F(2), 1: F(5)}) == {0: F(2)}
     assert proj.class_coords({2: F(1)}, strict=False) is None
     with pytest.raises(ValueError):
@@ -169,10 +168,10 @@ def test_class_projector_matches_solve(case):
     m = SparseMatrix.from_columns(family, dim)
     if rank(m) < len(family):
         with pytest.raises(ValueError):
-            ClassProjector(family[:nreps], family[nreps:], dim)
+            ClassProjector(family[:nreps], family[nreps:])
         assert snapshot() == before
         return
-    proj = ClassProjector(family[:nreps], family[nreps:], dim)
+    proj = ClassProjector(family[:nreps], family[nreps:])
     assert snapshot() == before
     for v in targets:
         sol = solve(m, v)
@@ -225,3 +224,61 @@ def test_echelonize_matches_reference(rows):
     assert [list(r.items()) for r in echelon_basis(rows)] == [
         list(r.items()) for r in want_rows]
     assert [list(r.items()) for r in rows] == before
+
+
+@st.composite
+def complexes(draw):
+    """(d_out, d_in, queries) with d_out d_in = 0 on Q^n: the columns of
+    d_in are combinations (often dependent) of kernel vectors of d_out; the
+    queries are a cocycle, a coboundary, a random vector (often not a
+    cocycle) and 0."""
+    n = draw(st.integers(1, 6))
+    sparse = st.one_of(st.just(0), small)
+    d_out = mat(draw(st.lists(st.lists(sparse, min_size=n, max_size=n),
+                              min_size=1, max_size=4)))
+    ker = oracles.reference_kernel_basis(d_out)
+
+    def combination():
+        coeffs = draw(st.lists(small, min_size=len(ker), max_size=len(ker)))
+        v = {}
+        for c, u in zip(coeffs, ker):
+            for i, x in u.items():
+                v[i] = v.get(i, F(0)) + c * x
+        return {i: x for i, x in v.items() if x}
+
+    cols = [combination() for _ in range(draw(st.integers(0, 4)))]
+    d_in = SparseMatrix.from_columns(cols, n)
+    vec = st.lists(small, min_size=n, max_size=n).map(
+        lambda xs: {i: F(x) for i, x in enumerate(xs) if x})
+    boundary = d_in.apply({j: F(x) for j, x in enumerate(
+        draw(st.lists(small, min_size=len(cols), max_size=len(cols)))) if x})
+    return d_out, d_in, [combination(), boundary, draw(vec), {}]
+
+
+# H = Q^2 / span(e0 + e1): one class, the first free kernel vector
+@example((mat([[0, 0]]), SparseMatrix.from_columns([{0: F(1), 1: F(1)}], 2),
+          [{0: F(2)}, {1: F(1)}, {}]))
+# pivots found in the order 1, 0: the representative lists them ascending
+@example((mat([[0, 1, 1], [1, 0, 1]]), SparseMatrix(3, 0), [{}]))
+@given(complexes())
+def test_cohomology_matches_reference(case):
+    """One elimination gives the dimension, the representatives (values
+    and key order) and the class coordinates of the reference's three
+    eliminations and separate projector; a query that is not a cocycle
+    has no coordinates."""
+    d_out, d_in, queries = case
+    dim, reps, proj = cohomology(d_out, d_in)
+    want_dim, want_reps, want_proj = oracles.reference_cohomology(d_out, d_in)
+    assert dim == want_dim == len(reps)
+    assert [list(v.items()) for v in reps] == [
+        list(v.items()) for v in want_reps]
+    for q in queries + reps:
+        got = proj.class_coords(q, strict=False)
+        try:
+            want = want_proj.class_coords(q)
+        except ValueError:
+            assert got is None
+            with pytest.raises(ValueError):
+                proj.class_coords(q)
+        else:
+            assert list(got.items()) == list(want.items())

@@ -205,6 +205,17 @@ def test_delta_matches_bar(mk):
     assert rep["system_compat_ok"]
 
 
+def test_delta_differential_is_exact():
+    """The unit letter has odd suspended degree -1, so the face signs see
+    negative exponents; every matrix entry must still be a Fraction (a
+    float entry would make the elimination inexact)."""
+    D = DeltaApprox(make_e3(), 3, 3)
+    for w in range(4):
+        for deg in (-2, -1, 0):
+            for c in D.d_matrix(deg, w).entries.values():
+                assert type(c) is F, (deg, w, c)
+
+
 def test_delta_relative_base():
     X = AugmentedOverN(make_e1("t"), make_e4())
     rep = delta_approximation(X, 3, 3)
