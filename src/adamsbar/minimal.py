@@ -44,7 +44,7 @@ class IdealComplex:
     def __init__(self, A: CdgaPresentation):
         self.A = A
         self._ker = {}
-        self._proj = {}  # slice -> (monomial index, kernel-basis projector)
+        self._free = {}  # slice -> (monomial index, free column per vector)
         self._coh = {}
 
     def kernel(self, i, m):
@@ -58,21 +58,25 @@ class IdealComplex:
                 for em, c in self.A.substitute(
                         {mono: F(1)}, self.A.augmentation).items():
                     eps.entries[(idx[em], j)] = c
-            # ideal = kernel of eps on the slice
+            # ideal = kernel of eps on the slice; a kernel vector is 1 at its
+            # free column f, 0 at the others, and elsewhere only at pivots < f
             ker = linalg.kernel_basis(eps)
             self._ker[key] = (basis, ker)
-            self._proj[key] = (idx, linalg.ClassProjector(ker))
+            self._free[key] = (idx, [max(v) for v in ker])
         return self._ker[key]
 
     def to_coords(self, el, i, m):
-        """Coordinates of an ideal element in the kernel basis."""
-        self.kernel(i, m)  # builds the slice projector
-        idx, proj = self._proj[(i, m)]
-        sol = proj.class_coords({idx[mm]: c for mm, c in el.items()},
-                                strict=False)
-        if sol is None:
+        """Coordinates of an ideal element in the kernel basis: its entries
+        at the free columns, if they account for all of it."""
+        _, ker = self.kernel(i, m)
+        idx, free = self._free[(i, m)]
+        v = {idx[mm]: c for mm, c in el.items()}
+        coords = {k: v[f] for k, f in enumerate(free) if f in v}
+        for k, c in coords.items():
+            v = linalg.vec_add(v, ker[k], -c)
+        if v:
             raise ValueError("element not in the augmentation ideal")
-        return sol
+        return coords
 
     def from_coords(self, v, i, m):
         basis, ker = self.kernel(i, m)
@@ -398,19 +402,18 @@ def quillen_compare(A: CdgaPresentation, w_max):
         lin = {(((name, 1),),): F(1)}
         target = bar_m.d_lin(lin)
         if target:
-            long_words = [wd for wd in bar_m.slice(0, w) if len(wd) >= 2]
-            dst = bar_m.slice(1, w)
-            idx = {wd: i for i, wd in enumerate(dst)}
-            mat = linalg.SparseMatrix(len(dst), len(long_words))
-            for j, wd in enumerate(long_words):
-                for dw, c in bar_m.d_word(wd).items():
-                    mat.entries[(idx[dw], j)] = c
-            tv = {idx[wd]: -c for wd, c in target.items()}
+            words = bar_m.slice(0, w)
+            long = [j for j, wd in enumerate(words) if len(wd) >= 2]
+            d0 = bar_m.d_matrix(0, w)
+            cols = d0.columns()
+            mat = linalg.SparseMatrix.from_columns(
+                [cols[j] for j in long], d0.rows)
+            tv = linalg.vec_scale(bar_m.vector(target, 1, w), F(-1))
             sol = linalg.solve(mat, tv)
             if sol is None:
                 return False, {"reason": f"no cocycle correction for {name}"}
             for j, c in sol.items():
-                lin = el_add(lin, {long_words[j]: F(1)}, c)
+                lin = el_add(lin, {words[long[j]]: F(1)}, c)
         pushed = {}
         for word, c in lin.items():
             expanded = {(): c}

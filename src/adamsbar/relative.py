@@ -18,6 +18,7 @@ a flat nilpotent connection Gamma.  This module computes:
   * the punctured-line fundamental-group demo over a mock trivial base.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -98,7 +99,7 @@ class AugmentedOverN:
                 out = el_add(out, {mono: F(1)}, c)
         return out
 
-    def eps_chain_map_failures(self, coh_max=4, adams_max=4):
+    def eps_chain_map_failures(self):
         fails = []
         for g in self.fiber:
             lhs = self.eps(self.total.apply_d(el_gen(g.name)))
@@ -132,7 +133,7 @@ def split_monomial(A: CdgaPresentation, mono, base_names):
 
 def split_ideal(X: AugmentedOverN, coh_max=4, adams_max=4):
     """Per-slice splitting A = N (+) ker(eps), with closure checks."""
-    fails = X.eps_chain_map_failures(coh_max, adams_max)
+    fails = X.eps_chain_map_failures()
     if fails:
         raise RelativeError(f"augmentation is not a chain map: {fails}")
     A = X.total
@@ -292,7 +293,7 @@ class RelativeBarH0:
             for bm, bc in A.apply_d({b: F(1)}).items():
                 _wadd(out, (bm, word), c * bc)
             bdeg = A.mono_bidegree(b)[0]
-            sgn = F((-1) ** bdeg)
+            sgn = F((-1) ** (bdeg % 2))
             for nw, c2 in self.bar.d_word(word).items():
                 _wadd(out, (b, nw), c * c2 * sgn)
             for (b2, nw), c2 in self.gamma_word(word).items():
@@ -509,6 +510,12 @@ class DeltaApprox:
     vertex of S and applies the corresponding bar face to the word;
     the end faces apply the counit and are nonzero only on unit
     letters.
+
+    A face only removes vertices, so for nn <= n the pairs with
+    S[-1] <= nn span a subcomplex: the complex of the nn-simplex.  Each
+    slice is ordered by S[-1] first, which makes that subcomplex a prefix
+    of length ends(deg, w)[nn].  d is built once per slice, as columns
+    indexed by the next slice, and every dimension and check reads them.
     """
 
     def __init__(self, A: CdgaPresentation, n, w_max):
@@ -518,6 +525,7 @@ class DeltaApprox:
         self.bar = BarComplex(A)
         self._words = {}
         self._slices = {}
+        self._cols = {}
 
     def letters(self, r):
         if r == 0:
@@ -548,8 +556,13 @@ class DeltaApprox:
                         continue
                     for S in combinations(range(self.n + 1), m + 1):
                         out.append((S, word))
-            self._slices[key] = sorted(out)
+            self._slices[key] = sorted(out, key=lambda b: (b[0][-1], b))
         return self._slices[key]
+
+    def ends(self, deg, w):
+        """ends[nn]: the length of the nn-simplex prefix of slice (deg, w)."""
+        tops = [S[-1] for S, _ in self.slice(deg, w)]
+        return [bisect_right(tops, nn) for nn in range(self.n + 1)]
 
     def _ebar(self, letter):
         return -1 if letter == UNIT else self.bar._ebar(letter)
@@ -576,38 +589,74 @@ class DeltaApprox:
             _wadd(out, (S[1:], word[1:]), F(1))
         if m and word[-1] == UNIT:
             s = sum(self._ebar(l) for l in word[:-1]) - 1
-            _wadd(out, (S[:-1], word[:-1]), F((-1) ** s))
+            _wadd(out, (S[:-1], word[:-1]), F((-1) ** (s % 2)))
         return out
 
-    def d_lin(self, lin):
-        out = {}
-        for (S, word), c in lin.items():
-            for key, c2 in self.d_basis(S, word).items():
-                _wadd(out, key, c * c2)
-        return out
+    def d_columns(self, deg, w):
+        """d on slice (deg, w): one {row: coeff} column per basis element,
+        the rows indexing slice (deg + 1, w)."""
+        key = (deg, w)
+        if key not in self._cols:
+            idx = {b: i for i, b in enumerate(self.slice(deg + 1, w))}
+            self._cols[key] = [
+                {idx[b2]: c for b2, c in self.d_basis(*b).items()}
+                for b in self.slice(deg, w)
+            ]
+        return self._cols[key]
 
-    def d_matrix(self, deg, w):
-        src = self.slice(deg, w)
-        dst = self.slice(deg + 1, w)
-        idx = {b: i for i, b in enumerate(dst)}
-        mat = linalg.SparseMatrix(len(dst), len(src))
-        for j, b in enumerate(src):
-            for key, c in self.d_basis(*b).items():
-                mat.entries[(idx[key], j)] = c
-        return mat
+    def _prefix_ranks(self, deg, w):
+        """[rank of d(deg, w) on the nn-prefix of its columns, for each nn]:
+        the columns go into one Echelon in order."""
+        e = linalg.Echelon()
+        cols = self.d_columns(deg, w)
+        ranks, start = [], 0
+        for end in self.ends(deg, w):
+            for col in cols[start:end]:
+                e.add(col)
+            ranks.append(len(e.rows))
+            start = end
+        return ranks
 
     def h0_dims(self):
-        out = {}
+        """{nn: {w: dim H^0}} of the nn-simplex complex for every nn <= n:
+        the nn-prefix of slice (0, w) less the ranks of d(0, w) and
+        d(-1, w) there.  Rank does not depend on the basis, and the
+        prefixes are subcomplexes (closed_ok), so these are the ranks of
+        the nn-simplex's own matrices."""
+        dims = {nn: {} for nn in range(self.n + 1)}
         for w in range(self.w_max + 1):
-            out[w] = linalg.cohomology(self.d_matrix(0, w),
-                                       self.d_matrix(-1, w))[0]
-        return out
+            size = self.ends(0, w)
+            r_out = self._prefix_ranks(0, w)
+            r_in = self._prefix_ranks(-1, w)
+            for nn in dims:
+                dims[nn][w] = size[nn] - r_out[nn] - r_in[nn]
+        return dims
 
     def d_squared_ok(self):
+        """d(deg + 1) d(deg) = 0 for deg -2..1, one sparse product of the
+        columns per slice."""
         for w in range(self.w_max + 1):
             for deg in (-2, -1, 0, 1):
-                for b in self.slice(deg, w):
-                    if self.d_lin(self.d_basis(*b)):
+                nxt = self.d_columns(deg + 1, w)
+                for col in self.d_columns(deg, w):
+                    acc = {}
+                    for i, c in col.items():
+                        acc = linalg.vec_add(acc, nxt[i], c)
+                    if acc:
+                        return False
+        return True
+
+    def closed_ok(self):
+        """No face in d(deg, w), deg -2..1, has a top vertex above its
+        column's: the nn-prefixes are subcomplexes.  A face map that
+        leaves its vertex range breaks it.  Rows are ordered by top vertex
+        first, so the last row of a column has the highest."""
+        for w in range(self.w_max + 1):
+            for deg in (-2, -1, 0, 1):
+                dst = self.slice(deg + 1, w)
+                for (S, _), col in zip(self.slice(deg, w),
+                                       self.d_columns(deg, w)):
+                    if col and dst[max(col)][0][-1] > S[-1]:
                         return False
         return True
 
@@ -620,37 +669,29 @@ class DeltaApprox:
                 _wadd(out, word, c)
         return out
 
-    def incl_map(self, lin):
-        """Inclusion into the complex of a larger simplex: faces of the
-        n-simplex are faces of any bigger simplex with the same vertex
-        labels.  This is a chain map (vertex removal stays inside the
-        label range)."""
-        return dict(lin)
-
-    def pi_map(self, lin):
-        """Linear retraction of the face inclusion of the (n-1)-simplex:
-        kill every face touching the last vertex.  It is one-sided
-        inverse to incl_map but not itself a chain map (an end face can
-        drop the last vertex); all homology-level statements about the
-        simplex system are routed through the inclusion."""
-        out = {}
-        for (S, word), c in lin.items():
-            if S[-1] <= self.n - 1:
-                _wadd(out, (S, word), c)
-        return out
+    def q_chain_ok(self):
+        """q d = d_bar q on degrees -1 and 0, the right side from the bar
+        complex's own differential on words of length <= n."""
+        for w in range(self.w_max + 1):
+            for deg in (-1, 0):
+                dst = self.slice(deg + 1, w)
+                for b, col in zip(self.slice(deg, w), self.d_columns(deg, w)):
+                    lhs = self.q_map({dst[i]: c for i, c in col.items()})
+                    rhs = self.bar.d_lin(self.q_map({b: F(1)}))
+                    if lhs != {word: c for word, c in rhs.items()
+                               if len(word) <= self.n}:
+                        return False
+        return True
 
 
 def delta_approximation(X: AugmentedOverN, n, w_max):
     """Simplicial approximations of the fiber bar complex for all
-    simplex sizes up to n, with a stabilization report."""
+    simplex sizes up to n, read off the one complex at n, with a
+    stabilization report."""
     Falg, _ = fiber_algebra(X)
     full = bar_truncated_h0(Falg, n + w_max + 1, w_max)
-    dims = {}
-    approxes = {}
-    for nn in range(n + 1):
-        da = DeltaApprox(Falg, nn, w_max)
-        approxes[nn] = da
-        dims[nn] = da.h0_dims()
+    da = DeltaApprox(Falg, n, w_max)
+    dims = da.h0_dims()
     stable_n = None
     for nn in range(n + 1):
         if all(
@@ -660,59 +701,15 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
         ):
             stable_n = nn
             break
-    da = approxes[n]
-    d2_ok = da.d_squared_ok()
-    q_ok = _q_chain_ok(da)
-    system_ok = (
-        _system_ok(approxes[n - 1], da) if n >= 1 else True
-    )
     return {
         "n": n,
         "dims": dims,
         "full_dims": full,
         "stable_n": stable_n,
-        "d_squared_ok": d2_ok,
-        "q_chain_map_ok": q_ok,
-        "system_compat_ok": system_ok,
+        "d_squared_ok": da.d_squared_ok(),
+        "q_chain_map_ok": da.q_chain_ok(),
+        "system_compat_ok": da.closed_ok(),
     }
-
-
-def _q_chain_ok(da: DeltaApprox):
-    for w in range(da.w_max + 1):
-        for deg in (-1, 0):
-            for b in da.slice(deg, w):
-                lhs = da.q_map(da.d_basis(*b))
-                rhs = da.bar.d_lin(da.q_map({b: F(1)}))
-                rhs = {
-                    word: c for word, c in rhs.items() if len(word) <= da.n
-                }
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def _system_ok(da_small: DeltaApprox, da_big: DeltaApprox):
-    """The simplex-size system: the face inclusion is a chain map, the
-    projection retracts it, and the comparison maps to the bar complex
-    are compatible with the inclusion."""
-    for w in range(da_big.w_max + 1):
-        for deg in (-1, 0):
-            for b in da_small.slice(deg, w):
-                one = {b: F(1)}
-                # inclusion is a chain map
-                if da_big.d_lin(da_small.incl_map(one)) != da_small.incl_map(
-                    da_small.d_lin(one)
-                ):
-                    return False
-                # pi o incl = id
-                if da_big.pi_map(da_small.incl_map(one)) != one:
-                    return False
-                # q_{n+1} o incl = q_n
-                if da_big.q_map(da_small.incl_map(one)) != da_small.q_map(
-                    one
-                ):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,17 @@
   quotient representatives each from their own elimination, and the
   indecomposables from the products of every ordered pair, echelonized,
   with a separate projector.
+- The reference simplicial approximation: one complex per simplex size,
+  each with its own matrices and reference cohomology.
 """
 
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
-from adamsbar.cdga import el_add
+from adamsbar.bar import BarComplex
+from adamsbar.cdga import UNIT, el_add
+from adamsbar.linalg import SparseMatrix
 
 F = Fraction
 
@@ -415,3 +419,77 @@ def reference_colie(h):
         cobracket[g] = out
     return SimpleNamespace(basis=basis, by_weight=by_weight, project=project,
                            cobracket=cobracket)
+
+
+# ---- reference simplicial approximation ---------------------------------
+
+
+def reference_delta_dims(A, n, w_max, full):
+    """(dims, stable_n) of relative.delta_approximation for the fiber
+    algebra A: a separate complex for each simplex size nn <= n, basis
+    sorted by (S, word), d assembled face by face, and H^0 from
+    reference_cohomology; stable_n is the least nn whose tables from nn on
+    equal `full` (the length-truncated bar H^0 dims)."""
+    bar = BarComplex(A)
+
+    def ebar(letter):
+        return -1 if letter == UNIT else bar._ebar(letter)
+
+    def words(w, m):
+        if m == 0:
+            return [()] if w == 0 else []
+        return [(letter,) + tail
+                for r in range(w + 1)
+                for letter in ([UNIT] if r == 0 else bar.letters(r))
+                for tail in words(w - r, m - 1)]
+
+    def basis(nn, deg, w):
+        return sorted((S, word)
+                      for m in range(nn + 1)
+                      for word in words(w, m)
+                      if bar.word_bidegree(word)[0] == deg
+                      for S in itertools.combinations(range(nn + 1), m + 1))
+
+    def d_basis(S, word):
+        out = {}
+        m = len(word)
+        sig = 0
+        for i, letter in enumerate(word):
+            if letter != UNIT:
+                for lm, c in A.apply_d({letter: F(1)}).items():
+                    _wadd(out, (S, word[:i] + (lm,) + word[i + 1:]),
+                          c * (-1) ** (sig % 2))
+            if i < m - 1:
+                s = sig + ebar(letter)
+                for lm, c in A.multiply({letter: F(1)},
+                                        {word[i + 1]: F(1)}).items():
+                    _wadd(out, (S[:i + 1] + S[i + 2:],
+                                word[:i] + (lm,) + word[i + 2:]),
+                          c * (-1) ** (s % 2))
+            sig += ebar(letter)
+        if m and word[0] == UNIT:
+            _wadd(out, (S[1:], word[1:]), F(1))
+        if m and word[-1] == UNIT:
+            s = sum(ebar(l) for l in word[:-1]) - 1
+            _wadd(out, (S[:-1], word[:-1]), F((-1) ** (s % 2)))
+        return out
+
+    def d_matrix(nn, deg, w):
+        src = basis(nn, deg, w)
+        idx = {b: i for i, b in enumerate(basis(nn, deg + 1, w))}
+        mat = SparseMatrix(len(idx), len(src))
+        for j, b in enumerate(src):
+            for key, c in d_basis(*b).items():
+                mat.entries[(idx[key], j)] = c
+        return mat
+
+    dims = {nn: {w: reference_cohomology(d_matrix(nn, 0, w),
+                                         d_matrix(nn, -1, w))[0]
+                 for w in range(w_max + 1)}
+            for nn in range(n + 1)}
+    stable_n = next(
+        (nn for nn in range(n + 1)
+         if all(dims[k][w] == full[w]
+                for k in range(nn, n + 1) for w in range(w_max + 1))),
+        None)
+    return dims, stable_n

@@ -4,6 +4,7 @@ import pytest
 
 from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_gen
 from adamsbar.minimal import (
+    IdealComplex,
     augment_absolute,
     generalized_nilpotent_check,
     qa_colie,
@@ -119,3 +120,19 @@ def test_quillen_compare_random_gen_nilpotent(seed):
     A = random_gen_nilpotent(seed)
     ok, details = quillen_compare(A, 3)
     assert ok, details
+
+
+def test_ideal_coords_read_off_free_columns():
+    """With aug u = t the ideal in slice (1, 1) is spanned by u - t: an
+    ideal element's coordinate is its entry at u, and an element outside
+    the ideal is refused."""
+    A = make_e4()
+    A.augmentation = {"u": {(("t", 1),): F(1)}, "v": {}}
+    ic = IdealComplex(A)
+    t, u = (("t", 1),), (("u", 1),)
+    assert ic.to_coords({u: F(3), t: F(-3)}, 1, 1) == {0: F(3)}
+    assert ic.from_coords({0: F(3)}, 1, 1) == {u: F(3), t: F(-3)}
+    assert ic.to_coords({}, 1, 1) == {}
+    for el in ({u: F(1)}, {t: F(1)}, {u: F(1), t: F(1)}):
+        with pytest.raises(ValueError):
+            ic.to_coords(el, 1, 1)

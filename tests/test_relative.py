@@ -5,6 +5,7 @@ import pytest
 from adamsbar.cdga import UNIT, el_gen
 from adamsbar.bar import bar_truncated_h0, h0_hopf
 from adamsbar.minimal import trivial_base
+from adamsbar import relative
 from adamsbar.relative import (
     AugmentedOverN,
     DeltaApprox,
@@ -27,7 +28,7 @@ from corpus import (
     make_e4p,
     random_gen_nilpotent,
 )
-from oracles import lyndon_count
+from oracles import lyndon_count, reference_delta_dims
 
 F = Fraction
 
@@ -211,9 +212,75 @@ def test_delta_differential_is_exact():
     float entry would make the elimination inexact)."""
     D = DeltaApprox(make_e3(), 3, 3)
     for w in range(4):
-        for deg in (-2, -1, 0):
-            for c in D.d_matrix(deg, w).entries.values():
-                assert type(c) is F, (deg, w, c)
+        for deg in (-2, -1, 0, 1, 2):
+            for col in D.d_columns(deg, w):
+                for c in col.values():
+                    assert type(c) is F, (deg, w, c)
+
+
+DELTA_CASES = [
+    pytest.param(trivial_base, mk, id=mk.__name__)
+    for mk in (make_e1, make_e2, make_e3, make_e4)
+] + [
+    pytest.param(lambda: make_e1("t"), mk, id=f"{mk.__name__}-over-e1")
+    for mk in (make_e4, make_e4p)
+]
+
+
+@pytest.mark.parametrize("base, total", DELTA_CASES)
+def test_delta_matches_reference(base, total):
+    """Every table and stable_n read off the one complex at n equal a
+    separate complex per simplex size."""
+    X = AugmentedOverN(base(), total())
+    Falg, _ = fiber_algebra(X)
+    w_max = 3
+    for n in range(5):
+        rep = delta_approximation(X, n, w_max)
+        full = bar_truncated_h0(Falg, n + w_max + 1, w_max)
+        assert (rep["dims"], rep["stable_n"]) == reference_delta_dims(
+            Falg, n, w_max, full), n
+
+
+def _broken_delta(monkeypatch, d_basis):
+    """delta_approximation(E3, 3, 3) with DeltaApprox.d_basis replaced."""
+    broken = type("BrokenDelta", (DeltaApprox,), {"d_basis": d_basis})
+    monkeypatch.setattr(relative, "DeltaApprox", broken)
+    return delta_approximation(AugmentedOverN(trivial_base(), make_e3()), 3, 3)
+
+
+def test_delta_bad_sign_fails_d_squared(monkeypatch):
+    def d_basis(self, S, word):
+        # flip the inner d faces of words that carry a unit letter
+        out = DeltaApprox.d_basis(self, S, word)
+        if UNIT in word:
+            out = {(S2, w2): -c if S2 == S else c
+                   for (S2, w2), c in out.items()}
+        return out
+
+    assert not _broken_delta(monkeypatch, d_basis)["d_squared_ok"]
+
+
+def test_delta_dropped_unit_face_fails_q_chain(monkeypatch):
+    def d_basis(self, S, word):
+        # lose the front counit face
+        out = DeltaApprox.d_basis(self, S, word)
+        if word and word[0] == UNIT:
+            out.pop((S[1:], word[1:]), None)
+        return out
+
+    assert not _broken_delta(monkeypatch, d_basis)["q_chain_map_ok"]
+
+
+def test_delta_face_leaving_its_simplex_fails_closure(monkeypatch):
+    def d_basis(self, S, word):
+        # shift the front counit face one vertex up, past the top of S
+        out = DeltaApprox.d_basis(self, S, word)
+        face = (S[1:], word[1:])
+        if face in out and S[-1] < self.n:
+            out[(tuple(v + 1 for v in S[1:]), word[1:])] = out.pop(face)
+        return out
+
+    assert not _broken_delta(monkeypatch, d_basis)["system_compat_ok"]
 
 
 def test_delta_relative_base():
