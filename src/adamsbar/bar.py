@@ -15,7 +15,10 @@ sig_i = sum_{j<i} ebar(x_j),
 
 and the shuffle product carries the Koszul sign of the interleaving
 computed from suspended degrees.  The antipode reverses the word with
-sign (-1)^m * (-1)^{sum_{i<j} ebar_i ebar_j}.
+sign (-1)^m * (-1)^{sum_{i<j} ebar_i ebar_j}.  Every sign is taken from
+an exponent mod 2 (an exponent can be negative, and (-1)**k is a float
+then), so d, the shuffle and the antipode of a word carry int
+coefficients over an integral presentation.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ F = Fraction
 
 
 def _wadd(out, w, c):
-    y = out.get(w, F(0)) + c
+    y = out.get(w, 0) + c
     if y:
         out[w] = y
     else:
@@ -115,15 +118,15 @@ class BarComplex:
         out = {}
         sig = 0
         for i, letter in enumerate(word):
-            for lm, c in self.A.apply_d({letter: F(1)}).items():
+            for lm, c in self.A.apply_d({letter: 1}).items():
                 _wadd(out, word[:i] + (lm,) + word[i + 1:],
-                      c * (-1) ** (sig % 2))
+                      -c if sig % 2 else c)
             if i < len(word) - 1:
-                prod = self.A.multiply({letter: F(1)}, {word[i + 1]: F(1)})
+                prod = self.A.multiply({letter: 1}, {word[i + 1]: 1})
                 s = sig + self._ebar(letter)
                 for lm, c in prod.items():
                     _wadd(out, word[:i] + (lm,) + word[i + 2:],
-                          c * (-1) ** (s % 2))
+                          -c if s % 2 else c)
             sig += self._ebar(letter)
         return out
 
@@ -148,14 +151,13 @@ class BarComplex:
 
         def rec(uu, vv, acc, sign):
             if not uu and not vv:
-                _wadd(out, tuple(acc), F(sign))
+                _wadd(out, tuple(acc), sign)
                 return
             if uu:
                 rec(uu[1:], vv, acc + [uu[0]], sign)
             if vv:
-                s = sign * (-1) ** (
-                    self._ebar(vv[0]) * sum(self._ebar(l) for l in uu) % 2
-                )
+                s = -sign if self._ebar(vv[0]) * sum(
+                    self._ebar(l) for l in uu) % 2 else sign
                 rec(uu, vv[1:], acc + [vv[0]], s)
 
         rec(list(u), list(v), [], 1)
@@ -177,7 +179,7 @@ class BarComplex:
         m = len(word)
         eb = [self._ebar(l) for l in word]
         s = sum(eb[i] * eb[j] for i in range(m) for j in range(i + 1, m))
-        return {tuple(reversed(word)): F((-1) ** (m + s))}
+        return {tuple(reversed(word)): -1 if (m + s) % 2 else 1}
 
     def antipode_lin(self, a):
         out = {}
@@ -204,7 +206,12 @@ class WeightPiece:
             bar.d_matrix(0, w), bar.d_matrix(-1, w))
 
     def rep_lins(self, bar):
-        return [bar.lin(v, 0, self.w) for v in self.reps]
+        """The representatives as word combinations, a coefficient of
+        denominator 1 as an int: the structure maps on them then compute
+        with ints, and what they classify comes back as Fractions."""
+        return [{word: c.numerator if c.denominator == 1 else c
+                 for word, c in bar.lin(v, 0, self.w).items()}
+                for v in self.reps]
 
 
 class HopfPresentation:

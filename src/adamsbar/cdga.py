@@ -8,7 +8,12 @@ generator is >= 1, so the weight-0 part is Q*1 by construction and every
 bidegree slice is finite dimensional.
 
 Monomials are tuples ((name, exponent), ...) sorted by generator name;
-elements are dicts {monomial: Fraction}.  The differential is stored on
+elements are dicts {monomial: coefficient}.  A coefficient is an int or
+a Fraction, and the two mix in one arithmetic: the structure maps
+(products, the differential, substitution) keep ints wherever the
+presentation's coefficients are integral, as they are after parsing
+whenever the denominator is 1, and divide nowhere.  linalg turns every
+value it returns into a Fraction.  The differential is stored on
 generators only and extended by Leibniz on demand.
 """
 
@@ -37,18 +42,17 @@ class CdgaError(Exception):
 
 
 def el_gen(name):
-    return {((name, 1),): F(1)}
+    return {((name, 1),): 1}
 
 
 def el_scalar(c):
-    c = F(c)
     return {UNIT: c} if c else {}
 
 
-def el_add(a, b, c=F(1)):
+def el_add(a, b, c=1):
     out = dict(a)
     for m, x in b.items():
-        y = out.get(m, F(0)) + c * x
+        y = out.get(m, 0) + c * x
         if y:
             out[m] = y
         else:
@@ -57,7 +61,6 @@ def el_add(a, b, c=F(1)):
 
 
 def el_scale(a, c):
-    c = F(c)
     if not c:
         return {}
     return {m: c * x for m, x in a.items()}
@@ -175,7 +178,7 @@ class CdgaPresentation:
                 mono[-1] = (name, mono[-1][1] + 1)
             else:
                 mono.append((name, 1))
-        return {tuple(mono): F(1)}
+        return {tuple(mono): 1}
 
     def mono_mul(self, m1, m2):
         fs, sign = self._sort_factors(self._flat(m1) + self._flat(m2))
@@ -281,7 +284,7 @@ class CdgaPresentation:
         idx = {m: i for i, m in enumerate(dst)}
         mat = linalg.SparseMatrix(len(dst), len(src))
         for j, m in enumerate(src):
-            for dm, c in self.apply_d({m: F(1)}).items():
+            for dm, c in self.apply_d({m: 1}).items():
                 mat.entries[(idx[dm], j)] = c
         return mat
 

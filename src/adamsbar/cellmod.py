@@ -110,8 +110,12 @@ class CellModule:
                 failures.append(f"entry ({i},{j}) breaks filtration strictness")
         acc = {kj: A.apply_d(a) for kj, a in self.differential.items()}
         _compose(A, acc, self.differential, self.differential)
-        failures.extend(f"d^2 != 0 at (k={k}, j={j}): {acc[(k, j)]}"
-                        for k, j in _nonzero(acc))
+        # the witness shows Fraction coefficients, whether the entries
+        # were written with ints or Fractions
+        failures.extend(
+            f"d^2 != 0 at (k={k}, j={j}): "
+            f"{ {m: F(c) for m, c in acc[(k, j)].items()} }"
+            for k, j in _nonzero(acc))
         return (not failures), failures
 
     # ---- slice complexes over Q ---------------------------------------
@@ -188,6 +192,7 @@ class ScalarComplex:
         for i, (_, c, a) in enumerate(self.basis):
             self._indices.setdefault((c, a), []).append(i)
         self._by_col = _entries_at(self.d, 1)
+        self._ker = {}  # (n, r) -> kernel basis of d_matrix(n, r)
         self._coh = {}  # (n, r) -> (dim, reps, projector)
 
     def indices(self, n, r):
@@ -203,12 +208,19 @@ class ScalarComplex:
                     mat.entries[(pos[i], j)] = c
         return mat
 
+    def kernel(self, n, r):
+        """linalg.kernel_basis of d at (n, r), computed once per (n, r)."""
+        if (n, r) not in self._ker:
+            self._ker[(n, r)] = linalg.kernel_basis(self.d_matrix(n, r))
+        return self._ker[(n, r)]
+
     def cohomology(self, n, r):
         """(dim, representatives, projector) of H^n at weight r, as vectors
-        over the positions of indices(n, r); computed once per (n, r)."""
+        over the positions of indices(n, r); computed once per (n, r), from
+        the cocycles of kernel(n, r)."""
         if (n, r) not in self._coh:
-            self._coh[(n, r)] = linalg.cohomology(
-                self.d_matrix(n, r), self.d_matrix(n - 1, r))
+            self._coh[(n, r)] = linalg.cocycle_classes(
+                self.kernel(n, r), self.d_matrix(n - 1, r))
         return self._coh[(n, r)]
 
     def cohomology_dim(self, n, r):
@@ -515,7 +527,7 @@ def t_truncate(M: CellModule, n: int):
     split = {}
     for r in weights:
         idxs = q.indices(n, r)
-        ker = linalg.kernel_basis(q.d_matrix(n, r))
+        ker = q.kernel(n, r)
         split[r] = (idxs, ker, linalg.quotient_basis(
             ker, [{k: F(1)} for k in range(len(idxs))]))
 

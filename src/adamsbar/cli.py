@@ -7,6 +7,7 @@ property failed (see the report's verdict), 2 = input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -299,9 +300,15 @@ def build_arg_parser():
     return ap
 
 
+@functools.cache
+def _arg_parser():
+    """The parser of build_arg_parser, built once per process: parsing
+    leaves it unchanged, so every main call can share it."""
+    return build_arg_parser()
+
+
 def main(argv=None):
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         report, code = args.func(args)
     except (ParseError, OSError, RelativeError, ModuleError,

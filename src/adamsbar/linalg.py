@@ -12,27 +12,35 @@ whose pivots lie in its own support.  What each view reads off it:
 - kernel_basis: one vector per non-pivot column of the rows of m;
 - solve: the rows of m augmented by the right-hand side;
 - quotient_basis: the vectors that find a new pivot after the sub;
-- cohomology: the image, then the kernel vectors; those that find a new
-  pivot are the representatives, and the same echelon is the projector;
+- cohomology, cocycle_classes: the image, then the kernel vectors; those
+  that find a new pivot are the representatives, and the same echelon is
+  the projector;
 - ClassProjector: the echelon of an independent family, reps tagged.
 
-All arithmetic uses fractions.Fraction, so results are exact and
-bit-for-bit reproducible: elimination always picks the pivot in the
-lowest remaining row, then the lowest column.
+Inside Echelon the arithmetic is on Python ints: each row is a primitive
+integer vector over a positive denominator, so a reduction step is an
+integer update, and the only divisions are one gcd per step and one
+division by the content per stored row.  The boundary is exact
+rationals: inputs may mix int and fractions.Fraction entries, and every
+value that leaves this module is a Fraction, so results are exact,
+bit-for-bit reproducible and the same however the input was written.
+Elimination always picks the pivot in the lowest remaining row, then the
+lowest column.
 
-Vectors are dicts {index: Fraction} with no stored zeros; matrices store
-a dict {(row, col): Fraction}.
+Vectors are dicts {index: int or Fraction} with no stored zeros;
+matrices store a dict {(row, col): entry}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _vec_iadd(u, v, c):
     """u += c*v in place; new keys are appended in v's order."""
     for i, x in v.items():
-        y = u.get(i, Fraction(0)) + c * x
+        y = u.get(i, 0) + c * x
         if y:
             u[i] = y
         else:
@@ -50,6 +58,30 @@ def vec_scale(u, c):
     if not c:
         return {}
     return {i: c * x for i, x in u.items()}
+
+
+def _integral(v):
+    """(V, den) with v = V/den, V an integer vector in v's key order and
+    den the least common denominator of v's entries."""
+    den = 1
+    for x in v.values():
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return {i: x.numerator for i, x in v.items()}, 1
+    return {i: x.numerator * (den // x.denominator)
+            for i, x in v.items()}, den
+
+
+def _rational(V, den):
+    """The Fraction vector V/den, in V's key order."""
+    return {i: Fraction(x, den) for i, x in V.items()}
+
+
+def _iscale(u, a):
+    """u *= a in place, for an int a."""
+    for i in u:
+        u[i] *= a
 
 
 class SparseMatrix:
@@ -104,77 +136,127 @@ class SparseMatrix:
 class Echelon:
     """Fully reduced rows keyed by pivot, grown one vector at a time.
 
-    rows: {pivot: row}, in the order the pivots were found.  A vector
-    added with a tag (its index in a family) makes its row remember the
-    combination of tagged vectors it stands for, modulo the untagged ones;
-    back-substitution keeps those combinations in step with the rows.
+    rows: {pivot: row} as Fraction vectors, in the order the pivots were
+    found.  A vector added with a tag (its index in a family) makes its
+    row remember the combination of tagged vectors it stands for, modulo
+    the untagged ones; back-substitution keeps those combinations in step
+    with the rows.
+
+    Each row and its combination are stored together as integer vectors
+    R and K over one positive denominator, R[p], the row's entry at its
+    pivot p: the row is R/R[p] and the combination K/R[p], with no common
+    factor left in R and K.  A reduction step is the integer update
+    v <- a*v - b*R with a/b = R[p]/v[p] in lowest terms, so no Fraction
+    is built until a result leaves the echelon.
     """
 
     def __init__(self, vectors=()):
-        self.rows = {}
-        self._combos = {}  # pivot -> {tag: coeff}
+        self._rows = {}    # pivot -> R
+        self._combos = {}  # pivot -> K
         self._found = {}   # pivot -> how many pivots were found before it
         for v in vectors:
             self.add(v)
 
+    def __len__(self):
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        return {p: _rational(R, R[p]) for p, R in self._rows.items()}
+
+    def _reduce(self, v):
+        """(V, C, den): v = V/den + the combination C/den of tagged
+        vectors, modulo the untagged ones.  The rows at the pivots in v's
+        support are subtracted once each, in the order they were found;
+        the rows are 0 at each other's pivots, so each step's coefficient
+        is v's own entry there, scaled by the steps before it."""
+        V, den = _integral(v)
+        C = {}
+        for _, p in sorted((self._found[p], p) for p in v if p in self._rows):
+            R = self._rows[p]
+            x, d = V[p], R[p]
+            g = gcd(x, d)
+            a, b = d // g, x // g
+            if a != 1:
+                _iscale(V, a)
+                _iscale(C, a)
+                den *= a
+            _vec_iadd(V, R, -b)
+            _vec_iadd(C, self._combos[p], b)
+        return V, C, den
+
     def reduce(self, v):
         """(residue, combination) with v = residue + the combination of
-        tagged vectors, modulo the untagged ones.  The rows at the pivots
-        in v's support are subtracted once each, in the order they were
-        found; the rows are 0 at each other's pivots, so each coefficient
-        is v's own entry there."""
-        residue = dict(v)
-        combo = {}
-        for _, p in sorted((self._found[p], p) for p in v if p in self.rows):
-            c = v[p]
-            _vec_iadd(residue, self.rows[p], -c)
-            _vec_iadd(combo, self._combos[p], c)
-        return residue, combo
+        tagged vectors, modulo the untagged ones."""
+        V, C, den = self._reduce(v)
+        return _rational(V, den), _rational(C, den)
 
     def add(self, v, tag=None):
         """Keep v as a new row and return its pivot, or return None and keep
         nothing when v is in the span of the rows."""
-        w, combo = self.reduce(v)
-        if not w:
+        R, C, den = self._reduce(v)
+        if not R:
             return None
-        p = min(w)
-        c = Fraction(1) / w[p]
-        row, combo = vec_scale(w, c), vec_scale(combo, -c)
+        p = min(R)
+        # the row is R/R[p]; it stands for (den*[tag] - C)/R[p]
+        K = {t: -c for t, c in C.items()}
         if tag is not None:
-            combo[tag] = c
+            K[tag] = den
+        if R[p] < 0:
+            _iscale(R, -1)
+            _iscale(K, -1)
+        _primitive(R, K)
         # back-substitute, so the earlier rows vanish at p
-        for q, qrow in self.rows.items():
-            cq = qrow.get(p)
-            if cq:
-                _vec_iadd(qrow, row, -cq)
-                _vec_iadd(self._combos[q], combo, -cq)
-        self._found[p] = len(self.rows)
-        self.rows[p] = row
-        self._combos[p] = combo
+        d = R[p]
+        for q in [q for q, Rq in self._rows.items() if p in Rq]:
+            Rq, Kq = self._rows[q], self._combos[q]
+            y = Rq[p]
+            g = gcd(y, d)
+            a, b = d // g, y // g
+            if a != 1:
+                _iscale(Rq, a)
+                _iscale(Kq, a)
+            _vec_iadd(Rq, R, -b)
+            _vec_iadd(Kq, K, -b)
+            _primitive(Rq, Kq)
+        self._found[p] = len(self._rows)
+        self._rows[p] = R
+        self._combos[p] = K
         return p
 
     def non_pivots(self, n):
         """The columns below n that are not pivots, in order."""
-        return [j for j in range(n) if j not in self.rows]
+        return [j for j in range(n) if j not in self._rows]
 
     def class_coords(self, v, strict=True):
         """Coordinates of v on the tagged vectors, in tag order, or None
         when v is outside the span of the rows (strict=True raises).  They
         are unique when the added vectors were independent."""
-        residue, combo = self.reduce(v)
-        if residue:
+        V, C, den = self._reduce(v)
+        if V:
             if strict:
                 raise ValueError("vector outside the span of reps + image")
             return None
-        return {i: combo[i] for i in sorted(combo)}
+        return {i: Fraction(C[i], den) for i in sorted(C)}
+
+
+def _primitive(R, K):
+    """Divide R and K in place by the gcd of all their entries."""
+    g = gcd(*R.values())
+    if g != 1:
+        g = gcd(g, *K.values())
+        if g != 1:
+            for u in (R, K):
+                for i in u:
+                    u[i] //= g
 
 
 def _echelonize(rows):
     """(rows, pivots) of the reduced echelon form, sorted by pivot, zero
     rows dropped; the input rows are left alone."""
-    e = Echelon(rows)
-    pivots = sorted(e.rows)
-    return [e.rows[p] for p in pivots], pivots
+    rows = Echelon(rows).rows
+    pivots = sorted(rows)
+    return [rows[p] for p in pivots], pivots
 
 
 def echelon_basis(vectors):
@@ -184,7 +266,7 @@ def echelon_basis(vectors):
 
 
 def rank(m: SparseMatrix):
-    return len(Echelon(m.row_list()).rows)
+    return len(Echelon(m.row_list()))
 
 
 def kernel_basis(m: SparseMatrix):
@@ -196,10 +278,11 @@ def kernel_basis(m: SparseMatrix):
     """
     e = Echelon(m.row_list())
     basis = {f: {f: Fraction(1)} for f in e.non_pivots(m.cols)}
-    for p in sorted(e.rows):
-        for f, c in e.rows[p].items():
+    for p in sorted(e._rows):
+        R = e._rows[p]
+        for f, x in R.items():
             if f != p:
-                basis[f][p] = -c
+                basis[f][p] = Fraction(-x, R[p])
     return list(basis.values())
 
 
@@ -214,13 +297,13 @@ def solve(m: SparseMatrix, b):
         if b.get(i):
             r[BCOL] = b[i]
     e = Echelon(rows)
-    if BCOL in e.rows:
+    if BCOL in e._rows:
         return None  # inconsistent system
     x = {}
-    for p in sorted(e.rows):
-        c = e.rows[p].get(BCOL)
-        if c:
-            x[p] = c
+    for p in sorted(e._rows):
+        R = e._rows[p]
+        if R.get(BCOL):
+            x[p] = Fraction(R[BCOL], R[p])
     return x
 
 
@@ -243,14 +326,21 @@ def cohomology(d_out: SparseMatrix, d_in: SparseMatrix):
     """(dimension, representatives, projector) of ker(d_out)/im(d_in).
 
     d_out maps the space to the next degree, d_in maps the previous degree
-    in.  One Echelon takes the columns of d_in, then the kernel vectors of
-    d_out, each tagged by the number of representatives so far; those that
-    find a new pivot are the representatives, and the Echelon is the
-    projector: class_coords gives a cocycle's coordinates on them.
+    in: the classes of the kernel vectors of d_out.
+    """
+    return cocycle_classes(kernel_basis(d_out), d_in)
+
+
+def cocycle_classes(cocycles, d_in: SparseMatrix):
+    """(dimension, representatives, projector) of span(cocycles)/im(d_in),
+    for a basis of cocycles.  One Echelon takes the columns of d_in, then
+    the cocycles, each tagged by the number of representatives so far;
+    those that find a new pivot are the representatives, and the Echelon
+    is the projector: class_coords gives a cocycle's coordinates on them.
     """
     projector = Echelon(d_in.columns())
     reps = []
-    for v in kernel_basis(d_out):
+    for v in cocycles:
         if projector.add(v, len(reps)) is not None:
             reps.append(v)
     return len(reps), reps, projector

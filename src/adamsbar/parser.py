@@ -115,17 +115,20 @@ def _parse_term(cur, declared):
 
 
 def _parse_poly(cur, declared, A):
-    """Parse a polynomial and normalize it in the algebra A."""
+    """Parse a polynomial and normalize it in the algebra A.  A
+    coefficient of denominator 1 is stored as an int, so the structure
+    maps of an integral presentation compute with ints."""
     out = {}
-    sign = F(1)
+    sign = 1
     if cur.peek() == "-":
         cur.next()
-        sign = F(-1)
+        sign = -1
     while True:
         coeff, names = _parse_term(cur, declared)
-        term = {UNIT: sign * coeff}
+        coeff *= sign
+        term = {UNIT: coeff.numerator if coeff.denominator == 1 else coeff}
         for name in names:
-            term = A.multiply(term, {((name, 1),): F(1)})
+            term = A.multiply(term, {((name, 1),): 1})
         out = el_add(out, term)
         nxt = cur.peek()
         if nxt is None:
@@ -135,7 +138,7 @@ def _parse_poly(cur, declared, A):
             raise ParseError(f"expected '+' or '-', got {tok!r}",
                              cur.lineno, col)
         cur.next()
-        sign = F(1) if nxt == "+" else F(-1)
+        sign = 1 if nxt == "+" else -1
 
 
 def parse_text(text):

@@ -453,7 +453,8 @@ def _coaction_matrices(X: AugmentedOverN, rb: RelativeBarH0, w_max):
 
     split: d_A followed by projection to the N^1 (x) E^1 component of
     the degree-2 slice; conn: the connection Gamma restricted to E^1.
-    Both are dicts {(fiber gen, base gen, fiber gen): coeff}.
+    Both are dicts {(fiber gen, base gen, fiber gen): coeff}, with
+    Fraction coefficients, as a report shows them.
     """
     A = X.total
     fiber1 = [g for g in X.fiber if g.coh == 1 and g.adams <= w_max]
@@ -469,10 +470,10 @@ def _coaction_matrices(X: AugmentedOverN, rb: RelativeBarH0, w_max):
             if A.gen[n1].coh != 1 or A.gen[n2].coh != 1:
                 continue
             if n1 in X.base_names and n2 not in X.base_names:
-                _wadd(split_m, (g.name, n1, n2), c)
+                _wadd(split_m, (g.name, n1, n2), F(c))
             elif n2 in X.base_names and n1 not in X.base_names:
                 # reorder fiber * base -> base * fiber (both odd)
-                _wadd(split_m, (g.name, n2, n1), -c)
+                _wadd(split_m, (g.name, n2, n1), -F(c))
     conn_m = {}
     for g in fiber1:
         for b, fel in rb.conn.get(g.name, {}).items():
@@ -484,7 +485,7 @@ def _coaction_matrices(X: AugmentedOverN, rb: RelativeBarH0, w_max):
             for fm, c in fel.items():
                 if len(fm) == 1 and fm[0][1] == 1 and \
                         rb.F.gen[fm[0][0]].coh == 1:
-                    _wadd(conn_m, (g.name, bname, fm[0][0]), c)
+                    _wadd(conn_m, (g.name, bname, fm[0][0]), F(c))
     return split_m, conn_m
 
 
@@ -573,23 +574,23 @@ class DeltaApprox:
         sig = 0
         for i, letter in enumerate(word):
             if letter != UNIT:
-                for lm, c in self.A.apply_d({letter: F(1)}).items():
+                for lm, c in self.A.apply_d({letter: 1}).items():
                     key = (S, word[:i] + (lm,) + word[i + 1:])
-                    _wadd(out, key, c * (-1) ** (sig % 2))
+                    _wadd(out, key, -c if sig % 2 else c)
             if i < m - 1:
-                prod = self.A.multiply({letter: F(1)}, {word[i + 1]: F(1)})
+                prod = self.A.multiply({letter: 1}, {word[i + 1]: 1})
                 s = sig + self._ebar(letter)
                 S2 = S[:i + 1] + S[i + 2:]
                 for lm, c in prod.items():
                     key = (S2, word[:i] + (lm,) + word[i + 2:])
-                    _wadd(out, key, c * (-1) ** (s % 2))
+                    _wadd(out, key, -c if s % 2 else c)
             sig += self._ebar(letter)
         # counit end faces
         if m and word[0] == UNIT:
-            _wadd(out, (S[1:], word[1:]), F(1))
+            _wadd(out, (S[1:], word[1:]), 1)
         if m and word[-1] == UNIT:
             s = sum(self._ebar(l) for l in word[:-1]) - 1
-            _wadd(out, (S[:-1], word[:-1]), F((-1) ** (s % 2)))
+            _wadd(out, (S[:-1], word[:-1]), -1 if s % 2 else 1)
         return out
 
     def d_columns(self, deg, w):
@@ -613,7 +614,7 @@ class DeltaApprox:
         for end in self.ends(deg, w):
             for col in cols[start:end]:
                 e.add(col)
-            ranks.append(len(e.rows))
+            ranks.append(len(e))
             start = end
         return ranks
 
@@ -671,15 +672,22 @@ class DeltaApprox:
 
     def q_chain_ok(self):
         """q d = d_bar q on degrees -1 and 0, the right side from the bar
-        complex's own differential on words of length <= n."""
+        complex's own differential on words of length <= n.  q of a basis
+        element depends only on its word, so the right side is computed
+        once per word, not once per face."""
+        rhs = {}  # word -> d_bar q of every (S, word)
         for w in range(self.w_max + 1):
             for deg in (-1, 0):
                 dst = self.slice(deg + 1, w)
                 for b, col in zip(self.slice(deg, w), self.d_columns(deg, w)):
+                    word = b[1]
+                    if word not in rhs:
+                        rhs[word] = {
+                            nw: c for nw, c in
+                            self.bar.d_lin(self.q_map({b: 1})).items()
+                            if len(nw) <= self.n}
                     lhs = self.q_map({dst[i]: c for i, c in col.items()})
-                    rhs = self.bar.d_lin(self.q_map({b: F(1)}))
-                    if lhs != {word: c for word, c in rhs.items()
-                               if len(word) <= self.n}:
+                    if lhs != rhs[word]:
                         return False
         return True
 

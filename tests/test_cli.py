@@ -276,6 +276,23 @@ def test_output_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_parser_shared_across_calls(capsys, tmp_path):
+    """main builds its argument parser once per process; a rejected
+    command line and a call with other options in between leave the next
+    report byte-identical to the first."""
+    f = write(tmp_path, "e3.cdga", E3_TEXT)
+    argv = ["colie", f, "--wt-max", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["colie", f, "--wt-max", "three"])
+    assert exc.value.code == 2
+    assert main(["delta-approx", f, "--n", "3", "--wt-max", "2"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_parse_cell_structure():
     kind, spec = parse_text(CELL_TEXT)
     assert kind == "cell"

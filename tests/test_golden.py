@@ -17,8 +17,14 @@ from test_cli import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# E3 and E4 with a non-integral differential: the structure maps carry a
+# Fraction coefficient where the other fixtures carry only ints
+E3_HALF_TEXT = E3_TEXT.replace("d z = 1*x*y", "d z = 1/2*x*y")
+E4_HALF_TEXT = E4_TEXT.replace("d v = 1*t*u", "d v = 1/2*t*u")
+
 FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
-            "e4.cdga": E4_TEXT}
+            "e4.cdga": E4_TEXT, "e3_half.cdga": E3_HALF_TEXT,
+            "e4_half.cdga": E4_HALF_TEXT}
 
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
@@ -26,6 +32,7 @@ CASES = {
     "colie_e2_w4": ["colie", "@e2.cdga", "--wt-max", "4"],
     "colie_e2_w6": ["colie", "@e2.cdga", "--wt-max", "6"],
     "colie_e3_w4": ["colie", "@e3.cdga", "--wt-max", "4"],
+    "colie_e3_half_w4": ["colie", "@e3_half.cdga", "--wt-max", "4"],
     "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
     "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",
                                   "@e1.cdga", "--n", "2", "--wt-max", "3"],
@@ -33,6 +40,9 @@ CASES = {
                         "@e4.cdga", "--wt-max", "4"],
     "coaction-check_e1_e4_w3": ["coaction-check", "--base", "@e1.cdga",
                                 "--total", "@e4.cdga", "--wt-max", "3"],
+    "coaction-check_e1_e4_half_w3": ["coaction-check", "--base", "@e1.cdga",
+                                     "--total", "@e4_half.cdga",
+                                     "--wt-max", "3"],
     "delta-approx_e2_n2_w2": ["delta-approx", "@e2.cdga", "--n", "2",
                               "--wt-max", "2"],
     "pi1-demo_k4_w4": ["pi1-demo", "--punctures", "4", "--wt-max", "4"],

@@ -282,3 +282,144 @@ def test_cohomology_matches_reference(case):
                 proj.class_coords(q)
         else:
             assert list(got.items()) == list(want.items())
+
+
+# ---- int and Fraction inputs ----------------------------------------------
+#
+# The structure maps hand linalg int entries where a presentation is
+# integral and Fractions elsewhere; Echelon computes on integer rows and
+# must return the reference's Fractions either way.
+
+mixed = st.one_of(
+    st.integers(-4, 4),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+).filter(bool)
+
+
+def mixed_vectors(draw, n, count):
+    """count sparse vectors over n columns, entries mixing ints and
+    Fractions with non-unit denominators; some are rational combinations
+    of two earlier ones, keys in first-seen order."""
+    vecs = []
+    for _ in range(count):
+        if vecs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            c = draw(mixed)
+            v = dict(a)
+            for i, x in b.items():
+                v[i] = v.get(i, 0) + c * x
+            vecs.append({i: x for i, x in v.items() if x})
+        else:
+            vecs.append(draw(st.dictionaries(st.integers(0, n - 1), mixed,
+                                             max_size=5)))
+    return vecs
+
+
+def raw_matrix(rows, ncols):
+    """A SparseMatrix holding the entries as given, int or Fraction, as the
+    d_matrix builders store them."""
+    m = SparseMatrix(len(rows), ncols)
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            m.entries[(i, j)] = x
+    return m
+
+
+def assert_fractions(vectors):
+    for v in vectors:
+        assert all(type(x) is F for x in v.values()), v
+
+
+def items(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+@st.composite
+def mixed_families(draw):
+    return (mixed_vectors(draw, 8, draw(st.integers(0, 9))),
+            mixed_vectors(draw, 8, 3))
+
+
+@example(([{0: 2, 1: F(1, 3)}, {0: F(1, 2), 2: 3}, {1: 1, 2: F(-5, 4)}],
+          [{0: 1, 1: 1, 2: 1}]))
+@given(mixed_families())
+def test_integer_echelon_matches_reference_on_mixed_entries(case):
+    """Rows (values, pivots and key order), kernel_basis and reduce
+    residues agree with the Fraction reference, and are Fractions."""
+    vecs, queries = case
+    before = items(vecs + queries)
+    want_rows, want_piv = oracles.reference_echelonize(vecs)
+    e = Echelon(vecs)
+    rows = e.rows
+    assert sorted(rows) == want_piv and len(e) == len(want_piv)
+    assert items(rows[p] for p in want_piv) == items(want_rows)
+    assert_fractions(rows.values())
+    m = raw_matrix(vecs, 8)
+    ker = kernel_basis(m)
+    assert items(ker) == items(oracles.reference_kernel_basis(m))
+    assert_fractions(ker)
+    for q in queries:
+        residue, combo = e.reduce(q)
+        want = dict(q)
+        for p, row in zip(want_piv, want_rows):
+            if want.get(p):
+                want = oracles._vec_add(want, row, -want[p])
+        assert residue == want and combo == {}
+        assert not set(residue) & set(want_piv)
+        assert_fractions([residue])
+    assert items(vecs + queries) == before
+
+
+@st.composite
+def mixed_complexes(draw):
+    """(d_out, d_in, queries) as in complexes(), with mixed int and
+    Fraction entries: the columns of d_in are rational combinations of
+    kernel vectors of d_out."""
+    n = draw(st.integers(1, 6))
+    rows = mixed_vectors(draw, n, draw(st.integers(1, 4)))
+    d_out = raw_matrix(rows, n)
+    ker = oracles.reference_kernel_basis(d_out)
+
+    def combination():
+        v = {}
+        for u in ker:
+            c = draw(st.one_of(st.just(0), mixed))
+            for i, x in u.items():
+                v[i] = v.get(i, 0) + c * x
+        return {i: x for i, x in v.items() if x}
+
+    cols = [combination() for _ in range(draw(st.integers(0, 4)))]
+    d_in = SparseMatrix(n, len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            d_in.entries[(i, j)] = x
+    queries = [combination(), cols[0] if cols else {},
+               mixed_vectors(draw, n, 1)[0], {}]
+    return d_out, d_in, queries
+
+
+@example((raw_matrix([{0: 2, 1: F(4, 3)}], 3),
+          raw_matrix([{0: F(2, 3)}, {0: -1}, {}], 1),
+          [{0: F(2, 3), 1: -1}, {2: 5}, {}]))
+@given(mixed_complexes())
+def test_integer_cohomology_matches_reference_on_mixed_entries(case):
+    """Dimension, representatives (values and key order) and class
+    coordinates agree with reference_cohomology, and every returned value
+    is a Fraction."""
+    d_out, d_in, queries = case
+    dim, reps, proj = cohomology(d_out, d_in)
+    want_dim, want_reps, want_proj = oracles.reference_cohomology(d_out, d_in)
+    assert dim == want_dim == len(reps)
+    assert items(reps) == items(want_reps)
+    assert_fractions(reps)
+    for q in queries + reps:
+        got = proj.class_coords(q, strict=False)
+        try:
+            want = want_proj.class_coords(q)
+        except ValueError:
+            assert got is None
+        else:
+            assert list(got.items()) == list(want.items())
+            assert_fractions([got])
+        residue, combo = proj.reduce(q)
+        assert_fractions([residue, combo])
