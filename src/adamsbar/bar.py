@@ -39,6 +39,28 @@ def _wadd(out, w, c):
         out.pop(w, None)
 
 
+def map_letters(lin, f):
+    """The word combination lin with each letter x replaced by the element
+    f(x), letter by letter: [x1|...|xm] goes to the sum of the words
+    [y1|...|ym] over the monomials yi of f(xi), weighted by their
+    coefficients, and a letter sent to 0 kills its word."""
+    out = {}
+    for word, c in lin.items():
+        partial = {(): c}
+        for letter in word:
+            img = f(letter)
+            nxt = {}
+            for pw, pc in partial.items():
+                for m, mc in img.items():
+                    _wadd(nxt, pw + (m,), pc * mc)
+            partial = nxt
+            if not partial:
+                break
+        for pw, pc in partial.items():
+            _wadd(out, pw, pc)
+    return out
+
+
 class BarComplex:
     def __init__(self, A: CdgaPresentation):
         self.A = A

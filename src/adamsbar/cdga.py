@@ -66,6 +66,15 @@ def el_scale(a, c):
     return {m: c * x for m, x in a.items()}
 
 
+def mono_factors(m):
+    """The generator names of a monomial in order, each repeated by its
+    exponent: x^2*y -> [x, x, y]."""
+    out = []
+    for name, e in m:
+        out.extend([name] * e)
+    return out
+
+
 class CdgaPresentation:
     def __init__(self, name, kind, generators, differential=None, products=None,
                  augmentation=None):
@@ -88,6 +97,19 @@ class CdgaPresentation:
         # values augment to 0
         self.augmentation = dict(augmentation or {})
         self._slice_cache = {}
+
+    def adjoin(self, spec: GeneratorSpec, d=None):
+        """Add the generator spec, with differential d, in place.  Only the
+        slices of weight >= spec.adams gain monomials, so only their cached
+        bases are dropped."""
+        if spec.name in self.gen:
+            raise CdgaError(f"generator {spec.name} already in {self.name}")
+        self.generators.append(spec)
+        self.gen[spec.name] = spec
+        if d:
+            self.differential[spec.name] = d
+        self._slice_cache = {nr: b for nr, b in self._slice_cache.items()
+                             if nr[1] < spec.adams}
 
     def set_product(self, a, b, val):
         ga, gb = self.gen[a], self.gen[b]
@@ -119,12 +141,6 @@ class CdgaPresentation:
         return degs.pop()
 
     # ---- multiplication ------------------------------------------------
-
-    def _flat(self, m):
-        out = []
-        for name, e in m:
-            out.extend([name] * e)
-        return out
 
     def _sort_factors(self, factors):
         """Insertion-sort factor names, returning (sorted, Koszul sign)."""
@@ -168,7 +184,7 @@ class CdgaPresentation:
                 mid = fs[i + 1:j] + fs[j + 1:]
                 out = {}
                 for vm, vc in val.items():
-                    rest = fs[:i] + self._flat(vm) + mid
+                    rest = fs[:i] + mono_factors(vm) + mid
                     sorted_rest, s = self._sort_factors(rest)
                     out = el_add(out, self._assemble(sorted_rest), vc * s * sign)
                 return out
@@ -181,7 +197,7 @@ class CdgaPresentation:
         return {tuple(mono): 1}
 
     def mono_mul(self, m1, m2):
-        fs, sign = self._sort_factors(self._flat(m1) + self._flat(m2))
+        fs, sign = self._sort_factors(mono_factors(m1) + mono_factors(m2))
         return el_scale(self._assemble(fs), sign)
 
     def multiply(self, a, b):
@@ -196,7 +212,7 @@ class CdgaPresentation:
     def apply_d(self, a):
         out = {}
         for m, c in a.items():
-            fs = self._flat(m)
+            fs = mono_factors(m)
             sgn = 1
             for i, name in enumerate(fs):
                 dg = self.differential.get(name)
@@ -223,7 +239,7 @@ class CdgaPresentation:
         out = {}
         for m, c in a.items():
             term = el_scalar(1)
-            for name in self._flat(m):
+            for name in mono_factors(m):
                 term = self.multiply(term, gen_map.get(name, el_gen(name)))
                 if not term:
                     break

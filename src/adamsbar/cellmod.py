@@ -17,6 +17,10 @@ entrywise; flatness is that same d^2 for d = d0 + Gamma with its scalar
 composed with f, on top of d applied to f.  Scalar complexes (q of a cell
 module, the finite dg modules that cell_resolution resolves) are one
 class, ScalarComplex.
+
+cell_resolution attaches cells with linalg.attach_cells, the loop minimal
+models use: the source is the cell module P, rebuilt after each round
+that adds cells, and the target is the finite dg module.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cdga import CdgaPresentation, UNIT, el_add, el_scale
+from .cdga import CdgaPresentation, UNIT, el_add, el_scale, mono_factors
 
 F = Fraction
 
@@ -655,7 +659,7 @@ class FiniteDgModule(ScalarComplex):
     def act(self, mono, vec_by_index):
         """Multiply a vector {index: coeff} by an algebra monomial."""
         out = dict(vec_by_index)
-        for g in reversed(self.algebra._flat(mono)):
+        for g in reversed(mono_factors(mono)):
             mat = self.action.get(g, {})
             nxt = {}
             for (i, j), c in mat.items():
@@ -667,103 +671,52 @@ class FiniteDgModule(ScalarComplex):
 
 
 def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
-    """Cell module P with a quasi-isomorphism P -> D, built degree by
-    degree from cohomology representatives, with a per-slice rank
-    certificate within the window."""
+    """Cell module P with a quasi-isomorphism phi: P -> D, built by
+    linalg.attach_cells degree by degree, and weight by weight within a
+    degree, from cohomology representatives; returns (P, phi, the
+    attach_cells certificate of each slice in the window)."""
     A = D.algebra
     basis = []      # (name, coh, adams)
     diff = {}
     phi = []        # image vectors {D-index: coeff} per P basis element
 
-    def P_module():
+    def module():
         return CellModule(A, basis, diff, _strict_filtration(basis, diff),
                           0, "P")
 
-    def phi_of(src, vec):
-        """phi of a P-slice vector {position in src: coeff}, as
-        {D-index: coeff}."""
-        img = {}
-        for j, c in vec.items():
-            mono, bi = src[j]
-            for i, cc in D.act(mono, phi[bi]).items():
-                img[i] = img.get(i, F(0)) + c * cc
-        return {i: c for i, c in img.items() if c}
+    P = module()
 
-    def class_map(P, n, r, strict=True):
-        """D's (dim, reps) of H^n(r), P's reps of H^n(r), and the D-class
-        coordinates of phi of each P rep; an image outside the span of D's
-        reps and coboundaries raises, or is None when not strict."""
-        dimD, repsD, projD = D.cohomology(n, r)
-        _, repsP = P.cohomology_slice(n, r)
+    def image(n, r, v):
+        """phi of a vector of P's slice (n, r), over the positions of
+        D.indices(n, r)."""
         src = P.slice_basis(n, r)
         pos = {b: k for k, b in enumerate(D.indices(n, r))}
-        cols = [projD.class_coords(
-                    {pos[i]: c for i, c in phi_of(src, rv).items()}, strict)
-                for rv in repsP]
-        return dimD, repsD, repsP, cols
+        img = {}
+        for j, c in v.items():
+            mono, bi = src[j]
+            for i, cc in D.act(mono, phi[bi]).items():
+                img[pos[i]] = img.get(pos[i], F(0)) + c * cc
+        return {k: c for k, c in img.items() if c}
 
-    for n in range(coh_min, coh_max + 1):
-        for r in range(0, adams_max + 1):
-            changed = True
-            guard = 0
-            while changed and guard < 6:
-                guard += 1
-                changed = False
-                P = P_module()
-                # surjectivity on H^n(r)
-                dimD, repsD, _, cols = class_map(P, n, r)
-                missing = linalg.quotient_basis(
-                    cols, [{k: F(1)} for k in range(dimD)])
-                idxs = D.indices(n, r)
-                for cv in missing:
-                    vec = {}
-                    for k, c in cv.items():
-                        for b, cc in repsD[k].items():
-                            vec[idxs[b]] = vec.get(idxs[b], F(0)) + c * cc
-                    basis.append((f"p{len(basis)}", n, r))
-                    phi.append({k: v for k, v in vec.items() if v})
-                    changed = True
-                if changed:
-                    continue
-                # kill the kernel on H^{n+1}(r) with degree-n generators
-                dimD2, _, repsP2, cols2 = class_map(P, n + 1, r)
-                src2 = P.slice_basis(n + 1, r)
-                pos2 = {b: k for k, b in enumerate(D.indices(n + 1, r))}
-                phi_mat = linalg.SparseMatrix.from_columns(cols2, dimD2)
-                for kv in linalg.kernel_basis(phi_mat):
-                    # cocycle z in P with [phi(z)] = 0; adjoin g, dg = z,
-                    # phi(g) = b where d_D b = phi(z)
-                    zvec = {}
-                    for k, c in kv.items():
-                        for j, cc in repsP2[k].items():
-                            zvec[j] = zvec.get(j, F(0)) + c * cc
-                    zvec = {j: c for j, c in zvec.items() if c}
-                    bsol = linalg.solve(
-                        D.d_matrix(n, r),
-                        {pos2[i]: c for i, c in phi_of(src2, zvec).items()})
-                    if bsol is None:
-                        raise ModuleError(
-                            "image of kernel class not exact in target")
-                    new_idx = len(basis)
-                    basis.append((f"p{new_idx}", n, r))
-                    phi.append({idxs[k]: c for k, c in bsol.items() if c})
-                    for j, c in zvec.items():
-                        mono, bi = src2[j]
-                        diff[(bi, new_idx)] = el_add(
-                            diff.get((bi, new_idx), {}), {mono: F(1)}, c)
-                    changed = True
+    def adjoin(n, r, cells):
+        """A generator p of bidegree (n, r) per cell (z, b): d p = z in P's
+        slice (n + 1, r), phi(p) = b over D's positions."""
+        nonlocal P
+        idxs = D.indices(n, r)
+        src = P.slice_basis(n + 1, r)
+        for z, b in cells:
+            new_idx = len(basis)
+            basis.append((f"p{new_idx}", n, r))
+            phi.append({idxs[k]: c for k, c in b.items()})
+            for j, c in (z or {}).items():
+                mono, bi = src[j]
+                diff[(bi, new_idx)] = el_add(
+                    diff.get((bi, new_idx), {}), {mono: F(1)}, c)
+        P = module()
 
-    P = P_module()
-    certificate = {}
-    for n in range(coh_min, coh_max + 2):
-        for r in range(0, adams_max + 1):
-            dimD, _, repsP, cols = class_map(P, n, r, strict=False)
-            if any(c is None for c in cols):
-                certificate[(n, r)] = False
-                continue
-            rk = len(linalg.echelon_basis(cols))
-            if n <= coh_max:
-                certificate[(n, r)] = dimD == len(repsP) == rk
-            else:
-                certificate[(n, r)] = len(repsP) == rk
+    stages = [(n, r) for n in range(coh_min, coh_max + 1)
+              for r in range(adams_max + 1)]
+    _, certificate = linalg.attach_cells(
+        stages, coh_max, D, lambda n, r: P.cohomology_slice(n, r)[1], image,
+        adjoin)
     return P, phi, certificate

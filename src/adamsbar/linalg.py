@@ -17,6 +17,9 @@ whose pivots lie in its own support.  What each view reads off it:
   the projector;
 - ClassProjector: the echelon of an independent family, reps tagged.
 
+attach_cells is the one cell-attaching loop over these views, shared by
+minimal models and cell resolutions.
+
 Inside Echelon the arithmetic is on Python ints: each row is a primitive
 integer vector over a positive denominator, so a reduction step is an
 integer update, and the only divisions are one gcd per step and one
@@ -360,3 +363,80 @@ class ClassProjector(Echelon):
             if self.add(v, k if k < nreps else None) is None:
                 raise ValueError(
                     "family vectors are not linearly independent")
+
+
+# Rounds per attach_cells stage; a stage still adding cells at its last
+# round is not certified.
+STAGE_ROUNDS = 6
+
+
+def attach_cells(stages, top, target, source_reps, image, adjoin):
+    """Attach cells to a source complex until its map to target is an
+    isomorphism on H^i for i <= top and injective on H^(top+1).
+
+    target has cohomology(i, m) -> (dim, reps, projector) and
+    d_matrix(i, m); source_reps(i, m) lists the source's cohomology
+    representatives and image(i, m, v) the target coordinates of the
+    image of a source vector v of slice (i, m).  Each stage (i, m), in
+    the order given, runs rounds.  A round adds a closed cell onto each
+    target class that no source class hits; when there is none, it adds,
+    for each source class at (i + 1, m) of zero image, a cell whose
+    boundary z is that class, sent to a b with d b = image(z).
+    adjoin(i, m, cells) gets the round's cells as a list of (z, b), z
+    None for a closed cell; every vector in it was read off the source
+    before the call changes it.  Rounds stop at one that adds nothing, or
+    after STAGE_ROUNDS.
+
+    Returns (the number of rounds each stage ran, certificate): the
+    certificate maps each stage and each (top + 1, m) to whether the map
+    is an isomorphism (injective at top + 1) there, and is False at a
+    stage that still added cells in its last round.
+    """
+    def class_images(i, m, strict=True):
+        """(dim H^i(m) of target, source reps, the target class
+        coordinates of each rep's image, None where not strict and the
+        image is outside the target's cocycles)."""
+        dim, _, projector = target.cohomology(i, m)
+        reps = source_reps(i, m)
+        return dim, reps, [projector.class_coords(image(i, m, v), strict)
+                           for v in reps]
+
+    def combine(coords, vectors):
+        out = {}
+        for k, c in coords.items():
+            _vec_iadd(out, vectors[k], c)
+        return out
+
+    stages = list(stages)
+    rounds = []
+    capped = set()
+    for i, m in stages:
+        for k in range(1, STAGE_ROUNDS + 1):
+            dim, _, cols = class_images(i, m)
+            reps = target.cohomology(i, m)[1]
+            cells = [(None, combine(cv, reps)) for cv in quotient_basis(
+                cols, [{j: Fraction(1)} for j in range(dim)])]
+            if not cells:
+                dim, reps, cols = class_images(i + 1, m)
+                kernel = kernel_basis(SparseMatrix.from_columns(cols, dim))
+                d = target.d_matrix(i, m) if kernel else None
+                for kv in kernel:
+                    z = combine(kv, reps)
+                    b = solve(d, image(i + 1, m, z))
+                    if b is None:
+                        raise ValueError(f"the image of a kernel class at "
+                                         f"({i + 1}, {m}) is not exact")
+                    cells.append((z, b))
+            if not cells:
+                break
+            adjoin(i, m, cells)
+        else:
+            capped.add((i, m))
+        rounds.append(k)
+    certificate = {}
+    for i, m in stages + [(top + 1, m) for i, m in stages if i == top]:
+        dim, reps, cols = class_images(i, m, strict=False)
+        certificate[(i, m)] = (
+            None not in cols and len(Echelon(cols)) == len(reps)
+            and (i > top or dim == len(reps)) and (i, m) not in capped)
+    return rounds, certificate

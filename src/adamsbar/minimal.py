@@ -1,12 +1,15 @@
 """Minimal models, absolute and relative, plus the Quillen comparison.
 
 A relative minimal model over a base N is a free extension Sym*E (x) N
-whose differential is inductively built from earlier generators.  The
-construction follows a double induction: outer loop over Adams weight,
-inner loop over cohomological degree; at each stage, closed generators
-are adjoined to make the structure map surjective on H^i of the
-augmentation ideal, then generators killing the kernel on H^{i+1} are
-adjoined.  All certification is by exact slice linear algebra.
+whose differential is inductively built from earlier generators.  It is
+built by linalg.attach_cells, the cell-attaching loop cell resolutions
+share, on the augmentation ideals: the stages run weight by weight, and
+degree by degree within a weight; at each stage, closed generators are
+adjoined to make the structure map surjective on H^i of the
+augmentation ideal, then generators killing the kernel on H^{i+1}.  The
+model grows in place, and its one IdealComplex forgets only the slices
+of the new generators' weight and above.  All certification is by exact
+slice linear algebra.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .bar import BarComplex, gamma as bar_gamma
+from .bar import BarComplex, gamma as bar_gamma, map_letters
 from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
     el_add,
-    el_scale,
     is_coh_connected,
+    mono_factors,
 )
 
 F = Fraction
@@ -108,14 +111,12 @@ class IdealComplex:
                 self.d_matrix(i, m), self.d_matrix(i - 1, m))
         return self._coh[key]
 
-    def solve_d(self, i, m, target_el):
-        """b in the ideal slice (i, m) with d b = target, or None."""
-        mat = self.d_matrix(i, m)
-        tv = self.to_coords(target_el, i + 1, m)
-        sol = linalg.solve(mat, tv)
-        if sol is None:
-            return None
-        return self.from_coords(sol, i, m)
+    def forget(self, adams):
+        """Drop the cached slices of weight >= adams, after A gained a
+        generator of that weight."""
+        for cache in (self._ker, self._free, self._coh):
+            for key in [k for k in cache if k[1] >= adams]:
+                del cache[key]
 
 
 class MinimalModelResult:
@@ -137,8 +138,7 @@ class MinimalModelResult:
         return len(self.fiber_names)
 
 
-def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
-                           max_stage_iters=6):
+def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
     """n-minimal model of the augmented algebra A over the base N.
 
     A must contain N's generators verbatim; its augmentation map kills
@@ -166,9 +166,9 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
     model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators, N.differential)
     model.products = dict(N.products)
     ic_A = IdealComplex(A)
+    ic_M = IdealComplex(model)
     structure_map = {}
     fiber_names = []
-    stage_log = []
     counter = [0]
 
     def fresh_name():
@@ -178,97 +178,28 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max,
             if name not in A.gen and name not in model.gen:
                 return name
 
-    def adjoin(coh, adams, d_el, s_el):
-        nonlocal model
-        name = fresh_name()
-        gens = model.generators + [GeneratorSpec(name, coh, adams)]
-        newm = CdgaPresentation(model.name, model.kind, gens, model.differential)
-        newm.products = dict(model.products)
-        newm.differential = dict(model.differential)
-        if d_el:
-            newm.differential[name] = d_el
-        newm.augmentation = {g: {} for g in fiber_names + [name]}
-        model = newm
-        fiber_names.append(name)
-        structure_map[name] = s_el
-        return name
+    def image(i, m, v):
+        """A's ideal coordinates of the structure-map image of v."""
+        el = A.substitute(ic_M.from_coords(v, i, m), structure_map)
+        return ic_A.to_coords(el, i, m)
 
-    def h_map_columns(ic_M, i, m):
-        """Images of H^i(I_M)(m) classes under the structure map, as
-        class vectors on the A side; returns (ncols, columns)."""
-        dimM, repsM, _ = ic_M.cohomology(i, m)
-        _, _, projA = ic_A.cohomology(i, m)
-        cols = []
-        for rv in repsM:
-            el = ic_M.from_coords(rv, i, m)
-            img = A.substitute(el, structure_map)
-            cols.append(projA.class_coords(ic_A.to_coords(img, i, m)))
-        return dimM, cols
+    def adjoin(i, m, cells):
+        cells = [({} if z is None else ic_M.from_coords(z, i + 1, m),
+                  ic_A.from_coords(b, i, m)) for z, b in cells]
+        for d_el, s_el in cells:
+            name = fresh_name()
+            model.adjoin(GeneratorSpec(name, i, m), d_el)
+            model.augmentation[name] = {}
+            fiber_names.append(name)
+            structure_map[name] = s_el
+        ic_M.forget(m)
 
-    for m in range(1, w_max + 1):
-        for i in range(1, n + 1):
-            added_s, added_k = [], []
-            iterations = 0
-            while iterations < max_stage_iters:
-                iterations += 1
-                changed = False
-                ic_M = IdealComplex(model)
-                # Step A: surjectivity on H^i(I)(m)
-                dimA, repsA, projA = ic_A.cohomology(i, m)
-                _, cols = h_map_columns(ic_M, i, m)
-                missing = linalg.quotient_basis(
-                    cols, [{k: F(1)} for k in range(dimA)])
-                for cv in missing:
-                    z = {}
-                    for k, c in cv.items():
-                        z = el_add(z, ic_A.from_coords(repsA[k], i, m), c)
-                    added_s.append(adjoin(i, m, {}, z))
-                    changed = True
-                if changed:
-                    continue
-                # Step B: kill the kernel on H^{i+1}(I)(m)
-                ic_M = IdealComplex(model)
-                dimM2, repsM2, _ = ic_M.cohomology(i + 1, m)
-                _, cols2 = h_map_columns(ic_M, i + 1, m)
-                phi = linalg.SparseMatrix.from_columns(
-                    cols2, ic_A.cohomology(i + 1, m)[0]
-                )
-                for kv in linalg.kernel_basis(phi):
-                    z = {}
-                    for k, c in kv.items():
-                        z = el_add(z, ic_M.from_coords(repsM2[k], i + 1, m), c)
-                    b = ic_A.solve_d(i, m, A.substitute(z, structure_map))
-                    if b is None:
-                        raise RuntimeError(
-                            f"structure-map image of a kernel class not exact "
-                            f"at (i={i}, m={m})"
-                        )
-                    added_k.append(adjoin(i, m, z, b))
-                    changed = True
-                if not changed:
-                    break
-            stage_log.append(
-                {
-                    "adams": m,
-                    "coh": i,
-                    "added_surjective": added_s,
-                    "added_injective": added_k,
-                    "iterations": iterations,
-                }
-            )
-
-    # certification
-    ic_M = IdealComplex(model)
-    certification = {}
-    for m in range(1, w_max + 1):
-        for i in range(1, n + 2):
-            dimA = ic_A.cohomology(i, m)[0]
-            dimM, cols = h_map_columns(ic_M, i, m)
-            rank = len(linalg.echelon_basis(cols))
-            if i <= n:
-                certification[(i, m)] = dimA == dimM == rank
-            else:
-                certification[(i, m)] = rank == dimM  # injectivity only
+    stages = [(i, m) for m in range(1, w_max + 1) for i in range(1, n + 1)]
+    rounds, certification = linalg.attach_cells(
+        stages, n, ic_A, lambda i, m: ic_M.cohomology(i, m)[1], image,
+        adjoin)
+    stage_log = [{"adams": m, "coh": i, "iterations": k}
+                 for (i, m), k in zip(stages, rounds)]
     result = MinimalModelResult(
         N, model, structure_map, fiber_names, stage_log, certification, n, w_max
     )
@@ -350,9 +281,7 @@ class QAColie:
             gidx = order[name]
             out = {}
             for mono, c in model.differential.get(name, {}).items():
-                factors = []
-                for gname, e in mono:
-                    factors.extend([gname] * e)
+                factors = mono_factors(mono)
                 if len(factors) != 2 or any(f not in order for f in factors):
                     raise ValueError(
                         f"d({name}) not in the exterior square of degree-1 "
@@ -414,22 +343,8 @@ def quillen_compare(A: CdgaPresentation, w_max):
                 return False, {"reason": f"no cocycle correction for {name}"}
             for j, c in sol.items():
                 lin = el_add(lin, {words[long[j]]: F(1)}, c)
-        pushed = {}
-        for word, c in lin.items():
-            expanded = {(): c}
-            for letter in word:
-                img = A.substitute({letter: F(1)}, mm.structure_map)
-                nxt = {}
-                for wd, cc in expanded.items():
-                    for mono, mc in img.items():
-                        nxt[wd + (mono,)] = nxt.get(wd + (mono,), F(0)) + cc * mc
-                expanded = nxt
-                if not expanded:
-                    break
-            for wd, cc in expanded.items():
-                if cc:
-                    pushed[wd] = pushed.get(wd, F(0)) + cc
-        pushed = {wd: c for wd, c in pushed.items() if c}
+        pushed = map_letters(lin, lambda letter: A.substitute(
+            {letter: F(1)}, mm.structure_map))
         cls = gam.hopf.classify(pushed, w)
         phi[gidx] = gam.project(cls, w)
     # weight-wise isomorphism?

@@ -31,6 +31,7 @@ from .cdga import (
     el_gen,
     el_scale,
     is_coh_connected,
+    mono_factors,
 )
 from .bar import (
     BarComplex,
@@ -40,6 +41,7 @@ from .bar import (
     _wadd,
     bar_truncated_h0,
     h0_hopf,
+    map_letters,
 )
 from .minimal import generalized_nilpotent_check
 
@@ -228,9 +230,7 @@ class RelativeBarH0:
     def gamma_mono(self, mono):
         A = self.X.total
         out = {}
-        factors = []
-        for name, e in mono:
-            factors.extend([name] * e)
+        factors = mono_factors(mono)
         prefix_deg = 0
         for i, name in enumerate(factors):
             gval = self.conn.get(name)
@@ -362,27 +362,6 @@ class SemiDirectData:
         self.verdict = verdict
 
 
-def _eps_word_map(X: AugmentedOverN, lin):
-    """Push a bar word combination of the total algebra letter-wise
-    through the augmentation into base words (zero letters kill the
-    word)."""
-    out = {}
-    for word, c in lin.items():
-        partial = {(): c}
-        for letter in word:
-            eletter = X.eps({letter: F(1)})
-            nxt = {}
-            for pw, pc in partial.items():
-                for m, mc in eletter.items():
-                    _wadd(nxt, pw + (m,), pc * mc)
-            partial = nxt
-            if not partial:
-                break
-        for w2, c2 in partial.items():
-            _wadd(out, w2, c2)
-    return out
-
-
 def semidirect(X: AugmentedOverN, w_max):
     rb = relative_bar_h0(X, w_max)
     weights = list(range(w_max + 1))
@@ -424,7 +403,9 @@ def semidirect(X: AugmentedOverN, w_max):
                 hopf_total.bar
             )[k].items():
                 _wadd(lin, word, c * c2)
-        elin = _eps_word_map(X, lin)
+        # push the word letter-wise through the augmentation into base
+        # words
+        elin = map_letters(lin, lambda letter: X.eps({letter: F(1)}))
         s_star[gi] = gam_base.project(hopf_base.classify(elin, w), w)
     sp_identity_ok = True
     for gi in p_star:
@@ -461,9 +442,7 @@ def _coaction_matrices(X: AugmentedOverN, rb: RelativeBarH0, w_max):
     split_m = {}
     for g in fiber1:
         for mono, c in A.differential.get(g.name, {}).items():
-            factors = []
-            for name, e in mono:
-                factors.extend([name] * e)
+            factors = mono_factors(mono)
             if len(factors) != 2:
                 continue
             n1, n2 = factors

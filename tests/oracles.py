@@ -16,14 +16,18 @@
   with a separate projector.
 - The reference simplicial approximation: one complex per simplex size,
   each with its own matrices and reference cohomology.
+- The reference minimal model and cell resolution: each its own
+  cell-attaching loop, one cell at a time, with a fresh copy of the model
+  (a fresh P) and fresh slice caches in every round.
 """
 
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
+from adamsbar import linalg
 from adamsbar.bar import BarComplex
-from adamsbar.cdga import UNIT, el_add
+from adamsbar.cdga import UNIT, CdgaPresentation, GeneratorSpec, el_add
 from adamsbar.linalg import SparseMatrix
 
 F = Fraction
@@ -493,3 +497,199 @@ def reference_delta_dims(A, n, w_max, full):
                 for k in range(nn, n + 1) for w in range(w_max + 1))),
         None)
     return dims, stable_n
+
+
+# ---- reference minimal model and cell resolution -------------------------
+
+
+def reference_minimal_model(N, A, n, w_max, rounds=6):
+    """The stages of minimal.relative_minimal_model, each a loop of its own
+    with a copied model and a new IdealComplex in every round and for the
+    certificate.  Returns model, structure_map, fiber_names, iterations
+    (per stage) and certification."""
+    from adamsbar.minimal import IdealComplex
+
+    model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
+                             N.differential)
+    model.products = dict(N.products)
+    ic_A = IdealComplex(A)
+    structure_map = {}
+    fiber_names = []
+    iterations = []
+    counter = [0]
+
+    def fresh_name():
+        while True:
+            name = f"mg{counter[0]}"
+            counter[0] += 1
+            if name not in A.gen and name not in model.gen:
+                return name
+
+    def adjoin(coh, adams, d_el, s_el):
+        nonlocal model
+        name = fresh_name()
+        gens = model.generators + [GeneratorSpec(name, coh, adams)]
+        newm = CdgaPresentation(model.name, model.kind, gens,
+                                model.differential)
+        newm.products = dict(model.products)
+        if d_el:
+            newm.differential[name] = d_el
+        newm.augmentation = {g: {} for g in fiber_names + [name]}
+        model = newm
+        fiber_names.append(name)
+        structure_map[name] = s_el
+
+    def h_map_columns(ic_M, i, m):
+        dimM, repsM, _ = ic_M.cohomology(i, m)
+        _, _, projA = ic_A.cohomology(i, m)
+        cols = []
+        for rv in repsM:
+            img = A.substitute(ic_M.from_coords(rv, i, m), structure_map)
+            cols.append(projA.class_coords(ic_A.to_coords(img, i, m)))
+        return dimM, cols
+
+    for m in range(1, w_max + 1):
+        for i in range(1, n + 1):
+            it = 0
+            while it < rounds:
+                it += 1
+                changed = False
+                ic_M = IdealComplex(model)
+                dimA, repsA, _ = ic_A.cohomology(i, m)
+                _, cols = h_map_columns(ic_M, i, m)
+                for cv in linalg.quotient_basis(
+                        cols, [{k: F(1)} for k in range(dimA)]):
+                    z = {}
+                    for k, c in cv.items():
+                        z = el_add(z, ic_A.from_coords(repsA[k], i, m), c)
+                    adjoin(i, m, {}, z)
+                    changed = True
+                if changed:
+                    continue
+                ic_M = IdealComplex(model)
+                _, repsM2, _ = ic_M.cohomology(i + 1, m)
+                _, cols2 = h_map_columns(ic_M, i + 1, m)
+                phi = SparseMatrix.from_columns(
+                    cols2, ic_A.cohomology(i + 1, m)[0])
+                for kv in linalg.kernel_basis(phi):
+                    z = {}
+                    for k, c in kv.items():
+                        z = el_add(z, ic_M.from_coords(repsM2[k], i + 1, m),
+                                   c)
+                    target = ic_A.to_coords(A.substitute(z, structure_map),
+                                            i + 1, m)
+                    sol = linalg.solve(ic_A.d_matrix(i, m), target)
+                    assert sol is not None, (i, m)
+                    adjoin(i, m, z, ic_A.from_coords(sol, i, m))
+                    changed = True
+                if not changed:
+                    break
+            iterations.append(it)
+
+    ic_M = IdealComplex(model)
+    certification = {}
+    for m in range(1, w_max + 1):
+        for i in range(1, n + 2):
+            dimA = ic_A.cohomology(i, m)[0]
+            dimM, cols = h_map_columns(ic_M, i, m)
+            rank = len(reference_echelonize(cols)[0])
+            if i <= n:
+                certification[(i, m)] = dimA == dimM == rank
+            else:
+                certification[(i, m)] = rank == dimM
+    return SimpleNamespace(model=model, structure_map=structure_map,
+                           fiber_names=fiber_names, iterations=iterations,
+                           certification=certification)
+
+
+def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
+    """cellmod.cell_resolution as its own loop: a fresh P in every round and
+    for the certificate.  Returns (P, phi, certificate)."""
+    from adamsbar.cellmod import CellModule, _strict_filtration
+
+    A = D.algebra
+    basis = []
+    diff = {}
+    phi = []
+
+    def P_module():
+        return CellModule(A, basis, diff, _strict_filtration(basis, diff),
+                          0, "P")
+
+    def phi_of(src, vec):
+        img = {}
+        for j, c in vec.items():
+            mono, bi = src[j]
+            for i, cc in D.act(mono, phi[bi]).items():
+                img[i] = img.get(i, F(0)) + c * cc
+        return {i: c for i, c in img.items() if c}
+
+    def class_map(P, n, r, strict=True):
+        dimD, repsD, projD = D.cohomology(n, r)
+        _, repsP = P.cohomology_slice(n, r)
+        src = P.slice_basis(n, r)
+        pos = {b: k for k, b in enumerate(D.indices(n, r))}
+        cols = [projD.class_coords(
+                    {pos[i]: c for i, c in phi_of(src, rv).items()}, strict)
+                for rv in repsP]
+        return dimD, repsD, repsP, cols
+
+    for n in range(coh_min, coh_max + 1):
+        for r in range(0, adams_max + 1):
+            changed = True
+            guard = 0
+            while changed and guard < rounds:
+                guard += 1
+                changed = False
+                P = P_module()
+                dimD, repsD, _, cols = class_map(P, n, r)
+                missing = linalg.quotient_basis(
+                    cols, [{k: F(1)} for k in range(dimD)])
+                idxs = D.indices(n, r)
+                for cv in missing:
+                    vec = {}
+                    for k, c in cv.items():
+                        for b, cc in repsD[k].items():
+                            vec[idxs[b]] = vec.get(idxs[b], F(0)) + c * cc
+                    basis.append((f"p{len(basis)}", n, r))
+                    phi.append({k: v for k, v in vec.items() if v})
+                    changed = True
+                if changed:
+                    continue
+                dimD2, _, repsP2, cols2 = class_map(P, n + 1, r)
+                src2 = P.slice_basis(n + 1, r)
+                pos2 = {b: k for k, b in enumerate(D.indices(n + 1, r))}
+                phi_mat = SparseMatrix.from_columns(cols2, dimD2)
+                for kv in linalg.kernel_basis(phi_mat):
+                    zvec = {}
+                    for k, c in kv.items():
+                        for j, cc in repsP2[k].items():
+                            zvec[j] = zvec.get(j, F(0)) + c * cc
+                    zvec = {j: c for j, c in zvec.items() if c}
+                    bsol = linalg.solve(
+                        D.d_matrix(n, r),
+                        {pos2[i]: c for i, c in phi_of(src2, zvec).items()})
+                    assert bsol is not None, (n, r)
+                    new_idx = len(basis)
+                    basis.append((f"p{new_idx}", n, r))
+                    phi.append({idxs[k]: c for k, c in bsol.items() if c})
+                    for j, c in zvec.items():
+                        mono, bi = src2[j]
+                        diff[(bi, new_idx)] = el_add(
+                            diff.get((bi, new_idx), {}), {mono: F(1)}, c)
+                    changed = True
+
+    P = P_module()
+    certificate = {}
+    for n in range(coh_min, coh_max + 2):
+        for r in range(0, adams_max + 1):
+            dimD, _, repsP, cols = class_map(P, n, r, strict=False)
+            if any(c is None for c in cols):
+                certificate[(n, r)] = False
+                continue
+            rk = len(reference_echelonize(cols)[0])
+            if n <= coh_max:
+                certificate[(n, r)] = dimD == len(repsP) == rk
+            else:
+                certificate[(n, r)] = len(repsP) == rk
+    return P, phi, certificate

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from adamsbar import linalg
 from adamsbar.cdga import UNIT, el_add, el_gen
 from adamsbar.cellmod import (
     CellModule,
@@ -32,6 +33,7 @@ from oracles import (
     dense_check_chain_map,
     dense_check_flat,
     dense_d_squared_failures,
+    reference_cell_resolution,
 )
 
 F = Fraction
@@ -288,6 +290,42 @@ def test_cell_resolution_round_trip():
     D = dg_module_from_cell(M)
     P, phi, cert = cell_resolution(D, -1, 3, 4)
     assert all(cert.values()), {k: v for k, v in cert.items() if not v}
+
+
+# (max_basis, seed) of random_cell_module over E3; the max_basis 6 seeds
+# need cells with a differential or a stage of three rounds
+RESOLUTION_CASES = [(4, seed) for seed in range(12)] + [
+    (6, seed) for seed in (26, 35, 38, 42)]
+
+
+@pytest.mark.parametrize("max_basis,seed", RESOLUTION_CASES)
+def test_cell_resolution_matches_reference(max_basis, seed):
+    """The shared cell-attaching loop gives the resolution of the
+    reference loop that builds a new P every round: the same basis,
+    differential, filtration, phi and certificate."""
+    D = dg_module_from_cell(
+        random_cell_module(make_e3(), seed, max_basis=max_basis))
+    P, phi, cert = cell_resolution(D, -1, 3, 4)
+    refP, ref_phi, ref_cert = reference_cell_resolution(D, -1, 3, 4)
+    assert P.basis == refP.basis
+    assert P.differential == refP.differential
+    assert P.filtration == refP.filtration
+    assert phi == ref_phi
+    assert cert == ref_cert
+    assert all(cert.values())
+
+
+def test_cell_resolution_cap_is_not_certified(monkeypatch):
+    """With one round per stage, a stage that adds generators is still
+    adding at its last round, so every stage (n, r) where P has a
+    generator is not certified; at the default cap every stage is."""
+    D = dg_module_from_cell(random_cell_module(make_e3(), 38, max_basis=6))
+    assert all(cell_resolution(D, -1, 3, 4)[2].values())
+    monkeypatch.setattr(linalg, "STAGE_ROUNDS", 1)
+    P, _, cert = cell_resolution(D, -1, 3, 4)
+    added = {(c, a) for _, c, a in P.basis}
+    assert added
+    assert not any(cert[nr] for nr in added)
 
 
 def test_cell_resolution_acyclic(e3):

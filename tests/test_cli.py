@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adamsbar import linalg
 from adamsbar.cli import main
 from adamsbar.parser import ParseError, bind_cell, parse_text
 
@@ -197,6 +198,21 @@ def test_minimal_model_command(capsys, tmp_path):
                     "--wt-max", "3")
     assert code == 0
     assert rep["verdict"] == "pass"
+
+
+def test_minimal_model_cap_fails_the_verdict(capsys, tmp_path, monkeypatch):
+    """A stage still adding generators at its last round is reported: its
+    table entry is false, the verdict fails and the exit code is 1."""
+    f = write(tmp_path, "e2.cdga", E2_TEXT + "aug x0 = 0\naug x1 = 0\n")
+    argv = ("minimal-model", f, "--n", "1", "--wt-max", "3")
+    code, rep = run(capsys, *argv)
+    assert (code, rep["verdict"]) == (0, "pass")
+    monkeypatch.setattr(linalg, "STAGE_ROUNDS", 1)
+    code, rep = run(capsys, *argv)
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["tables"] == {"1,1": False, "1,2": False, "1,3": False,
+                             "2,1": True, "2,2": True, "2,3": True}
+    assert rep["stage_iterations"] == [1, 1, 1]
 
 
 def test_quillen_command(capsys, tmp_path):

@@ -22,9 +22,17 @@ GOLDEN = Path(__file__).parent / "golden"
 E3_HALF_TEXT = E3_TEXT.replace("d z = 1*x*y", "d z = 1/2*x*y")
 E4_HALF_TEXT = E4_TEXT.replace("d v = 1*t*u", "d v = 1/2*t*u")
 
+# the formal model of the line minus 3 points, augmented to Q
+P3_TEXT = """cdga P1minus3 table
+gen a0 deg 1 wt 1
+gen a1 deg 1 wt 1
+aug a0 = 0
+aug a1 = 0
+"""
+
 FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
             "e4.cdga": E4_TEXT, "e3_half.cdga": E3_HALF_TEXT,
-            "e4_half.cdga": E4_HALF_TEXT}
+            "e4_half.cdga": E4_HALF_TEXT, "p3.cdga": P3_TEXT}
 
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
@@ -36,6 +44,8 @@ CASES = {
     "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
     "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",
                                   "@e1.cdga", "--n", "2", "--wt-max", "3"],
+    "minimal-model_p3_n2_w5": ["minimal-model", "@p3.cdga", "--n", "2",
+                               "--wt-max", "5"],
     "kernel_e1_e4_w4": ["kernel", "--base", "@e1.cdga", "--total",
                         "@e4.cdga", "--wt-max", "4"],
     "coaction-check_e1_e4_w3": ["coaction-check", "--base", "@e1.cdga",

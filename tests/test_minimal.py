@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from adamsbar import linalg
 from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_gen
 from adamsbar.minimal import (
     IdealComplex,
@@ -12,6 +13,7 @@ from adamsbar.minimal import (
     relative_minimal_model,
     trivial_base,
 )
+from adamsbar.relative import punctured_line_model
 from corpus import make_e1, make_e2, make_e3, make_e4, random_gen_nilpotent
 import oracles
 
@@ -136,3 +138,49 @@ def test_ideal_coords_read_off_free_columns():
     for el in ({u: F(1)}, {t: F(1)}, {u: F(1), t: F(1)}):
         with pytest.raises(ValueError):
             ic.to_coords(el, 1, 1)
+
+
+MODEL_CASES = {
+    "E2": lambda: (trivial_base(), augment_absolute(make_e2()), 2, 5),
+    "E3": lambda: (trivial_base(), augment_absolute(make_e3()), 2, 5),
+    "E4/E1": lambda: (make_e1("t"), make_e4(), 2, 5),
+    **{f"GN{seed}": lambda seed=seed: (make_e1("t"),
+                                       random_gen_nilpotent(seed), 2, 4)
+       for seed in (1, 2, 3, 4, 5, 6, 29)},
+    "P1minus3": lambda: (trivial_base(),
+                         augment_absolute(punctured_line_model(3)), 2, 6),
+    "P1minus4": lambda: (trivial_base(),
+                         augment_absolute(punctured_line_model(4)), 2, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+def test_minimal_model_matches_reference(case):
+    """The shared cell-attaching loop, with the model grown in place,
+    gives the model of the reference loop that copies it every round:
+    the same generators and bidegrees, differentials, structure map,
+    stage iterations and certificate."""
+    N, A, n, w = MODEL_CASES[case]()
+    mm = relative_minimal_model(N, A, n, w)
+    ref = oracles.reference_minimal_model(N, A, n, w)
+    assert mm.fiber_names == ref.fiber_names
+    assert mm.model.generators == ref.model.generators
+    assert mm.model.differential == ref.model.differential
+    assert mm.structure_map == ref.structure_map
+    assert [s["iterations"] for s in mm.stage_log] == ref.iterations
+    assert mm.certification == ref.certification
+    assert mm.certified()
+
+
+def test_minimal_model_cap_is_not_certified(monkeypatch):
+    """With one round per stage, every stage of E2 at n = 1 that adds
+    generators reaches the cap while still adding, so its (1, m) entry is
+    not certified; at the default cap the same model certifies."""
+    A = augment_absolute(make_e2())
+    assert relative_minimal_model(trivial_base(), A, 1, 3).certified()
+    monkeypatch.setattr(linalg, "STAGE_ROUNDS", 1)
+    mm = relative_minimal_model(trivial_base(), A, 1, 3)
+    assert {m: mm.certification[(1, m)] for m in (1, 2, 3)} == {
+        1: False, 2: False, 3: False}
+    assert [s["iterations"] for s in mm.stage_log] == [1, 1, 1]
+    assert not mm.certified()
