@@ -61,13 +61,17 @@ def map_letters(lin, f):
     return out
 
 
-class BarComplex:
-    def __init__(self, A: CdgaPresentation):
+class BarComplex(linalg.SliceComplex):
+    """The bar complex as a SliceComplex: the keys of slice (n, w) are its
+    words, sorted, of length at most max_len when that is given (d does
+    not lengthen a word, so they span a subcomplex)."""
+
+    def __init__(self, A: CdgaPresentation, max_len=None):
+        super().__init__()
         self.A = A
+        self.max_len = max_len
         self._letters = {}
         self._words = {}
-        self._slices = {}
-        self._indexes = {}  # slice key -> {word: position in the slice}
         if A.generators:
             self._min_d = min(g.coh for g in A.generators)
             self._max_d = max(g.coh for g in A.generators)
@@ -83,7 +87,7 @@ class BarComplex:
             lo = min(0, r * self._min_d)
             hi = max(0, r * self._max_d)
             for n in range(lo, hi + 1):
-                for m in self.A.basis_slice(n, r):
+                for m in self.A.slice(n, r):
                     if m != UNIT:
                         out.append(m)
             self._letters[r] = out
@@ -111,25 +115,14 @@ class BarComplex:
             r += mr
         return (n - len(word), r)
 
-    def slice(self, n, w, max_len=None):
-        key = (n, w, max_len)
-        if key not in self._slices:
-            ws = [
-                word
-                for word in self.words_of_weight(w)
-                if self.word_bidegree(word)[0] == n
-                and (max_len is None or len(word) <= max_len)
-            ]
-            self._slices[key] = sorted(ws)
-        return self._slices[key]
-
-    def _index(self, n, w, max_len=None):
-        """{word: position} of the slice (n, w, max_len)."""
-        key = (n, w, max_len)
-        if key not in self._indexes:
-            self._indexes[key] = {
-                word: i for i, word in enumerate(self.slice(n, w, max_len))}
-        return self._indexes[key]
+    def slice_keys(self, n, w):
+        max_len = self.max_len
+        return sorted([
+            word
+            for word in self.words_of_weight(w)
+            if self.word_bidegree(word)[0] == n
+            and (max_len is None or len(word) <= max_len)
+        ])
 
     # ---- structure maps ------------------------------------------------
 
@@ -159,14 +152,8 @@ class BarComplex:
                 _wadd(out, nw, c * nc)
         return out
 
-    def d_matrix(self, n, w, max_len=None):
-        src = self.slice(n, w, max_len)
-        idx = self._index(n + 1, w, max_len)
-        mat = linalg.SparseMatrix(len(idx), len(src))
-        for j, word in enumerate(src):
-            for dw, c in self.d_word(word).items():
-                mat.entries[(idx[dw], j)] = c
-        return mat
+    def d_key(self, n, w, word):
+        return self.d_word(word)
 
     def shuffle_words(self, u, v):
         out = {}
@@ -210,22 +197,21 @@ class BarComplex:
                 _wadd(out, nw, c * nc)
         return out
 
-    def vector(self, lin, n, w, max_len=None):
-        idx = self._index(n, w, max_len)
+    def vector(self, lin, n, w):
+        idx = self.index(n, w)
         return {idx[word]: c for word, c in lin.items()}
 
-    def lin(self, vec, n, w, max_len=None):
-        basis = self.slice(n, w, max_len)
+    def lin(self, vec, n, w):
+        basis = self.slice(n, w)
         return {basis[i]: c for i, c in vec.items() if c}
 
 
 class WeightPiece:
-    """H^0 of the bar complex in one Adams weight."""
+    """H^0 of the bar complex in one Adams weight: bar.cohomology(0, w)."""
 
     def __init__(self, bar: BarComplex, w):
         self.w = w
-        self.dim, self.reps, self.projector = linalg.cohomology(
-            bar.d_matrix(0, w), bar.d_matrix(-1, w))
+        self.dim, self.reps, self.projector = bar.cohomology(0, w)
 
     def rep_lins(self, bar):
         """The representatives as word combinations, a coefficient of
@@ -355,12 +341,12 @@ def h0_hopf(A: CdgaPresentation, w_max):
 
 def bar_truncated_h0(A: CdgaPresentation, m, w_max):
     """Per-weight H^0 dims computed on words of length <= m."""
-    bar = BarComplex(A)
+    bar = BarComplex(A, m)
     dims = {}
     for w in range(w_max + 1):
-        d_out = bar.d_matrix(0, w, m)
-        dims[w] = (d_out.cols - linalg.rank(d_out)
-                   - linalg.rank(bar.d_matrix(-1, w, m)))
+        dims[w] = (len(bar.slice(0, w))
+                   - len(linalg.Echelon(bar.d_columns(0, w)))
+                   - len(linalg.Echelon(bar.d_columns(-1, w))))
     return dims
 
 

@@ -75,9 +75,13 @@ def mono_factors(m):
     return out
 
 
-class CdgaPresentation:
+class CdgaPresentation(linalg.SliceComplex):
+    """The cdga as a SliceComplex: the keys of slice (n, r) are the
+    monomials of A^n(r), in order."""
+
     def __init__(self, name, kind, generators, differential=None, products=None,
                  augmentation=None):
+        super().__init__()
         self.name = name
         self.kind = kind  # "free" | "table"
         self.generators = list(generators)
@@ -96,20 +100,18 @@ class CdgaPresentation:
         # from the map are fixed (base generators), explicit empty
         # values augment to 0
         self.augmentation = dict(augmentation or {})
-        self._slice_cache = {}
 
     def adjoin(self, spec: GeneratorSpec, d=None):
         """Add the generator spec, with differential d, in place.  Only the
-        slices of weight >= spec.adams gain monomials, so only their cached
-        bases are dropped."""
+        slices of weight >= spec.adams gain monomials, so only they are
+        forgotten."""
         if spec.name in self.gen:
             raise CdgaError(f"generator {spec.name} already in {self.name}")
         self.generators.append(spec)
         self.gen[spec.name] = spec
         if d:
             self.differential[spec.name] = d
-        self._slice_cache = {nr: b for nr, b in self._slice_cache.items()
-                             if nr[1] < spec.adams}
+        self.forget(spec.adams)
 
     def set_product(self, a, b, val):
         ga, gb = self.gen[a], self.gen[b]
@@ -248,11 +250,8 @@ class CdgaPresentation:
 
     # ---- slice bases ---------------------------------------------------
 
-    def basis_slice(self, n, r):
+    def slice_keys(self, n, r):
         """Deterministically ordered monomial basis of A^n(r)."""
-        key = (n, r)
-        if key in self._slice_cache:
-            return self._slice_cache[key]
         if r < 0:
             return []
         found = []
@@ -283,33 +282,12 @@ class CdgaPresentation:
                     adams + e * g.adams, used_groups)
 
         if r == 0:
-            basis = [UNIT] if n == 0 else []
-        else:
-            rec(0, [], 0, 0, frozenset())
-            basis = sorted(found)
-        self._slice_cache[key] = basis
-        return basis
+            return [UNIT] if n == 0 else []
+        rec(0, [], 0, 0, frozenset())
+        return sorted(found)
 
-    def vector_el(self, v, basis):
-        return {basis[i]: c for i, c in v.items() if c}
-
-    def d_matrix(self, n, r):
-        """Matrix of d: A^n(r) -> A^{n+1}(r) in the slice bases."""
-        src = self.basis_slice(n, r)
-        dst = self.basis_slice(n + 1, r)
-        idx = {m: i for i, m in enumerate(dst)}
-        mat = linalg.SparseMatrix(len(dst), len(src))
-        for j, m in enumerate(src):
-            for dm, c in self.apply_d({m: 1}).items():
-                mat.entries[(idx[dm], j)] = c
-        return mat
-
-    def cohomology_slice(self, n, r):
-        """(dimension, representative Elements) of H^n(A)(r)."""
-        dim, reps, _ = linalg.cohomology(
-            self.d_matrix(n, r), self.d_matrix(n - 1, r))
-        basis = self.basis_slice(n, r)
-        return dim, [self.vector_el(v, basis) for v in reps]
+    def d_key(self, n, r, m):
+        return self.apply_d({m: 1})
 
 
 # ---- validation --------------------------------------------------------
@@ -411,7 +389,7 @@ def is_coh_connected(A: CdgaPresentation, adams_max=4):
     witnesses = []
     for r in range(1, adams_max + 1):
         for n in range(r * low, 1):
-            dim, _ = A.cohomology_slice(n, r)
+            dim = A.cohomology(n, r)[0]
             if dim:
                 witnesses.append((n, r, dim))
     return (not witnesses), witnesses

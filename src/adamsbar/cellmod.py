@@ -72,11 +72,16 @@ def _nonzero(acc):
                   key=lambda kj: (kj[1], kj[0]))
 
 
-class CellModule:
+class CellModule(linalg.SliceComplex):
+    """A cell module as a SliceComplex over Q: the keys of slice (n, r) are
+    the pairs (algebra monomial, basis index) of that bidegree, in STORED
+    Adams degrees."""
+
     def __init__(self, algebra: CdgaPresentation, basis, differential,
                  filtration=None, twist=0, name="M"):
         """basis: list of (name, coh, adams); differential: {(i, j): Element}
         meaning d b_j = sum_i a_ij b_i; filtration: list of index lists."""
+        super().__init__()
         self.algebra = algebra
         self.basis = list(basis)
         self.differential = {k: v for k, v in differential.items() if v}
@@ -86,7 +91,6 @@ class CellModule:
         if filtration is None:
             filtration = [[i] for i in range(len(basis))]
         self.filtration = [list(s) for s in filtration]
-        self._slice_cache = {}
 
     def bidegree(self, i):
         _, c, a = self.basis[i]
@@ -98,20 +102,33 @@ class CellModule:
                 return s
         raise ModuleError(f"basis index {i} missing from filtration")
 
-    def check(self):
-        """d bidegree (+1, 0), filtration strictness, and d^2 = 0."""
+    def _bidegree_failures(self):
+        """One message per entry a_ij of d that is inhomogeneous or not of
+        bidegree (cj + 1 - ci, rj - ri), which d of bidegree (+1, 0)
+        needs."""
         failures = []
-        A = self.algebra
         for (i, j), a in self.differential.items():
-            bd = A.el_bidegree(a)
+            bd = self.algebra.el_bidegree(a)
             ci, ri = self.bidegree(i)
             cj, rj = self.bidegree(j)
             if bd != (cj + 1 - ci, rj - ri):
                 failures.append(f"entry ({i},{j}) bidegree {bd}")
-            if bd and bd[1] < 0:
-                failures.append(f"entry ({i},{j}) lowers Adams weight")
-            if self.stage(i) >= self.stage(j):
-                failures.append(f"entry ({i},{j}) breaks filtration strictness")
+        return failures
+
+    def check_bidegrees(self):
+        """Raise ModuleError naming each entry of d of the wrong bidegree;
+        every slice computation assumes they are right."""
+        failures = self._bidegree_failures()
+        if failures:
+            raise ModuleError(f"{self.name}: " + "; ".join(failures))
+
+    def check(self):
+        """d bidegree (+1, 0), filtration strictness, and d^2 = 0."""
+        A = self.algebra
+        failures = self._bidegree_failures()
+        failures.extend(f"entry ({i},{j}) breaks filtration strictness"
+                        for i, j in self.differential
+                        if self.stage(i) >= self.stage(j))
         acc = {kj: A.apply_d(a) for kj, a in self.differential.items()}
         _compose(A, acc, self.differential, self.differential)
         # the witness shows Fraction coefficients, whether the entries
@@ -124,21 +141,22 @@ class CellModule:
 
     # ---- slice complexes over Q ---------------------------------------
 
+    def slice_keys(self, n, r):
+        out = []
+        for j, (_, cj, rj) in enumerate(self.basis):
+            ra = r - rj
+            if ra < 0:
+                continue
+            for mono in self.algebra.slice(n - cj, ra):
+                out.append((mono, j))
+        return sorted(out, key=lambda p: (p[1], p[0]))
+
     def slice_basis(self, n, r):
-        """Basis (algebra monomial, basis index) of the (n, r) slice,
-        in STORED Adams degrees."""
-        key = (n, r)
-        if key not in self._slice_cache:
-            out = []
-            for j, (_, cj, rj) in enumerate(self.basis):
-                ra = r - rj
-                if ra < 0:
-                    continue
-                for mono in self.algebra.basis_slice(n - cj, ra):
-                    out.append((mono, j))
-            self._slice_cache[key] = sorted(
-                out, key=lambda p: (p[1], p[0]))
-        return self._slice_cache[key]
+        """slice(n, r), under the name bench/worker.py calls."""
+        return self.slice(n, r)
+
+    def d_key(self, n, r, key):
+        return self.d_element(*key)
 
     def d_element(self, mono, j):
         """d(mono * b_j) as {(monomial, index): coeff}."""
@@ -154,22 +172,6 @@ class CellModule:
                 out[key] = out.get(key, F(0)) + sign * c
         return {k: c for k, c in out.items() if c}
 
-    def d_matrix(self, n, r):
-        src = self.slice_basis(n, r)
-        dst = self.slice_basis(n + 1, r)
-        idx = {p: i for i, p in enumerate(dst)}
-        mat = linalg.SparseMatrix(len(dst), len(src))
-        for j, (mono, bi) in enumerate(src):
-            for key, c in self.d_element(mono, bi).items():
-                mat.entries[(idx[key], j)] = c
-        return mat
-
-    def cohomology_slice(self, n, r):
-        """H of the full module slice complex (stored degrees)."""
-        dim, reps, _ = linalg.cohomology(
-            self.d_matrix(n, r), self.d_matrix(n - 1, r))
-        return dim, reps
-
     # ---- q functor -----------------------------------------------------
 
     def q_complex(self):
@@ -182,50 +184,35 @@ class CellModule:
         return ScalarComplex(self.basis, d0)
 
 
-class ScalarComplex:
+class ScalarComplex(linalg.SliceComplex):
     """Finite complex of bigraded rational spaces.
 
     basis: list of (name, coh, adams); d: {(i, j): Fraction} of bidegree
-    (+1, 0), meaning d b_j = sum_i d_ij b_i.
+    (+1, 0), meaning d b_j = sum_i d_ij b_i; an entry of another bidegree
+    raises ModuleError.  The keys of slice (n, r) are the basis indices of
+    that bidegree.
     """
 
     def __init__(self, basis, d):
+        super().__init__()
         self.basis = list(basis)
         self.d = {k: F(v) for k, v in d.items() if v}
+        for (i, j), c in self.d.items():
+            (_, ci, ri), (_, cj, rj) = self.basis[i], self.basis[j]
+            if (ci - cj, ri - rj) != (1, 0):
+                raise ModuleError(
+                    f"d entry ({i},{j}) = {c} has bidegree "
+                    f"({ci - cj}, {ri - rj}), expected (1, 0)")
         self._indices = {}
         for i, (_, c, a) in enumerate(self.basis):
             self._indices.setdefault((c, a), []).append(i)
         self._by_col = _entries_at(self.d, 1)
-        self._ker = {}  # (n, r) -> kernel basis of d_matrix(n, r)
-        self._coh = {}  # (n, r) -> (dim, reps, projector)
 
-    def indices(self, n, r):
+    def slice_keys(self, n, r):
         return self._indices.get((n, r), [])
 
-    def d_matrix(self, n, r):
-        src = self.indices(n, r)
-        pos = {b: k for k, b in enumerate(self.indices(n + 1, r))}
-        mat = linalg.SparseMatrix(len(pos), len(src))
-        for j, b in enumerate(src):
-            for i, c in self._by_col.get(b, ()):
-                if i in pos:
-                    mat.entries[(pos[i], j)] = c
-        return mat
-
-    def kernel(self, n, r):
-        """linalg.kernel_basis of d at (n, r), computed once per (n, r)."""
-        if (n, r) not in self._ker:
-            self._ker[(n, r)] = linalg.kernel_basis(self.d_matrix(n, r))
-        return self._ker[(n, r)]
-
-    def cohomology(self, n, r):
-        """(dim, representatives, projector) of H^n at weight r, as vectors
-        over the positions of indices(n, r); computed once per (n, r), from
-        the cocycles of kernel(n, r)."""
-        if (n, r) not in self._coh:
-            self._coh[(n, r)] = linalg.cocycle_classes(
-                self.kernel(n, r), self.d_matrix(n - 1, r))
-        return self._coh[(n, r)]
+    def d_key(self, n, r, b):
+        return dict(self._by_col.get(b, ()))
 
     def cohomology_dim(self, n, r):
         return self.cohomology(n, r)[0]
@@ -461,8 +448,7 @@ def hom_group(M: CellModule, N: CellModule):
     r_stored = -H.twist
     if r_stored < 0:
         return 0
-    dim, _ = H.cohomology_slice(0, r_stored)
-    return dim
+    return H.cohomology(0, r_stored)[0]
 
 
 # ---- weight filtration -------------------------------------------------
@@ -530,7 +516,7 @@ def t_truncate(M: CellModule, n: int):
     # complement representatives, as vectors over those indices
     split = {}
     for r in weights:
-        idxs = q.indices(n, r)
+        idxs = q.slice(n, r)
         ker = q.kernel(n, r)
         split[r] = (idxs, ker, linalg.quotient_basis(
             ker, [{k: F(1)} for k in range(len(idxs))]))
@@ -602,10 +588,9 @@ def t_truncate(M: CellModule, n: int):
     hn_vectors = []
     projectors = {}
     for r in weights:
-        idxs = q.indices(n, r)
+        idxs = q.slice(n, r)
         _, reps, proj = q.cohomology(n, r)
-        projectors[r] = ({b: t for t, b in enumerate(idxs)}, proj,
-                         len(hn_basis))
+        projectors[r] = (q.index(n, r), proj, len(hn_basis))
         for t, v in enumerate(reps):
             hn_basis.append((f"h{n}w{r}_{t}", n, r))
             hn_vectors.append({idxs[b]: c for b, c in v.items()})
@@ -688,9 +673,9 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
 
     def image(n, r, v):
         """phi of a vector of P's slice (n, r), over the positions of
-        D.indices(n, r)."""
-        src = P.slice_basis(n, r)
-        pos = {b: k for k, b in enumerate(D.indices(n, r))}
+        D.slice(n, r)."""
+        src = P.slice(n, r)
+        pos = D.index(n, r)
         img = {}
         for j, c in v.items():
             mono, bi = src[j]
@@ -702,8 +687,8 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
         """A generator p of bidegree (n, r) per cell (z, b): d p = z in P's
         slice (n + 1, r), phi(p) = b over D's positions."""
         nonlocal P
-        idxs = D.indices(n, r)
-        src = P.slice_basis(n + 1, r)
+        idxs = D.slice(n, r)
+        src = P.slice(n + 1, r)
         for z, b in cells:
             new_idx = len(basis)
             basis.append((f"p{new_idx}", n, r))
@@ -717,6 +702,6 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
     stages = [(n, r) for n in range(coh_min, coh_max + 1)
               for r in range(adams_max + 1)]
     _, certificate = linalg.attach_cells(
-        stages, coh_max, D, lambda n, r: P.cohomology_slice(n, r)[1], image,
+        stages, coh_max, D, lambda n, r: P.cohomology(n, r)[1], image,
         adjoin)
     return P, phi, certificate

@@ -110,10 +110,12 @@ def cmd_cohomology(args):
         kind, obj = _load_any(args.file)
     if kind == "cdga":
         cdga_mod.check_bidegrees(obj)
+    else:
+        obj.check_bidegrees()
     tables = {}
     for n in range(0, args.deg_max + 1):
         for r in range(0, args.wt_max + 1):
-            dim = obj.cohomology_slice(n, r)[0]
+            dim = obj.cohomology(n, r)[0]
             if dim:
                 tables[(n, r)] = dim
     report = _base_report("cohomology", args, True)

@@ -12,10 +12,14 @@ whose pivots lie in its own support.  What each view reads off it:
 - kernel_basis: one vector per non-pivot column of the rows of m;
 - solve: the rows of m augmented by the right-hand side;
 - quotient_basis: the vectors that find a new pivot after the sub;
-- cohomology, cocycle_classes: the image, then the kernel vectors; those
-  that find a new pivot are the representatives, and the same echelon is
-  the projector;
-- ClassProjector: the echelon of an independent family, reps tagged.
+- cocycle_classes: the image, then the cocycles; those that find a new
+  pivot are the representatives, and the same echelon is the projector;
+- ClassProjector: the echelon of an independent family, reps tagged;
+- SliceComplex: a (degree, weight)-graded complex, finite in each slice,
+  with its index, d, kernel and cohomology built once per slice from the
+  views above.  The cdga, its bar construction, the augmentation ideal,
+  cell modules, scalar complexes and the simplicial approximation are
+  all SliceComplexes.
 
 attach_cells is the one cell-attaching loop over these views, shared by
 minimal models and cell resolutions.
@@ -325,23 +329,16 @@ def quotient_basis(sub_vectors, vectors):
     return [v for v in vectors if e.add(v) is not None]
 
 
-def cohomology(d_out: SparseMatrix, d_in: SparseMatrix):
-    """(dimension, representatives, projector) of ker(d_out)/im(d_in).
-
-    d_out maps the space to the next degree, d_in maps the previous degree
-    in: the classes of the kernel vectors of d_out.
+def cocycle_classes(cocycles, boundaries):
+    """(dimension, representatives, projector) of span(cocycles) modulo
+    span(boundaries), for a basis of the cocycles and vectors spanning the
+    coboundaries, such as the columns of the incoming d.  One Echelon
+    takes the boundaries, then the cocycles, each tagged by the number of
+    representatives so far; those that find a new pivot are the
+    representatives, and the Echelon is the projector: class_coords gives
+    a cocycle's coordinates on them.
     """
-    return cocycle_classes(kernel_basis(d_out), d_in)
-
-
-def cocycle_classes(cocycles, d_in: SparseMatrix):
-    """(dimension, representatives, projector) of span(cocycles)/im(d_in),
-    for a basis of cocycles.  One Echelon takes the columns of d_in, then
-    the cocycles, each tagged by the number of representatives so far;
-    those that find a new pivot are the representatives, and the Echelon
-    is the projector: class_coords gives a cocycle's coordinates on them.
-    """
-    projector = Echelon(d_in.columns())
+    projector = Echelon(boundaries)
     reps = []
     for v in cocycles:
         if projector.add(v, len(reps)) is not None:
@@ -363,6 +360,84 @@ class ClassProjector(Echelon):
             if self.add(v, k if k < nreps else None) is None:
                 raise ValueError(
                     "family vectors are not linearly independent")
+
+
+class SliceComplex:
+    """A complex graded by (degree n, weight r), finite in each slice, with
+    d of bidegree (+1, 0).
+
+    A subclass supplies two hooks: slice_keys(n, r), the list of basis keys
+    of slice (n, r) in order, and d_key(n, r, key), d of one key as
+    {key of slice (n + 1, r): coefficient}, no coefficient 0.  Everything
+    else is built here at most once per slice and cached, each cache a
+    dict keyed by (n, r): the keys, their positions, d as columns, its
+    kernel and the cohomology.  Vectors are over the positions of a
+    slice's keys.  forget(r) drops every cached slice of weight >= r, for
+    a complex that gained basis keys there.
+    """
+
+    def __init__(self):
+        self._slices, self._index, self._d = {}, {}, {}
+        self._ker, self._coh = {}, {}
+
+    def slice(self, n, r):
+        """The basis keys of slice (n, r), in order."""
+        key = n, r
+        if key not in self._slices:
+            self._slices[key] = self.slice_keys(n, r)
+        return self._slices[key]
+
+    def index(self, n, r):
+        """{key: position} of slice (n, r)."""
+        key = n, r
+        if key not in self._index:
+            self._index[key] = {k: i for i, k in enumerate(self.slice(n, r))}
+        return self._index[key]
+
+    def d_columns(self, n, r):
+        """d on slice (n, r): one {position in slice (n + 1, r): coeff}
+        column per key."""
+        key = n, r
+        if key not in self._d:
+            idx = self.index(n + 1, r)
+            cols = self._d[key] = []
+            for b in self.slice(n, r):
+                col = {}
+                for k, c in self.d_key(n, r, b).items():
+                    col[idx[k]] = c
+                cols.append(col)
+        return self._d[key]
+
+    def d_matrix(self, n, r):
+        """d: slice (n, r) -> slice (n + 1, r) as a SparseMatrix."""
+        cols = self.d_columns(n, r)
+        mat = SparseMatrix(len(self.slice(n + 1, r)), len(cols))
+        mat.entries = {(i, j): c for j, col in enumerate(cols)
+                       for i, c in col.items()}
+        return mat
+
+    def kernel(self, n, r):
+        """kernel_basis of d on slice (n, r)."""
+        key = n, r
+        if key not in self._ker:
+            self._ker[key] = kernel_basis(self.d_matrix(n, r))
+        return self._ker[key]
+
+    def cohomology(self, n, r):
+        """(dim, representatives, projector) of H^n at weight r: the
+        classes of kernel(n, r) modulo the columns of d(n - 1, r)."""
+        key = n, r
+        if key not in self._coh:
+            self._coh[key] = cocycle_classes(self.kernel(n, r),
+                                             self.d_columns(n - 1, r))
+        return self._coh[key]
+
+    def forget(self, r):
+        """Drop every cached slice of weight >= r."""
+        for cache in (self._slices, self._index, self._d, self._ker,
+                      self._coh):
+            for key in [key for key in cache if key[1] >= r]:
+                del cache[key]
 
 
 # Rounds per attach_cells stage; a stage still adding cells at its last

@@ -41,20 +41,22 @@ def augment_absolute(A: CdgaPresentation):
     return out
 
 
-class IdealComplex:
-    """The augmentation-ideal subcomplex of an augmented cdga, per slice."""
+class IdealComplex(linalg.SliceComplex):
+    """The augmentation-ideal subcomplex of an augmented cdga, per slice:
+    the keys of slice (i, m) are the positions of the kernel vectors of
+    eps in ideal_basis(i, m)."""
 
     def __init__(self, A: CdgaPresentation):
+        super().__init__()
         self.A = A
-        self._ker = {}
-        self._free = {}  # slice -> (monomial index, free column per vector)
-        self._coh = {}
+        self._eps = {}
 
-    def kernel(self, i, m):
-        """(ambient slice basis, kernel vectors of eps in slice coords)."""
+    def ideal_basis(self, i, m):
+        """(ambient slice basis, kernel vectors of eps in slice coords,
+        {monomial: slice position}, the free column of each vector)."""
         key = (i, m)
-        if key not in self._ker:
-            basis = self.A.basis_slice(i, m)
+        if key not in self._eps:
+            basis = self.A.slice(i, m)
             idx = {mm: k for k, mm in enumerate(basis)}
             eps = linalg.SparseMatrix(len(basis), len(basis))
             for j, mono in enumerate(basis):
@@ -64,15 +66,20 @@ class IdealComplex:
             # ideal = kernel of eps on the slice; a kernel vector is 1 at its
             # free column f, 0 at the others, and elsewhere only at pivots < f
             ker = linalg.kernel_basis(eps)
-            self._ker[key] = (basis, ker)
-            self._free[key] = (idx, [max(v) for v in ker])
-        return self._ker[key]
+            self._eps[key] = (basis, ker, idx, [max(v) for v in ker])
+        return self._eps[key]
+
+    def slice_keys(self, i, m):
+        return list(range(len(self.ideal_basis(i, m)[1])))
+
+    def d_key(self, i, m, k):
+        d = self.A.apply_d(self.from_coords({k: F(1)}, i, m))
+        return self.to_coords(d, i + 1, m) if d else {}
 
     def to_coords(self, el, i, m):
         """Coordinates of an ideal element in the kernel basis: its entries
         at the free columns, if they account for all of it."""
-        _, ker = self.kernel(i, m)
-        idx, free = self._free[(i, m)]
+        _, ker, idx, free = self.ideal_basis(i, m)
         v = {idx[mm]: c for mm, c in el.items()}
         coords = {k: v[f] for k, f in enumerate(free) if f in v}
         for k, c in coords.items():
@@ -82,41 +89,18 @@ class IdealComplex:
         return coords
 
     def from_coords(self, v, i, m):
-        basis, ker = self.kernel(i, m)
+        basis, ker, _, _ = self.ideal_basis(i, m)
         out = {}
         for k, c in v.items():
             for bi, bc in ker[k].items():
                 out = el_add(out, {basis[bi]: bc}, c)
         return out
 
-    def d_matrix(self, i, m):
-        """Restricted differential on kernel coordinates."""
-        basis, ker = self.kernel(i, m)
-        dim_src = len(ker)
-        _, ker2 = self.kernel(i + 1, m)
-        mat = linalg.SparseMatrix(len(ker2), dim_src)
-        for j, kv in enumerate(ker):
-            el = self.from_coords({j: F(1)}, i, m)
-            del_ = self.A.apply_d(el)
-            if del_:
-                for k, c in self.to_coords(del_, i + 1, m).items():
-                    mat.entries[(k, j)] = c
-        return mat
-
-    def cohomology(self, i, m):
-        """(dim, class reps as kernel-coordinate vectors, projector)."""
-        key = (i, m)
-        if key not in self._coh:
-            self._coh[key] = linalg.cohomology(
-                self.d_matrix(i, m), self.d_matrix(i - 1, m))
-        return self._coh[key]
-
     def forget(self, adams):
         """Drop the cached slices of weight >= adams, after A gained a
         generator of that weight."""
-        for cache in (self._ker, self._free, self._coh):
-            for key in [k for k in cache if k[1] >= adams]:
-                del cache[key]
+        super().forget(adams)
+        self._eps = {k: v for k, v in self._eps.items() if k[1] < adams}
 
 
 class MinimalModelResult:
@@ -333,10 +317,9 @@ def quillen_compare(A: CdgaPresentation, w_max):
         if target:
             words = bar_m.slice(0, w)
             long = [j for j, wd in enumerate(words) if len(wd) >= 2]
-            d0 = bar_m.d_matrix(0, w)
-            cols = d0.columns()
+            cols = bar_m.d_columns(0, w)
             mat = linalg.SparseMatrix.from_columns(
-                [cols[j] for j in long], d0.rows)
+                [cols[j] for j in long], len(bar_m.slice(1, w)))
             tv = linalg.vec_scale(bar_m.vector(target, 1, w), F(-1))
             sol = linalg.solve(mat, tv)
             if sol is None:

@@ -37,7 +37,6 @@ from .bar import (
     BarComplex,
     CoLiePresentation,
     HopfPresentation,
-    WeightPiece,
     _wadd,
     bar_truncated_h0,
     h0_hopf,
@@ -143,7 +142,7 @@ def split_ideal(X: AugmentedOverN, coh_max=4, adams_max=4):
     base_gens_deg1 = [g for g in X.base.generators]
     for n in range(0, coh_max + 1):
         for r in range(0, adams_max + 1):
-            basis = A.basis_slice(n, r)
+            basis = A.slice(n, r)
             if not basis:
                 continue
             ideal = []
@@ -366,8 +365,8 @@ def semidirect(X: AugmentedOverN, w_max):
     rb = relative_bar_h0(X, w_max)
     weights = list(range(w_max + 1))
     kernel_dims = {w: rb.hopf.pieces[w].dim for w in weights}
-    base_bar = BarComplex(X.base)
-    base_dims = {w: WeightPiece(base_bar, w).dim for w in weights}
+    hopf_base = HopfPresentation(X.base, w_max)
+    base_dims = hopf_base.dims()
     hopf_total = h0_hopf(X.total, w_max)
     total_dims = hopf_total.dims()
     identity_ok = all(
@@ -386,13 +385,14 @@ def semidirect(X: AugmentedOverN, w_max):
         for w in range(1, w_max + 1)
     )
     # p*: base classes into the total algebra; s*: augmentation back
-    hopf_base = HopfPresentation(X.base, w_max)
     gam_base = CoLiePresentation(hopf_base)
     p_star = {}
     for gi, (w, cv) in enumerate(gam_base.basis):
         lin = {}
         for k, c in cv.items():
-            for word, c2 in hopf_base.pieces[w].rep_lins(base_bar)[k].items():
+            for word, c2 in hopf_base.pieces[w].rep_lins(
+                hopf_base.bar
+            )[k].items():
                 _wadd(lin, word, c * c2)
         p_star[gi] = gam_total.project(hopf_total.classify(lin, w), w)
     s_star = {}
@@ -479,7 +479,7 @@ def coaction_check(X: AugmentedOverN, w_max):
 # ---------------------------------------------------------------------------
 
 
-class DeltaApprox:
+class DeltaApprox(linalg.SliceComplex):
     """Total complex of the bar construction spread over the faces of a
     standard n-simplex.
 
@@ -494,18 +494,18 @@ class DeltaApprox:
     A face only removes vertices, so for nn <= n the pairs with
     S[-1] <= nn span a subcomplex: the complex of the nn-simplex.  Each
     slice is ordered by S[-1] first, which makes that subcomplex a prefix
-    of length ends(deg, w)[nn].  d is built once per slice, as columns
-    indexed by the next slice, and every dimension and check reads them.
+    of length ends(deg, w)[nn].  As a SliceComplex its keys are the pairs
+    (S, word), and every dimension and check reads the one d_columns of
+    each slice.
     """
 
     def __init__(self, A: CdgaPresentation, n, w_max):
+        super().__init__()
         self.A = A
         self.n = n
         self.w_max = w_max
         self.bar = BarComplex(A)
         self._words = {}
-        self._slices = {}
-        self._cols = {}
 
     def letters(self, r):
         if r == 0:
@@ -526,18 +526,15 @@ class DeltaApprox:
                 self._words[key] = out
         return self._words[key]
 
-    def slice(self, deg, w):
-        key = (deg, w)
-        if key not in self._slices:
-            out = []
-            for m in range(0, self.n + 1):
-                for word in self.words(w, m):
-                    if self.bar.word_bidegree(word)[0] != deg:
-                        continue
-                    for S in combinations(range(self.n + 1), m + 1):
-                        out.append((S, word))
-            self._slices[key] = sorted(out, key=lambda b: (b[0][-1], b))
-        return self._slices[key]
+    def slice_keys(self, deg, w):
+        out = []
+        for m in range(0, self.n + 1):
+            for word in self.words(w, m):
+                if self.bar.word_bidegree(word)[0] != deg:
+                    continue
+                for S in combinations(range(self.n + 1), m + 1):
+                    out.append((S, word))
+        return sorted(out, key=lambda b: (b[0][-1], b))
 
     def ends(self, deg, w):
         """ends[nn]: the length of the nn-simplex prefix of slice (deg, w)."""
@@ -572,17 +569,8 @@ class DeltaApprox:
             _wadd(out, (S[:-1], word[:-1]), -1 if s % 2 else 1)
         return out
 
-    def d_columns(self, deg, w):
-        """d on slice (deg, w): one {row: coeff} column per basis element,
-        the rows indexing slice (deg + 1, w)."""
-        key = (deg, w)
-        if key not in self._cols:
-            idx = {b: i for i, b in enumerate(self.slice(deg + 1, w))}
-            self._cols[key] = [
-                {idx[b2]: c for b2, c in self.d_basis(*b).items()}
-                for b in self.slice(deg, w)
-            ]
-        return self._cols[key]
+    def d_key(self, deg, w, b):
+        return self.d_basis(*b)
 
     def _prefix_ranks(self, deg, w):
         """[rank of d(deg, w) on the nn-prefix of its columns, for each nn]:

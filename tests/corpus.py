@@ -77,7 +77,7 @@ def random_free_cdga(seed, max_gens=4, deg_max=2, wt_max=3):
         adams = rng.randint(1, wt_max)
         sub = CdgaPresentation("tmp", "free", gens, diff)
         choices = []
-        basis = sub.basis_slice(coh + 1, adams)
+        basis = sub.slice(coh + 1, adams)
         if basis and rng.random() < 0.7:
             idx = {m: j for j, m in enumerate(basis)}
             ker = linalg.kernel_basis(sub.d_matrix(coh + 1, adams))
@@ -111,7 +111,7 @@ def random_gen_nilpotent(seed, max_fiber=3, wt_max=3):
         name = f"e{i}"
         adams = rng.randint(1, wt_max)
         sub = CdgaPresentation("tmp", "free", gens, diff)
-        basis = sub.basis_slice(2, adams)
+        basis = sub.slice(2, adams)
         dval = {}
         if basis and rng.random() < 0.8:
             ker = linalg.kernel_basis(sub.d_matrix(2, adams))

@@ -626,9 +626,9 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
 
     def class_map(P, n, r, strict=True):
         dimD, repsD, projD = D.cohomology(n, r)
-        _, repsP = P.cohomology_slice(n, r)
+        _, repsP, _ = P.cohomology(n, r)
         src = P.slice_basis(n, r)
-        pos = {b: k for k, b in enumerate(D.indices(n, r))}
+        pos = {b: k for k, b in enumerate(D.slice(n, r))}
         cols = [projD.class_coords(
                     {pos[i]: c for i, c in phi_of(src, rv).items()}, strict)
                 for rv in repsP]
@@ -645,7 +645,7 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
                 dimD, repsD, _, cols = class_map(P, n, r)
                 missing = linalg.quotient_basis(
                     cols, [{k: F(1)} for k in range(dimD)])
-                idxs = D.indices(n, r)
+                idxs = D.slice(n, r)
                 for cv in missing:
                     vec = {}
                     for k, c in cv.items():
@@ -658,7 +658,7 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
                     continue
                 dimD2, _, repsP2, cols2 = class_map(P, n + 1, r)
                 src2 = P.slice_basis(n + 1, r)
-                pos2 = {b: k for k, b in enumerate(D.indices(n + 1, r))}
+                pos2 = {b: k for k, b in enumerate(D.slice(n + 1, r))}
                 phi_mat = SparseMatrix.from_columns(cols2, dimD2)
                 for kv in linalg.kernel_basis(phi_mat):
                     zvec = {}

@@ -44,14 +44,14 @@ def test_validate_catches_d_squared():
 
 
 def test_basis_slices_e1(e1):
-    assert e1.basis_slice(0, 0) == [UNIT]
-    assert e1.basis_slice(1, 1) == [(("x", 1),)]
-    assert e1.basis_slice(2, 2) == []  # x odd, x^2 = 0
+    assert e1.slice(0, 0) == [UNIT]
+    assert e1.slice(1, 1) == [(("x", 1),)]
+    assert e1.slice(2, 2) == []  # x odd, x^2 = 0
 
 
 def test_basis_slices_e3(e3):
-    assert e3.basis_slice(2, 2) == [(("x", 1), ("y", 1))]
-    s = e3.basis_slice(2, 3)
+    assert e3.slice(2, 2) == [(("x", 1), ("y", 1))]
+    s = e3.slice(2, 3)
     assert s == [(("x", 1), ("z", 1)), (("y", 1), ("z", 1))]
 
 
@@ -76,11 +76,11 @@ def test_apply_d(e3):
 
 
 def test_cohomology_slices(e1, e3):
-    assert e1.cohomology_slice(1, 1)[0] == 1
-    assert e1.cohomology_slice(2, 2)[0] == 0
-    assert e3.cohomology_slice(1, 2)[0] == 0  # z not closed
-    assert e3.cohomology_slice(2, 2)[0] == 0  # xy exact
-    assert e3.cohomology_slice(0, 0)[0] == 1
+    assert e1.cohomology(1, 1)[0] == 1
+    assert e1.cohomology(2, 2)[0] == 0
+    assert e3.cohomology(1, 2)[0] == 0  # z not closed
+    assert e3.cohomology(2, 2)[0] == 0  # xy exact
+    assert e3.cohomology(0, 0)[0] == 1
 
 
 def test_connectedness(e1, e2, e3):
@@ -100,7 +100,7 @@ def test_tensor_renames(e1):
     T = tensor_cdga(e1, make_e1())
     names = sorted(g.name for g in T.generators)
     assert names == ["x", "x'"]
-    assert len(T.basis_slice(2, 2)) == 1  # x*x'
+    assert len(T.slice(2, 2)) == 1  # x*x'
 
 
 def test_tensor_kunneth(e1, e2):
@@ -108,14 +108,14 @@ def test_tensor_kunneth(e1, e2):
     assert T.kind == "table"
     for n in range(0, 4):
         for r in range(0, 4):
-            lhs = len(T.basis_slice(n, r))
+            lhs = len(T.slice(n, r))
             rhs = sum(
-                len(e1.basis_slice(i, s)) * len(e2.basis_slice(n - i, r - s))
+                len(e1.slice(i, s)) * len(e2.slice(n - i, r - s))
                 for i in range(-1, n + 2)
                 for s in range(0, r + 1)
             )
             assert lhs == rhs, (n, r)
-    assert len(T.basis_slice(2, 2)) == 2  # x*x0, x*x1
+    assert len(T.slice(2, 2)) == 2  # x*x0, x*x1
 
 
 def test_random_cdgas_valid():
@@ -126,7 +126,7 @@ def test_random_cdgas_valid():
 
 
 def _slice_elements(A, n, r):
-    return [{m: F(1)} for m in A.basis_slice(n, r)]
+    return [{m: F(1)} for m in A.slice(n, r)]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -9,6 +9,9 @@ from adamsbar.cellmod import (
     CellModule,
     CellMorphism,
     ConnectionModule,
+    FiniteDgModule,
+    ModuleError,
+    ScalarComplex,
     cone,
     cell_resolution,
     from_connection,
@@ -145,7 +148,7 @@ def test_tate_rigidity(e3, a, b):
     # Hom(Q(-a), Q(-b)) = H^0(A(a-b))
     lhs = hom_group(tate(e3, a), tate(e3, b))
     r = a - b
-    rhs = e3.cohomology_slice(0, r)[0] if r >= 0 else 0
+    rhs = e3.cohomology(0, r)[0] if r >= 0 else 0
     assert lhs == rhs
     assert lhs == (1 if a == b else 0)
 
@@ -181,6 +184,20 @@ def test_q_functor(e1):
     q = M.q_complex()
     assert q.cohomology_dim(0, 0) == 1
     assert q.cohomology_dim(0, 1) == 1  # d0 = 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda basis, d: ScalarComplex(basis, d),
+    lambda basis, d: FiniteDgModule(make_e1(), basis, d, {}),
+], ids=["scalar", "finite-dg"])
+def test_scalar_complex_rejects_wrong_bidegree(make):
+    """d(a) = b with a at (0, 0) and b at (2, 0) is not of bidegree
+    (+1, 0); it is refused, not dropped as if d were 0."""
+    basis = [("a", 0, 0), ("b", 2, 0)]
+    with pytest.raises(ModuleError, match=r"d entry \(1,0\) = 1 has "
+                       r"bidegree \(2, 0\), expected \(1, 0\)"):
+        make(basis, {(1, 0): F(1)})
+    assert make(basis, {}).cohomology_dims() == {(0, 0): 1, (2, 0): 1}
 
 
 def test_t_truncate_concentrated(e1):
@@ -403,7 +420,7 @@ def _random_entries(A, rng, rows, cols, shift):
     slots = []
     for i, (_, ci, ri) in enumerate(rows):
         for j, (_, cj, rj) in enumerate(cols):
-            sl = A.basis_slice(cj + shift - ci, rj - ri) if rj >= ri else []
+            sl = A.slice(cj + shift - ci, rj - ri) if rj >= ri else []
             if sl:
                 slots.append(((i, j), sl))
     entries = {}

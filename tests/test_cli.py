@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adamsbar import linalg
 from adamsbar.cli import main
@@ -155,6 +160,22 @@ def test_validate_cell_d_squared_witness(capsys, tmp_path):
     assert code == 1
     assert rep["witnesses"] == [
         "d^2 != 0 at (k=0, j=2): {(('t', 1),): Fraction(1, 1)}"]
+
+
+def test_cell_wrong_bidegree_exits_2(capsys, tmp_path):
+    # d c = t b needs c of weight 1; at weight 2 the entry t has bidegree
+    # (1, 1), not (1, 2), and d would leave the slice complex
+    b = write(tmp_path, "e1.cdga", E1_TEXT)
+    f = write(tmp_path, "bad.cell", CELL_TEXT.replace("c deg 0 wt 1",
+                                                      "c deg 0 wt 2"))
+    code = main(["cohomology", f, "--base", b, "--wt-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "entry (0,1) bidegree (1, 1)" in captured.err
+    code, rep = run(capsys, "validate", f, "--base", b)
+    assert code == 1
+    assert rep["witnesses"] == ["entry (0,1) bidegree (1, 1)"]
 
 
 def test_unknown_command_exits_2(tmp_path):
@@ -318,3 +339,101 @@ def test_parse_cell_structure():
     ok, fails = M.check()
     assert ok, fails
     assert M.differential == {(0, 1): {(("t", 1),): 1}}
+
+
+# ---- fuzz: every command line the grammar allows exits 0, 1 or 2 ---------
+
+FUZZ_COEFFS = ["1", "-1", "2", "1/2", "0", "-3/2"]
+
+
+@st.composite
+def fuzz_polys(draw, names, elements=None):
+    """A polynomial of the file grammar in the generators names; with
+    elements, a cell differential, each term ending in an element."""
+    out = []
+    for k in range(draw(st.integers(1, 3))):
+        term = "*".join([draw(st.sampled_from(FUZZ_COEFFS))] + draw(
+            st.lists(st.sampled_from(names), max_size=2)))
+        if elements:
+            term += " " + draw(st.sampled_from(elements))
+        out.append(term if k == 0 else f"{draw(st.sampled_from('+-'))} {term}")
+    return " ".join(out)
+
+
+@st.composite
+def fuzz_cdga(draw, name, gens):
+    """A cdga file on gens [(name, deg, wt)], each generator with at most
+    one d, aug or mul line; bidegrees and d^2 are not checked."""
+    kind = draw(st.sampled_from(["free", "table"]))
+    names = [g for g, _, _ in gens]
+    lines = [f"cdga {name} {kind}"]
+    lines += [f"gen {g} deg {d} wt {w}" for g, d, w in gens]
+    for g in names:
+        op = draw(st.sampled_from(["", "", "", "d", "d", "aug", "mul"]))
+        if op == "mul":
+            op = f"mul {g} {draw(st.sampled_from(names))}"
+        elif op:
+            op = f"{op} {g}"
+        if op:
+            lines.append(f"{op} = {draw(fuzz_polys(names))}")
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_gens(prefix, degs, wts, most):
+    return st.lists(st.tuples(degs, wts), max_size=most).map(
+        lambda bds: [(f"{prefix}{i}", d, w) for i, (d, w) in enumerate(bds)])
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(argv, {file name: text}): a command on a base algebra A, a total
+    algebra T over it (A's generators plus augmented fiber generators)
+    and a cell module over A, each cell's d on the cells before it, with
+    small windows; "@name" in argv stands for the file's path."""
+    gens = draw(fuzz_gens("g", st.integers(-1, 2), st.integers(1, 2), 3))
+    fiber = draw(fuzz_gens("f", st.integers(0, 2), st.integers(1, 2), 2))
+    elts = draw(fuzz_gens("e", st.integers(-1, 2), st.integers(0, 2), 3))
+    total = draw(fuzz_cdga("T", gens + fiber))
+    cell = ["cell M over A"] + [f"elt {e} deg {d} wt {w}" for e, d, w in elts]
+    for k in range(1, len(elts)):
+        if gens and draw(st.booleans()):
+            cell.append(f"d e{k} = " + draw(fuzz_polys(
+                [g for g, _, _ in gens], [e for e, _, _ in elts[:k]])))
+    files = {"a": draw(fuzz_cdga("A", gens)),
+             "t": total + "".join(f"aug {f} = 0\n" for f, _, _ in fiber),
+             "m": "\n".join(cell) + "\n"}
+    argv = draw(st.sampled_from([
+        ["validate", "@a"], ["cohomology", "@a"], ["bar-h0", "@a"],
+        ["colie", "@a"], ["quillen", "@a"], ["delta-approx", "@a"],
+        ["minimal-model", "@a"], ["minimal-model", "@t", "--base", "@a"],
+        ["kernel", "--base", "@a", "--total", "@t"],
+        ["coaction-check", "--base", "@a", "--total", "@t"],
+        ["delta-approx", "@t", "--base", "@a"],
+        ["validate", "@m", "--base", "@a"],
+        ["cohomology", "@m", "--base", "@a"],
+        ["pi1-demo", "--punctures", draw(st.sampled_from("1234"))],
+    ]))
+    argv += ["--wt-max", str(draw(st.integers(0, 2)))]
+    if argv[0] in ("minimal-model", "delta-approx"):
+        argv += ["--n", str(draw(st.integers(0, 2)))]
+    if argv[0] == "cohomology":
+        argv += ["--deg-max", str(draw(st.integers(0, 2)))]
+    return argv, files
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_cases())
+def test_fuzz_cli_exits_0_1_or_2(case):
+    """No input file of the grammar makes main raise: a bad one exits 2,
+    a failed property 1.  Windows are small, so each case is quick."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in files.items():
+            paths[f"@{name}"] = os.path.join(tmp, name)
+            with open(paths[f"@{name}"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([paths.get(a, a) for a in argv])
+    assert code in (0, 1, 2)
