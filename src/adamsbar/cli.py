@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import cdga as cdga_mod
-from .bar import bar_truncated_h0, gamma, h0_hopf
+from .bar import bar_truncated_h0, gamma, h0_hopf, polynomial_dims
 from .cellmod import ModuleError
 from .minimal import quillen_compare, relative_minimal_model, trivial_base
 from .parser import ParseError, bind_cell, parse_file
@@ -138,7 +138,10 @@ def cmd_bar_h0(args):
 def cmd_colie(args):
     A = _load_cdga(args.file)
     gam = gamma(A, args.wt_max)
-    report = _base_report("colie", args, True)
+    # H^0 is a commutative connected Hopf algebra over Q, so by Leray and
+    # Milnor-Moore it is free on gamma; other dims mean gamma is wrong
+    ok = polynomial_dims(gam.dims(), args.wt_max) == gam.hopf.dims()
+    report = _base_report("colie", args, ok)
     report["tables"] = gam.dims()
     report["generators"] = {
         g: {"weight": w} for g, (w, _) in enumerate(gam.basis)
@@ -146,7 +149,7 @@ def cmd_colie(args):
     report["structure_constants"] = {
         g: cb for g, cb in gam.cobracket.items() if cb
     }
-    return report, 0
+    return report, 0 if ok else 1
 
 
 def cmd_minimal_model(args):
@@ -218,9 +221,11 @@ def cmd_delta_approx(args):
 
 def cmd_pi1_demo(args):
     rep = pi1_demo(args.punctures, args.wt_max)
-    report = _base_report("pi1-demo", args, True)
+    # H^0 is free on gamma, as in cmd_colie
+    ok = rep["polynomial_dims"] == rep["h0_dims"]
+    report = _base_report("pi1-demo", args, ok)
     report.update(rep)
-    return report, 0
+    return report, 0 if ok else 1
 
 
 def _base_report(command, args, ok):

@@ -8,9 +8,9 @@ reduced rows keyed by pivot (each row 1 at its own pivot, 0 at every
 other pivot), so a new vector or a query is reduced only by the rows
 whose pivots lie in its own support.  What each view reads off it:
 
-- rank, echelon_basis, image_basis: the rows, sorted by pivot;
-- kernel_basis: one vector per non-pivot column of the rows of m;
-- solve: the rows of m augmented by the right-hand side;
+- kernel_basis: one vector per non-pivot column of the rows of a matrix;
+- solver: the columns of a matrix, each tagged by its index, so that one
+  elimination answers every right-hand side;
 - quotient_basis: the vectors that find a new pivot after the sub;
 - cocycle_classes: the image, then the cocycles; those that find a new
   pivot are the representatives, and the same echelon is the projector;
@@ -34,11 +34,9 @@ bit-for-bit reproducible and the same however the input was written.
 Elimination always picks the pivot in the lowest remaining row, then the
 lowest column.
 
-Vectors are dicts {index: int or Fraction} with no stored zeros;
-matrices store a dict {(row, col): entry}.
+Vectors are dicts {index: int or Fraction} with no stored zeros, and a
+matrix is the list of its columns, each a vector over the rows.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -52,19 +50,6 @@ def _vec_iadd(u, v, c):
             u[i] = y
         else:
             u.pop(i, None)
-
-
-def vec_add(u, v, c=Fraction(1)):
-    """u + c*v as a new sparse vector."""
-    out = dict(u)
-    _vec_iadd(out, v, c)
-    return out
-
-
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {i: c * x for i, x in u.items()}
 
 
 def _integral(v):
@@ -89,55 +74,6 @@ def _iscale(u, a):
     """u *= a in place, for an int a."""
     for i in u:
         u[i] *= a
-
-
-class SparseMatrix:
-    """Immutable-by-convention sparse matrix over Q."""
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), x in entries.items():
-                if x:
-                    if not (0 <= i < rows and 0 <= j < cols):
-                        raise ValueError(f"entry ({i},{j}) out of bounds")
-                    self.entries[(i, j)] = Fraction(x)
-
-    @classmethod
-    def from_columns(cls, cols, nrows):
-        m = cls(nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                if x:
-                    m.entries[(i, j)] = Fraction(x)
-        return m
-
-    def columns(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), x in self.entries.items():
-            cols[j][i] = x
-        return cols
-
-    def row_list(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), x in self.entries.items():
-            rows[i][j] = x
-        return rows
-
-    def apply(self, v):
-        """Matrix times sparse column vector."""
-        out = {}
-        for (i, j), x in self.entries.items():
-            c = v.get(j)
-            if c:
-                y = out.get(i, Fraction(0)) + x * c
-                if y:
-                    out[i] = y
-                else:
-                    out.pop(i, None)
-        return out
 
 
 class Echelon:
@@ -258,33 +194,20 @@ def _primitive(R, K):
                     u[i] //= g
 
 
-def _echelonize(rows):
-    """(rows, pivots) of the reduced echelon form, sorted by pivot, zero
-    rows dropped; the input rows are left alone."""
-    rows = Echelon(rows).rows
-    pivots = sorted(rows)
-    return [rows[p] for p in pivots], pivots
-
-
-def echelon_basis(vectors):
-    """Canonical reduced-echelon basis of span(vectors)."""
-    reduced, _ = _echelonize(vectors)
-    return reduced
-
-
-def rank(m: SparseMatrix):
-    return len(Echelon(m.row_list()))
-
-
-def kernel_basis(m: SparseMatrix):
-    """Reduced-echelon basis of ker(m), as column vectors of length m.cols.
+def kernel_basis(cols):
+    """Reduced-echelon basis of the kernel of the matrix with columns cols,
+    as vectors over the column indices.
 
     Representation is canonical: for each free column f the basis vector has
     entry 1 at f and the pivot columns carry the negated elimination
     coefficients, in ascending pivot order.
     """
-    e = Echelon(m.row_list())
-    basis = {f: {f: Fraction(1)} for f in e.non_pivots(m.cols)}
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    e = Echelon(rows[i] for i in sorted(rows))
+    basis = {f: {f: Fraction(1)} for f in e.non_pivots(len(cols))}
     for p in sorted(e._rows):
         R = e._rows[p]
         for f, x in R.items():
@@ -293,30 +216,22 @@ def kernel_basis(m: SparseMatrix):
     return list(basis.values())
 
 
-def solve(m: SparseMatrix, b):
-    """A particular solution x of m x = b, or None if b is not in the image.
-
-    Deterministic: echelon-form particular solution (free variables 0).
-    """
-    BCOL = m.cols  # augmented column index
-    rows = m.row_list()
-    for i, r in enumerate(rows):
-        if b.get(i):
-            r[BCOL] = b[i]
-    e = Echelon(rows)
-    if BCOL in e._rows:
-        return None  # inconsistent system
-    x = {}
-    for p in sorted(e._rows):
-        R = e._rows[p]
-        if R.get(BCOL):
-            x[p] = Fraction(R[BCOL], R[p])
-    return x
+def solver(cols):
+    """The Echelon of the columns cols of a matrix, each tagged by its
+    index.  Its class_coords(b, strict=False) is the solution x of
+    sum_j x_j cols[j] = b supported on the pivot columns (those
+    independent of the columns before them), which is unique, or None
+    when b is outside the column space."""
+    e = Echelon()
+    for j, col in enumerate(cols):
+        e.add(col, j)
+    return e
 
 
-def image_basis(m: SparseMatrix):
-    """Canonical reduced-echelon basis of the column space."""
-    return echelon_basis(m.columns())
+def solve(cols, b):
+    """solver(cols).class_coords(b, strict=False), for one right-hand
+    side."""
+    return solver(cols).class_coords(b, strict=False)
 
 
 def quotient_basis(sub_vectors, vectors):
@@ -408,19 +323,11 @@ class SliceComplex:
                 cols.append(col)
         return self._d[key]
 
-    def d_matrix(self, n, r):
-        """d: slice (n, r) -> slice (n + 1, r) as a SparseMatrix."""
-        cols = self.d_columns(n, r)
-        mat = SparseMatrix(len(self.slice(n + 1, r)), len(cols))
-        mat.entries = {(i, j): c for j, col in enumerate(cols)
-                       for i, c in col.items()}
-        return mat
-
     def kernel(self, n, r):
         """kernel_basis of d on slice (n, r)."""
         key = n, r
         if key not in self._ker:
-            self._ker[key] = kernel_basis(self.d_matrix(n, r))
+            self._ker[key] = kernel_basis(self.d_columns(n, r))
         return self._ker[key]
 
     def cohomology(self, n, r):
@@ -450,13 +357,14 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     isomorphism on H^i for i <= top and injective on H^(top+1).
 
     target has cohomology(i, m) -> (dim, reps, projector) and
-    d_matrix(i, m); source_reps(i, m) lists the source's cohomology
+    d_columns(i, m); source_reps(i, m) lists the source's cohomology
     representatives and image(i, m, v) the target coordinates of the
     image of a source vector v of slice (i, m).  Each stage (i, m), in
     the order given, runs rounds.  A round adds a closed cell onto each
     target class that no source class hits; when there is none, it adds,
     for each source class at (i + 1, m) of zero image, a cell whose
-    boundary z is that class, sent to a b with d b = image(z).
+    boundary z is that class, sent to a b with d b = image(z); the
+    target's d(i, m) is eliminated once per stage for all those b.
     adjoin(i, m, cells) gets the round's cells as a list of (z, b), z
     None for a closed cell; every vector in it was read off the source
     before the call changes it.  Rounds stop at one that adds nothing, or
@@ -486,18 +394,21 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     rounds = []
     capped = set()
     for i, m in stages:
+        d_solver = None
         for k in range(1, STAGE_ROUNDS + 1):
             dim, _, cols = class_images(i, m)
             reps = target.cohomology(i, m)[1]
             cells = [(None, combine(cv, reps)) for cv in quotient_basis(
                 cols, [{j: Fraction(1)} for j in range(dim)])]
             if not cells:
-                dim, reps, cols = class_images(i + 1, m)
-                kernel = kernel_basis(SparseMatrix.from_columns(cols, dim))
-                d = target.d_matrix(i, m) if kernel else None
+                _, reps, cols = class_images(i + 1, m)
+                kernel = kernel_basis(cols)
+                if kernel and d_solver is None:
+                    d_solver = solver(target.d_columns(i, m))
                 for kv in kernel:
                     z = combine(kv, reps)
-                    b = solve(d, image(i + 1, m, z))
+                    b = d_solver.class_coords(image(i + 1, m, z),
+                                              strict=False)
                     if b is None:
                         raise ValueError(f"the image of a kernel class at "
                                          f"({i + 1}, {m}) is not exact")

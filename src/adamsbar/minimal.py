@@ -22,6 +22,7 @@ from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
     el_add,
+    el_scale,
     is_coh_connected,
     mono_factors,
 )
@@ -58,11 +59,9 @@ class IdealComplex(linalg.SliceComplex):
         if key not in self._eps:
             basis = self.A.slice(i, m)
             idx = {mm: k for k, mm in enumerate(basis)}
-            eps = linalg.SparseMatrix(len(basis), len(basis))
-            for j, mono in enumerate(basis):
-                for em, c in self.A.substitute(
-                        {mono: F(1)}, self.A.augmentation).items():
-                    eps.entries[(idx[em], j)] = c
+            eps = [{idx[em]: c for em, c in self.A.substitute(
+                        {mono: F(1)}, self.A.augmentation).items()}
+                   for mono in basis]
             # ideal = kernel of eps on the slice; a kernel vector is 1 at its
             # free column f, 0 at the others, and elsewhere only at pivots < f
             ker = linalg.kernel_basis(eps)
@@ -83,7 +82,7 @@ class IdealComplex(linalg.SliceComplex):
         v = {idx[mm]: c for mm, c in el.items()}
         coords = {k: v[f] for k, f in enumerate(free) if f in v}
         for k, c in coords.items():
-            v = linalg.vec_add(v, ker[k], -c)
+            v = el_add(v, ker[k], -c)
         if v:
             raise ValueError("element not in the augmentation ideal")
         return coords
@@ -309,19 +308,23 @@ def quillen_compare(A: CdgaPresentation, w_max):
     bar_m = BarComplex(mm.model)
     # image of each QA generator in gamma coordinates: take the length-1
     # word [e] in the bar complex of the model, correct it into a cocycle
-    # by longer words, push letters through the structure map, classify
+    # by longer words, push letters through the structure map, classify;
+    # d on the longer words of a weight is eliminated once for all of it
+    corrections = {}  # w -> (words, positions of the longer ones, solver)
     phi = {}
     for gidx, (w, name) in enumerate(qa.basis):
         lin = {(((name, 1),),): F(1)}
         target = bar_m.d_lin(lin)
         if target:
-            words = bar_m.slice(0, w)
-            long = [j for j, wd in enumerate(words) if len(wd) >= 2]
-            cols = bar_m.d_columns(0, w)
-            mat = linalg.SparseMatrix.from_columns(
-                [cols[j] for j in long], len(bar_m.slice(1, w)))
-            tv = linalg.vec_scale(bar_m.vector(target, 1, w), F(-1))
-            sol = linalg.solve(mat, tv)
+            if w not in corrections:
+                words = bar_m.slice(0, w)
+                long = [j for j, wd in enumerate(words) if len(wd) >= 2]
+                cols = bar_m.d_columns(0, w)
+                corrections[w] = words, long, linalg.solver(
+                    [cols[j] for j in long])
+            words, long, solver = corrections[w]
+            sol = solver.class_coords(
+                el_scale(bar_m.vector(target, 1, w), F(-1)), strict=False)
             if sol is None:
                 return False, {"reason": f"no cocycle correction for {name}"}
             for j, c in sol.items():
@@ -340,7 +343,7 @@ def quillen_compare(A: CdgaPresentation, w_max):
         pos = {g: k for k, g in enumerate(gam_idxs)}
         for gi in qa_idxs:
             cols.append({pos[p]: c for p, c in phi[gi].items()})
-        if len(linalg.echelon_basis(cols)) != len(qa_idxs):
+        if len(linalg.Echelon(cols)) != len(qa_idxs):
             return False, {"reason": f"map not bijective in weight {w}"}
     # co-Lie compatibility: gamma-cobracket of phi(e) equals phi^2 of
     # the QA cobracket of e

@@ -387,22 +387,10 @@ def semidirect(X: AugmentedOverN, w_max):
     # p*: base classes into the total algebra; s*: augmentation back
     gam_base = CoLiePresentation(hopf_base)
     p_star = {}
-    for gi, (w, cv) in enumerate(gam_base.basis):
-        lin = {}
-        for k, c in cv.items():
-            for word, c2 in hopf_base.pieces[w].rep_lins(
-                hopf_base.bar
-            )[k].items():
-                _wadd(lin, word, c * c2)
+    for gi, (w, lin) in enumerate(_gamma_lins(gam_base)):
         p_star[gi] = gam_total.project(hopf_total.classify(lin, w), w)
     s_star = {}
-    for gi, (w, cv) in enumerate(gam_total.basis):
-        lin = {}
-        for k, c in cv.items():
-            for word, c2 in hopf_total.pieces[w].rep_lins(
-                hopf_total.bar
-            )[k].items():
-                _wadd(lin, word, c * c2)
+    for gi, (w, lin) in enumerate(_gamma_lins(gam_total)):
         # push the word letter-wise through the augmentation into base
         # words
         elin = map_letters(lin, lambda letter: X.eps({letter: F(1)}))
@@ -427,6 +415,24 @@ def semidirect(X: AugmentedOverN, w_max):
         indecomp_ok, rb.hopf, p_star, s_star, sp_identity_ok,
         split_m, conn_m, verdict,
     )
+
+
+def _gamma_lins(gam: CoLiePresentation):
+    """(weight, word combination) of each generator of gam, in order: its
+    class vector expanded over the representatives of its weight, which
+    are built once per weight."""
+    hopf = gam.hopf
+    reps = {}
+    out = []
+    for w, cv in gam.basis:
+        if w not in reps:
+            reps[w] = hopf.pieces[w].rep_lins(hopf.bar)
+        lin = {}
+        for k, c in cv.items():
+            for word, c2 in reps[w][k].items():
+                _wadd(lin, word, c * c2)
+        out.append((w, lin))
+    return out
 
 
 def _coaction_matrices(X: AugmentedOverN, rb: RelativeBarH0, w_max):
@@ -609,7 +615,7 @@ class DeltaApprox(linalg.SliceComplex):
                 for col in self.d_columns(deg, w):
                     acc = {}
                     for i, c in col.items():
-                        acc = linalg.vec_add(acc, nxt[i], c)
+                        acc = el_add(acc, nxt[i], c)
                     if acc:
                         return False
         return True

@@ -10,7 +10,7 @@ E4p E4 plus w (1,3) with dw = u*v + t*v
 import random
 from fractions import Fraction
 
-from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_gen
+from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_add, el_gen
 from adamsbar import linalg
 
 F = Fraction
@@ -80,13 +80,13 @@ def random_free_cdga(seed, max_gens=4, deg_max=2, wt_max=3):
         basis = sub.slice(coh + 1, adams)
         if basis and rng.random() < 0.7:
             idx = {m: j for j, m in enumerate(basis)}
-            ker = linalg.kernel_basis(sub.d_matrix(coh + 1, adams))
+            ker = linalg.kernel_basis(sub.d_columns(coh + 1, adams))
             if ker:
                 v = {}
                 for kv in ker:
                     c = F(rng.randint(-2, 2))
                     if c:
-                        v = linalg.vec_add(v, kv, c)
+                        v = el_add(v, kv, c)
                 choices = [{basis[j]: c for j, c in v.items()}]
         gens = gens + [GeneratorSpec(name, coh, adams)]
         if choices and choices[0]:
@@ -114,12 +114,12 @@ def random_gen_nilpotent(seed, max_fiber=3, wt_max=3):
         basis = sub.slice(2, adams)
         dval = {}
         if basis and rng.random() < 0.8:
-            ker = linalg.kernel_basis(sub.d_matrix(2, adams))
+            ker = linalg.kernel_basis(sub.d_columns(2, adams))
             v = {}
             for kv in ker:
                 c = F(rng.randint(-2, 2))
                 if c:
-                    v = linalg.vec_add(v, kv, c)
+                    v = el_add(v, kv, c)
             dval = {basis[j]: c for j, c in v.items()}
         gens = gens + [GeneratorSpec(name, 1, adams)]
         if dval:
@@ -148,12 +148,12 @@ def random_cell_module(A, seed, max_basis=4, deg_range=(0, 2), wt_range=(0, 2)):
             M = CellModule(A, basis, diff)
             sl = M.slice_basis(coh + 1, adams)
             if sl:
-                ker = linalg.kernel_basis(M.d_matrix(coh + 1, adams))
+                ker = linalg.kernel_basis(M.d_columns(coh + 1, adams))
                 v = {}
                 for kv in ker:
                     c = F(rng.randint(-2, 2))
                     if c:
-                        v = linalg.vec_add(v, kv, c)
+                        v = el_add(v, kv, c)
                 for k, c in v.items():
                     mono, bi = sl[k]
                     key = (bi, j)

@@ -28,7 +28,6 @@ from types import SimpleNamespace
 from adamsbar import linalg
 from adamsbar.bar import BarComplex
 from adamsbar.cdga import UNIT, CdgaPresentation, GeneratorSpec, el_add
-from adamsbar.linalg import SparseMatrix
 
 F = Fraction
 
@@ -196,7 +195,8 @@ def _vec_scale(u, c):
 
 
 def reference_echelonize(rows):
-    """(reduced rows, pivots) of linalg._echelonize, one new dict a step."""
+    """(reduced rows, pivots) of linalg.Echelon(rows).rows, sorted by pivot,
+    one new dict a step."""
     work = [dict(r) for r in rows if r]
     reduced = []
     pivots = []
@@ -273,7 +273,7 @@ def reference_hopf(h):
     bar = h.bar
     projectors = {}
     for w, p in h.pieces.items():
-        image, _ = reference_echelonize(bar.d_matrix(-1, w).columns())
+        image, _ = reference_echelonize(bar.d_columns(-1, w))
         projectors[w] = ReferenceProjector(p.reps, image)
 
     def classify(lin, w):
@@ -324,12 +324,20 @@ def reference_hopf(h):
 # ---- reference cohomology and co-Lie quotient ---------------------------
 
 
-def reference_kernel_basis(m):
-    """linalg.kernel_basis: one vector per free column, the pivot entries
-    in ascending pivot order."""
-    reduced, pivots = reference_echelonize(m.row_list())
+def reference_rows(cols):
+    """The rows of the matrix with columns cols, read row by row up to the
+    last row with an entry."""
+    nrows = max((i + 1 for col in cols for i in col), default=0)
+    return [{j: col[i] for j, col in enumerate(cols) if i in col}
+            for i in range(nrows)]
+
+
+def reference_kernel_basis(cols):
+    """linalg.kernel_basis of the matrix with columns cols: one vector per
+    free column, the pivot entries in ascending pivot order."""
+    reduced, pivots = reference_echelonize(reference_rows(cols))
     basis = []
-    for f in range(m.cols):
+    for f in range(len(cols)):
         if f in pivots:
             continue
         v = {f: Fraction(1)}
@@ -339,6 +347,17 @@ def reference_kernel_basis(m):
                 v[p] = -c
         basis.append(v)
     return basis
+
+
+def reference_solve(cols, b):
+    """linalg.solve: the rows of the matrix with columns cols augmented by
+    the column b, reduced; None when b's column is a pivot, else b's
+    entries at the pivot rows, the free variables 0."""
+    n = len(cols)
+    reduced, pivots = reference_echelonize(reference_rows(cols + [b]))
+    if n in pivots:
+        return None
+    return {p: row[n] for p, row in zip(pivots, reduced) if row.get(n)}
 
 
 def reference_quotient_basis(sub_vectors, vectors):
@@ -369,9 +388,10 @@ def reference_quotient_reps(sub_vectors, ambient_dim):
 
 
 def reference_cohomology(d_out, d_in):
-    """(dim, reps, projector) of ker(d_out)/im(d_in) from three separate
-    eliminations and a ReferenceProjector."""
-    image, _ = reference_echelonize(d_in.columns())
+    """(dim, reps, projector) of ker(d_out)/im(d_in), both matrices given
+    as their columns, from three separate eliminations and a
+    ReferenceProjector."""
+    image, _ = reference_echelonize(d_in)
     reps = reference_quotient_basis(image, reference_kernel_basis(d_out))
     return len(reps), reps, ReferenceProjector(reps, image)
 
@@ -478,17 +498,13 @@ def reference_delta_dims(A, n, w_max, full):
             _wadd(out, (S[:-1], word[:-1]), F((-1) ** (s % 2)))
         return out
 
-    def d_matrix(nn, deg, w):
-        src = basis(nn, deg, w)
+    def d_columns(nn, deg, w):
         idx = {b: i for i, b in enumerate(basis(nn, deg + 1, w))}
-        mat = SparseMatrix(len(idx), len(src))
-        for j, b in enumerate(src):
-            for key, c in d_basis(*b).items():
-                mat.entries[(idx[key], j)] = c
-        return mat
+        return [{idx[key]: c for key, c in d_basis(*b).items()}
+                for b in basis(nn, deg, w)]
 
-    dims = {nn: {w: reference_cohomology(d_matrix(nn, 0, w),
-                                         d_matrix(nn, -1, w))[0]
+    dims = {nn: {w: reference_cohomology(d_columns(nn, 0, w),
+                                         d_columns(nn, -1, w))[0]
                  for w in range(w_max + 1)}
             for nn in range(n + 1)}
     stable_n = next(
@@ -569,16 +585,14 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
                 ic_M = IdealComplex(model)
                 _, repsM2, _ = ic_M.cohomology(i + 1, m)
                 _, cols2 = h_map_columns(ic_M, i + 1, m)
-                phi = SparseMatrix.from_columns(
-                    cols2, ic_A.cohomology(i + 1, m)[0])
-                for kv in linalg.kernel_basis(phi):
+                for kv in linalg.kernel_basis(cols2):
                     z = {}
                     for k, c in kv.items():
                         z = el_add(z, ic_M.from_coords(repsM2[k], i + 1, m),
                                    c)
                     target = ic_A.to_coords(A.substitute(z, structure_map),
                                             i + 1, m)
-                    sol = linalg.solve(ic_A.d_matrix(i, m), target)
+                    sol = linalg.solve(ic_A.d_columns(i, m), target)
                     assert sol is not None, (i, m)
                     adjoin(i, m, z, ic_A.from_coords(sol, i, m))
                     changed = True
@@ -656,18 +670,17 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
                     changed = True
                 if changed:
                     continue
-                dimD2, _, repsP2, cols2 = class_map(P, n + 1, r)
+                _, _, repsP2, cols2 = class_map(P, n + 1, r)
                 src2 = P.slice_basis(n + 1, r)
                 pos2 = {b: k for k, b in enumerate(D.slice(n + 1, r))}
-                phi_mat = SparseMatrix.from_columns(cols2, dimD2)
-                for kv in linalg.kernel_basis(phi_mat):
+                for kv in linalg.kernel_basis(cols2):
                     zvec = {}
                     for k, c in kv.items():
                         for j, cc in repsP2[k].items():
                             zvec[j] = zvec.get(j, F(0)) + c * cc
                     zvec = {j: c for j, c in zvec.items() if c}
                     bsol = linalg.solve(
-                        D.d_matrix(n, r),
+                        D.d_columns(n, r),
                         {pos2[i]: c for i, c in phi_of(src2, zvec).items()})
                     assert bsol is not None, (n, r)
                     new_idx = len(basis)

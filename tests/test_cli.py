@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adamsbar import linalg
+from adamsbar import bar, linalg
 from adamsbar.cli import main
 from adamsbar.parser import ParseError, bind_cell, parse_text
 
@@ -210,6 +210,34 @@ def test_colie_e2(capsys, tmp_path):
     code, rep = run(capsys, "colie", f, "--wt-max", "4")
     assert code == 0
     assert rep["tables"] == {"1": 2, "2": 1, "3": 2, "4": 3}
+
+
+def _break_gamma(monkeypatch):
+    """Make every co-Lie presentation report one generator too many in
+    weight 1."""
+    dims = bar.CoLiePresentation.dims
+
+    def broken(self):
+        out = dims(self)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(bar.CoLiePresentation, "dims", broken)
+
+
+def test_colie_wrong_gamma_fails_the_verdict(capsys, tmp_path, monkeypatch):
+    """H^0 must be free on gamma: a gamma whose dims break that fails."""
+    f = write(tmp_path, "e2.cdga", E2_TEXT)
+    _break_gamma(monkeypatch)
+    code, rep = run(capsys, "colie", f, "--wt-max", "3")
+    assert (code, rep["verdict"]) == (1, "fail")
+
+
+def test_pi1_demo_wrong_gamma_fails_the_verdict(capsys, monkeypatch):
+    _break_gamma(monkeypatch)
+    code, rep = run(capsys, "pi1-demo", "--punctures", "3", "--wt-max", "3")
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["polynomial_dims"] != rep["h0_dims"]
 
 
 def test_minimal_model_command(capsys, tmp_path):

@@ -6,15 +6,11 @@ from hypothesis import example, given, strategies as st
 from adamsbar.linalg import (
     ClassProjector,
     Echelon,
-    SparseMatrix,
-    _echelonize,
     cocycle_classes,
-    echelon_basis,
-    image_basis,
     kernel_basis,
     quotient_basis,
-    rank,
     solve,
+    solver,
 )
 import oracles
 
@@ -26,12 +22,18 @@ def dense(vec, n):
 
 
 def mat(rows):
-    m = SparseMatrix(len(rows), len(rows[0]) if rows else 0)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            if x:
-                m.entries[(i, j)] = F(x)
-    return m
+    """The columns of the matrix with the given dense rows."""
+    return [{i: F(r[j]) for i, r in enumerate(rows) if r[j]}
+            for j in range(len(rows[0]) if rows else 0)]
+
+
+def apply(cols, x):
+    """The matrix with columns cols times the vector x."""
+    out = {}
+    for j, c in x.items():
+        for i, y in cols[j].items():
+            out[i] = out.get(i, 0) + c * y
+    return {i: y for i, y in out.items() if y}
 
 
 def test_kernel_identity():
@@ -91,40 +93,46 @@ small = st.integers(min_value=-5, max_value=5)
 
 @st.composite
 def matrices(draw):
+    """Dense rows of an r x c matrix."""
     r = draw(st.integers(1, 4))
     c = draw(st.integers(1, 4))
-    rows = draw(
+    return draw(
         st.lists(st.lists(small, min_size=c, max_size=c), min_size=r, max_size=r)
     )
-    return mat(rows)
 
 
 @given(matrices())
-def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+def test_rank_nullity(rows):
+    """The column rank plus the nullity of the row elimination is the
+    number of columns."""
+    m = mat(rows)
+    assert len(Echelon(m)) + len(kernel_basis(m)) == len(m)
 
 
 @given(matrices(), st.lists(small, min_size=4, max_size=4))
-def test_solve_consistency(m, xs):
-    x = {i: F(v) for i, v in enumerate(xs[: m.cols]) if v}
-    b = m.apply(x)
+def test_solve_consistency(rows, xs):
+    m = mat(rows)
+    x = {i: F(v) for i, v in enumerate(xs[: len(m)]) if v}
+    b = apply(m, x)
     sol = solve(m, b)
     assert sol is not None
-    assert m.apply(sol) == b
+    assert apply(m, sol) == b
 
 
 @given(matrices())
-def test_kernel_vectors_in_kernel(m):
+def test_kernel_vectors_in_kernel(rows):
+    m = mat(rows)
     for v in kernel_basis(m):
-        assert m.apply(v) == {}
+        assert apply(m, v) == {}
 
 
 @given(matrices())
-def test_quotient_reps_complete_basis(m):
-    sub = image_basis(m)
-    reps = [{j: F(1)} for j in Echelon(sub).non_pivots(m.rows)]
-    full = echelon_basis(sub + reps)
-    assert len(full) == m.rows
+def test_quotient_reps_complete_basis(rows):
+    """The image plus a unit vector at each non-pivot row spans every
+    row."""
+    m = mat(rows)
+    reps = [{j: F(1)} for j in Echelon(m).non_pivots(len(rows))]
+    assert len(Echelon(m + reps)) == len(rows)
 
 
 def test_class_projector():
@@ -165,8 +173,7 @@ def test_class_projector_matches_solve(case):
         return [list(v.items()) for v in family + targets]
 
     before = snapshot()
-    m = SparseMatrix.from_columns(family, dim)
-    if rank(m) < len(family):
+    if len(Echelon(family)) < len(family):
         with pytest.raises(ValueError):
             ClassProjector(family[:nreps], family[nreps:])
         assert snapshot() == before
@@ -174,7 +181,7 @@ def test_class_projector_matches_solve(case):
     proj = ClassProjector(family[:nreps], family[nreps:])
     assert snapshot() == before
     for v in targets:
-        sol = solve(m, v)
+        sol = solve(family, v)
         got = proj.class_coords(v, strict=False)
         if sol is None:
             assert got is None
@@ -217,11 +224,10 @@ def test_echelonize_matches_reference(rows):
     order, and leaves its input rows alone."""
     before = [list(r.items()) for r in rows]
     want_rows, want_piv = oracles.reference_echelonize(rows)
-    got_rows, got_piv = _echelonize(rows)
+    got = Echelon(rows).rows
+    got_piv = sorted(got)
     assert got_piv == want_piv
-    assert [list(r.items()) for r in got_rows] == [
-        list(r.items()) for r in want_rows]
-    assert [list(r.items()) for r in echelon_basis(rows)] == [
+    assert [list(got[p].items()) for p in got_piv] == [
         list(r.items()) for r in want_rows]
     assert [list(r.items()) for r in rows] == before
 
@@ -246,20 +252,19 @@ def complexes(draw):
                 v[i] = v.get(i, F(0)) + c * x
         return {i: x for i, x in v.items() if x}
 
-    cols = [combination() for _ in range(draw(st.integers(0, 4)))]
-    d_in = SparseMatrix.from_columns(cols, n)
+    d_in = [combination() for _ in range(draw(st.integers(0, 4)))]
     vec = st.lists(small, min_size=n, max_size=n).map(
         lambda xs: {i: F(x) for i, x in enumerate(xs) if x})
-    boundary = d_in.apply({j: F(x) for j, x in enumerate(
-        draw(st.lists(small, min_size=len(cols), max_size=len(cols)))) if x})
+    boundary = apply(d_in, {j: F(x) for j, x in enumerate(
+        draw(st.lists(small, min_size=len(d_in), max_size=len(d_in)))) if x})
     return d_out, d_in, [combination(), boundary, draw(vec), {}]
 
 
 # H = Q^2 / span(e0 + e1): one class, the first free kernel vector
-@example((mat([[0, 0]]), SparseMatrix.from_columns([{0: F(1), 1: F(1)}], 2),
+@example((mat([[0, 0]]), [{0: F(1), 1: F(1)}],
           [{0: F(2)}, {1: F(1)}, {}]))
 # pivots found in the order 1, 0: the representative lists them ascending
-@example((mat([[0, 1, 1], [1, 0, 1]]), SparseMatrix(3, 0), [{}]))
+@example((mat([[0, 1, 1], [1, 0, 1]]), [], [{}]))
 @given(complexes())
 def test_cohomology_matches_reference(case):
     """One elimination gives the dimension, the representatives (values
@@ -267,7 +272,7 @@ def test_cohomology_matches_reference(case):
     eliminations and separate projector; a query that is not a cocycle
     has no coordinates."""
     d_out, d_in, queries = case
-    dim, reps, proj = cocycle_classes(kernel_basis(d_out), d_in.columns())
+    dim, reps, proj = cocycle_classes(kernel_basis(d_out), d_in)
     want_dim, want_reps, want_proj = oracles.reference_cohomology(d_out, d_in)
     assert dim == want_dim == len(reps)
     assert [list(v.items()) for v in reps] == [
@@ -316,13 +321,11 @@ def mixed_vectors(draw, n, count):
 
 
 def raw_matrix(rows, ncols):
-    """A SparseMatrix holding the entries as given, int or Fraction, as the
-    d_matrix builders store them."""
-    m = SparseMatrix(len(rows), ncols)
-    for i, r in enumerate(rows):
-        for j, x in r.items():
-            m.entries[(i, j)] = x
-    return m
+    """The columns of the matrix with the given sparse rows, holding the
+    entries as given, int or Fraction, as the d_columns builders store
+    them."""
+    return [{i: r[j] for i, r in enumerate(rows) if j in r}
+            for j in range(ncols)]
 
 
 def assert_fractions(vectors):
@@ -371,6 +374,51 @@ def test_integer_echelon_matches_reference_on_mixed_entries(case):
 
 
 @st.composite
+def column_systems(draw):
+    """(columns, right-hand sides) over n rows, entries mixing ints and
+    Fractions: the columns are often combinations of earlier ones or
+    empty, and the right-hand sides are a combination of the columns, a
+    random vector (often outside their span) and 0."""
+    n = draw(st.integers(1, 6))
+    cols = mixed_vectors(draw, n, draw(st.integers(0, 6)))
+    inside = {}
+    for col in cols:
+        c = draw(st.one_of(st.just(0), mixed))
+        for i, x in col.items():
+            inside[i] = inside.get(i, 0) + c * x
+    inside = {i: x for i, x in inside.items() if x}
+    return cols, [inside, mixed_vectors(draw, n, 1)[0], {}]
+
+
+@example(([], [{}, {0: 1}]))                                 # no columns
+@example(([{}, {}], [{}, {1: F(1, 2)}]))                     # zero rows
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: F(1, 3)}],        # dependent
+          [{0: 3, 1: 7}, {0: F(1, 2)}]))
+@example(([{0: F(2, 3)}, {1: 1}], [{2: 1}, {0: 1, 2: F(5, 2)}]))  # outside
+@given(column_systems())
+def test_kernel_and_solver_match_reference(case):
+    """kernel_basis of the columns and one solver for every right-hand
+    side give the reference's kernel and solutions in values and key
+    order, None exactly when b is outside the column space, and leave
+    their inputs alone."""
+    cols, rhs = case
+    before = items(cols + rhs)
+    ker = kernel_basis(cols)
+    assert items(ker) == items(oracles.reference_kernel_basis(cols))
+    assert_fractions(ker)
+    s = solver(cols)
+    for b in rhs:
+        want = oracles.reference_solve(cols, b)
+        got = s.class_coords(b, strict=False)
+        if want is None:
+            assert got is None and solve(cols, b) is None
+        else:
+            assert items([got]) == items([solve(cols, b)]) == items([want])
+            assert_fractions([got])
+    assert items(cols + rhs) == before
+
+
+@st.composite
 def mixed_complexes(draw):
     """(d_out, d_in, queries) as in complexes(), with mixed int and
     Fraction entries: the columns of d_in are rational combinations of
@@ -388,12 +436,8 @@ def mixed_complexes(draw):
                 v[i] = v.get(i, 0) + c * x
         return {i: x for i, x in v.items() if x}
 
-    cols = [combination() for _ in range(draw(st.integers(0, 4)))]
-    d_in = SparseMatrix(n, len(cols))
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            d_in.entries[(i, j)] = x
-    queries = [combination(), cols[0] if cols else {},
+    d_in = [combination() for _ in range(draw(st.integers(0, 4)))]
+    queries = [combination(), d_in[0] if d_in else {},
                mixed_vectors(draw, n, 1)[0], {}]
     return d_out, d_in, queries
 
@@ -407,7 +451,7 @@ def test_integer_cohomology_matches_reference_on_mixed_entries(case):
     coordinates agree with reference_cohomology, and every returned value
     is a Fraction."""
     d_out, d_in, queries = case
-    dim, reps, proj = cocycle_classes(kernel_basis(d_out), d_in.columns())
+    dim, reps, proj = cocycle_classes(kernel_basis(d_out), d_in)
     want_dim, want_reps, want_proj = oracles.reference_cohomology(d_out, d_in)
     assert dim == want_dim == len(reps)
     assert items(reps) == items(want_reps)

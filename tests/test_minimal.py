@@ -14,7 +14,8 @@ from adamsbar.minimal import (
     trivial_base,
 )
 from adamsbar.relative import punctured_line_model
-from corpus import make_e1, make_e2, make_e3, make_e4, random_gen_nilpotent
+from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p,
+                    random_gen_nilpotent)
 import oracles
 
 F = Fraction
@@ -144,6 +145,8 @@ MODEL_CASES = {
     "E2": lambda: (trivial_base(), augment_absolute(make_e2()), 2, 5),
     "E3": lambda: (trivial_base(), augment_absolute(make_e3()), 2, 5),
     "E4/E1": lambda: (make_e1("t"), make_e4(), 2, 5),
+    # cells with a nonzero b at two stages, (1, 2) and (1, 3)
+    "E4p/E1": lambda: (make_e1("t"), make_e4p(), 2, 5),
     **{f"GN{seed}": lambda seed=seed: (make_e1("t"),
                                        random_gen_nilpotent(seed), 2, 4)
        for seed in (1, 2, 3, 4, 5, 6, 29)},
