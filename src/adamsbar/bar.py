@@ -23,6 +23,7 @@ coefficients over an integral presentation.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg
@@ -63,13 +64,13 @@ def map_letters(lin, f):
 
 class BarComplex(linalg.SliceComplex):
     """The bar complex as a SliceComplex: the keys of slice (n, w) are its
-    words, sorted, of length at most max_len when that is given (d does
-    not lengthen a word, so they span a subcomplex)."""
+    words, sorted.  d does not lengthen a word, so the words of length at
+    most m span a subcomplex, the truncation at m; filtered_h0 with level
+    len reads the H^0 dims of every truncation off this one complex."""
 
-    def __init__(self, A: CdgaPresentation, max_len=None):
+    def __init__(self, A: CdgaPresentation):
         super().__init__()
         self.A = A
-        self.max_len = max_len
         self._letters = {}
         self._words = {}
         if A.generators:
@@ -116,33 +117,40 @@ class BarComplex(linalg.SliceComplex):
         return (n - len(word), r)
 
     def slice_keys(self, n, w):
-        max_len = self.max_len
-        return sorted([
-            word
-            for word in self.words_of_weight(w)
-            if self.word_bidegree(word)[0] == n
-            and (max_len is None or len(word) <= max_len)
-        ])
+        return sorted([word for word in self.words_of_weight(w)
+                       if self.word_bidegree(word)[0] == n])
 
     # ---- structure maps ------------------------------------------------
 
     def _ebar(self, m):
         return self.A.mono_bidegree(m)[0] - 1
 
-    def d_word(self, word):
-        out = {}
+    def faces(self, word):
+        """The terms of d of a word, as a list of (i, k, word', c): the k
+        letters from position i of the word replaced by one monomial, d of
+        letter i for k = 1 and the product of letters i and i + 1 for
+        k = 2, with coefficient c.  A letter may be the unit (ebar -1 and
+        d 1 = 0), as in the simplicial approximation."""
+        out = []
         sig = 0
         for i, letter in enumerate(word):
-            for lm, c in self.A.apply_d({letter: 1}).items():
-                _wadd(out, word[:i] + (lm,) + word[i + 1:],
-                      -c if sig % 2 else c)
+            if letter != UNIT:
+                for lm, c in self.A.apply_d({letter: 1}).items():
+                    out.append((i, 1, word[:i] + (lm,) + word[i + 1:],
+                                -c if sig % 2 else c))
             if i < len(word) - 1:
                 prod = self.A.multiply({letter: 1}, {word[i + 1]: 1})
                 s = sig + self._ebar(letter)
                 for lm, c in prod.items():
-                    _wadd(out, word[:i] + (lm,) + word[i + 2:],
-                          -c if s % 2 else c)
+                    out.append((i, 2, word[:i] + (lm,) + word[i + 2:],
+                                -c if s % 2 else c))
             sig += self._ebar(letter)
+        return out
+
+    def d_word(self, word):
+        out = {}
+        for _, _, nw, c in self.faces(word):
+            _wadd(out, nw, c)
         return out
 
     def d_lin(self, lin):
@@ -223,7 +231,8 @@ class WeightPiece:
 
 
 class HopfPresentation:
-    """Weight-truncated H^0(Bbar(A)) with all structure constants.
+    """Weight-truncated H^0(Bbar(A)) with all structure constants, each
+    table built on its first read: dims() reads none of them.
 
     product[(w1, i, w2, j)]: dict {k: coeff} over weight-(w1+w2) classes.
     coproduct[(w, k)]: dict {(w1, i, j): coeff} meaning class_i(w1) (x)
@@ -247,12 +256,6 @@ class HopfPresentation:
         self.w_max = w_max
         self.bar = BarComplex(A)
         self.pieces = {w: WeightPiece(self.bar, w) for w in range(w_max + 1)}
-        self.product = {}
-        self.coproduct = {}
-        self.antipode = {}
-        self._compute_product()
-        self._compute_coproduct()
-        self._compute_antipode()
 
     def dims(self):
         return {w: self.pieces[w].dim for w in range(self.w_max + 1)}
@@ -262,8 +265,10 @@ class HopfPresentation:
         v = self.bar.vector(lin, 0, w)
         return self.pieces[w].projector.class_coords(v, strict=strict)
 
-    def _compute_product(self):
+    @functools.cached_property
+    def product(self):
         bar = self.bar
+        product = {}
         reps = {w: p.rep_lins(bar) for w, p in self.pieces.items()}
         for w1 in range(self.w_max // 2 + 1):
             for w2 in range(w1, self.w_max + 1 - w1):
@@ -275,11 +280,14 @@ class HopfPresentation:
                             val = {j: F(1)}
                         else:
                             val = self.classify(bar.shuffle_lin(u, v), w1 + w2)
-                        self.product[(w1, i, w2, j)] = val
-                        self.product[(w2, j, w1, i)] = dict(val)
+                        product[(w1, i, w2, j)] = val
+                        product[(w2, j, w1, i)] = dict(val)
+        return product
 
-    def _compute_coproduct(self):
+    @functools.cached_property
+    def coproduct(self):
         bar = self.bar
+        coproduct = {}
         for w in range(self.w_max + 1):
             piece = self.pieces[w]
             for k, rep in enumerate(piece.rep_lins(bar)):
@@ -320,14 +328,18 @@ class HopfPresentation:
                         vcls = self.classify(vlin, w2)
                         for j, c in vcls.items():
                             out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
-                self.coproduct[(w, k)] = {k2: c for k2, c in out.items() if c}
+                coproduct[(w, k)] = {k2: c for k2, c in out.items() if c}
+        return coproduct
 
-    def _compute_antipode(self):
+    @functools.cached_property
+    def antipode(self):
         bar = self.bar
+        antipode = {}
         for w in range(self.w_max + 1):
             piece = self.pieces[w]
             for k, rep in enumerate(piece.rep_lins(bar)):
-                self.antipode[(w, k)] = self.classify(bar.antipode_lin(rep), w)
+                antipode[(w, k)] = self.classify(bar.antipode_lin(rep), w)
+        return antipode
 
 
 def h0_hopf(A: CdgaPresentation, w_max):
@@ -339,23 +351,13 @@ def h0_hopf(A: CdgaPresentation, w_max):
     return HopfPresentation(A, w_max)
 
 
-def bar_truncated_h0(A: CdgaPresentation, m, w_max):
-    """Per-weight H^0 dims computed on words of length <= m."""
-    bar = BarComplex(A, m)
-    dims = {}
-    for w in range(w_max + 1):
-        dims[w] = (len(bar.slice(0, w))
-                   - len(linalg.Echelon(bar.d_columns(0, w)))
-                   - len(linalg.Echelon(bar.d_columns(-1, w))))
-    return dims
-
-
 class CoLiePresentation:
     """Indecomposables gamma(w) of a HopfPresentation with their cobracket.
 
     basis: list of (w, class_coords) pairs; index in this list is the
     global generator index.  cobracket[g]: dict {(p, q): coeff} with
-    p < q global indices, the coefficient of gen_p wedge gen_q.
+    p < q global indices, the coefficient of gen_p wedge gen_q; the table
+    is built on its first read, and builds the coproduct it reads.
 
     In each weight the products of positive lower weights, one per
     unordered pair (the product is commutative), go into one Echelon; the
@@ -387,10 +389,13 @@ class CoLiePresentation:
                 self.basis.append((w, {j: F(1)}))
             self.by_weight[w] = list(cols.values())
             self._gamma[w] = (decomp, cols)
-        self.cobracket = {g: self._cobracket(g) for g in range(len(self.basis))}
 
     def dims(self):
         return {w: len(self.by_weight[w]) for w in sorted(self.by_weight)}
+
+    @functools.cached_property
+    def cobracket(self):
+        return {g: self._cobracket(g) for g in range(len(self.basis))}
 
     def project(self, class_vec, w):
         """gamma coordinates (global indices) of a weight-w H^0_+ vector."""

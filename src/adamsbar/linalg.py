@@ -17,9 +17,13 @@ whose pivots lie in its own support.  What each view reads off it:
 - ClassProjector: the echelon of an independent family, reps tagged;
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
-  views above.  The cdga, its bar construction, the augmentation ideal,
-  cell modules, scalar complexes and the simplicial approximation are
-  all SliceComplexes.
+  views above, and the H^0 dims of every subcomplex of a filtration by
+  key level (filtered_h0), one Echelon per slice fed level by level.
+  The cdga, its bar construction, the augmentation ideal, cell modules,
+  scalar complexes and the simplicial approximation are all
+  SliceComplexes; the word-length truncations of the bar construction,
+  and the simplicial approximation over each smaller simplex inside the
+  one at n, are read as filtrations.
 
 attach_cells is the one cell-attaching loop over these views, shared by
 minimal models and cell resolutions.
@@ -338,6 +342,30 @@ class SliceComplex:
             self._coh[key] = cocycle_classes(self.kernel(n, r),
                                              self.d_columns(n - 1, r))
         return self._coh[key]
+
+    def filtered_h0(self, level, levels, weights):
+        """{l: {r: dim H^0 at weight r}} of the subcomplex spanned by the
+        keys of level(key) <= l, for each l in levels (ascending) and r in
+        weights; d must not raise the level of a key.  The columns of
+        d(0, r) and of d(-1, r) go into one Echelon each, level by level,
+        and the rank of the subcomplex's d is read after each level: its
+        columns are those added so far, and they lie in the subcomplex."""
+        dims = {l: {} for l in levels}
+        for r in weights:
+            counts = {}
+            for n in (0, -1):
+                keys, cols = self.slice(n, r), self.d_columns(n, r)
+                order = sorted(range(len(keys)), key=lambda i: level(keys[i]))
+                e, i = Echelon(), 0
+                for l in levels:
+                    while i < len(order) and level(keys[order[i]]) <= l:
+                        e.add(cols[order[i]])
+                        i += 1
+                    counts[n, l] = i, len(e)
+            for l in levels:
+                size, rank_out = counts[0, l]
+                dims[l][r] = size - rank_out - counts[-1, l][1]
+        return dims
 
     def forget(self, r):
         """Drop every cached slice of weight >= r."""

@@ -18,7 +18,6 @@ a flat nilpotent connection Gamma.  This module computes:
   * the punctured-line fundamental-group demo over a mock trivial base.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,7 +37,6 @@ from .bar import (
     CoLiePresentation,
     HopfPresentation,
     _wadd,
-    bar_truncated_h0,
     h0_hopf,
     map_letters,
 )
@@ -498,11 +496,10 @@ class DeltaApprox(linalg.SliceComplex):
     letters.
 
     A face only removes vertices, so for nn <= n the pairs with
-    S[-1] <= nn span a subcomplex: the complex of the nn-simplex.  Each
-    slice is ordered by S[-1] first, which makes that subcomplex a prefix
-    of length ends(deg, w)[nn].  As a SliceComplex its keys are the pairs
-    (S, word), and every dimension and check reads the one d_columns of
-    each slice.
+    S[-1] <= nn span a subcomplex (closed_ok checks it): the complex of
+    the nn-simplex, whose H^0 dims filtered_h0 reads at level S[-1].  As a
+    SliceComplex its keys are the pairs (S, word), sorted, and every
+    dimension and check reads the one d_columns of each slice.
     """
 
     def __init__(self, A: CdgaPresentation, n, w_max):
@@ -540,71 +537,25 @@ class DeltaApprox(linalg.SliceComplex):
                     continue
                 for S in combinations(range(self.n + 1), m + 1):
                     out.append((S, word))
-        return sorted(out, key=lambda b: (b[0][-1], b))
-
-    def ends(self, deg, w):
-        """ends[nn]: the length of the nn-simplex prefix of slice (deg, w)."""
-        tops = [S[-1] for S, _ in self.slice(deg, w)]
-        return [bisect_right(tops, nn) for nn in range(self.n + 1)]
-
-    def _ebar(self, letter):
-        return -1 if letter == UNIT else self.bar._ebar(letter)
+        return sorted(out)
 
     def d_basis(self, S, word):
+        """The bar faces of the word, a product of letters i and i + 1
+        dropping vertex i + 1 of S, then the two counit end faces; the
+        sign of the last is the degree of the word, as the unit letter
+        has ebar -1."""
         out = {}
-        m = len(word)
-        sig = 0
-        for i, letter in enumerate(word):
-            if letter != UNIT:
-                for lm, c in self.A.apply_d({letter: 1}).items():
-                    key = (S, word[:i] + (lm,) + word[i + 1:])
-                    _wadd(out, key, -c if sig % 2 else c)
-            if i < m - 1:
-                prod = self.A.multiply({letter: 1}, {word[i + 1]: 1})
-                s = sig + self._ebar(letter)
-                S2 = S[:i + 1] + S[i + 2:]
-                for lm, c in prod.items():
-                    key = (S2, word[:i] + (lm,) + word[i + 2:])
-                    _wadd(out, key, -c if s % 2 else c)
-            sig += self._ebar(letter)
-        # counit end faces
-        if m and word[0] == UNIT:
+        for i, k, nw, c in self.bar.faces(word):
+            _wadd(out, (S if k == 1 else S[:i + 1] + S[i + 2:], nw), c)
+        if word and word[0] == UNIT:
             _wadd(out, (S[1:], word[1:]), 1)
-        if m and word[-1] == UNIT:
-            s = sum(self._ebar(l) for l in word[:-1]) - 1
-            _wadd(out, (S[:-1], word[:-1]), -1 if s % 2 else 1)
+        if word and word[-1] == UNIT:
+            _wadd(out, (S[:-1], word[:-1]),
+                  -1 if self.bar.word_bidegree(word)[0] % 2 else 1)
         return out
 
     def d_key(self, deg, w, b):
         return self.d_basis(*b)
-
-    def _prefix_ranks(self, deg, w):
-        """[rank of d(deg, w) on the nn-prefix of its columns, for each nn]:
-        the columns go into one Echelon in order."""
-        e = linalg.Echelon()
-        cols = self.d_columns(deg, w)
-        ranks, start = [], 0
-        for end in self.ends(deg, w):
-            for col in cols[start:end]:
-                e.add(col)
-            ranks.append(len(e))
-            start = end
-        return ranks
-
-    def h0_dims(self):
-        """{nn: {w: dim H^0}} of the nn-simplex complex for every nn <= n:
-        the nn-prefix of slice (0, w) less the ranks of d(0, w) and
-        d(-1, w) there.  Rank does not depend on the basis, and the
-        prefixes are subcomplexes (closed_ok), so these are the ranks of
-        the nn-simplex's own matrices."""
-        dims = {nn: {} for nn in range(self.n + 1)}
-        for w in range(self.w_max + 1):
-            size = self.ends(0, w)
-            r_out = self._prefix_ranks(0, w)
-            r_in = self._prefix_ranks(-1, w)
-            for nn in dims:
-                dims[nn][w] = size[nn] - r_out[nn] - r_in[nn]
-        return dims
 
     def d_squared_ok(self):
         """d(deg + 1) d(deg) = 0 for deg -2..1, one sparse product of the
@@ -622,15 +573,14 @@ class DeltaApprox(linalg.SliceComplex):
 
     def closed_ok(self):
         """No face in d(deg, w), deg -2..1, has a top vertex above its
-        column's: the nn-prefixes are subcomplexes.  A face map that
-        leaves its vertex range breaks it.  Rows are ordered by top vertex
-        first, so the last row of a column has the highest."""
+        column's: the pairs with S[-1] <= nn are subcomplexes.  A face map
+        that leaves its vertex range breaks it."""
         for w in range(self.w_max + 1):
             for deg in (-2, -1, 0, 1):
                 dst = self.slice(deg + 1, w)
                 for (S, _), col in zip(self.slice(deg, w),
                                        self.d_columns(deg, w)):
-                    if col and dst[max(col)][0][-1] > S[-1]:
+                    if any(dst[i][0][-1] > S[-1] for i in col):
                         return False
         return True
 
@@ -667,12 +617,15 @@ class DeltaApprox(linalg.SliceComplex):
 
 def delta_approximation(X: AugmentedOverN, n, w_max):
     """Simplicial approximations of the fiber bar complex for all
-    simplex sizes up to n, read off the one complex at n, with a
-    stabilization report."""
+    simplex sizes up to n, read off the one complex at n as the levels
+    S[-1] <= nn, with a stabilization report against the fiber bar
+    complex's H^0 (a weight-w word has at most w letters, so its length
+    truncation at w_max is the whole complex)."""
     Falg, _ = fiber_algebra(X)
-    full = bar_truncated_h0(Falg, n + w_max + 1, w_max)
     da = DeltaApprox(Falg, n, w_max)
-    dims = da.h0_dims()
+    weights = range(w_max + 1)
+    dims = da.filtered_h0(lambda b: b[0][-1], range(n + 1), weights)
+    full = da.bar.filtered_h0(len, [w_max], weights)[w_max]
     stable_n = None
     for nn in range(n + 1):
         if all(

@@ -16,6 +16,8 @@
   with a separate projector.
 - The reference simplicial approximation: one complex per simplex size,
   each with its own matrices and reference cohomology.
+- The reference word-length truncation: one bar complex per length m,
+  keeping only the words of length <= m, each with its own ranks.
 - The reference minimal model and cell resolution: each its own
   cell-attaching loop, one cell at a time, with a fresh copy of the model
   (a fresh P) and fresh slice caches in every round.
@@ -443,6 +445,33 @@ def reference_colie(h):
         cobracket[g] = out
     return SimpleNamespace(basis=basis, by_weight=by_weight, project=project,
                            cobracket=cobracket)
+
+
+# ---- reference word-length truncation -----------------------------------
+
+
+class TruncatedBar(BarComplex):
+    """The bar complex on the words of length <= m only (d does not
+    lengthen a word, so they span a subcomplex)."""
+
+    def __init__(self, A, m):
+        super().__init__(A)
+        self.m = m
+
+    def slice_keys(self, n, w):
+        return [word for word in super().slice_keys(n, w)
+                if len(word) <= self.m]
+
+
+def reference_truncated_h0(A, m, w_max):
+    """{w: dim H^0} of the truncation of the bar complex of A at word
+    length m, a TruncatedBar of its own, each rank from its own
+    reference elimination."""
+    bar = TruncatedBar(A, m)
+    return {w: len(bar.slice(0, w))
+            - len(reference_echelonize(bar.d_columns(0, w))[0])
+            - len(reference_echelonize(bar.d_columns(-1, w))[0])
+            for w in range(w_max + 1)}
 
 
 # ---- reference simplicial approximation ---------------------------------

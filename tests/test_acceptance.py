@@ -8,7 +8,6 @@ import pytest
 
 from adamsbar.bar import (
     BarComplex,
-    bar_truncated_h0,
     gamma,
     h0_hopf,
 )
@@ -207,9 +206,12 @@ def test_criterion_9_stabilization():
             from adamsbar.relative import fiber_algebra
 
             Falg, _ = fiber_algebra(X)
-            full = bar_truncated_h0(Falg, w_max + 6, w_max)
+            # every truncation at word length m, read off one bar complex
+            trunc_by_m = BarComplex(Falg).filtered_h0(
+                len, range(w_max + 7), range(w_max + 1))
+            full = trunc_by_m[w_max + 6]
             for m in range(w_max + 1):
-                trunc = bar_truncated_h0(Falg, m, w_max)
+                trunc = trunc_by_m[m]
                 for w in range(m, w_max + 1):
                     if w <= m:
                         assert trunc[w] == full[w], (total.name, m, w)

@@ -7,7 +7,6 @@ import pytest
 from adamsbar.bar import (
     BarComplex,
     CoLiePresentation,
-    bar_truncated_h0,
     gamma,
     h0_hopf,
     polynomial_dims,
@@ -158,6 +157,13 @@ def test_h0_dims(e1, e2, e3):
     assert h3.dims()[2] == 4
 
 
+def test_dims_build_no_table(e3):
+    """dims() reads the weight pieces only: no structure table is built."""
+    h = h0_hopf(e3, 4)
+    assert h.dims() == {0: 1, 1: 2, 2: 4, 3: 6, 4: 9}
+    assert not {"product", "coproduct", "antipode"} & vars(h).keys()
+
+
 def test_e1_power_is_factorial():
     e1 = make_e1()
     h = h0_hopf(e1, 4)
@@ -210,8 +216,12 @@ def test_hopf_constants_match_reference(mk, w_max):
     """Products derived from commutativity and the unit, and grouplike
     coproduct terms set directly, equal the constants classified over
     every ordered pair and every split, key order included; the Hopf
-    axioms hold on the reference, where commutativity is not built in."""
+    axioms hold on the reference, where commutativity is not built in.
+    The Hopf checks read every table, so they build each one."""
     h = h0_hopf(mk(), w_max)
+    ok, wit = hopf_checks.all_axioms(h)
+    assert ok, wit
+    assert {"product", "coproduct", "antipode"} <= vars(h).keys()
     ref = oracles.reference_hopf(h)
     for name in ("product", "coproduct", "antipode"):
         got, want = getattr(h, name), getattr(ref, name)
@@ -301,17 +311,46 @@ def test_polynomiality(mk):
     assert polynomial_dims(g.dims(), 4) == h.dims()
 
 
+def truncated_h0(A, m, w_max):
+    """{w: dim H^0} of the truncation at word length m, read off the one
+    bar complex of A."""
+    return BarComplex(A).filtered_h0(len, [m], range(w_max + 1))[m]
+
+
 def test_truncated_h0_stabilizes(e2, e3):
     full2 = h0_hopf(e2, 3).dims()
-    assert bar_truncated_h0(e2, 1, 2) == {0: 1, 1: 2, 2: 0}
+    assert truncated_h0(e2, 1, 2) == {0: 1, 1: 2, 2: 0}
     for m in range(2, 5):
-        got = bar_truncated_h0(e2, m, 3)
+        got = truncated_h0(e2, m, 3)
         for w in range(0, min(m, 3) + 1):
             assert got[w] == full2[w]
     # E3: length-1 words in weight 2 are just [z], not closed
-    assert bar_truncated_h0(e3, 1, 2)[2] == 0
-    assert bar_truncated_h0(e3, 2, 2)[2] == 4
+    assert truncated_h0(e3, 1, 2)[2] == 0
+    assert truncated_h0(e3, 2, 2)[2] == 4
 
 
 def test_truncated_m0(e2):
-    assert bar_truncated_h0(e2, 0, 2) == {0: 1, 1: 0, 2: 0}
+    assert truncated_h0(e2, 0, 2) == {0: 1, 1: 0, 2: 0}
+
+
+TRUNCATION_CASES = [
+    pytest.param(mk, id=mk.__name__)
+    for mk in (make_e1, make_e2, make_e3, make_e4)
+] + [
+    pytest.param(lambda k=k: punctured_line_model(k), id=f"P1minus{k}")
+    for k in (3, 4, 5)
+] + [
+    pytest.param(lambda seed=seed: random_free_cdga(seed), id=f"R{seed}")
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("mk", TRUNCATION_CASES)
+def test_filtered_h0_matches_reference(mk):
+    """The H^0 dims of every word-length truncation m <= w_max + 1, read
+    off one bar complex level by level, equal a separate complex per m."""
+    A = mk()
+    w_max = 4
+    got = BarComplex(A).filtered_h0(len, range(w_max + 2), range(w_max + 1))
+    for m in range(w_max + 2):
+        assert got[m] == oracles.reference_truncated_h0(A, m, w_max), m

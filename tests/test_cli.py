@@ -205,6 +205,24 @@ def test_bar_h0_e2(capsys, tmp_path):
     assert rep["tables"] == {"0": 1, "1": 2, "2": 4, "3": 8}
 
 
+def test_bar_h0_truncation_mismatch_fails_the_verdict(capsys, tmp_path,
+                                                      monkeypatch):
+    """At w <= m the truncation is the whole complex: a table that differs
+    from it fails."""
+    f = write(tmp_path, "e2.cdga", E2_TEXT)
+    dims = bar.HopfPresentation.dims
+
+    def broken(self):
+        out = dims(self)
+        out[2] += 1
+        return out
+
+    monkeypatch.setattr(bar.HopfPresentation, "dims", broken)
+    code, rep = run(capsys, "bar-h0", f, "--wt-max", "3")
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["truncated"]["3"]["2"] == 4
+
+
 def test_colie_e2(capsys, tmp_path):
     f = write(tmp_path, "e2.cdga", E2_TEXT)
     code, rep = run(capsys, "colie", f, "--wt-max", "4")

@@ -37,6 +37,7 @@ FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
     "bar-h0_e3_w4": ["bar-h0", "@e3.cdga", "--wt-max", "4"],
+    "bar-h0_e3_w6": ["bar-h0", "@e3.cdga", "--wt-max", "6"],
     "colie_e2_w4": ["colie", "@e2.cdga", "--wt-max", "4"],
     "colie_e2_w6": ["colie", "@e2.cdga", "--wt-max", "6"],
     "colie_e3_w4": ["colie", "@e3.cdga", "--wt-max", "4"],
@@ -55,6 +56,8 @@ CASES = {
                                      "--wt-max", "3"],
     "delta-approx_e2_n2_w2": ["delta-approx", "@e2.cdga", "--n", "2",
                               "--wt-max", "2"],
+    "delta-approx_e4_e1_n4_w3": ["delta-approx", "@e4.cdga", "--base",
+                                 "@e1.cdga", "--n", "4", "--wt-max", "3"],
     "pi1-demo_k4_w4": ["pi1-demo", "--punctures", "4", "--wt-max", "4"],
 }
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from adamsbar.cdga import UNIT, el_gen
-from adamsbar.bar import bar_truncated_h0, h0_hopf
+from adamsbar.bar import HopfPresentation, h0_hopf
 from adamsbar.minimal import trivial_base
 from adamsbar import relative
 from adamsbar.relative import (
@@ -28,7 +28,11 @@ from corpus import (
     make_e4p,
     random_gen_nilpotent,
 )
-from oracles import lyndon_count, reference_delta_dims
+from oracles import (
+    lyndon_count,
+    reference_delta_dims,
+    reference_truncated_h0,
+)
 
 F = Fraction
 
@@ -198,7 +202,7 @@ def test_delta_matches_bar(mk):
     X = AugmentedOverN(trivial_base(), A)
     w_max = 3
     rep = delta_approximation(X, 3, w_max)
-    full = bar_truncated_h0(A, 8, w_max)
+    full = reference_truncated_h0(A, 8, w_max)
     for n in range(4):
         for w in range(min(n, w_max) + 1):
             assert rep["dims"][n][w] == full[w], (n, w)
@@ -236,7 +240,7 @@ def test_delta_matches_reference(base, total):
     w_max = 3
     for n in range(5):
         rep = delta_approximation(X, n, w_max)
-        full = bar_truncated_h0(Falg, n + w_max + 1, w_max)
+        full = reference_truncated_h0(Falg, n + w_max + 1, w_max)
         assert (rep["dims"], rep["stable_n"]) == reference_delta_dims(
             Falg, n, w_max, full), n
 
@@ -283,11 +287,26 @@ def test_delta_face_leaving_its_simplex_fails_closure(monkeypatch):
     assert not _broken_delta(monkeypatch, d_basis)["system_compat_ok"]
 
 
+def test_delta_inner_face_leaving_its_simplex_fails_closure(monkeypatch):
+    def d_basis(self, S, word):
+        # move the top vertex of the d faces of words [1|..] up one: the
+        # front counit face (S[1:], ..) still has the largest position in
+        # the column, so only a check of every face sees it
+        out = DeltaApprox.d_basis(self, S, word)
+        if word[:1] == (UNIT,) and S[-1] < self.n:
+            up = S[:-1] + (S[-1] + 1,)
+            out = {(up if S2 == S else S2, w2): c
+                   for (S2, w2), c in out.items()}
+        return out
+
+    assert not _broken_delta(monkeypatch, d_basis)["system_compat_ok"]
+
+
 def test_delta_relative_base():
     X = AugmentedOverN(make_e1("t"), make_e4())
     rep = delta_approximation(X, 3, 3)
     # fiber bar dims of E4 over E1
-    assert rep["full_dims"] == bar_truncated_h0(fiber_algebra(X)[0], 8, 3)
+    assert rep["full_dims"] == reference_truncated_h0(fiber_algebra(X)[0], 8, 3)
     assert rep["stable_n"] == 3
     assert rep["d_squared_ok"]
 
@@ -303,6 +322,14 @@ def test_pi1_demo_lyndon(k):
     for w in range(1, 5):
         assert rep["gamma_dims"][w] == lyndon_count(k - 1, w), (k, w)
     assert "mock" in rep["note"]
+
+
+def test_pi1_demo_builds_no_coproduct(monkeypatch):
+    """pi1-demo reads dims and gamma, never a coproduct."""
+    built = []
+    monkeypatch.setattr(HopfPresentation, "coproduct", property(built.append))
+    pi1_demo(4, 4)
+    assert built == []
 
 
 def test_pi1_demo_fixed_tables():
