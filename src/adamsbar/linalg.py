@@ -17,10 +17,12 @@ whose pivots lie in its own support.  What each view reads off it:
 - ClassProjector: the echelon of an independent family, reps tagged;
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
-  views above, and the H^0 dims of every subcomplex of a filtration by
-  key level (filtered_h0), one Echelon per slice fed level by level.
-  The cdga, its bar construction, the augmentation ideal, cell modules,
-  scalar complexes and the simplicial approximation are all
+  views above, the slices where d^2 != 0 (d_squared_failures, a sparse
+  product of the columns), and the H^0 dims of every subcomplex of a
+  filtration by key level (filtered_h0), one Echelon per slice fed level
+  by level.  The cdga, its bar construction, the augmentation ideal, cell
+  modules, scalar complexes, the simplicial approximation and the
+  connection complex N (x) Bbar(F) of the relative theory are all
   SliceComplexes; the word-length truncations of the bar construction,
   and the simplicial approximation over each smaller simplex inside the
   one at n, are read as filtrations.
@@ -342,6 +344,22 @@ class SliceComplex:
             self._coh[key] = cocycle_classes(self.kernel(n, r),
                                              self.d_columns(n - 1, r))
         return self._coh[key]
+
+    def d_squared_failures(self, degrees, weights):
+        """The slices (n, r), r in weights and n in degrees, where
+        d(n + 1, r) d(n, r) != 0, one sparse product of the columns each."""
+        out = []
+        for r in weights:
+            for n in degrees:
+                nxt = self.d_columns(n + 1, r)
+                for col in self.d_columns(n, r):
+                    acc = {}
+                    for i, c in col.items():
+                        _vec_iadd(acc, nxt[i], c)
+                    if acc:
+                        out.append((n, r))
+                        break
+        return out
 
     def filtered_h0(self, level, levels, weights):
         """{l: {r: dim H^0 at weight r}} of the subcomplex spanned by the

@@ -7,8 +7,9 @@ carries the reduced differential d0; the base-valued remainder of d is
 a flat nilpotent connection Gamma.  This module computes:
 
   * the N (+) ideal splitting of A,
-  * H^0 of the bar construction of the fiber together with the induced
-    connection on its weight pieces (flatness machine-checked),
+  * H^0 of the bar construction of the fiber with the induced connection
+    on its weight pieces, on the relative bar complex N (x) Bbar(F), a
+    SliceComplex whose D is read off d_A (flatness is its D^2 = 0),
   * the semi-direct product data (kernel Hopf algebra, p*/s* maps, the
     polynomial-extension dimension identity),
   * the comparison of the two co-actions on degree-1 kernel generators
@@ -18,6 +19,7 @@ a flat nilpotent connection Gamma.  This module computes:
   * the punctured-line fundamental-group demo over a mock trivial base.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,7 +30,6 @@ from .cdga import (
     GeneratorSpec,
     el_add,
     el_gen,
-    el_scale,
     is_coh_connected,
     mono_factors,
 )
@@ -137,7 +138,6 @@ def split_ideal(X: AugmentedOverN, coh_max=4, adams_max=4):
         raise RelativeError(f"augmentation is not a chain map: {fails}")
     A = X.total
     out = {}
-    base_gens_deg1 = [g for g in X.base.generators]
     for n in range(0, coh_max + 1):
         for r in range(0, adams_max + 1):
             basis = A.slice(n, r)
@@ -156,7 +156,7 @@ def split_ideal(X: AugmentedOverN, coh_max=4, adams_max=4):
                     raise RelativeError(
                         f"ideal not closed under d at slice ({n}, {r})"
                     )
-                for g in base_gens_deg1:
+                for g in X.base.generators:
                     if X.eps(A.multiply(el_gen(g.name), v)):
                         raise RelativeError(
                             f"ideal not closed under {g.name}-multiplication "
@@ -211,119 +211,92 @@ def fiber_algebra(X: AugmentedOverN):
     return Falg, conn
 
 
-class RelativeBarH0:
-    """H^0 of the fiber bar construction with its induced connection."""
+class RelativeBarH0(linalg.SliceComplex):
+    """H^0 of the fiber bar construction with its induced connection.
+
+    As a SliceComplex it is the relative bar complex N (x) Bbar(F): the
+    keys of slice (n, w) are the sorted pairs (b, word) of a base monomial
+    and a fiber bar word of total degree n and weight w, and
+
+        D(b (x) word) = d_N b (x) word + (-1)^|b| b . faces(word).
+
+    The connection is flat when D^2 = 0; flat_failures lists the slices
+    (n, w) of total degree -1..2 where it is not.
+    """
 
     def __init__(self, X: AugmentedOverN, w_max):
+        super().__init__()
         self.X = X
         self.w_max = w_max
         self.F, self.conn = fiber_algebra(X)
         self.hopf = h0_hopf(self.F, w_max)
         self.bar = self.hopf.bar
-        self.flat, self.flat_failures = self._check_flat()
-        self.piece_conn = self._piece_connections()
+        self._total_bar = BarComplex(X.total)
+        self._faces = {}
 
-    # Gamma as a derivation on fiber monomials: {base mono: fiber Element}
-    def gamma_mono(self, mono):
+    def faces(self, word):
+        """The terms of d_Bbar + Gamma on a fiber word, as (b, word', c) for
+        c times b (x) word': the faces of the word in the bar complex of the
+        total algebra, whose d on a fiber monomial is d_F (b = 1) plus Gamma
+        (b != 1).  The letter a face changes is split into base (x) fiber
+        and b is pulled left across the suspended letters before it; a unit
+        fiber part drops the letter."""
+        if word not in self._faces:
+            A = self.X.total
+            out = self._faces[word] = []
+            for i, _, nw, c in self._total_bar.faces(word):
+                b, f, s = split_monomial(A, nw[i], self.X.base_names)
+                nb = A.mono_bidegree(b)[0]
+                if nb * self.bar.word_bidegree(nw[:i])[0] % 2:
+                    s = -s
+                fiber = (f,) if f != UNIT else ()
+                out.append((b, nw[:i] + fiber + nw[i + 1:], s * c))
+        return self._faces[word]
+
+    def slice_keys(self, n, w):
+        return sorted(
+            (b, word) for wb in range(w + 1)
+            for word in self.bar.words_of_weight(w - wb)
+            for b in self.X.base.slice(
+                n - self.bar.word_bidegree(word)[0], wb))
+
+    def d_key(self, n, w, key):
+        b, word = key
         A = self.X.total
-        out = {}
-        factors = mono_factors(mono)
-        prefix_deg = 0
-        for i, name in enumerate(factors):
-            gval = self.conn.get(name)
-            if gval:
-                prefix = factors[:i]
-                suffix = factors[i + 1:]
-                for b, fel in gval.items():
-                    bdeg = A.mono_bidegree(b)[0]
-                    # derivation sign for passing the prefix, plus the
-                    # Koszul sign for pulling b to the far left
-                    sgn = (-1) ** (prefix_deg * (1 + bdeg) % 2)
-                    term = {UNIT: F(sgn)}
-                    for nm in prefix:
-                        term = self.F.multiply(term, el_gen(nm))
-                    term = self.F.multiply(term, fel)
-                    for nm in suffix:
-                        term = self.F.multiply(term, el_gen(nm))
-                    if term:
-                        out.setdefault(b, {})
-                        for fm, c in term.items():
-                            _wadd(out[b], fm, c)
-                        if not out[b]:
-                            del out[b]
-            prefix_deg += self.F.gen[name].coh
+        out = {(bm, word): c for bm, c in A.apply_d({b: 1}).items()}
+        odd = A.mono_bidegree(b)[0] % 2
+        for b2, nw, c in self.faces(word):
+            for bm, bc in A.multiply({b: 1}, {b2: 1}).items():
+                _wadd(out, (bm, nw), -c * bc if odd else c * bc)
         return out
 
-    def gamma_word(self, word):
-        """Induced connection on a bar word: {(base mono, word): coeff}.
+    @functools.cached_property
+    def flat_failures(self):
+        return self.d_squared_failures(range(-1, 3), range(self.w_max + 1))
 
-        The base coefficient is pulled to the far left across the
-        preceding suspended letters."""
-        A = self.X.total
-        out = {}
-        sig = 0
-        for i, letter in enumerate(word):
-            for b, fel in self.gamma_mono(letter).items():
-                bdeg = A.mono_bidegree(b)[0]
-                sgn = (-1) ** (sig * (1 + bdeg) % 2)
-                for fm, c in fel.items():
-                    if fm == UNIT:
-                        nw = word[:i] + word[i + 1:]
-                    else:
-                        nw = word[:i] + (fm,) + word[i + 1:]
-                    _wadd(out, (b, nw), c * F(sgn))
-            sig += self.bar._ebar(letter)
-        return out
+    @property
+    def flat(self):
+        return not self.flat_failures
 
-    def gamma_lin(self, lin):
-        out = {}
-        for word, c in lin.items():
-            for key, c2 in self.gamma_word(word).items():
-                _wadd(out, key, c * c2)
-        return out
-
-    def _total_d(self, t):
-        """Differential of the connection complex N (x) Bbar(F)."""
-        A = self.X.total
-        out = {}
-        for (b, word), c in t.items():
-            for bm, bc in A.apply_d({b: F(1)}).items():
-                _wadd(out, (bm, word), c * bc)
-            bdeg = A.mono_bidegree(b)[0]
-            sgn = F((-1) ** (bdeg % 2))
-            for nw, c2 in self.bar.d_word(word).items():
-                _wadd(out, (b, nw), c * c2 * sgn)
-            for (b2, nw), c2 in self.gamma_word(word).items():
-                prod = A.multiply({b: F(1)}, {b2: F(1)})
-                for bm, bc in prod.items():
-                    _wadd(out, (bm, nw), c * c2 * bc * sgn)
-        return out
-
-    def _check_flat(self):
-        fails = []
-        for w in range(self.w_max + 1):
-            for n in (-1, 0, 1, 2):
-                for word in self.bar.slice(n, w):
-                    t = {(UNIT, word): F(1)}
-                    if self._total_d(self._total_d(t)):
-                        fails.append((n, w, word))
-        return (not fails), fails
-
-    def _piece_connections(self):
+    @functools.cached_property
+    def piece_conn(self):
+        """{(w, k): {b: (w', class coordinates)}}: the connection on the
+        k-th H^0 class of weight w, by base monomial b != 1, classified in
+        weight w' = w - wt(b)."""
         out = {}
         for w in range(self.w_max + 1):
             piece = self.hopf.pieces[w]
             for k, rep in enumerate(piece.rep_lins(self.bar)):
-                gw = self.gamma_lin(rep)
                 by_base = {}
-                for (b, word), c in gw.items():
-                    by_base.setdefault(b, {})
-                    _wadd(by_base[b], word, c)
-                entry = {}
+                for word, c in rep.items():
+                    for b, nw, c2 in self.faces(word):
+                        if b != UNIT:
+                            _wadd(by_base.setdefault(b, {}), nw, c * c2)
+                entry = out[(w, k)] = {}
                 for b, wlin in by_base.items():
-                    w2 = w - self.X.total.mono_bidegree(b)[1]
-                    entry[b] = (w2, self.hopf.classify(wlin, w2))
-                out[(w, k)] = entry
+                    if wlin:
+                        w2 = w - self.X.total.mono_bidegree(b)[1]
+                        entry[b] = (w2, self.hopf.classify(wlin, w2))
         return out
 
 
@@ -509,6 +482,7 @@ class DeltaApprox(linalg.SliceComplex):
         self.w_max = w_max
         self.bar = BarComplex(A)
         self._words = {}
+        self._faces = {}
 
     def letters(self, r):
         if r == 0:
@@ -543,9 +517,12 @@ class DeltaApprox(linalg.SliceComplex):
         """The bar faces of the word, a product of letters i and i + 1
         dropping vertex i + 1 of S, then the two counit end faces; the
         sign of the last is the degree of the word, as the unit letter
-        has ebar -1."""
+        has ebar -1.  The bar faces depend only on the word, so they are
+        built once per word."""
+        if word not in self._faces:
+            self._faces[word] = self.bar.faces(word)
         out = {}
-        for i, k, nw, c in self.bar.faces(word):
+        for i, k, nw, c in self._faces[word]:
             _wadd(out, (S if k == 1 else S[:i + 1] + S[i + 2:], nw), c)
         if word and word[0] == UNIT:
             _wadd(out, (S[1:], word[1:]), 1)
@@ -556,20 +533,6 @@ class DeltaApprox(linalg.SliceComplex):
 
     def d_key(self, deg, w, b):
         return self.d_basis(*b)
-
-    def d_squared_ok(self):
-        """d(deg + 1) d(deg) = 0 for deg -2..1, one sparse product of the
-        columns per slice."""
-        for w in range(self.w_max + 1):
-            for deg in (-2, -1, 0, 1):
-                nxt = self.d_columns(deg + 1, w)
-                for col in self.d_columns(deg, w):
-                    acc = {}
-                    for i, c in col.items():
-                        acc = el_add(acc, nxt[i], c)
-                    if acc:
-                        return False
-        return True
 
     def closed_ok(self):
         """No face in d(deg, w), deg -2..1, has a top vertex above its
@@ -640,7 +603,7 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
         "dims": dims,
         "full_dims": full,
         "stable_n": stable_n,
-        "d_squared_ok": da.d_squared_ok(),
+        "d_squared_ok": not da.d_squared_failures(range(-2, 2), weights),
         "q_chain_map_ok": da.q_chain_ok(),
         "system_compat_ok": da.closed_ok(),
     }

@@ -18,6 +18,10 @@
   each with its own matrices and reference cohomology.
 - The reference word-length truncation: one bar complex per length m,
   keeping only the words of length <= m, each with its own ranks.
+- The reference connection on the fiber bar construction: Gamma
+  extended to fiber monomials as a derivation factor by factor, apart
+  from the total algebra's bar complex, and flatness as D(D(1 (x) word))
+  = 0 word by word, with no cache.
 - The reference minimal model and cell resolution: each its own
   cell-attaching loop, one cell at a time, with a fresh copy of the model
   (a fresh P) and fresh slice caches in every round.
@@ -28,8 +32,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from adamsbar import linalg
-from adamsbar.bar import BarComplex
-from adamsbar.cdga import UNIT, CdgaPresentation, GeneratorSpec, el_add
+from adamsbar.bar import BarComplex, h0_hopf
+from adamsbar.cdga import (
+    UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
+from adamsbar.relative import fiber_algebra
 
 F = Fraction
 
@@ -542,6 +548,129 @@ def reference_delta_dims(A, n, w_max, full):
                 for k in range(nn, n + 1) for w in range(w_max + 1))),
         None)
     return dims, stable_n
+
+
+# ---- reference connection on the fiber bar construction -----------------
+
+
+class ReferenceRelativeBar:
+    """The connection Gamma on the fiber bar construction of X, written
+    apart from the bar complex of the total algebra: gamma_mono extends
+    Gamma from the fiber generators to a fiber monomial as a derivation,
+    multiplying factor by factor in the fiber algebra; gamma_word pulls
+    each base coefficient to the far left of a word; total_d is the
+    differential of N (x) Bbar(F), with no cache, and flatness is
+    total_d(total_d(1 (x) word)) = 0 on every word of degree -1..2 (the
+    failures are (n, w, word)); piece_conn classifies gamma of each H^0
+    representative by base monomial."""
+
+    def __init__(self, X, w_max):
+        self.X = X
+        self.w_max = w_max
+        self.F, self.conn = fiber_algebra(X)
+        self.hopf = h0_hopf(self.F, w_max)
+        self.bar = self.hopf.bar
+        self.flat, self.flat_failures = self._check_flat()
+        self.piece_conn = self._piece_connections()
+
+    def gamma_mono(self, mono):
+        """{base mono: fiber Element}."""
+        A = self.X.total
+        out = {}
+        factors = mono_factors(mono)
+        prefix_deg = 0
+        for i, name in enumerate(factors):
+            gval = self.conn.get(name)
+            if gval:
+                prefix = factors[:i]
+                suffix = factors[i + 1:]
+                for b, fel in gval.items():
+                    bdeg = A.mono_bidegree(b)[0]
+                    # derivation sign for passing the prefix, plus the
+                    # Koszul sign for pulling b to the far left
+                    sgn = (-1) ** (prefix_deg * (1 + bdeg) % 2)
+                    term = {UNIT: F(sgn)}
+                    for nm in prefix:
+                        term = self.F.multiply(term, el_gen(nm))
+                    term = self.F.multiply(term, fel)
+                    for nm in suffix:
+                        term = self.F.multiply(term, el_gen(nm))
+                    if term:
+                        out.setdefault(b, {})
+                        for fm, c in term.items():
+                            _wadd(out[b], fm, c)
+                        if not out[b]:
+                            del out[b]
+            prefix_deg += self.F.gen[name].coh
+        return out
+
+    def gamma_word(self, word):
+        """{(base mono, word): coeff}."""
+        A = self.X.total
+        out = {}
+        sig = 0
+        for i, letter in enumerate(word):
+            for b, fel in self.gamma_mono(letter).items():
+                bdeg = A.mono_bidegree(b)[0]
+                sgn = (-1) ** (sig * (1 + bdeg) % 2)
+                for fm, c in fel.items():
+                    if fm == UNIT:
+                        nw = word[:i] + word[i + 1:]
+                    else:
+                        nw = word[:i] + (fm,) + word[i + 1:]
+                    _wadd(out, (b, nw), c * F(sgn))
+            sig += self.bar._ebar(letter)
+        return out
+
+    def gamma_lin(self, lin):
+        out = {}
+        for word, c in lin.items():
+            for key, c2 in self.gamma_word(word).items():
+                _wadd(out, key, c * c2)
+        return out
+
+    def total_d(self, t):
+        A = self.X.total
+        out = {}
+        for (b, word), c in t.items():
+            for bm, bc in A.apply_d({b: F(1)}).items():
+                _wadd(out, (bm, word), c * bc)
+            bdeg = A.mono_bidegree(b)[0]
+            sgn = F((-1) ** (bdeg % 2))
+            for nw, c2 in self.bar.d_word(word).items():
+                _wadd(out, (b, nw), c * c2 * sgn)
+            for (b2, nw), c2 in self.gamma_word(word).items():
+                prod = A.multiply({b: F(1)}, {b2: F(1)})
+                for bm, bc in prod.items():
+                    _wadd(out, (bm, nw), c * c2 * bc * sgn)
+        return out
+
+    def _check_flat(self):
+        fails = []
+        for w in range(self.w_max + 1):
+            for n in (-1, 0, 1, 2):
+                for word in self.bar.slice(n, w):
+                    t = {(UNIT, word): F(1)}
+                    if self.total_d(self.total_d(t)):
+                        fails.append((n, w, word))
+        return (not fails), fails
+
+    def _piece_connections(self):
+        out = {}
+        for w in range(self.w_max + 1):
+            piece = self.hopf.pieces[w]
+            for k, rep in enumerate(piece.rep_lins(self.bar)):
+                gw = self.gamma_lin(rep)
+                by_base = {}
+                for (b, word), c in gw.items():
+                    by_base.setdefault(b, {})
+                    _wadd(by_base[b], word, c)
+                entry = {}
+                for b, wlin in by_base.items():
+                    w2 = w - self.X.total.mono_bidegree(b)[1]
+                    entry[b] = (w2, self.hopf.classify(wlin, w2))
+                out[(w, k)] = entry
+        return out
 
 
 # ---- reference minimal model and cell resolution -------------------------

@@ -42,6 +42,27 @@ gen z deg 1 wt 2
 d z = 1*x
 """
 
+# a base on s, t and a total over it whose d is not a differential:
+# d^2 w = d(s*v) = -s*t*u lies only in the base-mixed part, so the
+# connection on the fiber bar construction is not flat
+N2_TEXT = """cdga N2 free
+gen s deg 1 wt 1
+gen t deg 1 wt 1
+"""
+
+CURVED_TEXT = """cdga Curved free
+gen s deg 1 wt 1
+gen t deg 1 wt 1
+gen u deg 1 wt 1
+gen v deg 1 wt 2
+gen w deg 1 wt 3
+d v = 1*t*u
+d w = 1*s*v
+aug u = 0
+aug v = 0
+aug w = 0
+"""
+
 CELL_TEXT = """cell T2 over E1
 elt b deg 0 wt 0
 elt c deg 0 wt 1
@@ -301,6 +322,14 @@ def test_kernel_command(capsys, tmp_path):
             rep["base_dims"][str(w1)] * rep["kernel_dims"][str(w - w1)]
             for w1 in range(w + 1)
         )
+
+
+def test_kernel_curved_total_fails_the_verdict(capsys, tmp_path):
+    b = write(tmp_path, "n2.cdga", N2_TEXT)
+    f = write(tmp_path, "curved.cdga", CURVED_TEXT)
+    code, rep = run(capsys, "kernel", "--base", b, "--total", f,
+                    "--wt-max", "4")
+    assert (code, rep["verdict"]) == (1, "fail")
 
 
 def test_coaction_command(capsys, tmp_path):

@@ -22,6 +22,13 @@ GOLDEN = Path(__file__).parent / "golden"
 E3_HALF_TEXT = E3_TEXT.replace("d z = 1*x*y", "d z = 1/2*x*y")
 E4_HALF_TEXT = E4_TEXT.replace("d v = 1*t*u", "d v = 1/2*t*u")
 
+# E4 with a weight-3 fiber generator w whose differential has both a
+# fiber part u*v (so the fiber's own d is nonzero, unlike E4's) and a
+# base-mixed part t*v
+E4P_TEXT = E4_TEXT.replace("cdga E4 free", "cdga E4p free").replace(
+    "d v = 1*t*u", "gen w deg 1 wt 3\nd v = 1*t*u\nd w = 1*u*v + 1*t*v"
+) + "aug w = 0\n"
+
 # the formal model of the line minus 3 points, augmented to Q
 P3_TEXT = """cdga P1minus3 table
 gen a0 deg 1 wt 1
@@ -32,7 +39,8 @@ aug a1 = 0
 
 FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
             "e4.cdga": E4_TEXT, "e3_half.cdga": E3_HALF_TEXT,
-            "e4_half.cdga": E4_HALF_TEXT, "p3.cdga": P3_TEXT}
+            "e4_half.cdga": E4_HALF_TEXT, "e4p.cdga": E4P_TEXT,
+            "p3.cdga": P3_TEXT}
 
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
@@ -49,11 +57,15 @@ CASES = {
                                "--wt-max", "5"],
     "kernel_e1_e4_w4": ["kernel", "--base", "@e1.cdga", "--total",
                         "@e4.cdga", "--wt-max", "4"],
+    "kernel_e1_e4p_w5": ["kernel", "--base", "@e1.cdga", "--total",
+                         "@e4p.cdga", "--wt-max", "5"],
     "coaction-check_e1_e4_w3": ["coaction-check", "--base", "@e1.cdga",
                                 "--total", "@e4.cdga", "--wt-max", "3"],
     "coaction-check_e1_e4_half_w3": ["coaction-check", "--base", "@e1.cdga",
                                      "--total", "@e4_half.cdga",
                                      "--wt-max", "3"],
+    "coaction-check_e1_e4p_w5": ["coaction-check", "--base", "@e1.cdga",
+                                 "--total", "@e4p.cdga", "--wt-max", "5"],
     "delta-approx_e2_n2_w2": ["delta-approx", "@e2.cdga", "--n", "2",
                               "--wt-max", "2"],
     "delta-approx_e4_e1_n4_w3": ["delta-approx", "@e4.cdga", "--base",

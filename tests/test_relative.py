@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from adamsbar.cdga import UNIT, el_gen
-from adamsbar.bar import HopfPresentation, h0_hopf
+from adamsbar.bar import HopfPresentation, _wadd, h0_hopf
 from adamsbar.minimal import trivial_base
+from adamsbar.parser import parse_text
 from adamsbar import relative
 from adamsbar.relative import (
     AugmentedOverN,
@@ -28,7 +29,9 @@ from corpus import (
     make_e4p,
     random_gen_nilpotent,
 )
+from test_cli import CURVED_TEXT, N2_TEXT
 from oracles import (
+    ReferenceRelativeBar,
     lyndon_count,
     reference_delta_dims,
     reference_truncated_h0,
@@ -117,6 +120,73 @@ def test_relative_bar_e4(x4):
     # weight 2: some class has connection t (x) [u]
     conns = [v for k, v in rb.piece_conn.items() if k[0] == 2 and v]
     assert conns == [{(("t", 1),): (1, {0: F(1)})}]
+
+
+def _curved():
+    return AugmentedOverN(parse_text(N2_TEXT)[1], parse_text(CURVED_TEXT)[1])
+
+
+def test_relative_bar_curved_total_is_not_flat():
+    """d^2 w = -s*t*u: D^2 (1 (x) [w]) = +-s*t (x) [u] is nonzero in
+    total degree 0 and weight 3, and D^2 of 1 (x) [u|w] and 1 (x) [w|u]
+    in weight 4."""
+    rb = relative_bar_h0(_curved(), 4)
+    assert not rb.flat
+    assert rb.flat_failures == [(0, 3), (0, 4)]
+
+
+RELATIVE_CASES = [
+    pytest.param(lambda: make_e1("t"), make_e4, id="e4-over-e1"),
+    pytest.param(lambda: make_e1("t"), make_e4p, id="e4p-over-e1"),
+    pytest.param(trivial_base, make_e3, id="e3"),
+    pytest.param(lambda: parse_text(N2_TEXT)[1],
+                 lambda: parse_text(CURVED_TEXT)[1], id="curved"),
+] + [
+    pytest.param(lambda: make_e1("t"), lambda s=seed: random_gen_nilpotent(s),
+                 id=f"gn{seed}")
+    for seed in range(20)
+]
+
+
+@pytest.mark.parametrize("base, total", RELATIVE_CASES)
+def test_relative_bar_matches_reference(base, total):
+    """faces splits into F's own bar d (b = 1) and the reference
+    connection gamma_word (b != 1), and flat and piece_conn equal the
+    reference's, at w <= 4."""
+    X = AugmentedOverN(base(), total())
+    rb = relative_bar_h0(X, 4)
+    ref = ReferenceRelativeBar(X, 4)
+    for w in range(5):
+        for word in rb.bar.words_of_weight(w):
+            d, gamma = {}, {}
+            for b, nw, c in rb.faces(word):
+                if b == UNIT:
+                    _wadd(d, nw, c)
+                else:
+                    _wadd(gamma, (b, nw), c)
+            assert d == rb.bar.d_word(word), word
+            assert gamma == ref.gamma_word(word), word
+    assert rb.flat == ref.flat
+    assert rb.piece_conn == ref.piece_conn
+
+
+@pytest.mark.parametrize("base, total", RELATIVE_CASES[:3])
+def test_relative_bar_differential_is_exact(base, total):
+    """D is a SliceComplex d: every column entry at w <= 3, degrees
+    -1..3, is an int or a Fraction."""
+    rb = relative_bar_h0(AugmentedOverN(base(), total()), 3)
+    for w in range(4):
+        for n in range(-1, 4):
+            for col in rb.d_columns(n, w):
+                for c in col.values():
+                    assert type(c) in (int, F), (n, w, c)
+
+
+def test_relative_bar_builds_piece_conn_on_first_read(x4):
+    rb = relative_bar_h0(x4, 4)
+    assert "piece_conn" not in vars(rb)
+    rb.piece_conn
+    assert "piece_conn" in vars(rb)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -7,8 +7,9 @@ import pytest
 from adamsbar.bar import BarComplex
 from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_add
 from adamsbar.minimal import IdealComplex, augment_absolute
-from adamsbar.relative import DeltaApprox, punctured_line_model
-from corpus import make_e3, make_e4, random_cell_module
+from adamsbar.relative import (
+    AugmentedOverN, DeltaApprox, punctured_line_model, relative_bar_h0)
+from corpus import make_e1, make_e3, make_e4, make_e4p, random_cell_module
 import oracles
 
 
@@ -37,6 +38,9 @@ COMPLEXES = {
     "DeltaApprox E3 n3": lambda: (DeltaApprox(make_e3(), 3, 3),
                                   [(n, w) for w in range(4)
                                    for n in range(-3, 3)]),
+    "relative bar E4p over E1": lambda: (
+        relative_bar_h0(AugmentedOverN(make_e1("t"), make_e4p()), 4),
+        [(n, w) for w in range(5) for n in range(-2, 4)]),
 }
 
 
@@ -45,7 +49,7 @@ def test_slice_cohomology_matches_reference(name):
     """cohomology(n, r) of every slice has the dimension, representatives
     and class coordinates of reference_cohomology on d_columns(n, r) and
     d_columns(n - 1, r), and d(n + 1, r) d(n, r) = 0 on the cached
-    columns."""
+    columns, as d_squared_failures finds."""
     X, slices = COMPLEXES[name]()
     total = 0
     for n, r in slices:
@@ -67,6 +71,7 @@ def test_slice_cohomology_matches_reference(name):
             for i, c in col.items():
                 acc = el_add(acc, nxt[i], c)
             assert not acc, (n, r)
+        assert X.d_squared_failures([n], [r]) == []
         total += dim
     assert total  # some slice has cohomology
 
