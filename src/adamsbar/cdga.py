@@ -330,13 +330,16 @@ def check_bidegrees(A: CdgaPresentation):
         raise CdgaError(f"{A.name}: " + "; ".join(failures))
 
 
+def d_squared_failures(A: CdgaPresentation):
+    """One message per generator g with d(d(g)) != 0, in generator order."""
+    return [f"d^2({g.name}) != 0" for g in A.generators
+            if A.differential.get(g.name)
+            and A.apply_d(A.differential[g.name])]
+
+
 def validate(A: CdgaPresentation):
     """Check the presentation axioms; returns (ok, list of failure strings)."""
-    failures = bidegree_failures(A)
-    for g in A.generators:
-        dg = A.differential.get(g.name)
-        if dg and A.apply_d(dg):
-            failures.append(f"d^2({g.name}) != 0")
+    failures = bidegree_failures(A) + d_squared_failures(A)
     if A.kind == "table":
         failures.extend(_validate_table(A))
     for g in A.generators:

@@ -18,6 +18,12 @@ composed with f, on top of d applied to f.  Scalar complexes (q of a cell
 module, the finite dg modules that cell_resolution resolves) are one
 class, ScalarComplex.
 
+The t-structure is one induced map, _induced: the map a matrix of
+algebra elements (d, or Gamma) induces on a span of vectors modulo
+another, each monomial's coefficients written through the projector of
+linalg.cocycle_classes.  tau_{<=n}, tau^{>n} and H^n(Gamma) are three
+calls to it.
+
 cell_resolution attaches cells with linalg.attach_cells, the loop minimal
 models use: the source is the cell module P, rebuilt after each round
 that adds cells, and the target is the finite dg module.
@@ -501,122 +507,79 @@ def is_finite_tate(M: CellModule):
 # ---- t-structure -------------------------------------------------------
 
 
-def t_truncate(M: CellModule, n: int):
-    """(tau_{<=n} M, tau^{>n} M, H^n connection).
-
-    Uses the connection split: degrees < n are kept whole, in degree n the
-    kernel of d0 is kept (a scalar change of basis); the quotient gets the
-    complement plus degrees > n; H^n(Gamma) is the induced connection on
-    the d0-cohomology of the degree-n slice.
-    """
-    A = M.algebra
-    q = M.q_complex()
-    weights = sorted({a for (_, c, a) in M.basis if c == n})
-    # per weight r: the degree-n basis indices, the kernel of d0 there and
-    # complement representatives, as vectors over those indices
-    split = {}
-    for r in weights:
-        idxs = q.slice(n, r)
-        ker = q.kernel(n, r)
-        split[r] = (idxs, ker, linalg.quotient_basis(
-            ker, [{k: F(1)} for k in range(len(idxs))]))
-
-    def build_part(keep_low):
-        """keep_low: the sub tau_{<=n}; otherwise the quotient tau^{>n}.
-
-        Returns (new_basis, kept vectors, projector onto kept
-        coordinates).  The sub is spanned by its kept vectors alone, so a
-        column outside their span means d leaves the sub; the quotient
-        projects along the complementary vectors (degrees < n and the
-        degree-n kernel of d0), which with the kept ones form a basis."""
-        new_basis = []
-        kept = []  # each: {orig_index: coeff}
-        other = []
-        for i, (nm, c, a) in enumerate(M.basis):
-            if (c < n and keep_low) or (c > n and not keep_low):
-                new_basis.append((nm, c, a))
-                kept.append({i: F(1)})
-            elif c < n:
-                other.append({i: F(1)})
-        for r, (idxs, ker, comp) in split.items():
-            for t, v in enumerate(ker if keep_low else comp):
-                tag = "k" if keep_low else "c"
-                new_basis.append((f"{tag}{n}w{r}_{t}", n, r))
-                kept.append({idxs[b]: c for b, c in v.items()})
-            if not keep_low:
-                other.extend({idxs[b]: c for b, c in v.items()} for v in ker)
-        return new_basis, kept, linalg.ClassProjector(kept, other)
-
-    def express(el_by_index, proj):
-        """Rewrite a column {orig_index: Element} in kept coordinates."""
-        out = {}
-        by_mono = {}
-        for i, el in el_by_index.items():
-            for mono, c in el.items():
-                by_mono.setdefault(mono, {})[i] = c
-        for mono, vec in by_mono.items():
-            sol = proj.class_coords(vec, strict=False)
-            if sol is None:
-                raise ModuleError(
-                    f"tau_<= not closed under d at degree {n}, monomial {mono}")
-            for k, c in sol.items():
-                out.setdefault(k, {})
-                out[k] = el_add(out[k], {mono: F(1)}, c)
-        return out
-
-    results = []
-    for keep_low in (True, False):
-        new_basis, kept, proj = build_part(keep_low)
-        diff = {}
-        for j, vj in enumerate(kept):
-            # d of the j-th new basis vector, as {orig_index: Element}
-            col = {}
-            for i, c in vj.items():
-                for k, a in M._d_by_col.get(i, ()):
-                    col[k] = el_add(col.get(k, {}), a, c)
-            col = {k: v for k, v in col.items() if v}
-            out = express(col, proj)
-            for k, a in out.items():
-                if a:
-                    diff[(k, j)] = a
-        filtration = _strict_filtration(new_basis, diff)
-        results.append(CellModule(A, new_basis, diff, filtration, M.twist,
-                                  f"tau{'<=' if keep_low else '>'}{n}{M.name}"))
-
-    # H^n as a connection on d0-cohomology classes of the degree-n slice
-    hn_basis = []
-    hn_vectors = []
-    projectors = {}
-    for r in weights:
-        idxs = q.slice(n, r)
-        _, reps, proj = q.cohomology(n, r)
-        projectors[r] = (q.index(n, r), proj, len(hn_basis))
-        for t, v in enumerate(reps):
-            hn_basis.append((f"h{n}w{r}_{t}", n, r))
-            hn_vectors.append({idxs[b]: c for b, c in v.items()})
-    gamma = {}
-    gamma_by_col = _entries_at(to_connection(M).gamma, 1)
-    for j, vj in enumerate(hn_vectors):
+def _induced(entries, kept, other, what):
+    """{(k, j): Element}, the map a matrix of algebra elements {(i, j):
+    Element} induces on span(kept) modulo span(other): column j is entries
+    applied to kept[j], each monomial's coefficients written on kept by
+    the projector of cocycle_classes(kept, other).  A vector outside
+    span(kept + other) raises ModuleError naming what."""
+    by_col = _entries_at(entries, 1)
+    projector = linalg.cocycle_classes(kept, other)[2]
+    out = {}
+    for j, v in enumerate(kept):
         col = {}
-        for i, c in vj.items():
-            for k, g in gamma_by_col.get(i, ()):
-                col[k] = el_add(col.get(k, {}), g, c)
-        # project the degree-n components to classes, weight by weight
+        for i, c in v.items():
+            for k, a in by_col.get(i, ()):
+                col[k] = el_add(col.get(k, {}), a, c)
         by_mono = {}
-        for k, el in col.items():
-            _, ck, rk = M.basis[k]
-            if ck != n:
-                continue
-            for mono, c in el.items():
-                by_mono.setdefault((rk, mono), {})[k] = c
-        for (rk, mono), vec in by_mono.items():
-            pos, proj, base = projectors[rk]
-            cls = proj.class_coords({pos[k]: c for k, c in vec.items()})
-            for t, c in cls.items():
-                key = (base + t, j)
-                gamma[key] = el_add(gamma.get(key, {}), {mono: F(1)}, c)
-    hn_conn = ConnectionModule(A, hn_basis, {}, gamma, M.twist)
-    return results[0], results[1], hn_conn
+        for k, a in col.items():
+            for mono, c in a.items():
+                by_mono.setdefault(mono, {})[k] = c
+        for mono, vec in by_mono.items():
+            coords = projector.class_coords(vec, strict=False)
+            if coords is None:
+                raise ModuleError(f"{what}, monomial {mono}")
+            for k, c in coords.items():
+                out[(k, j)] = el_add(out.get((k, j), {}), {mono: F(1)}, c)
+    return out
+
+
+def t_truncate(M: CellModule, n: int):
+    """(tau_{<=n} M, tau^{>n} M, H^n connection), each the map d or Gamma
+    induces on a span modulo another.  In degree n, weight by weight, q(M)
+    gives the kernel of d0, a complement, the cohomology representatives
+    and the image of d0.  tau_{<=n} is d on the units of degree < n and
+    the kernel, modulo nothing; tau^{>n} is d on the units of degree > n
+    and the complement, modulo the units of degree < n and the kernel;
+    H^n(Gamma) is Gamma's degree-n rows on the representatives, modulo
+    the image."""
+    q = M.q_complex()
+    below = [(b, {i: F(1)}) for i, b in enumerate(M.basis) if b[1] < n]
+    above = [(b, {i: F(1)}) for i, b in enumerate(M.basis) if b[1] > n]
+    ker, comp, reps, image = [], [], [], []
+    for r in sorted({a for (_, c, a) in M.basis if c == n}):
+        idxs = q.slice(n, r)
+
+        def lifted(tag, vectors):
+            return [((f"{tag}{n}w{r}_{t}", n, r),
+                     {idxs[b]: c for b, c in v.items()})
+                    for t, v in enumerate(vectors)]
+
+        k = q.kernel(n, r)
+        ker += lifted("k", k)
+        comp += lifted("c", linalg.quotient_basis(
+            k, [{b: F(1)} for b in range(len(idxs))]))
+        reps += lifted("h", q.cohomology(n, r)[1])
+        image += lifted("", q.d_columns(n - 1, r))
+
+    def induced(entries, kept, other, what):
+        return ([b for b, _ in kept],
+                _induced(entries, [v for _, v in kept],
+                         [v for _, v in other], what))
+
+    parts = []
+    for sym, kept, other in (("<=", below + ker, []),
+                             (">", above + comp, below + ker)):
+        basis, diff = induced(M.differential, kept, other,
+                              f"tau_<= not closed under d at degree {n}")
+        parts.append(CellModule(M.algebra, basis, diff,
+                                _strict_filtration(basis, diff), M.twist,
+                                f"tau{sym}{n}{M.name}"))
+    gamma = {(k, i): g for (k, i), g in to_connection(M).gamma.items()
+             if M.basis[k][1] == n}
+    basis, hn_gamma = induced(gamma, reps, image,
+                              f"Gamma of an H^{n} class is not a d0-cocycle")
+    return (*parts, ConnectionModule(M.algebra, basis, {}, hn_gamma, M.twist))
 
 
 def in_heart(M: CellModule):

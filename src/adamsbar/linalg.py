@@ -13,8 +13,9 @@ whose pivots lie in its own support.  What each view reads off it:
   elimination answers every right-hand side;
 - quotient_basis: the vectors that find a new pivot after the sub;
 - cocycle_classes: the image, then the cocycles; those that find a new
-  pivot are the representatives, and the same echelon is the projector;
-- ClassProjector: the echelon of an independent family, reps tagged;
+  pivot are the representatives, and the same echelon is the projector.
+  Given any span and a family independent modulo it, it is the projector
+  of that subquotient: the coordinates of a vector on the family;
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
   views above, the slices where d^2 != 0 (d_squared_failures, a sparse
@@ -257,7 +258,10 @@ def cocycle_classes(cocycles, boundaries):
     takes the boundaries, then the cocycles, each tagged by the number of
     representatives so far; those that find a new pivot are the
     representatives, and the Echelon is the projector: class_coords gives
-    a cocycle's coordinates on them.
+    a cocycle's coordinates on them.  When the cocycles are independent
+    modulo the boundaries, each is a representative, so the projector
+    gives coordinates on the whole family: it is the projector of any
+    subquotient span(cocycles) modulo span(boundaries).
     """
     projector = Echelon(boundaries)
     reps = []
@@ -265,22 +269,6 @@ def cocycle_classes(cocycles, boundaries):
         if projector.add(v, len(reps)) is not None:
             reps.append(v)
     return len(reps), reps, projector
-
-
-class ClassProjector(Echelon):
-    """The Echelon of a fixed linearly independent family reps + image,
-    the reps tagged by index: class_coords(v) gives the coordinates of v on
-    reps, or None when v is outside the span of the family.  A dependent
-    family raises ValueError.
-    """
-
-    def __init__(self, reps, image=()):
-        super().__init__()
-        nreps = len(reps)
-        for k, v in enumerate(list(reps) + list(image)):
-            if self.add(v, k if k < nreps else None) is None:
-                raise ValueError(
-                    "family vectors are not linearly independent")
 
 
 class SliceComplex:

@@ -28,6 +28,7 @@ from .cdga import (
     UNIT,
     CdgaPresentation,
     GeneratorSpec,
+    d_squared_failures,
     el_add,
     el_gen,
     is_coh_connected,
@@ -446,9 +447,12 @@ def _coaction_matrices(X: AugmentedOverN, rb: RelativeBarH0, w_max):
 
 
 def coaction_check(X: AugmentedOverN, w_max):
+    """(ok, {"split", "conn"}): the two co-action matrices agree and the
+    total's d squares to 0 on every generator."""
     rb = relative_bar_h0(X, w_max)
     split_m, conn_m = _coaction_matrices(X, rb, w_max)
-    return split_m == conn_m, {"split": split_m, "conn": conn_m}
+    ok = split_m == conn_m and not d_squared_failures(X.total)
+    return ok, {"split": split_m, "conn": conn_m}
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +607,8 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
         "dims": dims,
         "full_dims": full,
         "stable_n": stable_n,
-        "d_squared_ok": not da.d_squared_failures(range(-2, 2), weights),
+        "d_squared_ok": not (d_squared_failures(X.total) or
+                             da.d_squared_failures(range(-2, 2), weights)),
         "q_chain_map_ok": da.q_chain_ok(),
         "system_compat_ok": da.closed_ok(),
     }

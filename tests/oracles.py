@@ -25,6 +25,10 @@
 - The reference minimal model and cell resolution: each its own
   cell-attaching loop, one cell at a time, with a fresh copy of the model
   (a fresh P) and fresh slice caches in every round.
+- The reference t-structure truncation: tau_{<=n}, tau^{>n} and
+  H^n(Gamma) as three separate constructions, the first two through a
+  ReferenceProjector each, the last through per-weight d0-cohomology
+  projectors.
 """
 
 import itertools
@@ -864,3 +868,115 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
             else:
                 certificate[(n, r)] = len(repsP) == rk
     return P, phi, certificate
+
+
+# ---- reference t-structure truncation -----------------------------------
+
+
+def reference_t_truncate(M, n):
+    """cellmod.t_truncate as three separate constructions: tau_{<=n} and
+    tau^{>n} each rewrite d's columns through a ReferenceProjector on
+    their kept vectors (plus the complementary ones for the quotient), and
+    H^n(Gamma) groups Gamma's degree-n rows by (weight, monomial) and
+    projects them with the d0-cohomology projector of that weight.
+    Returns (tau_<=n, tau^>n, H^n connection)."""
+    from adamsbar.cellmod import (
+        CellModule, ConnectionModule, ModuleError, _entries_at,
+        _strict_filtration, to_connection)
+
+    A = M.algebra
+    q = M.q_complex()
+    d_by_col = _entries_at(M.differential, 1)
+    weights = sorted({a for (_, c, a) in M.basis if c == n})
+    split = {}
+    for r in weights:
+        idxs = q.slice(n, r)
+        ker = q.kernel(n, r)
+        split[r] = (idxs, ker, linalg.quotient_basis(
+            ker, [{k: F(1)} for k in range(len(idxs))]))
+
+    def build_part(keep_low):
+        new_basis = []
+        kept = []
+        other = []
+        for i, (nm, c, a) in enumerate(M.basis):
+            if (c < n and keep_low) or (c > n and not keep_low):
+                new_basis.append((nm, c, a))
+                kept.append({i: F(1)})
+            elif c < n:
+                other.append({i: F(1)})
+        for r, (idxs, ker, comp) in split.items():
+            for t, v in enumerate(ker if keep_low else comp):
+                tag = "k" if keep_low else "c"
+                new_basis.append((f"{tag}{n}w{r}_{t}", n, r))
+                kept.append({idxs[b]: c for b, c in v.items()})
+            if not keep_low:
+                other.extend({idxs[b]: c for b, c in v.items()} for v in ker)
+        return new_basis, kept, ReferenceProjector(kept, other)
+
+    def express(el_by_index, proj):
+        out = {}
+        by_mono = {}
+        for i, el in el_by_index.items():
+            for mono, c in el.items():
+                by_mono.setdefault(mono, {})[i] = c
+        for mono, vec in by_mono.items():
+            try:
+                sol = proj.class_coords(vec)
+            except ValueError:
+                raise ModuleError(f"tau_<= not closed under d at degree "
+                                  f"{n}, monomial {mono}") from None
+            for k, c in sol.items():
+                out.setdefault(k, {})
+                out[k] = el_add(out[k], {mono: F(1)}, c)
+        return out
+
+    results = []
+    for keep_low in (True, False):
+        new_basis, kept, proj = build_part(keep_low)
+        diff = {}
+        for j, vj in enumerate(kept):
+            col = {}
+            for i, c in vj.items():
+                for k, a in d_by_col.get(i, ()):
+                    col[k] = el_add(col.get(k, {}), a, c)
+            col = {k: v for k, v in col.items() if v}
+            for k, a in express(col, proj).items():
+                if a:
+                    diff[(k, j)] = a
+        filtration = _strict_filtration(new_basis, diff)
+        results.append(CellModule(A, new_basis, diff, filtration, M.twist,
+                                  f"tau{'<=' if keep_low else '>'}{n}{M.name}"))
+
+    hn_basis = []
+    hn_vectors = []
+    projectors = {}
+    for r in weights:
+        idxs = q.slice(n, r)
+        _, reps, proj = q.cohomology(n, r)
+        projectors[r] = (q.index(n, r), proj, len(hn_basis))
+        for t, v in enumerate(reps):
+            hn_basis.append((f"h{n}w{r}_{t}", n, r))
+            hn_vectors.append({idxs[b]: c for b, c in v.items()})
+    gamma = {}
+    gamma_by_col = _entries_at(to_connection(M).gamma, 1)
+    for j, vj in enumerate(hn_vectors):
+        col = {}
+        for i, c in vj.items():
+            for k, g in gamma_by_col.get(i, ()):
+                col[k] = el_add(col.get(k, {}), g, c)
+        by_mono = {}
+        for k, el in col.items():
+            _, ck, rk = M.basis[k]
+            if ck != n:
+                continue
+            for mono, c in el.items():
+                by_mono.setdefault((rk, mono), {})[k] = c
+        for (rk, mono), vec in by_mono.items():
+            pos, proj, base = projectors[rk]
+            cls = proj.class_coords({pos[k]: c for k, c in vec.items()})
+            for t, c in cls.items():
+                key = (base + t, j)
+                gamma[key] = el_add(gamma.get(key, {}), {mono: F(1)}, c)
+    hn_conn = ConnectionModule(A, hn_basis, {}, gamma, M.twist)
+    return results[0], results[1], hn_conn

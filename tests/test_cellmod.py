@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adamsbar import linalg
-from adamsbar.cdga import UNIT, el_add, el_gen
+from adamsbar.cdga import UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen
 from adamsbar.cellmod import (
     CellModule,
     CellMorphism,
@@ -29,7 +29,9 @@ from adamsbar.cellmod import (
 from corpus import (
     dg_module_from_cell,
     make_e1,
+    make_e2,
     make_e3,
+    make_e4,
     random_cell_module,
 )
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     dense_check_flat,
     dense_d_squared_failures,
     reference_cell_resolution,
+    reference_t_truncate,
 )
 
 F = Fraction
@@ -257,6 +260,44 @@ def test_heart_and_double_truncation(seed):
             for r in sorted({a for (_, _, a) in lo.basis}):
                 assert q.cohomology_dim(c, r) == 0
 
+
+
+def _truncation_repr(low, high, hn):
+    """Everything t_truncate returns, as comparable strings: basis,
+    sorted differential, filtration, twist and name of both parts, and the
+    H^n basis, twist and sorted Gamma."""
+    parts = [repr((P.basis, sorted(P.differential.items()), P.filtration,
+                   P.twist, P.name)) for P in (low, high)]
+    return parts + [repr((hn.basis, hn.twist, sorted(hn.gamma.items())))]
+
+
+@pytest.mark.parametrize("make", [make_e1, make_e2, make_e3, make_e4],
+                         ids=["E1", "E2", "E3", "E4"])
+def test_t_truncate_matches_reference(make):
+    """tau_{<=n}, tau^{>n} and H^n(Gamma), read off one induced map, agree
+    exactly with the reference's three separate constructions, at every
+    degree from one below the module's lowest to one above its highest."""
+    A = make()
+    for seed in range(20):
+        M = random_cell_module(A, seed)
+        degrees = [c for (_, c, _) in M.basis]
+        for n in range(min(degrees) - 1, max(degrees) + 2):
+            assert _truncation_repr(*t_truncate(M, n)) == \
+                _truncation_repr(*reference_t_truncate(M, n)), (seed, n)
+
+
+def test_t_truncate_refuses_d_leaving_the_sub():
+    """A module whose d sends a degree-0 cell onto a degree-1 cell by a
+    degree-0 algebra element passes check(), but tau_{<=0} is not closed
+    under d: the d0-kernel vector b0 has d b0 = x b1 outside it."""
+    A = CdgaPresentation("Z", "free", [GeneratorSpec("x", 0, 1)])
+    M = CellModule(A, [("a", 0, 1), ("b", 1, 0)], {(1, 0): el_gen("x")},
+                   [[1], [0]])
+    assert M.check() == (True, [])
+    for truncate in (t_truncate, reference_t_truncate):
+        with pytest.raises(ModuleError,
+                           match=r"tau_<= not closed under d at degree 0"):
+            truncate(M, 0)
 
 def test_is_finite_tate(e3):
     M = random_cell_module(make_e3(), 3)

@@ -332,6 +332,21 @@ def test_kernel_curved_total_fails_the_verdict(capsys, tmp_path):
     assert (code, rep["verdict"]) == (1, "fail")
 
 
+@pytest.mark.parametrize("argv", [
+    ["coaction-check", "--total", "{f}"],
+    ["delta-approx", "{f}"],
+], ids=["coaction-check", "delta-approx"])
+def test_curved_total_fails_the_verdict(capsys, tmp_path, argv):
+    """d^2 w = -s*t*u != 0 on the total is refused by every command over
+    it, as kernel refuses it, not certified by a check that reads only
+    part of d."""
+    b = write(tmp_path, "n2.cdga", N2_TEXT)
+    f = write(tmp_path, "curved.cdga", CURVED_TEXT)
+    code, rep = run(capsys, *[a.format(f=f) for a in argv], "--base", b,
+                    "--wt-max", "4")
+    assert (code, rep["verdict"]) == (1, "fail")
+
+
 def test_coaction_command(capsys, tmp_path):
     b = write(tmp_path, "e1.cdga", E1_TEXT)
     f = write(tmp_path, "e4.cdga", E4_TEXT)
