@@ -14,7 +14,13 @@ sig_i = sum_{j<i} ebar(x_j),
         + sum_i (-1)^{sig_i + ebar(x_i)} [..|x_i x_{i+1}|..]
 
 and the shuffle product carries the Koszul sign of the interleaving
-computed from suspended degrees.  The antipode reverses the word with
+computed from suspended degrees: each time a letter v_j of the second
+word is placed before the letters u_i.. still left of the first word, the
+sign flips when ebar(v_j) and ebar(u_i) + ... are both odd.
+shuffle_words takes those parities once per call (the suffix parities of
+u and the parity of each letter of v) and recurses on positions (i, j)
+with one word prefix that it extends and shortens in place.  The
+antipode reverses the word with
 sign (-1)^m * (-1)^{sum_{i<j} ebar_i ebar_j}.  Every sign is taken from
 an exponent mod 2 (an exponent can be negative, and (-1)**k is a float
 then), so d, the shuffle and the antipode of a word carry int
@@ -164,20 +170,26 @@ class BarComplex(linalg.SliceComplex):
         return self.d_word(word)
 
     def shuffle_words(self, u, v):
+        m, n = len(u), len(v)
+        # suf[i]: parity of ebar(u_i) + ... + ebar(u_{m-1}); ev[j]: of ebar(v_j)
+        suf = [0] * (m + 1)
+        for i in range(m - 1, -1, -1):
+            suf[i] = (suf[i + 1] + self._ebar(u[i])) % 2
+        ev = [self._ebar(letter) % 2 for letter in v]
         out = {}
+        acc = []
 
-        def rec(uu, vv, acc, sign):
-            if not uu and not vv:
-                _wadd(out, tuple(acc), sign)
+        def rec(i, j, sign):
+            if i == m or j == n:
+                _wadd(out, tuple(acc) + u[i:] + v[j:], sign)
                 return
-            if uu:
-                rec(uu[1:], vv, acc + [uu[0]], sign)
-            if vv:
-                s = -sign if self._ebar(vv[0]) * sum(
-                    self._ebar(l) for l in uu) % 2 else sign
-                rec(uu, vv[1:], acc + [vv[0]], s)
+            acc.append(u[i])
+            rec(i + 1, j, sign)
+            acc[-1] = v[j]
+            rec(i, j + 1, -sign if ev[j] and suf[i] else sign)
+            acc.pop()
 
-        rec(list(u), list(v), [], 1)
+        rec(0, 0, 1)
         return out
 
     def shuffle_lin(self, a, b):
@@ -235,8 +247,10 @@ class HopfPresentation:
     table built on its first read: dims() reads none of them.
 
     product[(w1, i, w2, j)]: dict {k: coeff} over weight-(w1+w2) classes.
-    coproduct[(w, k)]: dict {(w1, i, j): coeff} meaning class_i(w1) (x)
-    class_j(w - w1), including the w1 = 0 and w1 = w (grouplike) parts.
+    coproduct[(w, k)] = coproduct_of(w, k): dict {(w1, i, j): coeff}
+    meaning class_i(w1) (x) class_j(w - w1), including the w1 = 0 and
+    w1 = w (grouplike) parts; coproduct_of builds one class's on its first
+    read, so a reader of a few classes pays for those only.
     antipode[(w, k)]: dict {k2: coeff} within weight w.
 
     Only the constants that carry information are classified; the rest are
@@ -256,9 +270,17 @@ class HopfPresentation:
         self.w_max = w_max
         self.bar = BarComplex(A)
         self.pieces = {w: WeightPiece(self.bar, w) for w in range(w_max + 1)}
+        self._reps = {}
+        self._coproducts = {}
 
     def dims(self):
         return {w: self.pieces[w].dim for w in range(self.w_max + 1)}
+
+    def rep_lins(self, w):
+        """The weight-w representatives as word combinations, built once."""
+        if w not in self._reps:
+            self._reps[w] = self.pieces[w].rep_lins(self.bar)
+        return self._reps[w]
 
     def classify(self, lin, w, strict=True):
         """Class coordinates of a degree-0 weight-w cocycle combination."""
@@ -269,11 +291,10 @@ class HopfPresentation:
     def product(self):
         bar = self.bar
         product = {}
-        reps = {w: p.rep_lins(bar) for w, p in self.pieces.items()}
         for w1 in range(self.w_max // 2 + 1):
             for w2 in range(w1, self.w_max + 1 - w1):
-                for i, u in enumerate(reps[w1]):
-                    for j, v in enumerate(reps[w2]):
+                for i, u in enumerate(self.rep_lins(w1)):
+                    for j, v in enumerate(self.rep_lins(w2)):
                         if (w1, i) > (w2, j):
                             continue
                         if w1 == 0:
@@ -286,58 +307,63 @@ class HopfPresentation:
 
     @functools.cached_property
     def coproduct(self):
+        return {(w, k): self.coproduct_of(w, k)
+                for w in range(self.w_max + 1)
+                for k in range(self.pieces[w].dim)}
+
+    def coproduct_of(self, w, k):
+        """The coproduct of the k-th class of weight w, built on its first
+        read."""
+        if (w, k) in self._coproducts:
+            return self._coproducts[(w, k)]
         bar = self.bar
-        coproduct = {}
-        for w in range(self.w_max + 1):
-            piece = self.pieces[w]
-            for k, rep in enumerate(piece.rep_lins(bar)):
-                out = {}
-                # split the deconcatenation by prefix weight; the splits of
-                # prefix weight 0 and w are only recorded, to keep the
-                # order in which the weights first occur
-                by_weight = {0: None}
-                for word, c in rep.items():
-                    w1 = 0
-                    for u, v in bar.coprod_word(word)[1:-1]:
-                        w1 += self.A.mono_bidegree(u[-1])[1]
-                        _wadd(by_weight.setdefault(w1, {}), (u, v), c)
-                    by_weight.setdefault(w, None)
-                for w1, pairs in by_weight.items():
-                    if w1 == 0:
-                        out[(0, 0, k)] = F(1)
-                        continue
-                    if w1 == w:
-                        out[(w, k, 0)] = F(1)
-                        continue
-                    w2 = w - w1
-                    # expand over the suffix word basis; each prefix
-                    # coefficient vector is then a cocycle (no negative
-                    # bar degrees for connected A)
-                    suffix_basis = {}
-                    for (u, v), c in pairs.items():
-                        suffix_basis.setdefault(v, {})
-                        _wadd(suffix_basis[v], u, c)
-                    # classify prefixes, collect (class_i, suffix) coeffs
-                    suff_by_class = {}
-                    for v, ulin in suffix_basis.items():
-                        ucls = self.classify(ulin, w1)
-                        for i, c in ucls.items():
-                            suff_by_class.setdefault(i, {})
-                            _wadd(suff_by_class[i], v, c)
-                    for i, vlin in suff_by_class.items():
-                        vcls = self.classify(vlin, w2)
-                        for j, c in vcls.items():
-                            out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
-                coproduct[(w, k)] = {k2: c for k2, c in out.items() if c}
-        return coproduct
+        rep = self.rep_lins(w)[k]
+        out = {}
+        # split the deconcatenation by prefix weight; the splits of prefix
+        # weight 0 and w are only recorded, to keep the order in which the
+        # weights first occur
+        by_weight = {0: None}
+        for word, c in rep.items():
+            w1 = 0
+            for u, v in bar.coprod_word(word)[1:-1]:
+                w1 += self.A.mono_bidegree(u[-1])[1]
+                _wadd(by_weight.setdefault(w1, {}), (u, v), c)
+            by_weight.setdefault(w, None)
+        for w1, pairs in by_weight.items():
+            if w1 == 0:
+                out[(0, 0, k)] = F(1)
+                continue
+            if w1 == w:
+                out[(w, k, 0)] = F(1)
+                continue
+            w2 = w - w1
+            # expand over the suffix word basis; each prefix coefficient
+            # vector is then a cocycle (no negative bar degrees for
+            # connected A)
+            suffix_basis = {}
+            for (u, v), c in pairs.items():
+                suffix_basis.setdefault(v, {})
+                _wadd(suffix_basis[v], u, c)
+            # classify prefixes, collect (class_i, suffix) coeffs
+            suff_by_class = {}
+            for v, ulin in suffix_basis.items():
+                ucls = self.classify(ulin, w1)
+                for i, c in ucls.items():
+                    suff_by_class.setdefault(i, {})
+                    _wadd(suff_by_class[i], v, c)
+            for i, vlin in suff_by_class.items():
+                vcls = self.classify(vlin, w2)
+                for j, c in vcls.items():
+                    out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
+        val = self._coproducts[(w, k)] = {k2: c for k2, c in out.items() if c}
+        return val
 
     @functools.cached_property
     def antipode(self):
         bar = self.bar
         antipode = {}
         for w in range(self.w_max + 1):
-            piece = self.pieces[w]
-            for k, rep in enumerate(piece.rep_lins(bar)):
+            for k, rep in enumerate(self.rep_lins(w)):
                 antipode[(w, k)] = self.classify(bar.antipode_lin(rep), w)
         return antipode
 
@@ -357,7 +383,8 @@ class CoLiePresentation:
     basis: list of (w, class_coords) pairs; index in this list is the
     global generator index.  cobracket[g]: dict {(p, q): coeff} with
     p < q global indices, the coefficient of gen_p wedge gen_q; the table
-    is built on its first read, and builds the coproduct it reads.
+    is built on its first read, and builds the coproduct of the generator
+    classes only (HopfPresentation.coproduct_of).
 
     In each weight the products of positive lower weights, one per
     unordered pair (the product is commutative), go into one Echelon; the
@@ -409,7 +436,7 @@ class CoLiePresentation:
         # reduced coproduct of the class, projected factor-wise to gamma
         tensor = {}
         for k, c in class_vec.items():
-            for (w1, i, j), cc in hopf.coproduct[(w, k)].items():
+            for (w1, i, j), cc in hopf.coproduct_of(w, k).items():
                 w2 = w - w1
                 if w1 == 0 or w2 == 0:
                     continue

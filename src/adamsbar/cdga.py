@@ -15,6 +15,19 @@ presentation's coefficients are integral, as they are after parsing
 whenever the denominator is 1, and divide nowhere.  linalg turns every
 value it returns into a Fraction.  The differential is stored on
 generators only and extended by Leibniz on demand.
+
+A presentation is fixed when it is built: the constructor takes the
+generators, differential, products and augmentation, and afterwards only
+set_product and adjoin change it.  Three plain dicts memoize the
+structure maps per monomial, filled on first read: the bidegree of a
+monomial, the product of a pair of monomials (mono_mul) and d of a
+monomial (mono_d).  multiply and apply_d read them, and through these so
+do the bar, relative and cell layers; a reader never changes a memoized
+dict, and multiply and apply_d return fresh ones, since el_add copies its
+first argument.
+set_product clears the product and d memos (d of a monomial is a sum of
+products).  adjoin clears neither: a new generator changes neither the
+product nor the d of a monomial that does not contain it.
 """
 
 from __future__ import annotations
@@ -88,6 +101,9 @@ class CdgaPresentation(linalg.SliceComplex):
         self.gen = {g.name: g for g in self.generators}
         if len(self.gen) != len(self.generators):
             raise CdgaError(f"duplicate generator names in {name}")
+        self._bidegree = {}  # monomial -> (degree, weight)
+        self._mul = {}  # (monomial, monomial) -> product element
+        self._mono_d = {}  # monomial -> d of the monomial
         for g in self.generators:
             if g.adams < 1:
                 raise CdgaError(f"generator {g.name} has Adams weight {g.adams} < 1")
@@ -101,8 +117,9 @@ class CdgaPresentation(linalg.SliceComplex):
         # values augment to 0
         self.augmentation = dict(augmentation or {})
 
-    def adjoin(self, spec: GeneratorSpec, d=None):
-        """Add the generator spec, with differential d, in place.  Only the
+    def adjoin(self, spec: GeneratorSpec, d=None, aug=None):
+        """Add the generator spec, with differential d and augmentation
+        value aug (absent: fixed by the augmentation), in place.  Only the
         slices of weight >= spec.adams gain monomials, so only they are
         forgotten."""
         if spec.name in self.gen:
@@ -111,12 +128,16 @@ class CdgaPresentation(linalg.SliceComplex):
         self.gen[spec.name] = spec
         if d:
             self.differential[spec.name] = d
+        if aug is not None:
+            self.augmentation[spec.name] = aug
         self.forget(spec.adams)
 
     def set_product(self, a, b, val):
         ga, gb = self.gen[a], self.gen[b]
         if ga.group is None or ga.group != gb.group:
             raise CdgaError(f"product {a}*{b} declared outside a table group")
+        self._mul.clear()
+        self._mono_d.clear()
         if (a, b) <= (b, a):
             self.products[(a, b)] = val
         else:
@@ -126,12 +147,15 @@ class CdgaPresentation(linalg.SliceComplex):
     # ---- degrees -------------------------------------------------------
 
     def mono_bidegree(self, m):
-        n = r = 0
-        for name, e in m:
-            g = self.gen[name]
-            n += e * g.coh
-            r += e * g.adams
-        return (n, r)
+        bd = self._bidegree.get(m)
+        if bd is None:
+            n = r = 0
+            for name, e in m:
+                g = self.gen[name]
+                n += e * g.coh
+                r += e * g.adams
+            bd = self._bidegree[m] = (n, r)
+        return bd
 
     def el_bidegree(self, a):
         """Bidegree of a homogeneous element (None for 0, error if mixed)."""
@@ -199,8 +223,13 @@ class CdgaPresentation(linalg.SliceComplex):
         return {tuple(mono): 1}
 
     def mono_mul(self, m1, m2):
-        fs, sign = self._sort_factors(mono_factors(m1) + mono_factors(m2))
-        return el_scale(self._assemble(fs), sign)
+        """m1 * m2, memoized: the caller must not change the result."""
+        key = (m1, m2)
+        val = self._mul.get(key)
+        if val is None:
+            fs, sign = self._sort_factors(mono_factors(m1) + mono_factors(m2))
+            val = self._mul[key] = el_scale(self._assemble(fs), sign)
+        return val
 
     def multiply(self, a, b):
         out = {}
@@ -211,9 +240,12 @@ class CdgaPresentation(linalg.SliceComplex):
 
     # ---- differential --------------------------------------------------
 
-    def apply_d(self, a):
-        out = {}
-        for m, c in a.items():
+    def mono_d(self, m):
+        """d of the monomial m by Leibniz, memoized: the caller must not
+        change the result."""
+        val = self._mono_d.get(m)
+        if val is None:
+            val = {}
             fs = mono_factors(m)
             sgn = 1
             for i, name in enumerate(fs):
@@ -225,9 +257,16 @@ class CdgaPresentation(linalg.SliceComplex):
                     term = self.multiply(term, dg)
                     for post in fs[i + 1:]:
                         term = self.multiply(term, el_gen(post))
-                    out = el_add(out, term, c * sgn)
+                    val = el_add(val, term, sgn)
                 if self.gen[name].coh % 2:
                     sgn = -sgn
+            self._mono_d[m] = val
+        return val
+
+    def apply_d(self, a):
+        out = {}
+        for m, c in a.items():
+            out = el_add(out, self.mono_d(m), c)
         return out
 
     def substitute(self, a, gen_map):

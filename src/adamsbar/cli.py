@@ -3,13 +3,15 @@
 Commands operate on presentation files (see parser module) and emit
 canonical JSON reports: sorted keys, exact rationals rendered as
 strings, byte-identical across runs.  Exit codes: 0 = pass, 1 = a
-property failed (see the report's verdict), 2 = input error.
+property failed (see the report's verdict), 2 = input error, 3 = internal
+error (an exception no input check names, with its traceback on stderr).
 """
 
 import argparse
 import functools
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import cdga as cdga_mod
@@ -223,10 +225,35 @@ def cmd_delta_approx(args):
     return report, 0 if ok else 1
 
 
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _necklaces(q, w):
+    """Witt's formula: the number of Lyndon words of length w >= 1 over q
+    letters, (1/w) sum_{d | w} mu(d) q^(w/d), the dimension of the free Lie
+    algebra on q generators in degree w."""
+    return sum(_mobius(d) * q ** (w // d)
+               for d in range(1, w + 1) if w % d == 0) // w
+
+
 def cmd_pi1_demo(args):
     rep = pi1_demo(args.punctures, args.wt_max)
-    # H^0 is free on gamma, as in cmd_colie
-    ok = rep["polynomial_dims"] == rep["h0_dims"]
+    # H^0 is free on gamma, as in cmd_colie; and for the line minus k
+    # points, H^0 is the shuffle algebra on k - 1 letters, so H^0_w is
+    # (k - 1)^w and gamma_w is the number of Lyndon words of length w
+    q = args.punctures - 1
+    ok = (rep["polynomial_dims"] == rep["h0_dims"]
+          and all(d == q ** w for w, d in rep["h0_dims"].items())
+          and all(d == _necklaces(q, w) for w, d in rep["gamma_dims"].items()))
     report = _base_report("pi1-demo", args, ok)
     report.update(rep)
     return report, 0 if ok else 1
@@ -326,6 +353,10 @@ def main(argv=None):
             cdga_mod.CdgaError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n"
+                         + traceback.format_exc())
+        return 3
     emit(report, args.out)
     return code
 

@@ -36,10 +36,8 @@ def trivial_base():
 
 def augment_absolute(A: CdgaPresentation):
     """Copy of A augmented to Q (every generator killed)."""
-    out = CdgaPresentation(A.name, A.kind, A.generators, A.differential)
-    out.products = dict(A.products)
-    out.augmentation = {g.name: {} for g in A.generators}
-    return out
+    return CdgaPresentation(A.name, A.kind, A.generators, A.differential,
+                            A.products, {g.name: {} for g in A.generators})
 
 
 class IdealComplex(linalg.SliceComplex):
@@ -146,8 +144,8 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
                 "for the base"
             )
 
-    model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators, N.differential)
-    model.products = dict(N.products)
+    model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
+                             N.differential, N.products)
     ic_A = IdealComplex(A)
     ic_M = IdealComplex(model)
     structure_map = {}
@@ -171,8 +169,7 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
                   ic_A.from_coords(b, i, m)) for z, b in cells]
         for d_el, s_el in cells:
             name = fresh_name()
-            model.adjoin(GeneratorSpec(name, i, m), d_el)
-            model.augmentation[name] = {}
+            model.adjoin(GeneratorSpec(name, i, m), d_el, aug={})
             fiber_names.append(name)
             structure_map[name] = s_el
         ic_M.forget(m)

@@ -228,17 +228,19 @@ def _parse_cdga(lines):
                 A.set_product(payload[0], payload[1], val)
             except Exception as e:
                 raise ParseError(str(e), cur.lineno)
+    differential, augmentation = {}, {}
     for op, payload, cur, seen in deferred:
         if op == "d":
             val = _parse_poly(cur, seen, A)
             cur.done()
             if val:
-                A.differential[payload] = val
+                differential[payload] = val
         elif op == "aug":
             val = _parse_poly(cur, seen, A)
             cur.done()
-            A.augmentation[payload] = val
-    return A
+            augmentation[payload] = val
+    return CdgaPresentation(name, kind, gens, differential, A.products,
+                            augmentation)
 
 
 def _parse_cell(lines):

@@ -286,8 +286,7 @@ class RelativeBarH0(linalg.SliceComplex):
         weight w' = w - wt(b)."""
         out = {}
         for w in range(self.w_max + 1):
-            piece = self.hopf.pieces[w]
-            for k, rep in enumerate(piece.rep_lins(self.bar)):
+            for k, rep in enumerate(self.hopf.rep_lins(w)):
                 by_base = {}
                 for word, c in rep.items():
                     for b, nw, c2 in self.faces(word):
@@ -391,17 +390,12 @@ def semidirect(X: AugmentedOverN, w_max):
 
 def _gamma_lins(gam: CoLiePresentation):
     """(weight, word combination) of each generator of gam, in order: its
-    class vector expanded over the representatives of its weight, which
-    are built once per weight."""
-    hopf = gam.hopf
-    reps = {}
+    class vector expanded over the representatives of its weight."""
     out = []
     for w, cv in gam.basis:
-        if w not in reps:
-            reps[w] = hopf.pieces[w].rep_lins(hopf.bar)
         lin = {}
         for k, c in cv.items():
-            for word, c2 in reps[w][k].items():
+            for word, c2 in gam.hopf.rep_lins(w)[k].items():
                 _wadd(lin, word, c * c2)
         out.append((w, lin))
     return out

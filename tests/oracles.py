@@ -29,6 +29,10 @@
   H^n(Gamma) as three separate constructions, the first two through a
   ReferenceProjector each, the last through per-weight d0-cohomology
   projectors.
+- The reference word arithmetic: products and d recomputed from the
+  generators and the table on every call, with no memo, and the shuffle
+  of two words enumerated as subsets of positions, each with the Koszul
+  sign of its crossing pairs.
 """
 
 import itertools
@@ -980,3 +984,116 @@ def reference_t_truncate(M, n):
                 gamma[key] = el_add(gamma.get(key, {}), {mono: F(1)}, c)
     hn_conn = ConnectionModule(A, hn_basis, {}, gamma, M.twist)
     return results[0], results[1], hn_conn
+
+
+# ---- reference word arithmetic ------------------------------------------
+#
+# The structure maps with no memo: every product and every d is recomputed
+# from the generators and the table, and every shuffle is enumerated as a
+# subset of positions with its Koszul sign read off the crossing pairs.
+
+
+def _ref_ebar(A, m):
+    return sum(e * A.gen[name].coh for name, e in m) - 1
+
+
+def reference_shuffle_words(A, u, v):
+    """The shuffle product of the words u and v over A: each interleaving
+    is the set of positions of u's letters, with the sign
+    (-1)^(sum ebar(u_i) ebar(v_j)) over the pairs where v_j lands before
+    u_i."""
+    out = {}
+    n = len(u) + len(v)
+    for upos in itertools.combinations(range(n), len(u)):
+        vpos = [p for p in range(n) if p not in upos]
+        word = [None] * n
+        for p, letter in zip(upos, u):
+            word[p] = letter
+        for p, letter in zip(vpos, v):
+            word[p] = letter
+        exp = sum(_ref_ebar(A, u[i]) * _ref_ebar(A, v[j])
+                  for i in range(len(u)) for j in range(len(v))
+                  if vpos[j] < upos[i])
+        _wadd(out, tuple(word), F(-1) if exp % 2 else F(1))
+    return out
+
+
+def _ref_sort_factors(A, factors):
+    fs = list(factors)
+    sign = 1
+    for i in range(1, len(fs)):
+        j = i
+        while j > 0 and fs[j - 1] > fs[j]:
+            if A.gen[fs[j - 1]].coh % 2 and A.gen[fs[j]].coh % 2:
+                sign = -sign
+            fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            j -= 1
+    return fs, sign
+
+
+def _ref_assemble(A, fs):
+    for i in range(len(fs) - 1):
+        if fs[i] == fs[i + 1] and A.gen[fs[i]].coh % 2:
+            return {}
+    for i in range(len(fs)):
+        gi = A.gen[fs[i]]
+        if gi.group is None:
+            continue
+        for j in range(i + 1, len(fs)):
+            gj = A.gen[fs[j]]
+            if gj.group != gi.group:
+                continue
+            sign = 1
+            for k in range(i + 1, j):
+                if gj.coh % 2 and A.gen[fs[k]].coh % 2:
+                    sign = -sign
+            a, b = fs[i], fs[j]
+            val = A.products.get((a, b) if a <= b else (b, a), {})
+            if a > b and gi.coh * gj.coh % 2:
+                val = {m: -c for m, c in val.items()}
+            mid = fs[i + 1:j] + fs[j + 1:]
+            out = {}
+            for vm, vc in val.items():
+                rest, s = _ref_sort_factors(A, fs[:i] + mono_factors(vm) + mid)
+                out = el_add(out, _ref_assemble(A, rest), vc * s * sign)
+            return out
+    mono = []
+    for name in fs:
+        if mono and mono[-1][0] == name:
+            mono[-1] = (name, mono[-1][1] + 1)
+        else:
+            mono.append((name, 1))
+    return {tuple(mono): 1}
+
+
+def reference_multiply(A, a, b):
+    """a * b in A, each product of two monomials sorted with its Koszul
+    sign and reduced through the table afresh."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            fs, sign = _ref_sort_factors(A, mono_factors(m1) + mono_factors(m2))
+            out = el_add(out, _ref_assemble(A, fs), c1 * c2 * sign)
+    return out
+
+
+def reference_apply_d(A, a):
+    """d a in A by the Leibniz rule, factor by factor, through
+    reference_multiply."""
+    out = {}
+    for m, c in a.items():
+        fs = mono_factors(m)
+        sgn = 1
+        for i, name in enumerate(fs):
+            dg = A.differential.get(name)
+            if dg:
+                term = {UNIT: 1}
+                for pre in fs[:i]:
+                    term = reference_multiply(A, term, el_gen(pre))
+                term = reference_multiply(A, term, dg)
+                for post in fs[i + 1:]:
+                    term = reference_multiply(A, term, el_gen(post))
+                out = el_add(out, term, c * sgn)
+            if A.gen[name].coh % 2:
+                sgn = -sgn
+    return out

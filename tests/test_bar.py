@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -79,6 +80,26 @@ def test_shuffle_examples(e1, e2):
     b1 = BarComplex(e1)
     assert b1.shuffle_words((X,), (X,)) == {(X, X): F(2)}
     assert b1.shuffle_words((), (X,)) == {(X,): F(1)}
+
+
+def make_signed_letters():
+    """Free on a (0,1), b (2,1) and c (-1,1): letters of suspended degree
+    -1, 1 and -2, odd and negative, which no punctured line has."""
+    gens = [GeneratorSpec("a", 0, 1), GeneratorSpec("b", 2, 1),
+            GeneratorSpec("c", -1, 1)]
+    return CdgaPresentation("SG", "free", gens)
+
+
+def test_shuffle_words_match_reference():
+    A = make_signed_letters()
+    bar = BarComplex(A)
+    letters = [((g.name, 1),) for g in A.generators]
+    words = [w for n in range(7) for w in itertools.product(letters, repeat=n)]
+    for u in words:
+        for v in words:
+            if len(u) + len(v) <= 6:
+                assert bar.shuffle_words(u, v) == \
+                    oracles.reference_shuffle_words(A, u, v), (u, v)
 
 
 def test_shuffle_leibniz_even_letters():
@@ -294,6 +315,19 @@ def test_gamma_e3_cobracket(e3):
     a, b = g.by_weight[1]
     assert set(cb) == {(a, b)}
     assert cb[(a, b)] != 0
+
+
+def test_cobracket_builds_only_the_generator_coproducts(e3):
+    """The cobracket reads the coproduct of the gamma generators only, so
+    only theirs are built, and the whole table is never forced."""
+    g = gamma(e3, 6)
+    g.cobracket
+    hopf = g.hopf
+    assert set(hopf._coproducts) == {(w, j) for w, vec in g.basis for j in vec}
+    assert len(hopf._coproducts) < sum(hopf.dims().values())
+    assert "coproduct" not in vars(hopf)
+    ref = oracles.reference_hopf(hopf).coproduct
+    assert list(hopf.coproduct.items()) == list(ref.items())
 
 
 @pytest.mark.parametrize("mk", [make_e2, make_e3, make_e4p])

@@ -14,6 +14,7 @@ from adamsbar.cdga import (
     tensor_cdga,
     validate,
 )
+import oracles
 from corpus import make_e1, make_e2, make_e3, make_e4, make_e4p, random_free_cdga
 
 F = Fraction
@@ -73,6 +74,75 @@ def test_apply_d(e3):
     dxz = e3.apply_d(e3.multiply(el_gen("x"), el_gen("z")))
     assert dxz == {}  # dx*z - x*(xy) = 0
     assert e3.apply_d({UNIT: F(1)}) == {}
+
+
+def make_table_with_d():
+    """Table group {x0, x1, y} with no products yet, and a free f (0,1)
+    with d f = x1: d of a monomial in f reads the table."""
+    gens = [GeneratorSpec("x0", 1, 1, group="g"),
+            GeneratorSpec("x1", 1, 1, group="g"),
+            GeneratorSpec("y", 2, 2, group="g"), GeneratorSpec("f", 0, 1)]
+    return CdgaPresentation("T", "table", gens, {"f": el_gen("x1")})
+
+
+def _monomials(A, w_max):
+    lo = min([0] + [g.coh for g in A.generators])
+    hi = max([0] + [g.coh for g in A.generators])
+    return [m for r in range(w_max + 1) for n in range(r * lo, r * hi + 1)
+            for m in A.slice(n, r)]
+
+
+def _check_against_reference(A, w_max):
+    """d of every monomial of weight <= w_max and the product of every
+    pair of total weight <= w_max, read twice (the second read is served
+    by the memos) and once more after the caller changed the first
+    result, equal to the memo-free reference with the same key order."""
+    monos = _monomials(A, w_max)
+    wt = {m: A.mono_bidegree(m)[1] for m in monos}
+    calls = [(A.apply_d, oracles.reference_apply_d, ({m: 1},))
+             for m in monos]
+    calls += [(A.multiply, oracles.reference_multiply, ({m1: 1}, {m2: F(2)}))
+              for m1 in monos for m2 in monos if wt[m1] + wt[m2] <= w_max]
+    for f, ref, args in calls:
+        want = list(ref(A, *args).items())
+        for _ in range(2):
+            got = f(*args)
+            assert list(got.items()) == want, args
+            got[UNIT] = 7
+    # elements with several terms and Fraction coefficients
+    for r in range(1, w_max + 1):
+        el = {m: F(k + 1, 2) for k, m in enumerate(monos) if wt[m] == r}
+        assert A.apply_d(el) == oracles.reference_apply_d(A, el)
+        assert A.multiply(el, el) == oracles.reference_multiply(A, el, el)
+
+
+@pytest.mark.parametrize("mk", [make_e1, make_e2, make_e3, make_e4,
+                                make_e4p, make_table_with_d])
+def test_structure_maps_match_reference(mk):
+    _check_against_reference(mk(), 4)
+
+
+def test_structure_maps_after_adjoin(e3):
+    """adjoin keeps every memo: a new generator changes neither d nor the
+    product of a monomial without it."""
+    _check_against_reference(e3, 3)
+    e3.adjoin(GeneratorSpec("w", 1, 3), e3.multiply(el_gen("x"), el_gen("z")))
+    _check_against_reference(e3, 4)
+    e3.adjoin(GeneratorSpec("e", 2, 1))
+    _check_against_reference(e3, 4)
+
+
+def test_set_product_is_seen():
+    A = make_table_with_d()
+    fx0 = (("f", 1), ("x0", 1))
+    assert A.multiply(el_gen("x0"), el_gen("x1")) == {}
+    assert A.apply_d({fx0: 1}) == {}
+    A.set_product("x0", "x1", el_gen("y"))
+    assert A.multiply(el_gen("x0"), el_gen("x1")) == el_gen("y")
+    assert A.multiply(el_gen("x1"), el_gen("x0")) == {(("y", 1),): -1}
+    # d(f x0) = d(f) x0 = x1 x0 = -y through the new table entry
+    assert A.apply_d({fx0: 1}) == {(("y", 1),): -1}
+    _check_against_reference(A, 4)
 
 
 def test_cohomology_slices(e1, e3):

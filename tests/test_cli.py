@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adamsbar import bar, linalg
+from adamsbar import bar, cli, linalg
 from adamsbar.cli import main
 from adamsbar.parser import ParseError, bind_cell, parse_text
 
@@ -277,6 +277,42 @@ def test_pi1_demo_wrong_gamma_fails_the_verdict(capsys, monkeypatch):
     code, rep = run(capsys, "pi1-demo", "--punctures", "3", "--wt-max", "3")
     assert (code, rep["verdict"]) == (1, "fail")
     assert rep["polynomial_dims"] != rep["h0_dims"]
+
+
+@pytest.mark.parametrize("count", ["h0_dims", "gamma_dims"])
+def test_pi1_demo_wrong_count_fails_the_verdict(capsys, monkeypatch, count):
+    """H^0_w = (k-1)^w and gamma_w = the necklace count are each part of
+    the verdict: one count off by one at the top weight fails it, while
+    H^0 stays free on gamma."""
+    real = cli.pi1_demo
+
+    def off_by_one(k, w_max):
+        rep = real(k, w_max)
+        rep[count][w_max] += 1
+        if count == "h0_dims":
+            rep["polynomial_dims"][w_max] += 1
+        return rep
+
+    monkeypatch.setattr(cli, "pi1_demo", off_by_one)
+    code, rep = run(capsys, "pi1-demo", "--punctures", "3", "--wt-max", "3")
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["polynomial_dims"] == rep["h0_dims"]
+
+
+def test_unexpected_error_exits_3(capsys, monkeypatch):
+    """An error no handler names is an internal error, not a failed
+    property: exit 3, with its type, message and traceback on stderr."""
+    def broken(k, w_max):
+        raise RuntimeError("structure map fails to commute with d at mg0")
+
+    monkeypatch.setattr(cli, "pi1_demo", broken)
+    code = main(["pi1-demo", "--punctures", "3", "--wt-max", "2"])
+    err = capsys.readouterr()
+    assert code == 3
+    assert err.out == ""
+    assert err.err.startswith("internal error: RuntimeError: structure map "
+                              "fails to commute with d at mg0\n")
+    assert "Traceback (most recent call last)" in err.err
 
 
 def test_minimal_model_command(capsys, tmp_path):

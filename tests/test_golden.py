@@ -50,6 +50,9 @@ CASES = {
     "colie_e2_w6": ["colie", "@e2.cdga", "--wt-max", "6"],
     "colie_e3_w4": ["colie", "@e3.cdga", "--wt-max", "4"],
     "colie_e3_half_w4": ["colie", "@e3_half.cdga", "--wt-max", "4"],
+    # w6: the weights where the cobracket reads the coproduct of only a
+    # few of the H^0 classes
+    "colie_e3_w6": ["colie", "@e3.cdga", "--wt-max", "6"],
     "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
     "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",
                                   "@e1.cdga", "--n", "2", "--wt-max", "3"],
