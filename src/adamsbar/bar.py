@@ -19,12 +19,12 @@ word is placed before the letters u_i.. still left of the first word, the
 sign flips when ebar(v_j) and ebar(u_i) + ... are both odd.
 shuffle_words takes those parities once per call (the suffix parities of
 u and the parity of each letter of v) and recurses on positions (i, j)
-with one word prefix that it extends and shortens in place.  The
-antipode reverses the word with
-sign (-1)^m * (-1)^{sum_{i<j} ebar_i ebar_j}.  Every sign is taken from
-an exponent mod 2 (an exponent can be negative, and (-1)**k is a float
-then), so d, the shuffle and the antipode of a word carry int
-coefficients over an integral presentation.
+with one word prefix that it extends and shortens in place.  Every sign
+is taken from an exponent mod 2 (an exponent can be negative, and
+(-1)**k is a float then), so d and the shuffle of a word carry int
+coefficients over an integral presentation.  No command reads the
+antipode; the tests check the antipode axiom with a word-level antipode
+of their own.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class BarComplex(linalg.SliceComplex):
         self.A = A
         self._letters = {}
         self._words = {}
+        self._by_degree = {}
         if A.generators:
             self._min_d = min(g.coh for g in A.generators)
             self._max_d = max(g.coh for g in A.generators)
@@ -122,9 +123,18 @@ class BarComplex(linalg.SliceComplex):
             r += mr
         return (n - len(word), r)
 
+    def words_by_degree(self, w):
+        """{n: the words of weight w and degree n, sorted}, grouped once
+        per weight, so each word's degree is taken once."""
+        if w not in self._by_degree:
+            groups = {}
+            for word in self.words_of_weight(w):
+                groups.setdefault(self.word_bidegree(word)[0], []).append(word)
+            self._by_degree[w] = {n: sorted(g) for n, g in groups.items()}
+        return self._by_degree[w]
+
     def slice_keys(self, n, w):
-        return sorted([word for word in self.words_of_weight(w)
-                       if self.word_bidegree(word)[0] == n])
+        return self.words_by_degree(w).get(n, [])
 
     # ---- structure maps ------------------------------------------------
 
@@ -204,19 +214,6 @@ class BarComplex(linalg.SliceComplex):
         """Deconcatenation: list of (prefix, suffix) pairs (coefficient 1)."""
         return [(word[:i], word[i:]) for i in range(len(word) + 1)]
 
-    def antipode_word(self, word):
-        m = len(word)
-        eb = [self._ebar(l) for l in word]
-        s = sum(eb[i] * eb[j] for i in range(m) for j in range(i + 1, m))
-        return {tuple(reversed(word)): -1 if (m + s) % 2 else 1}
-
-    def antipode_lin(self, a):
-        out = {}
-        for word, c in a.items():
-            for nw, nc in self.antipode_word(word).items():
-                _wadd(out, nw, c * nc)
-        return out
-
     def vector(self, lin, n, w):
         idx = self.index(n, w)
         return {idx[word]: c for word, c in lin.items()}
@@ -243,15 +240,16 @@ class WeightPiece:
 
 
 class HopfPresentation:
-    """Weight-truncated H^0(Bbar(A)) with all structure constants, each
-    table built on its first read: dims() reads none of them.
+    """Weight-truncated H^0(Bbar(A)) with its product and coproduct, each
+    built on its first read: dims() reads neither.
 
     product[(w1, i, w2, j)]: dict {k: coeff} over weight-(w1+w2) classes.
-    coproduct[(w, k)] = coproduct_of(w, k): dict {(w1, i, j): coeff}
-    meaning class_i(w1) (x) class_j(w - w1), including the w1 = 0 and
-    w1 = w (grouplike) parts; coproduct_of builds one class's on its first
-    read, so a reader of a few classes pays for those only.
-    antipode[(w, k)]: dict {k2: coeff} within weight w.
+    coproduct_of(w, k): dict {(w1, i, j): coeff} meaning
+    class_i(w1) (x) class_j(w - w1), including the w1 = 0 and w1 = w
+    (grouplike) parts, built for one class on its first read, so a reader
+    of a few classes pays for those only.  The antipode is not built: it
+    is determined by the product and coproduct (the tests check the
+    antipode axiom against a word-level antipode).
 
     Only the constants that carry information are classified; the rest are
     exact by construction:
@@ -305,12 +303,6 @@ class HopfPresentation:
                         product[(w2, j, w1, i)] = dict(val)
         return product
 
-    @functools.cached_property
-    def coproduct(self):
-        return {(w, k): self.coproduct_of(w, k)
-                for w in range(self.w_max + 1)
-                for k in range(self.pieces[w].dim)}
-
     def coproduct_of(self, w, k):
         """The coproduct of the k-th class of weight w, built on its first
         read."""
@@ -357,15 +349,6 @@ class HopfPresentation:
                     out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
         val = self._coproducts[(w, k)] = {k2: c for k2, c in out.items() if c}
         return val
-
-    @functools.cached_property
-    def antipode(self):
-        bar = self.bar
-        antipode = {}
-        for w in range(self.w_max + 1):
-            for k, rep in enumerate(self.rep_lins(w)):
-                antipode[(w, k)] = self.classify(bar.antipode_lin(rep), w)
-        return antipode
 
 
 def h0_hopf(A: CdgaPresentation, w_max):

@@ -32,7 +32,7 @@ product nor the d of a monomial that does not contain it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -435,49 +435,3 @@ def is_coh_connected(A: CdgaPresentation, adams_max=4):
             if dim:
                 witnesses.append((n, r, dim))
     return (not witnesses), witnesses
-
-
-# ---- tensor product ----------------------------------------------------
-
-
-def _rename_element(a, mapping):
-    return {
-        tuple(sorted((mapping.get(n, n), e) for n, e in m)): c for m, c in a.items()
-    }
-
-
-def tensor_cdga(A: CdgaPresentation, B: CdgaPresentation):
-    mapping = {}
-    taken = set(A.gen)
-    for g in B.generators:
-        new = g.name
-        while new in taken:
-            new = new + "'"
-        mapping[g.name] = new
-        taken.add(new)
-    a_groups = {g.group for g in A.generators if g.group}
-    group_map = {}
-    for g in B.generators:
-        if g.group:
-            ng = g.group
-            while ng in a_groups:
-                ng = ng + "'"
-            group_map[g.group] = ng
-    gens = list(A.generators) + [
-        GeneratorSpec(mapping[g.name], g.coh, g.adams,
-                      group_map.get(g.group) if g.group else None)
-        for g in B.generators
-    ]
-    diff = dict(A.differential)
-    for n, val in B.differential.items():
-        diff[mapping[n]] = _rename_element(val, mapping)
-    aug = dict(A.augmentation)
-    for n, val in B.augmentation.items():
-        aug[mapping[n]] = _rename_element(val, mapping)
-    kind = "table" if "table" in (A.kind, B.kind) else "free"
-    out = CdgaPresentation(f"{A.name}_x_{B.name}", kind, gens, diff, None, aug)
-    for (x, y), val in A.products.items():
-        out.set_product(x, y, val)
-    for (x, y), val in B.products.items():
-        out.set_product(mapping[x], mapping[y], _rename_element(val, mapping))
-    return out

@@ -229,9 +229,6 @@ class ScalarComplex(linalg.SliceComplex):
         dims = {nr: self.cohomology_dim(*nr) for nr in sorted(self._indices)}
         return {nr: dim for nr, dim in dims.items() if dim}
 
-    def weights(self):
-        return sorted({a for (_, _, a) in self.basis})
-
 
 class ConnectionModule:
     """(M_0, d0) with an A+-valued connection Gamma, as basis matrices."""
@@ -276,13 +273,6 @@ def to_connection(M: CellModule) -> ConnectionModule:
         if plus:
             gamma[(i, j)] = plus
     return ConnectionModule(M.algebra, M.basis, d0, gamma, M.twist)
-
-
-def from_connection(C: ConnectionModule, filtration=None, name="M") -> CellModule:
-    diff = C._d()
-    if filtration is None:
-        filtration = _strict_filtration(C.basis, diff)
-    return CellModule(C.algebra, C.basis, diff, filtration, C.twist, name)
 
 
 def _strict_filtration(basis, diff):
@@ -461,7 +451,11 @@ def hom_group(M: CellModule, N: CellModule):
 
 
 def weight_truncate(M: CellModule, n: int):
-    """(W_n M, gr^W_n M, W^{>n} M) splitting the basis by true Adams weight."""
+    """(W_n M, gr^W_n M, W^{>n} M) splitting the basis by true Adams weight.
+
+    An entry of d between two basis elements of the same weight has Adams
+    weight 0, so on a module of the right bidegrees it is a scalar, and
+    gr^W_n keeps d's entries as they are."""
     low, exact, high = [], [], []
     for i, (_, c, a) in enumerate(M.basis):
         true_a = a + M.twist
@@ -472,25 +466,18 @@ def weight_truncate(M: CellModule, n: int):
         else:
             high.append(i)
 
-    def sub(idxs, keep_scalar_only=False):
+    def sub(idxs):
         pos = {b: k for k, b in enumerate(idxs)}
         basis = [M.basis[b] for b in idxs]
-        diff = {}
-        for (i, j), a in M.differential.items():
-            if i in pos and j in pos:
-                if keep_scalar_only:
-                    c = a.get(UNIT)
-                    if c:
-                        diff[(pos[i], pos[j])] = {UNIT: c}
-                else:
-                    diff[(pos[i], pos[j])] = a
+        diff = {(pos[i], pos[j]): a for (i, j), a in M.differential.items()
+                if i in pos and j in pos}
         filtration = [
             [pos[b] for b in s if b in pos] for s in M.filtration
         ]
         filtration = [s for s in filtration if s]
         return CellModule(M.algebra, basis, diff, filtration, M.twist)
 
-    return sub(low), sub(exact, keep_scalar_only=True), sub(high)
+    return sub(low), sub(exact), sub(high)
 
 
 def is_finite_tate(M: CellModule):

@@ -84,17 +84,13 @@ def _load_any(path, base_algebra=None):
 
 def _augmented(args):
     base = _load_cdga(args.base) if args.base else trivial_base()
-    total = _load_cdga(args.total if hasattr(args, "total") and args.total
-                       else args.file)
+    total = _load_cdga(getattr(args, "total", None) or args.file)
     return AugmentedOverN(base, total)
 
 
 def cmd_validate(args):
-    if args.base:
-        base = _load_cdga(args.base)
-        kind, obj = _load_any(args.file, base)
-    else:
-        kind, obj = _load_any(args.file)
+    kind, obj = _load_any(args.file,
+                          _load_cdga(args.base) if args.base else None)
     if kind == "cdga":
         ok, fails = cdga_mod.validate(obj)
     else:
@@ -105,11 +101,8 @@ def cmd_validate(args):
 
 
 def cmd_cohomology(args):
-    if args.base:
-        base = _load_cdga(args.base)
-        kind, obj = _load_any(args.file, base)
-    else:
-        kind, obj = _load_any(args.file)
+    kind, obj = _load_any(args.file,
+                          _load_cdga(args.base) if args.base else None)
     if kind == "cdga":
         cdga_mod.check_bidegrees(obj)
     else:

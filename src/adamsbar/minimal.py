@@ -115,9 +115,6 @@ class MinimalModelResult:
     def certified(self):
         return all(self.certification.values())
 
-    def fiber_count(self):
-        return len(self.fiber_names)
-
 
 def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
     """n-minimal model of the augmented algebra A over the base N.
@@ -276,14 +273,6 @@ class QAColie:
 
     def dims(self):
         return {w: len(v) for w, v in sorted(self.by_weight.items())}
-
-
-def qa_colie(A: CdgaPresentation, w_max):
-    ok, wit = is_coh_connected(A, adams_max=w_max)
-    if not ok:
-        raise ValueError(f"{A.name} not cohomologically connected: {wit}")
-    mm = relative_minimal_model(trivial_base(), augment_absolute(A), 1, w_max)
-    return QAColie(mm)
 
 
 def quillen_compare(A: CdgaPresentation, w_max):

@@ -6,7 +6,6 @@ remaining ("fiber") generators.  The fiber algebra Sym*E = A (x)_N Q
 carries the reduced differential d0; the base-valued remainder of d is
 a flat nilpotent connection Gamma.  This module computes:
 
-  * the N (+) ideal splitting of A,
   * H^0 of the bar construction of the fiber with the induced connection
     on its weight pieces, on the relative bar complex N (x) Bbar(F), a
     SliceComplex whose D is read off d_A (flatness is its D^2 = 0),
@@ -30,7 +29,6 @@ from .cdga import (
     GeneratorSpec,
     d_squared_failures,
     el_add,
-    el_gen,
     is_coh_connected,
     mono_factors,
 )
@@ -100,14 +98,6 @@ class AugmentedOverN:
                 out = el_add(out, {mono: F(1)}, c)
         return out
 
-    def eps_chain_map_failures(self):
-        fails = []
-        for g in self.fiber:
-            lhs = self.eps(self.total.apply_d(el_gen(g.name)))
-            if lhs:
-                fails.append((g.name, lhs))
-        return fails
-
 
 def split_monomial(A: CdgaPresentation, mono, base_names):
     """Split a monomial into (base part, fiber part, Koszul sign).
@@ -130,41 +120,6 @@ def split_monomial(A: CdgaPresentation, mono, base_names):
     bmono = tuple(sorted(base.items()))
     fmono = tuple(sorted(fib.items()))
     return bmono, fmono, sign
-
-
-def split_ideal(X: AugmentedOverN, coh_max=4, adams_max=4):
-    """Per-slice splitting A = N (+) ker(eps), with closure checks."""
-    fails = X.eps_chain_map_failures()
-    if fails:
-        raise RelativeError(f"augmentation is not a chain map: {fails}")
-    A = X.total
-    out = {}
-    for n in range(0, coh_max + 1):
-        for r in range(0, adams_max + 1):
-            basis = A.slice(n, r)
-            if not basis:
-                continue
-            ideal = []
-            base_dim = 0
-            for m in basis:
-                if all(name in X.base_names for name, _ in m):
-                    base_dim += 1
-                else:
-                    ideal.append({m: F(1)})
-            # closure of the ideal under d and under N-multiplication
-            for v in ideal:
-                if X.eps(A.apply_d(v)):
-                    raise RelativeError(
-                        f"ideal not closed under d at slice ({n}, {r})"
-                    )
-                for g in X.base.generators:
-                    if X.eps(A.multiply(el_gen(g.name), v)):
-                        raise RelativeError(
-                            f"ideal not closed under {g.name}-multiplication "
-                            f"at slice ({n}, {r})"
-                        )
-            out[(n, r)] = {"base_dim": base_dim, "ideal": ideal}
-    return out
 
 
 def fiber_algebra(X: AugmentedOverN):
@@ -257,9 +212,9 @@ class RelativeBarH0(linalg.SliceComplex):
     def slice_keys(self, n, w):
         return sorted(
             (b, word) for wb in range(w + 1)
-            for word in self.bar.words_of_weight(w - wb)
-            for b in self.X.base.slice(
-                n - self.bar.word_bidegree(word)[0], wb))
+            for dn, words in self.bar.words_by_degree(w - wb).items()
+            for b in self.X.base.slice(n - dn, wb)
+            for word in words)
 
     def d_key(self, n, w, key):
         b, word = key

@@ -31,10 +31,8 @@ def make_e3():
         GeneratorSpec("y", 1, 1),
         GeneratorSpec("z", 1, 2),
     ]
-    A = CdgaPresentation("E3", "free", gens)
-    d = {"z": A.multiply(el_gen("x"), el_gen("y"))}
-    A.differential = d
-    return A
+    return CdgaPresentation("E3", "free", gens, differential={
+        "z": {(("x", 1), ("y", 1)): 1}})
 
 
 def make_e4():
@@ -43,22 +41,18 @@ def make_e4():
         GeneratorSpec("u", 1, 1),
         GeneratorSpec("v", 1, 2),
     ]
-    A = CdgaPresentation("E4", "free", gens)
-    A.differential = {"v": A.multiply(el_gen("t"), el_gen("u"))}
-    A.augmentation = {"u": {}, "v": {}}
-    return A
+    return CdgaPresentation("E4", "free", gens,
+                            differential={"v": {(("t", 1), ("u", 1)): 1}},
+                            augmentation={"u": {}, "v": {}})
 
 
 def make_e4p():
     A = make_e4()
     gens = A.generators + [GeneratorSpec("w", 1, 3)]
-    B = CdgaPresentation("E4p", "free", gens)
-    B.differential = dict(A.differential)
-    uv = B.multiply(el_gen("u"), el_gen("v"))
-    tv = B.multiply(el_gen("t"), el_gen("v"))
-    B.differential["w"] = {**uv, **tv}
-    B.augmentation = {"u": {}, "v": {}, "w": {}}
-    return B
+    dw = {(("u", 1), ("v", 1)): 1, (("t", 1), ("v", 1)): 1}
+    return CdgaPresentation("E4p", "free", gens,
+                            differential={**A.differential, "w": dw},
+                            augmentation={"u": {}, "v": {}, "w": {}})
 
 
 def base_gens_e4():
@@ -126,9 +120,8 @@ def random_gen_nilpotent(seed, max_fiber=3, wt_max=3):
             diff = dict(diff)
             diff[name] = dval
         aug[name] = {}
-    A = CdgaPresentation(f"GN{seed}", "free", gens, diff)
-    A.augmentation = aug
-    return A
+    return CdgaPresentation(f"GN{seed}", "free", gens, diff,
+                            augmentation=aug)
 
 
 def random_cell_module(A, seed, max_basis=4, deg_range=(0, 2), wt_range=(0, 2)):

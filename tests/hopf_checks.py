@@ -7,6 +7,11 @@ HopfPresentation classifies each unordered pair of classes once and
 stores the product under both orders, so product_commutative holds by
 construction there; it can still fail on constants that classify every
 ordered pair, such as oracles.reference_hopf.
+
+The checks read h.w_max, h.pieces, h.product and h.coproduct_of(w, k);
+antipode_axiom also reads h.bar, h.rep_lins and h.classify, since the
+antipode of a class is classified here from the word-level antipode of
+its representative.
 """
 
 from fractions import Fraction
@@ -50,8 +55,15 @@ def product_associative(h):
     return True, None
 
 
+def _coproducts(h):
+    """((w, k), coproduct of the k-th class of weight w) for every class."""
+    for w in range(h.w_max + 1):
+        for k in range(h.pieces[w].dim):
+            yield (w, k), h.coproduct_of(w, k)
+
+
 def counit_laws(h):
-    for (w, k), cop in h.coproduct.items():
+    for (w, k), cop in _coproducts(h):
         left = {j: c for (w1, i, j), c in cop.items() if w1 == 0}
         right = {i: c for (w1, i, j), c in cop.items() if w1 == w}
         if left != {k: F(1)} or right != {k: F(1)}:
@@ -60,15 +72,15 @@ def counit_laws(h):
 
 
 def coassociative(h):
-    for (w, k), cop in h.coproduct.items():
+    for (w, k), cop in _coproducts(h):
         lhs = {}
         for (w1, i, j), c in cop.items():
             # apply coproduct to the left factor (weight w1, class i)
-            for (wa, a, b), c2 in h.coproduct[(w1, i)].items():
+            for (wa, a, b), c2 in h.coproduct_of(w1, i).items():
                 _add(lhs, (wa, a, w1 - wa, b, w - w1, j), c * c2)
         rhs = {}
         for (w1, i, j), c in cop.items():
-            for (wb, a, b), c2 in h.coproduct[(w - w1, j)].items():
+            for (wb, a, b), c2 in h.coproduct_of(w - w1, j).items():
                 _add(rhs, (w1, i, wb, a, w - w1 - wb, b), c * c2)
         if lhs != rhs:
             return False, (w, k)
@@ -84,11 +96,11 @@ def coproduct_algebra_map(h):
                 for j in range(h.pieces[w2].dim):
                     lhs = {}
                     for m, c in h.product[(w1, i, w2, j)].items():
-                        for (wa, a, b), c2 in h.coproduct[(w, m)].items():
+                        for (wa, a, b), c2 in h.coproduct_of(w, m).items():
                             _add(lhs, (wa, a, w - wa, b), c * c2)
                     rhs = {}
-                    for (wa, a, b), c in h.coproduct[(w1, i)].items():
-                        for (wc, e, f), c2 in h.coproduct[(w2, j)].items():
+                    for (wa, a, b), c in h.coproduct_of(w1, i).items():
+                        for (wc, e, f), c2 in h.coproduct_of(w2, j).items():
                             for m, c3 in h.product[(wa, a, wc, e)].items():
                                 for n, c4 in h.product[
                                     (w1 - wa, b, w2 - wc, f)
@@ -103,12 +115,30 @@ def coproduct_algebra_map(h):
     return True, None
 
 
-def antipode_axiom(h):
-    """m (S (x) id) Delta = eta eps on every class."""
-    for (w, k), cop in h.coproduct.items():
+def antipode_word(bar, word):
+    """The antipode of a bar word [x1|...|xm]: the reversed word with sign
+    (-1)^(m + sum_{i<j} ebar_i ebar_j), ebar the suspended degree."""
+    m = len(word)
+    eb = [bar.A.mono_bidegree(x)[0] - 1 for x in word]
+    s = sum(eb[i] * eb[j] for i in range(m) for j in range(i + 1, m))
+    return {tuple(reversed(word)): -1 if (m + s) % 2 else 1}
+
+
+def antipode_axiom(h, word_antipode=antipode_word):
+    """m (S (x) id) Delta = eta eps on every class, S of a class being
+    word_antipode applied to its representative, classified by h."""
+    antipode = {}
+    for w in range(h.w_max + 1):
+        for k, rep in enumerate(h.rep_lins(w)):
+            lin = {}
+            for word, c in rep.items():
+                for nw, nc in word_antipode(h.bar, word).items():
+                    _add(lin, nw, c * nc)
+            antipode[(w, k)] = h.classify(lin, w)
+    for (w, k), cop in _coproducts(h):
         acc = {}
         for (w1, i, j), c in cop.items():
-            for i2, c2 in h.antipode[(w1, i)].items():
+            for i2, c2 in antipode[(w1, i)].items():
                 for n, c3 in h.product[(w1, i2, w - w1, j)].items():
                     _add(acc, n, c * c2 * c3)
         expected = {0: F(1)} if w == 0 else {}

@@ -284,8 +284,9 @@ def reference_hopf(h):
     """The structure constants of the HopfPresentation h, recomputed from
     its representatives: every ordered product (the unit included) and
     every split of the coproduct is classified, against a
-    ReferenceProjector per weight.  The result has the attributes w_max,
-    pieces, product, coproduct and antipode that hopf_checks reads."""
+    ReferenceProjector per weight.  The result has what hopf_checks
+    reads: w_max, pieces, product, coproduct_of(w, k), and bar, rep_lins
+    and classify, for the antipode of a class."""
     bar = h.bar
     projectors = {}
     for w, p in h.pieces.items():
@@ -295,7 +296,7 @@ def reference_hopf(h):
     def classify(lin, w):
         return projectors[w].class_coords(bar.vector(lin, 0, w))
 
-    product, coproduct, antipode = {}, {}, {}
+    product, coproduct = {}, {}
     for w1 in range(h.w_max + 1):
         for w2 in range(h.w_max + 1 - w1):
             p1, p2 = h.pieces[w1], h.pieces[w2]
@@ -331,10 +332,11 @@ def reference_hopf(h):
                     for j, c in vcls.items():
                         out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
             coproduct[(w, k)] = {k2: c for k2, c in out.items() if c}
-        for k, rep in enumerate(piece.rep_lins(bar)):
-            antipode[(w, k)] = classify(bar.antipode_lin(rep), w)
+    reps = {w: p.rep_lins(bar) for w, p in h.pieces.items()}
     return SimpleNamespace(w_max=h.w_max, pieces=h.pieces, product=product,
-                           coproduct=coproduct, antipode=antipode)
+                           coproduct_of=lambda w, k: coproduct[(w, k)],
+                           bar=bar, rep_lins=reps.__getitem__,
+                           classify=classify)
 
 
 # ---- reference cohomology and co-Lie quotient ---------------------------
@@ -441,7 +443,7 @@ def reference_colie(h):
     for g, (w, class_vec) in enumerate(basis):
         tensor = {}
         for k, c in class_vec.items():
-            for (w1, i, j), cc in h.coproduct[(w, k)].items():
+            for (w1, i, j), cc in h.coproduct_of(w, k).items():
                 w2 = w - w1
                 if w1 == 0 or w2 == 0:
                     continue
@@ -692,8 +694,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
     from adamsbar.minimal import IdealComplex
 
     model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
-                             N.differential)
-    model.products = dict(N.products)
+                             N.differential, N.products)
     ic_A = IdealComplex(A)
     structure_map = {}
     fiber_names = []
@@ -711,13 +712,11 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
         nonlocal model
         name = fresh_name()
         gens = model.generators + [GeneratorSpec(name, coh, adams)]
-        newm = CdgaPresentation(model.name, model.kind, gens,
-                                model.differential)
-        newm.products = dict(model.products)
-        if d_el:
-            newm.differential[name] = d_el
-        newm.augmentation = {g: {} for g in fiber_names + [name]}
-        model = newm
+        diff = {**model.differential, name: d_el} if d_el else \
+            model.differential
+        model = CdgaPresentation(model.name, model.kind, gens, diff,
+                                 model.products,
+                                 {g: {} for g in fiber_names + [name]})
         fiber_names.append(name)
         structure_map[name] = s_el
 

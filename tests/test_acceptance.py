@@ -103,7 +103,7 @@ def test_criterion_5_minimal_model_certification():
         assert mm.certified(), mm.certification
         again = relative_minimal_model(make_e1("t"), mm.model, 2, 3)
         assert again.certified()
-        assert again.fiber_count() == mm.fiber_count()
+        assert len(again.fiber_names) == len(mm.fiber_names)
         assert {(g.coh, g.adams) for g in again.model.generators} == {
             (g.coh, g.adams) for g in mm.model.generators
         }
@@ -170,15 +170,8 @@ def test_criterion_8_t_structure_weights():
             M = random_cell_module(A, seed)
             N = random_cell_module(A, seed + 50)
             qm, qn = M.q_complex(), N.q_complex()
-            if any(
-                qm.cohomology_dim(c, r)
-                for c in range(1, 5)
-                for r in qm.weights()
-            ) or any(
-                qn.cohomology_dim(c, r)
-                for c in range(-4, 0)
-                for r in qn.weights()
-            ):
+            if any(1 <= c <= 4 for c, _ in qm.cohomology_dims()) or any(
+                    -4 <= c <= -1 for c, _ in qn.cohomology_dims()):
                 continue
             checked += 1
             assert hom_group(M, shift(N, -1)) == 0

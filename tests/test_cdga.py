@@ -11,7 +11,6 @@ from adamsbar.cdga import (
     el_gen,
     el_scale,
     is_coh_connected,
-    tensor_cdga,
     validate,
 )
 import oracles
@@ -164,28 +163,6 @@ def test_not_connected():
     ok, wit = is_coh_connected(A, adams_max=2)
     assert not ok
     assert (0, 1, 1) in wit
-
-
-def test_tensor_renames(e1):
-    T = tensor_cdga(e1, make_e1())
-    names = sorted(g.name for g in T.generators)
-    assert names == ["x", "x'"]
-    assert len(T.slice(2, 2)) == 1  # x*x'
-
-
-def test_tensor_kunneth(e1, e2):
-    T = tensor_cdga(e1, e2)
-    assert T.kind == "table"
-    for n in range(0, 4):
-        for r in range(0, 4):
-            lhs = len(T.slice(n, r))
-            rhs = sum(
-                len(e1.slice(i, s)) * len(e2.slice(n - i, r - s))
-                for i in range(-1, n + 2)
-                for s in range(0, r + 1)
-            )
-            assert lhs == rhs, (n, r)
-    assert len(T.slice(2, 2)) == 2  # x*x0, x*x1
 
 
 def test_random_cdgas_valid():

@@ -1,0 +1,77 @@
+"""Every function, class and method defined in src/adamsbar is read by
+the program: somewhere in src/adamsbar/*.py or bench/*.py (the commands
+and the benchmark jobs, not the tests) its name is loaded as a name or
+an attribute, or imported.  A definition nothing reads is deleted, or
+kept on ALLOWED with the reason it stays.
+
+The scan goes by name, so a definition that shares its name with one
+that is read counts as read: Echelon.rows passes because bench/tracer.py
+loads an attribute `rows`, and CellModule.slice_basis because
+bench/worker.py calls it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "adamsbar").glob("*.py"))
+READERS = SRC + sorted((ROOT / "bench").glob("*.py"))
+
+ALLOWED = {
+    "solve": "bench/tests/test_bench.py asserts that the bench tracer "
+             "wraps linalg.solve",
+    "piece_conn": "Gamma on the H^0 classes, the candidate independent "
+                  "side of the coaction-check comparison",
+    "tate": "the Tate objects A<n> of the cell-module category",
+    "shift": "the shift M[k] of the cell-module category",
+    "cone": "the cone of a morphism of cell modules",
+    "in_heart": "membership in the heart of the t-structure",
+    "is_finite_tate": "the finite-Tate property of a cell module",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions():
+    """{name: [file:line, ...]} of the non-dunder functions, classes and
+    methods defined in src/adamsbar."""
+    out = {}
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and not _is_dunder(node.name):
+                out.setdefault(node.name, []).append(
+                    f"{path.name}:{node.lineno}")
+    return out
+
+
+def read_names():
+    """The names loaded as a name or an attribute, or imported, in
+    src/adamsbar/*.py and bench/*.py."""
+    out = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                out.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                out.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return out
+
+
+def test_every_definition_is_read():
+    read = read_names()
+    unread = {name: where for name, where in definitions().items()
+              if name not in read and name not in ALLOWED}
+    assert not unread, f"defined in src/ but read by no program code: {unread}"
+
+
+def test_allowed_names_are_defined_and_unread():
+    """An ALLOWED entry goes once its definition is deleted or read."""
+    defined, read = definitions(), read_names()
+    stale = sorted(n for n in ALLOWED if n not in defined or n in read)
+    assert not stale, f"ALLOWED entries to remove: {stale}"

@@ -18,7 +18,6 @@ from adamsbar.relative import (
     punctured_line_model,
     relative_bar_h0,
     semidirect,
-    split_ideal,
     split_monomial,
 )
 from corpus import (
@@ -63,30 +62,6 @@ def test_split_monomial_signs(x4):
     b, f, s = split_monomial(A, (("u", 1), ("v", 1)), {"v"})
     # pulling the degree-1 factor v over the degree-1 factor u
     assert (b, f, s) == ((("v", 1),), (("u", 1),), -1)
-
-
-def test_split_ideal_e4(x4):
-    out = split_ideal(x4, coh_max=3, adams_max=3)
-    sl = out[(1, 1)]
-    assert sl["base_dim"] == 1  # t
-    assert sl["ideal"] == [{(("u", 1),): F(1)}]
-    sl2 = out[(1, 2)]
-    assert sl2["base_dim"] == 0
-    assert {(("v", 1),): F(1)} in sl2["ideal"]
-
-
-def test_split_ideal_trivial_total():
-    X = AugmentedOverN(make_e1("t"), make_e1("t"))
-    out = split_ideal(X, coh_max=2, adams_max=2)
-    assert all(sl["ideal"] == [] for sl in out.values())
-
-
-def test_split_ideal_absolute_augmentation():
-    X = AugmentedOverN(trivial_base(), make_e3())
-    out = split_ideal(X, coh_max=3, adams_max=3)
-    for (n, r), sl in out.items():
-        if n > 0:
-            assert sl["base_dim"] == 0
 
 
 def test_fiber_algebra_e4(x4):
@@ -397,7 +372,8 @@ def test_pi1_demo_lyndon(k):
 def test_pi1_demo_builds_no_coproduct(monkeypatch):
     """pi1-demo reads dims and gamma, never a coproduct."""
     built = []
-    monkeypatch.setattr(HopfPresentation, "coproduct", property(built.append))
+    monkeypatch.setattr(HopfPresentation, "coproduct_of",
+                        lambda self, w, k: built.append((w, k)))
     pi1_demo(4, 4)
     assert built == []
 

@@ -104,8 +104,7 @@ def test_ideal_forget_drops_only_slices_of_its_weight_and_above():
     ic = IdealComplex(M)
     low, high = ic.cohomology(1, 1), ic.cohomology(2, 2)
     assert (low[0], high[0]) == (2, 1)
-    M.adjoin(GeneratorSpec("z", 1, 2), XY)
-    M.augmentation["z"] = {}
+    M.adjoin(GeneratorSpec("z", 1, 2), XY, aug={})
     ic.forget(2)
     assert ic.cohomology(1, 1) is low
     assert ic.cohomology(2, 2)[0] == 0
