@@ -70,16 +70,16 @@ def map_letters(lin, f):
 
 class BarComplex(linalg.SliceComplex):
     """The bar complex as a SliceComplex: the keys of slice (n, w) are its
-    words, sorted.  d does not lengthen a word, so the words of length at
-    most m span a subcomplex, the truncation at m; filtered_h0 with level
-    len reads the H^0 dims of every truncation off this one complex."""
+    words, sorted, grouped by degree once per weight.  d does not lengthen
+    a word, so the words of length at most m span a subcomplex, the
+    truncation at m; filtered_h0 with level len reads the H^0 dims of
+    every truncation off this one complex."""
 
     def __init__(self, A: CdgaPresentation):
         super().__init__()
         self.A = A
         self._letters = {}
         self._words = {}
-        self._by_degree = {}
         if A.generators:
             self._min_d = min(g.coh for g in A.generators)
             self._max_d = max(g.coh for g in A.generators)
@@ -123,18 +123,13 @@ class BarComplex(linalg.SliceComplex):
             r += mr
         return (n - len(word), r)
 
-    def words_by_degree(self, w):
-        """{n: the words of weight w and degree n, sorted}, grouped once
-        per weight, so each word's degree is taken once."""
-        if w not in self._by_degree:
-            groups = {}
-            for word in self.words_of_weight(w):
-                groups.setdefault(self.word_bidegree(word)[0], []).append(word)
-            self._by_degree[w] = {n: sorted(g) for n, g in groups.items()}
-        return self._by_degree[w]
-
-    def slice_keys(self, n, w):
-        return self.words_by_degree(w).get(n, [])
+    def group_keys(self, w):
+        """{n: the words of weight w and degree n, sorted}, so each word's
+        degree is taken once."""
+        groups = {}
+        for word in self.words_of_weight(w):
+            groups.setdefault(self.word_bidegree(word)[0], []).append(word)
+        return {n: sorted(g) for n, g in groups.items()}
 
     # ---- structure maps ------------------------------------------------
 

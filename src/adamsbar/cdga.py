@@ -23,11 +23,18 @@ structure maps per monomial, filled on first read: the bidegree of a
 monomial, the product of a pair of monomials (mono_mul) and d of a
 monomial (mono_d).  multiply and apply_d read them, and through these so
 do the bar, relative and cell layers; a reader never changes a memoized
-dict, and multiply and apply_d return fresh ones, since el_add copies its
-first argument.
+dict.  The structure maps add their terms into one fresh dict each, with
+linalg's in-place sum (an int stays an int, and keys keep the order in
+which they first occur), so multiply and apply_d return fresh dicts and
+never write through a memo.
 set_product clears the product and d memos (d of a monomial is a sum of
 products).  adjoin clears neither: a new generator changes neither the
 product nor the d of a monomial that does not contain it.
+
+As a SliceComplex, the algebra finds the monomials of a weight in one
+walk and groups them by degree (by_degree).  adjoin forgets the cached
+slices and groupings of the new generator's weight and above, the only
+ones that gain monomials; the slices below it are kept.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .linalg import _vec_iadd
 
 F = Fraction
 
@@ -64,12 +72,7 @@ def el_scalar(c):
 
 def el_add(a, b, c=1):
     out = dict(a)
-    for m, x in b.items():
-        y = out.get(m, 0) + c * x
-        if y:
-            out[m] = y
-        else:
-            out.pop(m, None)
+    _vec_iadd(out, b, c)
     return out
 
 
@@ -90,7 +93,7 @@ def mono_factors(m):
 
 class CdgaPresentation(linalg.SliceComplex):
     """The cdga as a SliceComplex: the keys of slice (n, r) are the
-    monomials of A^n(r), in order."""
+    monomials of A^n(r), sorted, grouped by degree once per weight."""
 
     def __init__(self, name, kind, generators, differential=None, products=None,
                  augmentation=None):
@@ -120,8 +123,8 @@ class CdgaPresentation(linalg.SliceComplex):
     def adjoin(self, spec: GeneratorSpec, d=None, aug=None):
         """Add the generator spec, with differential d and augmentation
         value aug (absent: fixed by the augmentation), in place.  Only the
-        slices of weight >= spec.adams gain monomials, so only they are
-        forgotten."""
+        slices of weight >= spec.adams gain monomials, so only they and
+        the groupings of those weights are forgotten."""
         if spec.name in self.gen:
             raise CdgaError(f"generator {spec.name} already in {self.name}")
         self.generators.append(spec)
@@ -212,7 +215,7 @@ class CdgaPresentation(linalg.SliceComplex):
                 for vm, vc in val.items():
                     rest = fs[:i] + mono_factors(vm) + mid
                     sorted_rest, s = self._sort_factors(rest)
-                    out = el_add(out, self._assemble(sorted_rest), vc * s * sign)
+                    _vec_iadd(out, self._assemble(sorted_rest), vc * s * sign)
                 return out
         mono = []
         for name in fs:
@@ -235,7 +238,7 @@ class CdgaPresentation(linalg.SliceComplex):
         out = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                out = el_add(out, self.mono_mul(m1, m2), c1 * c2)
+                _vec_iadd(out, self.mono_mul(m1, m2), c1 * c2)
         return out
 
     # ---- differential --------------------------------------------------
@@ -257,7 +260,7 @@ class CdgaPresentation(linalg.SliceComplex):
                     term = self.multiply(term, dg)
                     for post in fs[i + 1:]:
                         term = self.multiply(term, el_gen(post))
-                    val = el_add(val, term, sgn)
+                    _vec_iadd(val, term, sgn)
                 if self.gen[name].coh % 2:
                     sgn = -sgn
             self._mono_d[m] = val
@@ -266,7 +269,7 @@ class CdgaPresentation(linalg.SliceComplex):
     def apply_d(self, a):
         out = {}
         for m, c in a.items():
-            out = el_add(out, self.mono_d(m), c)
+            _vec_iadd(out, self.mono_d(m), c)
         return out
 
     def substitute(self, a, gen_map):
@@ -284,23 +287,23 @@ class CdgaPresentation(linalg.SliceComplex):
                 term = self.multiply(term, gen_map.get(name, el_gen(name)))
                 if not term:
                     break
-            out = el_add(out, term, c)
+            _vec_iadd(out, term, c)
         return out
 
     # ---- slice bases ---------------------------------------------------
 
-    def slice_keys(self, n, r):
-        """Deterministically ordered monomial basis of A^n(r)."""
-        if r < 0:
-            return []
-        found = []
+    def group_keys(self, r):
+        """{n: the monomial basis of A^n(r), sorted}: every monomial of
+        weight r is found in one walk over the name-sorted generators."""
+        if r <= 0:
+            return {0: [UNIT]} if r == 0 else {}
+        groups = {}
         gens = sorted(self.generators, key=lambda g: g.name)
 
         def rec(idx, mono, coh, adams, used_groups):
             if adams == r:
-                if coh == n:
-                    found.append(tuple(mono))
-                # even with adams met, nothing more can be added (adams >= 1)
+                groups.setdefault(coh, []).append(tuple(mono))
+                # nothing more can be added (adams >= 1)
                 return
             if idx == len(gens):
                 return
@@ -320,10 +323,8 @@ class CdgaPresentation(linalg.SliceComplex):
                 rec(idx + 1, mono + [(g.name, e)], coh + e * g.coh,
                     adams + e * g.adams, used_groups)
 
-        if r == 0:
-            return [UNIT] if n == 0 else []
         rec(0, [], 0, 0, frozenset())
-        return sorted(found)
+        return {n: sorted(g) for n, g in groups.items()}
 
     def d_key(self, n, r, m):
         return self.apply_d({m: 1})

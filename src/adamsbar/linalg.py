@@ -16,17 +16,23 @@ whose pivots lie in its own support.  What each view reads off it:
   pivot are the representatives, and the same echelon is the projector.
   Given any span and a family independent modulo it, it is the projector
   of that subquotient: the coordinates of a vector on the family;
+- KernelCoords: coordinates on a kernel_basis with no elimination at
+  all, read at the free columns; it is the projector of a cohomology
+  slice whose incoming d is 0, and the augmentation ideal's coordinates;
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
   views above, the slices where d^2 != 0 (d_squared_failures, a sparse
   product of the columns), and the H^0 dims of every subcomplex of a
   filtration by key level (filtered_h0), one Echelon per slice fed level
-  by level.  The cdga, its bar construction, the augmentation ideal, cell
-  modules, scalar complexes, the simplicial approximation and the
-  connection complex N (x) Bbar(F) of the relative theory are all
-  SliceComplexes; the word-length truncations of the bar construction,
-  and the simplicial approximation over each smaller simplex inside the
-  one at n, are read as filtrations.
+  by level.  A complex whose keys are found by walking a whole weight
+  (the cdga's monomials, the bar words, the simplicial approximation's
+  pairs) walks it once and groups the keys by degree (by_degree).  The
+  cdga, its bar construction, the augmentation ideal, cell modules,
+  scalar complexes, the simplicial approximation and the connection
+  complex N (x) Bbar(F) of the relative theory are all SliceComplexes;
+  the word-length truncations of the bar construction, and the
+  simplicial approximation over each smaller simplex inside the one at
+  n, are read as filtrations.
 
 attach_cells is the one cell-attaching loop over these views, shared by
 minimal models and cell resolutions.
@@ -271,23 +277,84 @@ def cocycle_classes(cocycles, boundaries):
     return len(reps), reps, projector
 
 
+class KernelCoords:
+    """Coordinates on the vectors of a kernel_basis, read off without an
+    elimination.  Each of them is 1 at its free column max(v) and 0 at
+    the other free columns, so a vector's coordinates are its entries at
+    the free columns, and the vector lies in the span when the residue
+    they leave is 0; it is 0 at the free columns by construction, so only
+    the other (pivot) columns are checked, against each vector's entries
+    there, its tail.  When nothing is divided out (the incoming d is 0)
+    this is the projector of the cohomology, as cocycle_classes(kernel,
+    [])[2] would be, without adding a row per kernel vector."""
+
+    def __init__(self, kernel):
+        self._free = {}   # free column -> position in the kernel
+        self._tails = []  # each vector off its free column
+        for k, v in enumerate(kernel):
+            f = max(v)
+            self._free[f] = k
+            self._tails.append({j: x for j, x in v.items() if j != f})
+
+    def coords(self, v):
+        """v's coordinates on the kernel vectors, in their order and in
+        v's own int or Fraction entries, or None when v is outside their
+        span."""
+        free = self._free
+        coords = {free[j]: v[j] for j in sorted(j for j in v if j in free)}
+        residue = {j: x for j, x in v.items() if j not in free}
+        for k, c in coords.items():
+            _vec_iadd(residue, self._tails[k], -c)
+        return None if residue else coords
+
+    def class_coords(self, v, strict=True):
+        """Echelon.class_coords of the kernel vectors: the coordinates as
+        Fractions, or None (strict=True raises) outside the span."""
+        coords = self.coords(v)
+        if coords is None:
+            if strict:
+                raise ValueError("vector outside the span of reps + image")
+            return None
+        return {k: Fraction(c) for k, c in coords.items()}
+
+
 class SliceComplex:
     """A complex graded by (degree n, weight r), finite in each slice, with
     d of bidegree (+1, 0).
 
     A subclass supplies two hooks: slice_keys(n, r), the list of basis keys
     of slice (n, r) in order, and d_key(n, r, key), d of one key as
-    {key of slice (n + 1, r): coefficient}, no coefficient 0.  Everything
-    else is built here at most once per slice and cached, each cache a
-    dict keyed by (n, r): the keys, their positions, d as columns, its
-    kernel and the cohomology.  Vectors are over the positions of a
-    slice's keys.  forget(r) drops every cached slice of weight >= r, for
-    a complex that gained basis keys there.
+    {key of slice (n + 1, r): coefficient}, no coefficient 0.  A subclass
+    that finds its keys by walking all of a weight supplies group_keys(r)
+    in place of slice_keys: {n: the keys of slice (n, r) in order}, from
+    one walk.  by_degree(r) keeps that grouping, and slice_keys(n, r)
+    returns the group's own list, so no slice is stored twice.
+    Everything else is built here at most once per slice and cached,
+    each cache a dict keyed by (n, r): the keys, their positions, d as
+    columns, its kernel and the cohomology.  Where d(n - 1, r) is 0, the
+    cohomology at (n, r) is the kernel itself, with KernelCoords as its
+    projector; every other slice goes through cocycle_classes.  Vectors
+    are over the positions of a slice's keys.  forget(r) drops every
+    cached slice and grouping of weight >= r, for a complex that gained
+    basis keys there.
     """
 
     def __init__(self):
         self._slices, self._index, self._d = {}, {}, {}
         self._ker, self._coh = {}, {}
+        self._groups = {}  # weight -> {degree: keys}
+
+    def by_degree(self, r):
+        """{n: the keys of slice (n, r)}, group_keys(r) read once per
+        weight."""
+        if r not in self._groups:
+            self._groups[r] = self.group_keys(r)
+        return self._groups[r]
+
+    def slice_keys(self, n, r):
+        """The keys of slice (n, r) of a subclass that supplies
+        group_keys: the degree-n group of by_degree(r)."""
+        return self.by_degree(r).get(n, [])
 
     def slice(self, n, r):
         """The basis keys of slice (n, r), in order."""
@@ -326,11 +393,16 @@ class SliceComplex:
 
     def cohomology(self, n, r):
         """(dim, representatives, projector) of H^n at weight r: the
-        classes of kernel(n, r) modulo the columns of d(n - 1, r)."""
+        classes of kernel(n, r) modulo the columns of d(n - 1, r).  When
+        no column of d(n - 1, r) is nonzero, they are the kernel vectors
+        themselves and the projector is their KernelCoords."""
         key = n, r
         if key not in self._coh:
-            self._coh[key] = cocycle_classes(self.kernel(n, r),
-                                             self.d_columns(n - 1, r))
+            ker, d_in = self.kernel(n, r), self.d_columns(n - 1, r)
+            if any(d_in):
+                self._coh[key] = cocycle_classes(ker, d_in)
+            else:
+                self._coh[key] = len(ker), ker, KernelCoords(ker)
         return self._coh[key]
 
     def d_squared_failures(self, degrees, weights):
@@ -374,11 +446,13 @@ class SliceComplex:
         return dims
 
     def forget(self, r):
-        """Drop every cached slice of weight >= r."""
+        """Drop every cached slice and grouping of weight >= r."""
         for cache in (self._slices, self._index, self._d, self._ker,
                       self._coh):
             for key in [key for key in cache if key[1] >= r]:
                 del cache[key]
+        for w in [w for w in self._groups if w >= r]:
+            del self._groups[w]
 
 
 # Rounds per attach_cells stage; a stage still adding cells at its last

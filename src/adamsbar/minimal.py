@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .linalg import _vec_iadd
 from .bar import BarComplex, gamma as bar_gamma, map_letters
 from .cdga import (
     CdgaPresentation,
@@ -52,7 +53,7 @@ class IdealComplex(linalg.SliceComplex):
 
     def ideal_basis(self, i, m):
         """(ambient slice basis, kernel vectors of eps in slice coords,
-        {monomial: slice position}, the free column of each vector)."""
+        {monomial: slice position}, their KernelCoords)."""
         key = (i, m)
         if key not in self._eps:
             basis = self.A.slice(i, m)
@@ -60,10 +61,9 @@ class IdealComplex(linalg.SliceComplex):
             eps = [{idx[em]: c for em, c in self.A.substitute(
                         {mono: F(1)}, self.A.augmentation).items()}
                    for mono in basis]
-            # ideal = kernel of eps on the slice; a kernel vector is 1 at its
-            # free column f, 0 at the others, and elsewhere only at pivots < f
+            # ideal = kernel of eps on the slice
             ker = linalg.kernel_basis(eps)
-            self._eps[key] = (basis, ker, idx, [max(v) for v in ker])
+            self._eps[key] = (basis, ker, idx, linalg.KernelCoords(ker))
         return self._eps[key]
 
     def slice_keys(self, i, m):
@@ -76,12 +76,9 @@ class IdealComplex(linalg.SliceComplex):
     def to_coords(self, el, i, m):
         """Coordinates of an ideal element in the kernel basis: its entries
         at the free columns, if they account for all of it."""
-        _, ker, idx, free = self.ideal_basis(i, m)
-        v = {idx[mm]: c for mm, c in el.items()}
-        coords = {k: v[f] for k, f in enumerate(free) if f in v}
-        for k, c in coords.items():
-            v = el_add(v, ker[k], -c)
-        if v:
+        _, _, idx, reader = self.ideal_basis(i, m)
+        coords = reader.coords({idx[mm]: c for mm, c in el.items()})
+        if coords is None:
             raise ValueError("element not in the augmentation ideal")
         return coords
 
@@ -89,8 +86,7 @@ class IdealComplex(linalg.SliceComplex):
         basis, ker, _, _ = self.ideal_basis(i, m)
         out = {}
         for k, c in v.items():
-            for bi, bc in ker[k].items():
-                out = el_add(out, {basis[bi]: bc}, c)
+            _vec_iadd(out, {basis[bi]: bc for bi, bc in ker[k].items()}, c)
         return out
 
     def forget(self, adams):
@@ -314,7 +310,7 @@ def quillen_compare(A: CdgaPresentation, w_max):
             if sol is None:
                 return False, {"reason": f"no cocycle correction for {name}"}
             for j, c in sol.items():
-                lin = el_add(lin, {words[long[j]]: F(1)}, c)
+                _vec_iadd(lin, {words[long[j]]: F(1)}, c)
         pushed = map_letters(lin, lambda letter: A.substitute(
             {letter: F(1)}, mm.structure_map))
         cls = gam.hopf.classify(pushed, w)

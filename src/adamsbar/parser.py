@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .cdga import CdgaPresentation, GeneratorSpec, UNIT, el_add
 from .cellmod import CellModule, _strict_filtration
+from .linalg import _vec_iadd
 
 F = Fraction
 
@@ -129,7 +130,7 @@ def _parse_poly(cur, declared, A):
         term = {UNIT: coeff.numerator if coeff.denominator == 1 else coeff}
         for name in names:
             term = A.multiply(term, {((name, 1),): 1})
-        out = el_add(out, term)
+        _vec_iadd(out, term, 1)
         nxt = cur.peek()
         if nxt is None:
             return out

@@ -23,12 +23,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
+from .linalg import _vec_iadd
 from .cdga import (
     UNIT,
     CdgaPresentation,
     GeneratorSpec,
     d_squared_failures,
-    el_add,
     is_coh_connected,
     mono_factors,
 )
@@ -95,7 +95,7 @@ class AugmentedOverN:
         out = {}
         for mono, c in el.items():
             if all(name in self.base_names for name, _ in mono):
-                out = el_add(out, {mono: F(1)}, c)
+                _vec_iadd(out, {mono: F(1)}, c)
         return out
 
 
@@ -212,7 +212,7 @@ class RelativeBarH0(linalg.SliceComplex):
     def slice_keys(self, n, w):
         return sorted(
             (b, word) for wb in range(w + 1)
-            for dn, words in self.bar.words_by_degree(w - wb).items()
+            for dn, words in self.bar.by_degree(w - wb).items()
             for b in self.X.base.slice(n - dn, wb)
             for word in words)
 
@@ -424,8 +424,9 @@ class DeltaApprox(linalg.SliceComplex):
     A face only removes vertices, so for nn <= n the pairs with
     S[-1] <= nn span a subcomplex (closed_ok checks it): the complex of
     the nn-simplex, whose H^0 dims filtered_h0 reads at level S[-1].  As a
-    SliceComplex its keys are the pairs (S, word), sorted, and every
-    dimension and check reads the one d_columns of each slice.
+    SliceComplex its keys are the pairs (S, word), sorted and grouped by
+    degree once per weight, and every dimension and check reads the one
+    d_columns of each slice.
     """
 
     def __init__(self, A: CdgaPresentation, n, w_max):
@@ -456,15 +457,16 @@ class DeltaApprox(linalg.SliceComplex):
                 self._words[key] = out
         return self._words[key]
 
-    def slice_keys(self, deg, w):
-        out = []
+    def group_keys(self, w):
+        """{deg: the pairs (S, word) of weight w and degree deg, sorted}:
+        each word's degree is taken once."""
+        groups = {}
         for m in range(0, self.n + 1):
+            simplices = list(combinations(range(self.n + 1), m + 1))
             for word in self.words(w, m):
-                if self.bar.word_bidegree(word)[0] != deg:
-                    continue
-                for S in combinations(range(self.n + 1), m + 1):
-                    out.append((S, word))
-        return sorted(out)
+                group = groups.setdefault(self.bar.word_bidegree(word)[0], [])
+                group.extend((S, word) for S in simplices)
+        return {deg: sorted(g) for deg, g in groups.items()}
 
     def d_basis(self, S, word):
         """The bar faces of the word, a product of letters i and i + 1

@@ -33,10 +33,19 @@
   generators and the table on every call, with no memo, and the shuffle
   of two words enumerated as subsets of positions, each with the Koszul
   sign of its crossing pairs.
+- The reference slice enumeration: the monomials of a cdga slice and the
+  pairs (S, word) of a simplicial-approximation slice, each found by a
+  walk over its whole weight, run once per (degree, weight) and filtered
+  to the degree.
+- gamma by letter content: the number of gamma generators of the
+  punctured line in each multidegree, against the dimension of the free
+  Lie algebra there (Witt's formula, multigraded).
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial, gcd
 from types import SimpleNamespace
 
 from adamsbar import linalg
@@ -1095,4 +1104,115 @@ def reference_apply_d(A, a):
                 out = el_add(out, term, c * sgn)
             if A.gen[name].coh % 2:
                 sgn = -sgn
+    return out
+
+
+# ---- the reference slice enumeration -----------------------------------
+#
+# Each slice (n, r) walks every key of weight r and keeps those of degree
+# n, so a weight is walked once per degree asked.
+
+
+def reference_slice_keys(A, n, r):
+    """The monomial basis of A^n(r), sorted: every monomial of weight r
+    over the name-sorted generators, kept when its degree is n."""
+    if r < 0:
+        return []
+    if r == 0:
+        return [UNIT] if n == 0 else []
+    found = []
+    gens = sorted(A.generators, key=lambda g: g.name)
+
+    def rec(idx, mono, coh, adams, used_groups):
+        if adams == r:
+            if coh == n:
+                found.append(tuple(mono))
+            return
+        if idx == len(gens):
+            return
+        g = gens[idx]
+        rec(idx + 1, mono, coh, adams, used_groups)
+        if g.group is not None:
+            if g.group in used_groups:
+                return
+            if adams + g.adams <= r:
+                rec(idx + 1, mono + [(g.name, 1)], coh + g.coh,
+                    adams + g.adams, used_groups | {g.group})
+            return
+        emax = (r - adams) // g.adams
+        if g.coh % 2:
+            emax = min(emax, 1)
+        for e in range(1, emax + 1):
+            rec(idx + 1, mono + [(g.name, e)], coh + e * g.coh,
+                adams + e * g.adams, used_groups)
+
+    rec(0, [], 0, 0, frozenset())
+    return sorted(found)
+
+
+def reference_delta_keys(da, deg, w):
+    """The keys of slice (deg, w) of the DeltaApprox da, sorted: for each
+    word of at most da.n letters and degree deg, its pairs (S, word) over
+    the faces S of the simplex with one more vertex than letters."""
+    out = []
+    for m in range(da.n + 1):
+        for word in da.words(w, m):
+            if da.bar.word_bidegree(word)[0] != deg:
+                continue
+            for S in itertools.combinations(range(da.n + 1), m + 1):
+                out.append((S, word))
+    return sorted(out)
+
+
+# ---- gamma by letter content ---------------------------------------------
+
+
+def free_lie_dim(alpha):
+    """Dimension of the free Lie algebra on len(alpha) letters in
+    multidegree alpha, by Witt's formula:
+    (1/n) sum_{d | gcd alpha} mu(d) (n/d)! / prod (alpha_i/d)!."""
+    n = sum(alpha)
+    g = gcd(*alpha)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0:
+            count = factorial(n // d)
+            for a in alpha:
+                count //= factorial(a // d)
+            total += mobius(d) * count
+    return total // n
+
+
+def gamma_by_content(gam):
+    """{(w, content): number of gamma generators of weight w}, content
+    the tuple of multiplicities of the punctured line's letters a0, a1, ...
+    in the words of the generator's class representative; every word of
+    a representative must have the same content."""
+    letters = sorted(g.name for g in gam.hopf.A.generators)
+    out = {}
+    for w, class_vec in gam.basis:
+        (j, c), = class_vec.items()
+        assert c == 1
+        contents = set()
+        for word in gam.hopf.rep_lins(w)[j]:
+            counts = Counter()
+            for letter in word:
+                (name, e), = letter
+                counts[name] += e
+            contents.add(tuple(counts[a] for a in letters))
+        (content,) = contents
+        out[w, content] = out.get((w, content), 0) + 1
+    return out
+
+
+def witt_content_dims(k, w_max):
+    """{(w, alpha): free_lie_dim(alpha)} over the multidegrees alpha of
+    k - 1 letters with 1 <= |alpha| = w <= w_max and a nonzero dimension."""
+    out = {}
+    for w in range(1, w_max + 1):
+        for alpha in itertools.product(range(w + 1), repeat=k - 1):
+            if sum(alpha) == w:
+                dim = free_lie_dim(alpha)
+                if dim:
+                    out[w, alpha] = dim
     return out

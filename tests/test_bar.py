@@ -406,3 +406,14 @@ def test_filtered_h0_matches_reference(mk):
     got = BarComplex(A).filtered_h0(len, range(w_max + 2), range(w_max + 1))
     for m in range(w_max + 2):
         assert got[m] == oracles.reference_truncated_h0(A, m, w_max), m
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_gamma_generators_by_letter_content_follow_witt(k):
+    """Each gamma generator of the punctured line is a class of words of
+    one letter content, and the number of generators of content alpha is
+    the dimension of the free Lie algebra in multidegree alpha, at every
+    weight up to 5.  It fails where a generator is chosen in the wrong
+    content, which the total count per weight does not see."""
+    gam = gamma(punctured_line_model(k), 5)
+    assert oracles.gamma_by_content(gam) == oracles.witt_content_dims(k, 5)

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from adamsbar.linalg import (
     Echelon,
+    KernelCoords,
     cocycle_classes,
     kernel_basis,
     quotient_basis,
@@ -465,3 +466,56 @@ def test_integer_cohomology_matches_reference_on_mixed_entries(case):
             assert_fractions([got])
         residue, combo = proj.reduce(q)
         assert_fractions([residue, combo])
+
+
+def integral_entries(v):
+    """v with each entry of denominator 1 written as an int."""
+    return {i: x.numerator if x.denominator == 1 else x for i, x in v.items()}
+
+
+@st.composite
+def kernels_and_queries(draw):
+    """(kernel_basis of a random mixed matrix, queries): two rational
+    combinations of the kernel vectors, a random vector (often outside
+    their span) and 0."""
+    n = draw(st.integers(1, 6))
+    ker = kernel_basis(raw_matrix(
+        mixed_vectors(draw, n, draw(st.integers(0, 4))), n))
+
+    def combination():
+        v = {}
+        for u in ker:
+            c = draw(st.one_of(st.just(0), mixed))
+            for i, x in u.items():
+                v[i] = v.get(i, 0) + c * x
+        return {i: x for i, x in v.items() if x}
+
+    return ker, [combination(), combination(),
+                 mixed_vectors(draw, n, 1)[0], {}]
+
+
+@example(([{0: F(1)}, {1: F(-2), 2: F(1)}], [{0: 3, 1: -4, 2: 2}, {1: 1}]))
+@given(kernels_and_queries())
+def test_kernel_coords_match_cocycle_classes(case):
+    """KernelCoords reads the coordinates cocycle_classes(kernel, []) gives
+    on the kernel: the same values, key order and Fraction type for
+    Fraction and int entries, None outside the span (strict=False) and
+    the same ValueError (strict=True), and its inputs are left alone."""
+    ker, queries = case
+    before = items(ker + queries)
+    want_proj, got_proj = cocycle_classes(ker, [])[2], KernelCoords(ker)
+    for q in queries:
+        for v in (q, integral_entries(q)):
+            want = want_proj.class_coords(v, strict=False)
+            got = got_proj.class_coords(v, strict=False)
+            if want is None:
+                assert got is None
+                with pytest.raises(ValueError) as want_err:
+                    want_proj.class_coords(v)
+                with pytest.raises(ValueError) as got_err:
+                    got_proj.class_coords(v)
+                assert str(got_err.value) == str(want_err.value)
+            else:
+                assert list(got.items()) == list(want.items())
+                assert_fractions([got])
+    assert items(ker + queries) == before

@@ -1,15 +1,20 @@
 """linalg.SliceComplex, the one (degree, weight)-graded complex: each of its
-subclasses against the reference cohomology, and the slice caches against
-a complex that grows."""
+subclasses against the reference cohomology, the slice caches against a
+complex that grows, and the keys grouped once per weight against the
+per-slice enumeration."""
 
 import pytest
 
 from adamsbar.bar import BarComplex
 from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_add
+from adamsbar.linalg import Echelon, KernelCoords
 from adamsbar.minimal import IdealComplex, augment_absolute
 from adamsbar.relative import (
-    AugmentedOverN, DeltaApprox, punctured_line_model, relative_bar_h0)
-from corpus import make_e1, make_e3, make_e4, make_e4p, random_cell_module
+    AugmentedOverN, DeltaApprox, fiber_algebra, punctured_line_model,
+    relative_bar_h0)
+from corpus import (
+    make_e1, make_e2, make_e3, make_e4, make_e4p, random_cell_module,
+    random_gen_nilpotent)
 import oracles
 
 
@@ -109,3 +114,102 @@ def test_ideal_forget_drops_only_slices_of_its_weight_and_above():
     assert ic.cohomology(1, 1) is low
     assert ic.cohomology(2, 2)[0] == 0
     assert len(ic.slice(1, 2)) == 1
+
+
+def test_cohomology_reads_the_kernel_where_no_d_comes_in():
+    """H^1(1) of E3 has no incoming d: its representatives are the kernel
+    and its projector is their KernelCoords.  H^2(2) has d z = xy coming
+    in, and still goes through cocycle_classes."""
+    A = make_e3()
+    dim, reps, proj = A.cohomology(1, 1)
+    assert not any(A.d_columns(0, 1))
+    assert isinstance(proj, KernelCoords)
+    assert dim == 2 and reps == A.kernel(1, 1)
+    dim, reps, proj = A.cohomology(2, 2)
+    assert any(A.d_columns(1, 2))
+    assert isinstance(proj, Echelon)
+    assert (dim, reps) == (0, [])
+    assert proj.class_coords(A.d_columns(1, 2)[0]) == {}
+
+
+def _two_groups():
+    """A table algebra with two table groups beside free generators of
+    odd, even, zero and negative degree."""
+    return CdgaPresentation("T2", "table", [
+        GeneratorSpec("x0", 1, 1, group="g"),
+        GeneratorSpec("x1", 1, 1, group="g"),
+        GeneratorSpec("y", 2, 2, group="g"),
+        GeneratorSpec("p", 1, 1, group="h"),
+        GeneratorSpec("q", 0, 2, group="h"),
+        GeneratorSpec("s", 2, 1),
+        GeneratorSpec("o", 1, 2),
+        GeneratorSpec("n", -1, 1),
+        GeneratorSpec("f", 0, 1)])
+
+
+ALGEBRAS = {
+    "E1": make_e1, "E2": make_e2, "E3": make_e3, "E4": make_e4,
+    "E4p": make_e4p, "two groups": _two_groups,
+    **{f"GN{seed}": lambda seed=seed: random_gen_nilpotent(seed)
+       for seed in range(6)},
+}
+
+
+def _degrees(A, r):
+    """A degree range that reaches past every monomial of weight r."""
+    coh = [g.coh for g in A.generators] or [0]
+    return range(min(0, r * min(coh)) - 1, max(0, r * max(coh)) + 2)
+
+
+def _assert_slices_match_reference(A, weights):
+    """slice(n, r) equals reference_slice_keys in values and order, and
+    each nonempty slice is the group's own list."""
+    for r in weights:
+        groups = A.by_degree(r)
+        for n in _degrees(A, r):
+            keys = A.slice(n, r)
+            assert keys == oracles.reference_slice_keys(A, n, r), (n, r)
+            if keys:
+                assert keys is groups[n], (n, r)
+        assert all(groups[n] for n in groups), r
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_grouped_slices_match_per_slice_walk(name):
+    A = ALGEBRAS[name]()
+    _assert_slices_match_reference(A, range(-1, 6))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_adjoin_rereads_the_grouping_at_its_weight_and_above(name, m):
+    """After adjoin of a generator of weight m, the slices below m are the
+    objects read before it, and those at m and above are read again and
+    hold the new generator's monomials."""
+    A = ALGEBRAS[name]()
+    weights = range(6)
+    before = {(n, r): A.slice(n, r) for r in weights for n in _degrees(A, r)}
+    A.adjoin(GeneratorSpec("c", 1, m), aug={} if A.augmentation else None)
+    for (n, r), keys in before.items():
+        if r < m:
+            assert A.slice(n, r) is keys, (n, r)
+    assert (("c", 1),) in A.slice(1, m)
+    _assert_slices_match_reference(A, weights)
+
+
+DELTA_CASES = [(mk, n) for mk in (make_e3, make_e4p) for n in range(5)]
+
+
+@pytest.mark.parametrize("mk,n", DELTA_CASES,
+                         ids=[f"{mk.__name__}-n{n}" for mk, n in DELTA_CASES])
+def test_delta_keys_match_per_degree_filter(mk, n):
+    """The keys of every DeltaApprox slice, grouped once per weight, equal
+    the per-degree filter over its words, in values and order."""
+    A = mk()
+    if A.augmentation:
+        A = fiber_algebra(AugmentedOverN(make_e1("t"), A))[0]
+    da = DeltaApprox(A, n, 3)
+    for w in range(4):
+        for deg in range(-n - 2, 3 * w + 2):
+            assert da.slice(deg, w) == oracles.reference_delta_keys(
+                da, deg, w), (deg, w)
