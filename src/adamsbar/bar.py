@@ -367,11 +367,10 @@ class CoLiePresentation:
     In each weight the products of positive lower weights, one per
     unordered pair (the product is commutative), go into one Echelon; the
     generators are the classes e_j at its non-pivot columns j.  The
-    projection is exact and read off the same rows: row p is
-    e_p + sum_j a_pj e_j and lies in the decomposables, so
-    e_p = -sum_j a_pj e_j mod decomposables, and the residue of x against
-    the rows is x mod decomposables, in the generators.  The rows are the
-    reduced row echelon form of the decomposable span, which is unique, so
+    projection is exact and read off the same echelon: the residue of x
+    against the rows differs from x by decomposables and is 0 at every
+    pivot, so it is x mod decomposables, written in the generators.  The
+    pivots and that residue are unique, whatever the form of the rows, so
     neither the order of the products nor a repeated one changes them.
     """
 

@@ -3,12 +3,13 @@
 Everything downstream (cohomology slices, Hopf structure constants,
 minimal-model stages) reduces to kernels, solves, quotient
 representatives and class coordinates over Q.  All of them read off one
-elimination, Echelon: vectors are added one at a time and kept as fully
-reduced rows keyed by pivot (each row 1 at its own pivot, 0 at every
-other pivot), so a new vector or a query is reduced only by the rows
-whose pivots lie in its own support.  What each view reads off it:
+elimination, Echelon: vectors are added one at a time and kept as
+triangular rows keyed by pivot, each 0 below its pivot, so a new vector
+or a query is reduced only by the rows at the pivots in its support,
+taken in ascending order.  What each view reads off it:
 
-- kernel_basis: one vector per non-pivot column of the rows of a matrix;
+- kernel_basis: one vector per non-pivot column of the rows of a matrix,
+  the one view that reduces the rows, once each;
 - solver: the columns of a matrix, each tagged by its index, so that one
   elimination answers every right-hand side;
 - quotient_basis: the vectors that find a new pivot after the sub;
@@ -52,6 +53,7 @@ matrix is the list of its columns, each a vector over the rows.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -90,13 +92,13 @@ def _iscale(u, a):
 
 
 class Echelon:
-    """Fully reduced rows keyed by pivot, grown one vector at a time.
+    """Triangular rows keyed by pivot, grown one vector at a time.
 
-    rows: {pivot: row} as Fraction vectors, in the order the pivots were
-    found.  A vector added with a tag (its index in a family) makes its
-    row remember the combination of tagged vectors it stands for, modulo
-    the untagged ones; back-substitution keeps those combinations in step
-    with the rows.
+    Each row is 0 below its pivot, its lowest column, and no later add
+    touches it.  A vector added with a tag (its index in a family)
+    makes its row remember the combination of tagged vectors it stands
+    for, modulo the untagged ones.  The pivots, a vector's residue and
+    its combination are unique whatever the form of the rows.
 
     Each row and its combination are stored together as integer vectors
     R and K over one positive denominator, R[p], the row's entry at its
@@ -109,41 +111,44 @@ class Echelon:
     def __init__(self, vectors=()):
         self._rows = {}    # pivot -> R
         self._combos = {}  # pivot -> K
-        self._found = {}   # pivot -> how many pivots were found before it
         for v in vectors:
             self.add(v)
 
     def __len__(self):
         return len(self._rows)
 
-    @property
-    def rows(self):
-        return {p: _rational(R, R[p]) for p, R in self._rows.items()}
-
     def _reduce(self, v):
         """(V, C, den): v = V/den + the combination C/den of tagged
-        vectors, modulo the untagged ones.  The rows at the pivots in v's
-        support are subtracted once each, in the order they were found;
-        the rows are 0 at each other's pivots, so each step's coefficient
-        is v's own entry there, scaled by the steps before it."""
+        vectors, modulo the untagged ones, V 0 at every pivot.  The pivots
+        in v's support, and those each row brings in, come off a heap in
+        ascending order, so no row is subtracted twice."""
         V, den = _integral(v)
         C = {}
-        for _, p in sorted((self._found[p], p) for p in v if p in self._rows):
-            R = self._rows[p]
-            x, d = V[p], R[p]
-            g = gcd(x, d)
-            a, b = d // g, x // g
+        rows = self._rows
+        heap = [p for p in V if p in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            x = V.get(p)
+            if not x:
+                continue
+            R = rows[p]
+            g = gcd(x, R[p])
+            a, b = R[p] // g, x // g
             if a != 1:
                 _iscale(V, a)
                 _iscale(C, a)
                 den *= a
+            for q in R:
+                if q not in V and q in rows:
+                    heappush(heap, q)
             _vec_iadd(V, R, -b)
             _vec_iadd(C, self._combos[p], b)
         return V, C, den
 
     def reduce(self, v):
         """(residue, combination) with v = residue + the combination of
-        tagged vectors, modulo the untagged ones."""
+        tagged vectors, modulo the untagged ones, residue 0 at the pivots."""
         V, C, den = self._reduce(v)
         return _rational(V, den), _rational(C, den)
 
@@ -162,20 +167,6 @@ class Echelon:
             _iscale(R, -1)
             _iscale(K, -1)
         _primitive(R, K)
-        # back-substitute, so the earlier rows vanish at p
-        d = R[p]
-        for q in [q for q, Rq in self._rows.items() if p in Rq]:
-            Rq, Kq = self._rows[q], self._combos[q]
-            y = Rq[p]
-            g = gcd(y, d)
-            a, b = d // g, y // g
-            if a != 1:
-                _iscale(Rq, a)
-                _iscale(Kq, a)
-            _vec_iadd(Rq, R, -b)
-            _vec_iadd(Kq, K, -b)
-            _primitive(Rq, Kq)
-        self._found[p] = len(self._rows)
         self._rows[p] = R
         self._combos[p] = K
         return p
@@ -213,7 +204,9 @@ def kernel_basis(cols):
 
     Representation is canonical: for each free column f the basis vector has
     entry 1 at f and the pivot columns carry the negated elimination
-    coefficients, in ascending pivot order.
+    coefficients, in ascending pivot order.  The rows are reduced once
+    each, from the highest pivot down, against the rows above, which are
+    reduced already, and written back in place.
     """
     rows = {}
     for j, col in enumerate(cols):
@@ -221,6 +214,12 @@ def kernel_basis(cols):
             rows.setdefault(i, {})[j] = x
     e = Echelon(rows[i] for i in sorted(rows))
     basis = {f: {f: Fraction(1)} for f in e.non_pivots(len(cols))}
+    for p in sorted(e._rows, reverse=True):
+        R = e._rows.pop(p)
+        x = R.pop(p)
+        V, _, den = e._reduce(R)
+        R = e._rows[p] = {p: x * den, **V}
+        _primitive(R, {})
     for p in sorted(e._rows):
         R = e._rows[p]
         for f, x in R.items():

@@ -5,6 +5,8 @@ E2  table algebra with basis {1, x0, x1} in (1,1), all products and d zero
 E3  free on x, y (1,1) and z (1,2) with dz = x*y
 E4  E1-augmented: free on t (1,1) [base], u (1,1), v (1,2), dv = t*u
 E4p E4 plus w (1,3) with dw = u*v + t*v
+K_k E1-augmented: free on t (1,1) [base], u_i (1,1) and v_i (1,2) for
+    i = 1 .. k - 1, d v_i = t*u_i; K_2 is E4 with its letters renamed
 """
 
 import random
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_add, el_gen
 from adamsbar import linalg
+from adamsbar.parser import parse_text
 
 F = Fraction
 
@@ -53,6 +56,23 @@ def make_e4p():
     return CdgaPresentation("E4p", "free", gens,
                             differential={**A.differential, "w": dw},
                             augmentation={"u": {}, "v": {}, "w": {}})
+
+
+def k_text(k):
+    """The presentation file of K_k: the relative theory over E1 at the
+    size of the line minus k points, with an abelian fiber (d_F = 0, the
+    whole of each d v_i being the connection t*u_i)."""
+    r = range(1, k)
+    return "".join(
+        [f"cdga K{k} free\ngen t deg 1 wt 1\n"]
+        + [f"gen u{i} deg 1 wt 1\n" for i in r]
+        + [f"gen v{i} deg 1 wt 2\n" for i in r]
+        + [f"d v{i} = 1*t*u{i}\n" for i in r]
+        + [f"aug {x}{i} = 0\n" for x in "uv" for i in r])
+
+
+def make_k(k):
+    return parse_text(k_text(k))[1]
 
 
 def base_gens_e4():

@@ -9,7 +9,9 @@
 - Dense triple-loop d^2, flatness and chain-map checks for cell modules.
 - The reference elimination and Hopf structure constants: row reduction
   and a projector that walk every row, the product of every ordered pair
-  of classes and the coproduct classified over every split.
+  of classes and the coproduct classified over every split.  The
+  back-substituting integer Echelon, whose rows are fully reduced after
+  every add, is kept as ReferenceEchelon.
 - The reference cohomology and co-Lie quotient: kernel, image and
   quotient representatives each from their own elimination, and the
   indecomposables from the products of every ordered pair, echelonized,
@@ -40,12 +42,18 @@
 - gamma by letter content: the number of gamma generators of the
   punctured line in each multidegree, against the dimension of the free
   Lie algebra there (Witt's formula, multigraded).
+- The K_k dims: the kernel and total H^0 dims of K_k over E1 as
+  coefficients of a rational function, with no bar construction.
+- The Chevalley-Eilenberg complex of gamma: Lambda(gamma) with the
+  cobracket extended as a derivation, the 1-minimal model of A, so its
+  H^1 is A's and its H^2 injects into A's, weight by weight; all ranks,
+  on both sides, from reference_echelonize.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from types import SimpleNamespace
 
 from adamsbar import linalg
@@ -195,10 +203,12 @@ def dense_check_chain_map(f):
 
 # ---- reference elimination ----------------------------------------------
 #
-# Row reduction that builds a new vector at every step and a projector
-# that reduces every query against all of its rows in construction order.
-# linalg's fast paths must reproduce their rows, pivots, key order and
-# coordinates exactly.
+# Row reduction that builds a new vector at every step, a projector that
+# reduces every query against all of its rows in construction order, and
+# an integer echelon that back-substitutes every new row into the earlier
+# ones.  linalg's fast paths must reproduce their pivots, residues,
+# kernels and coordinates exactly, with the key order of what the program
+# reads: kernel vectors, representatives and class coordinates.
 
 
 def _vec_add(u, v, c=Fraction(1)):
@@ -220,8 +230,8 @@ def _vec_scale(u, c):
 
 
 def reference_echelonize(rows):
-    """(reduced rows, pivots) of linalg.Echelon(rows).rows, sorted by pivot,
-    one new dict a step."""
+    """(reduced rows, pivots) of the reduced row echelon form of rows,
+    sorted by pivot, one new dict a step."""
     work = [dict(r) for r in rows if r]
     reduced = []
     pivots = []
@@ -276,6 +286,125 @@ class ReferenceProjector:
         if residue:
             raise ValueError("vector outside the span of reps + image")
         return {i: -combo[i] for i in sorted(combo) if i < self.nreps}
+
+
+def _iadd(u, v, c):
+    """u += c*v in place; new keys are appended in v's order."""
+    for i, x in v.items():
+        y = u.get(i, 0) + c * x
+        if y:
+            u[i] = y
+        else:
+            u.pop(i, None)
+
+
+def _integral(v):
+    """(V, den) with v = V/den, V an integer vector in v's key order and
+    den the least common denominator of v's entries."""
+    den = 1
+    for x in v.values():
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    return {i: x.numerator * (den // x.denominator) for i, x in v.items()}, den
+
+
+def _rational(V, den):
+    return {i: Fraction(x, den) for i, x in V.items()}
+
+
+def _iscale(u, a):
+    for i in u:
+        u[i] *= a
+
+
+def _primitive(R, K):
+    g = gcd(*R.values())
+    if g != 1:
+        g = gcd(g, *K.values())
+        if g != 1:
+            for u in (R, K):
+                for i in u:
+                    u[i] //= g
+
+
+class ReferenceEchelon:
+    """linalg.Echelon as it was before its rows became triangular: every
+    add back-substitutes the new row into each earlier row that holds its
+    pivot, so the rows stay fully reduced (0 at each other's pivots), and
+    a reduction subtracts the rows at the pivots in v's support once
+    each, in the order the pivots were found.  Rows and combinations are
+    integer vectors R, K over the positive denominator R[p]."""
+
+    def __init__(self, vectors=()):
+        self._rows = {}    # pivot -> R
+        self._combos = {}  # pivot -> K
+        self._found = {}   # pivot -> how many pivots were found before it
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _reduce(self, v):
+        V, den = _integral(v)
+        C = {}
+        for _, p in sorted((self._found[p], p) for p in v if p in self._rows):
+            R = self._rows[p]
+            x, d = V[p], R[p]
+            g = gcd(x, d)
+            a, b = d // g, x // g
+            if a != 1:
+                _iscale(V, a)
+                _iscale(C, a)
+                den *= a
+            _iadd(V, R, -b)
+            _iadd(C, self._combos[p], b)
+        return V, C, den
+
+    def reduce(self, v):
+        V, C, den = self._reduce(v)
+        return _rational(V, den), _rational(C, den)
+
+    def add(self, v, tag=None):
+        R, C, den = self._reduce(v)
+        if not R:
+            return None
+        p = min(R)
+        K = {t: -c for t, c in C.items()}
+        if tag is not None:
+            K[tag] = den
+        if R[p] < 0:
+            _iscale(R, -1)
+            _iscale(K, -1)
+        _primitive(R, K)
+        # back-substitute, so the earlier rows vanish at p
+        d = R[p]
+        for q in [q for q, Rq in self._rows.items() if p in Rq]:
+            Rq, Kq = self._rows[q], self._combos[q]
+            y = Rq[p]
+            g = gcd(y, d)
+            a, b = d // g, y // g
+            if a != 1:
+                _iscale(Rq, a)
+                _iscale(Kq, a)
+            _iadd(Rq, R, -b)
+            _iadd(Kq, K, -b)
+            _primitive(Rq, Kq)
+        self._found[p] = len(self._rows)
+        self._rows[p] = R
+        self._combos[p] = K
+        return p
+
+    def non_pivots(self, n):
+        return [j for j in range(n) if j not in self._rows]
+
+    def class_coords(self, v, strict=True):
+        V, C, den = self._reduce(v)
+        if V:
+            if strict:
+                raise ValueError("vector outside the span of reps + image")
+            return None
+        return {i: Fraction(C[i], den) for i in sorted(C)}
 
 
 # ---- reference Hopf structure constants ---------------------------------
@@ -1216,3 +1345,103 @@ def witt_content_dims(k, w_max):
                 if dim:
                     out[w, alpha] = dim
     return out
+
+
+# ---- K_k dims --------------------------------------------------------------
+
+
+def k_kernel_dims(k, w_max):
+    """{w: dim H^0 of the fiber of K_k} for w <= w_max.  The fiber is free
+    on k - 1 letters of weight 1 and k - 1 of weight 2 with d = 0 and no
+    relation among products, so gamma is abelian and H^0 is the
+    polynomial algebra on it: the coefficients of
+    (1 - t)^-(k-1) (1 - t^2)^-(k-1)."""
+    coeffs = [1] + [0] * w_max
+    for step in (1, 2):
+        for _ in range(k - 1):
+            for i in range(step, w_max + 1):
+                coeffs[i] += coeffs[i - step]
+    return dict(enumerate(coeffs))
+
+
+def k_total_dims(k, w_max):
+    """{w: dim H^0 of K_k}: the base E1 has H^0 of dim 1 in every weight,
+    so these are the partial sums of k_kernel_dims."""
+    out, acc = {}, 0
+    for w, dim in k_kernel_dims(k, w_max).items():
+        acc += dim
+        out[w] = acc
+    return out
+
+
+# ---- Chevalley-Eilenberg complex of gamma ---------------------------------
+
+
+def _rank(cols):
+    return len(reference_echelonize(cols)[1])
+
+
+def _wedge_add(out, idx, c):
+    """out += c * e_i ^ e_j ^ ..., idx written in ascending order with the
+    sign of the sort; a repeated index is 0."""
+    if len(set(idx)) < len(idx):
+        return
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    _wadd(out, tuple(sorted(idx)), -c if inversions % 2 else c)
+
+
+def ce_dims(colie, w_max):
+    """({w: dim H^1}, {w: dim H^2}) of the Chevalley-Eilenberg complex
+    Lambda(gamma) for 1 <= w <= w_max, d e_g = cobracket[g] on Lambda^1
+    and d(e_p ^ e_q) = d e_p ^ e_q - e_p ^ d e_q on Lambda^2.  H^2 at w
+    is None where d d e_g != 0 for a generator g of weight w: there
+    Lambda(gamma) is not a complex (the cobracket breaks co-Jacobi)."""
+    delta = colie.cobracket
+    weight = [w for w, _ in colie.basis]
+    gens = range(len(weight))
+
+    def by_weight(cells):
+        out = {}
+        for c in cells:
+            out.setdefault(sum(weight[g] for g in c), []).append(c)
+        return out
+
+    wedge2 = by_weight(itertools.combinations(gens, 2))
+    wedge3 = by_weight(itertools.combinations(gens, 3))
+
+    def d2(p, q):
+        out = {}
+        for (a, b), c in delta[p].items():
+            _wedge_add(out, (a, b, q), c)
+        for (a, b), c in delta[q].items():
+            _wedge_add(out, (p, a, b), -c)
+        return out
+
+    h1, h2 = {}, {}
+    for w in range(1, w_max + 1):
+        pairs, triples = wedge2.get(w, []), wedge3.get(w, [])
+        at2 = {pq: i for i, pq in enumerate(pairs)}
+        at3 = {t: i for i, t in enumerate(triples)}
+        gens_w = [g for g in gens if weight[g] == w]
+        d_pairs = {pq: d2(*pq) for pq in pairs}
+        rank1 = _rank([{at2[pq]: c for pq, c in delta[g].items()}
+                       for g in gens_w])
+        rank2 = _rank([{at3[t]: c for t, c in d_pairs[pq].items()}
+                       for pq in pairs])
+        dd = []
+        for g in gens_w:
+            acc = {}
+            for pq, c in delta[g].items():
+                for t, x in d_pairs[pq].items():
+                    _wadd(acc, t, c * x)
+            dd.append(acc)
+        h1[w] = len(gens_w) - rank1
+        h2[w] = None if any(dd) else len(pairs) - rank2 - rank1
+    return h1, h2
+
+
+def cdga_h_dims(A, n, w_max):
+    """{w: dim H^n(A) at weight w} for 1 <= w <= w_max, from A's d as
+    columns and reference_echelonize."""
+    return {w: len(A.slice(n, w)) - _rank(A.d_columns(n, w))
+            - _rank(A.d_columns(n - 1, w)) for w in range(1, w_max + 1)}

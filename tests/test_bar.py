@@ -417,3 +417,49 @@ def test_gamma_generators_by_letter_content_follow_witt(k):
     content, which the total count per weight does not see."""
     gam = gamma(punctured_line_model(k), 5)
     assert oracles.gamma_by_content(gam) == oracles.witt_content_dims(k, 5)
+
+
+CE_CASES = [
+    pytest.param(lambda: punctured_line_model(3), 6, id="P1minus3-w6"),
+    pytest.param(lambda: punctured_line_model(4), 5, id="P1minus4-w5"),
+] + [pytest.param(mk, 5, id=mk.__name__)
+     for mk in (make_e2, make_e3, make_e4, make_e4p)]
+
+
+def ce_matches(A, g, w_max):
+    """Whether Lambda(gamma) with the cobracket has A's H^1 and an H^2
+    inside A's at every weight up to w_max, as the 1-minimal model
+    must."""
+    h1, h2 = oracles.ce_dims(g, w_max)
+    a2 = oracles.cdga_h_dims(A, 2, w_max)
+    return h1 == oracles.cdga_h_dims(A, 1, w_max) and all(
+        h2[w] is not None and h2[w] <= a2[w] for w in h2)
+
+
+@pytest.mark.parametrize("mk, w_max", CE_CASES)
+def test_cobracket_gives_the_cohomology_of_a(mk, w_max):
+    """The Chevalley-Eilenberg complex of gamma is the 1-minimal model of
+    A: the same H^1, and an H^2 that injects into A's, weight by
+    weight."""
+    A = mk()
+    assert ce_matches(A, gamma(A, w_max), w_max)
+
+
+def test_ce_oracle_fails_on_a_zero_cobracket():
+    A = punctured_line_model(4)
+    g = gamma(A, 5)
+    g.cobracket = {k: {} for k in g.cobracket}
+    assert not ce_matches(A, g, 5)
+
+
+def test_ce_oracle_fails_on_one_flipped_weight3_entry():
+    """A sign flip in one entry of a weight-3 generator keeps co-Jacobi at
+    weight 3 but breaks d^2 = 0 on Lambda(gamma) at weight 5."""
+    A = punctured_line_model(4)
+    g = gamma(A, 5)
+    cb = {k: dict(v) for k, v in g.cobracket.items()}
+    row = cb[g.by_weight[3][0]]
+    key = next(iter(row))
+    row[key] = -row[key]
+    g.cobracket = cb
+    assert not ce_matches(A, g, 5)

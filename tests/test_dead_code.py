@@ -5,8 +5,7 @@ an attribute, or imported.  A definition nothing reads is deleted, or
 kept on ALLOWED with the reason it stays.
 
 The scan goes by name, so a definition that shares its name with one
-that is read counts as read: Echelon.rows passes because bench/tracer.py
-loads an attribute `rows`, and CellModule.slice_basis because
+that is read counts as read: CellModule.slice_basis passes because
 bench/worker.py calls it.
 """
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from adamsbar.cli import main
+from corpus import k_text
 from test_cli import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,7 +41,7 @@ aug a1 = 0
 FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
             "e4.cdga": E4_TEXT, "e3_half.cdga": E3_HALF_TEXT,
             "e4_half.cdga": E4_HALF_TEXT, "e4p.cdga": E4P_TEXT,
-            "p3.cdga": P3_TEXT}
+            "p3.cdga": P3_TEXT, "k4.cdga": k_text(4)}
 
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
@@ -62,6 +63,9 @@ CASES = {
                         "@e4.cdga", "--wt-max", "4"],
     "kernel_e1_e4p_w5": ["kernel", "--base", "@e1.cdga", "--total",
                          "@e4p.cdga", "--wt-max", "5"],
+    # the relative side at the size of the line minus 4 points
+    "kernel_e1_k4_w4": ["kernel", "--base", "@e1.cdga", "--total",
+                        "@k4.cdga", "--wt-max", "4"],
     "coaction-check_e1_e4_w3": ["coaction-check", "--base", "@e1.cdga",
                                 "--total", "@e4.cdga", "--wt-max", "3"],
     "coaction-check_e1_e4_half_w3": ["coaction-check", "--base", "@e1.cdga",

@@ -12,6 +12,7 @@ from adamsbar.linalg import (
     solve,
     solver,
 )
+from adamsbar import linalg
 import oracles
 
 F = Fraction
@@ -214,20 +215,39 @@ def sparse_families(draw):
     return rows
 
 
-# the third row meets pivots 0 and 1, and the order of those two steps
-# decides the key order {5, 4} of the last row
+def pivots_of(vectors):
+    """The pivots that Echelon.add returns on vectors, one at a time."""
+    e = Echelon()
+    return e, [p for p in map(e.add, vectors) if p is not None]
+
+
+def reference_residue(q, rows, pivots):
+    """q reduced against the reference's rows, which are fully reduced."""
+    out = dict(q)
+    for p, row in zip(pivots, rows):
+        if out.get(p):
+            out = oracles._vec_add(out, row, -out[p])
+    return out
+
+
+# the third row finds pivot 4 only after the rows at 0 and 1 are
+# subtracted, and kernel_basis must then clear 4 out of the row at 1
 @example([{0: F(1), 5: F(1)}, {1: F(1), 4: F(1)}, {0: F(1), 1: F(1)}])
 @given(sparse_families())
 def test_echelonize_matches_reference(rows):
-    """In-place elimination returns the reference's rows, pivots and key
-    order, and leaves its input rows alone."""
+    """The pivots, the residue of each unit vector and the kernel of the
+    matrix with these rows (values and key order) are the reference's,
+    and the input rows are left alone."""
     before = [list(r.items()) for r in rows]
     want_rows, want_piv = oracles.reference_echelonize(rows)
-    got = Echelon(rows).rows
-    got_piv = sorted(got)
-    assert got_piv == want_piv
-    assert [list(got[p].items()) for p in got_piv] == [
-        list(r.items()) for r in want_rows]
+    e, got_piv = pivots_of(rows)
+    assert sorted(got_piv) == want_piv and len(e) == len(want_piv)
+    for j in range(8):
+        residue, combo = e.reduce({j: F(1)})
+        assert residue == reference_residue({j: F(1)}, want_rows, want_piv)
+        assert combo == {}
+    m = raw_matrix(rows, 8)
+    assert items(kernel_basis(m)) == items(oracles.reference_kernel_basis(m))
     assert [list(r.items()) for r in rows] == before
 
 
@@ -346,27 +366,21 @@ def mixed_families(draw):
           [{0: 1, 1: 1, 2: 1}]))
 @given(mixed_families())
 def test_integer_echelon_matches_reference_on_mixed_entries(case):
-    """Rows (values, pivots and key order), kernel_basis and reduce
-    residues agree with the Fraction reference, and are Fractions."""
+    """Pivots, kernel_basis (values and key order) and reduce residues
+    agree with the Fraction reference, and are Fractions."""
     vecs, queries = case
     before = items(vecs + queries)
     want_rows, want_piv = oracles.reference_echelonize(vecs)
-    e = Echelon(vecs)
-    rows = e.rows
-    assert sorted(rows) == want_piv and len(e) == len(want_piv)
-    assert items(rows[p] for p in want_piv) == items(want_rows)
-    assert_fractions(rows.values())
+    e, got_piv = pivots_of(vecs)
+    assert sorted(got_piv) == want_piv and len(e) == len(want_piv)
     m = raw_matrix(vecs, 8)
     ker = kernel_basis(m)
     assert items(ker) == items(oracles.reference_kernel_basis(m))
     assert_fractions(ker)
     for q in queries:
         residue, combo = e.reduce(q)
-        want = dict(q)
-        for p, row in zip(want_piv, want_rows):
-            if want.get(p):
-                want = oracles._vec_add(want, row, -want[p])
-        assert residue == want and combo == {}
+        assert residue == reference_residue(q, want_rows, want_piv)
+        assert combo == {}
         assert not set(residue) & set(want_piv)
         assert_fractions([residue])
     assert items(vecs + queries) == before
@@ -519,3 +533,84 @@ def test_kernel_coords_match_cocycle_classes(case):
                 assert list(got.items()) == list(want.items())
                 assert_fractions([got])
     assert items(ker + queries) == before
+
+
+# ---- the triangular echelon against the back-substituting one -------------
+
+
+@st.composite
+def echelon_scripts(draw):
+    """(vectors, tags, queries): mixed int and Fraction vectors over 8
+    columns in random key order, some combinations of earlier ones; each
+    is tagged by its index or untagged; the queries are a combination of
+    the vectors, two random vectors (often outside their span) and 0."""
+    vecs = mixed_vectors(draw, 8, draw(st.integers(0, 10)))
+    tags = [i if draw(st.booleans()) else None for i in range(len(vecs))]
+    inside = {}
+    for v in vecs:
+        c = draw(st.one_of(st.just(0), mixed))
+        for i, x in v.items():
+            inside[i] = inside.get(i, 0) + c * x
+    inside = {i: x for i, x in inside.items() if x}
+    return vecs, tags, [inside] + mixed_vectors(draw, 8, 2) + [{}]
+
+
+# the row at 0 brings pivot 3 into the query's support, below pivot 5,
+# which is already in the heap
+HEAP_CASE = ([{0: 1, 3: 1}, {3: 1, 5: 1}, {5: 1, 6: 1}], [0, None, 2],
+             [{0: 1, 5: 1}, {5: 1, 0: F(1, 2)}])
+
+
+@example(HEAP_CASE)
+@example(([{0: 1, 3: 1}, {0: 2, 3: 2}, {3: F(1, 3)}], [0, 1, 2],
+          [{0: 1}, {3: 1}]))                             # dependent
+@given(echelon_scripts())
+def test_echelon_matches_back_substituting_reference(case):
+    """Triangular rows give the back-substituting echelon's pivot on each
+    add, its rank, non-pivots, reduce residues and combinations (values
+    and Fraction type) and class_coords (values, key order, Fraction
+    type, None and the ValueError), and leave their inputs alone."""
+    vecs, tags, queries = case
+    before = items(vecs + queries)
+    got, want = Echelon(), oracles.ReferenceEchelon()
+    for v, tag in zip(vecs, tags):
+        assert got.add(v, tag) == want.add(v, tag)
+        assert len(got) == len(want)
+    assert got.non_pivots(9) == want.non_pivots(9)
+    for q in vecs + queries:
+        residue, combo = got.reduce(q)
+        assert (residue, combo) == want.reduce(q)
+        assert_fractions([residue, combo])
+        c = got.class_coords(q, strict=False)
+        w = want.class_coords(q, strict=False)
+        if w is None:
+            assert c is None
+            with pytest.raises(ValueError) as want_err:
+                want.class_coords(q)
+            with pytest.raises(ValueError) as got_err:
+                got.class_coords(q)
+            assert str(got_err.value) == str(want_err.value)
+        else:
+            assert list(c.items()) == list(w.items())
+            assert_fractions([c])
+    assert items(vecs + queries) == before
+
+
+def test_reduce_subtracts_each_row_once(monkeypatch):
+    """The pivots are taken in ascending order, so a reduction never meets
+    a pivot again after its row was subtracted: each row goes in once,
+    even where a row brings in a pivot below one already waiting."""
+    vecs, _, queries = HEAP_CASE
+    e = Echelon(vecs)
+    rows = []
+    iadd = linalg._vec_iadd
+
+    def record(u, v, c):
+        rows.append(id(v))
+        iadd(u, v, c)
+
+    monkeypatch.setattr(linalg, "_vec_iadd", record)
+    for q in queries:
+        rows.clear()
+        e.reduce(q)
+        assert len(rows) == len(set(rows))

@@ -26,11 +26,14 @@ from corpus import (
     make_e3,
     make_e4,
     make_e4p,
+    make_k,
     random_gen_nilpotent,
 )
 from test_cli import CURVED_TEXT, N2_TEXT
 from oracles import (
     ReferenceRelativeBar,
+    k_kernel_dims,
+    k_total_dims,
     lyndon_count,
     reference_delta_dims,
     reference_truncated_h0,
@@ -181,6 +184,18 @@ def test_semidirect_e4(x4):
             sd.base_dims[w1] * sd.kernel_dims[w - w1] for w1 in range(w + 1)
         )
     assert sd.identity_ok and sd.indecomp_ok and sd.sp_identity_ok
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_semidirect_k_family_matches_polynomial_dims(k):
+    """K_k over E1: the fiber's gamma is abelian, so the kernel dims are
+    those of a polynomial algebra, read off a rational function with no
+    bar construction, and the total dims are their partial sums."""
+    sd = semidirect(AugmentedOverN(make_e1("t"), make_k(k)), 4)
+    assert sd.verdict == "pass"
+    assert sd.kernel_dims == k_kernel_dims(k, 4)
+    assert sd.total_dims == k_total_dims(k, 4)
+    assert sd.base_dims == {w: 1 for w in range(5)}
 
 
 def test_semidirect_trivial_base():
