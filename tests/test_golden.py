@@ -38,10 +38,20 @@ aug a0 = 0
 aug a1 = 0
 """
 
+# the formal model of the line minus 4 points
+P4_TEXT = """cdga P4 table
+gen a0 deg 1 wt 1
+gen a1 deg 1 wt 1
+gen a2 deg 1 wt 1
+aug a0 = 0
+aug a1 = 0
+aug a2 = 0
+"""
+
 FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
             "e4.cdga": E4_TEXT, "e3_half.cdga": E3_HALF_TEXT,
             "e4_half.cdga": E4_HALF_TEXT, "e4p.cdga": E4P_TEXT,
-            "p3.cdga": P3_TEXT, "k4.cdga": k_text(4)}
+            "p3.cdga": P3_TEXT, "p4.cdga": P4_TEXT, "k4.cdga": k_text(4)}
 
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
@@ -54,6 +64,8 @@ CASES = {
     # w6: the weights where the cobracket reads the coproduct of only a
     # few of the H^0 classes
     "colie_e3_w6": ["colie", "@e3.cdga", "--wt-max", "6"],
+    # the cobracket on the line minus 4 points, the paper's object
+    "colie_p4_w5": ["colie", "@p4.cdga", "--wt-max", "5"],
     "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
     "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",
                                   "@e1.cdga", "--n", "2", "--wt-max", "3"],
