@@ -235,27 +235,23 @@ class WeightPiece:
 
 
 class HopfPresentation:
-    """Weight-truncated H^0(Bbar(A)) with its product and coproduct, each
-    built on its first read: dims() reads neither.
+    """Weight-truncated H^0(Bbar(A)) with its product and coproduct.  Only
+    the representatives are cached: each structure constant is computed
+    where it is read, and dims() reads none.
 
-    product[(w1, i, w2, j)]: dict {k: coeff} over weight-(w1+w2) classes.
+    product_of(w1, i, w2, j): dict {k: coeff} over weight-(w1+w2) classes,
+    the class of the shuffle of the two representatives, for any ordered
+    pair.
     coproduct_of(w, k): dict {(w1, i, j): coeff} meaning
     class_i(w1) (x) class_j(w - w1), including the w1 = 0 and w1 = w
-    (grouplike) parts, built for one class on its first read, so a reader
-    of a few classes pays for those only.  The antipode is not built: it
-    is determined by the product and coproduct (the tests check the
-    antipode axiom against a word-level antipode).
+    (grouplike) parts.  The antipode is not built: it is determined by the
+    product and coproduct (the tests check the antipode axiom against a
+    word-level antipode).
 
-    Only the constants that carry information are classified; the rest are
-    exact by construction:
-    - commutativity: representatives have bar degree 0, so the Koszul sign
-      of every shuffle u * v against v * u is +1 and the two products are
-      the same chain; each unordered pair is classified once.
-    - unit: H^0 in weight 0 is the class of the empty word, whose shuffle
-      with a representative is that representative, so 1 * x_j = x_j.
-    - grouplike terms: every letter has weight >= 1, so the only splits of
-      prefix weight 0 and w are ([], word) and (word, []); they give
-      exactly 1 (x) x_k and x_k (x) 1, with coefficient 1.
+    The grouplike terms are exact by construction: every letter has
+    weight >= 1, so the only splits of prefix weight 0 and w are
+    ([], word) and (word, []); they give exactly 1 (x) x_k and x_k (x) 1,
+    with coefficient 1.
     """
 
     def __init__(self, A: CdgaPresentation, w_max):
@@ -264,7 +260,6 @@ class HopfPresentation:
         self.bar = BarComplex(A)
         self.pieces = {w: WeightPiece(self.bar, w) for w in range(w_max + 1)}
         self._reps = {}
-        self._coproducts = {}
 
     def dims(self):
         return {w: self.pieces[w].dim for w in range(self.w_max + 1)}
@@ -280,29 +275,13 @@ class HopfPresentation:
         v = self.bar.vector(lin, 0, w)
         return self.pieces[w].projector.class_coords(v, strict=strict)
 
-    @functools.cached_property
-    def product(self):
-        bar = self.bar
-        product = {}
-        for w1 in range(self.w_max // 2 + 1):
-            for w2 in range(w1, self.w_max + 1 - w1):
-                for i, u in enumerate(self.rep_lins(w1)):
-                    for j, v in enumerate(self.rep_lins(w2)):
-                        if (w1, i) > (w2, j):
-                            continue
-                        if w1 == 0:
-                            val = {j: F(1)}
-                        else:
-                            val = self.classify(bar.shuffle_lin(u, v), w1 + w2)
-                        product[(w1, i, w2, j)] = val
-                        product[(w2, j, w1, i)] = dict(val)
-        return product
+    def product_of(self, w1, i, w2, j):
+        """The product of the i-th class of weight w1 and the j-th of w2."""
+        prod = self.bar.shuffle_lin(self.rep_lins(w1)[i], self.rep_lins(w2)[j])
+        return self.classify(prod, w1 + w2)
 
     def coproduct_of(self, w, k):
-        """The coproduct of the k-th class of weight w, built on its first
-        read."""
-        if (w, k) in self._coproducts:
-            return self._coproducts[(w, k)]
+        """The coproduct of the k-th class of weight w."""
         bar = self.bar
         rep = self.rep_lins(w)[k]
         out = {}
@@ -342,8 +321,7 @@ class HopfPresentation:
                 vcls = self.classify(vlin, w2)
                 for j, c in vcls.items():
                     out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
-        val = self._coproducts[(w, k)] = {k2: c for k2, c in out.items() if c}
-        return val
+        return {k2: c for k2, c in out.items() if c}
 
 
 def h0_hopf(A: CdgaPresentation, w_max):
@@ -364,9 +342,12 @@ class CoLiePresentation:
     is built on its first read, and builds the coproduct of the generator
     classes only (HopfPresentation.coproduct_of).
 
-    In each weight the products of positive lower weights, one per
-    unordered pair (the product is commutative), go into one Echelon; the
-    generators are the classes e_j at its non-pivot columns j.  The
+    In each weight the products of positive lower weights go into one
+    Echelon as they are made (HopfPresentation.product_of), and none is
+    kept.  One product is made per unordered pair: representatives have
+    bar degree 0, so the Koszul sign of every shuffle u * v against v * u
+    is +1 and the two products are the same chain.  The generators are
+    the classes e_j at the echelon's non-pivot columns j.  The
     projection is exact and read off the same echelon: the residue of x
     against the rows differs from x by decomposables and is 0 at every
     pivot, so it is x mod decomposables, written in the generators.  The
@@ -386,7 +367,7 @@ class CoLiePresentation:
                 for i in range(hopf.pieces[w1].dim):
                     for j in range(hopf.pieces[w2].dim):
                         if (w1, i) <= (w2, j):
-                            decomp.add(hopf.product[(w1, i, w2, j)])
+                            decomp.add(hopf.product_of(w1, i, w2, j))
             cols = {}
             for j in decomp.non_pivots(hopf.pieces[w].dim):
                 cols[j] = len(self.basis)

@@ -261,6 +261,21 @@ def _base_report(command, args, ok):
     }
 
 
+def _at_least(least):
+    """An argparse type: an int of at least `least`.  A smaller window
+    option leaves nothing to compute, and would pass with empty tables."""
+
+    def parse(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type of a non-int value
+    return parse
+
+
 def build_arg_parser():
     ap = argparse.ArgumentParser(
         prog="adamsbar",
@@ -268,12 +283,13 @@ def build_arg_parser():
         "constructions, minimal models, and semidirect kernel data.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    nonneg = _at_least(0)
 
     def common(p, file_arg=True):
         if file_arg:
             p.add_argument("file", help="presentation file")
-        p.add_argument("--wt-max", dest="wt_max", type=int, default=3)
-        p.add_argument("--deg-max", dest="deg_max", type=int, default=4)
+        p.add_argument("--wt-max", dest="wt_max", type=nonneg, default=3)
+        p.add_argument("--deg-max", dest="deg_max", type=nonneg, default=4)
         p.add_argument("--out", dest="out", default=None)
 
     p = sub.add_parser("validate")
@@ -298,7 +314,7 @@ def build_arg_parser():
     p = sub.add_parser("minimal-model")
     common(p)
     p.add_argument("--base", default=None)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_at_least(1), default=2)
     p.set_defaults(func=cmd_minimal_model)
 
     p = sub.add_parser("quillen")
@@ -320,7 +336,7 @@ def build_arg_parser():
     p = sub.add_parser("delta-approx")
     common(p)
     p.add_argument("--base", default=None)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=nonneg, default=2)
     p.set_defaults(func=cmd_delta_approx)
 
     p = sub.add_parser("pi1-demo")

@@ -3,15 +3,17 @@
 Everything lives in bar degree 0, so no Koszul signs appear in these
 identities; products are plain commutative and tensors unsigned.
 
-HopfPresentation classifies each unordered pair of classes once and
-stores the product under both orders, so product_commutative holds by
-construction there; it can still fail on constants that classify every
-ordered pair, such as oracles.reference_hopf.
+The structure constants are read once per h into two tables (tables(h):
+the product of every ordered pair, the unit included, and the coproduct
+of every class), which all_axioms hands to each check; a check called on
+its own reads them itself.  Every ordered product is classified on its
+own, so product_commutative tests something: nothing stores one order of
+a pair as the other.
 
-The checks read h.w_max, h.pieces, h.product and h.coproduct_of(w, k);
-antipode_axiom also reads h.bar, h.rep_lins and h.classify, since the
-antipode of a class is classified here from the word-level antipode of
-its representative.
+The checks read h.w_max, h.pieces, h.product_of(w1, i, w2, j) and
+h.coproduct_of(w, k); antipode_axiom also reads h.bar, h.rep_lins and
+h.classify, since the antipode of a class is classified here from the
+word-level antipode of its representative.
 """
 
 from fractions import Fraction
@@ -27,14 +29,30 @@ def _add(out, k, c):
         out.pop(k, None)
 
 
-def product_commutative(h):
-    for (w1, i, w2, j), val in h.product.items():
-        if h.product[(w2, j, w1, i)] != val:
+def tables(h):
+    """(product, coproduct) of h: product[(w1, i, w2, j)] for every ordered
+    pair of classes with w1 + w2 <= h.w_max, and coproduct[(w, k)] for
+    every class, each read once."""
+    wmax = h.w_max
+    product = {(w1, i, w2, j): h.product_of(w1, i, w2, j)
+               for w1 in range(wmax + 1) for w2 in range(wmax + 1 - w1)
+               for i in range(h.pieces[w1].dim)
+               for j in range(h.pieces[w2].dim)}
+    coproduct = {(w, k): h.coproduct_of(w, k) for w in range(wmax + 1)
+                 for k in range(h.pieces[w].dim)}
+    return product, coproduct
+
+
+def product_commutative(h, t=None):
+    product, _ = t or tables(h)
+    for (w1, i, w2, j), val in product.items():
+        if product[(w2, j, w1, i)] != val:
             return False, (w1, i, w2, j)
     return True, None
 
 
-def product_associative(h):
+def product_associative(h, t=None):
+    product, _ = t or tables(h)
     wmax = h.w_max
     for w1 in range(wmax + 1):
         for w2 in range(wmax + 1 - w1):
@@ -43,27 +61,21 @@ def product_associative(h):
                     for j in range(h.pieces[w2].dim):
                         for k in range(h.pieces[w3].dim):
                             lhs = {}
-                            for m, c in h.product[(w1, i, w2, j)].items():
-                                for n, c2 in h.product[(w1 + w2, m, w3, k)].items():
+                            for m, c in product[(w1, i, w2, j)].items():
+                                for n, c2 in product[(w1 + w2, m, w3, k)].items():
                                     _add(lhs, n, c * c2)
                             rhs = {}
-                            for m, c in h.product[(w2, j, w3, k)].items():
-                                for n, c2 in h.product[(w1, i, w2 + w3, m)].items():
+                            for m, c in product[(w2, j, w3, k)].items():
+                                for n, c2 in product[(w1, i, w2 + w3, m)].items():
                                     _add(rhs, n, c * c2)
                             if lhs != rhs:
                                 return False, (w1, i, w2, j, w3, k)
     return True, None
 
 
-def _coproducts(h):
-    """((w, k), coproduct of the k-th class of weight w) for every class."""
-    for w in range(h.w_max + 1):
-        for k in range(h.pieces[w].dim):
-            yield (w, k), h.coproduct_of(w, k)
-
-
-def counit_laws(h):
-    for (w, k), cop in _coproducts(h):
+def counit_laws(h, t=None):
+    _, coproduct = t or tables(h)
+    for (w, k), cop in coproduct.items():
         left = {j: c for (w1, i, j), c in cop.items() if w1 == 0}
         right = {i: c for (w1, i, j), c in cop.items() if w1 == w}
         if left != {k: F(1)} or right != {k: F(1)}:
@@ -71,23 +83,25 @@ def counit_laws(h):
     return True, None
 
 
-def coassociative(h):
-    for (w, k), cop in _coproducts(h):
+def coassociative(h, t=None):
+    _, coproduct = t or tables(h)
+    for (w, k), cop in coproduct.items():
         lhs = {}
         for (w1, i, j), c in cop.items():
             # apply coproduct to the left factor (weight w1, class i)
-            for (wa, a, b), c2 in h.coproduct_of(w1, i).items():
+            for (wa, a, b), c2 in coproduct[(w1, i)].items():
                 _add(lhs, (wa, a, w1 - wa, b, w - w1, j), c * c2)
         rhs = {}
         for (w1, i, j), c in cop.items():
-            for (wb, a, b), c2 in h.coproduct_of(w - w1, j).items():
+            for (wb, a, b), c2 in coproduct[(w - w1, j)].items():
                 _add(rhs, (w1, i, wb, a, w - w1 - wb, b), c * c2)
         if lhs != rhs:
             return False, (w, k)
     return True, None
 
 
-def coproduct_algebra_map(h):
+def coproduct_algebra_map(h, t=None):
+    product, coproduct = t or tables(h)
     wmax = h.w_max
     for w1 in range(wmax + 1):
         for w2 in range(wmax + 1 - w1):
@@ -95,14 +109,14 @@ def coproduct_algebra_map(h):
             for i in range(h.pieces[w1].dim):
                 for j in range(h.pieces[w2].dim):
                     lhs = {}
-                    for m, c in h.product[(w1, i, w2, j)].items():
-                        for (wa, a, b), c2 in h.coproduct_of(w, m).items():
+                    for m, c in product[(w1, i, w2, j)].items():
+                        for (wa, a, b), c2 in coproduct[(w, m)].items():
                             _add(lhs, (wa, a, w - wa, b), c * c2)
                     rhs = {}
-                    for (wa, a, b), c in h.coproduct_of(w1, i).items():
-                        for (wc, e, f), c2 in h.coproduct_of(w2, j).items():
-                            for m, c3 in h.product[(wa, a, wc, e)].items():
-                                for n, c4 in h.product[
+                    for (wa, a, b), c in coproduct[(w1, i)].items():
+                        for (wc, e, f), c2 in coproduct[(w2, j)].items():
+                            for m, c3 in product[(wa, a, wc, e)].items():
+                                for n, c4 in product[
                                     (w1 - wa, b, w2 - wc, f)
                                 ].items():
                                     _add(
@@ -124,9 +138,10 @@ def antipode_word(bar, word):
     return {tuple(reversed(word)): -1 if (m + s) % 2 else 1}
 
 
-def antipode_axiom(h, word_antipode=antipode_word):
+def antipode_axiom(h, word_antipode=antipode_word, t=None):
     """m (S (x) id) Delta = eta eps on every class, S of a class being
     word_antipode applied to its representative, classified by h."""
+    product, coproduct = t or tables(h)
     antipode = {}
     for w in range(h.w_max + 1):
         for k, rep in enumerate(h.rep_lins(w)):
@@ -135,11 +150,11 @@ def antipode_axiom(h, word_antipode=antipode_word):
                 for nw, nc in word_antipode(h.bar, word).items():
                     _add(lin, nw, c * nc)
             antipode[(w, k)] = h.classify(lin, w)
-    for (w, k), cop in _coproducts(h):
+    for (w, k), cop in coproduct.items():
         acc = {}
         for (w1, i, j), c in cop.items():
             for i2, c2 in antipode[(w1, i)].items():
-                for n, c3 in h.product[(w1, i2, w - w1, j)].items():
+                for n, c3 in product[(w1, i2, w - w1, j)].items():
                     _add(acc, n, c * c2 * c3)
         expected = {0: F(1)} if w == 0 else {}
         if acc != expected:
@@ -147,7 +162,8 @@ def antipode_axiom(h, word_antipode=antipode_word):
     return True, None
 
 
-def all_axioms(h):
+def all_axioms(h, t=None):
+    t = t or tables(h)
     for name, check in [
         ("commutative", product_commutative),
         ("associative", product_associative),
@@ -156,7 +172,7 @@ def all_axioms(h):
         ("algebra_map", coproduct_algebra_map),
         ("antipode", antipode_axiom),
     ]:
-        ok, wit = check(h)
+        ok, wit = check(h, t=t)
         if not ok:
             return False, (name, wit)
     return True, None

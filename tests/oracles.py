@@ -423,8 +423,8 @@ def reference_hopf(h):
     its representatives: every ordered product (the unit included) and
     every split of the coproduct is classified, against a
     ReferenceProjector per weight.  The result has what hopf_checks
-    reads: w_max, pieces, product, coproduct_of(w, k), and bar, rep_lins
-    and classify, for the antipode of a class."""
+    reads: w_max, pieces, product_of(w1, i, w2, j), coproduct_of(w, k),
+    and bar, rep_lins and classify, for the antipode of a class."""
     bar = h.bar
     projectors = {}
     for w, p in h.pieces.items():
@@ -471,7 +471,8 @@ def reference_hopf(h):
                         out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
             coproduct[(w, k)] = {k2: c for k2, c in out.items() if c}
     reps = {w: p.rep_lins(bar) for w, p in h.pieces.items()}
-    return SimpleNamespace(w_max=h.w_max, pieces=h.pieces, product=product,
+    return SimpleNamespace(w_max=h.w_max, pieces=h.pieces,
+                           product_of=lambda *key: product[key],
                            coproduct_of=lambda w, k: coproduct[(w, k)],
                            bar=bar, rep_lins=reps.__getitem__,
                            classify=classify)
@@ -556,7 +557,9 @@ def reference_colie(h):
     """basis, by_weight, project and cobracket of CoLiePresentation(h),
     from the products of every ordered pair of positive weights, their
     echelon basis, the non-pivot unit vectors as reps and a
-    ReferenceProjector onto them."""
+    ReferenceProjector onto them.  The products and coproducts are
+    reference_hopf(h)'s, so none is read from h."""
+    ref = reference_hopf(h)
     basis, by_weight, projectors = [], {}, {}
     for w in range(1, h.w_max + 1):
         decomp = []
@@ -564,7 +567,7 @@ def reference_colie(h):
             w2 = w - w1
             for i in range(h.pieces[w1].dim):
                 for j in range(h.pieces[w2].dim):
-                    v = h.product[(w1, i, w2, j)]
+                    v = ref.product_of(w1, i, w2, j)
                     if v:
                         decomp.append(v)
         decomp_basis, _ = reference_echelonize(decomp)
@@ -581,7 +584,7 @@ def reference_colie(h):
     for g, (w, class_vec) in enumerate(basis):
         tensor = {}
         for k, c in class_vec.items():
-            for (w1, i, j), cc in h.coproduct_of(w, k).items():
+            for (w1, i, j), cc in ref.coproduct_of(w, k).items():
                 w2 = w - w1
                 if w1 == 0 or w2 == 0:
                     continue

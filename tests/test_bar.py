@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from adamsbar.bar import (
     BarComplex,
     CoLiePresentation,
+    HopfPresentation,
     gamma,
     h0_hopf,
     polynomial_dims,
@@ -192,10 +194,29 @@ def test_h0_dims(e1, e2, e3):
 
 
 def test_dims_build_no_table(e3):
-    """dims() reads the weight pieces only: no structure table is built."""
+    """dims() reads the weight pieces only, and the co-Lie quotient keeps
+    no structure constant in the Hopf presentation: it caches only the
+    representatives."""
     h = h0_hopf(e3, 4)
+    fields = {"A", "w_max", "bar", "pieces", "_reps"}
     assert h.dims() == {0: 1, 1: 2, 2: 4, 3: 6, 4: 9}
-    assert "product" not in vars(h) and not h._coproducts
+    assert set(vars(h)) == fields
+    CoLiePresentation(h)
+    assert set(vars(h)) == fields
+
+
+def test_colie_retains_little_memory():
+    """The co-Lie quotient of the line minus 4 points at w <= 5 keeps
+    about 290 KB; a stored table of every product comes to about 1.1 MB."""
+    h = h0_hopf(punctured_line_model(4), 5)
+    tracemalloc.start()
+    try:
+        g = CoLiePresentation(h)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.dims() == {1: 3, 2: 3, 3: 8, 4: 18, 5: 48}
+    assert retained < 600_000, retained
 
 
 def test_e1_power_is_factorial():
@@ -247,26 +268,20 @@ HOPF_CASES = [
 
 @pytest.mark.parametrize("mk,w_max", HOPF_CASES)
 def test_hopf_constants_match_reference(mk, w_max):
-    """Products derived from commutativity and the unit, and grouplike
-    coproduct terms set directly, equal the constants classified over
-    every ordered pair and every split, key order included; the Hopf
-    axioms hold on the reference, where commutativity is not built in.
-    The Hopf checks read every table, so they build each one."""
+    """product_of on every ordered pair, the unit included, and the
+    coproduct with its grouplike terms set directly, equal the constants
+    the reference classifies over every ordered pair and every split, key
+    order included; the Hopf axioms hold on both."""
     h = h0_hopf(mk(), w_max)
-    ok, wit = hopf_checks.all_axioms(h)
-    assert ok, wit
-    classes = {(w, k) for w in range(w_max + 1)
-               for k in range(h.pieces[w].dim)}
-    assert "product" in vars(h) and set(h._coproducts) == classes
     ref = oracles.reference_hopf(h)
-    assert h.product.keys() == ref.product.keys()
-    for key, val in ref.product.items():
-        assert list(h.product[key].items()) == list(val.items()), key
-    for key in sorted(classes):
-        want = ref.coproduct_of(*key)
-        assert list(h.coproduct_of(*key).items()) == list(want.items()), key
-    ok, wit = hopf_checks.all_axioms(ref)
-    assert ok, wit
+    got, want = hopf_checks.tables(h), hopf_checks.tables(ref)
+    for table, ref_table in zip(got, want):
+        assert table.keys() == ref_table.keys()
+        for key, val in ref_table.items():
+            assert list(table[key].items()) == list(val.items()), key
+    for hopf, t in ((h, got), (ref, want)):
+        ok, wit = hopf_checks.all_axioms(hopf, t)
+        assert ok, wit
 
 
 # the reference cases, plus E2 at w = 6, where the products of
@@ -333,15 +348,23 @@ def test_gamma_e3_cobracket(e3):
     assert cb[(a, b)] != 0
 
 
-def test_cobracket_builds_only_the_generator_coproducts(e3):
-    """The cobracket reads the coproduct of the gamma generators only, so
-    only theirs are built, and the whole table is never forced."""
+def test_cobracket_builds_only_the_generator_coproducts(e3, monkeypatch):
+    """The cobracket builds the coproduct of each gamma generator's class
+    exactly once, and of no other class."""
+    built = []
+    coproduct_of = HopfPresentation.coproduct_of
+
+    def counted(self, w, k):
+        built.append((w, k))
+        return coproduct_of(self, w, k)
+
+    monkeypatch.setattr(HopfPresentation, "coproduct_of", counted)
     g = gamma(e3, 6)
     g.cobracket
-    hopf = g.hopf
-    assert set(hopf._coproducts) == {(w, j) for w, vec in g.basis for j in vec}
-    assert len(hopf._coproducts) < sum(hopf.dims().values())
-    ref = oracles.reference_hopf(hopf)
+    g.cobracket
+    assert sorted(built) == sorted((w, j) for w, vec in g.basis for j in vec)
+    assert len(built) < sum(g.hopf.dims().values())
+    hopf, ref = g.hopf, oracles.reference_hopf(g.hopf)
     for w, dim in hopf.dims().items():
         for k in range(dim):
             assert list(hopf.coproduct_of(w, k).items()) == list(

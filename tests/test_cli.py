@@ -456,6 +456,34 @@ def test_parser_shared_across_calls(capsys, tmp_path):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv", [
+    ["colie", "@e3", "--wt-max", "-1"],
+    ["bar-h0", "@e3", "--wt-max", "-1"],
+    ["quillen", "@e3", "--wt-max", "-1"],
+    ["pi1-demo", "--punctures", "3", "--wt-max", "-1"],
+    ["kernel", "--base", "@e1", "--total", "@e4", "--wt-max", "-1"],
+    ["coaction-check", "--base", "@e1", "--total", "@e4", "--wt-max", "-1"],
+    ["cohomology", "@e3", "--deg-max", "-1"],
+    ["delta-approx", "@e3", "--n", "-1"],
+    ["minimal-model", "@e4", "--base", "@e1", "--n", "0"],
+    ["minimal-model", "@e4", "--base", "@e1", "--n", "-1"],
+], ids=" ".join)
+def test_empty_window_exits_2(capsys, tmp_path, argv):
+    """A window option (the last one of argv) below its least value leaves
+    nothing to compute; it exits 2 with one error line naming the option,
+    not a pass with empty tables."""
+    files = {"@e1": write(tmp_path, "e1.cdga", E1_TEXT),
+             "@e3": write(tmp_path, "e3.cdga", E3_TEXT),
+             "@e4": write(tmp_path, "e4.cdga", E4_TEXT)}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"error: argument {argv[-2]}: must be at least" in (
+        captured.err.splitlines()[-1])
+
+
 def test_parse_cell_structure():
     kind, spec = parse_text(CELL_TEXT)
     assert kind == "cell"
@@ -539,19 +567,30 @@ def fuzz_cases(draw):
         ["cohomology", "@m", "--base", "@a"],
         ["pi1-demo", "--punctures", draw(st.sampled_from("1234"))],
     ]))
-    argv += ["--wt-max", str(draw(st.integers(0, 2)))]
+    argv += ["--wt-max", str(draw(st.integers(-1, 2)))]
     if argv[0] in ("minimal-model", "delta-approx"):
-        argv += ["--n", str(draw(st.integers(0, 2)))]
+        argv += ["--n", str(draw(st.integers(-1, 2)))]
     if argv[0] == "cohomology":
-        argv += ["--deg-max", str(draw(st.integers(0, 2)))]
+        argv += ["--deg-max", str(draw(st.integers(-1, 2)))]
     return argv, files
+
+
+def below_least(argv):
+    """Whether a window option of argv is below its least value: 0, and 1
+    for the stage count of minimal-model."""
+    least = {"--wt-max": 0, "--deg-max": 0,
+             "--n": 1 if argv[0] == "minimal-model" else 0}
+    return any(int(v) < least[a] for a, v in zip(argv, argv[1:])
+               if a in least)
 
 
 @settings(max_examples=150, deadline=None)
 @given(fuzz_cases())
 def test_fuzz_cli_exits_0_1_or_2(case):
     """No input file of the grammar makes main raise: a bad one exits 2,
-    a failed property 1.  Windows are small, so each case is quick."""
+    a failed property 1.  A window option below its least value is
+    rejected by argparse (SystemExit 2) before any file is read.  Windows are small, so
+    each case is quick."""
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -561,5 +600,11 @@ def test_fuzz_cli_exits_0_1_or_2(case):
                 fh.write(text)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([paths.get(a, a) for a in argv])
+            try:
+                code = main([paths.get(a, a) for a in argv])
+            except SystemExit as e:
+                code = e.code
+                assert below_least(argv), argv
+    if below_least(argv):
+        assert code == 2, argv
     assert code in (0, 1, 2)
