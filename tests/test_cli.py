@@ -589,8 +589,8 @@ def below_least(argv):
 def test_fuzz_cli_exits_0_1_or_2(case):
     """No input file of the grammar makes main raise: a bad one exits 2,
     a failed property 1.  A window option below its least value is
-    rejected by argparse (SystemExit 2) before any file is read.  Windows are small, so
-    each case is quick."""
+    rejected by argparse (SystemExit 2) before any file is read.  Windows
+    are small, so each case is quick."""
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
