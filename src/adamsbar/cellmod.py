@@ -27,6 +27,13 @@ calls to it.
 cell_resolution attaches cells with linalg.attach_cells, the loop minimal
 models use: the source is the cell module P, rebuilt after each round
 that adds cells, and the target is the finite dg module.
+
+The bookkeeping around the algebra is linear in the size of a module.
+The coarsest strict filtration of a differential is found by Kahn's
+layering, each entry visited once (_strict_filtration), and a basis
+index's stage is read from a dict.  A cell module's slices of one weight
+come from one walk over its basis and the algebra's degree groups at the
+complementary weights (CellModule.group_keys), so no slice is sorted.
 """
 
 from __future__ import annotations
@@ -97,16 +104,19 @@ class CellModule(linalg.SliceComplex):
         if filtration is None:
             filtration = [[i] for i in range(len(basis))]
         self.filtration = [list(s) for s in filtration]
+        self._stage = {}  # basis index -> its first stage
+        for s, idxs in enumerate(self.filtration):
+            for i in idxs:
+                self._stage.setdefault(i, s)
 
     def bidegree(self, i):
         _, c, a = self.basis[i]
         return (c, a)
 
     def stage(self, i):
-        for s, idxs in enumerate(self.filtration):
-            if i in idxs:
-                return s
-        raise ModuleError(f"basis index {i} missing from filtration")
+        if i not in self._stage:
+            raise ModuleError(f"basis index {i} missing from filtration")
+        return self._stage[i]
 
     def _bidegree_failures(self):
         """One message per entry a_ij of d that is inhomogeneous or not of
@@ -147,15 +157,17 @@ class CellModule(linalg.SliceComplex):
 
     # ---- slice complexes over Q ---------------------------------------
 
-    def slice_keys(self, n, r):
-        out = []
+    def group_keys(self, r):
+        """{n: the pairs (mono, j) of slice (n, r)}, from one walk over the
+        basis and the algebra's degree groups; each group is ordered by j,
+        then by the algebra's sorted monomials."""
+        out = {}
         for j, (_, cj, rj) in enumerate(self.basis):
-            ra = r - rj
-            if ra < 0:
-                continue
-            for mono in self.algebra.slice(n - cj, ra):
-                out.append((mono, j))
-        return sorted(out, key=lambda p: (p[1], p[0]))
+            if rj <= r:
+                for na, monos in self.algebra.by_degree(r - rj).items():
+                    out.setdefault(na + cj, []).extend(
+                        (mono, j) for mono in monos)
+        return out
 
     def slice_basis(self, n, r):
         """slice(n, r), under the name bench/worker.py calls."""
@@ -167,15 +179,16 @@ class CellModule(linalg.SliceComplex):
     def d_element(self, mono, j):
         """d(mono * b_j) as {(monomial, index): coeff}."""
         A = self.algebra
-        out = {}
-        for dm, c in A.apply_d({mono: F(1)}).items():
-            out[(dm, j)] = out.get((dm, j), F(0)) + c
+        out = {(dm, j): c for dm, c in A.apply_d({mono: F(1)}).items()}
         sign = (-1) ** (A.mono_bidegree(mono)[0] % 2)
         for i, a in self._d_by_col.get(j, ()):
             prod = A.multiply({mono: F(1)}, a)
             for pm, c in prod.items():
                 key = (pm, i)
-                out[key] = out.get(key, F(0)) + sign * c
+                if key in out:
+                    out[key] += sign * c
+                else:
+                    out[key] = sign * c
         return {k: c for k, c in out.items() if c}
 
     # ---- q functor -----------------------------------------------------
@@ -276,19 +289,28 @@ def to_connection(M: CellModule) -> ConnectionModule:
 
 
 def _strict_filtration(basis, diff):
-    n = len(basis)
-    by_col = _entries_at(diff, 1)
-    deps = {j: {i for i, _ in by_col.get(j, ())} for j in range(n)}
+    """The coarsest strict filtration of a basis under d: stage s holds,
+    in ascending order, the indices j whose every entry (i, j) of d, a
+    cancelled one included, has i in a stage below s, and one in stage
+    s - 1.  Kahn's layering: an index joins the next stage when the last
+    of its entries' rows is placed, so each entry is visited once."""
+    waiting = [0] * len(basis)  # entries of each column not yet placed
+    for _, j in diff:
+        waiting[j] += 1
+    by_row = _entries_at(diff, 0)
+    stage = [j for j, k in enumerate(waiting) if not k]
     stages = []
-    placed = set()
-    remaining = set(range(n))
-    while remaining:
-        stage = sorted(j for j in remaining if deps[j] <= placed)
-        if not stage:
-            raise ModuleError("differential admits no strict filtration")
+    while stage:
         stages.append(stage)
-        placed |= set(stage)
-        remaining -= set(stage)
+        nxt = []
+        for i in stage:
+            for j, _ in by_row.get(i, ()):
+                waiting[j] -= 1
+                if not waiting[j]:
+                    nxt.append(j)
+        stage = sorted(nxt)
+    if sum(map(len, stages)) < len(basis):
+        raise ModuleError("differential admits no strict filtration")
     return stages
 
 
@@ -600,7 +622,10 @@ class FiniteDgModule(ScalarComplex):
             for (i, j), c in mat.items():
                 x = out.get(j)
                 if x:
-                    nxt[i] = nxt.get(i, F(0)) + c * x
+                    if i in nxt:
+                        nxt[i] += c * x
+                    else:
+                        nxt[i] = c * x
             out = {k: v for k, v in nxt.items() if v}
         return out
 
@@ -630,7 +655,10 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
         for j, c in v.items():
             mono, bi = src[j]
             for i, cc in D.act(mono, phi[bi]).items():
-                img[pos[i]] = img.get(pos[i], F(0)) + c * cc
+                if pos[i] in img:
+                    img[pos[i]] += c * cc
+                else:
+                    img[pos[i]] = c * cc
         return {k: c for k, c in img.items() if c}
 
     def adjoin(n, r, cells):

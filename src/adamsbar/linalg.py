@@ -58,13 +58,25 @@ from math import gcd, lcm
 
 
 def _vec_iadd(u, v, c):
-    """u += c*v in place; new keys are appended in v's order."""
+    """u += c*v in place, for int or Fraction entries and c.
+
+    Each entry gets the value and type of u.get(i, 0) + c*v[i]: an int
+    where every term is an int, a Fraction otherwise.  A key whose sum is
+    0 is removed at once, and new keys are appended in v's order.  A new
+    key stores c*v[i] itself, and c the int 1 skips the multiply, since
+    neither 0 + y nor 1*y changes y's value or type."""
+    scale = not (type(c) is int and c == 1)
     for i, x in v.items():
-        y = u.get(i, 0) + c * x
-        if y:
-            u[i] = y
-        else:
-            u.pop(i, None)
+        if scale:
+            x = c * x
+        if i in u:
+            x = u[i] + x
+            if x:
+                u[i] = x
+            else:
+                del u[i]
+        elif x:
+            u[i] = x
 
 
 def _integral(v):
@@ -121,7 +133,9 @@ class Echelon:
         """(V, C, den): v = V/den + the combination C/den of tagged
         vectors, modulo the untagged ones, V 0 at every pivot.  The pivots
         in v's support, and those each row brings in, come off a heap in
-        ascending order, so no row is subtracted twice."""
+        ascending order, so no row is subtracted twice.  A row is walked
+        once per subtraction: the walk that updates V pushes each pivot
+        it brings in."""
         V, den = _integral(v)
         C = {}
         rows = self._rows
@@ -139,10 +153,17 @@ class Echelon:
                 _iscale(V, a)
                 _iscale(C, a)
                 den *= a
-            for q in R:
-                if q not in V and q in rows:
-                    heappush(heap, q)
-            _vec_iadd(V, R, -b)
+            for q, y in R.items():
+                if q in V:
+                    y = V[q] - b * y
+                    if y:
+                        V[q] = y
+                    else:
+                        del V[q]
+                else:
+                    V[q] = -b * y
+                    if q in rows:
+                        heappush(heap, q)
             _vec_iadd(C, self._combos[p], b)
         return V, C, den
 
@@ -293,7 +314,10 @@ class KernelCoords:
         for k, v in enumerate(kernel):
             f = max(v)
             self._free[f] = k
-            self._tails.append({j: x for j, x in v.items() if j != f})
+            # a tail entry of denominator 1 as an int, so coords computes
+            # with ints where the vectors are integral
+            self._tails.append({j: x.numerator if x.denominator == 1 else x
+                                for j, x in v.items() if j != f})
 
     def coords(self, v):
         """v's coordinates on the kernel vectors, in their order and in

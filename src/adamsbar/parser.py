@@ -15,18 +15,26 @@ One definition per file:
 poly: term (('+'|'-') term)*;  term: rational ['*' ident ('*' ident)*];
 rational: int ['/' posint].  Every identifier must be declared before
 use; errors carry line and column numbers.
+
+parse_file decodes the file's bytes as UTF-8, and each line is split into
+(token, column) pairs by one regex pass before any of it is parsed.  A
+rational of denominator 1 is read as an int.  A cdga keeps it so: the
+structure maps of an integral presentation compute with ints.  bind_cell
+adds a cell module's terms up in place with the same ints and stores
+each coefficient of its d as one Fraction.
 """
 
 import re
 from fractions import Fraction
 
-from .cdga import CdgaPresentation, GeneratorSpec, UNIT, el_add
+from .cdga import CdgaPresentation, GeneratorSpec, UNIT
 from .cellmod import CellModule, _strict_filtration
 from .linalg import _vec_iadd
 
 F = Fraction
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\d+|[=*+/-]")
+# group 1 is a token; a character outside it starts no token, an error
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|\d+|[=*+/-])|\S")
 
 
 class ParseError(Exception):
@@ -38,17 +46,14 @@ class ParseError(Exception):
 
 
 def _tokens(text, lineno):
+    """The (token, column) pairs of a line, in one regex pass; whitespace
+    only separates tokens."""
     out = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"bad character {text[pos]!r}", lineno, pos + 1)
-        out.append((m.group(0), pos + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise ParseError(f"bad character {m[0]!r}", lineno, m.start() + 1)
+        out.append((tok, m.start() + 1))
     return out
 
 
@@ -91,7 +96,9 @@ def _parse_int(cur, what):
 
 
 def _parse_rational(cur):
-    val = F(_parse_int(cur, "rational"))
+    """The rational as an int when its denominator is 1, else as a
+    Fraction."""
+    val = _parse_int(cur, "rational")
     if cur.peek() == "/":
         cur.next()
         tok, col = cur.next()
@@ -99,7 +106,9 @@ def _parse_rational(cur):
             raise ParseError(
                 f"expected positive denominator, got {tok!r}", cur.lineno, col
             )
-        val /= int(tok)
+        val = F(val, int(tok))
+        if val.denominator == 1:
+            val = val.numerator
     return val
 
 
@@ -126,8 +135,7 @@ def _parse_poly(cur, declared, A):
         sign = -1
     while True:
         coeff, names = _parse_term(cur, declared)
-        coeff *= sign
-        term = {UNIT: coeff.numerator if coeff.denominator == 1 else coeff}
+        term = {UNIT: sign * coeff}
         for name in names:
             term = A.multiply(term, {((name, 1),): 1})
         _vec_iadd(out, term, 1)
@@ -150,9 +158,9 @@ def parse_text(text):
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
-            lines.append((lineno, _tokens(body, lineno)))
+        toks = _tokens(raw.split("#", 1)[0], lineno)
+        if toks:
+            lines.append((lineno, toks))
     if not lines:
         raise ParseError("empty file", 1)
     head_line, head = lines[0]
@@ -285,31 +293,35 @@ def _parse_cell(lines):
 
 
 def bind_cell(spec, A: CdgaPresentation):
-    """Resolve a parsed cell-module spec against its algebra."""
+    """Resolve a parsed cell-module spec against its algebra.
+
+    Each entry of d accumulates its terms in place, with int coefficients
+    where they are integral, as _parse_poly does; an entry that cancels
+    is dropped at once, so a later term on it appends it anew.  Every
+    stored coefficient becomes one Fraction at the end."""
     gen_names = set(A.gen)
+    declared = spec["declared"]
     diff = {}
     for target, cur in spec["dlines"]:
-        j = spec["declared"][target]
-        sign = F(1)
+        j = declared[target]
+        sign = 1
         if cur.peek() == "-":
             cur.next()
-            sign = F(-1)
+            sign = -1
         while True:
             coeff, names = _parse_term(cur, gen_names)
             el = {UNIT: sign * coeff}
             for nm in names:
-                el = A.multiply(el, {((nm, 1),): F(1)})
+                el = A.multiply(el, {((nm, 1),): 1})
             ename, ecol = cur.next()
-            if ename not in spec["declared"]:
+            if ename not in declared:
                 raise ParseError(f"undeclared element {ename!r}",
                                  cur.lineno, ecol)
-            i = spec["declared"][ename]
-            cur_val = diff.get((i, j), {})
-            cur_val = el_add(cur_val, el)
-            if cur_val:
-                diff[(i, j)] = cur_val
-            else:
-                diff.pop((i, j), None)
+            key = (declared[ename], j)
+            entry = diff.setdefault(key, {})
+            _vec_iadd(entry, el, 1)
+            if not entry:
+                del diff[key]
             nxt = cur.peek()
             if nxt is None:
                 break
@@ -318,11 +330,13 @@ def bind_cell(spec, A: CdgaPresentation):
                 raise ParseError(f"expected '+' or '-', got {tok!r}",
                                  cur.lineno, col)
             cur.next()
-            sign = F(1) if nxt == "+" else F(-1)
+            sign = 1 if nxt == "+" else -1
+    diff = {key: {m: F(c) for m, c in entry.items()}
+            for key, entry in diff.items()}
     filtration = _strict_filtration(spec["elts"], diff)
     return CellModule(A, spec["elts"], diff, filtration, 0, spec["name"])
 
 
 def parse_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    with open(path, "rb") as fh:
+        return parse_text(fh.read().decode("utf-8"))

@@ -7,6 +7,9 @@
   enumeration and unsigned shuffle, sharing only the generic row
   reduction.
 - Dense triple-loop d^2, flatness and chain-map checks for cell modules.
+- The reference cell-module bookkeeping: the strict filtration found
+  layer by layer, rescanning every unplaced index per layer, and the
+  keys of a cell module's slice walked and sorted one slice at a time.
 - The reference elimination and Hopf structure constants: row reduction
   and a projector that walk every row, the product of every ordered pair
   of classes and the coproduct classified over every split.  The
@@ -60,6 +63,7 @@ from adamsbar import linalg
 from adamsbar.bar import BarComplex, h0_hopf
 from adamsbar.cdga import (
     UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
+from adamsbar.cellmod import ModuleError
 from adamsbar.relative import fiber_algebra
 
 F = Fraction
@@ -288,8 +292,9 @@ class ReferenceProjector:
         return {i: -combo[i] for i in sorted(combo) if i < self.nreps}
 
 
-def _iadd(u, v, c):
-    """u += c*v in place; new keys are appended in v's order."""
+def reference_vec_iadd(u, v, c):
+    """u += c*v in place, one u.get(i, 0) + c*x per key; new keys are
+    appended in v's order.  The reference for linalg._vec_iadd."""
     for i, x in v.items():
         y = u.get(i, 0) + c * x
         if y:
@@ -357,8 +362,8 @@ class ReferenceEchelon:
                 _iscale(V, a)
                 _iscale(C, a)
                 den *= a
-            _iadd(V, R, -b)
-            _iadd(C, self._combos[p], b)
+            reference_vec_iadd(V, R, -b)
+            reference_vec_iadd(C, self._combos[p], b)
         return V, C, den
 
     def reduce(self, v):
@@ -387,8 +392,8 @@ class ReferenceEchelon:
             if a != 1:
                 _iscale(Rq, a)
                 _iscale(Kq, a)
-            _iadd(Rq, R, -b)
-            _iadd(Kq, K, -b)
+            reference_vec_iadd(Rq, R, -b)
+            reference_vec_iadd(Kq, K, -b)
             _primitive(Rq, Kq)
         self._found[p] = len(self._rows)
         self._rows[p] = R
@@ -405,6 +410,39 @@ class ReferenceEchelon:
                 raise ValueError("vector outside the span of reps + image")
             return None
         return {i: Fraction(C[i], den) for i in sorted(C)}
+
+
+# ---- the reference cell-module bookkeeping ------------------------------
+
+
+def reference_strict_filtration(basis, diff):
+    """The coarsest strict filtration of a basis under d {(i, j): entry},
+    a cancelled entry included: each stage is every unplaced index whose
+    entries' rows are all placed, found by a scan of the unplaced indices
+    per stage."""
+    deps = {j: set() for j in range(len(basis))}
+    for i, j in diff:
+        deps[j].add(i)
+    stages, placed, remaining = [], set(), set(deps)
+    while remaining:
+        stage = sorted(j for j in remaining if deps[j] <= placed)
+        if not stage:
+            raise ModuleError("differential admits no strict filtration")
+        stages.append(stage)
+        placed |= set(stage)
+        remaining -= set(stage)
+    return stages
+
+
+def reference_cell_slice_keys(M, n, r):
+    """The keys (mono, j) of slice (n, r) of the cell module M, walked for
+    this slice alone: each basis element j with the algebra's slice of
+    the complementary bidegree, sorted by j, then by monomial."""
+    out = []
+    for j, (_, cj, rj) in enumerate(M.basis):
+        if rj <= r:
+            out.extend((mono, j) for mono in M.algebra.slice(n - cj, r - rj))
+    return sorted(out, key=lambda p: (p[1], p[0]))
 
 
 # ---- reference Hopf structure constants ---------------------------------

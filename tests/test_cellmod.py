@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from adamsbar import linalg
-from adamsbar.cdga import UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen
+from adamsbar.cdga import (
+    UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
 from adamsbar.cellmod import (
     CellModule,
     CellMorphism,
@@ -12,6 +14,7 @@ from adamsbar.cellmod import (
     FiniteDgModule,
     ModuleError,
     ScalarComplex,
+    _strict_filtration,
     cone,
     cell_resolution,
     hom_complex,
@@ -25,6 +28,7 @@ from adamsbar.cellmod import (
     to_connection,
     weight_truncate,
 )
+from adamsbar.parser import bind_cell, parse_text
 from corpus import (
     dg_module_from_cell,
     make_e1,
@@ -38,6 +42,8 @@ from oracles import (
     dense_check_flat,
     dense_d_squared_failures,
     reference_cell_resolution,
+    reference_cell_slice_keys,
+    reference_strict_filtration,
     reference_t_truncate,
 )
 
@@ -497,3 +503,79 @@ def test_checks_match_dense_oracle():
             assert f.check_chain_map() == dense_check_chain_map(f), seed
             failed["chain"] += not f.check_chain_map()[0]
     assert all(failed.values()), failed
+
+
+@given(st.integers(0, 2**32), st.booleans())
+def test_strict_filtration_matches_layered_reference(seed, cycle):
+    """Kahn's layering gives the stages of the layer-by-layer loop on
+    random entries, a cancelled entry counted as one; an entry that
+    closes a cycle makes both raise ModuleError."""
+    rng = random.Random(seed)
+    A = make_e3()
+    basis = [(f"b{j}", rng.randint(-1, 2), rng.randint(0, 3))
+             for j in range(rng.randint(0, 9))]
+    diff = {}
+    for _ in range(3):
+        diff.update(_random_entries(A, rng, basis, basis, 1))
+    if diff and rng.random() < 0.5:
+        diff[rng.choice(list(diff))] = {}
+    if cycle and basis:
+        i, j = rng.choice(list(diff)) if diff else (0, 0)
+        diff[(j, i)] = {UNIT: F(1)}
+        with pytest.raises(ModuleError):
+            reference_strict_filtration(basis, diff)
+        with pytest.raises(ModuleError):
+            _strict_filtration(basis, diff)
+    else:
+        assert (_strict_filtration(basis, diff)
+                == reference_strict_filtration(basis, diff))
+
+
+@given(st.integers(0, 2**32))
+def test_cell_slices_match_per_slice_walk(seed):
+    """Every slice of a window, read off one walk per weight, is the
+    per-slice walk's sorted list, and a nonempty slice is its degree
+    group's own list."""
+    A = (make_e2, make_e3)[seed % 2]()
+    M = random_cell_module(A, seed, max_basis=6, deg_range=(-1, 2),
+                           wt_range=(0, 3))
+    for r in range(-1, 7):
+        for n in range(-2, 7):
+            keys = M.slice(n, r)
+            assert keys == reference_cell_slice_keys(M, n, r), (n, r)
+            if keys:
+                assert keys is M.by_degree(r)[n]
+
+
+def _cell_text(M):
+    """M as a cell file over its algebra."""
+    lines = [f"cell {M.name} over {M.algebra.name}"]
+    lines += [f"elt {nm} deg {c} wt {a}" for nm, c, a in M.basis]
+    for j, (nm, _, _) in enumerate(M.basis):
+        terms = [("-" if c < 0 else "+",
+                  "*".join([str(abs(c))] + mono_factors(m))
+                  + f" {M.basis[i][0]}")
+                 for (i, jj), a in M.differential.items() if jj == j
+                 for m, c in a.items()]
+        if terms:
+            body = " ".join(f"{sign} {t}" for sign, t in terms)
+            lines.append(f"d {nm} = {body[2:] if body[0] == '+' else body}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cell_coefficients_are_fractions(seed):
+    """Every coefficient out of bind_cell, hom_complex, tensor_mod and
+    to_connection is a Fraction: a cell report prints a Fraction as a
+    string and an int as a number, so an int would change its bytes."""
+    A = make_e3()
+    M, N = (bind_cell(parse_text(_cell_text(random_cell_module(
+        A, s, max_basis=5)))[1], A) for s in (seed, seed + 50))
+    assert M.differential == random_cell_module(A, seed,
+                                                max_basis=5).differential
+    C = to_connection(M)
+    entries = [a for X in (M, N, hom_complex(M, N), tensor_mod(M, N))
+               for a in X.differential.values()]
+    entries += list(C.gamma.values()) + [C.d0]
+    assert entries and all(type(c) is F for a in entries
+                           for c in a.values())

@@ -614,3 +614,25 @@ def test_reduce_subtracts_each_row_once(monkeypatch):
         rows.clear()
         e.reduce(q)
         assert len(rows) == len(set(rows))
+
+
+IADD_CS = [1, -1, 2, F(1), F(1, 2)]
+
+
+@example({0: 2, 1: F(1, 2), 3: 1}, {1: F(-1, 4), 0: -1, 2: 1, 3: F(-1, 2)},
+         2)                                     # every old key cancels
+@example({0: 1, 1: F(1, 2)}, {2: 3, 0: 1, 1: F(1, 2)}, F(1))
+@given(st.dictionaries(st.integers(0, 7), mixed, max_size=8),
+       st.dictionaries(st.integers(0, 7), mixed, max_size=8),
+       st.sampled_from(IADD_CS))
+def test_vec_iadd_matches_reference(u, v, c):
+    """_vec_iadd gives the u.get(i, 0) + c*x loop's values, each entry's
+    type (int or Fraction) and the key order, cancellations included,
+    and leaves v alone."""
+    want = dict(u)
+    oracles.reference_vec_iadd(want, v, c)
+    before = list(v.items())
+    linalg._vec_iadd(u, v, c)
+    assert ([(i, type(x), x) for i, x in u.items()]
+            == [(i, type(x), x) for i, x in want.items()])
+    assert list(v.items()) == before

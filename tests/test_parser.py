@@ -1,0 +1,175 @@
+"""Every ParseError the reader raises, pinned to its exact message with
+line and column, and the order and type of the coefficients bind_cell
+stores."""
+
+from fractions import Fraction
+
+import pytest
+
+from adamsbar.parser import ParseError, bind_cell, parse_file, parse_text
+
+E1_TEXT = "cdga E1 free\ngen t deg 1 wt 1\n"
+
+E3_TEXT = """cdga E3 free
+gen x deg 1 wt 1
+gen y deg 1 wt 1
+gen z deg 1 wt 2
+d z = 1*x*y
+"""
+
+# (id, text, message): one per raise site of a cdga or cell file
+TEXT_ERRORS = [
+    ("bad-character", "cdga A free\ngen x deg 1 wt 1\nd x = 2 $ x\n",
+     "line 3, col 9: bad character '$'"),
+    ("bad-character-quote", "cdga A free\ngen x deg 1 wt 1\nd x = 'x\n",
+     "line 3, col 7: bad character \"'\""),
+    ("non-ascii-character", "cdga A free\ngen xé deg 1 wt 1\n",
+     "line 2, col 6: bad character 'é'"),
+    ("expected-token", "cdga A free\ngen x dg 1 wt 1\n",
+     "line 2, col 7: expected 'deg', got 'dg'"),
+    ("end-of-line-wanted", "cdga A free\ngen x\n",
+     "line 2: unexpected end of line (wanted deg)"),
+    ("end-of-line", "cdga A free\ngen x deg 1 wt\n",
+     "line 2: unexpected end of line (wanted more input)"),
+    ("end-of-line-bare", "cdga A free\ngen\n",
+     "line 2: unexpected end of line (wanted more input)"),
+    ("end-of-line-head", "cdga\n",
+     "line 1: unexpected end of line (wanted more input)"),
+    ("trailing-input", "cdga A free extra\n",
+     "line 1, col 13: trailing input 'extra'"),
+    ("expected-degree", "cdga A free\ngen x deg one wt 1\n",
+     "line 2, col 11: expected degree, got 'one'"),
+    ("expected-weight", "cdga A free\ngen x deg 1 wt - w\n",
+     "line 2, col 18: expected weight, got 'w'"),
+    ("expected-rational", "cdga A free\ngen x deg 1 wt 1\nd x = * x\n",
+     "line 3, col 7: expected rational, got '*'"),
+    ("zero-denominator", "cdga A free\ngen x deg 1 wt 1\nd x = 1/0*x\n",
+     "line 3, col 9: expected positive denominator, got '0'"),
+    ("non-digit-denominator", "cdga A free\ngen x deg 1 wt 1\nd x = 1/x\n",
+     "line 3, col 9: expected positive denominator, got 'x'"),
+    ("undeclared-in-poly", "cdga A free\ngen x deg 1 wt 1\nd x = 1*y\n",
+     "line 3, col 9: undeclared identifier 'y'"),
+    ("declared-later-in-poly",
+     "cdga A free\ngen x deg 1 wt 1\nd x = 1*y\ngen y deg 1 wt 1\n",
+     "line 3, col 9: undeclared identifier 'y'"),
+    ("undeclared-target", "cdga A free\ngen x deg 1 wt 1\nd y = 1*x\n",
+     "line 3, col 3: undeclared identifier 'y'"),
+    ("undeclared-aug", "cdga A free\naug x = 0\n",
+     "line 2, col 5: undeclared identifier 'x'"),
+    ("duplicate-generator",
+     "cdga A free\ngen x deg 1 wt 1\ngen x deg 2 wt 2\n",
+     "line 3, col 5: duplicate generator 'x'"),
+    ("weight-below-1", "cdga A free\ngen x deg 1 wt 0\n",
+     "line 2, col 5: generator 'x' has weight 0 < 1"),
+    ("mul-in-free", "cdga A free\ngen x deg 1 wt 1\nmul x x = 0\n",
+     "line 3, col 1: mul line in a free presentation"),
+    ("mul-undeclared", "cdga A table\ngen x deg 1 wt 1\nmul x y = 0\n",
+     "line 3, col 7: undeclared identifier 'y'"),
+    ("unknown-directive-cdga", "cdga A free\ngen x deg 1 wt 1\nlet x = 1\n",
+     "line 3, col 1: unknown directive 'let'"),
+    ("plus-or-minus-cdga", "cdga A free\ngen x deg 1 wt 1\nd x = 1*x 2\n",
+     "line 3, col 11: expected '+' or '-', got '2'"),
+    ("plus-or-minus-mul",
+     "cdga A table\ngen x deg 1 wt 1\ngen y deg 1 wt 1\nmul x y = 1 = 2\n",
+     "line 4, col 13: expected '+' or '-', got '='"),
+    ("empty", "   \n# only a comment\n\n", "line 1: empty file"),
+    ("bad-file-kind", "module M over E1\n",
+     "line 1: file must start with 'cdga' or 'cell', got 'module'"),
+    ("bad-kind", "cdga A graded\n",
+     "line 1, col 8: kind must be free or table, got 'graded'"),
+    ("tab-and-comment",
+     "cdga A free\ngen\tx deg 1 wt 1 # gen x\ngen  x deg 1 wt 1\n",
+     "line 3, col 6: duplicate generator 'x'"),
+    ("unicode-space",
+     "cdga A free\ngen\xa0x deg 1 wt 1\ngen x deg 1 wt 1\n",
+     "line 3, col 5: duplicate generator 'x'"),
+    ("unicode-line-break", "cdga A free\x85gen x deg 1 wt 0\n",
+     "line 2, col 5: generator 'x' has weight 0 < 1"),
+    ("expected-over", "cell M on E1\n",
+     "line 1, col 8: expected 'over', got 'on'"),
+    ("duplicate-element",
+     "cell M over E1\nelt b deg 0 wt 0\nelt b deg 1 wt 0\n",
+     "line 3, col 5: duplicate element 'b'"),
+    ("weight-below-0", "cell M over E1\nelt b deg 0 wt -1\n",
+     "line 2, col 5: element 'b' has weight -1 < 0"),
+    ("undeclared-element-target",
+     "cell M over E1\nelt b deg 0 wt 0\nd c = 1*t b\n",
+     "line 3, col 3: undeclared element 'c'"),
+    ("unknown-directive-cell",
+     "cell M over E1\nelt b deg 0 wt 0\ngen t deg 1 wt 1\n",
+     "line 3, col 1: unknown directive 'gen'"),
+]
+
+CELL_HEAD = "cell M over E1\nelt b deg 0 wt 0\nelt c deg 0 wt 1\n"
+
+# (id, the d line of CELL_HEAD's c, message): raised by bind_cell
+BIND_ERRORS = [
+    ("undeclared-element", "d c = 1*t a\n",
+     "line 4, col 11: undeclared element 'a'"),
+    ("undeclared-identifier", "d c = 1*s b\n",
+     "line 4, col 9: undeclared identifier 's'"),
+    ("plus-or-minus", "d c = 1*t b 1*t b\n",
+     "line 4, col 13: expected '+' or '-', got '1'"),
+    ("end-of-line", "d c = 1*t\n",
+     "line 4: unexpected end of line (wanted more input)"),
+    ("zero-denominator", "d c = 1/0*t b\n",
+     "line 4, col 9: expected positive denominator, got '0'"),
+]
+
+# (id, file bytes, message): line ends as parse_file reads them
+FILE_ERRORS = [
+    ("crlf", b"cdga A free\r\ngen x deg 1 wt 1\r\n\r\ngen x deg 1 wt 1\r\n",
+     "line 4, col 5: duplicate generator 'x'"),
+    ("cr", b"cdga A free\rgen x deg 1 wt 1\r# c\rd x = 1*y\r",
+     "line 4, col 9: undeclared identifier 'y'"),
+    ("cr-crlf", b"cdga A free\r\r\ngen x deg 1 wt 0\r\n",
+     "line 3, col 5: generator 'x' has weight 0 < 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", [c[1:] for c in TEXT_ERRORS],
+                         ids=[c[0] for c in TEXT_ERRORS])
+def test_parse_error_message(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_text(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dline, message", [c[1:] for c in BIND_ERRORS],
+                         ids=[c[0] for c in BIND_ERRORS])
+def test_bind_error_message(dline, message):
+    _, A = parse_text(E1_TEXT)
+    _, spec = parse_text(CELL_HEAD + dline)
+    with pytest.raises(ParseError) as exc:
+        bind_cell(spec, A)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("data, message", [c[1:] for c in FILE_ERRORS],
+                         ids=[c[0] for c in FILE_ERRORS])
+def test_file_error_message(tmp_path, data, message):
+    path = tmp_path / "a.cdga"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        parse_file(str(path))
+    assert str(exc.value) == message
+
+
+def test_bind_cell_order_and_fractions():
+    """An entry that cancels leaves d at once and comes back at the end;
+    a monomial that cancels inside an entry does the same; each stored
+    coefficient is a Fraction, 4/2 and 3 included."""
+    _, A = parse_text(E3_TEXT)
+    _, spec = parse_text(
+        "cell K over E3\nelt a deg 0 wt 0\nelt b deg 0 wt 0\n"
+        "elt c deg -1 wt 2\n"
+        "d c = 1*z a + 1/2*x*y b - 1*z a + 3*z b + 4/2*x*y a"
+        " - 1/2*x*y b + 1*x*y b + 0*z a\n"
+        "d b = 0 a\n")
+    M = bind_cell(spec, A)
+    xy, z = (("x", 1), ("y", 1)), (("z", 1),)
+    got = [(key, [(m, type(c), c) for m, c in entry.items()])
+           for key, entry in M.differential.items()]
+    assert got == [((1, 2), [(z, Fraction, 3), (xy, Fraction, 1)]),
+                   ((0, 2), [(xy, Fraction, 2)])]
+    assert M.filtration == [[0, 1], [2]]
