@@ -48,15 +48,25 @@ aug a1 = 0
 aug a2 = 0
 """
 
+# a formal table on letters of weights 1, 1 and 3, all products zero: the
+# class of the slowest colie jobs of the bench's hopf workload
+F113_TEXT = """cdga F113 table
+gen b deg 1 wt 1
+gen c deg 1 wt 3
+gen a deg 1 wt 1
+"""
+
 FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
             "e4.cdga": E4_TEXT, "e3_half.cdga": E3_HALF_TEXT,
             "e4_half.cdga": E4_HALF_TEXT, "e4p.cdga": E4P_TEXT,
-            "p3.cdga": P3_TEXT, "p4.cdga": P4_TEXT, "k4.cdga": k_text(4)}
+            "p3.cdga": P3_TEXT, "p4.cdga": P4_TEXT, "k4.cdga": k_text(4),
+            "f113.cdga": F113_TEXT}
 
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
     "bar-h0_e3_w4": ["bar-h0", "@e3.cdga", "--wt-max", "4"],
     "bar-h0_e3_w6": ["bar-h0", "@e3.cdga", "--wt-max", "6"],
+    "bar-h0_f113_w4": ["bar-h0", "@f113.cdga", "--wt-max", "4"],
     "colie_e2_w4": ["colie", "@e2.cdga", "--wt-max", "4"],
     "colie_e2_w6": ["colie", "@e2.cdga", "--wt-max", "6"],
     "colie_e3_w4": ["colie", "@e3.cdga", "--wt-max", "4"],
@@ -66,6 +76,9 @@ CASES = {
     "colie_e3_w6": ["colie", "@e3.cdga", "--wt-max", "6"],
     # the cobracket on the line minus 4 points, the paper's object
     "colie_p4_w5": ["colie", "@p4.cdga", "--wt-max", "5"],
+    # letter weights (1, 1, 3), the formal tables of the bench's hopf
+    # workload whose colie jobs are the slowest
+    "colie_f113_w4": ["colie", "@f113.cdga", "--wt-max", "4"],
     "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
     "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",
                                   "@e1.cdga", "--n", "2", "--wt-max", "3"],
