@@ -25,6 +25,25 @@ is taken from an exponent mod 2 (an exponent can be negative, and
 coefficients over an integral presentation.  No command reads the
 antipode; the tests check the antipode axiom with a word-level antipode
 of their own.
+
+Ints and Fractions.  The inner loops compute in ints wherever the
+algebra is integral, and a Fraction is made only where a value leaves
+for a reader.  faces reads the algebra's memoized d and products of
+monomials (mono_d, mono_mul) as they are, and shuffle_lin adds the
+shuffle of every pair of words into one dict, with the pair's
+coefficient.  The representatives of H^0 carry a coefficient of
+denominator 1 as an int.  HopfPresentation.classify returns its
+projector's own coordinates.  A weight with no word of degree -1 (every
+algebra whose generators have positive degree, the punctured lines
+among them) has no incoming d at H^0, and its classes are read off a
+KernelCoords with no elimination, in ints where the classified
+combination is integral; a generator of degree <= 0 can give H^0 an
+incoming d, and then the coordinates come from an elimination as
+Fractions.  product_of and coproduct_of keep that type, and the co-Lie
+decomposables echelon takes the products as they come.
+CoLiePresentation.project returns Fractions, and the cobracket projects
+each H^0 class once, sums in ints and makes one Fraction per structure
+constant.
 """
 
 from __future__ import annotations
@@ -36,6 +55,11 @@ from . import linalg
 from .cdga import CdgaPresentation, UNIT
 
 F = Fraction
+
+
+def _exact(c):
+    """c, an int or a Fraction, as an int when its denominator is 1."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _wadd(out, w, c):
@@ -141,21 +165,24 @@ class BarComplex(linalg.SliceComplex):
         letters from position i of the word replaced by one monomial, d of
         letter i for k = 1 and the product of letters i and i + 1 for
         k = 2, with coefficient c.  A letter may be the unit (ebar -1 and
-        d 1 = 0), as in the simplicial approximation."""
+        d 1 = 0), as in the simplicial approximation.  The coefficients
+        are the algebra's memoized d and products of monomials, read
+        without a copy."""
+        A = self.A
         out = []
         sig = 0
+        last = len(word) - 1
         for i, letter in enumerate(word):
-            if letter != UNIT:
-                for lm, c in self.A.apply_d({letter: 1}).items():
-                    out.append((i, 1, word[:i] + (lm,) + word[i + 1:],
-                                -c if sig % 2 else c))
-            if i < len(word) - 1:
-                prod = self.A.multiply({letter: 1}, {word[i + 1]: 1})
-                s = sig + self._ebar(letter)
-                for lm, c in prod.items():
+            for lm, c in A.mono_d(letter).items():
+                out.append((i, 1, word[:i] + (lm,) + word[i + 1:],
+                            -c if sig % 2 else c))
+            ebar = A.mono_bidegree(letter)[0] - 1
+            if i < last:
+                s = sig + ebar
+                for lm, c in A.mono_mul(letter, word[i + 1]).items():
                     out.append((i, 2, word[:i] + (lm,) + word[i + 2:],
                                 -c if s % 2 else c))
-            sig += self._ebar(letter)
+            sig += ebar
         return out
 
     def d_word(self, word):
@@ -174,35 +201,40 @@ class BarComplex(linalg.SliceComplex):
     def d_key(self, n, w, word):
         return self.d_word(word)
 
-    def shuffle_words(self, u, v):
+    def shuffle_words(self, u, v, out=None, c=1):
+        """out += c * (the shuffle of the words u and v), in place, and
+        return out (a fresh dict when out is None)."""
         m, n = len(u), len(v)
         # suf[i]: parity of ebar(u_i) + ... + ebar(u_{m-1}); ev[j]: of ebar(v_j)
         suf = [0] * (m + 1)
         for i in range(m - 1, -1, -1):
             suf[i] = (suf[i + 1] + self._ebar(u[i])) % 2
         ev = [self._ebar(letter) % 2 for letter in v]
-        out = {}
+        if out is None:
+            out = {}
+        coeff = (c, -c)
         acc = []
 
-        def rec(i, j, sign):
+        def rec(i, j, odd):
             if i == m or j == n:
-                _wadd(out, tuple(acc) + u[i:] + v[j:], sign)
+                _wadd(out, tuple(acc) + u[i:] + v[j:], coeff[odd])
                 return
             acc.append(u[i])
-            rec(i + 1, j, sign)
+            rec(i + 1, j, odd)
             acc[-1] = v[j]
-            rec(i, j + 1, -sign if ev[j] and suf[i] else sign)
+            rec(i, j + 1, odd ^ (ev[j] & suf[i]))
             acc.pop()
 
-        rec(0, 0, 1)
+        rec(0, 0, 0)
         return out
 
     def shuffle_lin(self, a, b):
+        """The shuffle product of two word combinations, every pair of
+        words shuffled into one dict."""
         out = {}
         for u, cu in a.items():
             for v, cv in b.items():
-                for w, c in self.shuffle_words(u, v).items():
-                    _wadd(out, w, cu * cv * c)
+                self.shuffle_words(u, v, out, cu * cv)
         return out
 
     def coprod_word(self, word):
@@ -227,10 +259,9 @@ class WeightPiece:
 
     def rep_lins(self, bar):
         """The representatives as word combinations, a coefficient of
-        denominator 1 as an int: the structure maps on them then compute
-        with ints, and what they classify comes back as Fractions."""
-        return [{word: c.numerator if c.denominator == 1 else c
-                 for word, c in bar.lin(v, 0, self.w).items()}
+        denominator 1 as an int, so that the structure maps on them
+        compute with ints."""
+        return [{word: _exact(c) for word, c in bar.lin(v, 0, self.w).items()}
                 for v in self.reps]
 
 
@@ -244,7 +275,8 @@ class HopfPresentation:
     pair.
     coproduct_of(w, k): dict {(w1, i, j): coeff} meaning
     class_i(w1) (x) class_j(w - w1), including the w1 = 0 and w1 = w
-    (grouplike) parts.  The antipode is not built: it is determined by the
+    (grouplike) parts.  The coefficients of both are classify's, ints or
+    Fractions, and the grouplike ones the int 1.  The antipode is not built: it is determined by the
     product and coproduct (the tests check the antipode axiom against a
     word-level antipode).
 
@@ -271,9 +303,19 @@ class HopfPresentation:
         return self._reps[w]
 
     def classify(self, lin, w, strict=True):
-        """Class coordinates of a degree-0 weight-w cocycle combination."""
+        """Class coordinates of a degree-0 weight-w cocycle combination, in
+        class order, or None outside the span (strict=True raises).  They
+        are the projector's own: an elimination's are Fractions, and a
+        kernel's (KernelCoords) are the entries of lin's vector at its
+        free columns, ints where lin's coefficients are."""
         v = self.bar.vector(lin, 0, w)
-        return self.pieces[w].projector.class_coords(v, strict=strict)
+        projector = self.pieces[w].projector
+        if not isinstance(projector, linalg.KernelCoords):
+            return projector.class_coords(v, strict=strict)
+        coords = projector.coords(v)
+        if coords is None and strict:
+            raise ValueError("vector outside the span of reps + image")
+        return coords
 
     def product_of(self, w1, i, w2, j):
         """The product of the i-th class of weight w1 and the j-th of w2."""
@@ -297,10 +339,10 @@ class HopfPresentation:
             by_weight.setdefault(w, None)
         for w1, pairs in by_weight.items():
             if w1 == 0:
-                out[(0, 0, k)] = F(1)
+                out[(0, 0, k)] = 1
                 continue
             if w1 == w:
-                out[(w, k, 0)] = F(1)
+                out[(w, k, 0)] = 1
                 continue
             w2 = w - w1
             # expand over the suffix word basis; each prefix coefficient
@@ -320,7 +362,7 @@ class HopfPresentation:
             for i, vlin in suff_by_class.items():
                 vcls = self.classify(vlin, w2)
                 for j, c in vcls.items():
-                    out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
+                    out[(w1, i, j)] = out.get((w1, i, j), 0) + c
         return {k2: c for k2, c in out.items() if c}
 
 
@@ -338,9 +380,11 @@ class CoLiePresentation:
 
     basis: list of (w, class_coords) pairs; index in this list is the
     global generator index.  cobracket[g]: dict {(p, q): coeff} with
-    p < q global indices, the coefficient of gen_p wedge gen_q; the table
-    is built on its first read, and builds the coproduct of the generator
-    classes only (HopfPresentation.coproduct_of).
+    p < q global indices, the coefficient of gen_p wedge gen_q, a
+    Fraction; the table is built on its first read, and builds the
+    coproduct of the generator classes only (HopfPresentation.coproduct_of).
+    Each H^0 class a coproduct term reads is projected onto gamma once
+    for the whole table.
 
     In each weight the products of positive lower weights go into one
     Echelon as they are made (HopfPresentation.product_of), and none is
@@ -380,7 +424,16 @@ class CoLiePresentation:
 
     @functools.cached_property
     def cobracket(self):
-        return {g: self._cobracket(g) for g in range(len(self.basis))}
+        projected = {}  # (w, i) -> gamma coordinates of class i of weight w
+
+        def gamma_of(w, i):
+            if (w, i) not in projected:
+                projected[w, i] = {p: _exact(c) for p, c in
+                                   self.project({i: 1}, w).items()}
+            return projected[w, i]
+
+        return {g: self._cobracket(g, gamma_of)
+                for g in range(len(self.basis))}
 
     def project(self, class_vec, w):
         """gamma coordinates (global indices) of a weight-w H^0_+ vector."""
@@ -388,18 +441,19 @@ class CoLiePresentation:
         residue, _ = decomp.reduce(class_vec)
         return {cols[j]: c for j, c in sorted(residue.items())}
 
-    def _cobracket(self, g):
+    def _cobracket(self, g, gamma_of):
         w, class_vec = self.basis[g]
         hopf = self.hopf
         # reduced coproduct of the class, projected factor-wise to gamma
         tensor = {}
         for k, c in class_vec.items():
+            c = _exact(c)
             for (w1, i, j), cc in hopf.coproduct_of(w, k).items():
                 w2 = w - w1
                 if w1 == 0 or w2 == 0:
                     continue
-                gi = self.project({i: F(1)}, w1)
-                gj = self.project({j: F(1)}, w2)
+                gi = gamma_of(w1, i)
+                gj = gamma_of(w2, j)
                 for p, cp in gi.items():
                     for q, cq in gj.items():
                         _wadd(tensor, (p, q), c * cc * cp * cq)
@@ -412,7 +466,7 @@ class CoLiePresentation:
                 _wadd(out, (p, q), -c)
             elif q < p:
                 _wadd(out, (q, p), c)
-        return out
+        return {pq: F(c) for pq, c in out.items()}
 
 
 def gamma(A: CdgaPresentation, w_max):

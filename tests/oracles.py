@@ -37,7 +37,9 @@
 - The reference word arithmetic: products and d recomputed from the
   generators and the table on every call, with no memo, and the shuffle
   of two words enumerated as subsets of positions, each with the Koszul
-  sign of its crossing pairs.
+  sign of its crossing pairs.  The bar faces of a word are built through
+  the algebra's apply_d and multiply of one-term elements, one call per
+  letter and per adjacent pair.
 - The reference slice enumeration: the monomials of a cdga slice and the
   pairs (S, word) of a simplicial-approximation slice, each found by a
   walk over its whole weight, run once per (degree, weight) and filtered
@@ -1274,6 +1276,29 @@ def reference_apply_d(A, a):
                 out = el_add(out, term, c * sgn)
             if A.gen[name].coh % 2:
                 sgn = -sgn
+    return out
+
+
+def reference_faces(bar, word):
+    """BarComplex.faces(word) through bar.A.apply_d of {letter: 1} and
+    bar.A.multiply of {letter: 1} and {next letter: 1}, the unit letter
+    skipped for d."""
+    A = bar.A
+    out = []
+    sig = 0
+    for i, letter in enumerate(word):
+        if letter != UNIT:
+            for lm, c in A.apply_d({letter: 1}).items():
+                out.append((i, 1, word[:i] + (lm,) + word[i + 1:],
+                            -c if sig % 2 else c))
+        ebar = A.mono_bidegree(letter)[0] - 1
+        if i < len(word) - 1:
+            prod = A.multiply({letter: 1}, {word[i + 1]: 1})
+            s = sig + ebar
+            for lm, c in prod.items():
+                out.append((i, 2, word[:i] + (lm,) + word[i + 2:],
+                            -c if s % 2 else c))
+        sig += ebar
     return out
 
 

@@ -5,7 +5,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from adamsbar import bar as bar_module, linalg
 from adamsbar.bar import (
     BarComplex,
     CoLiePresentation,
@@ -14,7 +16,7 @@ from adamsbar.bar import (
     h0_hopf,
     polynomial_dims,
 )
-from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_gen
+from adamsbar.cdga import UNIT, CdgaPresentation, GeneratorSpec, el_gen
 from adamsbar.relative import punctured_line_model
 from corpus import make_e1, make_e2, make_e3, make_e4, make_e4p, random_free_cdga
 import hopf_checks
@@ -308,12 +310,35 @@ def test_colie_matches_reference(mk, w_max):
         assert list(g.cobracket[key].items()) == list(val.items()), key
 
 
+def make_negative_degree():
+    """Free on u (-1, 1) and x (1, 1)."""
+    return CdgaPresentation("NEG", "free", [GeneratorSpec("u", -1, 1),
+                                            GeneratorSpec("x", 1, 1)])
+
+
+def make_e3_half():
+    """E3 with d z = 1/2 x*y: Fraction coefficients in d."""
+    A = make_e3()
+    return CdgaPresentation("E3h", "free", A.generators, differential={
+        "z": {(("x", 1), ("y", 1)): F(1, 2)}})
+
+
+def make_e3_contractible():
+    """E3 plus a contractible pair: a (0, 1) with d a = b (1, 1).  It has
+    E3's cohomology, and its H^0 pieces of weight >= 1 are the words of
+    degree 0 modulo the image of the degree -1 words, so they are
+    classified after an elimination."""
+    A = make_e3()
+    return CdgaPresentation("E3c", "free", [
+        GeneratorSpec("a", 0, 1), GeneratorSpec("b", 1, 1), *A.generators],
+        differential={"a": {(("b", 1),): 1}, **A.differential})
+
+
 def test_signs_exact_at_negative_degrees():
     """A generator of degree -1 makes the Koszul and bar signs meet
     negative exponents; products and bar differentials must stay exact,
     ints or Fractions (a float would make the elimination inexact)."""
-    A = CdgaPresentation("NEG", "free", [GeneratorSpec("u", -1, 1),
-                                         GeneratorSpec("x", 1, 1)])
+    A = make_negative_degree()
     for a in ("u", "x"):
         for b in ("u", "x"):
             for c in A.multiply(el_gen(a), el_gen(b)).values():
@@ -324,6 +349,161 @@ def test_signs_exact_at_negative_degrees():
             for col in bar.d_columns(n, w):
                 for c in col.values():
                     assert type(c) in (int, F), (n, w, c)
+
+
+FACE_CASES = [
+    pytest.param(mk, id=mk.__name__)
+    for mk in (make_e1, make_e2, make_e3, make_e3_half, make_e3_contractible,
+               make_e4, make_e4p, make_negative_degree)
+] + [
+    pytest.param(lambda: random_formal_table(3), id="formal3"),
+    pytest.param(lambda: punctured_line_model(4), id="P1minus4"),
+]
+
+
+def face_words(bar, w_max=4):
+    """Every word of weight <= w_max, and the words of up to two letters
+    with the unit letter put in at each position."""
+    words = [w for r in range(w_max + 1) for w in bar.words_of_weight(r)]
+    return words + [w[:i] + (UNIT,) + w[i:] for w in words if len(w) <= 2
+                    for i in range(len(w) + 1)]
+
+
+@pytest.mark.parametrize("mk", FACE_CASES)
+def test_faces_match_reference(mk):
+    """faces, read off the algebra's memoized d and products, gives the
+    terms of the apply_d/multiply construction: the same values, each an
+    int or a Fraction as there, in the same list order."""
+    bar = BarComplex(mk())
+    for word in face_words(bar):
+        got = [(i, k, nw, type(c), c) for i, k, nw, c in bar.faces(word)]
+        want = [(i, k, nw, type(c), c)
+                for i, k, nw, c in oracles.reference_faces(bar, word)]
+        assert got == want, word
+
+
+def test_faces_call_neither_apply_d_nor_multiply(monkeypatch):
+    """Once the memos hold a word's letters and pairs, faces reads them
+    and builds no one-term element for apply_d or multiply."""
+    bar = BarComplex(make_e4p())
+    words = face_words(bar)
+    for word in words:
+        bar.faces(word)
+    calls = []
+    for name in ("apply_d", "multiply"):
+        original = getattr(CdgaPresentation, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(CdgaPresentation, name, counted)
+    for word in words:
+        bar.faces(word)
+    assert not calls
+
+
+SIGNED = make_signed_letters()
+SIGNED_WORDS = [w for n in range(4) for w in itertools.product(
+    [((g.name, 1),) for g in SIGNED.generators], repeat=n)]
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-5, 5), st.integers(1, 4)),
+).filter(bool)
+combinations = st.dictionaries(st.sampled_from(SIGNED_WORDS), coefficients,
+                               max_size=4)
+
+
+@given(combinations, combinations)
+def test_shuffle_lin_matches_reference_sum(a, b):
+    """shuffle_lin of int and Fraction combinations is the sum of
+    cu * cv * reference_shuffle_words(u, v) over the pairs of words, with
+    no 0 stored; over ints it stays in ints."""
+    want = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            for w, c in oracles.reference_shuffle_words(SIGNED, u, v).items():
+                oracles._wadd(want, w, cu * cv * c)
+    got = BarComplex(SIGNED).shuffle_lin(a, b)
+    assert got == want
+    assert all(got.values())
+    if all(type(c) is int for c in (*a.values(), *b.values())):
+        assert all(type(c) is int for c in got.values())
+
+
+def test_shuffle_lin_fills_one_dict(monkeypatch):
+    """Every word pair of a shuffle_lin call is shuffled straight into
+    the one dict it returns, with no dict of its own."""
+    bar = BarComplex(SIGNED)
+    a = {w: F(i + 1, 2) for i, w in enumerate(SIGNED_WORDS[1:8])}
+    b = {w: i - 3 for i, w in enumerate(SIGNED_WORDS[3:10])}
+    targets = []
+    wadd = bar_module._wadd
+
+    def record(out, w, c):
+        targets.append(id(out))
+        wadd(out, w, c)
+
+    monkeypatch.setattr(bar_module, "_wadd", record)
+    result = bar.shuffle_lin(a, b)
+    assert targets and set(targets) == {id(result)}
+
+
+def test_cobracket_projects_each_class_once(e3, monkeypatch):
+    """The cobracket projects each H^0 basis class (w, i) onto gamma once,
+    however many coproduct terms read it."""
+    projected = []
+    project = CoLiePresentation.project
+
+    def counted(self, class_vec, w):
+        projected.append((w, tuple(class_vec.items())))
+        return project(self, class_vec, w)
+
+    monkeypatch.setattr(CoLiePresentation, "project", counted)
+    for A, w_max in ((e3, 6), (punctured_line_model(4), 4)):
+        projected.clear()
+        gamma(A, w_max).cobracket
+        assert projected
+        assert len(projected) == len(set(projected)), A.name
+
+
+def test_contractible_pair_keeps_gamma():
+    """A contractible pair changes neither H^0 nor gamma: E3 with one has
+    E3's dims and cobracket, read through an elimination per weight where
+    E3 needs none."""
+    h = h0_hopf(make_e3_contractible(), 5)
+    assert all(type(h.pieces[w].projector) is linalg.Echelon
+               for w in range(1, 6))
+    g, ref = CoLiePresentation(h), gamma(make_e3(), 5)
+    assert h.dims() == ref.hopf.dims()
+    assert g.dims() == ref.dims()
+    assert g.cobracket == ref.cobracket
+
+
+@pytest.mark.parametrize("mk", [
+    make_e2, make_e3, make_e3_half, make_e3_contractible,
+    lambda: punctured_line_model(4), lambda: random_formal_table(3)])
+def test_cobracket_and_projection_are_fractions(mk):
+    """Every value the cobracket and project hand out is a Fraction,
+    whatever the arithmetic inside."""
+    g = gamma(mk(), 4)
+    for cb in g.cobracket.values():
+        assert all(type(c) is F for c in cb.values()), cb
+    for w in range(1, 5):
+        for k in range(g.hopf.pieces[w].dim):
+            for vec in ({k: F(1)}, {k: 1}):
+                assert all(type(c) is F for c in g.project(vec, w).values())
+
+
+def test_punctured_line_constants_stay_ints():
+    """No H^0 slice of the punctured line has an incoming d, so every
+    class is read off a KernelCoords: the products and coproducts of its
+    integral representatives are ints, with no Fraction made."""
+    h = h0_hopf(punctured_line_model(4), 4)
+    product, coproduct = hopf_checks.tables(h)
+    values = [c for table in (product, coproduct) for vec in table.values()
+              for c in vec.values()]
+    assert values and all(type(c) is int for c in values)
 
 
 def test_gamma_dims_vs_oracles(e1, e2):

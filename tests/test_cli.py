@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +250,26 @@ def test_colie_e2(capsys, tmp_path):
     code, rep = run(capsys, "colie", f, "--wt-max", "4")
     assert code == 0
     assert rep["tables"] == {"1": 2, "2": 1, "3": 2, "4": 3}
+
+
+@pytest.mark.parametrize("text", [
+    E2_TEXT, E3_TEXT, E3_TEXT.replace("d z = 1*x*y", "d z = 1/2*x*y"),
+    "cdga F table\ngen a deg 1 wt 1\ngen b deg 1 wt 1\ngen c deg 1 wt 3\n",
+], ids=["e2", "e3", "e3_half", "formal113"])
+def test_colie_structure_constants_are_fractions(tmp_path, monkeypatch,
+                                                 text):
+    """Every structure constant in the colie report is a Fraction, which
+    the report writes as a string, whatever the arithmetic that made
+    it."""
+    reports = []
+    monkeypatch.setattr(cli, "emit", lambda report, out: reports.append(
+        report))
+    assert main(["colie", write(tmp_path, "a.cdga", text),
+                 "--wt-max", "4"]) == 0
+    constants = reports[0]["structure_constants"]
+    assert constants
+    for cb in constants.values():
+        assert all(type(c) is F for c in cb.values()), cb
 
 
 def _break_gamma(monkeypatch):
