@@ -276,9 +276,9 @@ class HopfPresentation:
     coproduct_of(w, k): dict {(w1, i, j): coeff} meaning
     class_i(w1) (x) class_j(w - w1), including the w1 = 0 and w1 = w
     (grouplike) parts.  The coefficients of both are classify's, ints or
-    Fractions, and the grouplike ones the int 1.  The antipode is not built: it is determined by the
-    product and coproduct (the tests check the antipode axiom against a
-    word-level antipode).
+    Fractions, and the grouplike ones the int 1.  The antipode is not
+    built: it is determined by the product and coproduct (the tests check
+    the antipode axiom against a word-level antipode).
 
     The grouplike terms are exact by construction: every letter has
     weight >= 1, so the only splits of prefix weight 0 and w are

@@ -325,8 +325,8 @@ def make_e3_half():
 
 def make_e3_contractible():
     """E3 plus a contractible pair: a (0, 1) with d a = b (1, 1).  It has
-    E3's cohomology, and its H^0 pieces of weight >= 1 are the words of
-    degree 0 modulo the image of the degree -1 words, so they are
+    E3's cohomology, and its H^0 pieces of weight >= 1 are the degree-0
+    cocycles modulo the image of the degree -1 words, so they are
     classified after an elimination."""
     A = make_e3()
     return CdgaPresentation("E3c", "free", [
