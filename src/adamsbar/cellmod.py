@@ -25,10 +25,14 @@ linalg.cocycle_classes.  tau_{<=n}, tau^{>n} and H^n(Gamma) are three
 calls to it.
 
 cell_resolution attaches cells with linalg.attach_cells, the loop minimal
-models use: the source is the cell module P, rebuilt after each round
-that adds cells, and the target is the finite dg module.
+models use: the source is the cell module P, which grows in place and
+forgets only the slices of a new cell's weight and degree and above
+(CellModule.attach), and the target is the finite dg module, whose
+action on each key of P is read once.
 
 The bookkeeping around the algebra is linear in the size of a module.
+d_element reads the algebra's memoized d and products of monomials, and
+act reads the action matrices, indexed by column, at a vector's support.
 The coarsest strict filtration of a differential is found by Kahn's
 layering, each entry visited once (_strict_filtration), and a basis
 index's stage is read from a dict.  A cell module's slices of one weight
@@ -42,6 +46,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import CdgaPresentation, UNIT, el_add, el_scale, mono_factors
+from .linalg import ONE, _vec_iadd
 
 F = Fraction
 
@@ -60,7 +65,7 @@ def _entries_at(matrix, axis):
     return out
 
 
-def _compose(A, acc, X, Y, c=F(1)):
+def _compose(A, acc, X, Y, c=ONE):
     """Add c * sum_i (-1)^|X_ij| X_ij * Y_ki to acc[(k, j)], for matrices
     X, Y of algebra elements {(row, col): Element}.
 
@@ -177,19 +182,44 @@ class CellModule(linalg.SliceComplex):
         return self.d_element(*key)
 
     def d_element(self, mono, j):
-        """d(mono * b_j) as {(monomial, index): coeff}."""
+        """d(mono * b_j) as {(monomial, index): coeff}, read off the
+        algebra's memoized d and products of monomials, so a coefficient
+        is an int where they and d's entries are."""
         A = self.algebra
-        out = {(dm, j): c for dm, c in A.apply_d({mono: F(1)}).items()}
-        sign = (-1) ** (A.mono_bidegree(mono)[0] % 2)
+        out = {(dm, j): c for dm, c in A.mono_d(mono).items()}
+        odd = A.mono_bidegree(mono)[0] % 2
         for i, a in self._d_by_col.get(j, ()):
-            prod = A.multiply({mono: F(1)}, a)
+            prod = {}
+            for am, c in a.items():
+                _vec_iadd(prod, A.mono_mul(mono, am), -c if odd else c)
             for pm, c in prod.items():
                 key = (pm, i)
                 if key in out:
-                    out[key] += sign * c
+                    out[key] += c
                 else:
-                    out[key] = sign * c
+                    out[key] = c
         return {k: c for k, c in out.items() if c}
+
+    def attach(self, name, n, r, column):
+        """Append a cell b_j of bidegree (n, r) with d b_j = sum_i
+        column[i] b_i (nonzero Elements), one stage above its boundary's
+        highest.  Its keys (mono, j) come last in every slice (group_keys
+        walks j in order), so only the cached slices of weight >= r and
+        degree >= n + |mono|, for the lowest |mono| that joins one (n over
+        degrees >= 0), go."""
+        j = len(self.basis)
+        self.basis.append((name, n, r))
+        for i, a in column.items():
+            self.differential[(i, j)] = a
+        self._d_by_col[j] = list(column.items())
+        s = 1 + max((self.stage(i) for i in column), default=-1)
+        if s == len(self.filtration):
+            self.filtration.append([])
+        self.filtration[s].append(j)
+        self._stage[j] = s
+        low = min((na for w in self._groups if w >= r
+                   for na in self.algebra.by_degree(w - r)), default=0)
+        self.forget(r, n + low)
 
     # ---- q functor -----------------------------------------------------
 
@@ -257,7 +287,7 @@ class ConnectionModule:
         """d = d0 + Gamma as one matrix of algebra elements."""
         d = {}
         for (i, j), c in self.d0.items():
-            d[(i, j)] = el_add(d.get((i, j), {}), {UNIT: F(1)}, c)
+            d[(i, j)] = el_add(d.get((i, j), {}), {UNIT: ONE}, c)
         for (i, j), g in self.gamma.items():
             d[(i, j)] = el_add(d.get((i, j), {}), g)
         return d
@@ -539,7 +569,7 @@ def _induced(entries, kept, other, what):
             if coords is None:
                 raise ModuleError(f"{what}, monomial {mono}")
             for k, c in coords.items():
-                out[(k, j)] = el_add(out.get((k, j), {}), {mono: F(1)}, c)
+                out[(k, j)] = el_add(out.get((k, j), {}), {mono: ONE}, c)
     return out
 
 
@@ -553,8 +583,8 @@ def t_truncate(M: CellModule, n: int):
     H^n(Gamma) is Gamma's degree-n rows on the representatives, modulo
     the image."""
     q = M.q_complex()
-    below = [(b, {i: F(1)}) for i, b in enumerate(M.basis) if b[1] < n]
-    above = [(b, {i: F(1)}) for i, b in enumerate(M.basis) if b[1] > n]
+    below = [(b, {i: ONE}) for i, b in enumerate(M.basis) if b[1] < n]
+    above = [(b, {i: ONE}) for i, b in enumerate(M.basis) if b[1] > n]
     ker, comp, reps, image = [], [], [], []
     for r in sorted({a for (_, c, a) in M.basis if c == n}):
         idxs = q.slice(n, r)
@@ -567,7 +597,7 @@ def t_truncate(M: CellModule, n: int):
         k = q.kernel(n, r)
         ker += lifted("k", k)
         comp += lifted("c", linalg.quotient_basis(
-            k, [{b: F(1)} for b in range(len(idxs))]))
+            k, [{b: ONE} for b in range(len(idxs))]))
         reps += lifted("h", q.cohomology(n, r)[1])
         image += lifted("", q.d_columns(n - 1, r))
 
@@ -612,16 +642,18 @@ class FiniteDgModule(ScalarComplex):
         self.algebra = algebra
         self.action = {g: {k: F(v) for k, v in m.items() if v}
                        for g, m in action.items()}
+        self._action_by_col = {g: _entries_at(m, 1)
+                               for g, m in self.action.items()}
 
     def act(self, mono, vec_by_index):
-        """Multiply a vector {index: coeff} by an algebra monomial."""
+        """Multiply a vector {index: coeff} by an algebra monomial, one
+        generator at a time, each matrix read at the vector's support."""
         out = dict(vec_by_index)
         for g in reversed(mono_factors(mono)):
-            mat = self.action.get(g, {})
+            by_col = self._action_by_col.get(g, {})
             nxt = {}
-            for (i, j), c in mat.items():
-                x = out.get(j)
-                if x:
+            for j, x in out.items():
+                for i, c in by_col.get(j, ()):
                     if i in nxt:
                         nxt[i] += c * x
                     else:
@@ -634,17 +666,12 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
     """Cell module P with a quasi-isomorphism phi: P -> D, built by
     linalg.attach_cells degree by degree, and weight by weight within a
     degree, from cohomology representatives; returns (P, phi, the
-    attach_cells certificate of each slice in the window)."""
-    A = D.algebra
-    basis = []      # (name, coh, adams)
-    diff = {}
-    phi = []        # image vectors {D-index: coeff} per P basis element
-
-    def module():
-        return CellModule(A, basis, diff, _strict_filtration(basis, diff),
-                          0, "P")
-
-    P = module()
+    attach_cells certificate of each slice in the window).  P grows in
+    place (CellModule.attach), so a round recomputes only the slices its
+    cells join."""
+    P = CellModule(D.algebra, [], {}, [], 0, "P")
+    phi = []   # image vectors {D-index: coeff} per P basis element
+    acts = {}  # key (mono, j) of P -> D.act(mono, phi[j]), fixed once read
 
     def image(n, r, v):
         """phi of a vector of P's slice (n, r), over the positions of
@@ -653,8 +680,10 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
         pos = D.index(n, r)
         img = {}
         for j, c in v.items():
-            mono, bi = src[j]
-            for i, cc in D.act(mono, phi[bi]).items():
+            key = src[j]
+            if key not in acts:
+                acts[key] = D.act(key[0], phi[key[1]])
+            for i, cc in acts[key].items():
                 if pos[i] in img:
                     img[pos[i]] += c * cc
                 else:
@@ -664,18 +693,15 @@ def cell_resolution(D: FiniteDgModule, coh_min, coh_max, adams_max):
     def adjoin(n, r, cells):
         """A generator p of bidegree (n, r) per cell (z, b): d p = z in P's
         slice (n + 1, r), phi(p) = b over D's positions."""
-        nonlocal P
         idxs = D.slice(n, r)
         src = P.slice(n + 1, r)
         for z, b in cells:
-            new_idx = len(basis)
-            basis.append((f"p{new_idx}", n, r))
             phi.append({idxs[k]: c for k, c in b.items()})
+            column = {}
             for j, c in (z or {}).items():
                 mono, bi = src[j]
-                diff[(bi, new_idx)] = el_add(
-                    diff.get((bi, new_idx), {}), {mono: F(1)}, c)
-        P = module()
+                column.setdefault(bi, {})[mono] = c
+            P.attach(f"p{len(P.basis)}", n, r, column)
 
     stages = [(n, r) for n in range(coh_min, coh_max + 1)
               for r in range(adams_max + 1)]

@@ -9,7 +9,8 @@ or a query is reduced only by the rows at the pivots in its support,
 taken in ascending order.  What each view reads off it:
 
 - kernel_basis: one vector per non-pivot column of the rows of a matrix,
-  the one view that reduces the rows, once each;
+  the one view that reduces the rows, once each; a matrix with no
+  nonzero entry has the unit vectors as its kernel, with no elimination;
 - solver: the columns of a matrix, each tagged by its index, so that one
   elimination answers every right-hand side;
 - quotient_basis: the vectors that find a new pivot after the sub;
@@ -22,7 +23,8 @@ taken in ascending order.  What each view reads off it:
   slice whose incoming d is 0, and the augmentation ideal's coordinates;
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
-  views above, the slices where d^2 != 0 (d_squared_failures, a sparse
+  views above (an empty slice's cohomology is 0, read without its
+  neighbours), the slices where d^2 != 0 (d_squared_failures, a sparse
   product of the columns), and the H^0 dims of every subcomplex of a
   filtration by key level (filtered_h0), one Echelon per slice fed level
   by level.  A complex whose keys are found by walking a whole weight
@@ -45,6 +47,7 @@ division by the content per stored row.  The boundary is exact
 rationals: inputs may mix int and fractions.Fraction entries, and every
 value that leaves this module is a Fraction, so results are exact,
 bit-for-bit reproducible and the same however the input was written.
+Unit vectors share one immutable Fraction(1), ONE.
 Elimination always picks the pivot in the lowest remaining row, then the
 lowest column.
 
@@ -55,6 +58,8 @@ matrix is the list of its columns, each a vector over the rows.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+
+ONE = Fraction(1)
 
 
 def _vec_iadd(u, v, c):
@@ -227,14 +232,17 @@ def kernel_basis(cols):
     entry 1 at f and the pivot columns carry the negated elimination
     coefficients, in ascending pivot order.  The rows are reduced once
     each, from the highest pivot down, against the rows above, which are
-    reduced already, and written back in place.
+    reduced already, and written back in place.  Columns with no nonzero
+    entry have the unit vectors as their kernel, with no elimination.
     """
+    if not any(cols):
+        return [{f: ONE} for f in range(len(cols))]
     rows = {}
     for j, col in enumerate(cols):
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     e = Echelon(rows[i] for i in sorted(rows))
-    basis = {f: {f: Fraction(1)} for f in e.non_pivots(len(cols))}
+    basis = {f: {f: ONE} for f in e.non_pivots(len(cols))}
     for p in sorted(e._rows, reverse=True):
         R = e._rows.pop(p)
         x = R.pop(p)
@@ -357,9 +365,11 @@ class SliceComplex:
     columns, its kernel and the cohomology.  Where d(n - 1, r) is 0, the
     cohomology at (n, r) is the kernel itself, with KernelCoords as its
     projector; every other slice goes through cocycle_classes.  Vectors
-    are over the positions of a slice's keys.  forget(r) drops every
-    cached slice and grouping of weight >= r, for a complex that gained
-    basis keys there.
+    are over the positions of a slice's keys.  forget(r, n) drops the
+    cached slices of weight >= r and degree >= n, for a complex that
+    gained keys there.  Keys that come last in every slice leave the
+    older keys' positions, so the slices below n stay right; n = None
+    (every degree) is for keys that move older ones.
     """
 
     def __init__(self):
@@ -418,9 +428,12 @@ class SliceComplex:
         """(dim, representatives, projector) of H^n at weight r: the
         classes of kernel(n, r) modulo the columns of d(n - 1, r).  When
         no column of d(n - 1, r) is nonzero, they are the kernel vectors
-        themselves and the projector is their KernelCoords."""
+        themselves and the projector is their KernelCoords.  An empty
+        slice reads neither neighbour."""
         key = n, r
         if key not in self._coh:
+            if not self.slice(n, r):
+                return self._coh.setdefault(key, (0, [], KernelCoords([])))
             ker, d_in = self.kernel(n, r), self.d_columns(n - 1, r)
             if any(d_in):
                 self._coh[key] = cocycle_classes(ker, d_in)
@@ -468,11 +481,13 @@ class SliceComplex:
                 dims[l][r] = size - rank_out - counts[-1, l][1]
         return dims
 
-    def forget(self, r):
-        """Drop every cached slice and grouping of weight >= r."""
+    def forget(self, r, n=None):
+        """Drop every cached slice of weight >= r and degree >= n (every
+        degree when n is None), and every grouping of weight >= r."""
         for cache in (self._slices, self._index, self._d, self._ker,
                       self._coh):
-            for key in [key for key in cache if key[1] >= r]:
+            for key in [key for key in cache if key[1] >= r
+                        and (n is None or key[0] >= n)]:
                 del cache[key]
         for w in [w for w in self._groups if w >= r]:
             del self._groups[w]
@@ -530,7 +545,7 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
             dim, _, cols = class_images(i, m)
             reps = target.cohomology(i, m)[1]
             cells = [(None, combine(cv, reps)) for cv in quotient_basis(
-                cols, [{j: Fraction(1)} for j in range(dim)])]
+                cols, [{j: ONE} for j in range(dim)])] if dim else []
             if not cells:
                 _, reps, cols = class_images(i + 1, m)
                 kernel = kernel_basis(cols)

@@ -202,8 +202,8 @@ class RelativeBarH0(linalg.SliceComplex):
             out = self._faces[word] = []
             for i, _, nw, c in self._total_bar.faces(word):
                 b, f, s = split_monomial(A, nw[i], self.X.base_names)
-                nb = A.mono_bidegree(b)[0]
-                if nb * self.bar.word_bidegree(nw[:i])[0] % 2:
+                if (A.mono_bidegree(b)[0] % 2
+                        and self.bar.word_bidegree(nw[:i])[0] % 2):
                     s = -s
                 fiber = (f,) if f != UNIT else ()
                 out.append((b, nw[:i] + fiber + nw[i + 1:], s * c))
@@ -219,10 +219,10 @@ class RelativeBarH0(linalg.SliceComplex):
     def d_key(self, n, w, key):
         b, word = key
         A = self.X.total
-        out = {(bm, word): c for bm, c in A.apply_d({b: 1}).items()}
+        out = {(bm, word): c for bm, c in A.mono_d(b).items()}
         odd = A.mono_bidegree(b)[0] % 2
         for b2, nw, c in self.faces(word):
-            for bm, bc in A.multiply({b: 1}, {b2: 1}).items():
+            for bm, bc in A.mono_mul(b, b2).items():
                 _wadd(out, (bm, nw), -c * bc if odd else c * bc)
         return out
 

@@ -144,14 +144,15 @@ def random_gen_nilpotent(seed, max_fiber=3, wt_max=3):
                             augmentation=aug)
 
 
-def random_cell_module(A, seed, max_basis=4, deg_range=(0, 2), wt_range=(0, 2)):
+def random_cell_module(A, seed, max_basis=4, deg_range=(0, 2), wt_range=(0, 2),
+                       min_basis=1):
     """Random finite cell module over A with d^2 = 0 by construction:
     each new basis element's differential is a random cocycle in the
     module built so far."""
     from adamsbar.cellmod import CellModule
 
     rng = random.Random(seed)
-    n = rng.randint(1, max_basis)
+    n = rng.randint(min_basis, max_basis)
     basis = []
     diff = {}
     for j in range(n):
@@ -184,6 +185,14 @@ def random_cell_module(A, seed, max_basis=4, deg_range=(0, 2), wt_range=(0, 2)):
 
     return CellModule(A, basis, diff, _strict_filtration(basis, diff),
                       0, f"RM{seed}")
+
+
+def bench_cell_module(seed):
+    """A random cell module of the cells bench's shape: 6-10 cells over E3
+    in degrees 0..3 and weights 0..5."""
+    return random_cell_module(make_e3(), seed, max_basis=10,
+                              deg_range=(0, 3), wt_range=(0, 5),
+                              min_basis=6)
 
 
 def dg_module_from_cell(M):

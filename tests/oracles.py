@@ -29,7 +29,10 @@
   = 0 word by word, with no cache.
 - The reference minimal model and cell resolution: each its own
   cell-attaching loop, one cell at a time, with a fresh copy of the model
-  (a fresh P) and fresh slice caches in every round.
+  (a fresh P) and fresh slice caches in every round.  The resolution
+  acts on the dg module by walking every entry of each action matrix
+  (reference_act), and d of a cell module's key is recomputed with no
+  memo (reference_d_element).
 - The reference t-structure truncation: tau_{<=n}, tau^{>n} and
   H^n(Gamma) as three separate constructions, the first two through a
   ReferenceProjector each, the last through per-weight d0-cohomology
@@ -39,7 +42,9 @@
   of two words enumerated as subsets of positions, each with the Koszul
   sign of its crossing pairs.  The bar faces of a word are built through
   the algebra's apply_d and multiply of one-term elements, one call per
-  letter and per adjacent pair.
+  letter and per adjacent pair.  The relative bar complex's D of a key
+  reads d and products through one-term elements in the same way
+  (reference_relative_d_key).
 - The reference slice enumeration: the monomials of a cdga slice and the
   pairs (S, word) of a simplicial-approximation slice, each found by a
   walk over its whole weight, run once per (degree, weight) and filtered
@@ -962,6 +967,36 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
                            certification=certification)
 
 
+def reference_act(D, mono, vec):
+    """FiniteDgModule.act: the vector multiplied by the monomial's
+    generators, last factor first, each step a walk over every entry of
+    the generator's action matrix."""
+    out = dict(vec)
+    for g in reversed(mono_factors(mono)):
+        nxt = {}
+        for (i, j), c in D.action.get(g, {}).items():
+            x = out.get(j)
+            if x:
+                nxt[i] = nxt.get(i, 0) + c * x
+        out = {k: v for k, v in nxt.items() if v}
+    return out
+
+
+def reference_d_element(M, mono, j):
+    """CellModule.d_element: d(mono * b_j) by the Leibniz rule, d of the
+    monomial and its product with each entry of d b_j recomputed through
+    reference_apply_d and reference_multiply."""
+    A = M.algebra
+    out = {(dm, j): c
+           for dm, c in reference_apply_d(A, {mono: 1}).items()}
+    sign = -1 if A.mono_bidegree(mono)[0] % 2 else 1
+    for (i, jj), a in M.differential.items():
+        if jj == j:
+            for pm, c in reference_multiply(A, {mono: 1}, a).items():
+                out[(pm, i)] = out.get((pm, i), 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
 def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
     """cellmod.cell_resolution as its own loop: a fresh P in every round and
     for the certificate.  Returns (P, phi, certificate)."""
@@ -980,7 +1015,7 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
         img = {}
         for j, c in vec.items():
             mono, bi = src[j]
-            for i, cc in D.act(mono, phi[bi]).items():
+            for i, cc in reference_act(D, mono, phi[bi]).items():
                 img[i] = img.get(i, F(0)) + c * cc
         return {i: c for i, c in img.items() if c}
 
@@ -1306,6 +1341,37 @@ def reference_faces(bar, word):
 #
 # Each slice (n, r) walks every key of weight r and keeps those of degree
 # n, so a weight is walked once per degree asked.
+
+
+def reference_relative_d_key(rb, key):
+    """RelativeBarH0.d_key: D(b (x) word) = d_N b (x) word + (-1)^|b| b .
+    faces(word), d of b and each product b . b' read through apply_d and
+    multiply of one-term elements, and each face of the total algebra's
+    bar complex (reference_faces) split into base (x) fiber, b' pulled
+    left across the letters before it with the sign of |b'| times their
+    degree."""
+    from adamsbar.relative import split_monomial
+
+    b, word = key
+    A = rb.X.total
+    faces = []
+    for i, _, nw, c in reference_faces(rb._total_bar, word):
+        b2, f, s = split_monomial(A, nw[i], rb.X.base_names)
+        nb = A.mono_bidegree(b2)[0]
+        if nb * rb.bar.word_bidegree(nw[:i])[0] % 2:
+            s = -s
+        fiber = (f,) if f != UNIT else ()
+        faces.append((b2, nw[:i] + fiber + nw[i + 1:], s * c))
+    out = {(bm, word): c for bm, c in A.apply_d({b: 1}).items()}
+    odd = A.mono_bidegree(b)[0] % 2
+    for b2, nw, c in faces:
+        for bm, bc in A.multiply({b: 1}, {b2: 1}).items():
+            y = out.get((bm, nw), 0) + (-c * bc if odd else c * bc)
+            if y:
+                out[(bm, nw)] = y
+            else:
+                out.pop((bm, nw), None)
+    return out
 
 
 def reference_slice_keys(A, n, r):

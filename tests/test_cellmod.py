@@ -30,6 +30,7 @@ from adamsbar.cellmod import (
 )
 from adamsbar.parser import bind_cell, parse_text
 from corpus import (
+    bench_cell_module,
     dg_module_from_cell,
     make_e1,
     make_e2,
@@ -41,8 +42,10 @@ from oracles import (
     dense_check_chain_map,
     dense_check_flat,
     dense_d_squared_failures,
+    reference_act,
     reference_cell_resolution,
     reference_cell_slice_keys,
+    reference_d_element,
     reference_strict_filtration,
     reference_t_truncate,
 )
@@ -345,27 +348,227 @@ def test_cell_resolution_round_trip():
     assert all(cert.values()), {k: v for k, v in cert.items() if not v}
 
 
-# (max_basis, seed) of random_cell_module over E3; the max_basis 6 seeds
-# need cells with a differential or a stage of three rounds
+# The bench's cell resolutions: modules of bench_cell_module's shape in
+# the window (coh_min, coh_max, adams_max) of bench/worker.py.  Each of
+# these seeds resolves with cells that have a differential, and each but
+# 2 with a stage of three rounds.
+BENCH_WINDOW = (-1, 4, 6)
+BENCH_SEEDS = (2, 6, 11, 25, 29, 35)
+
+# (shape, seed): random_cell_module over E3 of at most 4 or 6 cells in
+# the window (-1, 3, 4), where the max_basis 6 seeds need cells with a
+# differential or a stage of three rounds, and the bench-shaped modules
 RESOLUTION_CASES = [(4, seed) for seed in range(12)] + [
-    (6, seed) for seed in (26, 35, 38, 42)]
+    (6, seed) for seed in (26, 35, 38, 42)] + [
+    ("bench", seed) for seed in BENCH_SEEDS]
 
 
-@pytest.mark.parametrize("max_basis,seed", RESOLUTION_CASES)
-def test_cell_resolution_matches_reference(max_basis, seed):
+def _bench_dg_module(seed):
+    return dg_module_from_cell(bench_cell_module(seed))
+
+
+@pytest.mark.parametrize("shape,seed", RESOLUTION_CASES)
+def test_cell_resolution_matches_reference(shape, seed):
     """The shared cell-attaching loop gives the resolution of the
     reference loop that builds a new P every round: the same basis,
-    differential, filtration, phi and certificate."""
-    D = dg_module_from_cell(
-        random_cell_module(make_e3(), seed, max_basis=max_basis))
-    P, phi, cert = cell_resolution(D, -1, 3, 4)
-    refP, ref_phi, ref_cert = reference_cell_resolution(D, -1, 3, 4)
+    differential, filtration, phi and certificate.  The P it returns is
+    a complete cell module, whose check passes."""
+    if shape == "bench":
+        D, window = _bench_dg_module(seed), BENCH_WINDOW
+    else:
+        D = dg_module_from_cell(
+            random_cell_module(make_e3(), seed, max_basis=shape))
+        window = (-1, 3, 4)
+    P, phi, cert = cell_resolution(D, *window)
+    refP, ref_phi, ref_cert = reference_cell_resolution(D, *window)
     assert P.basis == refP.basis
     assert P.differential == refP.differential
     assert P.filtration == refP.filtration
     assert phi == ref_phi
     assert cert == ref_cert
     assert all(cert.values())
+    assert P.check() == (True, [])
+
+
+def _assert_cached_slices_are_fresh(P):
+    """Each slice P has cached (keys, index, d columns, kernel and
+    cohomology) equals the same slice of a cell module built afresh on
+    P's basis and differential."""
+    fresh = CellModule(P.algebra, P.basis, P.differential)
+    for key, keys in P._slices.items():
+        assert keys == fresh.slice(*key), key
+    for key, index in P._index.items():
+        assert index == fresh.index(*key), key
+    for key, cols in P._d.items():
+        assert cols == fresh.d_columns(*key), key
+    for key, ker in P._ker.items():
+        assert ker == fresh.kernel(*key), key
+    for (n, r), (dim, reps, proj) in P._coh.items():
+        want_dim, want_reps, want_proj = fresh.cohomology(n, r)
+        assert (dim, reps) == (want_dim, want_reps), (n, r)
+        for v in fresh.kernel(n, r) + fresh.d_columns(n - 1, r):
+            assert (proj.class_coords(v, strict=False)
+                    == want_proj.class_coords(v, strict=False)), (n, r)
+
+
+def _checked_attach(monkeypatch, grown):
+    """CellModule.attach, followed by the checks that its cell's keys
+    come last in every slice, that the cached slices of lower weight, or
+    of lower degree than every slice the cell joins, are the objects
+    cached before, and that every cached slice is right.  Each growth
+    appends (n, r, the lowest degree of a cached weight the cell joins)
+    to grown."""
+    attach = CellModule.attach
+
+    def checked(self, name, n, r, column):
+        before = {cache: dict(getattr(self, cache)) for cache in
+                  ("_slices", "_index", "_d", "_ker", "_coh")}
+        weights = {rr for _, rr in before["_slices"]}
+        old = CellModule(self.algebra, self.basis, self.differential)
+        attach(self, name, n, r, column)
+        j = len(self.basis) - 1
+        new = CellModule(self.algebra, self.basis, self.differential)
+        joined = [nn for rr in weights for nn, keys in new.by_degree(rr).items()
+                  if keys[-1][1] == j]
+        low = min(joined, default=n)
+        for key, keys in self._slices.items():
+            k = len(old.slice(*key))
+            assert keys[:k] == old.slice(*key), key
+            assert all(jj == j for _, jj in keys[k:]), key
+        for cache, entries in before.items():
+            for (nn, rr), value in entries.items():
+                if nn < low or rr < r:
+                    assert getattr(self, cache)[nn, rr] is value, (cache, nn)
+        _assert_cached_slices_are_fresh(self)
+        grown.append((n, r, low))
+
+    monkeypatch.setattr(CellModule, "attach", checked)
+
+
+@pytest.mark.parametrize("seed", BENCH_SEEDS)
+def test_resolution_growth_keeps_cached_slices_right(seed, monkeypatch):
+    """After every cell a resolution attaches, P's cached slices are
+    those of a P built afresh, the new cell's keys come last, and the
+    slices below the cell's degree or weight were kept, not rebuilt."""
+    grown = []
+    _checked_attach(monkeypatch, grown)
+    P, _, cert = cell_resolution(_bench_dg_module(seed), *BENCH_WINDOW)
+    assert len(grown) == len(P.basis) > 0
+    assert all(low == n for n, _, low in grown)  # E3 has no degree < 0
+    assert all(cert.values())
+
+
+def test_attach_forgets_the_slices_a_cell_joins(monkeypatch):
+    """Over an algebra with a generator of negative degree, a cell of
+    degree n has keys of degree below n: attach forgets those slices too,
+    and the cached slices stay those of a module built afresh."""
+    A = CdgaPresentation("N", "free", [GeneratorSpec("x", 1, 1),
+                                       GeneratorSpec("m", -1, 1)])
+    P = CellModule(A, [("b", 0, 0)], {})
+    window = [(n, r) for r in range(3) for n in range(-3, 4)]
+    grown = []
+    _checked_attach(monkeypatch, grown)
+    for n, r in window:
+        P.cohomology(n, r)
+    P.attach("c", 1, 0, {})
+    for n, r in window:
+        P.cohomology(n, r)
+    P.attach("e", 0, 1, {0: el_gen("x")})
+    assert grown == [(1, 0, 0), (0, 1, -1)]
+    assert (((("m", 1),), 1)) in P.slice(0, 1)
+    assert P.filtration == [[0, 1], [2]]
+
+
+def test_resolution_acts_once_per_key(monkeypatch):
+    """phi of each key (mono, j) of P is computed once by D.act."""
+    D = _bench_dg_module(29)
+    calls = []
+    act = FiniteDgModule.act
+
+    def counted(self, mono, vec):
+        calls.append((mono, tuple(vec.items())))
+        return act(self, mono, vec)
+
+    monkeypatch.setattr(FiniteDgModule, "act", counted)
+    P, phi, _ = cell_resolution(D, *BENCH_WINDOW)
+    assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("seed", BENCH_SEEDS)
+def test_act_matches_reference_at_the_vectors_support(seed):
+    """act gives reference_act's values on random int and Fraction
+    vectors, and reads each action matrix only at the columns of the
+    vector's support, never walking a whole matrix."""
+    D = _bench_dg_module(seed)
+    A, rng = D.algebra, random.Random(seed)
+    monos = [m for w in range(4) for ms in A.by_degree(w).values()
+             for m in ms]
+    vecs = [{i: rng.choice([rng.randint(-3, 3) or 1,
+                            F(rng.randint(-3, 3) or 1, rng.randint(1, 4))])
+             for i in rng.sample(range(len(D.basis)), rng.randint(1, 6))}
+            for _ in range(20)]
+    want = [[reference_act(D, m, v) for m in monos] for v in vecs]
+
+    class Whole(dict):
+        def items(self):
+            raise AssertionError("an action matrix walked whole")
+
+    read = []
+
+    class Columns(dict):
+        def get(self, j, default=None):
+            read.append(j)
+            return super().get(j, default)
+
+    D.action = {g: Whole(mat) for g, mat in D.action.items()}
+    D._action_by_col = {g: Columns(cols)
+                        for g, cols in D._action_by_col.items()}
+    for v, row in zip(vecs, want):
+        for m, w in zip(monos, row):
+            read.clear()
+            assert D.act(m, v) == w, (m, v)
+            if len(mono_factors(m)) == 1:
+                assert read == list(v), (m, v)
+
+
+@pytest.mark.parametrize("seed", BENCH_SEEDS)
+def test_d_element_matches_reference_and_reads_memos(seed, monkeypatch):
+    """d_element gives reference_d_element's values, types and key order
+    on every key of weight <= 7, reading the algebra's memoized d and
+    products of monomials: no apply_d or multiply call."""
+    M = bench_cell_module(seed)
+    A = M.algebra
+    keys = [k for r in range(8) for ks in M.by_degree(r).values()
+            for k in ks]
+    want = [reference_d_element(M, *k) for k in keys]
+    for mono, _ in keys:
+        A.mono_d(mono)  # fill the memo, which multiplies on a miss
+
+    def forbidden(*args):
+        raise AssertionError("d_element went through apply_d or multiply")
+
+    monkeypatch.setattr(A, "apply_d", forbidden)
+    monkeypatch.setattr(A, "multiply", forbidden)
+    assert any(want)
+    for k, w in zip(keys, want):
+        got = M.d_element(*k)
+        assert ([(key, type(c), c) for key, c in got.items()]
+                == [(key, type(c), c) for key, c in w.items()]), k
+
+
+def test_attach_cells_skips_the_quotient_of_no_classes(monkeypatch):
+    """A stage whose target has no class at (i, m) makes no
+    quotient_basis call: with no class to hit, no closed cell is due."""
+    spans = []
+    quotient = linalg.quotient_basis
+
+    def recorded(sub, vectors):
+        spans.append(len(vectors))
+        return quotient(sub, vectors)
+
+    monkeypatch.setattr(linalg, "quotient_basis", recorded)
+    P, _, cert = cell_resolution(_bench_dg_module(29), *BENCH_WINDOW)
+    assert spans and 0 not in spans and all(cert.values())
 
 
 def test_cell_resolution_cap_is_not_certified(monkeypatch):

@@ -636,3 +636,20 @@ def test_vec_iadd_matches_reference(u, v, c):
     assert ([(i, type(x), x) for i, x in u.items()]
             == [(i, type(x), x) for i, x in want.items()])
     assert list(v.items()) == before
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_kernel_of_zero_columns_needs_no_elimination(n, monkeypatch):
+    """n columns with no nonzero entry have reference_kernel_basis's
+    kernel, the unit vectors with Fraction entries, and kernel_basis
+    builds no Echelon for them."""
+    cols = [{} for _ in range(n)]
+    want = oracles.reference_kernel_basis(cols)
+
+    def forbidden(*args):
+        raise AssertionError("an Echelon for a zero matrix")
+
+    monkeypatch.setattr(linalg, "Echelon", forbidden)
+    got = kernel_basis(cols)
+    assert items(got) == items(want)
+    assert all(type(c) is Fraction for v in got for c in v.values())

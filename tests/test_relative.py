@@ -32,6 +32,7 @@ from corpus import (
 from test_cli import CURVED_TEXT, N2_TEXT
 from oracles import (
     ReferenceRelativeBar,
+    reference_relative_d_key,
     k_kernel_dims,
     k_total_dims,
     lyndon_count,
@@ -158,6 +159,45 @@ def test_relative_bar_differential_is_exact(base, total):
             for col in rb.d_columns(n, w):
                 for c in col.values():
                     assert type(c) in (int, F), (n, w, c)
+
+
+@pytest.mark.parametrize("total", [make_e4, make_e4p, lambda: make_k(4)],
+                         ids=["e4", "e4p", "k4"])
+def test_relative_d_key_matches_reference(total, monkeypatch):
+    """D of every key of weight <= 4 over E1 gives reference_relative_d_key's
+    values, types and key order, reading d and products of monomials off
+    the total algebra's memos (no apply_d or multiply call), and faces
+    reads the degree of a face's prefix only where its base monomial has
+    odd degree."""
+    rb = relative_bar_h0(AugmentedOverN(make_e1("t"), total()), 4)
+    A = rb.X.total
+    keys = [key for w in range(5) for n in range(-4, 6)
+            for key in rb.slice(n, w)]
+    want = [reference_relative_d_key(rb, key) for key in keys]
+
+    def forbidden(*args):
+        raise AssertionError("d_key went through apply_d or multiply")
+
+    monkeypatch.setattr(A, "apply_d", forbidden)
+    monkeypatch.setattr(A, "multiply", forbidden)
+    prefixes = []
+    bidegree = rb.bar.word_bidegree
+
+    def recorded(word):
+        prefixes.append(word)
+        return bidegree(word)
+
+    monkeypatch.setattr(rb.bar, "word_bidegree", recorded)
+    assert rb._faces == {} and any(want)
+    for (n, w, key), d in zip(((n, w, key) for w in range(5)
+                               for n in range(-4, 6)
+                               for key in rb.slice(n, w)), want):
+        got = rb.d_key(n, w, key)
+        assert ([(k, type(c), c) for k, c in got.items()]
+                == [(k, type(c), c) for k, c in d.items()]), key
+    odd = sum(A.mono_bidegree(b)[0] % 2 for faces in rb._faces.values()
+              for b, _, _ in faces)
+    assert 0 < len(prefixes) == odd
 
 
 def test_relative_bar_builds_piece_conn_on_first_read(x4):

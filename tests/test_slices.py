@@ -81,6 +81,23 @@ def test_slice_cohomology_matches_reference(name):
     assert total  # some slice has cohomology
 
 
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_empty_slice_cohomology_reads_no_neighbour(name):
+    """The cohomology of an empty slice is (0, [], a projector that
+    accepts only 0), read without the index of the slice above or d into
+    or out of it."""
+    X, slices = COMPLEXES[name]()
+    empty = [(n, r) for n, r in slices if not X.slice(n, r)]
+    assert empty
+    for n, r in empty:
+        dim, reps, proj = X.cohomology(n, r)
+        assert (dim, reps) == (0, []), (n, r)
+        assert proj.class_coords({}) == {}
+        assert proj.class_coords({0: 1}, strict=False) is None
+        assert (n + 1, r) not in X._index, (n, r)
+        assert (n, r) not in X._d and (n - 1, r) not in X._d, (n, r)
+
+
 def _free_xy():
     """Free on x, y of bidegree (1, 1): H^1(1) = Q^2 and H^2(2) = Q xy."""
     return CdgaPresentation("A", "free", [GeneratorSpec("x", 1, 1),
