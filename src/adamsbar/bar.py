@@ -52,7 +52,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .cdga import CdgaPresentation, UNIT
+from .cdga import CdgaPresentation, UNIT, is_coh_connected
 
 F = Fraction
 
@@ -366,12 +366,15 @@ class HopfPresentation:
         return {k2: c for k2, c in out.items() if c}
 
 
-def h0_hopf(A: CdgaPresentation, w_max):
-    from .cdga import is_coh_connected
-
+def require_connected(A: CdgaPresentation, w_max):
+    """H^0 of A's bar construction needs A connected up to weight w_max."""
     ok, wit = is_coh_connected(A, adams_max=w_max)
     if not ok:
         raise ValueError(f"algebra {A.name} not cohomologically connected: {wit}")
+
+
+def h0_hopf(A: CdgaPresentation, w_max):
+    require_connected(A, w_max)
     return HopfPresentation(A, w_max)
 
 

@@ -187,8 +187,9 @@ def cmd_kernel(args):
             "kernel_dims": sd.kernel_dims,
             "base_dims": sd.base_dims,
             "total_dims": sd.total_dims,
-            "coaction_split": sd.coaction_split,
-            "coaction_conn": sd.coaction_conn,
+            # both keys carry the one co-action matrix (report format)
+            "coaction_split": sd.coaction,
+            "coaction_conn": sd.coaction,
         }
     )
     return report, 0 if ok else 1
@@ -196,10 +197,9 @@ def cmd_kernel(args):
 
 def cmd_coaction_check(args):
     X = _augmented(args)
-    ok, mats = coaction_check(X, args.wt_max)
+    ok, matrix = coaction_check(X, args.wt_max)
     report = _base_report("coaction-check", args, ok)
-    report["coaction_split"] = mats["split"]
-    report["coaction_conn"] = mats["conn"]
+    report["coaction_split"] = report["coaction_conn"] = matrix
     return report, 0 if ok else 1
 
 

@@ -429,10 +429,11 @@ class SliceComplex:
         classes of kernel(n, r) modulo the columns of d(n - 1, r).  When
         no column of d(n - 1, r) is nonzero, they are the kernel vectors
         themselves and the projector is their KernelCoords.  An empty
-        slice reads neither neighbour."""
+        slice reads neither neighbour, and an empty kernel does not read
+        d(n - 1, r), which maps into it when d^2 = 0."""
         key = n, r
         if key not in self._coh:
-            if not self.slice(n, r):
+            if not self.slice(n, r) or not self.kernel(n, r):
                 return self._coh.setdefault(key, (0, [], KernelCoords([])))
             ker, d_in = self.kernel(n, r), self.d_columns(n - 1, r)
             if any(d_in):

@@ -27,6 +27,9 @@
   extended to fiber monomials as a derivation factor by factor, apart
   from the total algebra's bar complex, and flatness as D(D(1 (x) word))
   = 0 word by word, with no cache.
+- The reference co-action: the base generator times fiber generator
+  monomials of d_A on each degree-1 fiber generator, read off d_A with
+  no fiber algebra and no connection.
 - The reference minimal model and cell resolution: each its own
   cell-attaching loop, one cell at a time, with a fresh copy of the model
   (a fresh P) and fresh slice caches in every round.  The resolution
@@ -67,7 +70,7 @@ from math import factorial, gcd, lcm
 from types import SimpleNamespace
 
 from adamsbar import linalg
-from adamsbar.bar import BarComplex, h0_hopf
+from adamsbar.bar import BarComplex
 from adamsbar.cdga import (
     UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
 from adamsbar.cellmod import ModuleError
@@ -757,17 +760,14 @@ class ReferenceRelativeBar:
     each base coefficient to the far left of a word; total_d is the
     differential of N (x) Bbar(F), with no cache, and flatness is
     total_d(total_d(1 (x) word)) = 0 on every word of degree -1..2 (the
-    failures are (n, w, word)); piece_conn classifies gamma of each H^0
-    representative by base monomial."""
+    failures are (n, w, word))."""
 
     def __init__(self, X, w_max):
         self.X = X
         self.w_max = w_max
         self.F, self.conn = fiber_algebra(X)
-        self.hopf = h0_hopf(self.F, w_max)
-        self.bar = self.hopf.bar
+        self.bar = BarComplex(self.F)
         self.flat, self.flat_failures = self._check_flat()
-        self.piece_conn = self._piece_connections()
 
     def gamma_mono(self, mono):
         """{base mono: fiber Element}."""
@@ -851,22 +851,30 @@ class ReferenceRelativeBar:
                         fails.append((n, w, word))
         return (not fails), fails
 
-    def _piece_connections(self):
-        out = {}
-        for w in range(self.w_max + 1):
-            piece = self.hopf.pieces[w]
-            for k, rep in enumerate(piece.rep_lins(self.bar)):
-                gw = self.gamma_lin(rep)
-                by_base = {}
-                for (b, word), c in gw.items():
-                    by_base.setdefault(b, {})
-                    _wadd(by_base[b], word, c)
-                entry = {}
-                for b, wlin in by_base.items():
-                    w2 = w - self.X.total.mono_bidegree(b)[1]
-                    entry[b] = (w2, self.hopf.classify(wlin, w2))
-                out[(w, k)] = entry
-        return out
+
+def reference_coaction_split(X, w_max):
+    """The base's co-action on the degree-1 fiber generators g of weight <=
+    w_max, read straight off d_A: {(g, t, u): Fraction c} for each monomial
+    c t*u of d_A(g) with t a base and u a fiber generator, both of degree
+    1; the coefficient is negated when u is stored before t, pulling one
+    odd letter over the other."""
+    A = X.total
+    out = {}
+    for g in X.fiber:
+        if g.coh != 1 or g.adams > w_max:
+            continue
+        for mono, c in A.differential.get(g.name, {}).items():
+            factors = mono_factors(mono)
+            if len(factors) != 2:
+                continue
+            n1, n2 = factors
+            if A.gen[n1].coh != 1 or A.gen[n2].coh != 1:
+                continue
+            if n1 in X.base_names and n2 not in X.base_names:
+                _wadd(out, (g.name, n1, n2), F(c))
+            elif n2 in X.base_names and n1 not in X.base_names:
+                _wadd(out, (g.name, n2, n1), -F(c))
+    return out
 
 
 # ---- reference minimal model and cell resolution -------------------------

@@ -173,6 +173,23 @@ def test_class_below_degree_minus_3_exits_2(capsys, tmp_path, argv):
     assert "(-4, 1, 1)" in captured.err
 
 
+# E1 with a fiber generator of degree 0: H^0(1) of the fiber is Q z
+DEGREE_0_FIBER = "cdga Z free\ngen t deg 1 wt 1\ngen z deg 0 wt 1\naug z = 0\n"
+
+
+@pytest.mark.parametrize("command", ["coaction-check", "kernel"])
+def test_disconnected_fiber_exits_2(capsys, tmp_path, command):
+    """The fiber's connectivity is an input check of both commands, though
+    coaction-check builds no bar construction of the fiber."""
+    code = main([command, "--base", write(tmp_path, "e1.cdga", E1_TEXT),
+                 "--total", write(tmp_path, "z.cdga", DEGREE_0_FIBER),
+                 "--wt-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Z_fiber not cohomologically connected" in captured.err
+
+
 def test_validate_cell_d_squared_witness(capsys, tmp_path):
     # the extra cell e has d e = c, so d^2 e = t b
     b = write(tmp_path, "e1.cdga", E1_TEXT)
@@ -410,8 +427,8 @@ def test_coaction_command(capsys, tmp_path):
     code, rep = run(capsys, "coaction-check", "--base", b, "--total", f,
                     "--wt-max", "3")
     assert code == 0
-    assert rep["coaction_split"] == {"v,t,u": "1"}
-    assert rep["coaction_split"] == rep["coaction_conn"]
+    # both keys carry the one matrix
+    assert rep["coaction_split"] == rep["coaction_conn"] == {"v,t,u": "1"}
 
 
 def test_delta_approx_command(capsys, tmp_path):

@@ -19,8 +19,6 @@ READERS = SRC + sorted((ROOT / "bench").glob("*.py"))
 ALLOWED = {
     "solve": "bench/tests/test_bench.py asserts that the bench tracer "
              "wraps linalg.solve",
-    "piece_conn": "Gamma on the H^0 classes, the candidate independent "
-                  "side of the coaction-check comparison",
     "tate": "the Tate objects A<n> of the cell-module category",
     "shift": "the shift M[k] of the cell-module category",
     "cone": "the cone of a morphism of cell modules",

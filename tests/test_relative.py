@@ -29,9 +29,10 @@ from corpus import (
     make_k,
     random_gen_nilpotent,
 )
-from test_cli import CURVED_TEXT, N2_TEXT
+from test_cli import CURVED_TEXT, E1_TEXT, E4_TEXT, N2_TEXT
 from oracles import (
     ReferenceRelativeBar,
+    reference_coaction_split,
     reference_relative_d_key,
     k_kernel_dims,
     k_total_dims,
@@ -86,7 +87,6 @@ def test_relative_bar_trivial_base():
     rb = relative_bar_h0(X, 3)
     assert rb.flat
     assert rb.hopf.dims() == h0_hopf(make_e3(), 3).dims()
-    assert all(not v for v in rb.piece_conn.values())
 
 
 def test_relative_bar_e4(x4):
@@ -94,11 +94,6 @@ def test_relative_bar_e4(x4):
     assert rb.flat, rb.flat_failures
     assert rb.hopf.dims()[0] == 1
     assert rb.hopf.dims()[1] == 1
-    # weight 1: the class of [u], with vanishing connection
-    assert rb.piece_conn[(1, 0)] == {}
-    # weight 2: some class has connection t (x) [u]
-    conns = [v for k, v in rb.piece_conn.items() if k[0] == 2 and v]
-    assert conns == [{(("t", 1),): (1, {0: F(1)})}]
 
 
 def _curved():
@@ -130,8 +125,8 @@ RELATIVE_CASES = [
 @pytest.mark.parametrize("base, total", RELATIVE_CASES)
 def test_relative_bar_matches_reference(base, total):
     """faces splits into F's own bar d (b = 1) and the reference
-    connection gamma_word (b != 1), and flat and piece_conn equal the
-    reference's, at w <= 4."""
+    connection gamma_word (b != 1), and flat equals the reference's, at
+    w <= 4."""
     X = AugmentedOverN(base(), total())
     rb = relative_bar_h0(X, 4)
     ref = ReferenceRelativeBar(X, 4)
@@ -146,7 +141,6 @@ def test_relative_bar_matches_reference(base, total):
             assert d == rb.bar.d_word(word), word
             assert gamma == ref.gamma_word(word), word
     assert rb.flat == ref.flat
-    assert rb.piece_conn == ref.piece_conn
 
 
 @pytest.mark.parametrize("base, total", RELATIVE_CASES[:3])
@@ -200,13 +194,6 @@ def test_relative_d_key_matches_reference(total, monkeypatch):
     assert 0 < len(prefixes) == odd
 
 
-def test_relative_bar_builds_piece_conn_on_first_read(x4):
-    rb = relative_bar_h0(x4, 4)
-    assert "piece_conn" not in vars(rb)
-    rb.piece_conn
-    assert "piece_conn" in vars(rb)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_relative_bar_flat_random(seed):
     A = random_gen_nilpotent(seed)
@@ -257,16 +244,15 @@ def test_semidirect_trivial_fiber():
 
 
 def test_coaction_e4(x4):
-    ok, mats = coaction_check(x4, 4)
+    ok, matrix = coaction_check(x4, 4)
     assert ok
-    assert mats["split"] == {("v", "t", "u"): F(1)}
-    assert mats["conn"] == mats["split"]
+    assert matrix == {("v", "t", "u"): F(1)}
 
 
 def test_coaction_e4p(x4p):
-    ok, mats = coaction_check(x4p, 4)
+    ok, matrix = coaction_check(x4p, 4)
     assert ok
-    assert mats["split"] == {
+    assert matrix == {
         ("v", "t", "u"): F(1),
         ("w", "t", "v"): F(1),
     }
@@ -276,8 +262,54 @@ def test_coaction_e4p(x4p):
 def test_coaction_random(seed):
     A = random_gen_nilpotent(seed)
     X = AugmentedOverN(make_e1("t"), A)
-    ok, mats = coaction_check(X, 4)
-    assert ok, mats
+    ok, matrix = coaction_check(X, 4)
+    assert ok, matrix
+
+
+COACTION_CASES = [
+    pytest.param(lambda: make_e1("t"), make_e4, id="e4"),
+    pytest.param(lambda: make_e1("t"), make_e4p, id="e4p"),
+    pytest.param(lambda: parse_text(E1_TEXT)[1],
+                 lambda: parse_text(E4_TEXT.replace("d v = 1*t*u",
+                                                    "d v = 1/2*t*u"))[1],
+                 id="e4-half"),
+    pytest.param(lambda: make_e1("t"), lambda: make_k(4), id="k4"),
+    pytest.param(lambda: parse_text(N2_TEXT)[1],
+                 lambda: parse_text(CURVED_TEXT)[1], id="curved"),
+] + [
+    pytest.param(lambda: make_e1("t"), lambda s=seed: random_gen_nilpotent(s),
+                 id=f"gn{seed}")
+    for seed in range(20)
+]
+
+
+@pytest.mark.parametrize("base, total", COACTION_CASES)
+def test_coaction_matches_reference(base, total):
+    """The co-action that coaction_check and semidirect report, Gamma on
+    E^1, is the reference read straight off d_A, value for value and
+    Fraction for Fraction, at w <= 4 and at w <= 1 (which drops the
+    generators of weight 2 and more)."""
+    X = AugmentedOverN(base(), total())
+    for w_max in (4, 1):
+        want = reference_coaction_split(X, w_max)
+        _, got = coaction_check(X, w_max)
+        assert ([(k, type(c), c) for k, c in sorted(got.items())]
+                == [(k, type(c), c) for k, c in sorted(want.items())])
+    assert semidirect(X, 3).coaction == reference_coaction_split(X, 3)
+
+
+def test_coaction_check_builds_no_bar_construction(x4, monkeypatch):
+    """coaction_check reads Gamma off fiber_algebra: it builds neither the
+    relative bar complex nor a HopfPresentation, whose constructor
+    computes H^0 of the fiber's bar construction."""
+    def forbidden(*args):
+        raise AssertionError("coaction_check built a bar construction")
+
+    monkeypatch.setattr(HopfPresentation, "__init__", forbidden)
+    monkeypatch.setattr(relative.RelativeBarH0, "__init__", forbidden)
+    assert coaction_check(x4, 4) == (True, {("v", "t", "u"): F(1)})
+    with pytest.raises(AssertionError, match="bar construction"):
+        relative_bar_h0(x4, 4)
 
 
 def test_delta_n0():

@@ -98,6 +98,26 @@ def test_empty_slice_cohomology_reads_no_neighbour(name):
         assert (n, r) not in X._d and (n - 1, r) not in X._d, (n, r)
 
 
+def test_empty_kernel_cohomology_builds_no_d_into_it():
+    """A nonempty slice whose kernel is empty has no cohomology, read
+    without building d(n - 1, r), on every complex above.  Each weight is
+    walked down in degree, so no earlier slice has asked for d(n - 1, r)
+    yet; four of the complexes have such a slice in their range."""
+    seen = {}
+    for name, make in COMPLEXES.items():
+        X, slices = make()
+        for n, r in sorted(slices, key=lambda s: (s[1], -s[0])):
+            if X.slice(n, r) and not X.kernel(n, r):
+                assert (n - 1, r) not in X._d, (name, n, r)
+                dim, reps, proj = X.cohomology(n, r)
+                assert (dim, reps) == (0, []), (name, n, r)
+                assert proj.class_coords({}) == {}
+                assert (n - 1, r) not in X._d, (name, n, r)
+                seen[name] = seen.get(name, 0) + 1
+            X.cohomology(n, r)
+    assert len(seen) == 4, seen
+
+
 def _free_xy():
     """Free on x, y of bidegree (1, 1): H^1(1) = Q^2 and H^2(2) = Q xy."""
     return CdgaPresentation("A", "free", [GeneratorSpec("x", 1, 1),
