@@ -302,18 +302,18 @@ class HopfPresentation:
             self._reps[w] = self.pieces[w].rep_lins(self.bar)
         return self._reps[w]
 
-    def classify(self, lin, w, strict=True):
+    def classify(self, lin, w):
         """Class coordinates of a degree-0 weight-w cocycle combination, in
-        class order, or None outside the span (strict=True raises).  They
+        class order; a combination outside the span raises.  They
         are the projector's own: an elimination's are Fractions, and a
         kernel's (KernelCoords) are the entries of lin's vector at its
         free columns, ints where lin's coefficients are."""
         v = self.bar.vector(lin, 0, w)
         projector = self.pieces[w].projector
         if not isinstance(projector, linalg.KernelCoords):
-            return projector.class_coords(v, strict=strict)
+            return projector.class_coords(v)
         coords = projector.coords(v)
-        if coords is None and strict:
+        if coords is None:
             raise ValueError("vector outside the span of reps + image")
         return coords
 

@@ -377,6 +377,23 @@ def d_squared_failures(A: CdgaPresentation):
             and A.apply_d(A.differential[g.name])]
 
 
+def base_mismatches(N: CdgaPresentation, A: CdgaPresentation):
+    """One message per generator of the base N, in N's order, that A does
+    not declare identically, whose differential in A is not its own, or
+    that A's augmentation does not fix: the first of these that holds."""
+    failures = []
+    for g in N.generators:
+        if A.gen.get(g.name) != g:
+            failures.append(f"base generator {g.name} not declared "
+                            f"identically in {A.name}")
+        elif A.differential.get(g.name, {}) != N.differential.get(g.name, {}):
+            failures.append(f"differential of base generator {g.name} differs")
+        elif g.name in A.augmentation:
+            failures.append(f"base generator {g.name} must be fixed by the "
+                            "augmentation")
+    return failures
+
+
 def validate(A: CdgaPresentation):
     """Check the presentation axioms; returns (ok, list of failure strings)."""
     failures = bidegree_failures(A) + d_squared_failures(A)

@@ -22,6 +22,7 @@ from .bar import BarComplex, gamma as bar_gamma, map_letters
 from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
+    base_mismatches,
     el_add,
     el_scale,
     is_coh_connected,
@@ -124,10 +125,10 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
     ok, wit = is_coh_connected(N, adams_max=w_max)
     if not ok:
         raise ValueError(f"base {N.name} not cohomologically connected: {wit}")
+    failures = base_mismatches(N, A)
+    if failures:
+        raise ValueError("; ".join(failures))
     base_names = {g.name for g in N.generators}
-    for name in base_names:
-        if name not in A.gen:
-            raise ValueError(f"total algebra missing base generator {name}")
     for g in A.generators:
         if g.name not in base_names and g.name not in A.augmentation:
             raise ValueError(
@@ -282,9 +283,7 @@ def quillen_compare(A: CdgaPresentation, w_max):
     mm = relative_minimal_model(trivial_base(), A, 1, w_max)
     qa = QAColie(mm)
     gam = bar_gamma(A, w_max)
-    if {w: d for w, d in qa.dims().items() if d} != {
-        w: d for w, d in gam.dims().items() if d
-    }:
+    if qa.dims() != {w: d for w, d in gam.dims().items() if d}:
         return False, {"reason": "dimension mismatch",
                        "qa": qa.dims(), "gamma": gam.dims()}
     bar_m = BarComplex(mm.model)
@@ -316,15 +315,10 @@ def quillen_compare(A: CdgaPresentation, w_max):
         cls = gam.hopf.classify(pushed, w)
         phi[gidx] = gam.project(cls, w)
     # weight-wise isomorphism?
-    for w in set(list(qa.by_weight) + list(gam.by_weight)):
+    for w, gam_idxs in gam.by_weight.items():
         qa_idxs = qa.by_weight.get(w, [])
-        gam_idxs = gam.by_weight.get(w, [])
-        if len(qa_idxs) != len(gam_idxs):
-            return False, {"reason": f"dim mismatch in weight {w}"}
-        cols = []
         pos = {g: k for k, g in enumerate(gam_idxs)}
-        for gi in qa_idxs:
-            cols.append({pos[p]: c for p, c in phi[gi].items()})
+        cols = [{pos[p]: c for p, c in phi[gi].items()} for gi in qa_idxs]
         if len(linalg.Echelon(cols)) != len(qa_idxs):
             return False, {"reason": f"map not bijective in weight {w}"}
     # co-Lie compatibility: gamma-cobracket of phi(e) equals phi^2 of

@@ -18,10 +18,13 @@ use; errors carry line and column numbers.
 
 parse_file decodes the file's bytes as UTF-8, and each line is split into
 (token, column) pairs by one regex pass before any of it is parsed.  A
-rational of denominator 1 is read as an int.  A cdga keeps it so: the
-structure maps of an integral presentation compute with ints.  bind_cell
-adds a cell module's terms up in place with the same ints and stores
-each coefficient of its d as one Fraction.
+rational of denominator 1 is read as an int.  One reader, _signed_terms,
+reads every signed sum, a cdga's poly and a cell module's d alike: a cdga
+adds its terms up and keeps the ints, so the structure maps of an
+integral presentation compute with ints; bind_cell reads each term's
+element, adds the terms up in place with the same ints and stores each
+coefficient of its d as one Fraction.  Bad input leaves the parser only
+as a ParseError; any other exception is a fault of the program.
 """
 
 import re
@@ -112,42 +115,67 @@ def _parse_rational(cur):
     return val
 
 
-def _parse_term(cur, declared):
-    coeff = _parse_rational(cur)
-    names = []
-    while cur.peek() == "*":
-        cur.next()
-        tok, col = cur.next()
-        if tok not in declared:
-            raise ParseError(f"undeclared identifier {tok!r}", cur.lineno, col)
-        names.append(tok)
-    return coeff, names
+def _declared(cur, declared, what="identifier"):
+    """The next token, a name that must be in declared."""
+    tok, col = cur.next()
+    if tok not in declared:
+        raise ParseError(f"undeclared {what} {tok!r}", cur.lineno, col)
+    return tok
 
 
-def _parse_poly(cur, declared, A):
-    """Parse a polynomial and normalize it in the algebra A.  A
-    coefficient of denominator 1 is stored as an int, so the structure
-    maps of an integral presentation compute with ints."""
-    out = {}
+def _declaration(cur, declared, what, least):
+    """(name, degree, weight) of a `name deg n wt w` line: the name is new
+    and w >= least, else the error is at the name's column."""
+    name, col = cur.next()
+    if name in declared:
+        raise ParseError(f"duplicate {what} {name!r}", cur.lineno, col)
+    cur.next(expect="deg")
+    deg = _parse_int(cur, "degree")
+    cur.next(expect="wt")
+    wt = _parse_int(cur, "weight")
+    cur.done()
+    if wt < least:
+        raise ParseError(f"{what} {name!r} has weight {wt} < {least}",
+                         cur.lineno, col)
+    return name, deg, wt
+
+
+def _signed_terms(cur, declared, A):
+    """Each term of a signed sum that runs to the end of the line, with its
+    sign, as an element normalized in the algebra A: an optional leading
+    '-', then term (('+'|'-') term)*.  The caller may read on after each
+    term (bind_cell reads its element) before it asks for the next."""
     sign = 1
     if cur.peek() == "-":
         cur.next()
         sign = -1
     while True:
-        coeff, names = _parse_term(cur, declared)
+        coeff = _parse_rational(cur)
+        names = []
+        while cur.peek() == "*":
+            cur.next()
+            names.append(_declared(cur, declared))
         term = {UNIT: sign * coeff}
         for name in names:
             term = A.multiply(term, {((name, 1),): 1})
-        _vec_iadd(out, term, 1)
+        yield term
         nxt = cur.peek()
         if nxt is None:
-            return out
+            return
         if nxt not in ("+", "-"):
             tok, col = cur.toks[cur.i]
             raise ParseError(f"expected '+' or '-', got {tok!r}",
                              cur.lineno, col)
         cur.next()
         sign = 1 if nxt == "+" else -1
+
+
+def _parse_poly(cur, declared, A):
+    """The sum of _signed_terms: a polynomial normalized in the algebra A."""
+    out = {}
+    for term in _signed_terms(cur, declared, A):
+        _vec_iadd(out, term, 1)
+    return out
 
 
 def parse_text(text):
@@ -183,71 +211,45 @@ def _parse_cdga(lines):
         raise ParseError(f"kind must be free or table, got {kind!r}",
                          cur.lineno, col)
     cur.done()
+    group = name if kind == "table" else None
     gens = []
     declared = set()
-    deferred = []  # (op, payload, cursor) resolved once all gens exist
+    # mul lines and d/aug lines, each with its cursor and the names
+    # declared above it; their sums are read once every generator exists
+    products, maps = [], []
     for lineno, toks in lines[1:]:
         cur = _Cursor(toks, lineno)
         op, col = cur.next()
         if op == "gen":
-            gname, gcol = cur.next()
-            if gname in declared:
-                raise ParseError(f"duplicate generator {gname!r}", lineno, gcol)
-            cur.next(expect="deg")
-            deg = _parse_int(cur, "degree")
-            cur.next(expect="wt")
-            wt = _parse_int(cur, "weight")
-            cur.done()
-            if wt < 1:
-                raise ParseError(
-                    f"generator {gname!r} has weight {wt} < 1", lineno, gcol
-                )
-            group = name if kind == "table" else None
+            gname, deg, wt = _declaration(cur, declared, "generator", 1)
             gens.append(GeneratorSpec(gname, deg, wt, group=group))
             declared.add(gname)
         elif op in ("d", "aug"):
-            target, tcol = cur.next()
-            if target not in declared:
-                raise ParseError(f"undeclared identifier {target!r}",
-                                 lineno, tcol)
+            target = _declared(cur, declared)
             cur.next(expect="=")
-            deferred.append((op, target, cur, set(declared)))
+            maps.append((op, target, cur, set(declared)))
         elif op == "mul":
             if kind != "table":
                 raise ParseError("mul line in a free presentation", lineno, col)
-            a, acol = cur.next()
-            b, bcol = cur.next()
-            for t, c in ((a, acol), (b, bcol)):
-                if t not in declared:
-                    raise ParseError(f"undeclared identifier {t!r}", lineno, c)
+            # both names are read before either is checked, so a line
+            # that ends early reports its end
+            names = _Cursor([cur.next(), cur.next()], lineno)
+            pair = _declared(names, declared), _declared(names, declared)
             cur.next(expect="=")
-            deferred.append(("mul", (a, b), cur, set(declared)))
+            products.append((pair, cur, set(declared)))
         else:
             raise ParseError(f"unknown directive {op!r}", lineno, col)
-    try:
-        A = CdgaPresentation(name, kind, gens)
-    except Exception as e:
-        raise ParseError(str(e), lines[0][0])
+    A = CdgaPresentation(name, kind, gens)
     # products first, so later polynomials normalize through the table
-    for op, payload, cur, seen in deferred:
-        if op == "mul":
-            val = _parse_poly(cur, seen, A)
-            cur.done()
-            try:
-                A.set_product(payload[0], payload[1], val)
-            except Exception as e:
-                raise ParseError(str(e), cur.lineno)
+    for pair, cur, seen in products:
+        A.set_product(*pair, _parse_poly(cur, seen, A))
     differential, augmentation = {}, {}
-    for op, payload, cur, seen in deferred:
-        if op == "d":
-            val = _parse_poly(cur, seen, A)
-            cur.done()
-            if val:
-                differential[payload] = val
-        elif op == "aug":
-            val = _parse_poly(cur, seen, A)
-            cur.done()
-            augmentation[payload] = val
+    for op, target, cur, seen in maps:
+        val = _parse_poly(cur, seen, A)
+        if op == "aug":
+            augmentation[target] = val
+        elif val:
+            differential[target] = val
     return CdgaPresentation(name, kind, gens, differential, A.products,
                             augmentation)
 
@@ -266,24 +268,11 @@ def _parse_cell(lines):
         cur = _Cursor(toks, lineno)
         op, col = cur.next()
         if op == "elt":
-            ename, ecol = cur.next()
-            if ename in declared:
-                raise ParseError(f"duplicate element {ename!r}", lineno, ecol)
-            cur.next(expect="deg")
-            deg = _parse_int(cur, "degree")
-            cur.next(expect="wt")
-            wt = _parse_int(cur, "weight")
-            cur.done()
-            if wt < 0:
-                raise ParseError(
-                    f"element {ename!r} has weight {wt} < 0", lineno, ecol
-                )
-            declared[ename] = len(elts)
-            elts.append((ename, deg, wt))
+            elt = _declaration(cur, declared, "element", 0)
+            declared[elt[0]] = len(elts)
+            elts.append(elt)
         elif op == "d":
-            target, tcol = cur.next()
-            if target not in declared:
-                raise ParseError(f"undeclared element {target!r}", lineno, tcol)
+            target = _declared(cur, declared, "element")
             cur.next(expect="=")
             dlines.append((target, cur))
         else:
@@ -299,38 +288,16 @@ def bind_cell(spec, A: CdgaPresentation):
     where they are integral, as _parse_poly does; an entry that cancels
     is dropped at once, so a later term on it appends it anew.  Every
     stored coefficient becomes one Fraction at the end."""
-    gen_names = set(A.gen)
     declared = spec["declared"]
     diff = {}
     for target, cur in spec["dlines"]:
         j = declared[target]
-        sign = 1
-        if cur.peek() == "-":
-            cur.next()
-            sign = -1
-        while True:
-            coeff, names = _parse_term(cur, gen_names)
-            el = {UNIT: sign * coeff}
-            for nm in names:
-                el = A.multiply(el, {((nm, 1),): 1})
-            ename, ecol = cur.next()
-            if ename not in declared:
-                raise ParseError(f"undeclared element {ename!r}",
-                                 cur.lineno, ecol)
-            key = (declared[ename], j)
+        for el in _signed_terms(cur, A.gen, A):
+            key = (declared[_declared(cur, declared, "element")], j)
             entry = diff.setdefault(key, {})
             _vec_iadd(entry, el, 1)
             if not entry:
                 del diff[key]
-            nxt = cur.peek()
-            if nxt is None:
-                break
-            if nxt not in ("+", "-"):
-                tok, col = cur.toks[cur.i]
-                raise ParseError(f"expected '+' or '-', got {tok!r}",
-                                 cur.lineno, col)
-            cur.next()
-            sign = 1 if nxt == "+" else -1
     diff = {key: {m: F(c) for m, c in entry.items()}
             for key, entry in diff.items()}
     filtration = _strict_filtration(spec["elts"], diff)

@@ -28,6 +28,7 @@ from .cdga import (
     UNIT,
     CdgaPresentation,
     GeneratorSpec,
+    base_mismatches,
     d_squared_failures,
     is_coh_connected,
 )
@@ -62,24 +63,9 @@ class AugmentedOverN:
         self.base = base
         self.total = total
         self.base_names = {g.name for g in base.generators}
-        for g in base.generators:
-            tg = total.gen.get(g.name)
-            if tg is None or tg != g:
-                raise RelativeError(
-                    f"base generator {g.name} not declared identically "
-                    f"in {total.name}"
-                )
-            if total.differential.get(g.name, {}) != base.differential.get(
-                g.name, {}
-            ):
-                raise RelativeError(
-                    f"differential of base generator {g.name} differs"
-                )
-            if g.name in total.augmentation:
-                raise RelativeError(
-                    f"base generator {g.name} must be fixed by the "
-                    "augmentation"
-                )
+        failures = base_mismatches(base, total)
+        if failures:
+            raise RelativeError("; ".join(failures))
         self.fiber = [
             g for g in total.generators if g.name not in self.base_names
         ]
@@ -259,7 +245,7 @@ def relative_bar_h0(X: AugmentedOverN, w_max):
 
 class SemiDirectData:
     def __init__(self, weights, kernel_dims, base_dims, total_dims,
-                 identity_ok, indecomp_ok, kernel_hopf, p_star, s_star,
+                 identity_ok, indecomp_ok, p_star, s_star,
                  sp_identity_ok, coaction, verdict):
         self.weights = weights
         self.kernel_dims = kernel_dims
@@ -267,7 +253,6 @@ class SemiDirectData:
         self.total_dims = total_dims
         self.identity_ok = identity_ok
         self.indecomp_ok = indecomp_ok
-        self.kernel_hopf = kernel_hopf
         self.p_star = p_star
         self.s_star = s_star
         self.sp_identity_ok = sp_identity_ok
@@ -324,7 +309,7 @@ def semidirect(X: AugmentedOverN, w_max):
     )
     return SemiDirectData(
         weights, kernel_dims, base_dims, total_dims, identity_ok,
-        indecomp_ok, rb.hopf, p_star, s_star, sp_identity_ok,
+        indecomp_ok, p_star, s_star, sp_identity_ok,
         coaction_matrix(X, rb.conn, w_max), verdict,
     )
 

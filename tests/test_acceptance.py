@@ -37,7 +37,7 @@ from corpus import (
     random_gen_nilpotent,
 )
 from hopf_checks import all_axioms
-from oracles import (
+from reference import (
     brute_force_gamma_dim,
     brute_force_h0_dim,
     lyndon_count,

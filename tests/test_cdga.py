@@ -13,7 +13,7 @@ from adamsbar.cdga import (
     is_coh_connected,
     validate,
 )
-import oracles
+import reference
 from corpus import make_e1, make_e2, make_e3, make_e4, make_e4p, random_free_cdga
 
 F = Fraction
@@ -98,9 +98,9 @@ def _check_against_reference(A, w_max):
     result, equal to the memo-free reference with the same key order."""
     monos = _monomials(A, w_max)
     wt = {m: A.mono_bidegree(m)[1] for m in monos}
-    calls = [(A.apply_d, oracles.reference_apply_d, ({m: 1},))
+    calls = [(A.apply_d, reference.reference_apply_d, ({m: 1},))
              for m in monos]
-    calls += [(A.multiply, oracles.reference_multiply, ({m1: 1}, {m2: F(2)}))
+    calls += [(A.multiply, reference.reference_multiply, ({m1: 1}, {m2: F(2)}))
               for m1 in monos for m2 in monos if wt[m1] + wt[m2] <= w_max]
     for f, ref, args in calls:
         want = list(ref(A, *args).items())
@@ -111,8 +111,8 @@ def _check_against_reference(A, w_max):
     # elements with several terms and Fraction coefficients
     for r in range(1, w_max + 1):
         el = {m: F(k + 1, 2) for k, m in enumerate(monos) if wt[m] == r}
-        assert A.apply_d(el) == oracles.reference_apply_d(A, el)
-        assert A.multiply(el, el) == oracles.reference_multiply(A, el, el)
+        assert A.apply_d(el) == reference.reference_apply_d(A, el)
+        assert A.multiply(el, el) == reference.reference_multiply(A, el, el)
 
 
 @pytest.mark.parametrize("mk", [make_e1, make_e2, make_e3, make_e4,

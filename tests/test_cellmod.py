@@ -38,7 +38,7 @@ from corpus import (
     make_e4,
     random_cell_module,
 )
-from oracles import (
+from reference import (
     dense_check_chain_map,
     dense_check_flat,
     dense_d_squared_failures,

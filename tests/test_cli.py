@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adamsbar import bar, cli, linalg
+from adamsbar import bar, cdga, cli, linalg
 from adamsbar.cli import main
 from adamsbar.parser import ParseError, bind_cell, parse_text
 
@@ -351,6 +351,60 @@ def test_unexpected_error_exits_3(capsys, monkeypatch):
     assert err.err.startswith("internal error: RuntimeError: structure map "
                               "fails to commute with d at mg0\n")
     assert "Traceback (most recent call last)" in err.err
+
+
+def test_fault_storing_a_table_product_exits_3(capsys, tmp_path,
+                                               monkeypatch):
+    """The parser turns only bad input into a ParseError: a fault while it
+    stores a valid mul line's product is internal, exit 3 with its
+    traceback."""
+    def broken(self, a, b, val):
+        raise RuntimeError("product not stored")
+
+    monkeypatch.setattr(cdga.CdgaPresentation, "set_product", broken)
+    f = write(tmp_path, "e2.cdga", E2_TEXT + "mul x0 x1 = 0\n")
+    code = main(["validate", f])
+    err = capsys.readouterr()
+    assert code == 3
+    assert err.out == ""
+    assert err.err.startswith(
+        "internal error: RuntimeError: product not stored\n")
+    assert "Traceback (most recent call last)" in err.err
+
+
+# (id, base, total, message): the total's t is not the base's own t
+BASE_MISMATCHES = [
+    ("weight", E1_TEXT,
+     "cdga T free\ngen t deg 1 wt 2\ngen u deg 1 wt 1\naug u = 0\n",
+     "base generator t not declared identically in T"),
+    ("differential", "cdga N free\ngen t deg 1 wt 2\n",
+     "cdga T free\ngen t deg 1 wt 2\ngen u deg 1 wt 1\ngen w deg 1 wt 1\n"
+     "d t = 1*u*w\naug u = 0\naug w = 0\n",
+     "differential of base generator t differs"),
+    ("augmentation", E1_TEXT,
+     "cdga T free\ngen t deg 1 wt 1\ngen u deg 1 wt 1\naug t = 0\n"
+     "aug u = 0\n",
+     "base generator t must be fixed by the augmentation"),
+]
+
+
+@pytest.mark.parametrize("command", ["minimal-model", "kernel"])
+@pytest.mark.parametrize("base, total, message",
+                         [c[1:] for c in BASE_MISMATCHES],
+                         ids=[c[0] for c in BASE_MISMATCHES])
+def test_base_mismatch_exits_2(capsys, tmp_path, command, base, total,
+                               message):
+    """minimal-model checks its base as kernel does: each mismatch is an
+    input error with kernel's message."""
+    b = write(tmp_path, "n.cdga", base)
+    f = write(tmp_path, "t.cdga", total)
+    files = [f, "--base", b] if command == "minimal-model" else [
+        "--base", b, "--total", f]
+    code = main([command, *files, "--wt-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_minimal_model_command(capsys, tmp_path):

@@ -13,7 +13,7 @@ from adamsbar.linalg import (
     solver,
 )
 from adamsbar import linalg
-import oracles
+import reference
 
 F = Fraction
 
@@ -226,7 +226,7 @@ def reference_residue(q, rows, pivots):
     out = dict(q)
     for p, row in zip(pivots, rows):
         if out.get(p):
-            out = oracles._vec_add(out, row, -out[p])
+            out = reference._vec_add(out, row, -out[p])
     return out
 
 
@@ -239,7 +239,7 @@ def test_echelonize_matches_reference(rows):
     matrix with these rows (values and key order) are the reference's,
     and the input rows are left alone."""
     before = [list(r.items()) for r in rows]
-    want_rows, want_piv = oracles.reference_echelonize(rows)
+    want_rows, want_piv = reference.reference_echelonize(rows)
     e, got_piv = pivots_of(rows)
     assert sorted(got_piv) == want_piv and len(e) == len(want_piv)
     for j in range(8):
@@ -247,7 +247,7 @@ def test_echelonize_matches_reference(rows):
         assert residue == reference_residue({j: F(1)}, want_rows, want_piv)
         assert combo == {}
     m = raw_matrix(rows, 8)
-    assert items(kernel_basis(m)) == items(oracles.reference_kernel_basis(m))
+    assert items(kernel_basis(m)) == items(reference.reference_kernel_basis(m))
     assert [list(r.items()) for r in rows] == before
 
 
@@ -261,7 +261,7 @@ def complexes(draw):
     sparse = st.one_of(st.just(0), small)
     d_out = mat(draw(st.lists(st.lists(sparse, min_size=n, max_size=n),
                               min_size=1, max_size=4)))
-    ker = oracles.reference_kernel_basis(d_out)
+    ker = reference.reference_kernel_basis(d_out)
 
     def combination():
         coeffs = draw(st.lists(small, min_size=len(ker), max_size=len(ker)))
@@ -292,7 +292,8 @@ def test_cohomology_matches_reference(case):
     has no coordinates."""
     d_out, d_in, queries = case
     dim, reps, proj = cocycle_classes(kernel_basis(d_out), d_in)
-    want_dim, want_reps, want_proj = oracles.reference_cohomology(d_out, d_in)
+    want_dim, want_reps, want_proj = reference.reference_cohomology(
+        d_out, d_in)
     assert dim == want_dim == len(reps)
     assert [list(v.items()) for v in reps] == [
         list(v.items()) for v in want_reps]
@@ -370,12 +371,12 @@ def test_integer_echelon_matches_reference_on_mixed_entries(case):
     agree with the Fraction reference, and are Fractions."""
     vecs, queries = case
     before = items(vecs + queries)
-    want_rows, want_piv = oracles.reference_echelonize(vecs)
+    want_rows, want_piv = reference.reference_echelonize(vecs)
     e, got_piv = pivots_of(vecs)
     assert sorted(got_piv) == want_piv and len(e) == len(want_piv)
     m = raw_matrix(vecs, 8)
     ker = kernel_basis(m)
-    assert items(ker) == items(oracles.reference_kernel_basis(m))
+    assert items(ker) == items(reference.reference_kernel_basis(m))
     assert_fractions(ker)
     for q in queries:
         residue, combo = e.reduce(q)
@@ -417,11 +418,11 @@ def test_kernel_and_solver_match_reference(case):
     cols, rhs = case
     before = items(cols + rhs)
     ker = kernel_basis(cols)
-    assert items(ker) == items(oracles.reference_kernel_basis(cols))
+    assert items(ker) == items(reference.reference_kernel_basis(cols))
     assert_fractions(ker)
     s = solver(cols)
     for b in rhs:
-        want = oracles.reference_solve(cols, b)
+        want = reference.reference_solve(cols, b)
         got = s.class_coords(b, strict=False)
         if want is None:
             assert got is None and solve(cols, b) is None
@@ -439,7 +440,7 @@ def mixed_complexes(draw):
     n = draw(st.integers(1, 6))
     rows = mixed_vectors(draw, n, draw(st.integers(1, 4)))
     d_out = raw_matrix(rows, n)
-    ker = oracles.reference_kernel_basis(d_out)
+    ker = reference.reference_kernel_basis(d_out)
 
     def combination():
         v = {}
@@ -465,7 +466,8 @@ def test_integer_cohomology_matches_reference_on_mixed_entries(case):
     is a Fraction."""
     d_out, d_in, queries = case
     dim, reps, proj = cocycle_classes(kernel_basis(d_out), d_in)
-    want_dim, want_reps, want_proj = oracles.reference_cohomology(d_out, d_in)
+    want_dim, want_reps, want_proj = reference.reference_cohomology(
+        d_out, d_in)
     assert dim == want_dim == len(reps)
     assert items(reps) == items(want_reps)
     assert_fractions(reps)
@@ -572,7 +574,7 @@ def test_echelon_matches_back_substituting_reference(case):
     type, None and the ValueError), and leave their inputs alone."""
     vecs, tags, queries = case
     before = items(vecs + queries)
-    got, want = Echelon(), oracles.ReferenceEchelon()
+    got, want = Echelon(), reference.ReferenceEchelon()
     for v, tag in zip(vecs, tags):
         assert got.add(v, tag) == want.add(v, tag)
         assert len(got) == len(want)
@@ -630,7 +632,7 @@ def test_vec_iadd_matches_reference(u, v, c):
     type (int or Fraction) and the key order, cancellations included,
     and leaves v alone."""
     want = dict(u)
-    oracles.reference_vec_iadd(want, v, c)
+    reference.reference_vec_iadd(want, v, c)
     before = list(v.items())
     linalg._vec_iadd(u, v, c)
     assert ([(i, type(x), x) for i, x in u.items()]
@@ -644,7 +646,7 @@ def test_kernel_of_zero_columns_needs_no_elimination(n, monkeypatch):
     kernel, the unit vectors with Fraction entries, and kernel_basis
     builds no Echelon for them."""
     cols = [{} for _ in range(n)]
-    want = oracles.reference_kernel_basis(cols)
+    want = reference.reference_kernel_basis(cols)
 
     def forbidden(*args):
         raise AssertionError("an Echelon for a zero matrix")

@@ -16,7 +16,7 @@ from adamsbar.minimal import (
 from adamsbar.relative import punctured_line_model
 from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p,
                     random_gen_nilpotent)
-import oracles
+import reference
 
 F = Fraction
 
@@ -31,7 +31,7 @@ def test_absolute_model_e2():
         assert g.coh == 1
         counts[g.adams] = counts.get(g.adams, 0) + 1
     assert counts == {1: 2, 2: 1, 3: 2}  # Lyndon dims for two letters
-    assert counts == {w: oracles.lyndon_count(2, w) for w in (1, 2, 3)}
+    assert counts == {w: reference.lyndon_count(2, w) for w in (1, 2, 3)}
 
 
 def test_e3_is_its_own_model():
@@ -173,7 +173,7 @@ def test_minimal_model_matches_reference(case):
     stage iterations and certificate."""
     N, A, n, w = MODEL_CASES[case]()
     mm = relative_minimal_model(N, A, n, w)
-    ref = oracles.reference_minimal_model(N, A, n, w)
+    ref = reference.reference_minimal_model(N, A, n, w)
     assert mm.fiber_names == ref.fiber_names
     assert mm.model.generators == ref.model.generators
     assert mm.model.differential == ref.model.differential

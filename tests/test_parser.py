@@ -65,6 +65,8 @@ TEXT_ERRORS = [
      "line 3, col 1: mul line in a free presentation"),
     ("mul-undeclared", "cdga A table\ngen x deg 1 wt 1\nmul x y = 0\n",
      "line 3, col 7: undeclared identifier 'y'"),
+    ("mul-end-of-line", "cdga A table\nmul q\n",
+     "line 2: unexpected end of line (wanted more input)"),
     ("unknown-directive-cdga", "cdga A free\ngen x deg 1 wt 1\nlet x = 1\n",
      "line 3, col 1: unknown directive 'let'"),
     ("plus-or-minus-cdga", "cdga A free\ngen x deg 1 wt 1\nd x = 1*x 2\n",

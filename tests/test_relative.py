@@ -30,7 +30,7 @@ from corpus import (
     random_gen_nilpotent,
 )
 from test_cli import CURVED_TEXT, E1_TEXT, E4_TEXT, N2_TEXT
-from oracles import (
+from reference import (
     ReferenceRelativeBar,
     reference_coaction_split,
     reference_relative_d_key,

@@ -15,7 +15,7 @@ from adamsbar.relative import (
 from corpus import (
     make_e1, make_e2, make_e3, make_e4, make_e4p, random_cell_module,
     random_gen_nilpotent)
-import oracles
+import reference
 
 
 def _cell():
@@ -63,7 +63,7 @@ def test_slice_cohomology_matches_reference(name):
         assert len(d_out) == size
         assert all(0 <= i < size for col in d_in for i in col)
         dim, reps, proj = X.cohomology(n, r)
-        want_dim, want_reps, want_proj = oracles.reference_cohomology(
+        want_dim, want_reps, want_proj = reference.reference_cohomology(
             d_out, d_in)
         assert dim == want_dim == len(reps), (n, r)
         assert [list(v.items()) for v in reps] == [
@@ -205,7 +205,7 @@ def _assert_slices_match_reference(A, weights):
         groups = A.by_degree(r)
         for n in _degrees(A, r):
             keys = A.slice(n, r)
-            assert keys == oracles.reference_slice_keys(A, n, r), (n, r)
+            assert keys == reference.reference_slice_keys(A, n, r), (n, r)
             if keys:
                 assert keys is groups[n], (n, r)
         assert all(groups[n] for n in groups), r
@@ -248,5 +248,5 @@ def test_delta_keys_match_per_degree_filter(mk, n):
     da = DeltaApprox(A, n, 3)
     for w in range(4):
         for deg in range(-n - 2, 3 * w + 2):
-            assert da.slice(deg, w) == oracles.reference_delta_keys(
+            assert da.slice(deg, w) == reference.reference_delta_keys(
                 da, deg, w), (deg, w)
