@@ -9,10 +9,10 @@ error (an exception no input check names, with its traceback on stderr).
 
 import argparse
 import functools
-import json
 import sys
 import traceback
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cdga as cdga_mod
 from .bar import gamma, h0_hopf, polynomial_dims
@@ -31,31 +31,54 @@ from .relative import (
 F = Fraction
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, dict):
-        return {_key(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (str, int, bool)) or x is None:
-        return x
-    return str(x)
-
-
 def _key(k):
     if isinstance(k, tuple):
         return ",".join(str(_key(p)) for p in k)
     return str(k)
 
 
+def _write(x, out, pad):
+    """Append the canonical JSON text of x to out, in one walk: dicts with
+    their keys through _key (the last of equal keys wins) and sorted,
+    lists and tuples as arrays, str, bool, None and int as JSON, and any
+    other value (a Fraction) as its quoted str.  pad is the newline and
+    indent of the line x starts on; the text is that of json.dumps(...,
+    sort_keys=True, indent=2)."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif isinstance(x, bool):
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        inner, sep = pad + "  ", "{"
+        for k, v in sorted({_key(k): v for k, v in x.items()}.items()):
+            out += sep, inner, _quote(k), ": "
+            _write(v, out, inner)
+            sep = ","
+        out += (pad, "}") if x else ("{}",)
+    elif isinstance(x, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for v in x:
+            out += sep, inner
+            _write(v, out, inner)
+            sep = ","
+        out += (pad, "]") if x else ("[]",)
+    else:
+        out.append(_quote(str(x)))
+
+
 def emit(report, out_path):
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
+    out = []
+    _write(report, out, "\n")
+    text = "".join(out) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _load_cdga(path):
@@ -358,6 +381,7 @@ def main(argv=None):
     args = _arg_parser().parse_args(argv)
     try:
         report, code = args.func(args)
+        emit(report, args.out)
     except (ParseError, OSError, RelativeError, ModuleError,
             cdga_mod.CdgaError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
@@ -366,7 +390,6 @@ def main(argv=None):
         sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n"
                          + traceback.format_exc())
         return 3
-    emit(report, args.out)
     return code
 
 

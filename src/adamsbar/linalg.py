@@ -24,12 +24,13 @@ taken in ascending order.  What each view reads off it:
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
   views above (an empty slice's cohomology is 0, read without its
-  neighbours), the slices where d^2 != 0 (d_squared_failures, a sparse
-  product of the columns), and the H^0 dims of every subcomplex of a
-  filtration by key level (filtered_h0), one Echelon per slice fed level
-  by level.  A complex whose keys are found by walking a whole weight
-  (the cdga's monomials, the bar words, the simplicial approximation's
-  pairs) walks it once and groups the keys by degree (by_degree).  The
+  neighbours, and d into an empty slice is 0, built without faces), the
+  slices where d^2 != 0 (d_squared_failures, a sparse product of the
+  columns), and the H^0 dims of every subcomplex of a filtration by key
+  level (filtered_h0), one Echelon per slice fed level by level.  A
+  complex whose keys are found by walking a whole weight (the cdga's
+  monomials, the bar words, the simplicial approximation's pairs) walks
+  it once and groups the keys by degree (by_degree).  The
   cdga, its bar construction, the augmentation ideal, cell modules,
   scalar complexes, the simplicial approximation and the connection
   complex N (x) Bbar(F) of the relative theory are all SliceComplexes;
@@ -405,11 +406,16 @@ class SliceComplex:
 
     def d_columns(self, n, r):
         """d on slice (n, r): one {position in slice (n + 1, r): coeff}
-        column per key."""
+        column per key.  d has bidegree (+1, 0), so into an empty slice
+        every column is {}, built with no d_key.  A key that later joins
+        slice (n + 1, r) is in d of no older key, so they stay right."""
         key = n, r
         if key not in self._d:
-            idx = self.index(n + 1, r)
             cols = self._d[key] = []
+            if not self.slice(n + 1, r):
+                cols.extend({} for _ in self.slice(n, r))
+                return cols
+            idx = self.index(n + 1, r)
             for b in self.slice(n, r):
                 col = {}
                 for k, c in self.d_key(n, r, b).items():

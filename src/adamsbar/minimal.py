@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import _vec_iadd
-from .bar import BarComplex, gamma as bar_gamma, map_letters
+from .bar import BarComplex, _exact, gamma as bar_gamma, map_letters
 from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
@@ -60,10 +60,13 @@ class IdealComplex(linalg.SliceComplex):
             basis = self.A.slice(i, m)
             idx = {mm: k for k, mm in enumerate(basis)}
             eps = [{idx[em]: c for em, c in self.A.substitute(
-                        {mono: F(1)}, self.A.augmentation).items()}
+                        {mono: 1}, self.A.augmentation).items()}
                    for mono in basis]
-            # ideal = kernel of eps on the slice
-            ker = linalg.kernel_basis(eps)
+            # ideal = kernel of eps on the slice; entries of denominator 1
+            # as ints, so an integral presentation's structure maps
+            # compute with ints
+            ker = [{j: _exact(x) for j, x in v.items()}
+                   for v in linalg.kernel_basis(eps)]
             self._eps[key] = (basis, ker, idx, linalg.KernelCoords(ker))
         return self._eps[key]
 
@@ -71,7 +74,7 @@ class IdealComplex(linalg.SliceComplex):
         return list(range(len(self.ideal_basis(i, m)[1])))
 
     def d_key(self, i, m, k):
-        d = self.A.apply_d(self.from_coords({k: F(1)}, i, m))
+        d = self.A.apply_d(self.from_coords({k: 1}, i, m))
         return self.to_coords(d, i + 1, m) if d else {}
 
     def to_coords(self, el, i, m):
@@ -84,10 +87,13 @@ class IdealComplex(linalg.SliceComplex):
         return coords
 
     def from_coords(self, v, i, m):
+        """The ideal element of coordinates v, a coordinate of denominator
+        1 taken as an int."""
         basis, ker, _, _ = self.ideal_basis(i, m)
         out = {}
         for k, c in v.items():
-            _vec_iadd(out, {basis[bi]: bc for bi, bc in ker[k].items()}, c)
+            _vec_iadd(out, {basis[bi]: bc for bi, bc in ker[k].items()},
+                      _exact(c))
         return out
 
     def forget(self, adams):

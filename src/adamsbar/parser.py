@@ -24,7 +24,8 @@ adds its terms up and keeps the ints, so the structure maps of an
 integral presentation compute with ints; bind_cell reads each term's
 element, adds the terms up in place with the same ints and stores each
 coefficient of its d as one Fraction.  Bad input leaves the parser only
-as a ParseError; any other exception is a fault of the program.
+as a ParseError; any other exception is a fault of the program.  A byte
+that is not UTF-8 is a ParseError at its line and column.
 """
 
 import re
@@ -306,4 +307,12 @@ def bind_cell(spec, A: CdgaPresentation):
 
 def parse_file(path):
     with open(path, "rb") as fh:
-        return parse_text(fh.read().decode("utf-8"))
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the line and column of the bad byte, counted as parse_text counts
+        lines = (data[:e.start].decode("utf-8") + "^").splitlines()
+        raise ParseError(f"invalid UTF-8 byte 0x{data[e.start]:02x}",
+                         len(lines), len(lines[-1])) from None
+    return parse_text(text)

@@ -61,9 +61,12 @@
   cobracket extended as a derivation, the 1-minimal model of A, so its
   H^1 is A's and its H^2 injects into A's, weight by weight; all ranks,
   on both sides, from reference_echelonize.
+- The reference report text: a report made JSON-ready by one walk and
+  written by json.dumps(sort_keys=True, indent=2) in a second.
 """
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -1585,3 +1588,29 @@ def cdga_h_dims(A, n, w_max):
     columns and reference_echelonize."""
     return {w: len(A.slice(n, w)) - _rank(A.d_columns(n, w))
             - _rank(A.d_columns(n - 1, w)) for w in range(1, w_max + 1)}
+
+
+def _reference_key(k):
+    if isinstance(k, tuple):
+        return ",".join(str(_reference_key(p)) for p in k)
+    return str(k)
+
+
+def _reference_jsonable(x):
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, dict):
+        return {_reference_key(k): _reference_jsonable(v)
+                for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_reference_jsonable(v) for v in x]
+    if isinstance(x, (str, int, bool)) or x is None:
+        return x
+    return str(x)
+
+
+def reference_report_text(report):
+    """The text of a report, without its final newline: keys as str
+    (tuples joined by commas), Fractions and other values as their str,
+    then json.dumps with sorted keys and an indent of 2."""
+    return json.dumps(_reference_jsonable(report), sort_keys=True, indent=2)

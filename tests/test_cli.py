@@ -6,11 +6,12 @@ import tempfile
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adamsbar import bar, cdga, cli, linalg
 from adamsbar.cli import main
 from adamsbar.parser import ParseError, bind_cell, parse_text
+import reference
 
 E1_TEXT = """cdga E1 free
 gen t deg 1 wt 1
@@ -529,6 +530,64 @@ def test_output_deterministic(capsys, tmp_path):
     assert main(["colie", f, "--wt-max", "3", "--out", str(out1)]) == 0
     assert main(["colie", f, "--wt-max", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=10**20) | st.integers(max_value=-10**20),
+    st.fractions(), st.text())
+_KEYS = st.one_of(
+    st.integers(), st.text(), st.fractions(), st.booleans(),
+    st.tuples(st.integers(), st.text()),
+    st.tuples(st.tuples(st.integers(), st.fractions()), st.integers()))
+_REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORTS)
+@example({1: "int key", "1": "str key, written last, wins", (1, "a"): F(-1, 3),
+          ((2, F(1, 2)), 3): [F(4), F(-7, 2)]})
+@example({"caf\u00e9 \"q\"\n\\": ["\u2028\x00\t", 2**70, -(2**70)],
+          "empty": [{}, [], (), ""], "flags": (True, False, None, 0, -1)})
+@example([])
+@example("top")
+def test_report_text_matches_the_reference(report):
+    """emit writes a report in one walk, with exactly the text of
+    reference_report_text's two walks: the JSON-ready copy, then
+    json.dumps with sorted keys and an indent of 2."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(report, None)
+    assert out.getvalue() == reference.reference_report_text(report) + "\n"
+
+
+def test_out_into_missing_directory_exits_2(capsys, tmp_path):
+    """A report that cannot be written is an input error: exit 2, the
+    message on stderr and nothing on stdout."""
+    path = tmp_path / "missing" / "x.json"
+    code = main(["pi1-demo", "--punctures", "3", "--wt-max", "2",
+                 "--out", str(path)])
+    err = capsys.readouterr()
+    assert (code, err.out) == (2, "")
+    assert err.err == ("error: [Errno 2] No such file or directory: "
+                       f"{str(path)!r}\n")
+    assert not path.parent.exists()
+
+
+def test_fault_in_the_writer_exits_3(capsys, monkeypatch):
+    """A fault while the report is written is internal: exit 3 with its
+    traceback."""
+    def broken(x, out, pad):
+        raise RuntimeError("writer fault")
+
+    monkeypatch.setattr(cli, "_write", broken)
+    code = main(["pi1-demo", "--punctures", "3", "--wt-max", "2"])
+    err = capsys.readouterr()
+    assert (code, err.out) == (3, "")
+    assert err.err.startswith("internal error: RuntimeError: writer fault\n")
+    assert "Traceback (most recent call last)" in err.err
 
 
 def test_parser_shared_across_calls(capsys, tmp_path):

@@ -183,6 +183,25 @@ def test_minimal_model_matches_reference(case):
     assert mm.certified()
 
 
+@pytest.mark.parametrize("case", ["P1minus4", "E4/E1"])
+def test_ideal_coordinates_stay_ints(case, monkeypatch):
+    """Over an integral presentation, from_coords writes every value of
+    denominator 1 as an int, so the structure maps compute with ints."""
+    values = []
+    real = IdealComplex.from_coords
+
+    def recording(self, v, i, m):
+        out = real(self, v, i, m)
+        values.extend(out.values())
+        return out
+
+    monkeypatch.setattr(IdealComplex, "from_coords", recording)
+    assert relative_minimal_model(*MODEL_CASES[case]()).certified()
+    assert any(type(c) is int for c in values)
+    assert not [c for c in values
+                if type(c) is F and c.denominator == 1]
+
+
 def test_minimal_model_cap_is_not_certified(monkeypatch):
     """With one round per stage, every stage of E2 at n = 1 that adds
     generators reaches the cap while still adding, so its (1, m) entry is

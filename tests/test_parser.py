@@ -126,6 +126,12 @@ FILE_ERRORS = [
      "line 4, col 9: undeclared identifier 'y'"),
     ("cr-crlf", b"cdga A free\r\r\ngen x deg 1 wt 0\r\n",
      "line 3, col 5: generator 'x' has weight 0 < 1"),
+    ("latin1-lf", b"cdga A free\ngen x deg 1 wt 1\n# caf\xe9 au lait\n",
+     "line 3, col 6: invalid UTF-8 byte 0xe9"),
+    ("latin1-cr", b"cdga A free\rgen x deg 1 wt 1\r# caf\xe9 au lait\r",
+     "line 3, col 6: invalid UTF-8 byte 0xe9"),
+    ("latin1-line-start", b"cdga A free\r\n\xe9\n",
+     "line 2, col 1: invalid UTF-8 byte 0xe9"),
 ]
 
 

@@ -98,6 +98,26 @@ def test_empty_slice_cohomology_reads_no_neighbour(name):
         assert (n, r) not in X._d and (n - 1, r) not in X._d, (n, r)
 
 
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_d_into_an_empty_slice_calls_no_d_key(name, monkeypatch):
+    """d into an empty slice is one {} per key, built with no d_key call
+    and no index of the empty slice; some nonempty slice of each complex
+    has an empty slice above it."""
+    X, slices = COMPLEXES[name]()
+
+    def raising(n, r, key):
+        raise AssertionError(f"d_key called on slice {(n, r)}")
+
+    monkeypatch.setattr(X, "d_key", raising)
+    keys = 0
+    for n, r in slices:
+        if not X.slice(n + 1, r):
+            assert X.d_columns(n, r) == [{}] * len(X.slice(n, r)), (n, r)
+            assert (n + 1, r) not in X._index, (n, r)
+            keys += len(X.slice(n, r))
+    assert keys
+
+
 def test_empty_kernel_cohomology_builds_no_d_into_it():
     """A nonempty slice whose kernel is empty has no cohomology, read
     without building d(n - 1, r), on every complex above.  Each weight is
