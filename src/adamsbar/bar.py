@@ -32,18 +32,19 @@ for a reader.  faces reads the algebra's memoized d and products of
 monomials (mono_d, mono_mul) as they are, and shuffle_lin adds the
 shuffle of every pair of words into one dict, with the pair's
 coefficient.  The representatives of H^0 carry a coefficient of
-denominator 1 as an int.  HopfPresentation.classify returns its
-projector's own coordinates.  A weight with no word of degree -1 (every
-algebra whose generators have positive degree, the punctured lines
-among them) has no incoming d at H^0, and its classes are read off a
-KernelCoords with no elimination, in ints where the classified
-combination is integral; a generator of degree <= 0 can give H^0 an
-incoming d, and then the coordinates come from an elimination as
-Fractions.  product_of and coproduct_of keep that type, and the co-Lie
+denominator 1 as an int.  HopfPresentation.classify is class_coords
+of H^0's projector, bar.cohomology(0, w)[2], of either kind.  A weight
+with no word of degree -1 (every algebra whose generators have positive
+degree, the punctured lines among them) has no incoming d at H^0, and
+its classes are read off a KernelCoords with no elimination, in ints
+where the classified combination is integral; a generator of degree
+<= 0 can give H^0 an incoming d, and then the coordinates come from an
+elimination as Fractions.  product_of and coproduct_of keep that type, and the co-Lie
 decomposables echelon takes the products as they come.
 CoLiePresentation.project returns Fractions, and the cobracket projects
 each H^0 class once, sums in ints and makes one Fraction per structure
-constant.
+constant, antisymmetrized by _wedge_add, the exterior-square
+accumulator the Quillen comparison shares.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ def _wadd(out, w, c):
         out[w] = y
     else:
         out.pop(w, None)
+
+
+def _wedge_add(out, a, b, c):
+    """out += c * (e_a wedge e_b) in the basis e_p wedge e_q, p < q: c at
+    (a, b) if a < b, -c at (b, a) if b < a, nothing if a = b.  An entry
+    that sums to 0 stays, for the caller to drop."""
+    if a < b:
+        out[a, b] = out.get((a, b), 0) + c
+    elif b < a:
+        out[b, a] = out.get((b, a), 0) - c
 
 
 def map_letters(lin, f):
@@ -250,21 +261,6 @@ class BarComplex(linalg.SliceComplex):
         return {basis[i]: c for i, c in vec.items() if c}
 
 
-class WeightPiece:
-    """H^0 of the bar complex in one Adams weight: bar.cohomology(0, w)."""
-
-    def __init__(self, bar: BarComplex, w):
-        self.w = w
-        self.dim, self.reps, self.projector = bar.cohomology(0, w)
-
-    def rep_lins(self, bar):
-        """The representatives as word combinations, a coefficient of
-        denominator 1 as an int, so that the structure maps on them
-        compute with ints."""
-        return [{word: _exact(c) for word, c in bar.lin(v, 0, self.w).items()}
-                for v in self.reps]
-
-
 class HopfPresentation:
     """Weight-truncated H^0(Bbar(A)) with its product and coproduct.  Only
     the representatives are cached: each structure constant is computed
@@ -290,29 +286,27 @@ class HopfPresentation:
         self.A = A
         self.w_max = w_max
         self.bar = BarComplex(A)
-        self.pieces = {w: WeightPiece(self.bar, w) for w in range(w_max + 1)}
         self._reps = {}
 
     def dims(self):
-        return {w: self.pieces[w].dim for w in range(self.w_max + 1)}
+        return {w: self.bar.cohomology(0, w)[0] for w in range(self.w_max + 1)}
 
     def rep_lins(self, w):
-        """The weight-w representatives as word combinations, built once."""
+        """The weight-w representatives as word combinations, built once,
+        with ints for coefficients of denominator 1."""
         if w not in self._reps:
-            self._reps[w] = self.pieces[w].rep_lins(self.bar)
+            self._reps[w] = [
+                {word: _exact(c) for word, c in self.bar.lin(v, 0, w).items()}
+                for v in self.bar.cohomology(0, w)[1]]
         return self._reps[w]
 
     def classify(self, lin, w):
         """Class coordinates of a degree-0 weight-w cocycle combination, in
-        class order; a combination outside the span raises.  They
-        are the projector's own: an elimination's are Fractions, and a
-        kernel's (KernelCoords) are the entries of lin's vector at its
-        free columns, ints where lin's coefficients are."""
-        v = self.bar.vector(lin, 0, w)
-        projector = self.pieces[w].projector
-        if not isinstance(projector, linalg.KernelCoords):
-            return projector.class_coords(v)
-        coords = projector.coords(v)
+        class order: the projector's class_coords, Fractions off an
+        elimination and lin's own int or Fraction coefficients off a
+        KernelCoords; a combination outside the span raises."""
+        coords = self.bar.cohomology(0, w)[2].class_coords(
+            self.bar.vector(lin, 0, w))
         if coords is None:
             raise ValueError("vector outside the span of reps + image")
         return coords
@@ -381,8 +375,8 @@ def h0_hopf(A: CdgaPresentation, w_max):
 class CoLiePresentation:
     """Indecomposables gamma(w) of a HopfPresentation with their cobracket.
 
-    basis: list of (w, class_coords) pairs; index in this list is the
-    global generator index.  cobracket[g]: dict {(p, q): coeff} with
+    basis: list of (w, j) pairs, class j of weight w; index in this list
+    is the global generator index.  cobracket[g]: dict {(p, q): coeff} with
     p < q global indices, the coefficient of gen_p wedge gen_q, a
     Fraction; the table is built on its first read, and builds the
     coproduct of the generator classes only (HopfPresentation.coproduct_of).
@@ -407,18 +401,19 @@ class CoLiePresentation:
         self.basis = []
         self.by_weight = {}
         self._gamma = {}  # w -> (decomposables, non-pivot column -> index)
+        dims = hopf.dims()
         for w in range(1, hopf.w_max + 1):
             decomp = linalg.Echelon()
             for w1 in range(1, w // 2 + 1):
                 w2 = w - w1
-                for i in range(hopf.pieces[w1].dim):
-                    for j in range(hopf.pieces[w2].dim):
+                for i in range(dims[w1]):
+                    for j in range(dims[w2]):
                         if (w1, i) <= (w2, j):
                             decomp.add(hopf.product_of(w1, i, w2, j))
             cols = {}
-            for j in decomp.non_pivots(hopf.pieces[w].dim):
+            for j in decomp.non_pivots(dims[w]):
                 cols[j] = len(self.basis)
-                self.basis.append((w, {j: F(1)}))
+                self.basis.append((w, j))
             self.by_weight[w] = list(cols.values())
             self._gamma[w] = (decomp, cols)
 
@@ -445,31 +440,23 @@ class CoLiePresentation:
         return {cols[j]: c for j, c in sorted(residue.items())}
 
     def _cobracket(self, g, gamma_of):
-        w, class_vec = self.basis[g]
-        hopf = self.hopf
-        # reduced coproduct of the class, projected factor-wise to gamma
+        w, k = self.basis[g]
+        # reduced coproduct of class k, projected factor-wise to gamma
         tensor = {}
-        for k, c in class_vec.items():
-            c = _exact(c)
-            for (w1, i, j), cc in hopf.coproduct_of(w, k).items():
-                w2 = w - w1
-                if w1 == 0 or w2 == 0:
-                    continue
-                gi = gamma_of(w1, i)
-                gj = gamma_of(w2, j)
-                for p, cp in gi.items():
-                    for q, cq in gj.items():
-                        _wadd(tensor, (p, q), c * cc * cp * cq)
+        for (w1, i, j), c in self.hopf.coproduct_of(w, k).items():
+            w2 = w - w1
+            if w1 == 0 or w2 == 0:
+                continue
+            for p, cp in gamma_of(w1, i).items():
+                for q, cq in gamma_of(w2, j).items():
+                    _wadd(tensor, (p, q), c * cp * cq)
         # antisymmetrize; the orientation (q before p) is fixed so that the
         # cobracket matches the differential of the 1-minimal model under
         # the comparison isomorphism
         out = {}
         for (p, q), c in tensor.items():
-            if p < q:
-                _wadd(out, (p, q), -c)
-            elif q < p:
-                _wadd(out, (q, p), c)
-        return {pq: F(c) for pq, c in out.items()}
+            _wedge_add(out, q, p, c)
+        return {pq: F(c) for pq, c in out.items() if c}
 
 
 def gamma(A: CdgaPresentation, w_max):

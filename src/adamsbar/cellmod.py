@@ -55,6 +55,14 @@ class ModuleError(Exception):
     pass
 
 
+class FiltrationError(ModuleError):
+    """No strict filtration; index is the lowest basis index left out."""
+
+    def __init__(self, index):
+        super().__init__("differential admits no strict filtration")
+        self.index = index
+
+
 def _entries_at(matrix, axis):
     """{t: [(s, entry), ...]}: the entries of a sparse matrix
     {(row, col): entry} grouped by column (axis=1) or by row (axis=0), s the
@@ -340,7 +348,7 @@ def _strict_filtration(basis, diff):
                     nxt.append(j)
         stage = sorted(nxt)
     if sum(map(len, stages)) < len(basis):
-        raise ModuleError("differential admits no strict filtration")
+        raise FiltrationError(next(j for j, k in enumerate(waiting) if k))
     return stages
 
 
@@ -565,7 +573,7 @@ def _induced(entries, kept, other, what):
             for mono, c in a.items():
                 by_mono.setdefault(mono, {})[k] = c
         for mono, vec in by_mono.items():
-            coords = projector.class_coords(vec, strict=False)
+            coords = projector.class_coords(vec)
             if coords is None:
                 raise ModuleError(f"{what}, monomial {mono}")
             for k, c in coords.items():

@@ -3,8 +3,9 @@
 Commands operate on presentation files (see parser module) and emit
 canonical JSON reports: sorted keys, exact rationals rendered as
 strings, byte-identical across runs.  Exit codes: 0 = pass, 1 = a
-property failed (see the report's verdict), 2 = input error, 3 = internal
-error (an exception no input check names, with its traceback on stderr).
+property failed (see the report's verdict), 2 = input error (d^2 != 0
+too, where the verdict does not check it: _flat), 3 = internal error (an
+exception no input check names, with its traceback on stderr).
 """
 
 import argparse
@@ -89,6 +90,18 @@ def _load_cdga(path):
     return obj
 
 
+def _flat(obj):
+    """obj, an algebra or a cell module of right bidegrees, refused as an
+    input error where d^2 != 0: no cohomology of it can be certified."""
+    if isinstance(obj, cdga_mod.CdgaPresentation):
+        fails, error = cdga_mod.d_squared_failures(obj), cdga_mod.CdgaError
+    else:  # a parsed filtration is strict, so check() fails only on d^2
+        fails, error = obj.check()[1], ModuleError
+    if fails:
+        raise error(f"{obj.name}: " + "; ".join(fails))
+    return obj
+
+
 def _load_any(path, base_algebra=None):
     kind, obj = parse_file(path)
     if kind == "cdga":
@@ -125,11 +138,12 @@ def cmd_validate(args):
 
 def cmd_cohomology(args):
     kind, obj = _load_any(args.file,
-                          _load_cdga(args.base) if args.base else None)
+                          _flat(_load_cdga(args.base)) if args.base else None)
     if kind == "cdga":
         cdga_mod.check_bidegrees(obj)
     else:
         obj.check_bidegrees()
+    _flat(obj)
     tables = {}
     for n in range(0, args.deg_max + 1):
         for r in range(0, args.wt_max + 1):
@@ -142,7 +156,7 @@ def cmd_cohomology(args):
 
 
 def cmd_bar_h0(args):
-    A = _load_cdga(args.file)
+    A = _flat(_load_cdga(args.file))
     hopf = h0_hopf(A, args.wt_max)
     weights = range(args.wt_max + 1)
     tables = hopf.dims()
@@ -158,7 +172,7 @@ def cmd_bar_h0(args):
 
 
 def cmd_colie(args):
-    A = _load_cdga(args.file)
+    A = _flat(_load_cdga(args.file))
     gam = gamma(A, args.wt_max)
     # H^0 is a commutative connected Hopf algebra over Q, so by Leray and
     # Milnor-Moore it is free on gamma; other dims mean gamma is wrong
@@ -175,8 +189,8 @@ def cmd_colie(args):
 
 
 def cmd_minimal_model(args):
-    A = _load_cdga(args.file)
-    base = _load_cdga(args.base) if args.base else trivial_base()
+    A = _flat(_load_cdga(args.file))
+    base = _flat(_load_cdga(args.base)) if args.base else trivial_base()
     mm = relative_minimal_model(base, A, args.n, args.wt_max)
     ok = mm.certified()
     report = _base_report("minimal-model", args, ok)
@@ -192,7 +206,7 @@ def cmd_minimal_model(args):
 
 
 def cmd_quillen(args):
-    A = _load_cdga(args.file)
+    A = _flat(_load_cdga(args.file))
     ok, details = quillen_compare(A, args.wt_max)
     report = _base_report("quillen", args, ok)
     report["witnesses"] = [] if ok else [str(details)]

@@ -20,7 +20,9 @@ taken in ascending order.  What each view reads off it:
   of that subquotient: the coordinates of a vector on the family;
 - KernelCoords: coordinates on a kernel_basis with no elimination at
   all, read at the free columns; it is the projector of a cohomology
-  slice whose incoming d is 0, and the augmentation ideal's coordinates;
+  slice whose incoming d is 0, and the augmentation ideal's coordinates.
+  Both projectors answer class_coords(v): Fractions off an Echelon, v's
+  own int or Fraction entries off a KernelCoords, None outside the span;
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
   views above (an empty slice's cohomology is 0, read without its
@@ -46,7 +48,7 @@ integer vector over a positive denominator, so a reduction step is an
 integer update, and the only divisions are one gcd per step and one
 division by the content per stored row.  The boundary is exact
 rationals: inputs may mix int and fractions.Fraction entries, and every
-value that leaves this module is a Fraction, so results are exact,
+value that an elimination returns is a Fraction, so results are exact,
 bit-for-bit reproducible and the same however the input was written.
 Unit vectors share one immutable Fraction(1), ONE.
 Elimination always picks the pivot in the lowest remaining row, then the
@@ -202,14 +204,12 @@ class Echelon:
         """The columns below n that are not pivots, in order."""
         return [j for j in range(n) if j not in self._rows]
 
-    def class_coords(self, v, strict=True):
-        """Coordinates of v on the tagged vectors, in tag order, or None
-        when v is outside the span of the rows (strict=True raises).  They
+    def class_coords(self, v):
+        """Coordinates of v on the tagged vectors, in tag order, as
+        Fractions, or None when v is outside the span of the rows.  They
         are unique when the added vectors were independent."""
         V, C, den = self._reduce(v)
         if V:
-            if strict:
-                raise ValueError("vector outside the span of reps + image")
             return None
         return {i: Fraction(C[i], den) for i in sorted(C)}
 
@@ -260,10 +260,10 @@ def kernel_basis(cols):
 
 def solver(cols):
     """The Echelon of the columns cols of a matrix, each tagged by its
-    index.  Its class_coords(b, strict=False) is the solution x of
-    sum_j x_j cols[j] = b supported on the pivot columns (those
-    independent of the columns before them), which is unique, or None
-    when b is outside the column space."""
+    index.  Its class_coords(b) is the solution x of sum_j x_j cols[j]
+    = b supported on the pivot columns (those independent of the columns
+    before them), which is unique, or None when b is outside the column
+    space."""
     e = Echelon()
     for j, col in enumerate(cols):
         e.add(col, j)
@@ -271,9 +271,8 @@ def solver(cols):
 
 
 def solve(cols, b):
-    """solver(cols).class_coords(b, strict=False), for one right-hand
-    side."""
-    return solver(cols).class_coords(b, strict=False)
+    """solver(cols).class_coords(b), for one right-hand side."""
+    return solver(cols).class_coords(b)
 
 
 def quotient_basis(sub_vectors, vectors):
@@ -323,12 +322,12 @@ class KernelCoords:
         for k, v in enumerate(kernel):
             f = max(v)
             self._free[f] = k
-            # a tail entry of denominator 1 as an int, so coords computes
-            # with ints where the vectors are integral
+            # a tail entry of denominator 1 as an int, so class_coords
+            # computes with ints where the vectors are integral
             self._tails.append({j: x.numerator if x.denominator == 1 else x
                                 for j, x in v.items() if j != f})
 
-    def coords(self, v):
+    def class_coords(self, v):
         """v's coordinates on the kernel vectors, in their order and in
         v's own int or Fraction entries, or None when v is outside their
         span."""
@@ -338,16 +337,6 @@ class KernelCoords:
         for k, c in coords.items():
             _vec_iadd(residue, self._tails[k], -c)
         return None if residue else coords
-
-    def class_coords(self, v, strict=True):
-        """Echelon.class_coords of the kernel vectors: the coordinates as
-        Fractions, or None (strict=True raises) outside the span."""
-        coords = self.coords(v)
-        if coords is None:
-            if strict:
-                raise ValueError("vector outside the span of reps + image")
-            return None
-        return {k: Fraction(c) for k, c in coords.items()}
 
 
 class SliceComplex:
@@ -521,21 +510,29 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     adjoin(i, m, cells) gets the round's cells as a list of (z, b), z
     None for a closed cell; every vector in it was read off the source
     before the call changes it.  Rounds stop at one that adds nothing, or
-    after STAGE_ROUNDS.
+    after STAGE_ROUNDS.  A round raises ValueError when the image of a
+    source class is outside the target's cocycles.
 
     Returns (the number of rounds each stage ran, certificate): the
     certificate maps each stage and each (top + 1, m) to whether the map
     is an isomorphism (injective at top + 1) there, and is False at a
     stage that still added cells in its last round.
     """
-    def class_images(i, m, strict=True):
+    def class_images(i, m):
         """(dim H^i(m) of target, source reps, the target class
-        coordinates of each rep's image, None where not strict and the
-        image is outside the target's cocycles)."""
+        coordinates of each rep's image, None where the image is outside
+        the target's cocycles)."""
         dim, _, projector = target.cohomology(i, m)
         reps = source_reps(i, m)
-        return dim, reps, [projector.class_coords(image(i, m, v), strict)
+        return dim, reps, [projector.class_coords(image(i, m, v))
                            for v in reps]
+
+    def classes(i, m):
+        """class_images of a round, where every image has a class."""
+        out = class_images(i, m)
+        if None in out[2]:
+            raise ValueError("vector outside the span of reps + image")
+        return out
 
     def combine(coords, vectors):
         out = {}
@@ -549,19 +546,18 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     for i, m in stages:
         d_solver = None
         for k in range(1, STAGE_ROUNDS + 1):
-            dim, _, cols = class_images(i, m)
+            dim, _, cols = classes(i, m)
             reps = target.cohomology(i, m)[1]
             cells = [(None, combine(cv, reps)) for cv in quotient_basis(
                 cols, [{j: ONE} for j in range(dim)])] if dim else []
             if not cells:
-                _, reps, cols = class_images(i + 1, m)
+                _, reps, cols = classes(i + 1, m)
                 kernel = kernel_basis(cols)
                 if kernel and d_solver is None:
                     d_solver = solver(target.d_columns(i, m))
                 for kv in kernel:
                     z = combine(kv, reps)
-                    b = d_solver.class_coords(image(i + 1, m, z),
-                                              strict=False)
+                    b = d_solver.class_coords(image(i + 1, m, z))
                     if b is None:
                         raise ValueError(f"the image of a kernel class at "
                                          f"({i + 1}, {m}) is not exact")
@@ -574,7 +570,7 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
         rounds.append(k)
     certificate = {}
     for i, m in stages + [(top + 1, m) for i, m in stages if i == top]:
-        dim, reps, cols = class_images(i, m, strict=False)
+        dim, reps, cols = class_images(i, m)
         certificate[(i, m)] = (
             None not in cols and len(Echelon(cols)) == len(reps)
             and (i > top or dim == len(reps)) and (i, m) not in capped)

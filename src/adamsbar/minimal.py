@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import _vec_iadd
-from .bar import BarComplex, _exact, gamma as bar_gamma, map_letters
+from .bar import (BarComplex, _exact, _wedge_add, gamma as bar_gamma,
+                  map_letters)
 from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
@@ -81,7 +82,7 @@ class IdealComplex(linalg.SliceComplex):
         """Coordinates of an ideal element in the kernel basis: its entries
         at the free columns, if they account for all of it."""
         _, _, idx, reader = self.ideal_basis(i, m)
-        coords = reader.coords({idx[mm]: c for mm, c in el.items()})
+        coords = reader.class_coords({idx[mm]: c for mm, c in el.items()})
         if coords is None:
             raise ValueError("element not in the augmentation ideal")
         return coords
@@ -267,11 +268,7 @@ class QAColie:
                         f"d({name}) not in the exterior square of degree-1 "
                         f"generators: {mono}"
                     )
-                a, b = order[factors[0]], order[factors[1]]
-                if a < b:
-                    out[(a, b)] = out.get((a, b), F(0)) + c
-                else:
-                    out[(b, a)] = out.get((b, a), F(0)) - c
+                _wedge_add(out, order[factors[0]], order[factors[1]], F(c))
             self.cobracket[gidx] = {k: c for k, c in out.items() if c}
 
     def dims(self):
@@ -311,7 +308,7 @@ def quillen_compare(A: CdgaPresentation, w_max):
                     [cols[j] for j in long])
             words, long, solver = corrections[w]
             sol = solver.class_coords(
-                el_scale(bar_m.vector(target, 1, w), F(-1)), strict=False)
+                el_scale(bar_m.vector(target, 1, w), F(-1)))
             if sol is None:
                 return False, {"reason": f"no cocycle correction for {name}"}
             for j, c in sol.items():
@@ -334,10 +331,7 @@ def quillen_compare(A: CdgaPresentation, w_max):
         for (p, q), c in pairs.items():
             for a, ca in phi[p].items():
                 for b, cb in phi[q].items():
-                    if a < b:
-                        out[(a, b)] = out.get((a, b), F(0)) + c * ca * cb
-                    elif b < a:
-                        out[(b, a)] = out.get((b, a), F(0)) - c * ca * cb
+                    _wedge_add(out, a, b, c * ca * cb)
         return {k: c for k, c in out.items() if c}
 
     for gidx in range(len(qa.basis)):

@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 
 from .cdga import CdgaPresentation, GeneratorSpec, UNIT
-from .cellmod import CellModule, _strict_filtration
+from .cellmod import CellModule, FiltrationError, _strict_filtration
 from .linalg import _vec_iadd
 
 F = Fraction
@@ -288,7 +288,9 @@ def bind_cell(spec, A: CdgaPresentation):
     Each entry of d accumulates its terms in place, with int coefficients
     where they are integral, as _parse_poly does; an entry that cancels
     is dropped at once, so a later term on it appends it anew.  Every
-    stored coefficient becomes one Fraction at the end."""
+    stored coefficient becomes one Fraction at the end.  A d that admits
+    no strict filtration is a ParseError at the first d line of the
+    lowest element it leaves without a stage."""
     declared = spec["declared"]
     diff = {}
     for target, cur in spec["dlines"]:
@@ -301,7 +303,14 @@ def bind_cell(spec, A: CdgaPresentation):
                 del diff[key]
     diff = {key: {m: F(c) for m, c in entry.items()}
             for key, entry in diff.items()}
-    filtration = _strict_filtration(spec["elts"], diff)
+    try:
+        filtration = _strict_filtration(spec["elts"], diff)
+    except FiltrationError as e:
+        name = spec["elts"][e.index][0]
+        line = next(cur.lineno for target, cur in spec["dlines"]
+                    if target == name)
+        raise ParseError(f"d of element {name!r} admits no strict "
+                         "filtration", line) from None
     return CellModule(A, spec["elts"], diff, filtration, 0, spec["name"])
 
 

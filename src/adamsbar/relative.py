@@ -263,7 +263,7 @@ class SemiDirectData:
 def semidirect(X: AugmentedOverN, w_max):
     rb = relative_bar_h0(X, w_max)
     weights = list(range(w_max + 1))
-    kernel_dims = {w: rb.hopf.pieces[w].dim for w in weights}
+    kernel_dims = rb.hopf.dims()
     hopf_base = HopfPresentation(X.base, w_max)
     base_dims = hopf_base.dims()
     hopf_total = h0_hopf(X.total, w_max)
@@ -286,13 +286,14 @@ def semidirect(X: AugmentedOverN, w_max):
     # p*: base classes into the total algebra; s*: augmentation back
     gam_base = CoLiePresentation(hopf_base)
     p_star = {}
-    for gi, (w, lin) in enumerate(_gamma_lins(gam_base)):
+    for gi, (w, j) in enumerate(gam_base.basis):
+        lin = hopf_base.rep_lins(w)[j]
         p_star[gi] = gam_total.project(hopf_total.classify(lin, w), w)
     s_star = {}
-    for gi, (w, lin) in enumerate(_gamma_lins(gam_total)):
-        # push the word letter-wise through the augmentation into base
-        # words
-        elin = map_letters(lin, lambda letter: X.eps({letter: F(1)}))
+    for gi, (w, j) in enumerate(gam_total.basis):
+        # push the representative letter-wise through the augmentation
+        elin = map_letters(hopf_total.rep_lins(w)[j],
+                           lambda letter: X.eps({letter: F(1)}))
         s_star[gi] = gam_base.project(hopf_base.classify(elin, w), w)
     sp_identity_ok = True
     for gi in p_star:
@@ -312,19 +313,6 @@ def semidirect(X: AugmentedOverN, w_max):
         indecomp_ok, p_star, s_star, sp_identity_ok,
         coaction_matrix(X, rb.conn, w_max), verdict,
     )
-
-
-def _gamma_lins(gam: CoLiePresentation):
-    """(weight, word combination) of each generator of gam, in order: its
-    class vector expanded over the representatives of its weight."""
-    out = []
-    for w, cv in gam.basis:
-        lin = {}
-        for k, c in cv.items():
-            for word, c2 in gam.hopf.rep_lins(w)[k].items():
-                _wadd(lin, word, c * c2)
-        out.append((w, lin))
-    return out
 
 
 def coaction_matrix(X: AugmentedOverN, conn, w_max):

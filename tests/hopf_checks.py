@@ -10,7 +10,7 @@ its own reads them itself.  Every ordered product is classified on its
 own, so product_commutative tests something: nothing stores one order of
 a pair as the other.
 
-The checks read h.w_max, h.pieces, h.product_of(w1, i, w2, j) and
+The checks read h.w_max, h.dims(), h.product_of(w1, i, w2, j) and
 h.coproduct_of(w, k); antipode_axiom also reads h.bar, h.rep_lins and
 h.classify, since the antipode of a class is classified here from the
 word-level antipode of its representative.
@@ -36,10 +36,10 @@ def tables(h):
     wmax = h.w_max
     product = {(w1, i, w2, j): h.product_of(w1, i, w2, j)
                for w1 in range(wmax + 1) for w2 in range(wmax + 1 - w1)
-               for i in range(h.pieces[w1].dim)
-               for j in range(h.pieces[w2].dim)}
+               for i in range(h.dims()[w1])
+               for j in range(h.dims()[w2])}
     coproduct = {(w, k): h.coproduct_of(w, k) for w in range(wmax + 1)
-                 for k in range(h.pieces[w].dim)}
+                 for k in range(h.dims()[w])}
     return product, coproduct
 
 
@@ -57,9 +57,9 @@ def product_associative(h, t=None):
     for w1 in range(wmax + 1):
         for w2 in range(wmax + 1 - w1):
             for w3 in range(wmax + 1 - w1 - w2):
-                for i in range(h.pieces[w1].dim):
-                    for j in range(h.pieces[w2].dim):
-                        for k in range(h.pieces[w3].dim):
+                for i in range(h.dims()[w1]):
+                    for j in range(h.dims()[w2]):
+                        for k in range(h.dims()[w3]):
                             lhs = {}
                             for m, c in product[(w1, i, w2, j)].items():
                                 for n, c2 in product[(w1 + w2, m, w3, k)].items():
@@ -106,8 +106,8 @@ def coproduct_algebra_map(h, t=None):
     for w1 in range(wmax + 1):
         for w2 in range(wmax + 1 - w1):
             w = w1 + w2
-            for i in range(h.pieces[w1].dim):
-                for j in range(h.pieces[w2].dim):
+            for i in range(h.dims()[w1]):
+                for j in range(h.dims()[w2]):
                     lhs = {}
                     for m, c in product[(w1, i, w2, j)].items():
                         for (wa, a, b), c2 in coproduct[(w, m)].items():

@@ -416,13 +416,20 @@ class ReferenceEchelon:
     def non_pivots(self, n):
         return [j for j in range(n) if j not in self._rows]
 
-    def class_coords(self, v, strict=True):
+    def class_coords(self, v):
         V, C, den = self._reduce(v)
         if V:
-            if strict:
-                raise ValueError("vector outside the span of reps + image")
             return None
         return {i: Fraction(C[i], den) for i in sorted(C)}
+
+
+def class_coords_inside(projector, v):
+    """projector.class_coords(v) of a linalg projector, for a v that must
+    lie in its span: a v outside raises ValueError."""
+    coords = projector.class_coords(v)
+    if coords is None:
+        raise ValueError("vector outside the span of reps + image")
+    return coords
 
 
 # ---- the reference cell-module bookkeeping ------------------------------
@@ -474,13 +481,13 @@ def reference_hopf(h):
     its representatives: every ordered product (the unit included) and
     every split of the coproduct is classified, against a
     ReferenceProjector per weight.  The result has what hopf_checks
-    reads: w_max, pieces, product_of(w1, i, w2, j), coproduct_of(w, k),
+    reads: w_max, dims, product_of(w1, i, w2, j), coproduct_of(w, k),
     and bar, rep_lins and classify, for the antipode of a class."""
     bar = h.bar
     projectors = {}
-    for w, p in h.pieces.items():
+    for w in range(h.w_max + 1):
         image, _ = reference_echelonize(bar.d_columns(-1, w))
-        projectors[w] = ReferenceProjector(p.reps, image)
+        projectors[w] = ReferenceProjector(bar.cohomology(0, w)[1], image)
 
     def classify(lin, w):
         return projectors[w].class_coords(bar.vector(lin, 0, w))
@@ -488,14 +495,12 @@ def reference_hopf(h):
     product, coproduct = {}, {}
     for w1 in range(h.w_max + 1):
         for w2 in range(h.w_max + 1 - w1):
-            p1, p2 = h.pieces[w1], h.pieces[w2]
-            for i, u in enumerate(p1.rep_lins(bar)):
-                for j, v in enumerate(p2.rep_lins(bar)):
+            for i, u in enumerate(h.rep_lins(w1)):
+                for j, v in enumerate(h.rep_lins(w2)):
                     prod = bar.shuffle_lin(u, v)
                     product[(w1, i, w2, j)] = classify(prod, w1 + w2)
     for w in range(h.w_max + 1):
-        piece = h.pieces[w]
-        for k, rep in enumerate(piece.rep_lins(bar)):
+        for k, rep in enumerate(h.rep_lins(w)):
             out = {}
             # split the deconcatenation by prefix weight
             by_weight = {}
@@ -521,11 +526,10 @@ def reference_hopf(h):
                     for j, c in vcls.items():
                         out[(w1, i, j)] = out.get((w1, i, j), F(0)) + c
             coproduct[(w, k)] = {k2: c for k2, c in out.items() if c}
-    reps = {w: p.rep_lins(bar) for w, p in h.pieces.items()}
-    return SimpleNamespace(w_max=h.w_max, pieces=h.pieces,
+    return SimpleNamespace(w_max=h.w_max, dims=h.dims,
                            product_of=lambda *key: product[key],
                            coproduct_of=lambda w, k: coproduct[(w, k)],
-                           bar=bar, rep_lins=reps.__getitem__,
+                           bar=bar, rep_lins=h.rep_lins,
                            classify=classify)
 
 
@@ -616,13 +620,13 @@ def reference_colie(h):
         decomp = []
         for w1 in range(1, w):
             w2 = w - w1
-            for i in range(h.pieces[w1].dim):
-                for j in range(h.pieces[w2].dim):
+            for i in range(h.dims()[w1]):
+                for j in range(h.dims()[w2]):
                     v = ref.product_of(w1, i, w2, j)
                     if v:
                         decomp.append(v)
         decomp_basis, _ = reference_echelonize(decomp)
-        reps = reference_quotient_reps(decomp_basis, h.pieces[w].dim)
+        reps = reference_quotient_reps(decomp_basis, h.dims()[w])
         by_weight[w] = list(range(len(basis), len(basis) + len(reps)))
         basis.extend((w, v) for v in reps)
         projectors[w] = ReferenceProjector(reps, decomp_basis)
@@ -923,7 +927,8 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
         cols = []
         for rv in repsM:
             img = A.substitute(ic_M.from_coords(rv, i, m), structure_map)
-            cols.append(projA.class_coords(ic_A.to_coords(img, i, m)))
+            cols.append(class_coords_inside(projA,
+                                            ic_A.to_coords(img, i, m)))
         return dimM, cols
 
     for m in range(1, w_max + 1):
@@ -1030,13 +1035,12 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
                 img[i] = img.get(i, F(0)) + c * cc
         return {i: c for i, c in img.items() if c}
 
-    def class_map(P, n, r, strict=True):
+    def class_map(P, n, r, read=class_coords_inside):
         dimD, repsD, projD = D.cohomology(n, r)
         _, repsP, _ = P.cohomology(n, r)
         src = P.slice_basis(n, r)
         pos = {b: k for k, b in enumerate(D.slice(n, r))}
-        cols = [projD.class_coords(
-                    {pos[i]: c for i, c in phi_of(src, rv).items()}, strict)
+        cols = [read(projD, {pos[i]: c for i, c in phi_of(src, rv).items()})
                 for rv in repsP]
         return dimD, repsD, repsP, cols
 
@@ -1088,7 +1092,8 @@ def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):
     certificate = {}
     for n in range(coh_min, coh_max + 2):
         for r in range(0, adams_max + 1):
-            dimD, _, repsP, cols = class_map(P, n, r, strict=False)
+            dimD, _, repsP, cols = class_map(
+                P, n, r, read=lambda proj, v: proj.class_coords(v))
             if any(c is None for c in cols):
                 certificate[(n, r)] = False
                 continue
@@ -1204,7 +1209,8 @@ def reference_t_truncate(M, n):
                 by_mono.setdefault((rk, mono), {})[k] = c
         for (rk, mono), vec in by_mono.items():
             pos, proj, base = projectors[rk]
-            cls = proj.class_coords({pos[k]: c for k, c in vec.items()})
+            cls = class_coords_inside(
+                proj, {pos[k]: c for k, c in vec.items()})
             for t, c in cls.items():
                 key = (base + t, j)
                 gamma[key] = el_add(gamma.get(key, {}), {mono: F(1)}, c)
@@ -1462,9 +1468,7 @@ def gamma_by_content(gam):
     a representative must have the same content."""
     letters = sorted(g.name for g in gam.hopf.A.generators)
     out = {}
-    for w, class_vec in gam.basis:
-        (j, c), = class_vec.items()
-        assert c == 1
+    for w, j in gam.basis:
         contents = set()
         for word in gam.hopf.rep_lins(w)[j]:
             counts = Counter()

@@ -89,8 +89,8 @@ def test_criterion_3_bar_dims_vs_oracle():
         hopf = h0_hopf(make_e2(), 4)
         gam = gamma(make_e2(), 4)
         for w in range(1, 5):
-            assert hopf.pieces[w].dim == 2 ** w
-            assert hopf.pieces[w].dim == brute_force_h0_dim(2, w)
+            assert hopf.dims()[w] == 2 ** w
+            assert hopf.dims()[w] == brute_force_h0_dim(2, w)
             assert len(gam.by_weight[w]) == brute_force_gamma_dim(2, w)
         assert [len(gam.by_weight[w]) for w in range(1, 5)] == [2, 1, 2, 3]
 

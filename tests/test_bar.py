@@ -196,11 +196,11 @@ def test_h0_dims(e1, e2, e3):
 
 
 def test_dims_build_no_table(e3):
-    """dims() reads the weight pieces only, and the co-Lie quotient keeps
-    no structure constant in the Hopf presentation: it caches only the
-    representatives."""
+    """dims() reads the bar complex's H^0 only, and the co-Lie quotient
+    keeps no structure constant in the Hopf presentation: it caches only
+    the representatives."""
     h = h0_hopf(e3, 4)
-    fields = {"A", "w_max", "bar", "pieces", "_reps"}
+    fields = {"A", "w_max", "bar", "_reps"}
     assert h.dims() == {0: 1, 1: 2, 2: 4, 3: 6, 4: 9}
     assert set(vars(h)) == fields
     CoLiePresentation(h)
@@ -299,10 +299,10 @@ def test_colie_matches_reference(mk, w_max):
     basis, non-pivot reps and separate projector."""
     h = h0_hopf(mk(), w_max)
     g, ref = CoLiePresentation(h), reference.reference_colie(h)
-    assert g.basis == ref.basis
+    assert [(w, {j: F(1)}) for w, j in g.basis] == ref.basis
     assert g.by_weight == ref.by_weight
     for w in range(1, w_max + 1):
-        for k in range(h.pieces[w].dim):
+        for k in range(h.dims()[w]):
             got = g.project({k: F(1)}, w)
             assert list(got.items()) == list(ref.project({k: F(1)}, w).items())
     assert g.cobracket.keys() == ref.cobracket.keys()
@@ -468,12 +468,52 @@ def test_cobracket_projects_each_class_once(e3, monkeypatch):
         assert len(projected) == len(set(projected)), A.name
 
 
+@pytest.mark.parametrize("mk, kind", [
+    (make_e3, linalg.KernelCoords),
+    (make_e3_contractible, linalg.Echelon),
+], ids=["KernelCoords", "Echelon"])
+def test_classify_raises_outside_the_span(mk, kind):
+    """classify raises ValueError on a combination outside the span of the
+    cocycles, whichever kind of projector reads its weight; the projector
+    itself answers None."""
+    h = h0_hopf(mk(), 2)
+    projector = h.bar.cohomology(0, 2)[2]
+    assert type(projector) is kind
+    lin = {((("z", 1),),): 1}  # d [z] = [x*y], not 0
+    assert projector.class_coords(h.bar.vector(lin, 0, 2)) is None
+    with pytest.raises(ValueError) as exc:
+        h.classify(lin, 2)
+    assert str(exc.value) == "vector outside the span of reps + image"
+
+
+def test_colie_basis_is_weight_and_class(e3):
+    """Each gamma generator is (w, j): class j of weight w, a non-pivot
+    column of the decomposables echelon."""
+    g = gamma(e3, 4)
+    assert g.basis == [(1, 0), (1, 1), (2, 3)]
+    assert all(type(j) is int for _, j in g.basis)
+
+
+def test_wedge_add_writes_the_exterior_square():
+    """c (e_a wedge e_b) adds c at (a, b) for a < b and -c at (b, a) for
+    b < a, keeps each value's type, leaves e_a wedge e_a out and keeps an
+    entry that sums to 0."""
+    out = {}
+    bar_module._wedge_add(out, 0, 2, F(1, 2))
+    bar_module._wedge_add(out, 3, 1, 2)
+    bar_module._wedge_add(out, 4, 4, 5)
+    assert [(k, type(c), c) for k, c in out.items()] == [
+        ((0, 2), F, F(1, 2)), ((1, 3), int, -2)]
+    bar_module._wedge_add(out, 2, 0, F(1, 2))
+    assert out == {(0, 2): 0, (1, 3): -2}
+
+
 def test_contractible_pair_keeps_gamma():
     """A contractible pair changes neither H^0 nor gamma: E3 with one has
     E3's dims and cobracket, read through an elimination per weight where
     E3 needs none."""
     h = h0_hopf(make_e3_contractible(), 5)
-    assert all(type(h.pieces[w].projector) is linalg.Echelon
+    assert all(type(h.bar.cohomology(0, w)[2]) is linalg.Echelon
                for w in range(1, 6))
     g, ref = CoLiePresentation(h), gamma(make_e3(), 5)
     assert h.dims() == ref.hopf.dims()
@@ -491,7 +531,7 @@ def test_cobracket_and_projection_are_fractions(mk):
     for cb in g.cobracket.values():
         assert all(type(c) is F for c in cb.values()), cb
     for w in range(1, 5):
-        for k in range(g.hopf.pieces[w].dim):
+        for k in range(g.hopf.dims()[w]):
             for vec in ({k: F(1)}, {k: 1}):
                 assert all(type(c) is F for c in g.project(vec, w).values())
 
@@ -543,7 +583,7 @@ def test_cobracket_builds_only_the_generator_coproducts(e3, monkeypatch):
     g = gamma(e3, 6)
     g.cobracket
     g.cobracket
-    assert sorted(built) == sorted((w, j) for w, vec in g.basis for j in vec)
+    assert sorted(built) == sorted(g.basis)
     assert len(built) < sum(g.hopf.dims().values())
     hopf, ref = g.hopf, reference.reference_hopf(g.hopf)
     for w, dim in hopf.dims().items():

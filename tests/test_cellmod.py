@@ -407,8 +407,7 @@ def _assert_cached_slices_are_fresh(P):
         want_dim, want_reps, want_proj = fresh.cohomology(n, r)
         assert (dim, reps) == (want_dim, want_reps), (n, r)
         for v in fresh.kernel(n, r) + fresh.d_columns(n - 1, r):
-            assert (proj.class_coords(v, strict=False)
-                    == want_proj.class_coords(v, strict=False)), (n, r)
+            assert proj.class_coords(v) == want_proj.class_coords(v), (n, r)
 
 
 def _checked_attach(monkeypatch, grown):

@@ -438,6 +438,64 @@ def test_quillen_command(capsys, tmp_path):
     assert code == 0
 
 
+# CURVED_TEXT without its aug lines: an absolute algebra with d^2 w != 0
+CURVED_ABSOLUTE = "".join(line + "\n" for line in CURVED_TEXT.splitlines()
+                          if not line.startswith("aug"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "@f"],
+    ["bar-h0", "@f"],
+    ["colie", "@f"],
+    ["quillen", "@f"],
+    ["minimal-model", "@t", "--base", "@n"],
+], ids=lambda argv: argv[0])
+def test_curved_algebra_exits_2(capsys, tmp_path, argv):
+    """A command whose verdict does not check d^2 refuses an algebra with
+    d^2 w = -s*t*u != 0 before computing, naming the generator as
+    cdga.d_squared_failures does; validate fails the same algebra."""
+    files = {"@f": write(tmp_path, "curved.cdga", CURVED_ABSOLUTE),
+             "@t": write(tmp_path, "curved-aug.cdga", CURVED_TEXT),
+             "@n": write(tmp_path, "n2.cdga", N2_TEXT)}
+    code = main([files.get(a, a) for a in argv] + ["--wt-max", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: Curved: d^2(w) != 0\n"
+    code, rep = run(capsys, "validate", files[argv[1]])
+    assert (code, rep["witnesses"]) == (1, ["d^2(w) != 0"])
+
+
+def test_curved_base_of_minimal_model_exits_2(capsys, tmp_path):
+    """minimal-model refuses a curved base before it reads whether the
+    total contains the base."""
+    f = write(tmp_path, "e1.cdga", E1_TEXT)
+    base = write(tmp_path, "curved.cdga", CURVED_ABSOLUTE)
+    code = main(["minimal-model", f, "--base", base, "--wt-max", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: Curved: d^2(w) != 0\n"
+
+
+E2_XY_TEXT = "cdga E2 free\ngen x deg 1 wt 1\ngen y deg 1 wt 1\n"
+
+
+def test_curved_cell_module_exits_2(capsys, tmp_path):
+    """cohomology refuses a cell module with d b = y a and d c = x b, so
+    d^2 c = -x*y a, with check()'s d^2 witness; validate fails it."""
+    b = write(tmp_path, "e2.cdga", E2_XY_TEXT)
+    f = write(tmp_path, "curved.cell",
+              "cell C over E2\nelt a deg 0 wt 0\nelt b deg 0 wt 1\n"
+              "elt c deg 0 wt 2\nd b = 1*y a\nd c = 1*x b\n")
+    witness = "d^2 != 0 at (k=0, j=2): {(('x', 1), ('y', 1)): Fraction(-1, 1)}"
+    code = main(["cohomology", f, "--base", b, "--wt-max", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: C: {witness}\n"
+    code, rep = run(capsys, "validate", f, "--base", b)
+    assert (code, rep["witnesses"]) == (1, [witness])
+
+
 def test_kernel_command(capsys, tmp_path):
     b = write(tmp_path, "e1.cdga", E1_TEXT)
     f = write(tmp_path, "e4.cdga", E4_TEXT)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from adamsbar.linalg import (
+    ONE,
     Echelon,
     KernelCoords,
+    attach_cells,
     cocycle_classes,
     kernel_basis,
     quotient_basis,
@@ -141,9 +143,7 @@ def test_class_projector():
     # cocycle_classes on an independent family
     proj = cocycle_classes([{0: F(1)}], [{1: F(1)}])[2]
     assert proj.class_coords({0: F(2), 1: F(5)}) == {0: F(2)}
-    assert proj.class_coords({2: F(1)}, strict=False) is None
-    with pytest.raises(ValueError):
-        proj.class_coords({2: F(1)})
+    assert proj.class_coords({2: F(1)}) is None
 
 
 @st.composite
@@ -182,11 +182,9 @@ def test_class_projector_matches_solve(case):
     assert snapshot() == before
     for v in targets:
         sol = solve(family, v)
-        got = proj.class_coords(v, strict=False)
+        got = proj.class_coords(v)
         if sol is None:
             assert got is None
-            with pytest.raises(ValueError):
-                proj.class_coords(v)
         else:
             want = {i: c for i, c in sol.items() if i < nreps and c}
             assert list(got.items()) == list(want.items())
@@ -298,13 +296,11 @@ def test_cohomology_matches_reference(case):
     assert [list(v.items()) for v in reps] == [
         list(v.items()) for v in want_reps]
     for q in queries + reps:
-        got = proj.class_coords(q, strict=False)
+        got = proj.class_coords(q)
         try:
             want = want_proj.class_coords(q)
         except ValueError:
             assert got is None
-            with pytest.raises(ValueError):
-                proj.class_coords(q)
         else:
             assert list(got.items()) == list(want.items())
 
@@ -423,7 +419,7 @@ def test_kernel_and_solver_match_reference(case):
     s = solver(cols)
     for b in rhs:
         want = reference.reference_solve(cols, b)
-        got = s.class_coords(b, strict=False)
+        got = s.class_coords(b)
         if want is None:
             assert got is None and solve(cols, b) is None
         else:
@@ -472,7 +468,7 @@ def test_integer_cohomology_matches_reference_on_mixed_entries(case):
     assert items(reps) == items(want_reps)
     assert_fractions(reps)
     for q in queries + reps:
-        got = proj.class_coords(q, strict=False)
+        got = proj.class_coords(q)
         try:
             want = want_proj.class_coords(q)
         except ValueError:
@@ -514,26 +510,22 @@ def kernels_and_queries(draw):
 @given(kernels_and_queries())
 def test_kernel_coords_match_cocycle_classes(case):
     """KernelCoords reads the coordinates cocycle_classes(kernel, []) gives
-    on the kernel: the same values, key order and Fraction type for
-    Fraction and int entries, None outside the span (strict=False) and
-    the same ValueError (strict=True), and its inputs are left alone."""
+    on the kernel: the same values and key order for Fraction and int
+    entries, each v's own entry at its vector's free column, and None
+    outside the span; and its inputs are left alone."""
     ker, queries = case
     before = items(ker + queries)
     want_proj, got_proj = cocycle_classes(ker, [])[2], KernelCoords(ker)
     for q in queries:
         for v in (q, integral_entries(q)):
-            want = want_proj.class_coords(v, strict=False)
-            got = got_proj.class_coords(v, strict=False)
+            want = want_proj.class_coords(v)
+            got = got_proj.class_coords(v)
             if want is None:
                 assert got is None
-                with pytest.raises(ValueError) as want_err:
-                    want_proj.class_coords(v)
-                with pytest.raises(ValueError) as got_err:
-                    got_proj.class_coords(v)
-                assert str(got_err.value) == str(want_err.value)
             else:
                 assert list(got.items()) == list(want.items())
-                assert_fractions([got])
+                assert all(type(c) is type(v[max(ker[k])])
+                           for k, c in got.items())
     assert items(ker + queries) == before
 
 
@@ -571,7 +563,7 @@ def test_echelon_matches_back_substituting_reference(case):
     """Triangular rows give the back-substituting echelon's pivot on each
     add, its rank, non-pivots, reduce residues and combinations (values
     and Fraction type) and class_coords (values, key order, Fraction
-    type, None and the ValueError), and leave their inputs alone."""
+    type and None), and leave their inputs alone."""
     vecs, tags, queries = case
     before = items(vecs + queries)
     got, want = Echelon(), reference.ReferenceEchelon()
@@ -583,15 +575,10 @@ def test_echelon_matches_back_substituting_reference(case):
         residue, combo = got.reduce(q)
         assert (residue, combo) == want.reduce(q)
         assert_fractions([residue, combo])
-        c = got.class_coords(q, strict=False)
-        w = want.class_coords(q, strict=False)
+        c = got.class_coords(q)
+        w = want.class_coords(q)
         if w is None:
             assert c is None
-            with pytest.raises(ValueError) as want_err:
-                want.class_coords(q)
-            with pytest.raises(ValueError) as got_err:
-                got.class_coords(q)
-            assert str(got_err.value) == str(want_err.value)
         else:
             assert list(c.items()) == list(w.items())
             assert_fractions([c])
@@ -655,3 +642,41 @@ def test_kernel_of_zero_columns_needs_no_elimination(n, monkeypatch):
     got = kernel_basis(cols)
     assert items(got) == items(want)
     assert all(type(c) is Fraction for v in got for c in v.values())
+
+
+# ---- one class_coords on both projectors -----------------------------------
+
+
+def test_class_coords_is_none_outside_the_span():
+    """Both projectors answer None for a vector outside their span and
+    raise nothing; KernelCoords gives v's own entries, ints for int
+    entries, and an Echelon Fractions."""
+    ker = [{0: ONE}, {1: F(-2), 2: ONE}]
+    kernel, echelon = KernelCoords(ker), cocycle_classes(ker, [])[2]
+    for proj in (kernel, echelon):
+        assert proj.class_coords({1: 1}) is None
+        assert proj.class_coords({1: F(1, 3), 2: 5}) is None
+    v = {0: 3, 1: -4, 2: 2}
+    got = kernel.class_coords(v)
+    assert [(k, type(c), c) for k, c in got.items()] == [(0, int, 3),
+                                                         (1, int, 2)]
+    got = echelon.class_coords(v)
+    assert [(k, type(c), c) for k, c in got.items()] == [(0, F, 3), (1, F, 2)]
+
+
+@pytest.mark.parametrize("projector", [
+    KernelCoords([{0: ONE}]), cocycle_classes([{0: ONE}], [])[2],
+], ids=["KernelCoords", "Echelon"])
+def test_attach_cells_raises_on_an_image_with_no_class(projector):
+    """A round raises ValueError when the image of a source class is not a
+    target cocycle, whichever kind of projector the target has."""
+    target = type("Target", (), {
+        "cohomology": lambda self, i, m: (1, [{0: ONE}], projector),
+        "d_columns": lambda self, i, m: [{}]})()
+    adjoined = []
+    with pytest.raises(ValueError) as exc:
+        attach_cells([(1, 1)], 1, target, lambda i, m: [{0: ONE}],
+                     lambda i, m, v: {1: 1},
+                     lambda i, m, cells: adjoined.append(cells))
+    assert str(exc.value) == "vector outside the span of reps + image"
+    assert adjoined == []

@@ -163,6 +163,32 @@ def test_file_error_message(tmp_path, data, message):
     assert str(exc.value) == message
 
 
+# (id, cell file over E1, message): a d with a cycle admits no strict
+# filtration, and the error is at the first d line of the lowest element
+# left without a stage
+CYCLE_ERRORS = [
+    ("two-cycle",
+     "cell M over E1\nelt a deg 0 wt 0\nelt b deg 0 wt 0\n"
+     "d a = 1 b\nd b = 1 a\n",
+     "line 4: d of element 'a' admits no strict filtration"),
+    ("cycle-above-a-stage",
+     "cell M over E1\nelt a deg 0 wt 0\nelt b deg 0 wt 0\n"
+     "elt c deg 0 wt 0\nelt e deg 0 wt 0\n"
+     "d e = 1 c\nd c = 1 b\nd b = 1 c\nd b = 1 a\n",
+     "line 8: d of element 'b' admits no strict filtration"),
+]
+
+
+@pytest.mark.parametrize("text, message", [c[1:] for c in CYCLE_ERRORS],
+                         ids=[c[0] for c in CYCLE_ERRORS])
+def test_bind_cycle_error_message(text, message):
+    _, A = parse_text(E1_TEXT)
+    _, spec = parse_text(text)
+    with pytest.raises(ParseError) as exc:
+        bind_cell(spec, A)
+    assert str(exc.value) == message
+
+
 def test_bind_cell_order_and_fractions():
     """An entry that cancels leaves d at once and comes back at the end;
     a monomial that cancels inside an entry does the same; each stored

@@ -93,7 +93,7 @@ def test_empty_slice_cohomology_reads_no_neighbour(name):
         dim, reps, proj = X.cohomology(n, r)
         assert (dim, reps) == (0, []), (n, r)
         assert proj.class_coords({}) == {}
-        assert proj.class_coords({0: 1}, strict=False) is None
+        assert proj.class_coords({0: 1}) is None
         assert (n + 1, r) not in X._index, (n, r)
         assert (n, r) not in X._d and (n - 1, r) not in X._d, (n, r)
 
