@@ -439,7 +439,7 @@ def _validate_table(A):
     return failures
 
 
-def is_coh_connected(A: CdgaPresentation, adams_max=4):
+def is_coh_connected(A: CdgaPresentation, adams_max):
     """H^n(r) = 0 for n <= 0 and 1 <= r <= adams_max, H^0(0) = Q.
 
     A monomial of weight r has at most r factors (every generator has

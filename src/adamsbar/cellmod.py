@@ -56,11 +56,12 @@ class ModuleError(Exception):
 
 
 class FiltrationError(ModuleError):
-    """No strict filtration; index is the lowest basis index left out."""
+    """No strict filtration; left lists the unstaged indices, ascending."""
 
-    def __init__(self, index):
+    def __init__(self, left):
         super().__init__("differential admits no strict filtration")
-        self.index = index
+        self.left = left
+        self.index = left[0]
 
 
 def _entries_at(matrix, axis):
@@ -331,7 +332,9 @@ def _strict_filtration(basis, diff):
     in ascending order, the indices j whose every entry (i, j) of d, a
     cancelled one included, has i in a stage below s, and one in stage
     s - 1.  Kahn's layering: an index joins the next stage when the last
-    of its entries' rows is placed, so each entry is visited once."""
+    of its entries' rows is placed, so each entry is visited once.  It
+    stages a cell module's cells and the fiber generators of
+    minimal.generalized_nilpotent_check, and raises FiltrationError."""
     waiting = [0] * len(basis)  # entries of each column not yet placed
     for _, j in diff:
         waiting[j] += 1
@@ -347,8 +350,8 @@ def _strict_filtration(basis, diff):
                 if not waiting[j]:
                     nxt.append(j)
         stage = sorted(nxt)
-    if sum(map(len, stages)) < len(basis):
-        raise FiltrationError(next(j for j, k in enumerate(waiting) if k))
+    if any(waiting):
+        raise FiltrationError([j for j, k in enumerate(waiting) if k])
     return stages
 
 

@@ -5,7 +5,9 @@ canonical JSON reports: sorted keys, exact rationals rendered as
 strings, byte-identical across runs.  Exit codes: 0 = pass, 1 = a
 property failed (see the report's verdict), 2 = input error (d^2 != 0
 too, where the verdict does not check it: _flat), 3 = internal error (an
-exception no input check names, with its traceback on stderr).
+exception no input check names, with its traceback on stderr).  validate
+and cohomology take a cdga file with no --base, or a cell file with
+--base naming its algebra, which _flat checks in both (_load_any).
 """
 
 import argparse
@@ -102,14 +104,20 @@ def _flat(obj):
     return obj
 
 
-def _load_any(path, base_algebra=None):
+def _load_any(path, base_path):
+    """("cdga", the algebra at path), which takes no --base, or ("cell",
+    the cell module at path bound over the --base algebra, which _flat
+    refuses where its d^2 != 0)."""
     kind, obj = parse_file(path)
     if kind == "cdga":
+        if base_path is not None:
+            raise ParseError("a cdga file takes no --base", 1)
         return "cdga", obj
-    if base_algebra is None:
+    if base_path is None:
         raise ParseError(
             "cell file needs --base pointing at its algebra", 1
         )
+    base_algebra = _flat(_load_cdga(base_path))
     if obj["over"] != base_algebra.name:
         raise ParseError(
             f"cell module is over {obj['over']!r}, --base file defines "
@@ -125,8 +133,7 @@ def _augmented(args):
 
 
 def cmd_validate(args):
-    kind, obj = _load_any(args.file,
-                          _load_cdga(args.base) if args.base else None)
+    kind, obj = _load_any(args.file, args.base)
     if kind == "cdga":
         ok, fails = cdga_mod.validate(obj)
     else:
@@ -137,8 +144,7 @@ def cmd_validate(args):
 
 
 def cmd_cohomology(args):
-    kind, obj = _load_any(args.file,
-                          _flat(_load_cdga(args.base)) if args.base else None)
+    kind, obj = _load_any(args.file, args.base)
     if kind == "cdga":
         cdga_mod.check_bidegrees(obj)
     else:

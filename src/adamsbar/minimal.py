@@ -10,6 +10,12 @@ augmentation ideal, then generators killing the kernel on H^{i+1}.  The
 model grows in place, and its one IdealComplex forgets only the slices
 of the new generators' weight and above.  All certification is by exact
 slice linear algebra.
+
+A total algebra is generalized nilpotent over its base when d of each
+fiber generator lies in the base and the earlier fiber generators: the
+strict filtration of a cell module, which generalized_nilpotent_check
+reads off cellmod._strict_filtration.  The base must be connected, as the
+bar construction needs (bar.require_connected).
 """
 
 from __future__ import annotations
@@ -19,16 +25,16 @@ from fractions import Fraction
 from . import linalg
 from .linalg import _vec_iadd
 from .bar import (BarComplex, _exact, _wedge_add, gamma as bar_gamma,
-                  map_letters)
+                  map_letters, require_connected)
 from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
     base_mismatches,
     el_add,
     el_scale,
-    is_coh_connected,
     mono_factors,
 )
+from .cellmod import FiltrationError, _strict_filtration
 
 F = Fraction
 
@@ -105,16 +111,13 @@ class IdealComplex(linalg.SliceComplex):
 
 
 class MinimalModelResult:
-    def __init__(self, base, model, structure_map, fiber_names, stage_log,
-                 certification, n, w_max):
-        self.base = base
+    def __init__(self, model, structure_map, fiber_names, stage_log,
+                 certification):
         self.model = model
         self.structure_map = structure_map  # fiber gen name -> Element of A
         self.fiber_names = fiber_names
         self.stage_log = stage_log
         self.certification = certification
-        self.n = n
-        self.w_max = w_max
 
     def certified(self):
         return all(self.certification.values())
@@ -129,9 +132,7 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
     adjoined, certified by slice cohomology comparison within the
     (coh <= n+1, adams <= w_max) window.
     """
-    ok, wit = is_coh_connected(N, adams_max=w_max)
-    if not ok:
-        raise ValueError(f"base {N.name} not cohomologically connected: {wit}")
+    require_connected(N, w_max)
     failures = base_mismatches(N, A)
     if failures:
         raise ValueError("; ".join(failures))
@@ -181,9 +182,8 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
         adjoin)
     stage_log = [{"adams": m, "coh": i, "iterations": k}
                  for (i, m), k in zip(stages, rounds)]
-    result = MinimalModelResult(
-        N, model, structure_map, fiber_names, stage_log, certification, n, w_max
-    )
+    result = MinimalModelResult(model, structure_map, fiber_names, stage_log,
+                                certification)
     # sanity: structure map commutes with d on every fiber generator
     for name in fiber_names:
         lhs = A.substitute(model.differential.get(name, {}), structure_map)
@@ -194,47 +194,29 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
 
 
 def generalized_nilpotent_check(N: CdgaPresentation, A: CdgaPresentation):
-    """Topologically sort the fiber generators by differential dependency.
+    """Stage A's fiber generators over N by cellmod._strict_filtration of
+    their uses: (i, j) where d of fiber generator j uses generator i.
 
-    Returns (True, filtration stages) or (False, a dependency cycle).
+    Returns (True, stages of names in fiber order) or (False, a cycle: from
+    the first unstaged generator, each step to the unstaged one it uses
+    whose name sorts first, until one repeats).
     """
-    base_names = {g.name for g in N.generators}
-    fiber = [g.name for g in A.generators if g.name not in base_names]
-    deps = {}
-    for name in fiber:
-        dg = A.differential.get(name, {})
-        needed = set()
-        for mono in dg:
-            for gname, _ in mono:
-                if gname not in base_names:
-                    needed.add(gname)
-        deps[name] = needed
-    stages = []
-    placed = set()
-    remaining = list(fiber)
-    while remaining:
-        stage = [g for g in remaining if deps[g] <= placed]
-        if not stage:
-            # find a cycle for the witness
-            cycle = _find_cycle(deps, remaining)
-            return False, cycle
-        stages.append(stage)
-        placed.update(stage)
-        remaining = [g for g in remaining if g not in placed]
-    return True, stages
-
-
-def _find_cycle(deps, nodes):
-    node_set = set(nodes)
-    seen = []
-    cur = nodes[0]
-    while cur not in seen:
-        seen.append(cur)
-        nxt = [g for g in deps[cur] if g in node_set]
-        if not nxt:
-            return seen
-        cur = sorted(nxt)[0]
-    return seen[seen.index(cur):]
+    fiber = [g.name for g in A.generators if g.name not in N.gen]
+    pos = {name: j for j, name in enumerate(fiber)}
+    uses = {(pos[g], j): None for j, name in enumerate(fiber)
+            for mono in A.differential.get(name, {}) for g, _ in mono
+            if g in pos}
+    try:
+        stages = _strict_filtration(fiber, uses)
+    except FiltrationError as e:
+        # each generator left out uses another one left out
+        left, cycle, j = set(e.left), [], e.left[0]
+        while j not in cycle:
+            cycle.append(j)
+            j = min((i for i, k in uses if k == j and i in left),
+                    key=fiber.__getitem__)
+        return False, [fiber[k] for k in cycle[cycle.index(j):]]
+    return True, [[fiber[j] for j in stage] for stage in stages]
 
 
 class QAColie:

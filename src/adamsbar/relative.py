@@ -30,7 +30,6 @@ from .cdga import (
     GeneratorSpec,
     base_mismatches,
     d_squared_failures,
-    is_coh_connected,
 )
 from .bar import (
     BarComplex,
@@ -225,9 +224,7 @@ def checked_fiber(X: AugmentedOverN, w_max):
     """fiber_algebra(X) after the relative input checks, in order: the base
     is connected, the total generalized nilpotent over it, the fiber's table
     products valid and the fiber connected up to weight w_max."""
-    ok, wit = is_coh_connected(X.base, adams_max=w_max)
-    if not ok:
-        raise RelativeError(f"base not cohomologically connected: {wit}")
+    require_connected(X.base, w_max)
     ok, wit = generalized_nilpotent_check(X.base, X.total)
     if not ok:
         raise RelativeError(

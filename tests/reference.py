@@ -10,6 +10,8 @@
 - The reference cell-module bookkeeping: the strict filtration found
   layer by layer, rescanning every unplaced index per layer, and the
   keys of a cell module's slice walked and sorted one slice at a time.
+- The reference generalized nilpotence check: the fiber generators staged
+  the same way, by names, with its own cycle search.
 - The reference elimination and Hopf structure constants: row reduction
   and a projector that walk every row, the product of every ordered pair
   of classes and the coproduct classified over every split.  The
@@ -452,6 +454,42 @@ def reference_strict_filtration(basis, diff):
         placed |= set(stage)
         remaining -= set(stage)
     return stages
+
+
+def reference_generalized_nilpotent_check(N, A):
+    """(True, stages of A's fiber generator names over N) or (False, a
+    cycle): each stage is every unplaced generator, in fiber order, whose
+    differential uses only placed fiber generators, found by a scan of the
+    unplaced generators per stage.  The cycle starts at the first
+    unplaced generator and follows, at each step, the unplaced generator
+    it uses whose name sorts first."""
+    base_names = {g.name for g in N.generators}
+    fiber = [g.name for g in A.generators if g.name not in base_names]
+    deps = {name: {g for mono in A.differential.get(name, {})
+                   for g, _ in mono if g not in base_names}
+            for name in fiber}
+    stages, placed, remaining = [], set(), list(fiber)
+    while remaining:
+        stage = [g for g in remaining if deps[g] <= placed]
+        if not stage:
+            return False, _reference_cycle(deps, remaining)
+        stages.append(stage)
+        placed.update(stage)
+        remaining = [g for g in remaining if g not in placed]
+    return True, stages
+
+
+def _reference_cycle(deps, nodes):
+    node_set = set(nodes)
+    seen = []
+    cur = nodes[0]
+    while cur not in seen:
+        seen.append(cur)
+        nxt = [g for g in deps[cur] if g in node_set]
+        if not nxt:
+            return seen
+        cur = sorted(nxt)[0]
+    return seen[seen.index(cur):]
 
 
 def reference_cell_slice_keys(M, n, r):

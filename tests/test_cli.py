@@ -160,17 +160,20 @@ NOT_CONNECTED_TOTAL = NOT_CONNECTED.replace("cdga N", "cdga T") + (
     ["colie", "@n"],
     ["quillen", "@n"],
     ["coaction-check", "--base", "@n", "--total", "@t"],
+    ["minimal-model", "@t", "--base", "@n"],
+    ["kernel", "--base", "@n", "--total", "@t"],
 ], ids=lambda argv: argv[0])
 def test_class_below_degree_minus_3_exits_2(capsys, tmp_path, argv):
     # H^-4(1) = Q a: the connectivity window reaches down to the lowest
-    # degree of the presentation, not a fixed -3
+    # degree of the presentation, not a fixed -3; an absolute algebra and
+    # the base of every relative command are checked by one function
     files = {"@n": write(tmp_path, "n.cdga", NOT_CONNECTED),
              "@t": write(tmp_path, "t.cdga", NOT_CONNECTED_TOTAL)}
     code = main([files.get(a, a) for a in argv] + ["--wt-max", "2"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "not cohomologically connected" in captured.err
+    assert "algebra N not cohomologically connected" in captured.err
     assert "(-4, 1, 1)" in captured.err
 
 
@@ -494,6 +497,30 @@ def test_curved_cell_module_exits_2(capsys, tmp_path):
     assert captured.err == f"error: C: {witness}\n"
     code, rep = run(capsys, "validate", f, "--base", b)
     assert (code, rep["witnesses"]) == (1, [witness])
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+def test_curved_base_of_a_cell_module_exits_2(capsys, tmp_path, command):
+    """A cell module is refused over an algebra whose d^2 != 0, by validate
+    as by cohomology: its check() cannot see the algebra's own d^2."""
+    b = write(tmp_path, "curved.cdga", CURVED_ABSOLUTE)
+    f = write(tmp_path, "m.cell", "cell M over Curved\nelt a deg 0 wt 0\n")
+    code = main([command, f, "--base", b])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: Curved: d^2(w) != 0\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+def test_cdga_file_with_base_exits_2(capsys, tmp_path, command):
+    """--base names the algebra of a cell file; a cdga file given one is
+    an input error, not a base that is read and then ignored."""
+    f = write(tmp_path, "e3.cdga", E3_TEXT)
+    b = write(tmp_path, "e1.cdga", E1_TEXT)
+    code = main([command, f, "--base", b, "--wt-max", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: line 1: a cdga file takes no --base\n"
 
 
 def test_kernel_command(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from adamsbar.minimal import (
     trivial_base,
 )
 from adamsbar.relative import punctured_line_model
-from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p,
+from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p, make_k,
                     random_gen_nilpotent)
 import reference
 
@@ -87,6 +88,72 @@ def test_gen_nilpotent_cycle_detected():
     ok, cyc = generalized_nilpotent_check(trivial_base(), B)
     assert not ok
     assert "h" in cyc
+
+
+def _with_uses(A, uses):
+    """A copy of A in which d of each generator named in uses also has one
+    monomial per generator it is to use."""
+    diff = {name: dict(d) for name, d in A.differential.items()}
+    for name, used in uses.items():
+        for g in used:
+            diff.setdefault(name, {})[((g, 1),)] = F(1)
+    return CdgaPresentation(f"{A.name}_uses", A.kind, A.generators, diff,
+                            augmentation=A.augmentation)
+
+
+FIXTURES = {"E1": make_e1, "E2": make_e2, "E3": make_e3, "E4": make_e4,
+            "E4p": make_e4p, "K4": lambda: make_k(4)}
+BASES = {"E1": lambda: make_e1("t"), "trivial": trivial_base}
+INJECTED = {
+    # u uses itself
+    "self-loop": (make_e4p, {"u": ["u"]}),
+    # v uses u through d v = t*u, and u now uses v
+    "2-cycle": (make_e4p, {"u": ["v"]}),
+    # K4's v_i uses u_i; u2 <-> v2 and u3 <-> v3 are disjoint cycles, and
+    # u1, the first unstaged generator, uses both
+    "two-cycles": (lambda: make_k(4),
+                   {"u1": ["v3", "v2"], "u2": ["v2"], "u3": ["v3"]}),
+    # declared z, y, x, w: z, the first unstaged, uses y and x, and the walk
+    # steps to x, whose name sorts first, so the witness is x, w, not z, y
+    "names": (lambda: CdgaPresentation("R", "free", [
+                  GeneratorSpec(g, 1, 1) for g in "zyxw"]),
+              {"z": ["y", "x"], "y": ["z"], "x": ["w"], "w": ["x"]}),
+}
+
+
+def _random_uses(seed):
+    """Up to eight generators declared in a shuffled name order, each using
+    a few random others (itself included), so cycles are common."""
+    rng = random.Random(seed)
+    names = rng.sample("abcdefgh", rng.randint(1, 8))
+    A = CdgaPresentation("R", "free", [GeneratorSpec(g, 1, 1) for g in names])
+    return _with_uses(A, {g: rng.sample(names, rng.randint(0, 2))
+                          for g in names if rng.random() < 0.6})
+
+
+def _nilpotent_cases():
+    for f, make in FIXTURES.items():
+        for b, base in BASES.items():
+            yield f"{f}/{b}", base, make
+    for seed in range(40):
+        yield (f"GN{seed}", BASES["E1"],
+               lambda s=seed: random_gen_nilpotent(s, max_fiber=6))
+    for case, (make, uses) in INJECTED.items():
+        yield case, BASES["E1"], lambda m=make, u=uses: _with_uses(m(), u)
+    for seed in range(40):
+        yield f"uses{seed}", trivial_base, lambda s=seed: _random_uses(s)
+
+
+@pytest.mark.parametrize("name, base, make", [
+    pytest.param(*case, id=case[0]) for case in _nilpotent_cases()])
+def test_gen_nilpotent_check_matches_reference(name, base, make):
+    """The strict filtration of the fiber's uses gives the stages of the
+    per-stage rescan, and the same cycle witness where there is none."""
+    N, A = base(), make()
+    assert (generalized_nilpotent_check(N, A)
+            == reference.reference_generalized_nilpotent_check(N, A))
+    if name in INJECTED:
+        assert not generalized_nilpotent_check(N, A)[0]
 
 
 def model_qa(A, w):
