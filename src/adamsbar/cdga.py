@@ -35,6 +35,9 @@ As a SliceComplex, the algebra finds the monomials of a weight in one
 walk and groups them by degree (by_degree).  adjoin forgets the cached
 slices and groupings of the new generator's weight and above, the only
 ones that gain monomials; the slices below it are kept.
+
+Whether a presentation is a cdga is the one check structure_failures,
+which validate, the cli's input checks and the relative verdicts read.
 """
 
 from __future__ import annotations
@@ -377,6 +380,44 @@ def d_squared_failures(A: CdgaPresentation):
             and A.apply_d(A.differential[g.name])]
 
 
+def structure_failures(A: CdgaPresentation):
+    """The presentation is a cdga: d_squared_failures(A), then for a table
+    one message per triple (g, h, k) of one group with (gh)k != g(hk) and
+    per pair (g, h) with d(gh) != d(g)h + (-1)^|g| g d(h), in generator
+    order, each pair's triples before the pair.  A product in a group is
+    0 unless listed, so a table with no product and no d passes unwalked."""
+    failures = d_squared_failures(A)
+    if A.kind != "table" or not (A.products or any(A.differential.values())):
+        return failures
+    grouped = [g for g in A.generators if g.group is not None]
+    for g in grouped:
+        for h in (h for h in grouped if h.group == g.group):
+            gh = A.multiply(el_gen(g.name), el_gen(h.name))
+            for k in (k for k in grouped if k.group == g.group):
+                if el_add(A.multiply(gh, el_gen(k.name)), A.multiply(
+                        el_gen(g.name),
+                        A.multiply(el_gen(h.name), el_gen(k.name))), -1):
+                    failures.append("table not associative on "
+                                    f"({g.name},{h.name},{k.name})")
+            dg = A.differential.get(g.name, {})
+            dh = A.differential.get(h.name, {})
+            if el_add(A.apply_d(gh), el_add(
+                    A.multiply(dg, el_gen(h.name)),
+                    A.multiply(el_gen(g.name), dh), (-1) ** g.coh), -1):
+                failures.append(
+                    f"Leibniz fails on table pair ({g.name},{h.name})")
+    return failures
+
+
+def augmentation_failures(A: CdgaPresentation, aug):
+    """One message per generator g that the augmentation aug maps, in
+    generator order, where aug is not a chain map: d(aug g) != aug(d g)."""
+    return [f"augmentation not a chain map at {g.name}"
+            for g in A.generators if g.name in aug and el_add(
+                A.apply_d(aug[g.name]),
+                A.substitute(A.differential.get(g.name, {}), aug), -1)]
+
+
 def base_mismatches(N: CdgaPresentation, A: CdgaPresentation):
     """One message per generator of the base N, in N's order, that A does
     not declare identically, whose differential in A is not its own, or
@@ -396,47 +437,9 @@ def base_mismatches(N: CdgaPresentation, A: CdgaPresentation):
 
 def validate(A: CdgaPresentation):
     """Check the presentation axioms; returns (ok, list of failure strings)."""
-    failures = bidegree_failures(A) + d_squared_failures(A)
-    if A.kind == "table":
-        failures.extend(_validate_table(A))
-    for g in A.generators:
-        if g.name not in A.augmentation:
-            continue
-        # augmentation must be a chain map generator-wise
-        lhs = A.apply_d(A.augmentation[g.name])
-        rhs = A.substitute(A.differential.get(g.name, {}), A.augmentation)
-        if el_add(lhs, rhs, F(-1)):
-            failures.append(f"augmentation not a chain map at {g.name}")
+    failures = (bidegree_failures(A) + structure_failures(A)
+                + augmentation_failures(A, A.augmentation))
     return (not failures), failures
-
-
-def _validate_table(A):
-    failures = []
-    grouped = [g for g in A.generators if g.group is not None]
-    for g in grouped:
-        for h in grouped:
-            if g.group != h.group:
-                continue
-            val = A.multiply(el_gen(g.name), el_gen(h.name))
-            # graded commutativity is automatic from storage; associativity:
-            for k in grouped:
-                if k.group != g.group:
-                    continue
-                lhs = A.multiply(val, el_gen(k.name))
-                rhs = A.multiply(el_gen(g.name),
-                                 A.multiply(el_gen(h.name), el_gen(k.name)))
-                if el_add(lhs, rhs, F(-1)):
-                    failures.append(
-                        f"table not associative on ({g.name},{h.name},{k.name})")
-            # Leibniz for table values vs differential
-            dval = A.apply_d(val)
-            leib = el_add(
-                A.multiply(A.differential.get(g.name, {}), el_gen(h.name)),
-                A.multiply(el_gen(g.name), A.differential.get(h.name, {})),
-                F((-1) ** g.coh))
-            if el_add(dval, leib, F(-1)):
-                failures.append(f"Leibniz fails on table pair ({g.name},{h.name})")
-    return failures
 
 
 def is_coh_connected(A: CdgaPresentation, adams_max):

@@ -3,7 +3,7 @@
 Commands operate on presentation files (see parser module) and emit
 canonical JSON reports: sorted keys, exact rationals rendered as
 strings, byte-identical across runs.  Exit codes: 0 = pass, 1 = a
-property failed (see the report's verdict), 2 = input error (d^2 != 0
+property failed (see the report's verdict), 2 = input error (a non-cdga
 too, where the verdict does not check it: _flat), 3 = internal error (an
 exception no input check names, with its traceback on stderr).  validate
 and cohomology take a cdga file with no --base, or a cell file with
@@ -94,9 +94,10 @@ def _load_cdga(path):
 
 def _flat(obj):
     """obj, an algebra or a cell module of right bidegrees, refused as an
-    input error where d^2 != 0: no cohomology of it can be certified."""
+    input error where it is not a cdga (cdga.structure_failures) or its
+    d^2 != 0: no cohomology of it can be certified."""
     if isinstance(obj, cdga_mod.CdgaPresentation):
-        fails, error = cdga_mod.d_squared_failures(obj), cdga_mod.CdgaError
+        fails, error = cdga_mod.structure_failures(obj), cdga_mod.CdgaError
     else:  # a parsed filtration is strict, so check() fails only on d^2
         fails, error = obj.check()[1], ModuleError
     if fails:
@@ -107,7 +108,7 @@ def _flat(obj):
 def _load_any(path, base_path):
     """("cdga", the algebra at path), which takes no --base, or ("cell",
     the cell module at path bound over the --base algebra, which _flat
-    refuses where its d^2 != 0)."""
+    refuses where it is not a cdga)."""
     kind, obj = parse_file(path)
     if kind == "cdga":
         if base_path is not None:

@@ -8,7 +8,8 @@ a flat nilpotent connection Gamma.  This module computes:
 
   * H^0 of the bar construction of the fiber with the induced connection
     on its weight pieces, on the relative bar complex N (x) Bbar(F), a
-    SliceComplex whose D is read off d_A (flatness is its D^2 = 0),
+    SliceComplex whose D is read off d_A; D^2 = 0 exactly when the total
+    is a cdga, so the verdicts read cdga.structure_failures of the total,
   * the semi-direct product data (kernel Hopf algebra, p*/s* maps, the
     polynomial-extension dimension identity),
   * the base's co-action on the degree-1 kernel generators: Gamma
@@ -18,7 +19,6 @@ a flat nilpotent connection Gamma.  This module computes:
   * the punctured-line fundamental-group demo over a mock trivial base.
 """
 
-import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,8 +28,9 @@ from .cdga import (
     UNIT,
     CdgaPresentation,
     GeneratorSpec,
+    augmentation_failures,
     base_mismatches,
-    d_squared_failures,
+    structure_failures,
 )
 from .bar import (
     BarComplex,
@@ -56,6 +57,8 @@ class AugmentedOverN:
     fixed by the augmentation; every fiber generator must augment to
     zero (the supported normal form — a nonzero N-valued augmentation
     can always be removed by the change of variables e -> e - eps(e)).
+    eps must be a chain map: eps(d g) = 0 for each fiber generator g
+    (cdga.augmentation_failures).
     """
 
     def __init__(self, base: CdgaPresentation, total: CdgaPresentation):
@@ -74,6 +77,10 @@ class AugmentedOverN:
                     f"fiber generator {g.name} has a nonzero augmentation; "
                     "reduce to the zero-augmentation normal form first"
                 )
+        failures = augmentation_failures(
+            total, {g.name: {} for g in self.fiber})
+        if failures:
+            raise RelativeError("; ".join(failures))
 
     def eps(self, el):
         """The augmentation A -> N (kills fiber generators)."""
@@ -160,15 +167,11 @@ class RelativeBarH0(linalg.SliceComplex):
     and a fiber bar word of total degree n and weight w, and
 
         D(b (x) word) = d_N b (x) word + (-1)^|b| b . faces(word).
-
-    The connection is flat when D^2 = 0; flat_failures lists the slices
-    (n, w) of total degree -1..2 where it is not.
     """
 
     def __init__(self, X: AugmentedOverN, w_max, Falg, conn):
         super().__init__()
         self.X = X
-        self.w_max = w_max
         self.F, self.conn = Falg, conn
         self.hopf = HopfPresentation(Falg, w_max)
         self.bar = self.hopf.bar
@@ -210,14 +213,6 @@ class RelativeBarH0(linalg.SliceComplex):
             for bm, bc in A.mono_mul(b, b2).items():
                 _wadd(out, (bm, nw), -c * bc if odd else c * bc)
         return out
-
-    @functools.cached_property
-    def flat_failures(self):
-        return self.d_squared_failures(range(-1, 3), range(self.w_max + 1))
-
-    @property
-    def flat(self):
-        return not self.flat_failures
 
 
 def checked_fiber(X: AugmentedOverN, w_max):
@@ -300,11 +295,8 @@ def semidirect(X: AugmentedOverN, w_max):
                 _wadd(composed, gk, c * c2)
         if composed != {gi: F(1)}:
             sp_identity_ok = False
-    verdict = (
-        "pass"
-        if identity_ok and indecomp_ok and sp_identity_ok and rb.flat
-        else "fail"
-    )
+    ok = identity_ok and indecomp_ok and sp_identity_ok
+    verdict = "pass" if ok and not structure_failures(X.total) else "fail"
     return SemiDirectData(
         weights, kernel_dims, base_dims, total_dims, identity_ok,
         indecomp_ok, p_star, s_star, sp_identity_ok,
@@ -333,9 +325,9 @@ def coaction_matrix(X: AugmentedOverN, conn, w_max):
 
 def coaction_check(X: AugmentedOverN, w_max):
     """(ok, coaction_matrix) after relative_bar_h0's input checks, with no
-    bar construction: ok is d^2 = 0 on every generator of the total."""
+    bar construction: ok is that the total is a cdga (structure_failures)."""
     _, conn = checked_fiber(X, w_max)
-    return not d_squared_failures(X.total), coaction_matrix(X, conn, w_max)
+    return not structure_failures(X.total), coaction_matrix(X, conn, w_max)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +484,7 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
         "dims": dims,
         "full_dims": full,
         "stable_n": stable_n,
-        "d_squared_ok": not (d_squared_failures(X.total) or
+        "d_squared_ok": not (structure_failures(X.total) or
                              da.d_squared_failures(range(-2, 2), weights)),
         "q_chain_map_ok": da.q_chain_ok(),
         "system_compat_ok": da.closed_ok(),

@@ -11,6 +11,7 @@ from adamsbar.cdga import (
     el_gen,
     el_scale,
     is_coh_connected,
+    structure_failures,
     validate,
 )
 import reference
@@ -205,3 +206,27 @@ def test_d_squared_on_slices(seed):
 def test_leibniz_table(e2):
     ok, failures = validate(e2)
     assert ok, failures
+
+
+def test_structure_failures_name_non_associative_triples():
+    """(xy)z = pz = q while x(yz) = 0: each triple whose two bracketings
+    differ is named, in generator order."""
+    gens = [GeneratorSpec(n, 2 * r, r, group="G")
+            for n, r in (("x", 1), ("y", 1), ("z", 1), ("p", 2), ("q", 3))]
+    T = CdgaPresentation("T", "table", gens, products={
+        ("x", "y"): {(("p", 1),): 1}, ("p", "z"): {(("q", 1),): 1}})
+    assert structure_failures(T) == [
+        f"table not associative on ({t})"
+        for t in ("x,y,z", "y,x,z", "z,x,y", "z,y,x")]
+
+
+def test_structure_failures_walk_a_table_with_d_and_no_product():
+    """With no product, gh = 0 in the group, but d g = u is free, so
+    d(g)h = uh != 0 = d(gh): the d alone makes the table no cdga."""
+    T = CdgaPresentation(
+        "T", "table",
+        [GeneratorSpec("g", 1, 1, group="G"),
+         GeneratorSpec("h", 1, 1, group="G"), GeneratorSpec("u", 2, 1)],
+        differential={"g": {(("u", 1),): 1}})
+    assert structure_failures(T) == [
+        "Leibniz fails on table pair (g,h)", "Leibniz fails on table pair (h,g)"]

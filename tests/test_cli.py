@@ -65,6 +65,32 @@ aug v = 0
 aug w = 0
 """
 
+# a table whose d is not a derivation of its products, though d^2 = 0 on
+# every generator: d(x*z) = d q = r, while d(x)*z - x*d(z) = -x*p = 0
+LEIBNIZ_TEXT = """cdga T table
+gen x deg 1 wt 1
+gen y deg 1 wt 1
+gen z deg 1 wt 2
+gen p deg 2 wt 2
+gen q deg 2 wt 3
+gen r deg 3 wt 3
+mul x y = 1*p
+mul x z = 1*q
+d z = 1*p
+d q = 1*r
+"""
+
+LEIBNIZ_WITNESSES = ["Leibniz fails on table pair (x,z)",
+                     "Leibniz fails on table pair (z,x)"]
+
+# a table base of the same name, so that its t is declared identically in
+# the total LEIBNIZ_TEXT over it, where every other generator is a fiber
+T_BASE_TEXT = "cdga T table\ngen t deg 1 wt 1\n"
+
+LEIBNIZ_TOTAL_TEXT = (
+    LEIBNIZ_TEXT.replace("gen x", "gen t deg 1 wt 1\ngen x")
+    + "".join(f"aug {g} = 0\n" for g in "xyzpqr"))
+
 CELL_TEXT = """cell T2 over E1
 elt b deg 0 wt 0
 elt c deg 0 wt 1
@@ -469,6 +495,22 @@ def test_curved_algebra_exits_2(capsys, tmp_path, argv):
     assert (code, rep["witnesses"]) == (1, ["d^2(w) != 0"])
 
 
+@pytest.mark.parametrize("command", ["bar-h0", "colie", "quillen",
+                                     "cohomology", "minimal-model"])
+def test_leibniz_breaking_table_exits_2(capsys, tmp_path, command):
+    """A table whose d is not a derivation of its products is not a cdga,
+    though d^2 = 0 on every generator: each command whose verdict does not
+    check it refuses it with validate's witnesses."""
+    f = write(tmp_path, "t.cdga", LEIBNIZ_TEXT)
+    code = main([command, f, "--wt-max", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: T: " + "; ".join(LEIBNIZ_WITNESSES) + "\n"
+    assert cdga.d_squared_failures(parse_text(LEIBNIZ_TEXT)[1]) == []
+    code, rep = run(capsys, "validate", f)
+    assert (code, rep["witnesses"]) == (1, LEIBNIZ_WITNESSES)
+
+
 def test_curved_base_of_minimal_model_exits_2(capsys, tmp_path):
     """minimal-model refuses a curved base before it reads whether the
     total contains the base."""
@@ -559,6 +601,61 @@ def test_curved_total_fails_the_verdict(capsys, tmp_path, argv):
     code, rep = run(capsys, *[a.format(f=f) for a in argv], "--base", b,
                     "--wt-max", "4")
     assert (code, rep["verdict"]) == (1, "fail")
+
+
+@pytest.mark.parametrize("command", ["kernel", "coaction-check"])
+def test_curved_total_outside_the_window_fails_the_verdict(capsys, tmp_path,
+                                                           command):
+    """d^2 w != 0 with w of weight 3 fails kernel at --wt-max 2, as it fails
+    coaction-check: both read the generators of the total, not the slices
+    of weight <= 2."""
+    b = write(tmp_path, "n2.cdga", N2_TEXT)
+    f = write(tmp_path, "curved.cdga", CURVED_TEXT)
+    code, rep = run(capsys, command, "--base", b, "--total", f,
+                    "--wt-max", "2")
+    assert (code, rep["verdict"]) == (1, "fail")
+
+
+@pytest.mark.parametrize("command", ["kernel", "coaction-check"])
+def test_leibniz_breaking_table_total_fails_the_verdict(capsys, tmp_path,
+                                                        command):
+    """A total whose table d is not a derivation, with d^2 = 0 on every
+    generator, is not a cdga: both verdicts fail."""
+    b = write(tmp_path, "t.cdga", T_BASE_TEXT)
+    f = write(tmp_path, "total.cdga", LEIBNIZ_TOTAL_TEXT)
+    code, rep = run(capsys, command, "--base", b, "--total", f,
+                    "--wt-max", "3")
+    assert (code, rep["verdict"]) == (1, "fail")
+
+
+# N2 under a total whose d v has the base term s*t: the augmentation, which
+# kills u and v, sends d v to s*t but d(aug v) to 0
+NOT_A_CHAIN_MAP_TEXT = """cdga NotChain free
+gen s deg 1 wt 1
+gen t deg 1 wt 1
+gen u deg 1 wt 1
+gen v deg 1 wt 2
+d v = 1*s*t + 1*t*u
+aug u = 0
+aug v = 0
+"""
+
+
+@pytest.mark.parametrize("command", ["kernel", "coaction-check",
+                                     "delta-approx"])
+def test_augmentation_not_a_chain_map_exits_2(capsys, tmp_path, command):
+    """A fiber generator whose d has a term in the base alone is refused
+    before computing, with validate's witness for it."""
+    b = write(tmp_path, "n2.cdga", N2_TEXT)
+    f = write(tmp_path, "total.cdga", NOT_A_CHAIN_MAP_TEXT)
+    files = (["--total", f] if command != "delta-approx" else [f])
+    code = main([command, *files, "--base", b, "--wt-max", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: augmentation not a chain map at v\n"
+    code, rep = run(capsys, "validate", f)
+    assert (code, rep["witnesses"]) == (
+        1, ["augmentation not a chain map at v"])
 
 
 def test_coaction_command(capsys, tmp_path):

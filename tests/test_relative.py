@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from adamsbar.cdga import UNIT, el_gen
+from adamsbar.cdga import (
+    UNIT,
+    GeneratorSpec,
+    d_squared_failures,
+    el_gen,
+    structure_failures,
+)
 from adamsbar.bar import HopfPresentation, _wadd, h0_hopf
 from adamsbar.minimal import trivial_base
 from adamsbar.parser import parse_text
@@ -29,7 +35,15 @@ from corpus import (
     make_k,
     random_gen_nilpotent,
 )
-from test_cli import CURVED_TEXT, E1_TEXT, E4_TEXT, N2_TEXT
+from test_cli import (
+    CURVED_TEXT,
+    E1_TEXT,
+    E4_TEXT,
+    LEIBNIZ_TOTAL_TEXT,
+    LEIBNIZ_WITNESSES,
+    N2_TEXT,
+    T_BASE_TEXT,
+)
 from reference import (
     ReferenceRelativeBar,
     reference_coaction_split,
@@ -85,13 +99,13 @@ def test_fiber_algebra_e4p(x4p):
 def test_relative_bar_trivial_base():
     X = AugmentedOverN(trivial_base(), make_e3())
     rb = relative_bar_h0(X, 3)
-    assert rb.flat
+    assert not rb.d_squared_failures(range(-1, 3), range(4))
     assert rb.hopf.dims() == h0_hopf(make_e3(), 3).dims()
 
 
 def test_relative_bar_e4(x4):
     rb = relative_bar_h0(x4, 3)
-    assert rb.flat, rb.flat_failures
+    assert not rb.d_squared_failures(range(-1, 3), range(4))
     assert rb.hopf.dims()[0] == 1
     assert rb.hopf.dims()[1] == 1
 
@@ -105,8 +119,7 @@ def test_relative_bar_curved_total_is_not_flat():
     total degree 0 and weight 3, and D^2 of 1 (x) [u|w] and 1 (x) [w|u]
     in weight 4."""
     rb = relative_bar_h0(_curved(), 4)
-    assert not rb.flat
-    assert rb.flat_failures == [(0, 3), (0, 4)]
+    assert rb.d_squared_failures(range(-1, 3), range(5)) == [(0, 3), (0, 4)]
 
 
 RELATIVE_CASES = [
@@ -125,8 +138,8 @@ RELATIVE_CASES = [
 @pytest.mark.parametrize("base, total", RELATIVE_CASES)
 def test_relative_bar_matches_reference(base, total):
     """faces splits into F's own bar d (b = 1) and the reference
-    connection gamma_word (b != 1), and flat equals the reference's, at
-    w <= 4."""
+    connection gamma_word (b != 1), and D^2 = 0 on total degrees -1..2
+    exactly when the reference's connection is flat, at w <= 4."""
     X = AugmentedOverN(base(), total())
     rb = relative_bar_h0(X, 4)
     ref = ReferenceRelativeBar(X, 4)
@@ -140,7 +153,7 @@ def test_relative_bar_matches_reference(base, total):
                     _wadd(gamma, (b, nw), c)
             assert d == rb.bar.d_word(word), word
             assert gamma == ref.gamma_word(word), word
-    assert rb.flat == ref.flat
+    assert (not rb.d_squared_failures(range(-1, 3), range(5))) == ref.flat
 
 
 @pytest.mark.parametrize("base, total", RELATIVE_CASES[:3])
@@ -199,7 +212,64 @@ def test_relative_bar_flat_random(seed):
     A = random_gen_nilpotent(seed)
     X = AugmentedOverN(make_e1("t"), A)
     rb = relative_bar_h0(X, 3)
-    assert rb.flat, rb.flat_failures
+    assert not rb.d_squared_failures(range(-1, 3), range(4))
+
+
+def _curved_variant(seed):
+    """random_gen_nilpotent(seed) with CURVED_TEXT's curvature adjoined over
+    t: fiber generators u, s of weight 1, d v = t*u and d w = s*v, so
+    d^2 w = -s*t*u lies only in the base-mixed part."""
+    A = random_gen_nilpotent(seed)
+    for name, wt, d in (("u", 1, None), ("s", 1, None),
+                        ("v", 2, {(("t", 1), ("u", 1)): 1}),
+                        ("w", 3, {(("s", 1), ("v", 1)): 1})):
+        A.adjoin(GeneratorSpec(name, 1, wt), d=d, aug={})
+    return A
+
+
+def _table_total(valid):
+    text = LEIBNIZ_TOTAL_TEXT
+    return parse_text(text.replace("d q = 1*r\n", "") if valid else text)[1]
+
+
+# (base, total, structure_failures of the total); every generator has weight
+# <= 3 and degree <= 3, so d(d(g)) != 0 shows in D^2 of 1 (x) [g], of total
+# degree <= 2
+ORACLE_CASES = [
+    pytest.param(lambda: make_e1("t"), lambda s=seed: random_gen_nilpotent(s),
+                 [], id=f"gn{seed}")
+    for seed in range(10)
+] + [
+    pytest.param(lambda: make_e1("t"), lambda s=seed: _curved_variant(s),
+                 ["d^2(w) != 0"], id=f"gn{seed}-curved")
+    for seed in range(5)
+] + [
+    pytest.param(lambda: make_e1("t"), make_e4, [], id="e4"),
+    pytest.param(lambda: make_e1("t"), make_e4p, [], id="e4p"),
+    pytest.param(lambda: make_e1("t"), lambda: make_k(4), [], id="k4"),
+    pytest.param(lambda: parse_text(T_BASE_TEXT)[1],
+                 lambda: _table_total(True), [], id="table"),
+    pytest.param(lambda: parse_text(T_BASE_TEXT)[1],
+                 lambda: _table_total(False), LEIBNIZ_WITNESSES,
+                 id="table-leibniz"),
+]
+
+
+@pytest.mark.parametrize("base, total, failures", ORACLE_CASES)
+def test_structure_failures_match_the_relative_d_squared(base, total,
+                                                         failures):
+    """The relative verdicts read structure_failures of the total in place
+    of D^2 on the slices of N (x) Bbar(F): D^2 = 0 on total degrees -1..2
+    and weights <= 3 exactly when the total is a cdga.  The curved
+    variants fail d^2 on a generator, the Leibniz-breaking table only
+    Leibniz, which d_squared_failures does not see."""
+    X = AugmentedOverN(base(), total())
+    rb = relative_bar_h0(X, 3)
+    assert structure_failures(X.total) == failures
+    assert d_squared_failures(X.total) == [
+        f for f in failures if f.startswith("d^2")]
+    assert (not rb.d_squared_failures(range(-1, 3), range(4))) == (
+        not failures)
 
 
 def test_semidirect_e4(x4):
