@@ -421,7 +421,9 @@ def augmentation_failures(A: CdgaPresentation, aug):
 def base_mismatches(N: CdgaPresentation, A: CdgaPresentation):
     """One message per generator of the base N, in N's order, that A does
     not declare identically, whose differential in A is not its own, or
-    that A's augmentation does not fix: the first of these that holds."""
+    that A's augmentation does not fix: the first of these that holds.
+    Where every generator passes, one message per pair of them, in N's
+    order, whose product in A is not N's, so that N is a subalgebra."""
     failures = []
     for g in N.generators:
         if A.gen.get(g.name) != g:
@@ -432,6 +434,14 @@ def base_mismatches(N: CdgaPresentation, A: CdgaPresentation):
         elif g.name in A.augmentation:
             failures.append(f"base generator {g.name} must be fixed by the "
                             "augmentation")
+    if failures:
+        return failures
+    for i, g in enumerate(N.generators):
+        for h in N.generators[i:]:
+            gh = el_gen(g.name), el_gen(h.name)
+            if A.multiply(*gh) != N.multiply(*gh):
+                failures.append(
+                    f"product {g.name}*{h.name} of base generators differs")
     return failures
 
 

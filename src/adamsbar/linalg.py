@@ -32,13 +32,12 @@ taken in ascending order.  What each view reads off it:
   level (filtered_h0), one Echelon per slice fed level by level.  A
   complex whose keys are found by walking a whole weight (the cdga's
   monomials, the bar words, the simplicial approximation's pairs) walks
-  it once and groups the keys by degree (by_degree).  The
-  cdga, its bar construction, the augmentation ideal, cell modules,
-  scalar complexes, the simplicial approximation and the connection
-  complex N (x) Bbar(F) of the relative theory are all SliceComplexes;
-  the word-length truncations of the bar construction, and the
-  simplicial approximation over each smaller simplex inside the one at
-  n, are read as filtrations.
+  it once and groups the keys by degree (by_degree).  The cdga, its bar
+  construction, the augmentation ideal, cell modules, scalar complexes
+  and the simplicial approximation are all SliceComplexes; the
+  word-length truncations of the bar construction, and the simplicial
+  approximation over each smaller simplex inside the one at n, are read
+  as filtrations.
 
 attach_cells is the one cell-attaching loop over these views, shared by
 minimal models and cell resolutions.

@@ -1,4 +1,4 @@
-"""Augmented cdgas over a base and their relative bar constructions.
+"""Augmented cdgas over a base, their fibers and semi-direct products.
 
 An augmented algebra over a base N is a total algebra A that contains
 N's generators verbatim together with an augmentation killing the
@@ -6,12 +6,13 @@ remaining ("fiber") generators.  The fiber algebra Sym*E = A (x)_N Q
 carries the reduced differential d0; the base-valued remainder of d is
 a flat nilpotent connection Gamma.  This module computes:
 
-  * H^0 of the bar construction of the fiber with the induced connection
-    on its weight pieces, on the relative bar complex N (x) Bbar(F), a
-    SliceComplex whose D is read off d_A; D^2 = 0 exactly when the total
-    is a cdga, so the verdicts read cdga.structure_failures of the total,
-  * the semi-direct product data (kernel Hopf algebra, p*/s* maps, the
-    polynomial-extension dimension identity),
+  * the fiber algebra and its connection after the relative input checks
+    (checked_fiber, the one entry point of kernel and coaction-check);
+    the relative bar complex N (x) Bbar(F) has D^2 = 0 exactly when the
+    total is a cdga, so the verdicts read cdga.structure_failures of the
+    total and no relative bar complex is built,
+  * the semi-direct product data (the kernel Hopf algebra H^0(Bbar(F)),
+    p*/s* maps, the polynomial-extension dimension identity),
   * the base's co-action on the degree-1 kernel generators: Gamma
     restricted to E^1,
   * finite simplicial-approximation complexes of the bar construction
@@ -23,7 +24,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .linalg import _vec_iadd
 from .cdga import (
     UNIT,
     CdgaPresentation,
@@ -58,7 +58,8 @@ class AugmentedOverN:
     zero (the supported normal form — a nonzero N-valued augmentation
     can always be removed by the change of variables e -> e - eps(e)).
     eps must be a chain map: eps(d g) = 0 for each fiber generator g
-    (cdga.augmentation_failures).
+    (cdga.augmentation_failures).  eps is that augmentation A -> N as a
+    generator map for total.substitute: it kills the fiber generators.
     """
 
     def __init__(self, base: CdgaPresentation, total: CdgaPresentation):
@@ -77,18 +78,10 @@ class AugmentedOverN:
                     f"fiber generator {g.name} has a nonzero augmentation; "
                     "reduce to the zero-augmentation normal form first"
                 )
-        failures = augmentation_failures(
-            total, {g.name: {} for g in self.fiber})
+        self.eps = {g.name: {} for g in self.fiber}
+        failures = augmentation_failures(total, self.eps)
         if failures:
             raise RelativeError("; ".join(failures))
-
-    def eps(self, el):
-        """The augmentation A -> N (kills fiber generators)."""
-        out = {}
-        for mono, c in el.items():
-            if all(name in self.base_names for name, _ in mono):
-                _vec_iadd(out, {mono: F(1)}, c)
-        return out
 
 
 def split_monomial(A: CdgaPresentation, mono, base_names):
@@ -159,62 +152,6 @@ def fiber_algebra(X: AugmentedOverN):
     return Falg, conn
 
 
-class RelativeBarH0(linalg.SliceComplex):
-    """H^0 of the fiber bar construction with its induced connection.
-
-    As a SliceComplex it is the relative bar complex N (x) Bbar(F): the
-    keys of slice (n, w) are the sorted pairs (b, word) of a base monomial
-    and a fiber bar word of total degree n and weight w, and
-
-        D(b (x) word) = d_N b (x) word + (-1)^|b| b . faces(word).
-    """
-
-    def __init__(self, X: AugmentedOverN, w_max, Falg, conn):
-        super().__init__()
-        self.X = X
-        self.F, self.conn = Falg, conn
-        self.hopf = HopfPresentation(Falg, w_max)
-        self.bar = self.hopf.bar
-        self._total_bar = BarComplex(X.total)
-        self._faces = {}
-
-    def faces(self, word):
-        """The terms of d_Bbar + Gamma on a fiber word, as (b, word', c) for
-        c times b (x) word': the faces of the word in the bar complex of the
-        total algebra, whose d on a fiber monomial is d_F (b = 1) plus Gamma
-        (b != 1).  The letter a face changes is split into base (x) fiber
-        and b is pulled left across the suspended letters before it; a unit
-        fiber part drops the letter."""
-        if word not in self._faces:
-            A = self.X.total
-            out = self._faces[word] = []
-            for i, _, nw, c in self._total_bar.faces(word):
-                b, f, s = split_monomial(A, nw[i], self.X.base_names)
-                if (A.mono_bidegree(b)[0] % 2
-                        and self.bar.word_bidegree(nw[:i])[0] % 2):
-                    s = -s
-                fiber = (f,) if f != UNIT else ()
-                out.append((b, nw[:i] + fiber + nw[i + 1:], s * c))
-        return self._faces[word]
-
-    def slice_keys(self, n, w):
-        return sorted(
-            (b, word) for wb in range(w + 1)
-            for dn, words in self.bar.by_degree(w - wb).items()
-            for b in self.X.base.slice(n - dn, wb)
-            for word in words)
-
-    def d_key(self, n, w, key):
-        b, word = key
-        A = self.X.total
-        out = {(bm, word): c for bm, c in A.mono_d(b).items()}
-        odd = A.mono_bidegree(b)[0] % 2
-        for b2, nw, c in self.faces(word):
-            for bm, bc in A.mono_mul(b, b2).items():
-                _wadd(out, (bm, nw), -c * bc if odd else c * bc)
-        return out
-
-
 def checked_fiber(X: AugmentedOverN, w_max):
     """fiber_algebra(X) after the relative input checks, in order: the base
     is connected, the total generalized nilpotent over it, the fiber's table
@@ -229,10 +166,6 @@ def checked_fiber(X: AugmentedOverN, w_max):
     Falg, conn = fiber_algebra(X)
     require_connected(Falg, w_max)
     return Falg, conn
-
-
-def relative_bar_h0(X: AugmentedOverN, w_max):
-    return RelativeBarH0(X, w_max, *checked_fiber(X, w_max))
 
 
 class SemiDirectData:
@@ -253,9 +186,9 @@ class SemiDirectData:
 
 
 def semidirect(X: AugmentedOverN, w_max):
-    rb = relative_bar_h0(X, w_max)
+    Falg, conn = checked_fiber(X, w_max)
     weights = list(range(w_max + 1))
-    kernel_dims = rb.hopf.dims()
+    kernel_dims = HopfPresentation(Falg, w_max).dims()
     hopf_base = HopfPresentation(X.base, w_max)
     base_dims = hopf_base.dims()
     hopf_total = h0_hopf(X.total, w_max)
@@ -285,7 +218,8 @@ def semidirect(X: AugmentedOverN, w_max):
     for gi, (w, j) in enumerate(gam_total.basis):
         # push the representative letter-wise through the augmentation
         elin = map_letters(hopf_total.rep_lins(w)[j],
-                           lambda letter: X.eps({letter: F(1)}))
+                           lambda letter: X.total.substitute({letter: 1},
+                                                             X.eps))
         s_star[gi] = gam_base.project(hopf_base.classify(elin, w), w)
     sp_identity_ok = True
     for gi in p_star:
@@ -300,7 +234,7 @@ def semidirect(X: AugmentedOverN, w_max):
     return SemiDirectData(
         weights, kernel_dims, base_dims, total_dims, identity_ok,
         indecomp_ok, p_star, s_star, sp_identity_ok,
-        coaction_matrix(X, rb.conn, w_max), verdict,
+        coaction_matrix(X, conn, w_max), verdict,
     )
 
 
@@ -324,7 +258,7 @@ def coaction_matrix(X: AugmentedOverN, conn, w_max):
 
 
 def coaction_check(X: AugmentedOverN, w_max):
-    """(ok, coaction_matrix) after relative_bar_h0's input checks, with no
+    """(ok, coaction_matrix) after checked_fiber's input checks, with no
     bar construction: ok is that the total is a cdga (structure_failures)."""
     _, conn = checked_fiber(X, w_max)
     return not structure_failures(X.total), coaction_matrix(X, conn, w_max)

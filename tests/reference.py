@@ -28,7 +28,11 @@
 - The reference connection on the fiber bar construction: Gamma
   extended to fiber monomials as a derivation factor by factor, apart
   from the total algebra's bar complex, and flatness as D(D(1 (x) word))
-  = 0 word by word, with no cache.
+  = 0 word by word, with no cache.  The program builds no relative bar
+  complex; this is the oracle for its verdicts, which read the total's
+  structure_failures in place of D^2.
+- The reference augmentation A -> N: a filter keeping the monomials made
+  of base generators only (reference_eps).
 - The reference co-action: the base generator times fiber generator
   monomials of d_A on each degree-1 fiber generator, read off d_A with
   no fiber algebra and no connection.
@@ -47,9 +51,7 @@
   of two words enumerated as subsets of positions, each with the Koszul
   sign of its crossing pairs.  The bar faces of a word are built through
   the algebra's apply_d and multiply of one-term elements, one call per
-  letter and per adjacent pair.  The relative bar complex's D of a key
-  reads d and products through one-term elements in the same way
-  (reference_relative_d_key).
+  letter and per adjacent pair.
 - The reference slice enumeration: the monomials of a cdga slice and the
   pairs (S, word) of a simplicial-approximation slice, each found by a
   walk over its whole weight, run once per (degree, weight) and filtered
@@ -897,6 +899,16 @@ class ReferenceRelativeBar:
         return (not fails), fails
 
 
+def reference_eps(X, el):
+    """The augmentation A -> N of X on el: the terms whose monomials have
+    base factors only, each coefficient times Fraction(1)."""
+    out = {}
+    for mono, c in el.items():
+        if all(name in X.base_names for name, _ in mono):
+            linalg._vec_iadd(out, {mono: F(1)}, c)
+    return out
+
+
 def reference_coaction_split(X, w_max):
     """The base's co-action on the degree-1 fiber generators g of weight <=
     w_max, read straight off d_A: {(g, t, u): Fraction c} for each monomial
@@ -1396,37 +1408,6 @@ def reference_faces(bar, word):
 #
 # Each slice (n, r) walks every key of weight r and keeps those of degree
 # n, so a weight is walked once per degree asked.
-
-
-def reference_relative_d_key(rb, key):
-    """RelativeBarH0.d_key: D(b (x) word) = d_N b (x) word + (-1)^|b| b .
-    faces(word), d of b and each product b . b' read through apply_d and
-    multiply of one-term elements, and each face of the total algebra's
-    bar complex (reference_faces) split into base (x) fiber, b' pulled
-    left across the letters before it with the sign of |b'| times their
-    degree."""
-    from adamsbar.relative import split_monomial
-
-    b, word = key
-    A = rb.X.total
-    faces = []
-    for i, _, nw, c in reference_faces(rb._total_bar, word):
-        b2, f, s = split_monomial(A, nw[i], rb.X.base_names)
-        nb = A.mono_bidegree(b2)[0]
-        if nb * rb.bar.word_bidegree(nw[:i])[0] % 2:
-            s = -s
-        fiber = (f,) if f != UNIT else ()
-        faces.append((b2, nw[:i] + fiber + nw[i + 1:], s * c))
-    out = {(bm, word): c for bm, c in A.apply_d({b: 1}).items()}
-    odd = A.mono_bidegree(b)[0] % 2
-    for b2, nw, c in faces:
-        for bm, bc in A.multiply({b: 1}, {b2: 1}).items():
-            y = out.get((bm, nw), 0) + (-c * bc if odd else c * bc)
-            if y:
-                out[(bm, nw)] = y
-            else:
-                out.pop((bm, nw), None)
-    return out
 
 
 def reference_slice_keys(A, n, r):

@@ -402,7 +402,8 @@ def test_fault_storing_a_table_product_exits_3(capsys, tmp_path,
     assert "Traceback (most recent call last)" in err.err
 
 
-# (id, base, total, message): the total's t is not the base's own t
+# (id, base, total, message): the total's t is not the base's own t, or
+# the total multiplies the base generators t1, t2 otherwise than the base
 BASE_MISMATCHES = [
     ("weight", E1_TEXT,
      "cdga T free\ngen t deg 1 wt 2\ngen u deg 1 wt 1\naug u = 0\n",
@@ -415,17 +416,23 @@ BASE_MISMATCHES = [
      "cdga T free\ngen t deg 1 wt 1\ngen u deg 1 wt 1\naug t = 0\n"
      "aug u = 0\n",
      "base generator t must be fixed by the augmentation"),
+    ("product", "cdga T table\ngen t1 deg 1 wt 1\ngen t2 deg 1 wt 1\n",
+     "cdga T table\ngen t1 deg 1 wt 1\ngen t2 deg 1 wt 1\n"
+     "gen u deg 2 wt 2\nmul t1 t2 = 1*u\naug u = 0\n",
+     "product t1*t2 of base generators differs"),
 ]
 
 
-@pytest.mark.parametrize("command", ["minimal-model", "kernel"])
+@pytest.mark.parametrize("command", ["minimal-model", "kernel",
+                                     "coaction-check"])
 @pytest.mark.parametrize("base, total, message",
                          [c[1:] for c in BASE_MISMATCHES],
                          ids=[c[0] for c in BASE_MISMATCHES])
 def test_base_mismatch_exits_2(capsys, tmp_path, command, base, total,
                                message):
-    """minimal-model checks its base as kernel does: each mismatch is an
-    input error with kernel's message."""
+    """minimal-model and coaction-check check their base as kernel does:
+    each mismatch is an input error with kernel's message.  A base whose
+    product differs in the total is not a subalgebra of it."""
     b = write(tmp_path, "n.cdga", base)
     f = write(tmp_path, "t.cdga", total)
     files = [f, "--base", b] if command == "minimal-model" else [

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adamsbar import linalg
-from adamsbar.cdga import CdgaPresentation, GeneratorSpec
+from adamsbar.cdga import CdgaPresentation, GeneratorSpec, bidegree_failures
 from adamsbar.minimal import (
     IdealComplex,
     QAColie,
@@ -88,6 +89,33 @@ def test_gen_nilpotent_cycle_detected():
     ok, cyc = generalized_nilpotent_check(trivial_base(), B)
     assert not ok
     assert "h" in cyc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gen_nilpotent_check_passes_at_right_bidegrees(data):
+    """A total with every d(g) of bidegree (|g| + 1, wt g) is generalized
+    nilpotent over the trivial base, whatever else d is (d^2 need not be
+    0): along each use i in d(j), (weight, -degree) strictly drops, since
+    a one-factor term has j's weight and one degree more, and a product
+    has factors of lower weight (every weight is >= 1).  So the check
+    cannot fail on a total that passes check_bidegrees."""
+    gens = [GeneratorSpec(f"g{i}", data.draw(st.integers(-1, 3)),
+                          data.draw(st.integers(1, 3)))
+            for i in range(data.draw(st.integers(1, 5)))]
+    free = CdgaPresentation("R", "free", gens)
+    diff = {}
+    for g in gens:
+        keys = free.slice(g.coh + 1, g.adams)
+        chosen = data.draw(st.lists(st.sampled_from(keys), unique=True)
+                           if keys else st.just([]))
+        if chosen:
+            diff[g.name] = {m: 1 for m in chosen}
+    A = CdgaPresentation("R", "free", gens, diff)
+    assert bidegree_failures(A) == []
+    ok, stages = generalized_nilpotent_check(trivial_base(), A)
+    assert ok, stages
+    assert sorted(n for stage in stages for n in stage) == sorted(A.gen)
 
 
 def _with_uses(A, uses):

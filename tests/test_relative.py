@@ -9,7 +9,12 @@ from adamsbar.cdga import (
     el_gen,
     structure_failures,
 )
-from adamsbar.bar import HopfPresentation, _wadd, h0_hopf
+from adamsbar.bar import (
+    CoLiePresentation,
+    HopfPresentation,
+    h0_hopf,
+    map_letters,
+)
 from adamsbar.minimal import trivial_base
 from adamsbar.parser import parse_text
 from adamsbar import relative
@@ -22,7 +27,6 @@ from adamsbar.relative import (
     fiber_algebra,
     pi1_demo,
     punctured_line_model,
-    relative_bar_h0,
     semidirect,
     split_monomial,
 )
@@ -47,7 +51,7 @@ from test_cli import (
 from reference import (
     ReferenceRelativeBar,
     reference_coaction_split,
-    reference_relative_d_key,
+    reference_eps,
     k_kernel_dims,
     k_total_dims,
     lyndon_count,
@@ -97,17 +101,17 @@ def test_fiber_algebra_e4p(x4p):
 
 
 def test_relative_bar_trivial_base():
+    """Over the trivial base the relative bar complex is Bbar(E3): flat,
+    and the kernel is H^0 of E3's bar construction."""
     X = AugmentedOverN(trivial_base(), make_e3())
-    rb = relative_bar_h0(X, 3)
-    assert not rb.d_squared_failures(range(-1, 3), range(4))
-    assert rb.hopf.dims() == h0_hopf(make_e3(), 3).dims()
+    assert ReferenceRelativeBar(X, 3).flat
+    assert semidirect(X, 3).kernel_dims == h0_hopf(make_e3(), 3).dims()
 
 
 def test_relative_bar_e4(x4):
-    rb = relative_bar_h0(x4, 3)
-    assert not rb.d_squared_failures(range(-1, 3), range(4))
-    assert rb.hopf.dims()[0] == 1
-    assert rb.hopf.dims()[1] == 1
+    assert ReferenceRelativeBar(x4, 3).flat
+    kernel_dims = semidirect(x4, 3).kernel_dims
+    assert kernel_dims[0] == kernel_dims[1] == 1
 
 
 def _curved():
@@ -118,8 +122,10 @@ def test_relative_bar_curved_total_is_not_flat():
     """d^2 w = -s*t*u: D^2 (1 (x) [w]) = +-s*t (x) [u] is nonzero in
     total degree 0 and weight 3, and D^2 of 1 (x) [u|w] and 1 (x) [w|u]
     in weight 4."""
-    rb = relative_bar_h0(_curved(), 4)
-    assert rb.d_squared_failures(range(-1, 3), range(5)) == [(0, 3), (0, 4)]
+    u, w = (("u", 1),), (("w", 1),)
+    ref = ReferenceRelativeBar(_curved(), 4)
+    assert not ref.flat
+    assert ref.flat_failures == [(0, 3, (w,)), (0, 4, (u, w)), (0, 4, (w, u))]
 
 
 RELATIVE_CASES = [
@@ -137,82 +143,31 @@ RELATIVE_CASES = [
 
 @pytest.mark.parametrize("base, total", RELATIVE_CASES)
 def test_relative_bar_matches_reference(base, total):
-    """faces splits into F's own bar d (b = 1) and the reference
-    connection gamma_word (b != 1), and D^2 = 0 on total degrees -1..2
-    exactly when the reference's connection is flat, at w <= 4."""
+    """The reference relative bar complex reads fiber_algebra's connection:
+    on the one-letter word [g] of a fiber generator its Gamma is conn[g],
+    each fiber monomial a letter of its own.  And it is flat on total
+    degrees -1..2 at w <= 4 exactly when the total is a cdga, the
+    statement the relative verdicts rely on."""
     X = AugmentedOverN(base(), total())
-    rb = relative_bar_h0(X, 4)
+    _, conn = fiber_algebra(X)
     ref = ReferenceRelativeBar(X, 4)
-    for w in range(5):
-        for word in rb.bar.words_of_weight(w):
-            d, gamma = {}, {}
-            for b, nw, c in rb.faces(word):
-                if b == UNIT:
-                    _wadd(d, nw, c)
-                else:
-                    _wadd(gamma, (b, nw), c)
-            assert d == rb.bar.d_word(word), word
-            assert gamma == ref.gamma_word(word), word
-    assert (not rb.d_squared_failures(range(-1, 3), range(5))) == ref.flat
-
-
-@pytest.mark.parametrize("base, total", RELATIVE_CASES[:3])
-def test_relative_bar_differential_is_exact(base, total):
-    """D is a SliceComplex d: every column entry at w <= 3, degrees
-    -1..3, is an int or a Fraction."""
-    rb = relative_bar_h0(AugmentedOverN(base(), total()), 3)
-    for w in range(4):
-        for n in range(-1, 4):
-            for col in rb.d_columns(n, w):
-                for c in col.values():
-                    assert type(c) in (int, F), (n, w, c)
-
-
-@pytest.mark.parametrize("total", [make_e4, make_e4p, lambda: make_k(4)],
-                         ids=["e4", "e4p", "k4"])
-def test_relative_d_key_matches_reference(total, monkeypatch):
-    """D of every key of weight <= 4 over E1 gives reference_relative_d_key's
-    values, types and key order, reading d and products of monomials off
-    the total algebra's memos (no apply_d or multiply call), and faces
-    reads the degree of a face's prefix only where its base monomial has
-    odd degree."""
-    rb = relative_bar_h0(AugmentedOverN(make_e1("t"), total()), 4)
-    A = rb.X.total
-    keys = [key for w in range(5) for n in range(-4, 6)
-            for key in rb.slice(n, w)]
-    want = [reference_relative_d_key(rb, key) for key in keys]
-
-    def forbidden(*args):
-        raise AssertionError("d_key went through apply_d or multiply")
-
-    monkeypatch.setattr(A, "apply_d", forbidden)
-    monkeypatch.setattr(A, "multiply", forbidden)
-    prefixes = []
-    bidegree = rb.bar.word_bidegree
-
-    def recorded(word):
-        prefixes.append(word)
-        return bidegree(word)
-
-    monkeypatch.setattr(rb.bar, "word_bidegree", recorded)
-    assert rb._faces == {} and any(want)
-    for (n, w, key), d in zip(((n, w, key) for w in range(5)
-                               for n in range(-4, 6)
-                               for key in rb.slice(n, w)), want):
-        got = rb.d_key(n, w, key)
-        assert ([(k, type(c), c) for k, c in got.items()]
-                == [(k, type(c), c) for k, c in d.items()]), key
-    odd = sum(A.mono_bidegree(b)[0] % 2 for faces in rb._faces.values()
-              for b, _, _ in faces)
-    assert 0 < len(prefixes) == odd
+    for g in X.fiber:
+        want = {(b, (fm,)): c for b, fel in conn.get(g.name, {}).items()
+                for fm, c in fel.items()}
+        assert ref.gamma_word((((g.name, 1),),)) == want, g.name
+    assert ref.flat == (not structure_failures(X.total))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_relative_bar_flat_random(seed):
-    A = random_gen_nilpotent(seed)
-    X = AugmentedOverN(make_e1("t"), A)
-    rb = relative_bar_h0(X, 3)
-    assert not rb.d_squared_failures(range(-1, 3), range(4))
+    """A generalized nilpotent total over E1 is flat, and the kernel dims
+    semidirect reports are H^0 of the fiber's bar construction, as the
+    reference truncation at a length past every word of weight <= 3
+    counts them."""
+    X = AugmentedOverN(make_e1("t"), random_gen_nilpotent(seed))
+    assert ReferenceRelativeBar(X, 3).flat
+    assert semidirect(X, 3).kernel_dims == reference_truncated_h0(
+        fiber_algebra(X)[0], 4, 3)
 
 
 def _curved_variant(seed):
@@ -247,6 +202,9 @@ ORACLE_CASES = [
     pytest.param(lambda: make_e1("t"), make_e4, [], id="e4"),
     pytest.param(lambda: make_e1("t"), make_e4p, [], id="e4p"),
     pytest.param(lambda: make_e1("t"), lambda: make_k(4), [], id="k4"),
+    pytest.param(lambda: parse_text(N2_TEXT)[1],
+                 lambda: parse_text(CURVED_TEXT)[1], ["d^2(w) != 0"],
+                 id="curved"),
     pytest.param(lambda: parse_text(T_BASE_TEXT)[1],
                  lambda: _table_total(True), [], id="table"),
     pytest.param(lambda: parse_text(T_BASE_TEXT)[1],
@@ -259,17 +217,16 @@ ORACLE_CASES = [
 def test_structure_failures_match_the_relative_d_squared(base, total,
                                                          failures):
     """The relative verdicts read structure_failures of the total in place
-    of D^2 on the slices of N (x) Bbar(F): D^2 = 0 on total degrees -1..2
-    and weights <= 3 exactly when the total is a cdga.  The curved
-    variants fail d^2 on a generator, the Leibniz-breaking table only
-    Leibniz, which d_squared_failures does not see."""
+    of D^2 on N (x) Bbar(F), which the program does not build: the
+    reference D^2 = 0 on total degrees -1..2 and weights <= 3 exactly when
+    the total is a cdga.  The curved totals fail d^2 on a generator, the
+    Leibniz-breaking table only Leibniz, which d_squared_failures does
+    not see."""
     X = AugmentedOverN(base(), total())
-    rb = relative_bar_h0(X, 3)
     assert structure_failures(X.total) == failures
     assert d_squared_failures(X.total) == [
         f for f in failures if f.startswith("d^2")]
-    assert (not rb.d_squared_failures(range(-1, 3), range(4))) == (
-        not failures)
+    assert ReferenceRelativeBar(X, 3).flat == (not failures)
 
 
 def test_semidirect_e4(x4):
@@ -311,6 +268,51 @@ def test_semidirect_trivial_fiber():
     assert sd.p_star == {0: {0: F(1)}, 1: {1: F(1)}} or sd.p_star == {
         0: {0: F(1)}
     }
+
+
+def _reference_sp(X, w_max):
+    """semidirect's p* and s* with the augmentation applied by
+    reference_eps, each letter's monomials filtered to the base ones."""
+    hopf_base = HopfPresentation(X.base, w_max)
+    hopf_total = h0_hopf(X.total, w_max)
+    gam_base = CoLiePresentation(hopf_base)
+    gam_total = CoLiePresentation(hopf_total)
+    p_star = {gi: gam_total.project(hopf_total.classify(
+        hopf_base.rep_lins(w)[j], w), w)
+        for gi, (w, j) in enumerate(gam_base.basis)}
+    s_star = {gi: gam_base.project(hopf_base.classify(map_letters(
+        hopf_total.rep_lins(w)[j],
+        lambda letter: reference_eps(X, {letter: F(1)})), w), w)
+        for gi, (w, j) in enumerate(gam_total.basis)}
+    return p_star, s_star
+
+
+SP_CASES = [
+    pytest.param(make_e4, id="e4"),
+    pytest.param(make_e4p, id="e4p"),
+    pytest.param(lambda: make_k(4), id="k4"),
+] + [
+    pytest.param(lambda s=seed: random_gen_nilpotent(s), id=f"gn{seed}")
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("total", SP_CASES)
+def test_semidirect_p_star_s_star_match_reference(total):
+    """p* and s* over E1 at w <= 3 are the reference's, value for value
+    and type for type: the augmentation that s* pushes each letter
+    through, total.substitute with X.eps, is the filter on base
+    monomials."""
+    X = AugmentedOverN(make_e1("t"), total())
+    sd = semidirect(X, 3)
+    want = _reference_sp(X, 3)
+    assert want[0] and want[1]
+    for got, ref in zip((sd.p_star, sd.s_star), want):
+        assert ([(k, [(i, type(c), c) for i, c in v.items()])
+                 for k, v in got.items()]
+                == [(k, [(i, type(c), c) for i, c in v.items()])
+                    for k, v in ref.items()])
+    assert sd.sp_identity_ok
 
 
 def test_coaction_e4(x4):
@@ -369,17 +371,16 @@ def test_coaction_matches_reference(base, total):
 
 
 def test_coaction_check_builds_no_bar_construction(x4, monkeypatch):
-    """coaction_check reads Gamma off fiber_algebra: it builds neither the
-    relative bar complex nor a HopfPresentation, whose constructor
-    computes H^0 of the fiber's bar construction."""
+    """coaction_check reads Gamma off fiber_algebra: it builds no
+    HopfPresentation, whose constructor computes H^0 of a bar
+    construction, where semidirect builds one for the kernel."""
     def forbidden(*args):
         raise AssertionError("coaction_check built a bar construction")
 
     monkeypatch.setattr(HopfPresentation, "__init__", forbidden)
-    monkeypatch.setattr(relative.RelativeBarH0, "__init__", forbidden)
     assert coaction_check(x4, 4) == (True, {("v", "t", "u"): F(1)})
     with pytest.raises(AssertionError, match="bar construction"):
-        relative_bar_h0(x4, 4)
+        semidirect(x4, 4)
 
 
 def test_delta_n0():

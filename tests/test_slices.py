@@ -10,8 +10,7 @@ from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_add
 from adamsbar.linalg import Echelon, KernelCoords
 from adamsbar.minimal import IdealComplex, augment_absolute
 from adamsbar.relative import (
-    AugmentedOverN, DeltaApprox, fiber_algebra, punctured_line_model,
-    relative_bar_h0)
+    AugmentedOverN, DeltaApprox, fiber_algebra, punctured_line_model)
 from corpus import (
     make_e1, make_e2, make_e3, make_e4, make_e4p, random_cell_module,
     random_gen_nilpotent)
@@ -43,9 +42,6 @@ COMPLEXES = {
     "DeltaApprox E3 n3": lambda: (DeltaApprox(make_e3(), 3, 3),
                                   [(n, w) for w in range(4)
                                    for n in range(-3, 3)]),
-    "relative bar E4p over E1": lambda: (
-        relative_bar_h0(AugmentedOverN(make_e1("t"), make_e4p()), 4),
-        [(n, w) for w in range(5) for n in range(-2, 4)]),
 }
 
 
