@@ -56,12 +56,11 @@ class ModuleError(Exception):
 
 
 class FiltrationError(ModuleError):
-    """No strict filtration; left lists the unstaged indices, ascending."""
+    """No strict filtration; index is the lowest unstaged index."""
 
-    def __init__(self, left):
+    def __init__(self, index):
         super().__init__("differential admits no strict filtration")
-        self.left = left
-        self.index = left[0]
+        self.index = index
 
 
 def _entries_at(matrix, axis):
@@ -333,8 +332,7 @@ def _strict_filtration(basis, diff):
     cancelled one included, has i in a stage below s, and one in stage
     s - 1.  Kahn's layering: an index joins the next stage when the last
     of its entries' rows is placed, so each entry is visited once.  It
-    stages a cell module's cells and the fiber generators of
-    minimal.generalized_nilpotent_check, and raises FiltrationError."""
+    stages a cell module's cells, and raises FiltrationError."""
     waiting = [0] * len(basis)  # entries of each column not yet placed
     for _, j in diff:
         waiting[j] += 1
@@ -351,7 +349,7 @@ def _strict_filtration(basis, diff):
                     nxt.append(j)
         stage = sorted(nxt)
     if any(waiting):
-        raise FiltrationError([j for j, k in enumerate(waiting) if k])
+        raise FiltrationError(next(j for j, k in enumerate(waiting) if k))
     return stages
 
 

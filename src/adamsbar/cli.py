@@ -250,11 +250,7 @@ def cmd_coaction_check(args):
 def cmd_delta_approx(args):
     X = _augmented(args)
     rep = delta_approximation(X, args.n, args.wt_max)
-    ok = (
-        rep["d_squared_ok"]
-        and rep["q_chain_map_ok"]
-        and rep["system_compat_ok"]
-    )
+    ok = rep["ok"]
     report = _base_report("delta-approx", args, ok)
     report["tables"] = rep["dims"]
     report["full_dims"] = rep["full_dims"]

@@ -26,10 +26,9 @@ taken in ascending order.  What each view reads off it:
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,
   with its index, d, kernel and cohomology built once per slice from the
   views above (an empty slice's cohomology is 0, read without its
-  neighbours, and d into an empty slice is 0, built without faces), the
-  slices where d^2 != 0 (d_squared_failures, a sparse product of the
-  columns), and the H^0 dims of every subcomplex of a filtration by key
-  level (filtered_h0), one Echelon per slice fed level by level.  A
+  neighbours, and d into an empty slice is 0, built without faces), and
+  the H^0 dims of every subcomplex of a filtration by key level
+  (filtered_h0), one Echelon per slice fed level by level.  A
   complex whose keys are found by walking a whole weight (the cdga's
   monomials, the bar words, the simplicial approximation's pairs) walks
   it once and groups the keys by degree (by_degree).  The cdga, its bar
@@ -435,22 +434,6 @@ class SliceComplex:
             else:
                 self._coh[key] = len(ker), ker, KernelCoords(ker)
         return self._coh[key]
-
-    def d_squared_failures(self, degrees, weights):
-        """The slices (n, r), r in weights and n in degrees, where
-        d(n + 1, r) d(n, r) != 0, one sparse product of the columns each."""
-        out = []
-        for r in weights:
-            for n in degrees:
-                nxt = self.d_columns(n + 1, r)
-                for col in self.d_columns(n, r):
-                    acc = {}
-                    for i, c in col.items():
-                        _vec_iadd(acc, nxt[i], c)
-                    if acc:
-                        out.append((n, r))
-                        break
-        return out
 
     def filtered_h0(self, level, levels, weights):
         """{l: {r: dim H^0 at weight r}} of the subcomplex spanned by the

@@ -11,11 +11,9 @@ model grows in place, and its one IdealComplex forgets only the slices
 of the new generators' weight and above.  All certification is by exact
 slice linear algebra.
 
-A total algebra is generalized nilpotent over its base when d of each
-fiber generator lies in the base and the earlier fiber generators: the
-strict filtration of a cell module, which generalized_nilpotent_check
-reads off cellmod._strict_filtration.  The base must be connected, as the
-bar construction needs (bar.require_connected).
+The base must be connected, as the bar construction needs
+(bar.require_connected), and the total's augmentation a chain map
+(cdga.augmentation_failures), as the relative commands require.
 """
 
 from __future__ import annotations
@@ -29,12 +27,12 @@ from .bar import (BarComplex, _exact, _wedge_add, gamma as bar_gamma,
 from .cdga import (
     CdgaPresentation,
     GeneratorSpec,
+    augmentation_failures,
     base_mismatches,
     el_add,
     el_scale,
     mono_factors,
 )
-from .cellmod import FiltrationError, _strict_filtration
 
 F = Fraction
 
@@ -133,7 +131,8 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
     (coh <= n+1, adams <= w_max) window.
     """
     require_connected(N, w_max)
-    failures = base_mismatches(N, A)
+    failures = base_mismatches(N, A) or augmentation_failures(
+        A, A.augmentation)
     if failures:
         raise ValueError("; ".join(failures))
     base_names = {g.name for g in N.generators}
@@ -191,32 +190,6 @@ def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
         if el_add(lhs, rhs, F(-1)):
             raise RuntimeError(f"structure map fails to commute with d at {name}")
     return result
-
-
-def generalized_nilpotent_check(N: CdgaPresentation, A: CdgaPresentation):
-    """Stage A's fiber generators over N by cellmod._strict_filtration of
-    their uses: (i, j) where d of fiber generator j uses generator i.
-
-    Returns (True, stages of names in fiber order) or (False, a cycle: from
-    the first unstaged generator, each step to the unstaged one it uses
-    whose name sorts first, until one repeats).
-    """
-    fiber = [g.name for g in A.generators if g.name not in N.gen]
-    pos = {name: j for j, name in enumerate(fiber)}
-    uses = {(pos[g], j): None for j, name in enumerate(fiber)
-            for mono in A.differential.get(name, {}) for g, _ in mono
-            if g in pos}
-    try:
-        stages = _strict_filtration(fiber, uses)
-    except FiltrationError as e:
-        # each generator left out uses another one left out
-        left, cycle, j = set(e.left), [], e.left[0]
-        while j not in cycle:
-            cycle.append(j)
-            j = min((i for i, k in uses if k == j and i in left),
-                    key=fiber.__getitem__)
-        return False, [fiber[k] for k in cycle[cycle.index(j):]]
-    return True, [[fiber[j] for j in stage] for stage in stages]
 
 
 class QAColie:

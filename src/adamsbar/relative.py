@@ -41,7 +41,6 @@ from .bar import (
     map_letters,
     require_connected,
 )
-from .minimal import generalized_nilpotent_check
 
 F = Fraction
 
@@ -154,15 +153,12 @@ def fiber_algebra(X: AugmentedOverN):
 
 def checked_fiber(X: AugmentedOverN, w_max):
     """fiber_algebra(X) after the relative input checks, in order: the base
-    is connected, the total generalized nilpotent over it, the fiber's table
-    products valid and the fiber connected up to weight w_max."""
+    is connected, the fiber's table products valid and the fiber connected
+    up to weight w_max.  The total must have right bidegrees
+    (cdga.check_bidegrees, which the CLI runs on every input): then
+    (weight, -degree) strictly falls along every use of a fiber generator
+    in d, so the total is generalized nilpotent over the base."""
     require_connected(X.base, w_max)
-    ok, wit = generalized_nilpotent_check(X.base, X.total)
-    if not ok:
-        raise RelativeError(
-            f"total algebra not generalized nilpotent (cycle {wit}); "
-            "compute a relative minimal model first"
-        )
     Falg, conn = fiber_algebra(X)
     require_connected(Falg, w_max)
     return Falg, conn
@@ -281,19 +277,19 @@ class DeltaApprox(linalg.SliceComplex):
     the end faces apply the counit and are nonzero only on unit
     letters.
 
-    A face only removes vertices, so for nn <= n the pairs with
-    S[-1] <= nn span a subcomplex (closed_ok checks it): the complex of
-    the nn-simplex, whose H^0 dims filtered_h0 reads at level S[-1].  As a
-    SliceComplex its keys are the pairs (S, word), sorted and grouped by
-    degree once per weight, and every dimension and check reads the one
-    d_columns of each slice.
+    A face only removes vertices, and an inner face drops vertex
+    i + 1 <= m - 1, so the top vertex never rises: for nn <= n the pairs
+    with S[-1] <= nn span a subcomplex, the complex of the nn-simplex,
+    whose H^0 dims filtered_h0 reads at level S[-1].  As a SliceComplex
+    its keys are the pairs (S, word), sorted and grouped by degree once
+    per weight, and every dimension reads the one d_columns of each
+    slice.
     """
 
-    def __init__(self, A: CdgaPresentation, n, w_max):
+    def __init__(self, A: CdgaPresentation, n):
         super().__init__()
         self.A = A
         self.n = n
-        self.w_max = w_max
         self.bar = BarComplex(A)
         self._words = {}
         self._faces = {}
@@ -349,58 +345,18 @@ class DeltaApprox(linalg.SliceComplex):
     def d_key(self, deg, w, b):
         return self.d_basis(*b)
 
-    def closed_ok(self):
-        """No face in d(deg, w), deg -2..1, has a top vertex above its
-        column's: the pairs with S[-1] <= nn are subcomplexes.  A face map
-        that leaves its vertex range breaks it."""
-        for w in range(self.w_max + 1):
-            for deg in (-2, -1, 0, 1):
-                dst = self.slice(deg + 1, w)
-                for (S, _), col in zip(self.slice(deg, w),
-                                       self.d_columns(deg, w)):
-                    if any(dst[i][0][-1] > S[-1] for i in col):
-                        return False
-        return True
-
-    def q_map(self, lin):
-        """Sum-of-identities comparison map to the length-truncated bar
-        complex (words with unit letters die)."""
-        out = {}
-        for (S, word), c in lin.items():
-            if all(l != UNIT for l in word):
-                _wadd(out, word, c)
-        return out
-
-    def q_chain_ok(self):
-        """q d = d_bar q on degrees -1 and 0, the right side from the bar
-        complex's own differential on words of length <= n.  q of a basis
-        element depends only on its word, so the right side is computed
-        once per word, not once per face."""
-        rhs = {}  # word -> d_bar q of every (S, word)
-        for w in range(self.w_max + 1):
-            for deg in (-1, 0):
-                dst = self.slice(deg + 1, w)
-                for b, col in zip(self.slice(deg, w), self.d_columns(deg, w)):
-                    word = b[1]
-                    if word not in rhs:
-                        rhs[word] = {
-                            nw: c for nw, c in
-                            self.bar.d_lin(self.q_map({b: 1})).items()
-                            if len(nw) <= self.n}
-                    lhs = self.q_map({dst[i]: c for i, c in col.items()})
-                    if lhs != rhs[word]:
-                        return False
-        return True
-
 
 def delta_approximation(X: AugmentedOverN, n, w_max):
     """Simplicial approximations of the fiber bar complex for all
     simplex sizes up to n, read off the one complex at n as the levels
     S[-1] <= nn, with a stabilization report against the fiber bar
     complex's H^0 (a weight-w word has at most w letters, so its length
-    truncation at w_max is the whole complex)."""
+    truncation at w_max is the whole complex).  ok is that the total is a
+    cdga (structure_failures): the fiber is its quotient by a dg ideal, so
+    d^2 = 0 on the complex then, and the subcomplexes and the map to the
+    bar complex killing unit letters hold by construction."""
     Falg, _ = fiber_algebra(X)
-    da = DeltaApprox(Falg, n, w_max)
+    da = DeltaApprox(Falg, n)
     weights = range(w_max + 1)
     dims = da.filtered_h0(lambda b: b[0][-1], range(n + 1), weights)
     full = da.bar.filtered_h0(len, [w_max], weights)[w_max]
@@ -414,14 +370,10 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
             stable_n = nn
             break
     return {
-        "n": n,
         "dims": dims,
         "full_dims": full,
         "stable_n": stable_n,
-        "d_squared_ok": not (structure_failures(X.total) or
-                             da.d_squared_failures(range(-2, 2), weights)),
-        "q_chain_map_ok": da.q_chain_ok(),
-        "system_compat_ok": da.closed_ok(),
+        "ok": not structure_failures(X.total),
     }
 
 

@@ -22,7 +22,11 @@
   indecomposables from the products of every ordered pair, echelonized,
   with a separate projector.
 - The reference simplicial approximation: one complex per simplex size,
-  each with its own matrices and reference cohomology.
+  each with its own matrices and reference cohomology; and the three
+  facts about the program's one complex that delta-approx relies on
+  without checking them: d^2 = 0 on its slices, the pairs of top vertex
+  <= nn closed under d, and q, killing the words with a unit letter, a
+  chain map to the bar complex.
 - The reference word-length truncation: one bar complex per length m,
   keeping only the words of length <= m, each with its own ranks.
 - The reference connection on the fiber bar construction: Gamma
@@ -794,6 +798,60 @@ def reference_delta_dims(A, n, w_max, full):
                 for k in range(nn, n + 1) for w in range(w_max + 1))),
         None)
     return dims, stable_n
+
+
+def slice_d_squared_failures(X, degrees, weights):
+    """The slices (n, r) of a SliceComplex X, r in weights and n in
+    degrees, where d(n + 1, r) d(n, r) != 0 on its cached columns."""
+    out = []
+    for r in weights:
+        for n in degrees:
+            nxt = X.d_columns(n + 1, r)
+            for col in X.d_columns(n, r):
+                acc = {}
+                for i, c in col.items():
+                    acc = el_add(acc, nxt[i], c)
+                if acc:
+                    out.append((n, r))
+                    break
+    return out
+
+
+def delta_closure_failures(da, w_max):
+    """The slices (deg, w) of a DeltaApprox, deg -2..1 and w <= w_max,
+    where some face in d has a top vertex above its column's: the pairs
+    with S[-1] <= nn, which filtered_h0 reads as the nn-simplex, are then
+    no subcomplex."""
+    return [(deg, w) for w in range(w_max + 1) for deg in (-2, -1, 0, 1)
+            if any(da.slice(deg + 1, w)[i][0][-1] > S[-1]
+                   for (S, _), col in zip(da.slice(deg, w),
+                                          da.d_columns(deg, w))
+                   for i in col)]
+
+
+def delta_q_chain_failures(da, w_max):
+    """The slices (deg, w) of a DeltaApprox, deg -1 and 0 and w <= w_max,
+    where q d != d_bar q for q the sum-of-identities map to the bar
+    complex that kills the words with a unit letter, d_bar truncated to
+    the words of length <= n."""
+    def q(lin):
+        out = {}
+        for (_, word), c in lin.items():
+            if UNIT not in word:
+                out = el_add(out, {word: c})
+        return out
+
+    out = []
+    for w in range(w_max + 1):
+        for deg in (-1, 0):
+            dst = da.slice(deg + 1, w)
+            for b, col in zip(da.slice(deg, w), da.d_columns(deg, w)):
+                rhs = {nw: c for nw, c in da.bar.d_lin(q({b: 1})).items()
+                       if len(nw) <= da.n}
+                if q({dst[i]: c for i, c in col.items()}) != rhs:
+                    out.append((deg, w))
+                    break
+    return out
 
 
 # ---- reference connection on the fiber bar construction -----------------

@@ -213,7 +213,7 @@ def test_criterion_9_stabilization():
                     if w <= m:
                         assert trunc[w] == full[w], (total.name, m, w)
             rep = delta_approximation(X, w_max, w_max)
-            assert rep["d_squared_ok"]
+            assert rep["ok"]
             for n in range(w_max + 1):
                 for w in range(n + 1):
                     assert rep["dims"][n][w] == full[w], (total.name, n, w)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction as F
 
@@ -663,6 +664,95 @@ def test_augmentation_not_a_chain_map_exits_2(capsys, tmp_path, command):
     code, rep = run(capsys, "validate", f)
     assert (code, rep["witnesses"]) == (
         1, ["augmentation not a chain map at v"])
+
+
+# (id, base, total): d of the fiber generator e is the base generator t,
+# which the augmentation fixes while it kills e
+AUG_NOT_CHAIN = [
+    ("deg0", "cdga B free\ngen t deg 1 wt 1\n",
+     "cdga T free\ngen t deg 1 wt 1\ngen e deg 0 wt 1\nd e = 1*t\n"
+     "aug e = 0\n"),
+    ("deg1", "cdga B free\ngen t deg 2 wt 1\n",
+     "cdga T free\ngen t deg 2 wt 1\ngen e deg 1 wt 1\nd e = 1*t\n"
+     "aug e = 0\n"),
+]
+
+RELATIVE_COMMANDS = ["minimal-model", "kernel", "coaction-check",
+                     "delta-approx"]
+
+
+def _relative_run(capsys, command, base, total):
+    """(exit code, stdout, stderr) of a relative command on the base and
+    total files, at --wt-max 2."""
+    files = ([total, "--base", base]
+             if command in ("minimal-model", "delta-approx")
+             else ["--base", base, "--total", total])
+    code = main([command, *files, "--wt-max", "2"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("base, total", [c[1:] for c in AUG_NOT_CHAIN],
+                         ids=[c[0] for c in AUG_NOT_CHAIN])
+def test_minimal_model_refuses_augmentation_not_a_chain_map(
+        capsys, tmp_path, base, total):
+    """minimal-model refuses a total whose augmentation is no chain map,
+    with the message of kernel, coaction-check and delta-approx; it used to
+    pass the first and meet a structure map that does not commute with d
+    (exit 3) on the second."""
+    b = write(tmp_path, "b.cdga", base)
+    f = write(tmp_path, "t.cdga", total)
+    for command in RELATIVE_COMMANDS:
+        assert _relative_run(capsys, command, b, f) == (
+            2, "", "error: augmentation not a chain map at e\n"), command
+
+
+def random_relative_totals(seed, count):
+    """count (base text, total text) pairs from one seed: the base one
+    generator t of degree 1 or 2 and weight 1, the total t and one to
+    four fiber generators of degree 0..2 and weight 1..3, each with
+    aug = 0 and d a random sum of one or more of the monomials of its
+    right bidegree, where there is one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = f"cdga B free\ngen t deg {rng.choice([1, 2])} wt 1\n"
+        fiber = [(f"e{i}", rng.randint(0, 2), rng.randint(1, 3))
+                 for i in range(rng.randint(1, 4))]
+        lines = [base.replace("cdga B", "cdga T")]
+        lines += [f"gen {g} deg {d} wt {w}\n" for g, d, w in fiber]
+        free = parse_text("".join(lines))[1]
+        for g, d, w in fiber:
+            slice_ = free.slice(d + 1, w)
+            monos = rng.sample(slice_, rng.randint(min(1, len(slice_)),
+                                                   len(slice_)))
+            terms = [f"{rng.choice('+-')} {rng.choice('12')}*" + "*".join(
+                name for name, e in m for _ in range(e)) for m in monos]
+            if terms:
+                lines.append(f"d {g} = " + " ".join(terms).lstrip("+ ")
+                             + "\n")
+        lines += [f"aug {g} = 0\n" for g, _, _ in fiber]
+        yield base, "".join(lines)
+
+
+def test_relative_commands_agree_on_augmentation_not_a_chain_map(
+        capsys, tmp_path):
+    """On every seeded total that is a cdga but whose augmentation is no
+    chain map, the four relative commands exit 2 with the same message."""
+    refused = 0
+    for base, total in random_relative_totals(0, 100):
+        A = parse_text(total)[1]
+        if (cdga.structure_failures(A)
+                or not cdga.augmentation_failures(A, A.augmentation)):
+            continue
+        refused += 1
+        b = write(tmp_path, "b.cdga", base)
+        f = write(tmp_path, "t.cdga", total)
+        runs = {c: _relative_run(capsys, c, b, f) for c in RELATIVE_COMMANDS}
+        want = runs["kernel"]
+        assert want[:2] == (2, "") and want[2].startswith(
+            "error: augmentation not a chain map at "), total
+        assert all(run == want for run in runs.values()), (total, runs)
+    assert refused >= 15
 
 
 def test_coaction_command(capsys, tmp_path):

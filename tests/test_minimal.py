@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from adamsbar import linalg
 from adamsbar.cdga import CdgaPresentation, GeneratorSpec, bidegree_failures
+from adamsbar.cellmod import FiltrationError, _strict_filtration
 from adamsbar.minimal import (
     IdealComplex,
     QAColie,
     augment_absolute,
-    generalized_nilpotent_check,
     quillen_compare,
     relative_minimal_model,
     trivial_base,
@@ -66,11 +66,14 @@ def test_stage_log_single_pass():
         assert entry["iterations"] <= 3
 
 
+gen_nilpotent = reference.reference_generalized_nilpotent_check
+
+
 def test_gen_nilpotent_check_fixtures():
-    ok, stages = generalized_nilpotent_check(trivial_base(), make_e3())
+    ok, stages = gen_nilpotent(trivial_base(), make_e3())
     assert ok
     assert stages == [["x", "y"], ["z"]]
-    ok, stages = generalized_nilpotent_check(make_e1("t"), make_e4())
+    ok, stages = gen_nilpotent(make_e1("t"), make_e4())
     assert ok
     assert stages == [["u"], ["v"]]
 
@@ -81,12 +84,12 @@ def test_gen_nilpotent_cycle_detected():
     # use db involving b itself through a: d(b) has bidegree (4,2): a*a
     A = CdgaPresentation("cyc", "free", gens,
                          differential={"b": {(("a", 2),): 1}})
-    ok, stages = generalized_nilpotent_check(trivial_base(), A)
+    ok, stages = gen_nilpotent(trivial_base(), A)
     assert ok  # a*a is fine: depends only on a
     B = CdgaPresentation("cyc2", "free", [GeneratorSpec("g", 2, 1),
                                           GeneratorSpec("h", 2, 2)],
                          differential={"g": {}, "h": {(("h", 1),): F(1)}})
-    ok, cyc = generalized_nilpotent_check(trivial_base(), B)
+    ok, cyc = gen_nilpotent(trivial_base(), B)
     assert not ok
     assert "h" in cyc
 
@@ -98,8 +101,9 @@ def test_gen_nilpotent_check_passes_at_right_bidegrees(data):
     nilpotent over the trivial base, whatever else d is (d^2 need not be
     0): along each use i in d(j), (weight, -degree) strictly drops, since
     a one-factor term has j's weight and one degree more, and a product
-    has factors of lower weight (every weight is >= 1).  So the check
-    cannot fail on a total that passes check_bidegrees."""
+    has factors of lower weight (every weight is >= 1).  So no total that
+    passes check_bidegrees, as every CLI input does, needs the check, and
+    relative.checked_fiber runs none."""
     gens = [GeneratorSpec(f"g{i}", data.draw(st.integers(-1, 3)),
                           data.draw(st.integers(1, 3)))
             for i in range(data.draw(st.integers(1, 5)))]
@@ -113,7 +117,7 @@ def test_gen_nilpotent_check_passes_at_right_bidegrees(data):
             diff[g.name] = {m: 1 for m in chosen}
     A = CdgaPresentation("R", "free", gens, diff)
     assert bidegree_failures(A) == []
-    ok, stages = generalized_nilpotent_check(trivial_base(), A)
+    ok, stages = gen_nilpotent(trivial_base(), A)
     assert ok, stages
     assert sorted(n for stage in stages for n in stage) == sorted(A.gen)
 
@@ -175,13 +179,27 @@ def _nilpotent_cases():
 @pytest.mark.parametrize("name, base, make", [
     pytest.param(*case, id=case[0]) for case in _nilpotent_cases()])
 def test_gen_nilpotent_check_matches_reference(name, base, make):
-    """The strict filtration of the fiber's uses gives the stages of the
-    per-stage rescan, and the same cycle witness where there is none."""
+    """cellmod._strict_filtration, which stages a cell file's elements, on
+    the uses (i, j) where d of fiber generator j uses fiber generator i
+    gives the stages of the per-stage rescan; where the rescan finds a
+    cycle it raises FiltrationError at an index no later than any
+    generator of that cycle, as each is left without a stage."""
     N, A = base(), make()
-    assert (generalized_nilpotent_check(N, A)
-            == reference.reference_generalized_nilpotent_check(N, A))
+    fiber = [g.name for g in A.generators if g.name not in N.gen]
+    pos = {name: j for j, name in enumerate(fiber)}
+    uses = {(pos[g], j): None for j, name in enumerate(fiber)
+            for mono in A.differential.get(name, {}) for g, _ in mono
+            if g in pos}
+    ok, want = reference.reference_generalized_nilpotent_check(N, A)
+    if ok:
+        assert [[fiber[j] for j in stage]
+                for stage in _strict_filtration(fiber, uses)] == want
+    else:
+        with pytest.raises(FiltrationError) as e:
+            _strict_filtration(fiber, uses)
+        assert e.value.index <= min(pos[g] for g in want)
     if name in INJECTED:
-        assert not generalized_nilpotent_check(N, A)[0]
+        assert not ok
 
 
 def model_qa(A, w):

@@ -39,7 +39,7 @@ COMPLEXES = {
                                       for n in range(-1, 8)]),
     "q-complex": lambda: (_cell().q_complex(), [(n, r) for r in range(4)
                                                 for n in range(-1, 4)]),
-    "DeltaApprox E3 n3": lambda: (DeltaApprox(make_e3(), 3, 3),
+    "DeltaApprox E3 n3": lambda: (DeltaApprox(make_e3(), 3),
                                   [(n, w) for w in range(4)
                                    for n in range(-3, 3)]),
 }
@@ -50,7 +50,7 @@ def test_slice_cohomology_matches_reference(name):
     """cohomology(n, r) of every slice has the dimension, representatives
     and class coordinates of reference_cohomology on d_columns(n, r) and
     d_columns(n - 1, r), and d(n + 1, r) d(n, r) = 0 on the cached
-    columns, as d_squared_failures finds."""
+    columns."""
     X, slices = COMPLEXES[name]()
     total = 0
     for n, r in slices:
@@ -72,7 +72,6 @@ def test_slice_cohomology_matches_reference(name):
             for i, c in col.items():
                 acc = el_add(acc, nxt[i], c)
             assert not acc, (n, r)
-        assert X.d_squared_failures([n], [r]) == []
         total += dim
     assert total  # some slice has cohomology
 
@@ -261,7 +260,7 @@ def test_delta_keys_match_per_degree_filter(mk, n):
     A = mk()
     if A.augmentation:
         A = fiber_algebra(AugmentedOverN(make_e1("t"), A))[0]
-    da = DeltaApprox(A, n, 3)
+    da = DeltaApprox(A, n)
     for w in range(4):
         for deg in range(-n - 2, 3 * w + 2):
             assert da.slice(deg, w) == reference.reference_delta_keys(
