@@ -118,9 +118,8 @@ class CdgaPresentation(linalg.SliceComplex):
         self.products = {}
         for (a, b), val in (products or {}).items():
             self.set_product(a, b, val)
-        # augmentation values for the relative theory; generators absent
-        # from the map are fixed (base generators), explicit empty
-        # values augment to 0
+        # the aug lines as given; relative.AugmentedOverN reads every
+        # generator outside the base as a fiber generator augmented to 0
         self.augmentation = dict(augmentation or {})
 
     def adjoin(self, spec: GeneratorSpec, d=None, aug=None):
@@ -280,8 +279,9 @@ class CdgaPresentation(linalg.SliceComplex):
         the images in this algebra factor by factor.
 
         Generators absent from gen_map are fixed; an explicit empty image
-        kills the generator.  With gen_map = self.augmentation this applies
-        the augmentation (absent generators are base generators).
+        kills the generator.  With gen_map = relative.AugmentedOverN's eps,
+        which kills exactly the fiber generators, this applies the
+        augmentation.
         """
         out = {}
         for m, c in a.items():
@@ -455,13 +455,14 @@ def validate(A: CdgaPresentation):
 def is_coh_connected(A: CdgaPresentation, adams_max):
     """H^n(r) = 0 for n <= 0 and 1 <= r <= adams_max, H^0(0) = Q.
 
-    A monomial of weight r has at most r factors (every generator has
-    weight >= 1), so at weight r only the degrees from
-    min(0, r * lowest generator degree) to 0 need checking."""
-    low = min([0] + [g.coh for g in A.generators])
+    A monomial of weight r has 1 to r factors (every generator has
+    weight >= 1), so its degree is at least min(low, r * low) for the
+    lowest generator degree low, and only the degrees from there to 0
+    need checking: none where every generator has degree >= 1."""
+    low = min((g.coh for g in A.generators), default=1)
     witnesses = []
     for r in range(1, adams_max + 1):
-        for n in range(r * low, 1):
+        for n in range(min(low, r * low), 1):
             dim = A.cohomology(n, r)[0]
             if dim:
                 witnesses.append((n, r, dim))

@@ -196,9 +196,9 @@ def cmd_colie(args):
 
 
 def cmd_minimal_model(args):
-    A = _flat(_load_cdga(args.file))
-    base = _flat(_load_cdga(args.base)) if args.base else trivial_base()
-    mm = relative_minimal_model(base, A, args.n, args.wt_max)
+    X = _augmented(args)
+    _flat(X.total)
+    mm = relative_minimal_model(X, args.n, args.wt_max)
     ok = mm.certified()
     report = _base_report("minimal-model", args, ok)
     report["generators"] = {

@@ -11,9 +11,8 @@ model grows in place, and its one IdealComplex forgets only the slices
 of the new generators' weight and above.  All certification is by exact
 slice linear algebra.
 
-The base must be connected, as the bar construction needs
-(bar.require_connected), and the total's augmentation a chain map
-(cdga.augmentation_failures), as the relative commands require.
+The input is an AugmentedOverN read through relative.checked_fiber, as
+every relative command reads it; its ideal is the kernel of X.eps.
 """
 
 from __future__ import annotations
@@ -23,16 +22,10 @@ from fractions import Fraction
 from . import linalg
 from .linalg import _vec_iadd
 from .bar import (BarComplex, _exact, _wedge_add, gamma as bar_gamma,
-                  map_letters, require_connected)
-from .cdga import (
-    CdgaPresentation,
-    GeneratorSpec,
-    augmentation_failures,
-    base_mismatches,
-    el_add,
-    el_scale,
-    mono_factors,
-)
+                  map_letters)
+from .cdga import (CdgaPresentation, GeneratorSpec, el_add, el_scale,
+                   mono_factors)
+from .relative import AugmentedOverN, checked_fiber
 
 F = Fraction
 
@@ -48,13 +41,14 @@ def augment_absolute(A: CdgaPresentation):
 
 
 class IdealComplex(linalg.SliceComplex):
-    """The augmentation-ideal subcomplex of an augmented cdga, per slice:
-    the keys of slice (i, m) are the positions of the kernel vectors of
-    eps in ideal_basis(i, m)."""
+    """The subcomplex of A killed by the augmentation aug, a generator map
+    for A.substitute, per slice: the keys of slice (i, m) are the positions
+    of the kernel vectors of aug in ideal_basis(i, m)."""
 
-    def __init__(self, A: CdgaPresentation):
+    def __init__(self, A: CdgaPresentation, aug):
         super().__init__()
         self.A = A
+        self.aug = aug
         self._eps = {}
 
     def ideal_basis(self, i, m):
@@ -65,7 +59,7 @@ class IdealComplex(linalg.SliceComplex):
             basis = self.A.slice(i, m)
             idx = {mm: k for k, mm in enumerate(basis)}
             eps = [{idx[em]: c for em, c in self.A.substitute(
-                        {mono: 1}, self.A.augmentation).items()}
+                        {mono: 1}, self.aug).items()}
                    for mono in basis]
             # ideal = kernel of eps on the slice; entries of denominator 1
             # as ints, so an integral presentation's structure maps
@@ -121,34 +115,21 @@ class MinimalModelResult:
         return all(self.certification.values())
 
 
-def relative_minimal_model(N: CdgaPresentation, A: CdgaPresentation, n, w_max):
-    """n-minimal model of the augmented algebra A over the base N.
+def relative_minimal_model(X: AugmentedOverN, n, w_max):
+    """n-minimal model of the total X.total over the base X.base, after
+    checked_fiber's input checks.
 
-    A must contain N's generators verbatim; its augmentation map kills
-    the fiber generators into N (zero by default).  Returns a
-    MinimalModelResult whose model is N with free fiber generators
-    adjoined, certified by slice cohomology comparison within the
-    (coh <= n+1, adams <= w_max) window.
+    Returns a MinimalModelResult whose model is the base with free fiber
+    generators adjoined, each augmented to 0, and whose structure map
+    sends the model's ideal into the kernel of X.eps, certified by slice
+    cohomology comparison within the (coh <= n+1, adams <= w_max) window.
     """
-    require_connected(N, w_max)
-    failures = base_mismatches(N, A) or augmentation_failures(
-        A, A.augmentation)
-    if failures:
-        raise ValueError("; ".join(failures))
-    base_names = {g.name for g in N.generators}
-    for g in A.generators:
-        if g.name not in base_names and g.name not in A.augmentation:
-            raise ValueError(
-                f"generator {g.name} of {A.name} is neither a base "
-                "generator nor augmented; unaugmented generators are "
-                "fixed by the augmentation, which is only meaningful "
-                "for the base"
-            )
-
+    checked_fiber(X, w_max)
+    N, A = X.base, X.total
     model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
                              N.differential, N.products)
-    ic_A = IdealComplex(A)
-    ic_M = IdealComplex(model)
+    ic_A = IdealComplex(A, X.eps)
+    ic_M = IdealComplex(model, model.augmentation)
     structure_map = {}
     fiber_names = []
     counter = [0]
@@ -238,9 +219,10 @@ def quillen_compare(A: CdgaPresentation, w_max):
     longer words into a cocycle.  Returns (ok, details).
     """
     A = augment_absolute(A)
-    mm = relative_minimal_model(trivial_base(), A, 1, w_max)
+    gam = bar_gamma(A, w_max)  # first: its connectivity check names A
+    mm = relative_minimal_model(AugmentedOverN(trivial_base(), A), 1,
+                                w_max)
     qa = QAColie(mm)
-    gam = bar_gamma(A, w_max)
     if qa.dims() != {w: d for w, d in gam.dims().items() if d}:
         return False, {"reason": "dimension mismatch",
                        "qa": qa.dims(), "gamma": gam.dims()}

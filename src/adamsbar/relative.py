@@ -7,7 +7,9 @@ carries the reduced differential d0; the base-valued remainder of d is
 a flat nilpotent connection Gamma.  This module computes:
 
   * the fiber algebra and its connection after the relative input checks
-    (checked_fiber, the one entry point of kernel and coaction-check);
+    (checked_fiber, which all four relative commands call first on their
+    AugmentedOverN: kernel, coaction-check, delta-approx and
+    minimal.relative_minimal_model);
     the relative bar complex N (x) Bbar(F) has D^2 = 0 exactly when the
     total is a cdga, so the verdicts read cdga.structure_failures of the
     total and no relative bar complex is built,
@@ -50,10 +52,12 @@ class RelativeError(Exception):
 
 
 class AugmentedOverN:
-    """Total algebra A with a distinguished base subalgebra N.
+    """Total algebra A with a distinguished base subalgebra N: the one
+    reading of a (base, total) pair by every relative command.
 
-    Base generators must appear in the total algebra verbatim and are
-    fixed by the augmentation; every fiber generator must augment to
+    The base generators are N's: they must appear in the total algebra
+    verbatim and are fixed by the augmentation.  Every other generator is
+    a fiber generator, with or without an aug line, and must augment to
     zero (the supported normal form — a nonzero N-valued augmentation
     can always be removed by the change of variables e -> e - eps(e)).
     eps must be a chain map: eps(d g) = 0 for each fiber generator g
@@ -154,10 +158,12 @@ def fiber_algebra(X: AugmentedOverN):
 def checked_fiber(X: AugmentedOverN, w_max):
     """fiber_algebra(X) after the relative input checks, in order: the base
     is connected, the fiber's table products valid and the fiber connected
-    up to weight w_max.  The total must have right bidegrees
-    (cdga.check_bidegrees, which the CLI runs on every input): then
-    (weight, -degree) strictly falls along every use of a fiber generator
-    in d, so the total is generalized nilpotent over the base."""
+    up to weight w_max.  semidirect, coaction_check, delta_approximation
+    and minimal.relative_minimal_model each call it first.  The total must
+    have right bidegrees (cdga.check_bidegrees, which the CLI runs on every
+    input): then (weight, -degree) strictly falls along every use of a
+    fiber generator in d, so the total is generalized nilpotent over the
+    base."""
     require_connected(X.base, w_max)
     Falg, conn = fiber_algebra(X)
     require_connected(Falg, w_max)
@@ -355,7 +361,7 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
     cdga (structure_failures): the fiber is its quotient by a dg ideal, so
     d^2 = 0 on the complex then, and the subcomplexes and the map to the
     bar complex killing unit letters hold by construction."""
-    Falg, _ = fiber_algebra(X)
+    Falg, _ = checked_fiber(X, w_max)
     da = DeltaApprox(Falg, n)
     weights = range(w_max + 1)
     dims = da.filtered_h0(lambda b: b[0][-1], range(n + 1), weights)

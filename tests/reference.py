@@ -1004,7 +1004,8 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
 
     model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
                              N.differential, N.products)
-    ic_A = IdealComplex(A)
+    ic_A = IdealComplex(A, {g.name: {} for g in A.generators
+                            if g.name not in N.gen})
     structure_map = {}
     fiber_names = []
     iterations = []
@@ -1045,7 +1046,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
             while it < rounds:
                 it += 1
                 changed = False
-                ic_M = IdealComplex(model)
+                ic_M = IdealComplex(model, model.augmentation)
                 dimA, repsA, _ = ic_A.cohomology(i, m)
                 _, cols = h_map_columns(ic_M, i, m)
                 for cv in linalg.quotient_basis(
@@ -1057,7 +1058,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
                     changed = True
                 if changed:
                     continue
-                ic_M = IdealComplex(model)
+                ic_M = IdealComplex(model, model.augmentation)
                 _, repsM2, _ = ic_M.cohomology(i + 1, m)
                 _, cols2 = h_map_columns(ic_M, i + 1, m)
                 for kv in linalg.kernel_basis(cols2):
@@ -1075,7 +1076,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
                     break
             iterations.append(it)
 
-    ic_M = IdealComplex(model)
+    ic_M = IdealComplex(model, model.augmentation)
     certification = {}
     for m in range(1, w_max + 1):
         for i in range(1, n + 2):

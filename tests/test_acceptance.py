@@ -104,9 +104,11 @@ def test_criterion_4_quillen_comparison():
 
 def test_criterion_5_minimal_model_certification():
     with criterion(5, "relative minimal model certified and idempotent"):
-        mm = relative_minimal_model(make_e1("t"), make_e4(), 2, 3)
+        mm = relative_minimal_model(
+            AugmentedOverN(make_e1("t"), make_e4()), 2, 3)
         assert mm.certified(), mm.certification
-        again = relative_minimal_model(make_e1("t"), mm.model, 2, 3)
+        again = relative_minimal_model(
+            AugmentedOverN(make_e1("t"), mm.model), 2, 3)
         assert again.certified()
         assert len(again.fiber_names) == len(mm.fiber_names)
         assert {(g.coh, g.adams) for g in again.model.generators} == {
@@ -222,8 +224,8 @@ def test_criterion_9_stabilization():
 def test_criterion_10_base_change():
     with criterion(10, "base change to the minimal model of the base"):
         mm = relative_minimal_model(
-            trivial_base(), augment_absolute(make_e1("t")), 2, 4
-        )
+            AugmentedOverN(trivial_base(), augment_absolute(make_e1("t"))),
+            2, 4)
         base2 = mm.model
         assert mm.certified()
         (tname,) = mm.fiber_names

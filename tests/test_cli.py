@@ -111,6 +111,21 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out else None)
 
 
+RELATIVE_COMMANDS = ["minimal-model", "kernel", "coaction-check",
+                     "delta-approx"]
+
+
+def _relative_run(capsys, command, base, total):
+    """(exit code, stdout, stderr) of a relative command on the base and
+    total files, at --wt-max 2."""
+    files = ([total, "--base", base]
+             if command in ("minimal-model", "delta-approx")
+             else ["--base", base, "--total", total])
+    code = main([command, *files, "--wt-max", "2"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_parse_e3_validates(capsys, tmp_path):
     f = write(tmp_path, "e3.cdga", E3_TEXT)
     code, rep = run(capsys, "validate", f)
@@ -208,17 +223,25 @@ def test_class_below_degree_minus_3_exits_2(capsys, tmp_path, argv):
 DEGREE_0_FIBER = "cdga Z free\ngen t deg 1 wt 1\ngen z deg 0 wt 1\naug z = 0\n"
 
 
-@pytest.mark.parametrize("command", ["coaction-check", "kernel"])
+@pytest.mark.parametrize("command", RELATIVE_COMMANDS)
 def test_disconnected_fiber_exits_2(capsys, tmp_path, command):
-    """The fiber's connectivity is an input check of both commands, though
-    coaction-check builds no bar construction of the fiber."""
-    code = main([command, "--base", write(tmp_path, "e1.cdga", E1_TEXT),
-                 "--total", write(tmp_path, "z.cdga", DEGREE_0_FIBER),
-                 "--wt-max", "3"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "Z_fiber not cohomologically connected" in captured.err
+    """The fiber's connectivity is an input check of all four relative
+    commands, though coaction-check builds no bar construction of the
+    fiber and minimal-model none at all; with no --base, the fiber of an
+    absolute algebra is all of it."""
+    b = write(tmp_path, "e1.cdga", E1_TEXT)
+    f = write(tmp_path, "z.cdga", DEGREE_0_FIBER)
+    code, out, err = _relative_run(capsys, command, b, f)
+    assert (code, out) == (2, "")
+    assert "Z_fiber not cohomologically connected" in err
+    if command in ("minimal-model", "delta-approx"):
+        f = write(tmp_path, "t.cdga",
+                  "cdga T free\ngen e0 deg 0 wt 1\naug e0 = 0\n")
+        code = main([command, f, "--wt-max", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: algebra T_fiber not cohomologically connected: "
+            "[(0, 1, 1), (0, 2, 1)]\n")
 
 
 def test_validate_cell_d_squared_witness(capsys, tmp_path):
@@ -520,14 +543,19 @@ def test_leibniz_breaking_table_exits_2(capsys, tmp_path, command):
 
 
 def test_curved_base_of_minimal_model_exits_2(capsys, tmp_path):
-    """minimal-model refuses a curved base before it reads whether the
-    total contains the base."""
-    f = write(tmp_path, "e1.cdga", E1_TEXT)
+    """minimal-model reads a pair over a curved base as kernel does: a
+    total that does not contain the base is refused for that, and a total
+    that contains it is refused naming its own d^2(w) != 0."""
     base = write(tmp_path, "curved.cdga", CURVED_ABSOLUTE)
-    code = main(["minimal-model", f, "--base", base, "--wt-max", "2"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == "error: Curved: d^2(w) != 0\n"
+    f = write(tmp_path, "e1.cdga", E1_TEXT)
+    want = _relative_run(capsys, "kernel", base, f)
+    assert want[:2] == (2, "") and want[2].startswith(
+        "error: base generator s not declared identically in E1")
+    assert _relative_run(capsys, "minimal-model", base, f) == want
+    f = write(tmp_path, "t.cdga", CURVED_ABSOLUTE.replace(
+        "cdga Curved", "cdga T") + "gen f deg 1 wt 1\naug f = 0\n")
+    assert _relative_run(capsys, "minimal-model", base, f) == (
+        2, "", "error: T: d^2(w) != 0\n")
 
 
 E2_XY_TEXT = "cdga E2 free\ngen x deg 1 wt 1\ngen y deg 1 wt 1\n"
@@ -677,21 +705,6 @@ AUG_NOT_CHAIN = [
      "aug e = 0\n"),
 ]
 
-RELATIVE_COMMANDS = ["minimal-model", "kernel", "coaction-check",
-                     "delta-approx"]
-
-
-def _relative_run(capsys, command, base, total):
-    """(exit code, stdout, stderr) of a relative command on the base and
-    total files, at --wt-max 2."""
-    files = ([total, "--base", base]
-             if command in ("minimal-model", "delta-approx")
-             else ["--base", base, "--total", total])
-    code = main([command, *files, "--wt-max", "2"])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("base, total", [c[1:] for c in AUG_NOT_CHAIN],
                          ids=[c[0] for c in AUG_NOT_CHAIN])
 def test_minimal_model_refuses_augmentation_not_a_chain_map(
@@ -736,23 +749,65 @@ def random_relative_totals(seed, count):
 
 def test_relative_commands_agree_on_augmentation_not_a_chain_map(
         capsys, tmp_path):
-    """On every seeded total that is a cdga but whose augmentation is no
-    chain map, the four relative commands exit 2 with the same message."""
-    refused = 0
+    """On every seeded total that is a cdga, the four relative commands
+    read the pair alike: where one exits 2, all four exit 2 with the same
+    message.  Where the augmentation is no chain map, that is the message;
+    on 15 or more others, it is the fiber's connectivity."""
+    refused = disconnected = 0
     for base, total in random_relative_totals(0, 100):
         A = parse_text(total)[1]
-        if (cdga.structure_failures(A)
-                or not cdga.augmentation_failures(A, A.augmentation)):
+        if cdga.structure_failures(A):
             continue
-        refused += 1
         b = write(tmp_path, "b.cdga", base)
         f = write(tmp_path, "t.cdga", total)
         runs = {c: _relative_run(capsys, c, b, f) for c in RELATIVE_COMMANDS}
         want = runs["kernel"]
-        assert want[:2] == (2, "") and want[2].startswith(
-            "error: augmentation not a chain map at "), total
-        assert all(run == want for run in runs.values()), (total, runs)
-    assert refused >= 15
+        if cdga.augmentation_failures(A, A.augmentation):
+            refused += 1
+            assert want[:2] == (2, "") and want[2].startswith(
+                "error: augmentation not a chain map at "), total
+        if any(code == 2 for code, _, _ in runs.values()):
+            assert all(run == want for run in runs.values()), (total, runs)
+            disconnected += "T_fiber not cohomologically connected" in want[2]
+    assert refused >= 15 and disconnected >= 15
+
+
+# (id, base, total, the stderr of all four relative commands, or None
+# where all four pass): E4 without its aug lines reads u and v as fiber
+# generators, a fiber generator's nonzero augmentation is refused, and so
+# is a table product of two fiber generators with a base factor
+ONE_READING = [
+    ("E4-no-aug", E1_TEXT,
+     "".join(line + "\n" for line in E4_TEXT.splitlines()
+             if not line.startswith("aug")), None),
+    ("aug-u-t", E1_TEXT, E4_TEXT.replace("aug u = 0", "aug u = 1*t"),
+     "error: fiber generator u has a nonzero augmentation; reduce to the "
+     "zero-augmentation normal form first\n"),
+    ("mixing-table", "cdga B table\ngen t deg 1 wt 1\ngen w deg 2 wt 2\n",
+     "cdga B table\ngen t deg 1 wt 1\ngen w deg 2 wt 2\ngen x deg 1 wt 1\n"
+     "gen z deg 1 wt 1\nmul x z = 1*w\naug x = 0\naug z = 0\n",
+     "error: table product x*z mixes base factors\n"),
+]
+
+
+@pytest.mark.parametrize("base, total, err", [c[1:] for c in ONE_READING],
+                         ids=[c[0] for c in ONE_READING])
+def test_relative_commands_read_a_pair_one_way(capsys, tmp_path, base,
+                                               total, err):
+    """The four relative commands read a (base, total) pair through one
+    AugmentedOverN and checked_fiber: the base generators are those of the
+    base file, and every other generator is a fiber generator whose aug
+    line, if given, is 0."""
+    b = write(tmp_path, "b.cdga", base)
+    f = write(tmp_path, "t.cdga", total)
+    runs = {c: _relative_run(capsys, c, b, f) for c in RELATIVE_COMMANDS}
+    if err is not None:
+        assert all(run == (2, "", err) for run in runs.values()), runs
+        return
+    assert all(run[0] == 0 for run in runs.values()), runs
+    f = write(tmp_path, "e4.cdga", E4_TEXT)
+    assert runs["minimal-model"] == _relative_run(capsys, "minimal-model",
+                                                  b, f)
 
 
 def test_coaction_command(capsys, tmp_path):

@@ -15,7 +15,7 @@ from adamsbar.minimal import (
     relative_minimal_model,
     trivial_base,
 )
-from adamsbar.relative import punctured_line_model
+from adamsbar.relative import AugmentedOverN, punctured_line_model
 from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p, make_k,
                     random_gen_nilpotent)
 import reference
@@ -25,7 +25,7 @@ F = Fraction
 
 def test_absolute_model_e2():
     A = augment_absolute(make_e2())
-    mm = relative_minimal_model(trivial_base(), A, 1, 3)
+    mm = relative_minimal_model(AugmentedOverN(trivial_base(), A), 1, 3)
     assert mm.certified(), mm.certification
     counts = {}
     for name in mm.fiber_names:
@@ -38,7 +38,7 @@ def test_absolute_model_e2():
 
 def test_e3_is_its_own_model():
     A = augment_absolute(make_e3())
-    mm = relative_minimal_model(trivial_base(), A, 1, 3)
+    mm = relative_minimal_model(AugmentedOverN(trivial_base(), A), 1, 3)
     assert mm.certified()
     assert len(mm.fiber_names) == 3
     degs = sorted((mm.model.gen[n].coh, mm.model.gen[n].adams) for n in mm.fiber_names)
@@ -48,19 +48,19 @@ def test_e3_is_its_own_model():
 def test_relative_model_e4_idempotent():
     N = make_e1("t")
     A = make_e4()
-    mm = relative_minimal_model(N, A, 2, 3)
+    mm = relative_minimal_model(AugmentedOverN(N, A), 2, 3)
     assert mm.certified(), mm.certification
     degs = sorted((mm.model.gen[n].coh, mm.model.gen[n].adams) for n in mm.fiber_names)
     assert degs == [(1, 1), (1, 2)]  # mirrors u, v
     # idempotence: model of the model adds nothing new
-    mm2 = relative_minimal_model(N, mm.model, 2, 3)
+    mm2 = relative_minimal_model(AugmentedOverN(N, mm.model), 2, 3)
     assert mm2.certified()
     assert len(mm2.fiber_names) == len(mm.fiber_names)
 
 
 def test_stage_log_single_pass():
     N = make_e1("t")
-    mm = relative_minimal_model(N, make_e4(), 2, 3)
+    mm = relative_minimal_model(AugmentedOverN(N, make_e4()), 2, 3)
     # every stage settles within the fixpoint loop
     for entry in mm.stage_log:
         assert entry["iterations"] <= 3
@@ -205,8 +205,8 @@ def test_gen_nilpotent_check_matches_reference(name, base, make):
 def model_qa(A, w):
     """The co-Lie coalgebra of A's 1-minimal model, as quillen_compare
     builds it."""
-    return QAColie(relative_minimal_model(trivial_base(), augment_absolute(A),
-                                          1, w))
+    X = AugmentedOverN(trivial_base(), augment_absolute(A))
+    return QAColie(relative_minimal_model(X, 1, w))
 
 
 def test_qa_e3():
@@ -249,10 +249,7 @@ def test_ideal_coords_read_off_free_columns():
     """With aug u = t the ideal in slice (1, 1) is spanned by u - t: an
     ideal element's coordinate is its entry at u, and an element outside
     the ideal is refused."""
-    E4 = make_e4()
-    A = CdgaPresentation(E4.name, E4.kind, E4.generators, E4.differential,
-                         augmentation={"u": {(("t", 1),): F(1)}, "v": {}})
-    ic = IdealComplex(A)
+    ic = IdealComplex(make_e4(), {"u": {(("t", 1),): F(1)}, "v": {}})
     t, u = (("t", 1),), (("u", 1),)
     assert ic.to_coords({u: F(3), t: F(-3)}, 1, 1) == {0: F(3)}
     assert ic.from_coords({0: F(3)}, 1, 1) == {u: F(3), t: F(-3)}
@@ -285,7 +282,7 @@ def test_minimal_model_matches_reference(case):
     the same generators and bidegrees, differentials, structure map,
     stage iterations and certificate."""
     N, A, n, w = MODEL_CASES[case]()
-    mm = relative_minimal_model(N, A, n, w)
+    mm = relative_minimal_model(AugmentedOverN(N, A), n, w)
     ref = reference.reference_minimal_model(N, A, n, w)
     assert mm.fiber_names == ref.fiber_names
     assert mm.model.generators == ref.model.generators
@@ -309,7 +306,8 @@ def test_ideal_coordinates_stay_ints(case, monkeypatch):
         return out
 
     monkeypatch.setattr(IdealComplex, "from_coords", recording)
-    assert relative_minimal_model(*MODEL_CASES[case]()).certified()
+    N, A, n, w = MODEL_CASES[case]()
+    assert relative_minimal_model(AugmentedOverN(N, A), n, w).certified()
     assert any(type(c) is int for c in values)
     assert not [c for c in values
                 if type(c) is F and c.denominator == 1]
@@ -319,10 +317,10 @@ def test_minimal_model_cap_is_not_certified(monkeypatch):
     """With one round per stage, every stage of E2 at n = 1 that adds
     generators reaches the cap while still adding, so its (1, m) entry is
     not certified; at the default cap the same model certifies."""
-    A = augment_absolute(make_e2())
-    assert relative_minimal_model(trivial_base(), A, 1, 3).certified()
+    X = AugmentedOverN(trivial_base(), augment_absolute(make_e2()))
+    assert relative_minimal_model(X, 1, 3).certified()
     monkeypatch.setattr(linalg, "STAGE_ROUNDS", 1)
-    mm = relative_minimal_model(trivial_base(), A, 1, 3)
+    mm = relative_minimal_model(X, 1, 3)
     assert {m: mm.certification[(1, m)] for m in (1, 2, 3)} == {
         1: False, 2: False, 3: False}
     assert [s["iterations"] for s in mm.stage_log] == [1, 1, 1]

@@ -33,7 +33,8 @@ COMPLEXES = {
     "bar E3": lambda: (BarComplex(make_e3()), [(n, w) for w in range(5)
                                                for n in range(-2, 4)]),
     "ideal P1minus4": lambda: (
-        IdealComplex(augment_absolute(punctured_line_model(4))),
+        IdealComplex(punctured_line_model(4),
+                     {f"a{i}": {} for i in range(3)}),
         [(i, m) for m in range(5) for i in range(-1, 5)]),
     "cell module": lambda: (_cell(), [(n, r) for r in range(7)
                                       for n in range(-1, 8)]),
@@ -158,7 +159,7 @@ def test_ideal_forget_drops_only_slices_of_its_weight_and_above():
     """The same on the augmentation ideal: after z joins the algebra,
     forget(2) recomputes weight 2 and keeps the weight-1 answer."""
     M = augment_absolute(_free_xy())
-    ic = IdealComplex(M)
+    ic = IdealComplex(M, M.augmentation)
     low, high = ic.cohomology(1, 1), ic.cohomology(2, 2)
     assert (low[0], high[0]) == (2, 1)
     M.adjoin(GeneratorSpec("z", 1, 2), XY, aug={})
