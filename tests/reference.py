@@ -37,9 +37,16 @@
   structure_failures in place of D^2.
 - The reference augmentation A -> N: a filter keeping the monomials made
   of base generators only (reference_eps).
+- The maps p* and s* between the base's gamma and the total's, the
+  second through reference_eps.  s* o p* = id holds on every input, as
+  s o p = id_N, so it is checked here and not by kernel.
 - The reference co-action: the base generator times fiber generator
   monomials of d_A on each degree-1 fiber generator, read off d_A with
   no fiber algebra and no connection.
+- The minimal model's structure map commutes with d on every fiber
+  generator, each side through reference_multiply and reference_apply_d.
+  It holds by construction, so it is checked here and not by
+  minimal-model.
 - The reference minimal model and cell resolution: each its own
   cell-attaching loop, one cell at a time, with a fresh copy of the model
   (a fresh P) and fresh slice caches in every round.  The resolution
@@ -65,6 +72,8 @@
   Lie algebra there (Witt's formula, multigraded).
 - The K_k dims: the kernel and total H^0 dims of K_k over E1 as
   coefficients of a rational function, with no bar construction.
+- gamma of a free algebra by its generators: gamma_w is dim H^1 of the
+  linear part of d on the generators of weight w.
 - The Chevalley-Eilenberg complex of gamma: Lambda(gamma) with the
   cobracket extended as a derivation, the 1-minimal model of A, so its
   H^1 is A's and its H^2 injects into A's, weight by weight; all ranks,
@@ -81,7 +90,8 @@ from math import factorial, gcd, lcm
 from types import SimpleNamespace
 
 from adamsbar import linalg
-from adamsbar.bar import BarComplex
+from adamsbar.bar import (
+    BarComplex, CoLiePresentation, HopfPresentation, h0_hopf, map_letters)
 from adamsbar.cdga import (
     UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
 from adamsbar.cellmod import ModuleError
@@ -992,6 +1002,38 @@ def reference_coaction_split(X, w_max):
     return out
 
 
+def reference_sp(X, w_max):
+    """(p*, s*) on gamma at weights <= w_max, each {generator index:
+    {generator index: c}}: p* classifies each base generator's
+    representative in the total, and s* pushes each total generator's
+    representative letter by letter through reference_eps and classifies
+    it in the base.  The augmentation fixes the base, so s o p = id_N and
+    s* o p* = id by functoriality (sp_composite)."""
+    hopf_base = HopfPresentation(X.base, w_max)
+    hopf_total = h0_hopf(X.total, w_max)
+    gam_base = CoLiePresentation(hopf_base)
+    gam_total = CoLiePresentation(hopf_total)
+    p_star = {gi: gam_total.project(hopf_total.classify(
+        hopf_base.rep_lins(w)[j], w), w)
+        for gi, (w, j) in enumerate(gam_base.basis)}
+    s_star = {gi: gam_base.project(hopf_base.classify(map_letters(
+        hopf_total.rep_lins(w)[j],
+        lambda letter: reference_eps(X, {letter: F(1)})), w), w)
+        for gi, (w, j) in enumerate(gam_total.basis)}
+    return p_star, s_star
+
+
+def sp_composite(p_star, s_star):
+    """{i: s*(p*(e_i))} for each generator index i of p*."""
+    out = {}
+    for gi, image in p_star.items():
+        out[gi] = {}
+        for gj, c in image.items():
+            for gk, c2 in s_star[gj].items():
+                _wadd(out[gi], gk, c * c2)
+    return out
+
+
 # ---- reference minimal model and cell resolution -------------------------
 
 
@@ -1090,6 +1132,26 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
     return SimpleNamespace(model=model, structure_map=structure_map,
                            fiber_names=fiber_names, iterations=iterations,
                            certification=certification)
+
+
+def structure_map_failures(mm, A):
+    """The fiber generators g of a minimal model mm of A, in order, at
+    which the structure map s does not commute with d: s(d g) != d_A s(g).
+    s(d g) multiplies the images of d g's factors, a base generator its
+    own image, through reference_multiply, and d_A s(g) is
+    reference_apply_d."""
+    s = mm.structure_map
+    out = []
+    for name in mm.fiber_names:
+        lhs = {}
+        for mono, c in mm.model.differential.get(name, {}).items():
+            term = {UNIT: 1}
+            for f in mono_factors(mono):
+                term = reference_multiply(A, term, s.get(f, el_gen(f)))
+            lhs = el_add(lhs, term, c)
+        if el_add(lhs, reference_apply_d(A, s[name]), -1):
+            out.append(name)
+    return out
 
 
 def reference_act(D, mono, vec):
@@ -1670,6 +1732,29 @@ def cdga_h_dims(A, n, w_max):
     columns and reference_echelonize."""
     return {w: len(A.slice(n, w)) - _rank(A.d_columns(n, w))
             - _rank(A.d_columns(n - 1, w)) for w in range(1, w_max + 1)}
+
+
+def linear_h1_dims(A, w_max):
+    """{w: dim H^1(V, d1)_w} for 1 <= w <= w_max, V the generators of a
+    free A of weight w graded by degree and d1 the linear part of d, its
+    terms that are one generator: the count of degree-1 generators of A's
+    minimal model, so of gamma_w of H^0(Bbar A)."""
+    out = {}
+    for w in range(1, w_max + 1):
+        gens = {}
+        for g in A.generators:
+            if g.adams == w:
+                gens.setdefault(g.coh, []).append(g.name)
+
+        def d1(i):
+            at = {name: k for k, name in enumerate(gens.get(i + 1, []))}
+            return [{at[m[0][0]]: c
+                     for m, c in A.differential.get(name, {}).items()
+                     if len(m) == 1 and m[0][1] == 1}
+                    for name in gens.get(i, [])]
+
+        out[w] = len(gens.get(1, [])) - _rank(d1(1)) - _rank(d1(0))
+    return out
 
 
 def _reference_key(k):

@@ -115,13 +115,13 @@ RELATIVE_COMMANDS = ["minimal-model", "kernel", "coaction-check",
                      "delta-approx"]
 
 
-def _relative_run(capsys, command, base, total):
+def _relative_run(capsys, command, base, total, wt_max=2):
     """(exit code, stdout, stderr) of a relative command on the base and
-    total files, at --wt-max 2."""
+    total files, at --wt-max wt_max."""
     files = ([total, "--base", base]
              if command in ("minimal-model", "delta-approx")
              else ["--base", base, "--total", total])
-    code = main([command, *files, "--wt-max", "2"])
+    code = main([command, *files, "--wt-max", str(wt_max)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -395,15 +395,15 @@ def test_unexpected_error_exits_3(capsys, monkeypatch):
     """An error no handler names is an internal error, not a failed
     property: exit 3, with its type, message and traceback on stderr."""
     def broken(k, w_max):
-        raise RuntimeError("structure map fails to commute with d at mg0")
+        raise RuntimeError("injected fault in pi1_demo")
 
     monkeypatch.setattr(cli, "pi1_demo", broken)
     code = main(["pi1-demo", "--punctures", "3", "--wt-max", "2"])
     err = capsys.readouterr()
     assert code == 3
     assert err.out == ""
-    assert err.err.startswith("internal error: RuntimeError: structure map "
-                              "fails to commute with d at mg0\n")
+    assert err.err.startswith("internal error: RuntimeError: injected fault "
+                              "in pi1_demo\n")
     assert "Traceback (most recent call last)" in err.err
 
 
@@ -624,6 +624,27 @@ def test_kernel_curved_total_fails_the_verdict(capsys, tmp_path):
     assert (code, rep["verdict"]) == (1, "fail")
 
 
+def test_kernel_identity_fails_on_a_table_pair(capsys, tmp_path):
+    """The dimension identity is a property of the input: a table whose
+    base and fiber generators share one group has a0*a1 = 0, so the total
+    is not N (x) F.  Its H^0 dims are 3^w, base times kernel 1, 3, 7, 15;
+    kernel fails the verdict while coaction-check passes the pair."""
+    base = "cdga P table\ngen a0 deg 1 wt 1\n"
+    b = write(tmp_path, "p.cdga", base)
+    f = write(tmp_path, "t.cdga", base + "gen a1 deg 1 wt 1\n"
+              "gen a2 deg 1 wt 1\naug a1 = 0\naug a2 = 0\n")
+    code, rep = run(capsys, "kernel", "--base", b, "--total", f,
+                    "--wt-max", "3")
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["total_dims"] == {"0": 1, "1": 3, "2": 9, "3": 27}
+    assert {w: sum(rep["base_dims"][str(w1)] * rep["kernel_dims"][str(w - w1)]
+                   for w1 in range(w + 1))
+            for w in range(4)} == {0: 1, 1: 3, 2: 7, 3: 15}
+    code, rep = run(capsys, "coaction-check", "--base", b, "--total", f,
+                    "--wt-max", "3")
+    assert (code, rep["verdict"]) == (0, "pass")
+
+
 @pytest.mark.parametrize("argv", [
     ["coaction-check", "--total", "{f}"],
     ["delta-approx", "{f}"],
@@ -720,6 +741,26 @@ def test_minimal_model_refuses_augmentation_not_a_chain_map(
             2, "", "error: augmentation not a chain map at e\n"), command
 
 
+def test_validate_reports_an_augmentation_only_from_its_aug_line(
+        capsys, tmp_path):
+    """validate reads no base, so a generator with no aug line counts as
+    fixed: with aug e = 0, d e = t makes the augmentation no chain map and
+    validate reports it; without the line validate passes, while kernel,
+    which reads every generator outside the base as a fiber generator,
+    refuses it."""
+    b = write(tmp_path, "b.cdga", "cdga B free\ngen t deg 1 wt 1\n")
+    total = "cdga T free\ngen t deg 1 wt 1\ngen e deg 0 wt 1\nd e = 1*t\n"
+    f = write(tmp_path, "t.cdga", total + "aug e = 0\n")
+    code, rep = run(capsys, "validate", f)
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["witnesses"] == ["augmentation not a chain map at e"]
+    f = write(tmp_path, "t.cdga", total)
+    code, rep = run(capsys, "validate", f)
+    assert (code, rep["verdict"]) == (0, "pass")
+    assert _relative_run(capsys, "kernel", b, f) == (
+        2, "", "error: augmentation not a chain map at e\n")
+
+
 def random_relative_totals(seed, count):
     """count (base text, total text) pairs from one seed: the base one
     generator t of degree 1 or 2 and weight 1, the total t and one to
@@ -749,27 +790,36 @@ def random_relative_totals(seed, count):
 
 def test_relative_commands_agree_on_augmentation_not_a_chain_map(
         capsys, tmp_path):
-    """On every seeded total that is a cdga, the four relative commands
-    read the pair alike: where one exits 2, all four exit 2 with the same
-    message.  Where the augmentation is no chain map, that is the message;
-    on 15 or more others, it is the fiber's connectivity."""
-    refused = disconnected = 0
-    for base, total in random_relative_totals(0, 100):
-        A = parse_text(total)[1]
-        if cdga.structure_failures(A):
-            continue
-        b = write(tmp_path, "b.cdga", base)
-        f = write(tmp_path, "t.cdga", total)
-        runs = {c: _relative_run(capsys, c, b, f) for c in RELATIVE_COMMANDS}
-        want = runs["kernel"]
-        if cdga.augmentation_failures(A, A.augmentation):
-            refused += 1
-            assert want[:2] == (2, "") and want[2].startswith(
-                "error: augmentation not a chain map at "), total
-        if any(code == 2 for code, _, _ in runs.values()):
-            assert all(run == want for run in runs.values()), (total, runs)
-            disconnected += "T_fiber not cohomologically connected" in want[2]
-    assert refused >= 15 and disconnected >= 15
+    """On every seeded total that is a cdga, at --wt-max 2 and 3, the four
+    relative commands read the pair alike: all four exit with one code,
+    and where it is 2, with the same message.  Where the augmentation is
+    no chain map, that is the message; on 15 or more others, it is the
+    fiber's connectivity.  kernel used to fail alone, exit 1, on free
+    totals whose d has a linear part (9, 22, 25, 49, 50 and 57 at w2), by
+    counting the total's degree-1 generators as its gamma."""
+    for wt_max in (2, 3):
+        refused = disconnected = 0
+        for base, total in random_relative_totals(0, 100):
+            A = parse_text(total)[1]
+            if cdga.structure_failures(A):
+                continue
+            b = write(tmp_path, "b.cdga", base)
+            f = write(tmp_path, "t.cdga", total)
+            runs = {c: _relative_run(capsys, c, b, f, wt_max)
+                    for c in RELATIVE_COMMANDS}
+            want = runs["kernel"]
+            assert len({code for code, _, _ in runs.values()}) == 1, (
+                wt_max, total, runs)
+            if cdga.augmentation_failures(A, A.augmentation):
+                refused += 1
+                assert want[:2] == (2, "") and want[2].startswith(
+                    "error: augmentation not a chain map at "), total
+            if want[0] == 2:
+                assert all(run == want for run in runs.values()), (
+                    wt_max, total, runs)
+                disconnected += (
+                    "T_fiber not cohomologically connected" in want[2])
+        assert refused >= 15 and disconnected >= 15, wt_max
 
 
 # (id, base, total, the stderr of all four relative commands, or None

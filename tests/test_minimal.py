@@ -4,23 +4,35 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adamsbar import linalg
-from adamsbar.cdga import CdgaPresentation, GeneratorSpec, bidegree_failures
+from adamsbar import linalg, minimal
+from adamsbar.cdga import (CdgaPresentation, GeneratorSpec, bidegree_failures,
+                           structure_failures)
 from adamsbar.cellmod import FiltrationError, _strict_filtration
 from adamsbar.minimal import (
     IdealComplex,
     QAColie,
     augment_absolute,
     quillen_compare,
-    relative_minimal_model,
     trivial_base,
 )
-from adamsbar.relative import AugmentedOverN, punctured_line_model
+from adamsbar.parser import parse_text
+from adamsbar.relative import (AugmentedOverN, RelativeError, checked_fiber,
+                               punctured_line_model)
 from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p, make_k,
                     random_gen_nilpotent)
+from test_cli import random_relative_totals
 import reference
 
 F = Fraction
+
+
+def relative_minimal_model(X, n, w_max):
+    """minimal.relative_minimal_model, with the oracle that its structure
+    map commutes with d on every fiber generator: every model built in
+    this module is checked by reference.structure_map_failures."""
+    mm = minimal.relative_minimal_model(X, n, w_max)
+    assert reference.structure_map_failures(mm, X.total) == []
+    return mm
 
 
 def test_absolute_model_e2():
@@ -56,6 +68,37 @@ def test_relative_model_e4_idempotent():
     mm2 = relative_minimal_model(AugmentedOverN(N, mm.model), 2, 3)
     assert mm2.certified()
     assert len(mm2.fiber_names) == len(mm.fiber_names)
+
+
+def test_structure_map_commutes_on_seeded_totals():
+    """The structure map commutes with d on the model of every seeded
+    total that is a cdga and that the relative input checks accept, at
+    n = 2 and w <= 3."""
+    models = generators = 0
+    for base, total in random_relative_totals(0, 100):
+        N, A = parse_text(base)[1], parse_text(total)[1]
+        if structure_failures(A):
+            continue
+        try:
+            X = AugmentedOverN(N, A)
+            checked_fiber(X, 3)
+        except (RelativeError, ValueError):
+            continue
+        mm = relative_minimal_model(X, 2, 3)
+        models += 1
+        generators += len(mm.fiber_names)
+    assert models >= 35 and generators >= 45
+
+
+def test_structure_map_failures_sees_a_tampered_map():
+    """Sending E4's mirror of u to 0 breaks the structure map at the
+    mirror of v, whose d is t times the mirror of u, and nowhere else."""
+    X = AugmentedOverN(make_e1("t"), make_e4())
+    mm = relative_minimal_model(X, 2, 3)
+    (u,) = [g for g in mm.fiber_names if mm.model.gen[g].adams == 1]
+    (v,) = [g for g in mm.fiber_names if mm.model.gen[g].adams == 2]
+    mm.structure_map[u] = {}
+    assert reference.structure_map_failures(mm, X.total) == [v]
 
 
 def test_stage_log_single_pass():
