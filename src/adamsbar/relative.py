@@ -38,7 +38,9 @@ from .bar import (
     BarComplex,
     HopfPresentation,
     _wadd,
+    gamma,
     h0_hopf,
+    polynomial_dims,
     require_connected,
 )
 
@@ -360,8 +362,6 @@ def punctured_line_model(k):
 
 
 def pi1_demo(k, w_max):
-    from .bar import gamma, polynomial_dims
-
     A = punctured_line_model(k)
     gam = gamma(A, w_max)
     gdims = gam.dims()

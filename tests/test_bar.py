@@ -18,7 +18,9 @@ from adamsbar.bar import (
 )
 from adamsbar.cdga import UNIT, CdgaPresentation, GeneratorSpec, el_gen
 from adamsbar.relative import punctured_line_model
-from corpus import make_e1, make_e2, make_e3, make_e4, make_e4p, random_free_cdga
+from corpus import (
+    make_e1, make_e2, make_e3, make_e4, make_e4p, random_free_cdga,
+    random_gen_nilpotent)
 import hopf_checks
 import reference
 
@@ -599,8 +601,36 @@ def test_co_jacobi(mk):
     assert ok, wit
 
 
-@pytest.mark.parametrize("mk", [make_e1, make_e2, make_e3, make_e4])
+def make_f113():
+    """The table algebra on degree-1 letters of weights 1, 1 and 3 with
+    all products zero (the f113 golden)."""
+    return CdgaPresentation("F113", "table", [
+        GeneratorSpec("a", 1, 1), GeneratorSpec("b", 1, 1),
+        GeneratorSpec("c", 1, 3)])
+
+
+POLYNOMIALITY_CASES = [
+    pytest.param(mk, id=mk.__name__)
+    for mk in (make_e1, make_e2, make_e3, make_e4, make_e4p, make_e3_half,
+               make_f113)
+] + [
+    pytest.param(lambda k=k: punctured_line_model(k), id=f"P1minus{k}")
+    for k in range(2, 7)
+] + [
+    pytest.param(lambda seed=seed: random_free_cdga(seed), id=f"R{seed}")
+    for seed in range(4)
+] + [
+    pytest.param(lambda seed=seed: random_gen_nilpotent(seed), id=f"GN{seed}")
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("mk", POLYNOMIALITY_CASES)
 def test_polynomiality(mk):
+    """H^0 is a commutative connected Hopf algebra over Q, so it is free on
+    gamma (Leray; Milnor-Moore): its dims are those of the polynomial
+    algebra on gamma.  colie and pi1-demo report pass without checking
+    it, since no input can fail it."""
     A = mk()
     h = h0_hopf(A, 4)
     g = CoLiePresentation(h)
@@ -631,12 +661,15 @@ def test_truncated_m0(e2):
 
 TRUNCATION_CASES = [
     pytest.param(mk, id=mk.__name__)
-    for mk in (make_e1, make_e2, make_e3, make_e4)
+    for mk in (make_e1, make_e2, make_e3, make_e4, make_e4p)
 ] + [
     pytest.param(lambda k=k: punctured_line_model(k), id=f"P1minus{k}")
     for k in (3, 4, 5)
 ] + [
     pytest.param(lambda seed=seed: random_free_cdga(seed), id=f"R{seed}")
+    for seed in range(4)
+] + [
+    pytest.param(lambda seed=seed: random_gen_nilpotent(seed), id=f"GN{seed}")
     for seed in range(4)
 ]
 
@@ -644,12 +677,19 @@ TRUNCATION_CASES = [
 @pytest.mark.parametrize("mk", TRUNCATION_CASES)
 def test_filtered_h0_matches_reference(mk):
     """The H^0 dims of every word-length truncation m <= w_max + 1, read
-    off one bar complex level by level, equal a separate complex per m."""
+    off one bar complex level by level, equal a separate complex per m.
+    A weight-w word has at most w letters, so at m >= w the truncation is
+    the whole complex and its dim is H^0's, which is why bar-h0 reads its
+    table off the truncation at w_max."""
     A = mk()
     w_max = 4
     got = BarComplex(A).filtered_h0(len, range(w_max + 2), range(w_max + 1))
     for m in range(w_max + 2):
         assert got[m] == reference.reference_truncated_h0(A, m, w_max), m
+    full = h0_hopf(A, w_max).dims()
+    for m in range(w_max + 2):
+        for w in range(min(m, w_max) + 1):
+            assert got[m][w] == full[w], (m, w)
 
 
 @pytest.mark.parametrize("k", range(2, 7))

@@ -540,11 +540,17 @@ def test_pi1_demo_rejects_one_puncture():
         pi1_demo(1, 3)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", range(2, 7))
 def test_pi1_demo_lyndon(k):
+    """H^0 of the line minus k points is the shuffle algebra on k - 1
+    letters, (k - 1)^w in weight w, free on gamma, whose dims are Witt's
+    Lyndon-word counts.  pi1-demo reports pass without checking these,
+    since no k it accepts can fail them."""
     rep = pi1_demo(k, 4)
     for w in range(1, 5):
         assert rep["gamma_dims"][w] == lyndon_count(k - 1, w), (k, w)
+    assert rep["h0_dims"] == {w: (k - 1) ** w for w in range(5)}
+    assert rep["polynomial_dims"] == rep["h0_dims"]
     assert "mock" in rep["note"]
 
 
