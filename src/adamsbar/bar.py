@@ -17,9 +17,11 @@ and the shuffle product carries the Koszul sign of the interleaving
 computed from suspended degrees: each time a letter v_j of the second
 word is placed before the letters u_i.. still left of the first word, the
 sign flips when ebar(v_j) and ebar(u_i) + ... are both odd.
-shuffle_words takes those parities once per call (the suffix parities of
-u and the parity of each letter of v) and recurses on positions (i, j)
-with one word prefix that it extends and shortens in place.  Every sign
+shuffle_words reads the interleavings of a pair of word lengths off a
+table built once per BarComplex (interleavings): each is one gather of
+u + v and, for each v_j, the number of u's letters placed before it, so
+the sign of a term is the XOR of the suffix parities of u at those
+counts over the odd letters of v, parities taken once per call.  Every sign
 is taken from an exponent mod 2 (an exponent can be negative, and
 (-1)**k is a float then), so d and the shuffle of a word carry int
 coefficients over an integral presentation.  No command reads the
@@ -50,6 +52,8 @@ accumulator the Quillen comparison shares.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -105,7 +109,8 @@ def map_letters(lin, f):
 
 class BarComplex(linalg.SliceComplex):
     """The bar complex as a SliceComplex: the keys of slice (n, w) are its
-    words, sorted, grouped by degree once per weight.  d does not lengthen
+    words, sorted, grouped by degree once per weight, each weight's groups
+    built from those of the lower weights.  d does not lengthen
     a word, so the words of length at most m span a subcomplex, the
     truncation at m; filtered_h0 with level len reads the H^0 dims of
     every truncation off this one complex."""
@@ -114,7 +119,7 @@ class BarComplex(linalg.SliceComplex):
         super().__init__()
         self.A = A
         self._letters = {}
-        self._words = {}
+        self._interleavings = {}
         if A.generators:
             self._min_d = min(g.coh for g in A.generators)
             self._max_d = max(g.coh for g in A.generators)
@@ -136,19 +141,6 @@ class BarComplex(linalg.SliceComplex):
             self._letters[r] = out
         return self._letters[r]
 
-    def words_of_weight(self, w):
-        if w not in self._words:
-            if w == 0:
-                self._words[w] = [()]
-            else:
-                out = []
-                for r in range(1, w + 1):
-                    for letter in self.letters(r):
-                        for tail in self.words_of_weight(w - r):
-                            out.append((letter,) + tail)
-                self._words[w] = out
-        return self._words[w]
-
     def word_bidegree(self, word):
         n = 0
         r = 0
@@ -159,12 +151,22 @@ class BarComplex(linalg.SliceComplex):
         return (n - len(word), r)
 
     def group_keys(self, w):
-        """{n: the words of weight w and degree n, sorted}, so each word's
-        degree is taken once."""
+        """{n: the words of weight w and degree n, sorted}.  A word is its
+        first letter followed by a word of the remaining weight, so the
+        first letters of every weight are walked in sorted order, and each
+        is put before the already sorted groups of by_degree(w - r): each
+        group comes out sorted, and each word's degree is the sum of its
+        first letter's ebar and its tail's degree."""
+        if w == 0:
+            return {0: [()]}
         groups = {}
-        for word in self.words_of_weight(w):
-            groups.setdefault(self.word_bidegree(word)[0], []).append(word)
-        return {n: sorted(g) for n, g in groups.items()}
+        for letter, r in sorted((letter, r) for r in range(1, w + 1)
+                                for letter in self.letters(r)):
+            ebar = self._ebar(letter)
+            for n, tails in self.by_degree(w - r).items():
+                groups.setdefault(n + ebar, []).extend(
+                    (letter,) + tail for tail in tails)
+        return groups
 
     # ---- structure maps ------------------------------------------------
 
@@ -212,31 +214,50 @@ class BarComplex(linalg.SliceComplex):
     def d_key(self, n, w, word):
         return self.d_word(word)
 
+    def interleavings(self, m, n):
+        """The shuffles of a length-m word u with a length-n word v, m and
+        n >= 1, built once per (m, n): for each set of positions of u's
+        letters, in combinations order, (gather, before), gather an
+        itemgetter that takes the shuffled word out of u + v and before[j]
+        the number of u's letters placed before v_j."""
+        key = m, n
+        if key not in self._interleavings:
+            table = self._interleavings[key] = []
+            for upos in itertools.combinations(range(m + n), m):
+                src, before, i = [], [], 0
+                for p in range(m + n):
+                    if i < m and upos[i] == p:
+                        src.append(i)
+                        i += 1
+                    else:
+                        src.append(m + len(before))
+                        before.append(i)
+                table.append((operator.itemgetter(*src), before))
+        return self._interleavings[key]
+
     def shuffle_words(self, u, v, out=None, c=1):
         """out += c * (the shuffle of the words u and v), in place, and
-        return out (a fresh dict when out is None)."""
+        return out (a fresh dict when out is None).  Each term is one
+        gather of interleavings(len(u), len(v)), and its sign flips once
+        for each odd v_j placed before an odd sum of u's letters."""
+        if out is None:
+            out = {}
+        if not u or not v:
+            _wadd(out, u + v, c)
+            return out
         m, n = len(u), len(v)
-        # suf[i]: parity of ebar(u_i) + ... + ebar(u_{m-1}); ev[j]: of ebar(v_j)
+        # suf[i]: parity of ebar(u_i) + ... + ebar(u_{m-1})
         suf = [0] * (m + 1)
         for i in range(m - 1, -1, -1):
             suf[i] = (suf[i + 1] + self._ebar(u[i])) % 2
-        ev = [self._ebar(letter) % 2 for letter in v]
-        if out is None:
-            out = {}
+        odd = [j for j, letter in enumerate(v) if self._ebar(letter) % 2]
+        uv = u + v
         coeff = (c, -c)
-        acc = []
-
-        def rec(i, j, odd):
-            if i == m or j == n:
-                _wadd(out, tuple(acc) + u[i:] + v[j:], coeff[odd])
-                return
-            acc.append(u[i])
-            rec(i + 1, j, odd)
-            acc[-1] = v[j]
-            rec(i, j + 1, odd ^ (ev[j] & suf[i]))
-            acc.pop()
-
-        rec(0, 0, 0)
+        for gather, before in self.interleavings(m, n):
+            sign = 0
+            for j in odd:
+                sign ^= suf[before[j]]
+            _wadd(out, gather(uv), coeff[sign])
         return out
 
     def shuffle_lin(self, a, b):
@@ -383,11 +404,17 @@ class CoLiePresentation:
     Each H^0 class a coproduct term reads is projected onto gamma once
     for the whole table.
 
-    In each weight the products of positive lower weights go into one
-    Echelon as they are made (HopfPresentation.product_of), and none is
-    kept.  One product is made per unordered pair: representatives have
-    bar degree 0, so the Koszul sign of every shuffle u * v against v * u
-    is +1 and the two products are the same chain.  The generators are
+    In each weight w the products of each generator (w1, i) of a lower
+    weight with every class j of weight w - w1 go into one Echelon as
+    they are made (HopfPresentation.product_of), and none is kept.  They
+    span the decomposables: the generators of the lower weights span a
+    complement of the decomposables there, so by graded Nakayama they
+    generate H^0 as an algebra, and every product of two classes of
+    positive weight is a sum of generators times classes.  When j is a
+    generator too, the pair is made once, from the generator of the
+    lower global index: representatives have bar degree 0, so the Koszul
+    sign of every shuffle u * v against v * u is +1 and the two products
+    are the same chain.  The generators are
     the classes e_j at the echelon's non-pivot columns j.  The
     projection is exact and read off the same echelon: the residue of x
     against the rows differs from x by decomposables and is 0 at every
@@ -404,11 +431,13 @@ class CoLiePresentation:
         dims = hopf.dims()
         for w in range(1, hopf.w_max + 1):
             decomp = linalg.Echelon()
-            for w1 in range(1, w // 2 + 1):
+            for w1 in range(1, w):
                 w2 = w - w1
-                for i in range(dims[w1]):
+                gens2 = self._gamma[w2][1]
+                for i, g in self._gamma[w1][1].items():
                     for j in range(dims[w2]):
-                        if (w1, i) <= (w2, j):
+                        # skip a generator j of lower global index
+                        if gens2.get(j, g) >= g:
                             decomp.add(hopf.product_of(w1, i, w2, j))
             cols = {}
             for j in decomp.non_pivots(dims[w]):

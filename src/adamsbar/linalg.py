@@ -441,7 +441,9 @@ class SliceComplex:
         weights; d must not raise the level of a key.  The columns of
         d(0, r) and of d(-1, r) go into one Echelon each, level by level,
         and the rank of the subcomplex's d is read after each level: its
-        columns are those added so far, and they lie in the subcomplex."""
+        columns are those added so far, and they lie in the subcomplex.
+        A zero column adds nothing to the rank, so it is counted in the
+        size and not fed."""
         dims = {l: {} for l in levels}
         for r in weights:
             counts = {}
@@ -451,7 +453,8 @@ class SliceComplex:
                 e, i = Echelon(), 0
                 for l in levels:
                     while i < len(order) and level(keys[order[i]]) <= l:
-                        e.add(cols[order[i]])
+                        if cols[order[i]]:
+                            e.add(cols[order[i]])
                         i += 1
                     counts[n, l] = i, len(e)
             for l in levels:

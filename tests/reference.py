@@ -20,7 +20,9 @@
 - The reference cohomology and co-Lie quotient: kernel, image and
   quotient representatives each from their own elimination, and the
   indecomposables from the products of every ordered pair, echelonized,
-  with a separate projector.
+  with a separate projector.  AllPairsCoLie keeps the program's own
+  echelon of the decomposables fed one product per unordered pair of
+  classes, where the program takes generators times classes.
 - The reference simplicial approximation: one complex per simplex size,
   each with its own matrices and reference cohomology; and the three
   facts about the program's one complex that delta-approx relies on
@@ -66,7 +68,8 @@
 - The reference slice enumeration: the monomials of a cdga slice and the
   pairs (S, word) of a simplicial-approximation slice, each found by a
   walk over its whole weight, run once per (degree, weight) and filtered
-  to the degree.
+  to the degree; the bar words of a weight, every word listed, its
+  degree taken word by word and each degree group sorted.
 - gamma by letter content: the number of gamma generators of the
   punctured line in each multidegree, against the dimension of the free
   Lie algebra there (Witt's formula, multigraded).
@@ -711,6 +714,37 @@ def reference_colie(h):
         cobracket[g] = out
     return SimpleNamespace(basis=basis, by_weight=by_weight, project=project,
                            cobracket=cobracket)
+
+
+class AllPairsCoLie(CoLiePresentation):
+    """CoLiePresentation with the decomposables of each weight spanned by
+    one product per unordered pair of classes of positive weight, as the
+    program spanned them before it took generators times classes.
+    project and the cobracket are CoLiePresentation's, read off this
+    echelon; products counts the product_of calls."""
+
+    def __init__(self, hopf):
+        self.hopf = hopf
+        self.basis = []
+        self.by_weight = {}
+        self._gamma = {}
+        self.products = 0
+        dims = hopf.dims()
+        for w in range(1, hopf.w_max + 1):
+            decomp = linalg.Echelon()
+            for w1 in range(1, w // 2 + 1):
+                w2 = w - w1
+                for i in range(dims[w1]):
+                    for j in range(dims[w2]):
+                        if (w1, i) <= (w2, j):
+                            decomp.add(hopf.product_of(w1, i, w2, j))
+                            self.products += 1
+            cols = {}
+            for j in decomp.non_pivots(dims[w]):
+                cols[j] = len(self.basis)
+                self.basis.append((w, j))
+            self.by_weight[w] = list(cols.values())
+            self._gamma[w] = (decomp, cols)
 
 
 # ---- reference word-length truncation -----------------------------------
@@ -1580,6 +1614,23 @@ def reference_delta_keys(da, deg, w):
             for S in itertools.combinations(range(da.n + 1), m + 1):
                 out.append((S, word))
     return sorted(out)
+
+
+def reference_bar_words(bar, w):
+    """{n: the words of weight w and degree n, sorted}, as BarComplex
+    built them before it walked by first letter: every word of weight w
+    listed letter by letter, with no memo, each word's degree taken by
+    word_bidegree and each group sorted."""
+    def words(w):
+        if w == 0:
+            return [()]
+        return [(letter,) + tail for r in range(1, w + 1)
+                for letter in bar.letters(r) for tail in words(w - r)]
+
+    groups = {}
+    for word in words(w):
+        groups.setdefault(bar.word_bidegree(word)[0], []).append(word)
+    return {n: sorted(g) for n, g in groups.items()}
 
 
 # ---- gamma by letter content ---------------------------------------------

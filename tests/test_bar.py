@@ -96,6 +96,10 @@ def make_signed_letters():
 
 
 def test_shuffle_words_match_reference():
+    """The shuffle of every pair of words of up to 6 letters in all over
+    letters of ebar -1, 1 and -2 equals the reference's, term order
+    included: the interleavings come in combinations order of u's
+    positions."""
     A = make_signed_letters()
     bar = BarComplex(A)
     letters = [((g.name, 1),) for g in A.generators]
@@ -103,8 +107,8 @@ def test_shuffle_words_match_reference():
     for u in words:
         for v in words:
             if len(u) + len(v) <= 6:
-                assert bar.shuffle_words(u, v) == \
-                    reference.reference_shuffle_words(A, u, v), (u, v)
+                assert list(bar.shuffle_words(u, v).items()) == list(
+                    reference.reference_shuffle_words(A, u, v).items()), (u, v)
 
 
 def test_shuffle_leibniz_even_letters():
@@ -295,8 +299,8 @@ def test_hopf_constants_match_reference(mk, w_max):
     pytest.param(lambda: punctured_line_model(3), 5, id="P1minus3-w5"),
     pytest.param(make_e2, 6, id="make_e2-w6")])
 def test_colie_matches_reference(mk, w_max):
-    """The co-Lie quotient read off one echelon of the unordered products
-    has the basis, weights, projection of every class and cobracket
+    """The co-Lie quotient read off one echelon of the generators times
+    the classes has the basis, weights, projection of every class and cobracket
     (key order included) of the reference's ordered products, echelon
     basis, non-pivot reps and separate projector."""
     h = h0_hopf(mk(), w_max)
@@ -336,6 +340,88 @@ def make_e3_contractible():
         differential={"a": {(("b", 1),): 1}, **A.differential})
 
 
+def make_table_with_products():
+    """A table algebra with a mul line: x * y = p in one group, with z of
+    weight 2 beside it."""
+    return CdgaPresentation("TM", "table", [
+        GeneratorSpec("x", 1, 1, group="g"), GeneratorSpec("y", 1, 1, group="g"),
+        GeneratorSpec("p", 2, 2, group="g"), GeneratorSpec("z", 1, 2)],
+        products={("x", "y"): {(("p", 1),): 1}})
+
+
+@pytest.mark.parametrize("mk", [
+    make_signed_letters, make_e3, make_table_with_products,
+    make_e3_contractible],
+    ids=["signed", "make_e3", "table_with_products", "degree0_generator"])
+def test_bar_words_match_reference(mk):
+    """by_degree(w), each word a first letter before a word of the
+    remaining weight, equals every word listed, grouped by its degree
+    and sorted: the same groups and the same lists, in order."""
+    bar = BarComplex(mk())
+    for w in range(6):
+        assert bar.by_degree(w) == reference.reference_bar_words(bar, w), w
+
+
+ALL_PAIRS_CASES = [
+    pytest.param(mk, 5, id=mk.__name__)
+    for mk in (make_e1, make_e2, make_e3, make_e4, make_e4p)
+] + [
+    pytest.param(mk, 5, id=mk.__name__)
+    for mk in (make_e3_half, make_e3_contractible)
+] + [
+    pytest.param(lambda seed=seed: random_formal_table(seed), 5,
+                 id=f"formal{seed}")
+    for seed in range(6)
+] + [
+    pytest.param(lambda k=k: punctured_line_model(k), w_max,
+                 id=f"P1minus{k}-w{w_max}")
+    for k in (3, 4, 5) for w_max in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("mk,w_max", ALL_PAIRS_CASES)
+def test_colie_matches_all_pairs(mk, w_max):
+    """The decomposables spanned by the generators times the classes
+    are those spanned by every unordered pair of classes: the basis,
+    the weights, the projection of every class and the cobracket (key
+    order included) equal the all-pairs construction's."""
+    h = h0_hopf(mk(), w_max)
+    g, ref = CoLiePresentation(h), reference.AllPairsCoLie(h)
+    assert g.basis == ref.basis
+    assert g.by_weight == ref.by_weight
+    for w in range(1, w_max + 1):
+        for k in range(h.dims()[w]):
+            got = g.project({k: F(1)}, w)
+            assert list(got.items()) == list(ref.project({k: F(1)}, w).items())
+    assert g.cobracket.keys() == ref.cobracket.keys()
+    for key, val in ref.cobracket.items():
+        assert list(g.cobracket[key].items()) == list(val.items()), key
+
+
+def test_colie_products_are_generators_times_classes(monkeypatch):
+    """At the line minus 4 points, w <= 5, gamma makes one product per
+    generator of weight w1 and class of weight w - w1, less one of the
+    two orders of each pair of distinct generators: 510 products, where
+    the unordered pairs of classes take 645."""
+    calls = []
+    product_of = HopfPresentation.product_of
+
+    def counted(self, *key):
+        calls.append(key)
+        return product_of(self, *key)
+
+    h = h0_hopf(punctured_line_model(4), 5)
+    monkeypatch.setattr(HopfPresentation, "product_of", counted)
+    g = CoLiePresentation(h)
+    gens, dims = g.dims(), h.dims()
+    spanning = sum(gens[w1] * dims[w - w1]
+                   for w in range(2, 6) for w1 in range(1, w))
+    skipped = sum(1 for (p, _), (q, _) in itertools.combinations(g.basis, 2)
+                  if p + q <= 5)
+    assert (spanning, skipped) == (627, 117)
+    assert len(calls) == len(set(calls)) == spanning - skipped
+    assert reference.AllPairsCoLie(h).products == 645
+
 def test_signs_exact_at_negative_degrees():
     """A generator of degree -1 makes the Koszul and bar signs meet
     negative exponents; products and bar differentials must stay exact,
@@ -366,7 +452,8 @@ FACE_CASES = [
 def face_words(bar, w_max=4):
     """Every word of weight <= w_max, and the words of up to two letters
     with the unit letter put in at each position."""
-    words = [w for r in range(w_max + 1) for w in bar.words_of_weight(r)]
+    words = [w for r in range(w_max + 1) for ws in bar.by_degree(r).values()
+             for w in ws]
     return words + [w[:i] + (UNIT,) + w[i:] for w in words if len(w) <= 2
                     for i in range(len(w) + 1)]
 
