@@ -57,7 +57,7 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .cdga import CdgaPresentation, UNIT, is_coh_connected
+from .cdga import CdgaPresentation, is_coh_connected
 
 F = Fraction
 
@@ -120,35 +120,16 @@ class BarComplex(linalg.SliceComplex):
         self.A = A
         self._letters = {}
         self._interleavings = {}
-        if A.generators:
-            self._min_d = min(g.coh for g in A.generators)
-            self._max_d = max(g.coh for g in A.generators)
-        else:
-            self._min_d = self._max_d = 0
 
     # ---- enumeration ---------------------------------------------------
 
     def letters(self, r):
-        """All monomial letters of Adams weight r, with cached degrees."""
+        """The monomial letters of Adams weight r >= 1, read off
+        A.by_degree(r) in one pass, in no set order."""
         if r not in self._letters:
-            out = []
-            lo = min(0, r * self._min_d)
-            hi = max(0, r * self._max_d)
-            for n in range(lo, hi + 1):
-                for m in self.A.slice(n, r):
-                    if m != UNIT:
-                        out.append(m)
-            self._letters[r] = out
+            self._letters[r] = [m for group in self.A.by_degree(r).values()
+                                for m in group]
         return self._letters[r]
-
-    def word_bidegree(self, word):
-        n = 0
-        r = 0
-        for m in word:
-            mn, mr = self.A.mono_bidegree(m)
-            n += mn
-            r += mr
-        return (n - len(word), r)
 
     def group_keys(self, w):
         """{n: the words of weight w and degree n, sorted}.  A word is its
@@ -404,13 +385,14 @@ class CoLiePresentation:
     Each H^0 class a coproduct term reads is projected onto gamma once
     for the whole table.
 
-    In each weight w the products of each generator (w1, i) of a lower
-    weight with every class j of weight w - w1 go into one Echelon as
+    In each weight w the products of each generator (w1, i) of weight
+    w1 <= w/2 with every class j of weight w - w1 go into one Echelon as
     they are made (HopfPresentation.product_of), and none is kept.  They
     span the decomposables: the generators of the lower weights span a
-    complement of the decomposables there, so by graded Nakayama they
-    generate H^0 as an algebra, and every product of two classes of
-    positive weight is a sum of generators times classes.  When j is a
+    complement of the decomposables there, so by graded Nakayama a class
+    a of weight p <= w - p is g + sum g' y, g of generators of weight p
+    and each g' a generator of lower weight, and a b = g b + sum g' (y b)
+    is a sum of generators of weight <= w/2 times classes.  When j is a
     generator too, the pair is made once, from the generator of the
     lower global index: representatives have bar degree 0, so the Koszul
     sign of every shuffle u * v against v * u is +1 and the two products
@@ -431,7 +413,7 @@ class CoLiePresentation:
         dims = hopf.dims()
         for w in range(1, hopf.w_max + 1):
             decomp = linalg.Echelon()
-            for w1 in range(1, w):
+            for w1 in range(1, w // 2 + 1):
                 w2 = w - w1
                 gens2 = self._gamma[w2][1]
                 for i, g in self._gamma[w1][1].items():

@@ -20,7 +20,7 @@ taken in ascending order.  What each view reads off it:
   of that subquotient: the coordinates of a vector on the family;
 - KernelCoords: coordinates on a kernel_basis with no elimination at
   all, read at the free columns; it is the projector of a cohomology
-  slice whose incoming d is 0, and the augmentation ideal's coordinates.
+  slice whose incoming d is 0.
   Both projectors answer class_coords(v): Fractions off an Echelon, v's
   own int or Fraction entries off a KernelCoords, None outside the span;
 - SliceComplex: a (degree, weight)-graded complex, finite in each slice,

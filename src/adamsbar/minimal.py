@@ -12,7 +12,8 @@ of the new generators' weight and above.  All certification is by exact
 slice linear algebra.
 
 The input is an AugmentedOverN read through relative.checked_fiber, as
-every relative command reads it; its ideal is the kernel of X.eps.
+every relative command reads it; its ideal, the kernel of X.eps, is
+spanned by the monomials with a fiber generator.
 """
 
 from __future__ import annotations
@@ -40,65 +41,41 @@ def augment_absolute(A: CdgaPresentation):
 
 
 class IdealComplex(linalg.SliceComplex):
-    """The subcomplex of A killed by the augmentation aug, a generator map
-    for A.substitute, per slice: the keys of slice (i, m) are the positions
-    of the kernel vectors of aug in ideal_basis(i, m)."""
+    """The augmentation ideal of A under aug, a generator map that kills
+    each generator it names and fixes the rest (AugmentedOverN's eps, or
+    a model's augmentation, each new generator marked aug={}).  Such a
+    map kills or fixes each monomial as a whole, so the keys of slice
+    (i, m) are the monomials of A.slice(i, m) with a killed generator, in
+    A's order, and an ideal element's coordinates are its own entries."""
 
     def __init__(self, A: CdgaPresentation, aug):
         super().__init__()
         self.A = A
         self.aug = aug
-        self._eps = {}
-
-    def ideal_basis(self, i, m):
-        """(ambient slice basis, kernel vectors of eps in slice coords,
-        {monomial: slice position}, their KernelCoords)."""
-        key = (i, m)
-        if key not in self._eps:
-            basis = self.A.slice(i, m)
-            idx = {mm: k for k, mm in enumerate(basis)}
-            eps = [{idx[em]: c for em, c in self.A.substitute(
-                        {mono: 1}, self.aug).items()}
-                   for mono in basis]
-            # ideal = kernel of eps on the slice; entries of denominator 1
-            # as ints, so an integral presentation's structure maps
-            # compute with ints
-            ker = [{j: _exact(x) for j, x in v.items()}
-                   for v in linalg.kernel_basis(eps)]
-            self._eps[key] = (basis, ker, idx, linalg.KernelCoords(ker))
-        return self._eps[key]
 
     def slice_keys(self, i, m):
-        return list(range(len(self.ideal_basis(i, m)[1])))
+        aug = self.aug
+        return [mono for mono in self.A.slice(i, m)
+                if any(name in aug for name, _ in mono)]
 
-    def d_key(self, i, m, k):
-        d = self.A.apply_d(self.from_coords({k: 1}, i, m))
-        return self.to_coords(d, i + 1, m) if d else {}
+    def d_key(self, i, m, mono):
+        return self.A.mono_d(mono)
 
     def to_coords(self, el, i, m):
-        """Coordinates of an ideal element in the kernel basis: its entries
-        at the free columns, if they account for all of it."""
-        _, _, idx, reader = self.ideal_basis(i, m)
-        coords = reader.class_coords({idx[mm]: c for mm, c in el.items()})
-        if coords is None:
-            raise ValueError("element not in the augmentation ideal")
-        return coords
+        """Coordinates of an ideal element: its entries, each at its
+        monomial's position."""
+        idx = self.index(i, m)
+        try:
+            return {idx[mono]: c for mono, c in el.items()}
+        except KeyError:
+            raise ValueError(
+                "element not in the augmentation ideal") from None
 
     def from_coords(self, v, i, m):
         """The ideal element of coordinates v, a coordinate of denominator
         1 taken as an int."""
-        basis, ker, _, _ = self.ideal_basis(i, m)
-        out = {}
-        for k, c in v.items():
-            _vec_iadd(out, {basis[bi]: bc for bi, bc in ker[k].items()},
-                      _exact(c))
-        return out
-
-    def forget(self, adams):
-        """Drop the cached slices of weight >= adams, after A gained a
-        generator of that weight."""
-        super().forget(adams)
-        self._eps = {k: v for k, v in self._eps.items() if k[1] < adams}
+        keys = self.slice(i, m)
+        return {keys[k]: _exact(c) for k, c in v.items()}
 
 
 class MinimalModelResult:
@@ -120,8 +97,10 @@ def relative_minimal_model(X: AugmentedOverN, n, w_max):
 
     Returns a MinimalModelResult whose model is the base with free fiber
     generators adjoined, each augmented to 0, and whose structure map
-    sends the model's ideal into the kernel of X.eps, certified by slice
-    cohomology comparison within the (coh <= n+1, adams <= w_max) window.
+    sends the model's ideal into the kernel of X.eps (each ideal spanned
+    by its monomials with a fiber generator, an IdealComplex), certified
+    by slice cohomology comparison within the (coh <= n+1,
+    adams <= w_max) window.
     The structure map commutes with d by construction: a closed cell is
     sent to a cocycle, and a cell with d = z to a b with d_A b = s(z).
     """

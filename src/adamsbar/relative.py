@@ -259,44 +259,45 @@ class DeltaApprox(linalg.SliceComplex):
         self.A = A
         self.n = n
         self.bar = BarComplex(A)
+        # every face of the n-simplex, sorted
+        self._simplices = sorted(S for k in range(1, n + 2)
+                                 for S in combinations(range(n + 1), k))
         self._words = {}
         self._faces = {}
 
-    def letters(self, r):
-        if r == 0:
-            return [UNIT]
-        return self.bar.letters(r)
-
     def words(self, w, m):
-        key = (w, m)
+        """{deg: the words of weight w, m letters and degree deg, sorted}.
+        As in BarComplex.group_keys, the first letters of every weight,
+        the unit included, are walked in sorted order, and each is put
+        before the already sorted groups of words(w - r, m - 1)."""
+        key = w, m
         if key not in self._words:
-            if m == 0:
-                self._words[key] = [()] if w == 0 else []
-            else:
-                out = []
-                for r in range(0, w + 1):
-                    for letter in self.letters(r):
-                        for tail in self.words(w - r, m - 1):
-                            out.append((letter,) + tail)
-                self._words[key] = out
+            groups = self._words[key] = {0: [()]} if key == (0, 0) else {}
+            if m:
+                firsts = [(UNIT, 0)] + [(letter, r) for r in range(1, w + 1)
+                                        for letter in self.bar.letters(r)]
+                for letter, r in sorted(firsts):
+                    ebar = self.bar._ebar(letter)
+                    for deg, tails in self.words(w - r, m - 1).items():
+                        groups.setdefault(deg + ebar, []).extend(
+                            (letter,) + tail for tail in tails)
         return self._words[key]
 
     def group_keys(self, w):
         """{deg: the pairs (S, word) of weight w and degree deg, sorted}:
-        each word's degree is taken once."""
+        the faces S in sorted order, each followed by the sorted words of
+        one letter fewer than S has vertices."""
         groups = {}
-        for m in range(0, self.n + 1):
-            simplices = list(combinations(range(self.n + 1), m + 1))
-            for word in self.words(w, m):
-                group = groups.setdefault(self.bar.word_bidegree(word)[0], [])
-                group.extend((S, word) for S in simplices)
-        return {deg: sorted(g) for deg, g in groups.items()}
+        for S in self._simplices:
+            for deg, words in self.words(w, len(S) - 1).items():
+                groups.setdefault(deg, []).extend((S, word) for word in words)
+        return groups
 
-    def d_basis(self, S, word):
-        """The bar faces of the word, a product of letters i and i + 1
-        dropping vertex i + 1 of S, then the two counit end faces; the
-        sign of the last is the degree of the word, as the unit letter
-        has ebar -1.  The bar faces depend only on the word, so they are
+    def d_basis(self, S, word, deg):
+        """The bar faces of the word, of degree deg, a product of letters
+        i and i + 1 dropping vertex i + 1 of S, then the two counit end
+        faces; the sign of the last is deg, as the unit letter has
+        ebar -1.  The bar faces depend only on the word, so they are
         built once per word."""
         if word not in self._faces:
             self._faces[word] = self.bar.faces(word)
@@ -306,12 +307,11 @@ class DeltaApprox(linalg.SliceComplex):
         if word and word[0] == UNIT:
             _wadd(out, (S[1:], word[1:]), 1)
         if word and word[-1] == UNIT:
-            _wadd(out, (S[:-1], word[:-1]),
-                  -1 if self.bar.word_bidegree(word)[0] % 2 else 1)
+            _wadd(out, (S[:-1], word[:-1]), -1 if deg % 2 else 1)
         return out
 
     def d_key(self, deg, w, b):
-        return self.d_basis(*b)
+        return self.d_basis(*b, deg)
 
 
 def delta_approximation(X: AugmentedOverN, n, w_max):

@@ -49,12 +49,16 @@
   generator, each side through reference_multiply and reference_apply_d.
   It holds by construction, so it is checked here and not by
   minimal-model.
+- The reference augmentation ideal (ReferenceIdealComplex): per slice,
+  the kernel of the augmentation applied to every monomial, found by an
+  elimination and read through its KernelCoords, where the program takes
+  the monomials with a killed generator.
 - The reference minimal model and cell resolution: each its own
   cell-attaching loop, one cell at a time, with a fresh copy of the model
-  (a fresh P) and fresh slice caches in every round.  The resolution
-  acts on the dg module by walking every entry of each action matrix
-  (reference_act), and d of a cell module's key is recomputed with no
-  memo (reference_d_element).
+  (a fresh P) and fresh slice caches in every round; the model's ideals
+  are ReferenceIdealComplexes.  The resolution acts on the dg module by
+  walking every entry of each action matrix (reference_act), and d of a
+  cell module's key is recomputed with no memo (reference_d_element).
 - The reference t-structure truncation: tau_{<=n}, tau^{>n} and
   H^n(Gamma) as three separate constructions, the first two through a
   ReferenceProjector each, the last through per-weight d0-cohomology
@@ -69,7 +73,8 @@
   pairs (S, word) of a simplicial-approximation slice, each found by a
   walk over its whole weight, run once per (degree, weight) and filtered
   to the degree; the bar words of a weight, every word listed, its
-  degree taken word by word and each degree group sorted.
+  degree taken word by word (word_bidegree) and each degree group
+  sorted.
 - gamma by letter content: the number of gamma generators of the
   punctured line in each multidegree, against the dimension of the free
   Lie algebra there (Witt's formula, multigraded).
@@ -94,7 +99,8 @@ from types import SimpleNamespace
 
 from adamsbar import linalg
 from adamsbar.bar import (
-    BarComplex, CoLiePresentation, HopfPresentation, h0_hopf, map_letters)
+    BarComplex, CoLiePresentation, HopfPresentation, _exact, h0_hopf,
+    map_letters)
 from adamsbar.cdga import (
     UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
 from adamsbar.cellmod import ModuleError
@@ -563,7 +569,7 @@ def reference_hopf(h):
             by_weight = {}
             for word, c in rep.items():
                 for u, v in bar.coprod_word(word):
-                    w1 = bar.word_bidegree(u)[1]
+                    w1 = word_bidegree(bar.A, u)[1]
                     by_weight.setdefault(w1, {})
                     _wadd(by_weight[w1], (u, v), c)
             for w1, pairs in by_weight.items():
@@ -788,21 +794,6 @@ def reference_delta_dims(A, n, w_max, full):
     def ebar(letter):
         return -1 if letter == UNIT else bar._ebar(letter)
 
-    def words(w, m):
-        if m == 0:
-            return [()] if w == 0 else []
-        return [(letter,) + tail
-                for r in range(w + 1)
-                for letter in ([UNIT] if r == 0 else bar.letters(r))
-                for tail in words(w - r, m - 1)]
-
-    def basis(nn, deg, w):
-        return sorted((S, word)
-                      for m in range(nn + 1)
-                      for word in words(w, m)
-                      if bar.word_bidegree(word)[0] == deg
-                      for S in itertools.combinations(range(nn + 1), m + 1))
-
     def d_basis(S, word):
         out = {}
         m = len(word)
@@ -828,9 +819,10 @@ def reference_delta_dims(A, n, w_max, full):
         return out
 
     def d_columns(nn, deg, w):
-        idx = {b: i for i, b in enumerate(basis(nn, deg + 1, w))}
+        idx = {b: i for i, b in
+               enumerate(reference_delta_basis(bar, nn, deg + 1, w))}
         return [{idx[key]: c for key, c in d_basis(*b).items()}
-                for b in basis(nn, deg, w)]
+                for b in reference_delta_basis(bar, nn, deg, w)]
 
     dims = {nn: {w: reference_cohomology(d_columns(nn, 0, w),
                                          d_columns(nn, -1, w))[0]
@@ -1071,17 +1063,70 @@ def sp_composite(p_star, s_star):
 # ---- reference minimal model and cell resolution -------------------------
 
 
+class ReferenceIdealComplex(linalg.SliceComplex):
+    """The subcomplex of A killed by the augmentation aug, a generator map
+    for A.substitute, per slice: the keys of slice (i, m) are the positions
+    of the kernel vectors of aug in ideal_basis(i, m), so any generator
+    map works, one that sends a generator to another element included."""
+
+    def __init__(self, A: CdgaPresentation, aug):
+        super().__init__()
+        self.A = A
+        self.aug = aug
+        self._eps = {}
+
+    def ideal_basis(self, i, m):
+        """(ambient slice basis, kernel vectors of eps in slice coords,
+        {monomial: slice position}, their KernelCoords)."""
+        key = (i, m)
+        if key not in self._eps:
+            basis = self.A.slice(i, m)
+            idx = {mm: k for k, mm in enumerate(basis)}
+            eps = [{idx[em]: c for em, c in self.A.substitute(
+                        {mono: 1}, self.aug).items()}
+                   for mono in basis]
+            # entries of denominator 1 as ints
+            ker = [{j: _exact(x) for j, x in v.items()}
+                   for v in linalg.kernel_basis(eps)]
+            self._eps[key] = (basis, ker, idx, linalg.KernelCoords(ker))
+        return self._eps[key]
+
+    def slice_keys(self, i, m):
+        return list(range(len(self.ideal_basis(i, m)[1])))
+
+    def d_key(self, i, m, k):
+        d = self.A.apply_d(self.from_coords({k: 1}, i, m))
+        return self.to_coords(d, i + 1, m) if d else {}
+
+    def to_coords(self, el, i, m):
+        """Coordinates of an ideal element in the kernel basis: its entries
+        at the free columns, if they account for all of it."""
+        _, _, idx, reader = self.ideal_basis(i, m)
+        coords = reader.class_coords({idx[mm]: c for mm, c in el.items()})
+        if coords is None:
+            raise ValueError("element not in the augmentation ideal")
+        return coords
+
+    def from_coords(self, v, i, m):
+        """The ideal element of coordinates v, a coordinate of denominator
+        1 taken as an int."""
+        basis, ker, _, _ = self.ideal_basis(i, m)
+        out = {}
+        for k, c in v.items():
+            linalg._vec_iadd(
+                out, {basis[bi]: bc for bi, bc in ker[k].items()}, _exact(c))
+        return out
+
+
 def reference_minimal_model(N, A, n, w_max, rounds=6):
     """The stages of minimal.relative_minimal_model, each a loop of its own
-    with a copied model and a new IdealComplex in every round and for the
-    certificate.  Returns model, structure_map, fiber_names, iterations
-    (per stage) and certification."""
-    from adamsbar.minimal import IdealComplex
-
+    with a copied model and a new ReferenceIdealComplex in every round and
+    for the certificate.  Returns model, structure_map, fiber_names,
+    iterations (per stage) and certification."""
     model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
                              N.differential, N.products)
-    ic_A = IdealComplex(A, {g.name: {} for g in A.generators
-                            if g.name not in N.gen})
+    ic_A = ReferenceIdealComplex(A, {g.name: {} for g in A.generators
+                                     if g.name not in N.gen})
     structure_map = {}
     fiber_names = []
     iterations = []
@@ -1122,7 +1167,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
             while it < rounds:
                 it += 1
                 changed = False
-                ic_M = IdealComplex(model, model.augmentation)
+                ic_M = ReferenceIdealComplex(model, model.augmentation)
                 dimA, repsA, _ = ic_A.cohomology(i, m)
                 _, cols = h_map_columns(ic_M, i, m)
                 for cv in linalg.quotient_basis(
@@ -1134,7 +1179,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
                     changed = True
                 if changed:
                     continue
-                ic_M = IdealComplex(model, model.augmentation)
+                ic_M = ReferenceIdealComplex(model, model.augmentation)
                 _, repsM2, _ = ic_M.cohomology(i + 1, m)
                 _, cols2 = h_map_columns(ic_M, i + 1, m)
                 for kv in linalg.kernel_basis(cols2):
@@ -1152,7 +1197,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
                     break
             iterations.append(it)
 
-    ic_M = IdealComplex(model, model.augmentation)
+    ic_M = ReferenceIdealComplex(model, model.augmentation)
     certification = {}
     for m in range(1, w_max + 1):
         for i in range(1, n + 2):
@@ -1602,18 +1647,42 @@ def reference_slice_keys(A, n, r):
     return sorted(found)
 
 
+def word_bidegree(A, word):
+    """(degree, weight) of a bar word on the algebra A: its letters'
+    bidegrees summed, less one degree per letter."""
+    n = r = 0
+    for m in word:
+        mn, mr = A.mono_bidegree(m)
+        n += mn
+        r += mr
+    return n - len(word), r
+
+
+def reference_delta_basis(bar, nn, deg, w):
+    """The pairs (S, word) of degree deg and weight w of the simplicial
+    approximation over the nn-simplex, sorted: every word of at most nn
+    letters, the unit letter allowed, listed letter by letter with no
+    memo, its degree taken by word_bidegree, and its faces S of the
+    simplex with one more vertex than letters."""
+    def words(w, m):
+        if m == 0:
+            return [()] if w == 0 else []
+        return [(letter,) + tail
+                for r in range(w + 1)
+                for letter in ([UNIT] if r == 0 else bar.letters(r))
+                for tail in words(w - r, m - 1)]
+
+    return sorted((S, word)
+                  for m in range(nn + 1)
+                  for word in words(w, m)
+                  if word_bidegree(bar.A, word)[0] == deg
+                  for S in itertools.combinations(range(nn + 1), m + 1))
+
+
 def reference_delta_keys(da, deg, w):
-    """The keys of slice (deg, w) of the DeltaApprox da, sorted: for each
-    word of at most da.n letters and degree deg, its pairs (S, word) over
-    the faces S of the simplex with one more vertex than letters."""
-    out = []
-    for m in range(da.n + 1):
-        for word in da.words(w, m):
-            if da.bar.word_bidegree(word)[0] != deg:
-                continue
-            for S in itertools.combinations(range(da.n + 1), m + 1):
-                out.append((S, word))
-    return sorted(out)
+    """The keys of slice (deg, w) of the DeltaApprox da, sorted, from
+    reference_delta_basis over its whole simplex."""
+    return reference_delta_basis(da.bar, da.n, deg, w)
 
 
 def reference_bar_words(bar, w):
@@ -1629,7 +1698,7 @@ def reference_bar_words(bar, w):
 
     groups = {}
     for word in words(w):
-        groups.setdefault(bar.word_bidegree(word)[0], []).append(word)
+        groups.setdefault(word_bidegree(bar.A, word)[0], []).append(word)
     return {n: sorted(g) for n, g in groups.items()}
 
 

@@ -20,7 +20,7 @@ from adamsbar.relative import (AugmentedOverN, RelativeError, checked_fiber,
                                punctured_line_model)
 from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p, make_k,
                     random_gen_nilpotent)
-from test_cli import random_relative_totals
+from test_cli import DEGREE_0_FIBER, random_relative_totals
 import reference
 
 F = Fraction
@@ -289,16 +289,26 @@ def test_quillen_compare_random_gen_nilpotent(seed):
 
 
 def test_ideal_coords_read_off_free_columns():
-    """With aug u = t the ideal in slice (1, 1) is spanned by u - t: an
-    ideal element's coordinate is its entry at u, and an element outside
-    the ideal is refused."""
-    ic = IdealComplex(make_e4(), {"u": {(("t", 1),): F(1)}, "v": {}})
-    t, u = (("t", 1),), (("u", 1),)
-    assert ic.to_coords({u: F(3), t: F(-3)}, 1, 1) == {0: F(3)}
-    assert ic.from_coords({0: F(3)}, 1, 1) == {u: F(3), t: F(-3)}
+    """E4's eps over E1 kills u and v and fixes t, so its free columns
+    are the monomials with u or v: the ideal in slice (1, 1) is spanned
+    by u, and in slice (2, 2) by t u = d v.  An ideal element's
+    coordinates are its entries, from_coords writes an entry of
+    denominator 1 as an int, and an element with a t-only term is
+    refused."""
+    X = AugmentedOverN(make_e1("t"), make_e4())
+    ic = IdealComplex(X.total, X.eps)
+    t, u, v = (("t", 1),), (("u", 1),), (("v", 1),)
+    tu = (("t", 1), ("u", 1))
+    assert (ic.slice(1, 1), ic.slice(1, 2), ic.slice(2, 2)) == ([u], [v],
+                                                                [tu])
+    assert ic.d_columns(1, 2) == [{0: 1}]
+    assert ic.to_coords({u: F(3)}, 1, 1) == {0: F(3)}
+    assert ic.from_coords({0: F(3)}, 1, 1) == {u: 3}
+    assert type(ic.from_coords({0: F(3)}, 1, 1)[u]) is int
+    assert ic.from_coords({0: F(1, 2)}, 1, 1) == {u: F(1, 2)}
     assert ic.to_coords({}, 1, 1) == {}
-    for el in ({u: F(1)}, {t: F(1)}, {u: F(1), t: F(1)}):
-        with pytest.raises(ValueError):
+    for el in ({t: F(1)}, {u: F(1), t: F(1)}):
+        with pytest.raises(ValueError, match="augmentation ideal"):
             ic.to_coords(el, 1, 1)
 
 
@@ -316,6 +326,65 @@ MODEL_CASES = {
     "P1minus4": lambda: (trivial_base(),
                          augment_absolute(punctured_line_model(4)), 2, 5),
 }
+
+
+TABLE_PAIR = "cdga P table\ngen a0 deg 1 wt 1\n"
+
+# name -> (base, total, top weight) of an AugmentedOverN
+IDEAL_CASES = {
+    "E4/E1": lambda: (make_e1("t"), make_e4(), 4),
+    "E4p/E1": lambda: (make_e1("t"), make_e4p(), 4),
+    **{f"GN{seed}": lambda seed=seed: (make_e1("t"),
+                                       random_gen_nilpotent(seed), 4)
+       for seed in (1, 2, 3, 29)},
+    "P1minus4": lambda: (trivial_base(),
+                         augment_absolute(punctured_line_model(4)), 4),
+    # a fiber generator of degree 0
+    "degree0": lambda: (make_e1("t"), parse_text(DEGREE_0_FIBER)[1], 4),
+    # base and fiber generators in one table group
+    "table pair": lambda: (
+        parse_text(TABLE_PAIR)[1],
+        parse_text(TABLE_PAIR + "gen a1 deg 1 wt 1\ngen a2 deg 1 wt 1\n"
+                   "aug a1 = 0\naug a2 = 0\n")[1], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDEAL_CASES))
+def test_ideal_matches_kernel_of_eps(case):
+    """The monomials with a fiber generator are the kernel of eps: slice
+    by slice, the ideal's keys (as elements), d columns and H dims equal
+    the reference's, found by eliminating eps, and both read the same
+    coordinates off an ideal element, give it back from them and refuse
+    an element with a monomial of base generators only."""
+    N, A, w_max = IDEAL_CASES[case]()
+    X = AugmentedOverN(N, A)
+    ic = IdealComplex(A, X.eps)
+    ref = reference.ReferenceIdealComplex(A, X.eps)
+    nonempty = 0
+    for m in range(w_max + 1):
+        for i in range(-1, 5):
+            keys = [ic.from_coords({k: 1}, i, m)
+                    for k in range(len(ic.slice(i, m)))]
+            assert keys == [ref.from_coords({k: 1}, i, m)
+                            for k in range(len(ref.slice(i, m)))], (i, m)
+            assert ic.d_columns(i, m) == ref.d_columns(i, m), (i, m)
+            assert ic.cohomology(i, m)[0] == ref.cohomology(i, m)[0]
+            el = {}
+            for k, key in enumerate(keys):
+                linalg._vec_iadd(el, key, F(k + 1, 2))
+            coords = ic.to_coords(el, i, m)
+            assert list(coords.items()) == list(
+                ref.to_coords(el, i, m).items()), (i, m)
+            assert ic.from_coords(coords, i, m) == el
+            assert ref.from_coords(coords, i, m) == el
+            outside = [mono for mono in A.slice(i, m)
+                       if not any(name in X.eps for name, _ in mono)]
+            for mono in outside:
+                for c in (ic, ref):
+                    with pytest.raises(ValueError):
+                        c.to_coords({**el, mono: 1}, i, m)
+            nonempty += bool(keys)
+    assert nonempty
 
 
 @pytest.mark.parametrize("case", sorted(MODEL_CASES))

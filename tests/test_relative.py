@@ -476,9 +476,9 @@ def _broken_delta(d_basis):
 
 
 def test_delta_bad_sign_fails_d_squared():
-    def d_basis(self, S, word):
+    def d_basis(self, S, word, deg):
         # flip the inner d faces of words that carry a unit letter
-        out = DeltaApprox.d_basis(self, S, word)
+        out = DeltaApprox.d_basis(self, S, word, deg)
         if UNIT in word:
             out = {(S2, w2): -c if S2 == S else c
                    for (S2, w2), c in out.items()}
@@ -489,9 +489,9 @@ def test_delta_bad_sign_fails_d_squared():
 
 
 def test_delta_dropped_unit_face_fails_q_chain():
-    def d_basis(self, S, word):
+    def d_basis(self, S, word, deg):
         # lose the front counit face
-        out = DeltaApprox.d_basis(self, S, word)
+        out = DeltaApprox.d_basis(self, S, word, deg)
         if word and word[0] == UNIT:
             out.pop((S[1:], word[1:]), None)
         return out
@@ -500,9 +500,9 @@ def test_delta_dropped_unit_face_fails_q_chain():
 
 
 def test_delta_face_leaving_its_simplex_fails_closure():
-    def d_basis(self, S, word):
+    def d_basis(self, S, word, deg):
         # shift the front counit face one vertex up, past the top of S
-        out = DeltaApprox.d_basis(self, S, word)
+        out = DeltaApprox.d_basis(self, S, word, deg)
         face = (S[1:], word[1:])
         if face in out and S[-1] < self.n:
             out[(tuple(v + 1 for v in S[1:]), word[1:])] = out.pop(face)
@@ -512,11 +512,11 @@ def test_delta_face_leaving_its_simplex_fails_closure():
 
 
 def test_delta_inner_face_leaving_its_simplex_fails_closure():
-    def d_basis(self, S, word):
+    def d_basis(self, S, word, deg):
         # move the top vertex of the d faces of words [1|..] up one: the
         # front counit face (S[1:], ..) still has the largest position in
         # the column, so only a check of every face sees it
-        out = DeltaApprox.d_basis(self, S, word)
+        out = DeltaApprox.d_basis(self, S, word, deg)
         if word[:1] == (UNIT,) and S[-1] < self.n:
             up = S[:-1] + (S[-1] + 1,)
             out = {(up if S2 == S else S2, w2): c
