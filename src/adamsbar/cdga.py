@@ -297,36 +297,36 @@ class CdgaPresentation(linalg.SliceComplex):
 
     def group_keys(self, r):
         """{n: the monomial basis of A^n(r), sorted}: every monomial of
-        weight r is found in one walk over the name-sorted generators."""
+        weight r is found in one walk over the name-sorted generators,
+        on an explicit stack, not one frame per generator."""
         if r <= 0:
             return {0: [UNIT]} if r == 0 else {}
         groups = {}
         gens = sorted(self.generators, key=lambda g: g.name)
-
-        def rec(idx, mono, coh, adams, used_groups):
+        stack = [(0, [], 0, 0, frozenset())]
+        while stack:
+            idx, mono, coh, adams, used_groups = stack.pop()
             if adams == r:
                 groups.setdefault(coh, []).append(tuple(mono))
                 # nothing more can be added (adams >= 1)
-                return
+                continue
             if idx == len(gens):
-                return
+                continue
             g = gens[idx]
-            rec(idx + 1, mono, coh, adams, used_groups)
+            stack.append((idx + 1, mono, coh, adams, used_groups))
             if g.group is not None:
-                if g.group in used_groups:
-                    return
-                if adams + g.adams <= r:
-                    rec(idx + 1, mono + [(g.name, 1)], coh + g.coh,
-                        adams + g.adams, used_groups | {g.group})
-                return
+                if g.group not in used_groups and adams + g.adams <= r:
+                    stack.append((idx + 1, mono + [(g.name, 1)],
+                                  coh + g.coh, adams + g.adams,
+                                  used_groups | {g.group}))
+                continue
             emax = (r - adams) // g.adams
             if g.coh % 2:
                 emax = min(emax, 1)
             for e in range(1, emax + 1):
-                rec(idx + 1, mono + [(g.name, e)], coh + e * g.coh,
-                    adams + e * g.adams, used_groups)
-
-        rec(0, [], 0, 0, frozenset())
+                stack.append((idx + 1, mono + [(g.name, e)],
+                               coh + e * g.coh, adams + e * g.adams,
+                               used_groups))
         return {n: sorted(g) for n, g in groups.items()}
 
     def d_key(self, n, r, m):

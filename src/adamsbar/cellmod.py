@@ -10,13 +10,11 @@ Splitting each entry into its scalar part and its positive-weight part
 gives the equivalent connection presentation (M_0, d0) with Gamma valued
 in A+; flatness of Gamma is exactly the positive-weight part of d^2 = 0.
 
-The three checks on matrices of algebra elements share one sparse signed
+The two checks on matrices of algebra elements share one sparse signed
 composition, _compose: d^2 = 0 composes d with itself on top of d applied
 entrywise; flatness is that same d^2 for d = d0 + Gamma with its scalar
-(d0^2) part dropped; a chain map f composes f with d_N and subtracts d_M
-composed with f, on top of d applied to f.  Scalar complexes (q of a cell
-module, the finite dg modules that cell_resolution resolves) are one
-class, ScalarComplex.
+(d0^2) part dropped.  Scalar complexes (q of a cell module, the finite dg
+modules that cell_resolution resolves) are one class, ScalarComplex.
 
 The t-structure is one induced map, _induced: the map a matrix of
 algebra elements (d, or Gamma) induces on a span of vectors modulo
@@ -73,9 +71,9 @@ def _entries_at(matrix, axis):
     return out
 
 
-def _compose(A, acc, X, Y, c=ONE):
-    """Add c * sum_i (-1)^|X_ij| X_ij * Y_ki to acc[(k, j)], for matrices
-    X, Y of algebra elements {(row, col): Element}.
+def _compose(A, acc, X, Y):
+    """Add sum_i (-1)^|X_ij| X_ij * Y_ki to acc[(k, j)], for matrices X, Y
+    of algebra elements {(row, col): Element}.
 
     Only nonzero entries are visited: Y is indexed by column once and X is
     walked in ascending i, so each acc[(k, j)] receives its terms in the
@@ -86,7 +84,7 @@ def _compose(A, acc, X, Y, c=ONE):
     for (i, j), x in sorted(X.items()):
         if i not in by_col:
             continue
-        sx = {m: -v * c if A.mono_bidegree(m)[0] % 2 else v * c
+        sx = {m: -v if A.mono_bidegree(m)[0] % 2 else v
               for m, v in x.items()}
         for k, y in by_col[i]:
             acc[(k, j)] = el_add(acc.get((k, j), {}), A.multiply(sx, y))
@@ -152,12 +150,11 @@ class CellModule(linalg.SliceComplex):
             raise ModuleError(f"{self.name}: " + "; ".join(failures))
 
     def check(self):
-        """d bidegree (+1, 0), filtration strictness, and d^2 = 0."""
+        """(ok, messages) of d bidegree (+1, 0) and d^2 = 0; every module
+        built here is strict by construction, so its filtration is not
+        checked."""
         A = self.algebra
         failures = self._bidegree_failures()
-        failures.extend(f"entry ({i},{j}) breaks filtration strictness"
-                        for i, j in self.differential
-                        if self.stage(i) >= self.stage(j))
         acc = {kj: A.apply_d(a) for kj, a in self.differential.items()}
         _compose(A, acc, self.differential, self.differential)
         # the witness shows Fraction coefficients, whether the entries
@@ -368,51 +365,6 @@ def shift(M: CellModule, k: int = 1) -> CellModule:
             for key, a in M.differential.items()}
     return CellModule(M.algebra, basis, diff, M.filtration, M.twist,
                       f"{M.name}[{k}]")
-
-
-class CellMorphism:
-    """Degree-(0,0) chain map f: M -> N, entries f(b^M_j) = sum f_ij b^N_i."""
-
-    def __init__(self, M: CellModule, N: CellModule, entries):
-        if M.algebra is not N.algebra:
-            raise ModuleError("morphism between modules over different algebras")
-        if M.twist != N.twist:
-            raise ModuleError("morphism between modules of different twist")
-        self.M = M
-        self.N = N
-        self.entries = {k: v for k, v in entries.items() if v}
-
-    def check_chain_map(self):
-        """Positions (k, j) where d_N f - f d_M is nonzero on b^M_j,
-        component on b^N_k."""
-        A = self.M.algebra
-        acc = {kj: A.apply_d(a) for kj, a in self.entries.items()}
-        _compose(A, acc, self.entries, self.N.differential)
-        _compose(A, acc, self.M.differential, self.entries, F(-1))
-        failures = _nonzero(acc)
-        return (not failures), failures
-
-
-def cone(f: CellMorphism) -> CellModule:
-    """Cone(f)^n = N^n + M^{n+1}; d(n, m) = (dn + f(m), -dm)."""
-    ok, wit = f.check_chain_map()
-    if not ok:
-        raise ModuleError(f"not a chain map, witnesses {wit}")
-    M, N = f.M, f.N
-    nN = len(N.basis)
-    basis = list(N.basis) + [(f"c_{nm}", c - 1, a) for (nm, c, a) in M.basis]
-    diff = {}
-    for (i, j), a in N.differential.items():
-        diff[(i, j)] = a
-    for (i, j), a in f.entries.items():
-        diff[(i, nN + j)] = a
-    for (i, j), a in M.differential.items():
-        diff[(nN + i, nN + j)] = el_scale(a, -1)
-    filtration = [list(s) for s in N.filtration] + [
-        [nN + i for i in s] for s in M.filtration
-    ]
-    return CellModule(N.algebra, basis, diff, filtration, N.twist,
-                      f"Cone({M.name}->{N.name})")
 
 
 def tensor_mod(M: CellModule, N: CellModule) -> CellModule:

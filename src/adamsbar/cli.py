@@ -99,7 +99,7 @@ def _flat(obj):
     d^2 != 0: no cohomology of it can be certified."""
     if isinstance(obj, cdga_mod.CdgaPresentation):
         fails, error = cdga_mod.structure_failures(obj), cdga_mod.CdgaError
-    else:  # a parsed filtration is strict, so check() fails only on d^2
+    else:  # bidegrees are right, so check() fails only on d^2
         fails, error = obj.check()[1], ModuleError
     if fails:
         raise error(f"{obj.name}: " + "; ".join(fails))

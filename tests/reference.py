@@ -6,7 +6,10 @@
   shuffle-decomposable quotient needs linear algebra).  Uses its own word
   enumeration and unsigned shuffle, sharing only the generic row
   reduction.
-- Dense triple-loop d^2, flatness and chain-map checks for cell modules.
+- Dense triple-loop d^2 and flatness checks for cell modules, and the
+  strictness of a cell module's filtration, which every module the
+  program builds has by construction, so CellModule.check does not read
+  it.
 - The reference cell-module bookkeeping: the strict filtration found
   layer by layer, rescanning every unplaced index per layer, and the
   keys of a cell module's slice walked and sorted one slice at a time.
@@ -49,6 +52,9 @@
   generator, each side through reference_multiply and reference_apply_d.
   It holds by construction, so it is checked here and not by
   minimal-model.
+- The exterior square: every fiber generator of a 1-minimal model over
+  the trivial base has degree 1, and every term of its d is a product of
+  two of them, as QAColie reads it without checking.
 - The reference augmentation ideal (ReferenceIdealComplex): per slice,
   the kernel of the augmentation applied to every monomial, found by an
   elimination and read through its KernelCoords, where the program takes
@@ -165,10 +171,11 @@ def brute_force_gamma_dim(k, w):
 
 # ---- dense reference checks for cell modules ----------------------------
 #
-# The three "signed product plus d" checks on matrices of algebra elements,
+# The two "signed product plus d" checks on matrices of algebra elements,
 # as dense loops over every basis triple (i, j, k).  cellmod computes them
 # with one sparse composition; these are the reference its witnesses must
-# reproduce string for string.
+# reproduce string for string.  Strictness of the filtration, which every
+# module cellmod builds has by construction, is checked here only.
 
 
 def dense_d_squared_failures(M, entries, label="d^2"):
@@ -219,30 +226,16 @@ def dense_check_flat(C):
     return (not failures), failures
 
 
-def dense_check_chain_map(f):
-    """(ok, positions) of d_N f - f d_M != 0 for a CellMorphism f."""
-    A = f.M.algebra
-    failures = []
-    for j in range(len(f.M.basis)):
-        for k in range(len(f.N.basis)):
-            # d_N(f(b_j)) - f(d_M b_j), component on b^N_k
-            acc = A.apply_d(f.entries.get((k, j), {}))
-            for i in range(len(f.N.basis)):
-                f_ij = f.entries.get((i, j))
-                a_ki = f.N.differential.get((k, i))
-                if f_ij and a_ki:
-                    deg = A.el_bidegree(f_ij)[0]
-                    acc = el_add(acc, A.multiply(f_ij, a_ki), F((-1) ** deg))
-            for i in range(len(f.M.basis)):
-                a_ij = f.M.differential.get((i, j))
-                f_ki = f.entries.get((k, i))
-                if a_ij and f_ki:
-                    deg = A.el_bidegree(a_ij)[0]
-                    acc = el_add(acc, A.multiply(a_ij, f_ki),
-                                 F(-((-1) ** deg)))
-            if acc:
-                failures.append((k, j))
-    return (not failures), failures
+def strictness_failures(M):
+    """One message per entry a_ij of a cell module's d whose row i is not
+    in a stage below its column j's, an index's stage its first in
+    M.filtration; empty when the filtration is strict."""
+    stage = {}
+    for s, idxs in enumerate(M.filtration):
+        for i in idxs:
+            stage.setdefault(i, s)
+    return [f"entry ({i},{j}) breaks filtration strictness"
+            for i, j in M.differential if stage[i] >= stage[j]]
 
 
 # ---- reference elimination ----------------------------------------------
@@ -1231,6 +1224,18 @@ def structure_map_failures(mm, A):
         if el_add(lhs, reference_apply_d(A, s[name]), -1):
             out.append(name)
     return out
+
+
+def exterior_square_failures(mm):
+    """The fiber generators of a minimal model mm, in order, that are not
+    of degree 1, or whose d has a term that is not a product of two
+    degree-1 fiber generators."""
+    model = mm.model
+    deg1 = {g for g in mm.fiber_names if model.gen[g].coh == 1}
+    return [g for g in mm.fiber_names
+            if g not in deg1 or any(
+                len(mono_factors(m)) != 2 or not deg1 >= set(mono_factors(m))
+                for m in model.differential.get(g, {}))]
 
 
 def reference_act(D, mono, vec):

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tempfile
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -775,6 +776,30 @@ ONE_READING = [
 ]
 
 
+def test_no_command_exits_3_on_the_seeded_totals(capsys, tmp_path):
+    """Every command that reads a file, on 40 seeded (base, total) pairs
+    at --wt-max 2, with and without --base where a relative command takes
+    it, exits 0, 1 or 2, never 3: 440 runs.  pi1-demo reads no file."""
+    codes = Counter()
+    for k, (base, total) in enumerate(random_relative_totals(0, 40)):
+        b = write(tmp_path, f"b{k}.cdga", base)
+        t = write(tmp_path, f"t{k}.cdga", total)
+        runs = [[command, t] for command in (
+            "validate", "cohomology", "bar-h0", "colie", "quillen",
+            "minimal-model", "delta-approx")]
+        runs += [[command, t, "--base", b]
+                 for command in ("minimal-model", "delta-approx")]
+        runs += [[command, "--base", b, "--total", t]
+                 for command in ("kernel", "coaction-check")]
+        for argv in runs:
+            code = main([*argv, "--wt-max", "2"])
+            err = capsys.readouterr().err
+            assert code != 3, (k, argv, err)
+            codes[code] += 1
+    assert sum(codes.values()) == 440
+    assert set(codes) == {0, 1, 2}, codes
+
+
 @pytest.mark.parametrize("base, total, err", [c[1:] for c in ONE_READING],
                          ids=[c[0] for c in ONE_READING])
 def test_relative_commands_read_a_pair_one_way(capsys, tmp_path, base,
@@ -817,6 +842,32 @@ def test_pi1_demo_command(capsys, tmp_path):
     assert code == 0
     assert rep["gamma_dims"] == {"1": 2, "2": 1, "3": 2, "4": 3}
     assert "mock" in rep["note"]
+
+
+def test_a_thousand_generators_exit_0(capsys, tmp_path):
+    """A weight's monomials are listed on an explicit stack, not one frame
+    per generator, so a free cdga on 1,000 generators, past the default
+    recursion limit of 1,000 frames, has its cohomology and H^0(B): 1,000
+    classes at weight 1, all in degree 1."""
+    f = write(tmp_path, "g.cdga", "cdga G free\n" + "".join(
+        f"gen g{i:04d} deg 1 wt 1\n" for i in range(1000)))
+    code, rep = run(capsys, "cohomology", f, "--wt-max", "1", "--deg-max",
+                    "1")
+    assert code == 0
+    assert rep["tables"] == {"0,0": 1, "1,1": 1000}
+    code, rep = run(capsys, "bar-h0", f, "--wt-max", "1")
+    assert code == 0
+    assert rep["tables"] == {"0": 1, "1": 1000}
+
+
+def test_pi1_demo_past_a_thousand_punctures(capsys):
+    """The line minus 1,001 points has 1,000 generators; at 990 punctures
+    the recursive listing of monomials already ran out of frames."""
+    code, rep = run(capsys, "pi1-demo", "--punctures", "1001", "--wt-max",
+                    "1")
+    assert code == 0
+    assert rep["h0_dims"] == {"0": 1, "1": 1000}
+    assert rep["gamma_dims"] == {"1": 1000}
 
 
 def test_pi1_demo_bad_punctures(capsys):
@@ -962,6 +1013,7 @@ def test_parse_cell_structure():
     M = bind_cell(spec, A)
     ok, fails = M.check()
     assert ok, fails
+    assert reference.strictness_failures(M) == []
     assert M.differential == {(0, 1): {(("t", 1),): 1}}
 
 

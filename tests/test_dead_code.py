@@ -24,7 +24,6 @@ ALLOWED = {
              "wraps linalg.solve",
     "tate": "the Tate objects A<n> of the cell-module category",
     "shift": "the shift M[k] of the cell-module category",
-    "cone": "the cone of a morphism of cell modules",
     "in_heart": "membership in the heart of the t-structure",
     "is_finite_tate": "the finite-Tate property of a cell module",
 }

@@ -247,9 +247,40 @@ def test_gen_nilpotent_check_matches_reference(name, base, make):
 
 def model_qa(A, w):
     """The co-Lie coalgebra of A's 1-minimal model, as quillen_compare
-    builds it."""
+    builds it, on a model that passes the exterior-square oracle."""
     X = AugmentedOverN(trivial_base(), augment_absolute(A))
-    return QAColie(relative_minimal_model(X, 1, w))
+    mm = relative_minimal_model(X, 1, w)
+    assert reference.exterior_square_failures(mm) == []
+    return QAColie(mm)
+
+
+@pytest.fixture
+def quillen_models(monkeypatch):
+    """The models quillen_compare reads through QAColie, each checked by
+    the exterior-square oracle first, which QAColie does not read."""
+    models = []
+
+    class CheckedQAColie(QAColie):
+        def __init__(self, mm):
+            assert reference.exterior_square_failures(mm) == []
+            models.append(mm)
+            super().__init__(mm)
+
+    monkeypatch.setattr(minimal, "QAColie", CheckedQAColie)
+    return models
+
+
+def test_exterior_square_oracle_fails_on_a_hand_made_model():
+    """A degree-2 generator h adjoined by hand to E3's 1-minimal model,
+    and a degree-1 generator k with d k = h: neither is in the exterior
+    square of the degree-1 generators, and the oracle names both."""
+    X = AugmentedOverN(trivial_base(), augment_absolute(make_e3()))
+    mm = relative_minimal_model(X, 1, 2)
+    assert reference.exterior_square_failures(mm) == []
+    mm.model.adjoin(GeneratorSpec("h", 2, 2), aug={})
+    mm.model.adjoin(GeneratorSpec("k", 1, 2), {(("h", 1),): 1}, aug={})
+    mm.fiber_names += ["h", "k"]
+    assert reference.exterior_square_failures(mm) == ["h", "k"]
 
 
 def test_qa_e3():
@@ -276,16 +307,18 @@ def test_qa_e2_dims():
 
 
 @pytest.mark.parametrize("mk", [make_e1, make_e2, make_e3])
-def test_quillen_compare(mk):
+def test_quillen_compare(mk, quillen_models):
     ok, details = quillen_compare(mk(), 3)
     assert ok, details
+    assert len(quillen_models) == 1
 
 
 @pytest.mark.parametrize("seed", [1, 3, 5])
-def test_quillen_compare_random_gen_nilpotent(seed):
+def test_quillen_compare_random_gen_nilpotent(seed, quillen_models):
     A = random_gen_nilpotent(seed)
     ok, details = quillen_compare(A, 3)
     assert ok, details
+    assert len(quillen_models) == 1
 
 
 def test_ideal_coords_read_off_free_columns():
