@@ -32,9 +32,11 @@ products).  adjoin clears neither: a new generator changes neither the
 product nor the d of a monomial that does not contain it.
 
 As a SliceComplex, the algebra finds the monomials of a weight in one
-walk and groups them by degree (by_degree).  adjoin forgets the cached
-slices and groupings of the new generator's weight and above, the only
-ones that gain monomials; the slices below it are kept.
+walk, each partial monomial branching straight to the later generators
+whose weight fits, and groups them by degree (by_degree).  adjoin
+forgets the cached slices and groupings of the new generator's weight
+and above, the only ones that gain monomials; the slices below it are
+kept.
 
 Whether a presentation is a cdga is the one check structure_failures,
 which validate, the cli's input checks and the relative verdicts read.
@@ -42,6 +44,7 @@ which validate, the cli's input checks and the relative verdicts read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -297,36 +300,43 @@ class CdgaPresentation(linalg.SliceComplex):
 
     def group_keys(self, r):
         """{n: the monomial basis of A^n(r), sorted}: every monomial of
-        weight r is found in one walk over the name-sorted generators,
-        on an explicit stack, not one frame per generator."""
+        weight r is found in one walk on an explicit stack.  A partial
+        monomial, its factors in name order, branches straight to the
+        later generators whose weight fits, read off the name-sorted
+        positions of each weight, so no branch skips a generator."""
         if r <= 0:
             return {0: [UNIT]} if r == 0 else {}
-        groups = {}
         gens = sorted(self.generators, key=lambda g: g.name)
-        stack = [(0, [], 0, 0, frozenset())]
+        at = {}  # weight -> the positions in gens of its generators
+        for k, g in enumerate(gens):
+            if g.adams <= r:
+                at.setdefault(g.adams, []).append(k)
+        weights = sorted(at)
+        groups = {}
+        stack = [(0, (), 0, 0, frozenset())]
         while stack:
             idx, mono, coh, adams, used_groups = stack.pop()
             if adams == r:
-                groups.setdefault(coh, []).append(tuple(mono))
-                # nothing more can be added (adams >= 1)
+                groups.setdefault(coh, []).append(mono)
                 continue
-            if idx == len(gens):
-                continue
-            g = gens[idx]
-            stack.append((idx + 1, mono, coh, adams, used_groups))
-            if g.group is not None:
-                if g.group not in used_groups and adams + g.adams <= r:
-                    stack.append((idx + 1, mono + [(g.name, 1)],
-                                  coh + g.coh, adams + g.adams,
-                                  used_groups | {g.group}))
-                continue
-            emax = (r - adams) // g.adams
-            if g.coh % 2:
-                emax = min(emax, 1)
-            for e in range(1, emax + 1):
-                stack.append((idx + 1, mono + [(g.name, e)],
-                               coh + e * g.coh, adams + e * g.adams,
-                               used_groups))
+            room = r - adams
+            for w in weights:
+                if w > room:
+                    break
+                ks = at[w]
+                for k in ks[bisect_left(ks, idx):]:
+                    g = gens[k]
+                    if g.group is not None:
+                        if g.group not in used_groups:
+                            stack.append((k + 1, mono + ((g.name, 1),),
+                                          coh + g.coh, adams + w,
+                                          used_groups | {g.group}))
+                        continue
+                    # an odd generator squares to 0
+                    for e in range(1, 2 if g.coh % 2 else room // w + 1):
+                        stack.append((k + 1, mono + ((g.name, e),),
+                                      coh + e * g.coh, adams + e * w,
+                                      used_groups))
         return {n: sorted(g) for n, g in groups.items()}
 
     def d_key(self, n, r, m):

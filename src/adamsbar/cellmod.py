@@ -24,9 +24,9 @@ calls to it.
 
 cell_resolution attaches cells with linalg.attach_cells, the loop minimal
 models use: the source is the cell module P, which grows in place and
-forgets only the slices of a new cell's weight and degree and above
-(CellModule.attach), and the target is the finite dg module, whose
-action on each key of P is read once.
+forgets only the slices a new cell's keys join, with the cohomology one
+degree above each (CellModule.attach), and the target is the finite dg
+module, whose action on each key of P is read once.
 
 The bookkeeping around the algebra is linear in the size of a module.
 d_element reads the algebra's memoized d and products of monomials, and
@@ -209,9 +209,11 @@ class CellModule(linalg.SliceComplex):
         """Append a cell b_j of bidegree (n, r) with d b_j = sum_i
         column[i] b_i (nonzero Elements), one stage above its boundary's
         highest.  Its keys (mono, j) come last in every slice (group_keys
-        walks j in order), so only the cached slices of weight >= r and
-        degree >= n + |mono|, for the lowest |mono| that joins one (n over
-        degrees >= 0), go."""
+        walks j in order) and lie in d of no older key, so the older keys'
+        positions, d columns and kernels stay right.  Only the cached
+        slices the keys join, at (n + |mono|, r + wt(mono)), go, with the
+        groupings of their weights and the cohomology one degree above
+        each, into which their new d columns map."""
         j = len(self.basis)
         self.basis.append((name, n, r))
         for i, a in column.items():
@@ -222,9 +224,17 @@ class CellModule(linalg.SliceComplex):
             self.filtration.append([])
         self.filtration[s].append(j)
         self._stage[j] = s
-        low = min((na for w in self._groups if w >= r
-                   for na in self.algebra.by_degree(w - r)), default=0)
-        self.forget(r, n + low)
+        # every cached entry's slice is cached, so these are the weights
+        # with something to forget
+        weights = {w for _, w in self._slices} | set(self._groups)
+        joined = [(n + na, w) for w in weights if w >= r
+                  for na in self.algebra.by_degree(w - r)]
+        for key in joined:
+            for cache in (self._slices, self._index, self._d, self._ker,
+                          self._coh):
+                cache.pop(key, None)
+            self._coh.pop((key[0] + 1, key[1]), None)
+            self._groups.pop(key[1], None)
 
     # ---- q functor -----------------------------------------------------
 

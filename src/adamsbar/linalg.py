@@ -39,7 +39,10 @@ taken in ascending order.  What each view reads off it:
   as filtrations.
 
 attach_cells is the one cell-attaching loop over these views, shared by
-minimal models and cell resolutions.
+minimal models and cell resolutions.  Their sources grow in place, and
+the loop images each list of source classes once: a stage's later
+rounds and the certificate read the images again for every slice whose
+classes no new cell changed.
 
 Inside Echelon the arithmetic is on Python ints: each row is a primitive
 integer vector over a positive denominator, so a reduction step is an
@@ -353,11 +356,8 @@ class SliceComplex:
     columns, its kernel and the cohomology.  Where d(n - 1, r) is 0, the
     cohomology at (n, r) is the kernel itself, with KernelCoords as its
     projector; every other slice goes through cocycle_classes.  Vectors
-    are over the positions of a slice's keys.  forget(r, n) drops the
-    cached slices of weight >= r and degree >= n, for a complex that
-    gained keys there.  Keys that come last in every slice leave the
-    older keys' positions, so the slices below n stay right; n = None
-    (every degree) is for keys that move older ones.
+    are over the positions of a slice's keys.  forget(r) drops the cached
+    slices of weight >= r, for a complex that gained keys there.
     """
 
     def __init__(self):
@@ -462,13 +462,11 @@ class SliceComplex:
                 dims[l][r] = size - rank_out - counts[-1, l][1]
         return dims
 
-    def forget(self, r, n=None):
-        """Drop every cached slice of weight >= r and degree >= n (every
-        degree when n is None), and every grouping of weight >= r."""
+    def forget(self, r):
+        """Drop every cached slice and grouping of weight >= r."""
         for cache in (self._slices, self._index, self._d, self._ker,
                       self._coh):
-            for key in [key for key in cache if key[1] >= r
-                        and (n is None or key[0] >= n)]:
+            for key in [key for key in cache if key[1] >= r]:
                 del cache[key]
         for w in [w for w in self._groups if w >= r]:
             del self._groups[w]
@@ -498,19 +496,32 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     after STAGE_ROUNDS.  A round raises ValueError when the image of a
     source class is outside the target's cocycles.
 
+    The class images of (i, m) are computed once per list that
+    source_reps(i, m) returns, and read again, rounds and certificate
+    alike, while it returns that same list object.  So source_reps must
+    return a new list whenever the source's classes at (i, m) change, as
+    a SliceComplex's cached cohomology does until forget drops it, and
+    image(i, m, v) must not change on a vector the source already had.
+
     Returns (the number of rounds each stage ran, certificate): the
     certificate maps each stage and each (top + 1, m) to whether the map
     is an isomorphism (injective at top + 1) there, and is False at a
     stage that still added cells in its last round.
     """
+    store = {}  # (i, m) -> the class_images of one source_reps list
+
     def class_images(i, m):
         """(dim H^i(m) of target, source reps, the target class
         coordinates of each rep's image, None where the image is outside
-        the target's cocycles)."""
-        dim, _, projector = target.cohomology(i, m)
+        the target's cocycles), read off the store while source_reps(i,
+        m) returns the list it was computed for."""
         reps = source_reps(i, m)
-        return dim, reps, [projector.class_coords(image(i, m, v))
-                           for v in reps]
+        out = store.get((i, m))
+        if out is None or out[1] is not reps:
+            dim, _, projector = target.cohomology(i, m)
+            out = store[i, m] = dim, reps, [
+                projector.class_coords(image(i, m, v)) for v in reps]
+        return out
 
     def classes(i, m):
         """class_images of a round, where every image has a class."""

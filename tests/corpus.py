@@ -5,14 +5,19 @@ E2  table algebra with basis {1, x0, x1} in (1,1), all products and d zero
 E3  free on x, y (1,1) and z (1,2) with dz = x*y
 E4  E1-augmented: free on t (1,1) [base], u (1,1), v (1,2), dv = t*u
 E4p E4 plus w (1,3) with dw = u*v + t*v
+E4q E4p plus s (1,4) with ds = t*w + u*w
 K_k E1-augmented: free on t (1,1) [base], u_i (1,1) and v_i (1,2) for
     i = 1 .. k - 1, d v_i = t*u_i; K_2 is E4 with its letters renamed
+
+free_cdga_text and cell_text write a free cdga and a cell module as the
+files the parser reads.
 """
 
 import random
 from fractions import Fraction
 
-from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_add, el_gen
+from adamsbar.cdga import (CdgaPresentation, GeneratorSpec, el_add, el_gen,
+                           mono_factors)
 from adamsbar import linalg
 from adamsbar.parser import parse_text
 
@@ -56,6 +61,15 @@ def make_e4p():
     return CdgaPresentation("E4p", "free", gens,
                             differential={**A.differential, "w": dw},
                             augmentation={"u": {}, "v": {}, "w": {}})
+
+
+def make_e4q():
+    A = make_e4p()
+    ds = {(("t", 1), ("w", 1)): 1, (("u", 1), ("w", 1)): 1}
+    return CdgaPresentation("E4q", "free", A.generators
+                            + [GeneratorSpec("s", 1, 4)],
+                            differential={**A.differential, "s": ds},
+                            augmentation={**A.augmentation, "s": {}})
 
 
 def k_text(k):
@@ -231,3 +245,34 @@ def dg_module_from_cell(M):
                     mat[(index[(pm, j)], i)] = c
         action[g.name] = mat
     return FiniteDgModule(A, basis, d, action)
+
+
+def free_cdga_text(A):
+    """A FREE presentation, its d and its aug lines of value 0, as a
+    presentation file."""
+    lines = [f"cdga {A.name} free"]
+    lines += [f"gen {g.name} deg {g.coh} wt {g.adams}" for g in A.generators]
+    for name, d in A.differential.items():
+        body = " ".join(("- " if c < 0 else "+ ")
+                        + "*".join([str(abs(c))] + mono_factors(m))
+                        for m, c in d.items())
+        lines.append(f"d {name} = {body[2:] if body[0] == '+' else body}")
+    lines += [f"aug {name} = 0" for name, a in A.augmentation.items()
+              if not a]
+    return "\n".join(lines) + "\n"
+
+
+def cell_text(M):
+    """M as a cell file over its algebra."""
+    lines = [f"cell {M.name} over {M.algebra.name}"]
+    lines += [f"elt {nm} deg {c} wt {a}" for nm, c, a in M.basis]
+    for j, (nm, _, _) in enumerate(M.basis):
+        terms = [("-" if c < 0 else "+",
+                  "*".join([str(abs(c))] + mono_factors(m))
+                  + f" {M.basis[i][0]}")
+                 for (i, jj), a in M.differential.items() if jj == j
+                 for m, c in a.items()]
+        if terms:
+            body = " ".join(f"{sign} {t}" for sign, t in terms)
+            lines.append(f"d {nm} = {body[2:] if body[0] == '+' else body}")
+    return "\n".join(lines) + "\n"

@@ -65,6 +65,10 @@
   are ReferenceIdealComplexes.  The resolution acts on the dg module by
   walking every entry of each action matrix (reference_act), and d of a
   cell module's key is recomputed with no memo (reference_d_element).
+- The reference cell-attaching loop (reference_attach_cells): every
+  source class imaged again in every round and for the certificate, and
+  a cell module that forgets, at each new cell, every slice of the
+  cell's weight and degree and above (coarse_attach).
 - The reference t-structure truncation: tau_{<=n}, tau^{>n} and
   H^n(Gamma) as three separate constructions, the first two through a
   ReferenceProjector each, the last through per-weight d0-cohomology
@@ -1266,6 +1270,84 @@ def reference_d_element(M, mono, j):
             for pm, c in reference_multiply(A, {mono: 1}, a).items():
                 out[(pm, i)] = out.get((pm, i), 0) + sign * c
     return {k: c for k, c in out.items() if c}
+
+
+def reference_attach_cells(stages, top, target, source_reps, image, adjoin):
+    """The loop of linalg.attach_cells with no store of class images:
+    every round and the certificate image every source class again.
+    STAGE_ROUNDS is read from linalg at the call."""
+    def class_images(i, m):
+        dim, _, projector = target.cohomology(i, m)
+        reps = source_reps(i, m)
+        return dim, reps, [projector.class_coords(image(i, m, v))
+                           for v in reps]
+
+    def classes(i, m):
+        out = class_images(i, m)
+        if None in out[2]:
+            raise ValueError("vector outside the span of reps + image")
+        return out
+
+    def combine(coords, vectors):
+        out = {}
+        for k, c in coords.items():
+            linalg._vec_iadd(out, vectors[k], c)
+        return out
+
+    stages = list(stages)
+    rounds = []
+    capped = set()
+    for i, m in stages:
+        d_solver = None
+        for k in range(1, linalg.STAGE_ROUNDS + 1):
+            dim, _, cols = classes(i, m)
+            reps = target.cohomology(i, m)[1]
+            cells = [(None, combine(cv, reps))
+                     for cv in linalg.quotient_basis(
+                         cols, [{j: linalg.ONE} for j in range(dim)])
+                     ] if dim else []
+            if not cells:
+                _, reps, cols = classes(i + 1, m)
+                kernel = linalg.kernel_basis(cols)
+                if kernel and d_solver is None:
+                    d_solver = linalg.solver(target.d_columns(i, m))
+                for kv in kernel:
+                    z = combine(kv, reps)
+                    b = d_solver.class_coords(image(i + 1, m, z))
+                    if b is None:
+                        raise ValueError(f"the image of a kernel class at "
+                                         f"({i + 1}, {m}) is not exact")
+                    cells.append((z, b))
+            if not cells:
+                break
+            adjoin(i, m, cells)
+        else:
+            capped.add((i, m))
+        rounds.append(k)
+    certificate = {}
+    for i, m in stages + [(top + 1, m) for i, m in stages if i == top]:
+        dim, reps, cols = class_images(i, m)
+        certificate[(i, m)] = (
+            None not in cols and len(linalg.Echelon(cols)) == len(reps)
+            and (i > top or dim == len(reps)) and (i, m) not in capped)
+    return rounds, certificate
+
+
+def coarse_attach(attach):
+    """CellModule.attach followed by a coarse forget: every cached slice
+    of weight >= r and degree >= n + |mono|, for the lowest |mono| that
+    joins a cached weight, and every grouping of weight >= r."""
+    def attach_coarse(P, name, n, r, column):
+        low = min((na for w in P._groups if w >= r
+                   for na in P.algebra.by_degree(w - r)), default=0)
+        attach(P, name, n, r, column)
+        for cache in (P._slices, P._index, P._d, P._ker, P._coh):
+            for key in [key for key in cache
+                        if key[1] >= r and key[0] >= n + low]:
+                del cache[key]
+        for w in [w for w in P._groups if w >= r]:
+            del P._groups[w]
+    return attach_coarse
 
 
 def reference_cell_resolution(D, coh_min, coh_max, adams_max, rounds=6):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from adamsbar.cellmod import (
 from adamsbar.parser import bind_cell, parse_text
 from corpus import (
     bench_cell_module,
+    cell_text,
     dg_module_from_cell,
     make_e1,
     make_e2,
@@ -37,9 +39,11 @@ from corpus import (
     random_cell_module,
 )
 from reference import (
+    coarse_attach,
     dense_check_flat,
     dense_d_squared_failures,
     reference_act,
+    reference_attach_cells,
     reference_cell_resolution,
     reference_cell_slice_keys,
     reference_d_element,
@@ -387,9 +391,10 @@ def _assert_cached_slices_are_fresh(P):
 
 def _checked_attach(monkeypatch, grown):
     """CellModule.attach, followed by the checks that its cell's keys
-    come last in every slice, that the cached slices of lower weight, or
-    of lower degree than every slice the cell joins, are the objects
-    cached before, and that every cached slice is right.  Each growth
+    come last in every slice, that every cached entry (keys, index, d
+    columns, kernel, cohomology) at a bidegree the cell does not join is
+    the object cached before, the cohomology one degree above a joined
+    slice aside, and that every cached entry is right.  Each growth
     appends (n, r, the lowest degree of a cached weight the cell joins)
     to grown."""
     attach = CellModule.attach
@@ -402,19 +407,22 @@ def _checked_attach(monkeypatch, grown):
         attach(self, name, n, r, column)
         j = len(self.basis) - 1
         new = CellModule(self.algebra, self.basis, self.differential)
-        joined = [nn for rr in weights for nn, keys in new.by_degree(rr).items()
-                  if keys[-1][1] == j]
-        low = min(joined, default=n)
+        joined = {(nn, rr) for rr in weights
+                  for nn, keys in new.by_degree(rr).items()
+                  if keys[-1][1] == j}
         for key, keys in self._slices.items():
             k = len(old.slice(*key))
             assert keys[:k] == old.slice(*key), key
             assert all(jj == j for _, jj in keys[k:]), key
         for cache, entries in before.items():
             for (nn, rr), value in entries.items():
-                if nn < low or rr < r:
-                    assert getattr(self, cache)[nn, rr] is value, (cache, nn)
+                if (nn, rr) in joined or (
+                        cache == "_coh" and (nn - 1, rr) in joined):
+                    continue
+                assert getattr(self, cache).get((nn, rr)) is value, (
+                    cache, nn, rr)
         _assert_cached_slices_are_fresh(self)
-        grown.append((n, r, low))
+        grown.append((n, r, min((nn for nn, _ in joined), default=n)))
 
     monkeypatch.setattr(CellModule, "attach", checked)
 
@@ -451,6 +459,120 @@ def test_attach_forgets_the_slices_a_cell_joins(monkeypatch):
     assert grown == [(1, 0, 0), (0, 1, -1)]
     assert (((("m", 1),), 1)) in P.slice(0, 1)
     assert P.filtration == [[0, 1], [2]]
+
+
+def test_attach_keeps_the_slices_a_cell_over_a_degree_0_generator_misses(
+        monkeypatch):
+    """Over an algebra with x of bidegree (1, 1) and f of (0, 1), a cell
+    of bidegree (n, r) joins the slices (n, r + k) and (n + 1, r + k + 1)
+    for every k >= 0: attach forgets those, keeps the others as they
+    were, and the cached slices stay those of a module built afresh."""
+    A = CdgaPresentation("F", "free", [GeneratorSpec("x", 1, 1),
+                                       GeneratorSpec("f", 0, 1)])
+    P = CellModule(A, [("b", 0, 0)], {})
+    window = [(n, r) for r in range(4) for n in range(-1, 4)]
+    grown = []
+    _checked_attach(monkeypatch, grown)
+    for n, r in window:
+        P.cohomology(n, r)
+    P.attach("c", 1, 0, {})
+    for n, r in window:
+        P.cohomology(n, r)
+    P.attach("e", 0, 1, {0: el_gen("x"), 1: el_gen("f")})
+    for n, r in window:
+        P.cohomology(n, r)
+    assert grown == [(1, 0, 1), (0, 1, 0)]
+    assert (((("f", 2),), 2)) in P.slice(0, 3)
+    assert P.check() == (True, [])
+
+
+def _resolve(monkeypatch, D, window, loop, attach):
+    """cell_resolution of D with loop in place of linalg.attach_cells and
+    attach in place of CellModule.attach: P's basis, differential and
+    filtration, phi, the rounds of each stage and the certificate."""
+    rounds = []
+
+    def recording(*args):
+        out = loop(*args)
+        rounds.append(out[0])
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "attach_cells", recording)
+        mp.setattr(CellModule, "attach", attach)
+        P, phi, cert = cell_resolution(D, *window)
+    return P.basis, P.differential, P.filtration, phi, rounds, cert
+
+
+LOOP_CASES = [("bench", seed) for seed in BENCH_SEEDS] + [
+    ("random", seed) for seed in range(20)]
+
+
+@pytest.mark.parametrize("stage_rounds", [linalg.STAGE_ROUNDS, 1, 2])
+@pytest.mark.parametrize("shape,seed", LOOP_CASES)
+def test_resolution_matches_the_reference_loop(shape, seed, stage_rounds,
+                                               monkeypatch):
+    """The loop that images each list of source classes once, over a P
+    that forgets only the slices a cell joins, gives the resolution of
+    the loop that images every class again, over a P that forgets every
+    slice of the cell's weight and degree and above: the same P, phi,
+    rounds and certificate, with stages capped at one or two rounds too."""
+    monkeypatch.setattr(linalg, "STAGE_ROUNDS", stage_rounds)
+    if shape == "bench":
+        D, window = _bench_dg_module(seed), BENCH_WINDOW
+    else:
+        D, window = dg_module_from_cell(
+            random_cell_module(make_e3(), seed)), (-1, 3, 4)
+    got = _resolve(monkeypatch, D, window, linalg.attach_cells,
+                   CellModule.attach)
+    assert got == _resolve(monkeypatch, D, window, reference_attach_cells,
+                           coarse_attach(CellModule.attach))
+
+
+def _image_calls(monkeypatch, loop, attach):
+    """(image calls, {(i, m, source_reps list, rep): times imaged}) of the
+    resolution of bench seed 29 with loop in place of linalg.attach_cells
+    and attach in place of CellModule.attach.  A call is counted against
+    the list that source_reps(i, m) last returned when its vector is one
+    of that list's, and every list is kept, so no id is reused."""
+    calls, imaged, kept = [0], Counter(), []
+
+    def counting(stages, top, target, source_reps, image, adjoin):
+        last = {}
+
+        def reps(i, m):
+            out = last[i, m] = source_reps(i, m)
+            kept.append(out)
+            return out
+
+        def counted(i, m, v):
+            calls[0] += 1
+            if any(v is rep for rep in last.get((i, m), ())):
+                imaged[i, m, id(last[i, m]), id(v)] += 1
+            return image(i, m, v)
+
+        return loop(stages, top, target, reps, counted, adjoin)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "attach_cells", counting)
+        mp.setattr(CellModule, "attach", attach)
+        assert all(cell_resolution(_bench_dg_module(29),
+                                   *BENCH_WINDOW)[2].values())
+    return calls[0], imaged
+
+
+def test_resolution_images_each_class_list_once(monkeypatch):
+    """attach_cells images the classes of (i, m) once per list that
+    source_reps(i, m) returns: no representative of a list is imaged
+    twice, where the loop that re-reads every class image does, and
+    there are fewer image calls in all."""
+    calls, imaged = _image_calls(monkeypatch, linalg.attach_cells,
+                                 CellModule.attach)
+    ref_calls, ref_imaged = _image_calls(
+        monkeypatch, reference_attach_cells, coarse_attach(CellModule.attach))
+    assert imaged and set(imaged.values()) == {1}
+    assert max(ref_imaged.values()) > 1
+    assert calls < ref_calls
 
 
 def test_resolution_acts_once_per_key(monkeypatch):
@@ -713,22 +835,6 @@ def test_cell_slices_match_per_slice_walk(seed):
                 assert keys is M.by_degree(r)[n]
 
 
-def _cell_text(M):
-    """M as a cell file over its algebra."""
-    lines = [f"cell {M.name} over {M.algebra.name}"]
-    lines += [f"elt {nm} deg {c} wt {a}" for nm, c, a in M.basis]
-    for j, (nm, _, _) in enumerate(M.basis):
-        terms = [("-" if c < 0 else "+",
-                  "*".join([str(abs(c))] + mono_factors(m))
-                  + f" {M.basis[i][0]}")
-                 for (i, jj), a in M.differential.items() if jj == j
-                 for m, c in a.items()]
-        if terms:
-            body = " ".join(f"{sign} {t}" for sign, t in terms)
-            lines.append(f"d {nm} = {body[2:] if body[0] == '+' else body}")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_cell_coefficients_are_fractions(seed):
     """Every coefficient out of bind_cell, hom_complex, tensor_mod and
@@ -737,7 +843,7 @@ def test_cell_coefficients_are_fractions(seed):
     bind_cell stages a cell file's elements by _strict_filtration, so no
     entry of a parsed d breaks strictness, which check does not read."""
     A = make_e3()
-    M, N = (bind_cell(parse_text(_cell_text(random_cell_module(
+    M, N = (bind_cell(parse_text(cell_text(random_cell_module(
         A, s, max_basis=5)))[1], A) for s in (seed, seed + 50))
     assert M.differential == random_cell_module(A, seed,
                                                 max_basis=5).differential

@@ -13,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from adamsbar import cdga, cli, linalg
 from adamsbar.cli import main
 from adamsbar.parser import ParseError, bind_cell, parse_text
+from corpus import (cell_text, free_cdga_text, make_e3, random_cell_module,
+                    random_free_cdga, random_gen_nilpotent)
 import reference
 
 E1_TEXT = """cdga E1 free
@@ -798,6 +800,42 @@ def test_no_command_exits_3_on_the_seeded_totals(capsys, tmp_path):
             codes[code] += 1
     assert sum(codes.values()) == 440
     assert set(codes) == {0, 1, 2}, codes
+
+
+def test_no_command_exits_3_on_the_seeded_corpus(capsys, tmp_path):
+    """The same sweep on the seeded corpus at --wt-max 2: every command
+    that reads a file on 20 random free cdgas, and on 20 random
+    generalized-nilpotent totals, with and without their base E1 where a
+    relative command takes it, and validate and cohomology on 20 random
+    cell modules over E3, read with --base: 400 runs.  Every input is
+    valid, so each exits 0."""
+    e1 = write(tmp_path, "e1.cdga", "cdga E1 free\ngen t deg 1 wt 1\n")
+    e3 = write(tmp_path, "e3.cdga", E3_TEXT)
+    runs = []
+    for seed in range(20):
+        f = write(tmp_path, f"r{seed}.cdga",
+                  free_cdga_text(random_free_cdga(seed)))
+        t = write(tmp_path, f"gn{seed}.cdga",
+                  free_cdga_text(random_gen_nilpotent(seed)))
+        c = write(tmp_path, f"m{seed}.cell",
+                  cell_text(random_cell_module(make_e3(), seed)))
+        for path in (f, t):
+            runs += [[command, path] for command in (
+                "validate", "cohomology", "bar-h0", "colie", "quillen",
+                "minimal-model", "delta-approx")]
+        runs += [[command, t, "--base", e1]
+                 for command in ("minimal-model", "delta-approx")]
+        runs += [[command, "--base", e1, "--total", t]
+                 for command in ("kernel", "coaction-check")]
+        runs += [[command, c, "--base", e3]
+                 for command in ("validate", "cohomology")]
+    codes = Counter()
+    for argv in runs:
+        code = main([*argv, "--wt-max", "2"])
+        err = capsys.readouterr().err
+        assert code != 3, (argv, err)
+        codes[code] += 1
+    assert codes == {0: 400}, codes
 
 
 @pytest.mark.parametrize("base, total, err", [c[1:] for c in ONE_READING],

@@ -18,8 +18,8 @@ from adamsbar.minimal import (
 from adamsbar.parser import parse_text
 from adamsbar.relative import (AugmentedOverN, RelativeError, checked_fiber,
                                punctured_line_model)
-from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p, make_k,
-                    random_gen_nilpotent)
+from corpus import (make_e1, make_e2, make_e3, make_e4, make_e4p, make_e4q,
+                    make_k, random_gen_nilpotent)
 from test_cli import DEGREE_0_FIBER, random_relative_totals
 import reference
 
@@ -436,6 +436,42 @@ def test_minimal_model_matches_reference(case):
     assert [s["iterations"] for s in mm.stage_log] == ref.iterations
     assert mm.certification == ref.certification
     assert mm.certified()
+
+
+# name -> (base, total) of the models the two loops must grow alike
+LOOP_CASES = {
+    **{name: lambda mk=mk: (trivial_base(), augment_absolute(mk()))
+       for name, mk in (("E1", make_e1), ("E2", make_e2), ("E3", make_e3))},
+    **{f"{name}/E1": lambda mk=mk: (make_e1("t"), mk())
+       for name, mk in (("E4", make_e4), ("E4p", make_e4p),
+                        ("E4q", make_e4q))},
+    **{f"P1minus{k}": lambda k=k: (
+        trivial_base(), augment_absolute(punctured_line_model(k)))
+       for k in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("stage_rounds", [linalg.STAGE_ROUNDS, 1, 2])
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_minimal_model_matches_the_reference_loop(case, stage_rounds,
+                                                  monkeypatch):
+    """At n = 2 and w <= 4, the loop that images each list of source
+    classes once grows the model of the loop that images every class
+    again: the same generators, d, structure map, rounds and
+    certification, with stages capped at one or two rounds too."""
+    monkeypatch.setattr(linalg, "STAGE_ROUNDS", stage_rounds)
+    N, A = LOOP_CASES[case]()
+    X = AugmentedOverN(N, A)
+    runs = []
+    for loop in (linalg.attach_cells, reference.reference_attach_cells):
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "attach_cells", loop)
+            mm = relative_minimal_model(X, 2, 4)
+        runs.append((mm.fiber_names, mm.model.generators,
+                     mm.model.differential, mm.structure_map,
+                     mm.stage_log, mm.certification))
+    assert runs[0] == runs[1]
+    assert runs[0][0]
 
 
 @pytest.mark.parametrize("case", ["P1minus4", "E4/E1"])

@@ -8,12 +8,13 @@ import pytest
 from adamsbar.bar import BarComplex
 from adamsbar.cdga import CdgaPresentation, GeneratorSpec, el_add
 from adamsbar.linalg import Echelon, KernelCoords
-from adamsbar.minimal import IdealComplex, augment_absolute
+from adamsbar.minimal import (IdealComplex, augment_absolute,
+                              relative_minimal_model, trivial_base)
 from adamsbar.relative import (
     AugmentedOverN, DeltaApprox, fiber_algebra, punctured_line_model)
 from corpus import (
     make_e1, make_e2, make_e3, make_e4, make_e4p, random_cell_module,
-    random_gen_nilpotent)
+    random_free_cdga, random_gen_nilpotent)
 import reference
 
 
@@ -200,9 +201,19 @@ def _two_groups():
         GeneratorSpec("f", 0, 1)])
 
 
+def _mixed_free():
+    """A free algebra on odd and even generators, of degree 0 and of
+    negative degree among them, and of weights 1 to 3."""
+    return CdgaPresentation("M", "free", [
+        GeneratorSpec("a", 1, 1), GeneratorSpec("b", 2, 1),
+        GeneratorSpec("k", 0, 1), GeneratorSpec("d", -1, 2),
+        GeneratorSpec("e", -2, 1), GeneratorSpec("f", 3, 3),
+        GeneratorSpec("g", 0, 2)])
+
+
 ALGEBRAS = {
     "E1": make_e1, "E2": make_e2, "E3": make_e3, "E4": make_e4,
-    "E4p": make_e4p, "two groups": _two_groups,
+    "E4p": make_e4p, "two groups": _two_groups, "mixed free": _mixed_free,
     **{f"GN{seed}": lambda seed=seed: random_gen_nilpotent(seed)
        for seed in range(6)},
 }
@@ -231,6 +242,35 @@ def _assert_slices_match_reference(A, weights):
 def test_grouped_slices_match_per_slice_walk(name):
     A = ALGEBRAS[name]()
     _assert_slices_match_reference(A, range(-1, 6))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_grouped_slices_of_random_free_cdgas_match_per_slice_walk(seed):
+    _assert_slices_match_reference(random_free_cdga(seed), range(-1, 6))
+
+
+@pytest.mark.parametrize("k,n,w", [(4, 2, 4), (5, 1, 5)])
+def test_grouped_slices_of_growing_models_match_per_slice_walk(
+        k, n, w, monkeypatch):
+    """Every grouping that relative_minimal_model walks on the model of
+    the line minus k points, as the model grows, equals the per-slice
+    walk, and so does each weight of the model it returns."""
+    group_keys, walked = CdgaPresentation.group_keys, []
+
+    def checked(self, r):
+        groups = group_keys(self, r)
+        if self.name.endswith("_min"):
+            for nn in _degrees(self, r):
+                assert groups.get(nn, []) == reference.reference_slice_keys(
+                    self, nn, r), (nn, r)
+            walked.append(r)
+        return groups
+
+    monkeypatch.setattr(CdgaPresentation, "group_keys", checked)
+    A = augment_absolute(punctured_line_model(k))
+    mm = relative_minimal_model(AugmentedOverN(trivial_base(), A), n, w)
+    assert set(walked) == set(range(1, w + 1)) and len(walked) > w
+    _assert_slices_match_reference(mm.model, range(w + 2))
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
