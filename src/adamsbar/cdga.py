@@ -35,8 +35,8 @@ As a SliceComplex, the algebra finds the monomials of a weight in one
 walk, each partial monomial branching straight to the later generators
 whose weight fits, and groups them by degree (by_degree).  adjoin
 forgets the cached slices and groupings of the new generator's weight
-and above, the only ones that gain monomials; the slices below it are
-kept.
+and above, the only ones that gain monomials, and the walk's generator
+order; the slices below it are kept.
 
 Whether a presentation is a cdga is the one check structure_failures,
 which validate, the cli's input checks and the relative verdicts read.
@@ -113,6 +113,7 @@ class CdgaPresentation(linalg.SliceComplex):
         self._bidegree = {}  # monomial -> (degree, weight)
         self._mul = {}  # (monomial, monomial) -> product element
         self._mono_d = {}  # monomial -> d of the monomial
+        self._walk = None  # group_keys' generator order, until adjoin
         for g in self.generators:
             if g.adams < 1:
                 raise CdgaError(f"generator {g.name} has Adams weight {g.adams} < 1")
@@ -138,6 +139,7 @@ class CdgaPresentation(linalg.SliceComplex):
             self.differential[spec.name] = d
         if aug is not None:
             self.augmentation[spec.name] = aug
+        self._walk = None
         self.forget(spec.adams)
 
     def set_product(self, a, b, val):
@@ -303,15 +305,17 @@ class CdgaPresentation(linalg.SliceComplex):
         weight r is found in one walk on an explicit stack.  A partial
         monomial, its factors in name order, branches straight to the
         later generators whose weight fits, read off the name-sorted
-        positions of each weight, so no branch skips a generator."""
+        positions of each weight, so no branch skips a generator.  The
+        name order and the positions are built once per generator set."""
         if r <= 0:
             return {0: [UNIT]} if r == 0 else {}
-        gens = sorted(self.generators, key=lambda g: g.name)
-        at = {}  # weight -> the positions in gens of its generators
-        for k, g in enumerate(gens):
-            if g.adams <= r:
+        if self._walk is None:
+            gens = sorted(self.generators, key=lambda g: g.name)
+            at = {}  # weight -> the positions in gens of its generators
+            for k, g in enumerate(gens):
                 at.setdefault(g.adams, []).append(k)
-        weights = sorted(at)
+            self._walk = gens, sorted(at), at
+        gens, weights, at = self._walk
         groups = {}
         stack = [(0, (), 0, 0, frozenset())]
         while stack:

@@ -210,10 +210,11 @@ class CellModule(linalg.SliceComplex):
         column[i] b_i (nonzero Elements), one stage above its boundary's
         highest.  Its keys (mono, j) come last in every slice (group_keys
         walks j in order) and lie in d of no older key, so the older keys'
-        positions, d columns and kernels stay right.  Only the cached
-        slices the keys join, at (n + |mono|, r + wt(mono)), go, with the
-        groupings of their weights and the cohomology one degree above
-        each, into which their new d columns map."""
+        positions, d columns and kernels stay right.  The keys are
+        appended in place to each cached grouping they join, at (n +
+        |mono|, r + wt(mono)), in the order group_keys walks them; of the
+        other caches only the slices they join go, with the cohomology
+        one degree above each, into which their new d columns map."""
         j = len(self.basis)
         self.basis.append((name, n, r))
         for i, a in column.items():
@@ -224,17 +225,18 @@ class CellModule(linalg.SliceComplex):
             self.filtration.append([])
         self.filtration[s].append(j)
         self._stage[j] = s
-        # every cached entry's slice is cached, so these are the weights
-        # with something to forget
-        weights = {w for _, w in self._slices} | set(self._groups)
-        joined = [(n + na, w) for w in weights if w >= r
-                  for na in self.algebra.by_degree(w - r)]
-        for key in joined:
-            for cache in (self._slices, self._index, self._d, self._ker,
-                          self._coh):
-                cache.pop(key, None)
-            self._coh.pop((key[0] + 1, key[1]), None)
-            self._groups.pop(key[1], None)
+        # every cached entry's slice is cached, and so is its weight's
+        # grouping
+        for w, groups in self._groups.items():
+            if w < r:
+                continue
+            for na, monos in self.algebra.by_degree(w - r).items():
+                nn = n + na
+                groups.setdefault(nn, []).extend((mono, j) for mono in monos)
+                for cache in (self._slices, self._index, self._d, self._ker,
+                              self._coh):
+                    cache.pop((nn, w), None)
+                self._coh.pop((nn + 1, w), None)
 
     # ---- q functor -----------------------------------------------------
 

@@ -17,7 +17,11 @@ rational: int ['/' posint].  Every identifier must be declared before
 use; errors carry line and column numbers.
 
 parse_file decodes the file's bytes as UTF-8, and each line is split into
-(token, column) pairs by one regex pass before any of it is parsed.  A
+its token strings by one regex findall before any of it is parsed; the
+column of a token is worked out from its line only for an error there.
+Each name maps to the position of its declaration, and a d, aug or mul
+line keeps the number of names declared above it, so a name declared
+later is undeclared by one comparison, with no copy of the names.  A
 rational of denominator 1 is read as an int.  One reader, _signed_terms,
 reads every signed sum, a cdga's poly and a cell module's d alike: a cdga
 adds its terms up and keeps the ints, so the structure maps of an
@@ -50,52 +54,60 @@ class ParseError(Exception):
 
 
 def _tokens(text, lineno):
-    """The (token, column) pairs of a line, in one regex pass; whitespace
-    only separates tokens."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        tok = m[1]
-        if tok is None:
-            raise ParseError(f"bad character {m[0]!r}", lineno, m.start() + 1)
-        out.append((tok, m.start() + 1))
-    return out
+    """The token strings of a line, from one findall; whitespace only
+    separates tokens.  A character that starts no token reads as "", and
+    only then does finditer look for its column."""
+    toks = _TOKEN.findall(text)
+    if "" in toks:
+        m = next(m for m in _TOKEN.finditer(text) if m[1] is None)
+        raise ParseError(f"bad character {m[0]!r}", lineno, m.start() + 1)
+    return toks
 
 
 class _Cursor:
-    def __init__(self, toks, lineno):
+    """The tokens of one line, read in order.  The line itself is kept,
+    so that an error works out the column of its token only when it is
+    raised."""
+
+    def __init__(self, text, toks, lineno):
+        self.text = text
         self.toks = toks
         self.i = 0
         self.lineno = lineno
 
+    def error(self, msg, i):
+        """The ParseError msg at the column of token i."""
+        cols = [m.start() + 1 for m in _TOKEN.finditer(self.text)]
+        return ParseError(msg, self.lineno, cols[i])
+
     def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self, expect=None):
-        if self.i >= len(self.toks):
+        try:
+            tok = self.toks[self.i]
+        except IndexError:
             raise ParseError(
                 f"unexpected end of line (wanted {expect or 'more input'})",
                 self.lineno,
-            )
-        tok, col = self.toks[self.i]
+            ) from None
         self.i += 1
         if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, got {tok!r}", self.lineno, col)
-        return tok, col
+            raise self.error(f"expected {expect!r}, got {tok!r}", self.i - 1)
+        return tok
 
     def done(self):
         if self.i < len(self.toks):
-            tok, col = self.toks[self.i]
-            raise ParseError(f"trailing input {tok!r}", self.lineno, col)
+            raise self.error(f"trailing input {self.toks[self.i]!r}", self.i)
 
 
 def _parse_int(cur, what):
-    tok, col = cur.next(expect=None)
-    neg = False
-    if tok == "-":
-        neg = True
-        tok, col = cur.next()
+    tok = cur.next()
+    neg = tok == "-"
+    if neg:
+        tok = cur.next()
     if not tok.isdigit():
-        raise ParseError(f"expected {what}, got {tok!r}", cur.lineno, col)
+        raise cur.error(f"expected {what}, got {tok!r}", cur.i - 1)
     return -int(tok) if neg else int(tok)
 
 
@@ -105,47 +117,47 @@ def _parse_rational(cur):
     val = _parse_int(cur, "rational")
     if cur.peek() == "/":
         cur.next()
-        tok, col = cur.next()
+        tok = cur.next()
         if not tok.isdigit() or int(tok) == 0:
-            raise ParseError(
-                f"expected positive denominator, got {tok!r}", cur.lineno, col
-            )
+            raise cur.error(f"expected positive denominator, got {tok!r}",
+                            cur.i - 1)
         val = F(val, int(tok))
         if val.denominator == 1:
             val = val.numerator
     return val
 
 
-def _declared(cur, declared, what="identifier"):
-    """The next token, a name that must be in declared."""
-    tok, col = cur.next()
-    if tok not in declared:
-        raise ParseError(f"undeclared {what} {tok!r}", cur.lineno, col)
+def _declared(cur, declared, limit, what="identifier"):
+    """The next token, a name that declared maps to a position below
+    limit: one declared above the line that reads it."""
+    tok = cur.next()
+    if declared.get(tok, limit) >= limit:
+        raise cur.error(f"undeclared {what} {tok!r}", cur.i - 1)
     return tok
 
 
 def _declaration(cur, declared, what, least):
     """(name, degree, weight) of a `name deg n wt w` line: the name is new
     and w >= least, else the error is at the name's column."""
-    name, col = cur.next()
+    name = cur.next()
     if name in declared:
-        raise ParseError(f"duplicate {what} {name!r}", cur.lineno, col)
+        raise cur.error(f"duplicate {what} {name!r}", 1)
     cur.next(expect="deg")
     deg = _parse_int(cur, "degree")
     cur.next(expect="wt")
     wt = _parse_int(cur, "weight")
     cur.done()
     if wt < least:
-        raise ParseError(f"{what} {name!r} has weight {wt} < {least}",
-                         cur.lineno, col)
+        raise cur.error(f"{what} {name!r} has weight {wt} < {least}", 1)
     return name, deg, wt
 
 
-def _signed_terms(cur, declared, A):
+def _signed_terms(cur, declared, limit, A):
     """Each term of a signed sum that runs to the end of the line, with its
     sign, as an element normalized in the algebra A: an optional leading
-    '-', then term (('+'|'-') term)*.  The caller may read on after each
-    term (bind_cell reads its element) before it asks for the next."""
+    '-', then term (('+'|'-') term)*, each name in it declared below
+    limit.  The caller may read on after each term (bind_cell reads its
+    element) before it asks for the next."""
     sign = 1
     if cur.peek() == "-":
         cur.next()
@@ -155,7 +167,7 @@ def _signed_terms(cur, declared, A):
         names = []
         while cur.peek() == "*":
             cur.next()
-            names.append(_declared(cur, declared))
+            names.append(_declared(cur, declared, limit))
         term = {UNIT: sign * coeff}
         for name in names:
             term = A.multiply(term, {((name, 1),): 1})
@@ -164,17 +176,15 @@ def _signed_terms(cur, declared, A):
         if nxt is None:
             return
         if nxt not in ("+", "-"):
-            tok, col = cur.toks[cur.i]
-            raise ParseError(f"expected '+' or '-', got {tok!r}",
-                             cur.lineno, col)
+            raise cur.error(f"expected '+' or '-', got {nxt!r}", cur.i)
         cur.next()
         sign = 1 if nxt == "+" else -1
 
 
-def _parse_poly(cur, declared, A):
+def _parse_poly(cur, declared, limit, A):
     """The sum of _signed_terms: a polynomial normalized in the algebra A."""
     out = {}
-    for term in _signed_terms(cur, declared, A):
+    for term in _signed_terms(cur, declared, limit, A):
         _vec_iadd(out, term, 1)
     return out
 
@@ -187,66 +197,68 @@ def parse_text(text):
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw.split("#", 1)[0], lineno)
+        raw = raw.split("#", 1)[0]
+        toks = _tokens(raw, lineno)
         if toks:
-            lines.append((lineno, toks))
+            lines.append(_Cursor(raw, toks, lineno))
     if not lines:
         raise ParseError("empty file", 1)
-    head_line, head = lines[0]
-    kind_tok = head[0][0]
+    kind_tok = lines[0].toks[0]
     if kind_tok == "cdga":
         return "cdga", _parse_cdga(lines)
     if kind_tok == "cell":
         return "cell", _parse_cell(lines)
     raise ParseError(
-        f"file must start with 'cdga' or 'cell', got {kind_tok!r}", head_line
-    )
+        f"file must start with 'cdga' or 'cell', got {kind_tok!r}",
+        lines[0].lineno)
 
 
 def _parse_cdga(lines):
-    cur = _Cursor(lines[0][1], lines[0][0])
+    cur = lines[0]
     cur.next(expect="cdga")
-    name, _ = cur.next()
-    kind, col = cur.next()
+    name = cur.next()
+    kind = cur.next()
     if kind not in ("free", "table"):
-        raise ParseError(f"kind must be free or table, got {kind!r}",
-                         cur.lineno, col)
+        raise cur.error(f"kind must be free or table, got {kind!r}", 2)
     cur.done()
     group = name if kind == "table" else None
     gens = []
-    declared = set()
-    # mul lines and d/aug lines, each with its cursor and the names
-    # declared above it; their sums are read once every generator exists
+    declared = {}  # name -> its position in gens
+    # mul lines and d/aug lines, each with its cursor and the number of
+    # generators declared above it; their sums are read once every
+    # generator exists
     products, maps = [], []
-    for lineno, toks in lines[1:]:
-        cur = _Cursor(toks, lineno)
-        op, col = cur.next()
+    for cur in lines[1:]:
+        op = cur.next()
+        seen = len(gens)
         if op == "gen":
             gname, deg, wt = _declaration(cur, declared, "generator", 1)
             gens.append(GeneratorSpec(gname, deg, wt, group=group))
-            declared.add(gname)
+            declared[gname] = seen
         elif op in ("d", "aug"):
-            target = _declared(cur, declared)
+            target = _declared(cur, declared, seen)
             cur.next(expect="=")
-            maps.append((op, target, cur, set(declared)))
+            maps.append((op, target, cur, seen))
         elif op == "mul":
             if kind != "table":
-                raise ParseError("mul line in a free presentation", lineno, col)
+                raise cur.error("mul line in a free presentation", 0)
             # both names are read before either is checked, so a line
             # that ends early reports its end
-            names = _Cursor([cur.next(), cur.next()], lineno)
-            pair = _declared(names, declared), _declared(names, declared)
+            cur.next(), cur.next()
+            cur.i = 1
+            pair = (_declared(cur, declared, seen),
+                    _declared(cur, declared, seen))
             cur.next(expect="=")
-            products.append((pair, cur, set(declared)))
+            products.append((pair, cur, seen))
         else:
-            raise ParseError(f"unknown directive {op!r}", lineno, col)
+            raise cur.error(f"unknown directive {op!r}", 0)
     A = CdgaPresentation(name, kind, gens)
     # products first, so later polynomials normalize through the table
     for pair, cur, seen in products:
-        A.set_product(*pair, _parse_poly(cur, seen, A))
+        A.set_product(*pair, _parse_poly(cur, declared, seen, A))
     differential, augmentation = {}, {}
     for op, target, cur, seen in maps:
-        val = _parse_poly(cur, seen, A)
+        val = _parse_poly(cur, declared, seen, A)
         if op == "aug":
             augmentation[target] = val
         elif val:
@@ -256,28 +268,27 @@ def _parse_cdga(lines):
 
 
 def _parse_cell(lines):
-    cur = _Cursor(lines[0][1], lines[0][0])
+    cur = lines[0]
     cur.next(expect="cell")
-    name, _ = cur.next()
+    name = cur.next()
     cur.next(expect="over")
-    over, _ = cur.next()
+    over = cur.next()
     cur.done()
     elts = []
-    declared = {}
+    declared = {}  # name -> its position in elts
     dlines = []
-    for lineno, toks in lines[1:]:
-        cur = _Cursor(toks, lineno)
-        op, col = cur.next()
+    for cur in lines[1:]:
+        op = cur.next()
         if op == "elt":
             elt = _declaration(cur, declared, "element", 0)
             declared[elt[0]] = len(elts)
             elts.append(elt)
         elif op == "d":
-            target = _declared(cur, declared, "element")
+            target = _declared(cur, declared, len(elts), "element")
             cur.next(expect="=")
             dlines.append((target, cur))
         else:
-            raise ParseError(f"unknown directive {op!r}", lineno, col)
+            raise cur.error(f"unknown directive {op!r}", 0)
     return {"name": name, "over": over, "elts": elts, "declared": declared,
             "dlines": dlines}
 
@@ -291,12 +302,15 @@ def bind_cell(spec, A: CdgaPresentation):
     stored coefficient becomes one Fraction at the end.  A d that admits
     no strict filtration is a ParseError at the first d line of the
     lowest element it leaves without a stage."""
-    declared = spec["declared"]
+    # every element and every generator of A is declared by now, so a
+    # name is checked against all of their positions
+    declared, n = spec["declared"], len(spec["elts"])
+    gens = {g.name: k for k, g in enumerate(A.generators)}
     diff = {}
     for target, cur in spec["dlines"]:
         j = declared[target]
-        for el in _signed_terms(cur, A.gen, A):
-            key = (declared[_declared(cur, declared, "element")], j)
+        for el in _signed_terms(cur, gens, len(gens), A):
+            key = (declared[_declared(cur, declared, n, "element")], j)
             entry = diff.setdefault(key, {})
             _vec_iadd(entry, el, 1)
             if not entry:

@@ -98,10 +98,14 @@
   on both sides, from reference_echelonize.
 - The reference report text: a report made JSON-ready by one walk and
   written by json.dumps(sort_keys=True, indent=2) in a second.
+- The reference reader (reference_parse_text, reference_bind_cell): each
+  line lexed into (token, column) pairs, and each d, aug or mul line
+  keeping its own copy of the set of names declared above it.
 """
 
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -113,7 +117,9 @@ from adamsbar.bar import (
     map_letters)
 from adamsbar.cdga import (
     UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
-from adamsbar.cellmod import ModuleError
+from adamsbar.cellmod import (
+    CellModule, FiltrationError, ModuleError, _strict_filtration)
+from adamsbar.parser import ParseError
 from adamsbar.relative import fiber_algebra
 
 F = Fraction
@@ -1988,3 +1994,275 @@ def reference_report_text(report):
     (tuples joined by commas), Fractions and other values as their str,
     then json.dumps with sorted keys and an indent of 2."""
     return json.dumps(_reference_jsonable(report), sort_keys=True, indent=2)
+
+
+# ---- the reference reader -------------------------------------------------
+
+# group 1 is a token; a character outside it starts no token, an error
+_REF_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|\d+|[=*+/-])|\S")
+
+
+def _ref_tokens(text, lineno):
+    """The (token, column) pairs of a line, in one regex pass; whitespace
+    only separates tokens."""
+    out = []
+    for m in _REF_TOKEN.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise ParseError(f"bad character {m[0]!r}", lineno, m.start() + 1)
+        out.append((tok, m.start() + 1))
+    return out
+
+
+class _RefCursor:
+    def __init__(self, toks, lineno):
+        self.toks = toks
+        self.i = 0
+        self.lineno = lineno
+
+    def peek(self):
+        return self.toks[self.i][0] if self.i < len(self.toks) else None
+
+    def next(self, expect=None):
+        if self.i >= len(self.toks):
+            raise ParseError(
+                f"unexpected end of line (wanted {expect or 'more input'})",
+                self.lineno,
+            )
+        tok, col = self.toks[self.i]
+        self.i += 1
+        if expect is not None and tok != expect:
+            raise ParseError(f"expected {expect!r}, got {tok!r}", self.lineno, col)
+        return tok, col
+
+    def done(self):
+        if self.i < len(self.toks):
+            tok, col = self.toks[self.i]
+            raise ParseError(f"trailing input {tok!r}", self.lineno, col)
+
+
+def _ref_parse_int(cur, what):
+    tok, col = cur.next(expect=None)
+    neg = False
+    if tok == "-":
+        neg = True
+        tok, col = cur.next()
+    if not tok.isdigit():
+        raise ParseError(f"expected {what}, got {tok!r}", cur.lineno, col)
+    return -int(tok) if neg else int(tok)
+
+
+def _ref_parse_rational(cur):
+    """The rational as an int when its denominator is 1, else as a
+    Fraction."""
+    val = _ref_parse_int(cur, "rational")
+    if cur.peek() == "/":
+        cur.next()
+        tok, col = cur.next()
+        if not tok.isdigit() or int(tok) == 0:
+            raise ParseError(
+                f"expected positive denominator, got {tok!r}", cur.lineno, col
+            )
+        val = F(val, int(tok))
+        if val.denominator == 1:
+            val = val.numerator
+    return val
+
+
+def _ref_declared(cur, declared, what="identifier"):
+    """The next token, a name that must be in declared."""
+    tok, col = cur.next()
+    if tok not in declared:
+        raise ParseError(f"undeclared {what} {tok!r}", cur.lineno, col)
+    return tok
+
+
+def _ref_declaration(cur, declared, what, least):
+    """(name, degree, weight) of a `name deg n wt w` line: the name is new
+    and w >= least, else the error is at the name's column."""
+    name, col = cur.next()
+    if name in declared:
+        raise ParseError(f"duplicate {what} {name!r}", cur.lineno, col)
+    cur.next(expect="deg")
+    deg = _ref_parse_int(cur, "degree")
+    cur.next(expect="wt")
+    wt = _ref_parse_int(cur, "weight")
+    cur.done()
+    if wt < least:
+        raise ParseError(f"{what} {name!r} has weight {wt} < {least}",
+                         cur.lineno, col)
+    return name, deg, wt
+
+
+def _ref_signed_terms(cur, declared, A):
+    """Each term of a signed sum that runs to the end of the line, with its
+    sign, as an element normalized in the algebra A: an optional leading
+    '-', then term (('+'|'-') term)*.  The caller may read on after each
+    term (reference_bind_cell reads its element) before it asks for the next."""
+    sign = 1
+    if cur.peek() == "-":
+        cur.next()
+        sign = -1
+    while True:
+        coeff = _ref_parse_rational(cur)
+        names = []
+        while cur.peek() == "*":
+            cur.next()
+            names.append(_ref_declared(cur, declared))
+        term = {UNIT: sign * coeff}
+        for name in names:
+            term = A.multiply(term, {((name, 1),): 1})
+        yield term
+        nxt = cur.peek()
+        if nxt is None:
+            return
+        if nxt not in ("+", "-"):
+            tok, col = cur.toks[cur.i]
+            raise ParseError(f"expected '+' or '-', got {tok!r}",
+                             cur.lineno, col)
+        cur.next()
+        sign = 1 if nxt == "+" else -1
+
+
+def _ref_parse_poly(cur, declared, A):
+    """The sum of _ref_signed_terms: a polynomial normalized in the algebra A."""
+    out = {}
+    for term in _ref_signed_terms(cur, declared, A):
+        linalg._vec_iadd(out, term, 1)
+    return out
+
+
+def reference_parse_text(text):
+    """Parse a presentation file, as parser.parse_text does.
+
+    Returns ("cdga", CdgaPresentation) or ("cell", cell-spec dict); bind
+    the latter to its algebra with reference_bind_cell.
+    """
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = _ref_tokens(raw.split("#", 1)[0], lineno)
+        if toks:
+            lines.append((lineno, toks))
+    if not lines:
+        raise ParseError("empty file", 1)
+    head_line, head = lines[0]
+    kind_tok = head[0][0]
+    if kind_tok == "cdga":
+        return "cdga", _ref_parse_cdga(lines)
+    if kind_tok == "cell":
+        return "cell", _ref_parse_cell(lines)
+    raise ParseError(
+        f"file must start with 'cdga' or 'cell', got {kind_tok!r}", head_line
+    )
+
+
+def _ref_parse_cdga(lines):
+    cur = _RefCursor(lines[0][1], lines[0][0])
+    cur.next(expect="cdga")
+    name, _ = cur.next()
+    kind, col = cur.next()
+    if kind not in ("free", "table"):
+        raise ParseError(f"kind must be free or table, got {kind!r}",
+                         cur.lineno, col)
+    cur.done()
+    group = name if kind == "table" else None
+    gens = []
+    declared = set()
+    # mul lines and d/aug lines, each with its cursor and the names
+    # declared above it; their sums are read once every generator exists
+    products, maps = [], []
+    for lineno, toks in lines[1:]:
+        cur = _RefCursor(toks, lineno)
+        op, col = cur.next()
+        if op == "gen":
+            gname, deg, wt = _ref_declaration(cur, declared, "generator", 1)
+            gens.append(GeneratorSpec(gname, deg, wt, group=group))
+            declared.add(gname)
+        elif op in ("d", "aug"):
+            target = _ref_declared(cur, declared)
+            cur.next(expect="=")
+            maps.append((op, target, cur, set(declared)))
+        elif op == "mul":
+            if kind != "table":
+                raise ParseError("mul line in a free presentation", lineno, col)
+            # both names are read before either is checked, so a line
+            # that ends early reports its end
+            names = _RefCursor([cur.next(), cur.next()], lineno)
+            pair = _ref_declared(names, declared), _ref_declared(names, declared)
+            cur.next(expect="=")
+            products.append((pair, cur, set(declared)))
+        else:
+            raise ParseError(f"unknown directive {op!r}", lineno, col)
+    A = CdgaPresentation(name, kind, gens)
+    # products first, so later polynomials normalize through the table
+    for pair, cur, seen in products:
+        A.set_product(*pair, _ref_parse_poly(cur, seen, A))
+    differential, augmentation = {}, {}
+    for op, target, cur, seen in maps:
+        val = _ref_parse_poly(cur, seen, A)
+        if op == "aug":
+            augmentation[target] = val
+        elif val:
+            differential[target] = val
+    return CdgaPresentation(name, kind, gens, differential, A.products,
+                            augmentation)
+
+
+def _ref_parse_cell(lines):
+    cur = _RefCursor(lines[0][1], lines[0][0])
+    cur.next(expect="cell")
+    name, _ = cur.next()
+    cur.next(expect="over")
+    over, _ = cur.next()
+    cur.done()
+    elts = []
+    declared = {}
+    dlines = []
+    for lineno, toks in lines[1:]:
+        cur = _RefCursor(toks, lineno)
+        op, col = cur.next()
+        if op == "elt":
+            elt = _ref_declaration(cur, declared, "element", 0)
+            declared[elt[0]] = len(elts)
+            elts.append(elt)
+        elif op == "d":
+            target = _ref_declared(cur, declared, "element")
+            cur.next(expect="=")
+            dlines.append((target, cur))
+        else:
+            raise ParseError(f"unknown directive {op!r}", lineno, col)
+    return {"name": name, "over": over, "elts": elts, "declared": declared,
+            "dlines": dlines}
+
+
+def reference_bind_cell(spec, A: CdgaPresentation):
+    """Resolve a spec of reference_parse_text against its algebra, as
+    parser.bind_cell does.
+
+    Each entry of d accumulates its terms in place, with int coefficients
+    where they are integral, as _ref_parse_poly does; an entry that cancels
+    is dropped at once, so a later term on it appends it anew.  Every
+    stored coefficient becomes one Fraction at the end.  A d that admits
+    no strict filtration is a ParseError at the first d line of the
+    lowest element it leaves without a stage."""
+    declared = spec["declared"]
+    diff = {}
+    for target, cur in spec["dlines"]:
+        j = declared[target]
+        for el in _ref_signed_terms(cur, A.gen, A):
+            key = (declared[_ref_declared(cur, declared, "element")], j)
+            entry = diff.setdefault(key, {})
+            linalg._vec_iadd(entry, el, 1)
+            if not entry:
+                del diff[key]
+    diff = {key: {m: F(c) for m, c in entry.items()}
+            for key, entry in diff.items()}
+    try:
+        filtration = _strict_filtration(spec["elts"], diff)
+    except FiltrationError as e:
+        name = spec["elts"][e.index][0]
+        line = next(cur.lineno for target, cur in spec["dlines"]
+                    if target == name)
+        raise ParseError(f"d of element {name!r} admits no strict "
+                         "filtration", line) from None
+    return CellModule(A, spec["elts"], diff, filtration, 0, spec["name"])

@@ -394,7 +394,8 @@ def _checked_attach(monkeypatch, grown):
     come last in every slice, that every cached entry (keys, index, d
     columns, kernel, cohomology) at a bidegree the cell does not join is
     the object cached before, the cohomology one degree above a joined
-    slice aside, and that every cached entry is right.  Each growth
+    slice aside, that every cached grouping is a fresh module's
+    group_keys, and that every cached entry is right.  Each growth
     appends (n, r, the lowest degree of a cached weight the cell joins)
     to grown."""
     attach = CellModule.attach
@@ -421,6 +422,8 @@ def _checked_attach(monkeypatch, grown):
                     continue
                 assert getattr(self, cache).get((nn, rr)) is value, (
                     cache, nn, rr)
+        for rr, groups in self._groups.items():
+            assert groups == new.group_keys(rr), rr
         _assert_cached_slices_are_fresh(self)
         grown.append((n, r, min((nn for nn, _ in joined), default=n)))
 

@@ -1,12 +1,18 @@
 """Every ParseError the reader raises, pinned to its exact message with
 line and column, and the order and type of the coefficients bind_cell
-stores."""
+stores; the reader against reference.reference_parse_text on fuzzed
+files, and its memory on a long one."""
 
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from adamsbar.parser import ParseError, bind_cell, parse_file, parse_text
+from test_cli import fuzz_cdga, fuzz_gens, fuzz_polys
 
 E1_TEXT = "cdga E1 free\ngen t deg 1 wt 1\n"
 
@@ -207,3 +213,116 @@ def test_bind_cell_order_and_fractions():
     assert got == [((1, 2), [(z, Fraction, 3), (xy, Fraction, 1)]),
                    ((0, 2), [(xy, Fraction, 2)])]
     assert M.filtration == [[0, 1], [2]]
+
+
+# ---- the reader against the reference reader ------------------------------
+
+_TOKEN_TEXT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\d+|[=*+/-]")
+
+
+@st.composite
+def shuffled(draw, text):
+    """text with its lines after the first in any order, so that a d, aug
+    or mul line may come before a declaration it reads."""
+    head, *body = text.splitlines()
+    if draw(st.booleans()):
+        body = draw(st.permutations(body))
+    return "\n".join([head, *body]) + "\n"
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one token dropped, doubled, or swapped for an undeclared
+    name, a name declared in the file (above or below the token, or at
+    another declaration), a weight too low or a bad character."""
+    a, b = draw(st.sampled_from(
+        [m.span() for m in _TOKEN_TEXT.finditer(text)]))
+    names = re.findall(r"^(?:gen|elt) (\S+)", text, re.M) or ["q"]
+    new = draw(st.one_of(
+        st.sampled_from(["", f"{text[a:b]} {text[a:b]}", "q", "0", "- 1"]),
+        st.sampled_from(names), st.sampled_from(["$", "\u00e9", "'"])))
+    return text[:a] + new + text[b:]
+
+
+@st.composite
+def reader_cases(draw):
+    """(cdga file, its text unchanged, cell file over it): the cdga of
+    fuzz_cdga and the cell module of fuzz_polys, each d line on any
+    elements, their lines in any order, and at most one of the two files
+    mutated."""
+    gens = draw(fuzz_gens("g", st.integers(-1, 2), st.integers(1, 2), 3))
+    base = draw(shuffled(draw(fuzz_cdga("A", gens))))
+    elts = draw(fuzz_gens("e", st.integers(-1, 2), st.integers(0, 2), 3))
+    cell = ["cell M over A"] + [f"elt {e} deg {d} wt {w}" for e, d, w in elts]
+    names, elements = [g for g, _, _ in gens], [e for e, _, _ in elts]
+    if names and elements:
+        for e in draw(st.lists(st.sampled_from(elements), max_size=3)):
+            cell.append(f"d {e} = {draw(fuzz_polys(names, elements))}")
+    cell = draw(shuffled("\n".join(cell)))
+    which = draw(st.sampled_from(["none", "cdga", "cell"]))
+    text = draw(mutated(base)) if which == "cdga" else base
+    if which == "cell":
+        cell = draw(mutated(cell))
+    return text, base, cell
+
+
+def _typed(entries):
+    """A dict of elements as a list, in key order, of each key with its
+    terms (monomial, coefficient type, coefficient) in order."""
+    return [(key, [(m, type(c), c) for m, c in el.items()])
+            for key, el in entries.items()]
+
+
+def _read(parse, bind, text, base, cell):
+    """What one reader makes of the cdga file text and of the cell file
+    over base, each part its values with their types and order or the
+    ParseError it raised."""
+    def cdga_parts(A):
+        return (A.name, A.kind, A.generators, _typed(A.differential),
+                _typed(A.products), _typed(A.augmentation))
+
+    def read_cell():
+        kind, spec = parse(cell)
+        if kind == "cdga":
+            return cdga_parts(spec)
+        M = bind(spec, parse(base)[1])
+        return (spec["over"], spec["declared"], M.name, M.basis,
+                _typed(M.differential), M.filtration)
+
+    out = []
+    for read in (lambda: cdga_parts(parse(text)[1]), read_cell):
+        try:
+            out.append(read())
+        except ParseError as e:
+            out.append(str(e))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_cases())
+def test_reader_agrees_with_the_reference_reader(case):
+    """On every file of the fuzz grammar, and on each with one token
+    dropped, doubled or swapped, the reader and the reference reader
+    give the same algebra and cell module (generators, d, products,
+    augmentation and filtration, with each coefficient's type and each
+    key's order) or raise the same ParseError."""
+    assert _read(parse_text, bind_cell, *case) == _read(
+        reference.reference_parse_text, reference.reference_bind_cell,
+        *case)
+
+
+def test_a_long_free_cdga_parses_in_linear_memory():
+    """2,000 generators, then one d line on each: a d line keeps no copy
+    of the names declared above it, so the parse's tracemalloc peak
+    stays under 16 MB, where one set per line takes about 130 MB."""
+    n = 2000
+    lines = ["cdga S free"] + [f"gen g{k} deg 1 wt {k + 1}" for k in range(n)]
+    lines += [f"d g{k} = 1*g{(k + 1) % n}*g{(k + 2) % n}" for k in range(n)]
+    tracemalloc.start()
+    try:
+        _, A = parse_text("\n".join(lines) + "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(A.differential) == n
+    assert peak < 16 * 2**20, peak
