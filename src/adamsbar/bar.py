@@ -159,7 +159,8 @@ class BarComplex(linalg.SliceComplex):
         letters from position i of the word replaced by one monomial, d of
         letter i for k = 1 and the product of letters i and i + 1 for
         k = 2, with coefficient c.  A letter may be the unit (ebar -1 and
-        d 1 = 0), as in the simplicial approximation.  The coefficients
+        d 1 = 0), as in the complex of the simplicial approximation that
+        the tests keep as an oracle.  The coefficients
         are the algebra's memoized d and products of monomials, read
         without a copy."""
         A = self.A

@@ -30,13 +30,11 @@ taken in ascending order.  What each view reads off it:
   the H^0 dims of every subcomplex of a filtration by key level
   (filtered_h0), one Echelon per slice fed level by level.  A
   complex whose keys are found by walking a whole weight (the cdga's
-  monomials, the bar words, the simplicial approximation's pairs) walks
-  it once and groups the keys by degree (by_degree).  The cdga, its bar
-  construction, the augmentation ideal, cell modules, scalar complexes
-  and the simplicial approximation are all SliceComplexes; the
-  word-length truncations of the bar construction, and the simplicial
-  approximation over each smaller simplex inside the one at n, are read
-  as filtrations.
+  monomials, the bar words) walks it once and groups the keys by degree
+  (by_degree).  The cdga, its bar construction, the augmentation ideal,
+  cell modules and scalar complexes are all SliceComplexes; the
+  word-length truncations of the bar construction, whose H^0 dims are
+  the simplicial approximation's tables, are read as one filtration.
 
 attach_cells is the one cell-attaching loop over these views, shared by
 minimal models and cell resolutions.  Their sources grow in place, and

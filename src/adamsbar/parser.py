@@ -286,7 +286,7 @@ def _parse_cell(lines):
         elif op == "d":
             target = _declared(cur, declared, len(elts), "element")
             cur.next(expect="=")
-            dlines.append((target, cur))
+            dlines.append((target, cur, cur.i))
         else:
             raise cur.error(f"unknown directive {op!r}", 0)
     return {"name": name, "over": over, "elts": elts, "declared": declared,
@@ -301,13 +301,16 @@ def bind_cell(spec, A: CdgaPresentation):
     is dropped at once, so a later term on it appends it anew.  Every
     stored coefficient becomes one Fraction at the end.  A d that admits
     no strict filtration is a ParseError at the first d line of the
-    lowest element it leaves without a stage."""
+    lowest element it leaves without a stage.  The spec is not consumed:
+    each d line is read from its sum's first token, so a spec binds
+    alike every time."""
     # every element and every generator of A is declared by now, so a
     # name is checked against all of their positions
     declared, n = spec["declared"], len(spec["elts"])
     gens = {g.name: k for k, g in enumerate(A.generators)}
     diff = {}
-    for target, cur in spec["dlines"]:
+    for target, cur, start in spec["dlines"]:
+        cur.i = start
         j = declared[target]
         for el in _signed_terms(cur, gens, len(gens), A):
             key = (declared[_declared(cur, declared, n, "element")], j)
@@ -321,7 +324,7 @@ def bind_cell(spec, A: CdgaPresentation):
         filtration = _strict_filtration(spec["elts"], diff)
     except FiltrationError as e:
         name = spec["elts"][e.index][0]
-        line = next(cur.lineno for target, cur in spec["dlines"]
+        line = next(cur.lineno for target, cur, _ in spec["dlines"]
                     if target == name)
         raise ParseError(f"d of element {name!r} admits no strict "
                          "filtration", line) from None

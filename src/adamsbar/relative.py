@@ -14,18 +14,19 @@ a flat nilpotent connection Gamma.  This module computes:
     total is a cdga, so the verdicts read cdga.structure_failures of the
     total and no relative bar complex is built,
   * the semi-direct product data (the dims of the kernel Hopf algebra
-    H^0(Bbar(F)), the polynomial-extension dimension identity),
+    H^0(Bbar(F)), the polynomial-extension dimension identity), every
+    H^0 dim read by rank off a bar complex, with no class built,
   * the base's co-action on the degree-1 kernel generators: Gamma
     restricted to E^1,
-  * finite simplicial-approximation complexes of the bar construction
-    indexed by faces of a standard simplex, and
+  * the finite simplicial approximations: H^0 of the bar construction
+    spread over the faces of the nn-simplex, each read as H^0 of the bar
+    complex truncated at word length nn, to which the complex of the
+    nn-simplex is quasi-isomorphic (README), and
   * the punctured-line fundamental-group demo over a mock trivial base.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
-from . import linalg
 from .cdga import (
     UNIT,
     CdgaPresentation,
@@ -36,10 +37,8 @@ from .cdga import (
 )
 from .bar import (
     BarComplex,
-    HopfPresentation,
     _wadd,
     gamma,
-    h0_hopf,
     polynomial_dims,
     require_connected,
 )
@@ -186,10 +185,12 @@ def semidirect(X: AugmentedOverN, w_max):
     """SemiDirectData after checked_fiber's input checks: the verdict is
     the dimension identity and that the total is a cdga."""
     Falg, conn = checked_fiber(X, w_max)
+    require_connected(X.total, w_max)
     weights = list(range(w_max + 1))
-    kernel_dims = HopfPresentation(Falg, w_max).dims()
-    base_dims = HopfPresentation(X.base, w_max).dims()
-    total_dims = h0_hopf(X.total, w_max).dims()
+    # only dims are read, so each is a rank count off one length level
+    kernel_dims, base_dims, total_dims = (
+        BarComplex(A).filtered_h0(len, [w_max], weights)[w_max]
+        for A in (Falg, X.base, X.total))
     identity_ok = all(
         total_dims[w]
         == sum(base_dims[w1] * kernel_dims[w - w1] for w1 in range(w + 1))
@@ -233,101 +234,22 @@ def coaction_check(X: AugmentedOverN, w_max):
 # ---------------------------------------------------------------------------
 
 
-class DeltaApprox(linalg.SliceComplex):
-    """Total complex of the bar construction spread over the faces of a
-    standard n-simplex.
-
-    Basis elements are pairs (S, word) with S a face of the simplex
-    (a (m+1)-subset of {0..n} for a length-m word) and the word drawn
-    from the unnormalized letters (the unit letter is allowed; its
-    suspension is odd).  Face j of the differential removes the j-th
-    vertex of S and applies the corresponding bar face to the word;
-    the end faces apply the counit and are nonzero only on unit
-    letters.
-
-    A face only removes vertices, and an inner face drops vertex
-    i + 1 <= m - 1, so the top vertex never rises: for nn <= n the pairs
-    with S[-1] <= nn span a subcomplex, the complex of the nn-simplex,
-    whose H^0 dims filtered_h0 reads at level S[-1].  As a SliceComplex
-    its keys are the pairs (S, word), sorted and grouped by degree once
-    per weight, and every dimension reads the one d_columns of each
-    slice.
-    """
-
-    def __init__(self, A: CdgaPresentation, n):
-        super().__init__()
-        self.A = A
-        self.n = n
-        self.bar = BarComplex(A)
-        # every face of the n-simplex, sorted
-        self._simplices = sorted(S for k in range(1, n + 2)
-                                 for S in combinations(range(n + 1), k))
-        self._words = {}
-        self._faces = {}
-
-    def words(self, w, m):
-        """{deg: the words of weight w, m letters and degree deg, sorted}.
-        As in BarComplex.group_keys, the first letters of every weight,
-        the unit included, are walked in sorted order, and each is put
-        before the already sorted groups of words(w - r, m - 1)."""
-        key = w, m
-        if key not in self._words:
-            groups = self._words[key] = {0: [()]} if key == (0, 0) else {}
-            if m:
-                firsts = [(UNIT, 0)] + [(letter, r) for r in range(1, w + 1)
-                                        for letter in self.bar.letters(r)]
-                for letter, r in sorted(firsts):
-                    ebar = self.bar._ebar(letter)
-                    for deg, tails in self.words(w - r, m - 1).items():
-                        groups.setdefault(deg + ebar, []).extend(
-                            (letter,) + tail for tail in tails)
-        return self._words[key]
-
-    def group_keys(self, w):
-        """{deg: the pairs (S, word) of weight w and degree deg, sorted}:
-        the faces S in sorted order, each followed by the sorted words of
-        one letter fewer than S has vertices."""
-        groups = {}
-        for S in self._simplices:
-            for deg, words in self.words(w, len(S) - 1).items():
-                groups.setdefault(deg, []).extend((S, word) for word in words)
-        return groups
-
-    def d_basis(self, S, word, deg):
-        """The bar faces of the word, of degree deg, a product of letters
-        i and i + 1 dropping vertex i + 1 of S, then the two counit end
-        faces; the sign of the last is deg, as the unit letter has
-        ebar -1.  The bar faces depend only on the word, so they are
-        built once per word."""
-        if word not in self._faces:
-            self._faces[word] = self.bar.faces(word)
-        out = {}
-        for i, k, nw, c in self._faces[word]:
-            _wadd(out, (S if k == 1 else S[:i + 1] + S[i + 2:], nw), c)
-        if word and word[0] == UNIT:
-            _wadd(out, (S[1:], word[1:]), 1)
-        if word and word[-1] == UNIT:
-            _wadd(out, (S[:-1], word[:-1]), -1 if deg % 2 else 1)
-        return out
-
-    def d_key(self, deg, w, b):
-        return self.d_basis(*b, deg)
-
-
 def delta_approximation(X: AugmentedOverN, n, w_max):
     """Simplicial approximations of the fiber bar complex for all
-    simplex sizes up to n, read off the one complex at n as the levels
-    S[-1] <= nn, with a stabilization report against the fiber bar
-    complex's H^0 (a weight-w word has at most w letters, so its length
-    truncation at w_max is the whole complex).  ok is that the total is a
-    cdga (structure_failures): the fiber is its quotient by a dg ideal, so
-    d^2 = 0 on the complex then, and the subcomplexes and the map to the
-    bar complex killing unit letters hold by construction."""
+    simplex sizes nn <= n, with a stabilization report against the fiber
+    bar complex's H^0.  H^0 of the bar construction spread over the faces
+    of the nn-simplex is H^0 of the bar complex truncated at word length
+    nn (README, "Simplicial approximation"), so every table is one level
+    of the bar complex's length filtration: nn for each nn <= n, and
+    w_max for full_dims, as a weight-w word has at most w letters.  ok is
+    that the total is a cdga (structure_failures): the fiber is its
+    quotient by a dg ideal, so d^2 = 0 on the bar complex then."""
     Falg, _ = checked_fiber(X, w_max)
-    da = DeltaApprox(Falg, n)
     weights = range(w_max + 1)
-    dims = da.filtered_h0(lambda b: b[0][-1], range(n + 1), weights)
-    full = da.bar.filtered_h0(len, [w_max], weights)[w_max]
+    truncated = BarComplex(Falg).filtered_h0(
+        len, sorted(set(range(n + 1)) | {w_max}), weights)
+    dims = {nn: truncated[nn] for nn in range(n + 1)}
+    full = truncated[w_max]
     stable_n = None
     for nn in range(n + 1):
         if all(

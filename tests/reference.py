@@ -27,11 +27,15 @@
   echelon of the decomposables fed one product per unordered pair of
   classes, where the program takes generators times classes.
 - The reference simplicial approximation: one complex per simplex size,
-  each with its own matrices and reference cohomology; and the three
-  facts about the program's one complex that delta-approx relies on
-  without checking them: d^2 = 0 on its slices, the pairs of top vertex
-  <= nn closed under d, and q, killing the words with a unit letter, a
-  chain map to the bar complex.
+  each with its own matrices and reference cohomology; DeltaApprox, the
+  one complex at n with its subcomplexes of top vertex <= nn, which
+  delta-approx read its tables off before it read them off the bar
+  complex's length truncations (reference_delta_approximation is that
+  former program); and the three facts about DeltaApprox that the
+  quasi-isomorphism of README's "Simplicial approximation" rests on:
+  d^2 = 0 on its slices, the pairs of top vertex <= nn closed under d,
+  and q, killing the words with a unit letter, a chain map to the bar
+  complex.
 - The reference word-length truncation: one bar complex per length m,
   keeping only the words of length <= m, each with its own ranks.
 - The reference connection on the fiber bar construction: Gamma
@@ -113,14 +117,15 @@ from types import SimpleNamespace
 
 from adamsbar import linalg
 from adamsbar.bar import (
-    BarComplex, CoLiePresentation, HopfPresentation, _exact, h0_hopf,
-    map_letters)
+    BarComplex, CoLiePresentation, HopfPresentation, _exact,
+    _wadd as bar_wadd, h0_hopf, map_letters)
 from adamsbar.cdga import (
-    UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
+    UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors,
+    structure_failures)
 from adamsbar.cellmod import (
     CellModule, FiltrationError, ModuleError, _strict_filtration)
 from adamsbar.parser import ParseError
-from adamsbar.relative import fiber_algebra
+from adamsbar.relative import checked_fiber, fiber_algebra
 
 F = Fraction
 
@@ -784,6 +789,122 @@ def reference_truncated_h0(A, m, w_max):
 
 
 # ---- reference simplicial approximation ---------------------------------
+
+
+class DeltaApprox(linalg.SliceComplex):
+    """Total complex of the bar construction spread over the faces of a
+    standard n-simplex.
+
+    Basis elements are pairs (S, word) with S a face of the simplex
+    (a (m+1)-subset of {0..n} for a length-m word) and the word drawn
+    from the unnormalized letters (the unit letter is allowed; its
+    suspension is odd).  Face j of the differential removes the j-th
+    vertex of S and applies the corresponding bar face to the word;
+    the end faces apply the counit and are nonzero only on unit
+    letters.
+
+    A face only removes vertices, and an inner face drops vertex
+    i + 1 <= m - 1, so the top vertex never rises: for nn <= n the pairs
+    with S[-1] <= nn span a subcomplex, the complex of the nn-simplex,
+    whose H^0 dims filtered_h0 reads at level S[-1].  As a SliceComplex
+    its keys are the pairs (S, word), sorted and grouped by degree once
+    per weight, and every dimension reads the one d_columns of each
+    slice.  This is the complex relative.delta_approximation read its
+    tables off before it read them off the bar complex's length
+    truncations, kept as their oracle.
+    """
+
+    def __init__(self, A: CdgaPresentation, n):
+        super().__init__()
+        self.A = A
+        self.n = n
+        self.bar = BarComplex(A)
+        # every face of the n-simplex, sorted
+        self._simplices = sorted(
+            S for k in range(1, n + 2)
+            for S in itertools.combinations(range(n + 1), k))
+        self._words = {}
+        self._faces = {}
+
+    def words(self, w, m):
+        """{deg: the words of weight w, m letters and degree deg, sorted}.
+        As in BarComplex.group_keys, the first letters of every weight,
+        the unit included, are walked in sorted order, and each is put
+        before the already sorted groups of words(w - r, m - 1)."""
+        key = w, m
+        if key not in self._words:
+            groups = self._words[key] = {0: [()]} if key == (0, 0) else {}
+            if m:
+                firsts = [(UNIT, 0)] + [(letter, r) for r in range(1, w + 1)
+                                        for letter in self.bar.letters(r)]
+                for letter, r in sorted(firsts):
+                    ebar = self.bar._ebar(letter)
+                    for deg, tails in self.words(w - r, m - 1).items():
+                        groups.setdefault(deg + ebar, []).extend(
+                            (letter,) + tail for tail in tails)
+        return self._words[key]
+
+    def group_keys(self, w):
+        """{deg: the pairs (S, word) of weight w and degree deg, sorted}:
+        the faces S in sorted order, each followed by the sorted words of
+        one letter fewer than S has vertices."""
+        groups = {}
+        for S in self._simplices:
+            for deg, words in self.words(w, len(S) - 1).items():
+                groups.setdefault(deg, []).extend((S, word) for word in words)
+        return groups
+
+    def d_basis(self, S, word, deg):
+        """The bar faces of the word, of degree deg, a product of letters
+        i and i + 1 dropping vertex i + 1 of S, then the two counit end
+        faces; the sign of the last is deg, as the unit letter has
+        ebar -1.  The bar faces depend only on the word, so they are
+        built once per word."""
+        if word not in self._faces:
+            self._faces[word] = self.bar.faces(word)
+        out = {}
+        for i, k, nw, c in self._faces[word]:
+            bar_wadd(out, (S if k == 1 else S[:i + 1] + S[i + 2:], nw), c)
+        if word and word[0] == UNIT:
+            bar_wadd(out, (S[1:], word[1:]), 1)
+        if word and word[-1] == UNIT:
+            bar_wadd(out, (S[:-1], word[:-1]), -1 if deg % 2 else 1)
+        return out
+
+    def d_key(self, deg, w, b):
+        return self.d_basis(*b, deg)
+
+
+def reference_delta_approximation(X, n, w_max):
+    """relative.delta_approximation as it read its report off the one
+    DeltaApprox at n: simplicial approximations of the fiber bar complex
+    for all simplex sizes up to n, as the levels S[-1] <= nn, with a
+    stabilization report against the fiber bar complex's H^0 (a weight-w
+    word has at most w letters, so its length truncation at w_max is the
+    whole complex).  ok is that the total is a
+    cdga (structure_failures): the fiber is its quotient by a dg ideal, so
+    d^2 = 0 on the complex then, and the subcomplexes and the map to the
+    bar complex killing unit letters hold by construction."""
+    Falg, _ = checked_fiber(X, w_max)
+    da = DeltaApprox(Falg, n)
+    weights = range(w_max + 1)
+    dims = da.filtered_h0(lambda b: b[0][-1], range(n + 1), weights)
+    full = da.bar.filtered_h0(len, [w_max], weights)[w_max]
+    stable_n = None
+    for nn in range(n + 1):
+        if all(
+            dims[k][w] == full[w]
+            for k in range(nn, n + 1)
+            for w in range(w_max + 1)
+        ):
+            stable_n = nn
+            break
+    return {
+        "dims": dims,
+        "full_dims": full,
+        "stable_n": stable_n,
+        "ok": not structure_failures(X.total),
+    }
 
 
 def reference_delta_dims(A, n, w_max, full):

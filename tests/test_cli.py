@@ -760,6 +760,46 @@ def test_relative_commands_agree_on_augmentation_not_a_chain_map(
         assert refused >= 15 and disconnected >= 15, wt_max
 
 
+def test_delta_approx_reports_match_the_former_complex(
+        capsys, monkeypatch, tmp_path):
+    """delta-approx on random_relative_totals(0, 100), at --wt-max 2 and 3
+    and --n 1..3, against the former program, which read its tables off
+    the one complex of the n-simplex (reference_delta_approximation):
+    every exit code and verdict is the same, and on every cdga total so
+    is every byte of stdout and stderr.  A total that is not a cdga fails
+    in both; its d^2 is not 0, so the simplex complex and the length
+    truncation are no complexes, and 14 of the 42 reports that both
+    compute differ in their tables."""
+    runs = []
+    for i, (base, total) in enumerate(random_relative_totals(0, 100)):
+        b = write(tmp_path, f"b{i}.cdga", base)
+        f = write(tmp_path, f"t{i}.cdga", total)
+        is_cdga = not cdga.structure_failures(parse_text(total)[1])
+        for wt_max in (2, 3):
+            for n in ("1", "2", "3"):
+                argv = ["delta-approx", f, "--base", b, "--n", n,
+                        "--wt-max", str(wt_max)]
+                code = main(argv)
+                runs.append((is_cdga, argv, code, capsys.readouterr()))
+    monkeypatch.setattr(cli, "delta_approximation",
+                        reference.reference_delta_approximation)
+    changed = computed = 0
+    for is_cdga, argv, code, got in runs:
+        want_code = main(argv)
+        want = capsys.readouterr()
+        assert code == want_code, argv
+        if is_cdga or code == 2:
+            assert (got.out, got.err) == (want.out, want.err), argv
+        else:
+            assert code == 1
+            assert json.loads(got.out)["verdict"] == json.loads(
+                want.out)["verdict"] == "fail"
+            computed += 1
+            changed += got.out != want.out
+    assert sum(is_cdga and code == 0 for is_cdga, _, code, _ in runs) >= 100
+    assert (changed, computed) == (14, 42)
+
+
 # (id, base, total, the stderr of all four relative commands, or None
 # where all four pass): E4 without its aug lines reads u and v as fiber
 # generators, a fiber generator's nonzero augmentation is refused, and so

@@ -215,6 +215,30 @@ def test_bind_cell_order_and_fractions():
     assert M.filtration == [[0, 1], [2]]
 
 
+@pytest.mark.parametrize("dline, message", [
+    ("d c = 1*t b - 1/2*t b\n", None)] + [c[1:] for c in BIND_ERRORS],
+    ids=["valid"] + [c[0] for c in BIND_ERRORS])
+def test_bind_cell_twice_reads_the_spec_alike(dline, message):
+    """bind_cell does not consume its spec: a second binding of a valid
+    spec gives the same module, in values, types and order, and a bad
+    spec raises the same ParseError twice.  The first binding used to
+    leave each d line's cursor at its end, so the second raised
+    'unexpected end of line' on a valid file."""
+    _, A = parse_text(E1_TEXT)
+    _, spec = parse_text(CELL_HEAD + dline)
+
+    def bind():
+        try:
+            M = bind_cell(spec, A)
+        except ParseError as e:
+            return str(e)
+        return M.basis, _typed(M.differential), M.filtration
+
+    first = bind()
+    assert first == (message if message else first)
+    assert bind() == first
+
+
 # ---- the reader against the reference reader ------------------------------
 
 _TOKEN_TEXT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\d+|[=*+/-]")

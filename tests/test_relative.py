@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,14 @@ from adamsbar.cdga import (
     is_coh_connected,
     structure_failures,
 )
-from adamsbar.bar import CoLiePresentation, HopfPresentation, h0_hopf
+from adamsbar.bar import (
+    BarComplex, CoLiePresentation, HopfPresentation, h0_hopf)
 from adamsbar.minimal import trivial_base
 from adamsbar.parser import parse_text
 from adamsbar.relative import (
     AugmentedOverN,
-    DeltaApprox,
     RelativeError,
+    SemiDirectData,
     coaction_check,
     delta_approximation,
     fiber_algebra,
@@ -31,7 +33,9 @@ from corpus import (
     make_e3,
     make_e4,
     make_e4p,
+    make_e4q,
     make_k,
+    random_free_cdga,
     random_gen_nilpotent,
 )
 from test_cli import (
@@ -45,7 +49,9 @@ from test_cli import (
     random_relative_totals,
 )
 from reference import (
+    DeltaApprox,
     ReferenceRelativeBar,
+    TruncatedBar,
     delta_closure_failures,
     delta_q_chain_failures,
     reference_coaction_split,
@@ -54,6 +60,7 @@ from reference import (
     linear_h1_dims,
     k_total_dims,
     lyndon_count,
+    reference_delta_approximation,
     reference_delta_dims,
     reference_truncated_h0,
     slice_d_squared_failures,
@@ -319,6 +326,69 @@ def test_gamma_counts_the_linear_part_of_d():
     assert count >= 100 and with_degree_0 >= 10
 
 
+# E1 and a contractible degree-0 pair in the fiber: d of the word [e0],
+# of degree -1, is [e1], so H^0 has an incoming d in weight 1
+DEGREE_0_TOTAL = ("cdga D free\ngen t deg 1 wt 1\ngen e0 deg 0 wt 1\n"
+                  "gen e1 deg 1 wt 1\nd e0 = 1*e1\naug e0 = 0\naug e1 = 0\n")
+
+
+@functools.cache
+def _cdga_corpus():
+    """The relative pairs of the cdga corpus that the rank readings of
+    delta-approx and kernel are held to: E1-E3 over the trivial base,
+    E4, E4p, E4q and K3-K5 over E1, random_free_cdga seeds 0..59 over
+    the trivial base, random_gen_nilpotent seeds 0..59 over E1, and the
+    cdga totals of random_relative_totals(0, 100) over their bases.  A
+    pair whose augmentation is refused is left out."""
+    E1 = make_e1("t")
+    pairs = [(trivial_base(), mk()) for mk in (make_e1, make_e2, make_e3)]
+    pairs += [(E1, A) for A in (make_e4(), make_e4p(), make_e4q())]
+    pairs += [(E1, make_k(k)) for k in (3, 4, 5)]
+    pairs += [(trivial_base(), random_free_cdga(s)) for s in range(60)]
+    pairs += [(E1, random_gen_nilpotent(s)) for s in range(60)]
+    for base, total in random_relative_totals(0, 100):
+        A = parse_text(total)[1]
+        if not structure_failures(A):
+            pairs.append((parse_text(base)[1], A))
+    out = []
+    for base, total in pairs:
+        try:
+            out.append(AugmentedOverN(base, total))
+        except RelativeError:
+            pass
+    return out
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the input error it raises."""
+    try:
+        return f(*args)
+    except (RelativeError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_semidirect_rank_dims_match_the_classes():
+    """semidirect reads the base, fiber and total H^0 dims by rank, off
+    one length level of each bar complex; they equal the dims of
+    HopfPresentation, which builds the classes, on the cdga corpus
+    (E1-E4, K3-K5 and the seeded totals among them) and on a total whose
+    degree-0 generator gives H^0 an incoming d."""
+    D = AugmentedOverN(make_e1("t"), parse_text(DEGREE_0_TOTAL)[1])
+    assert any(BarComplex(fiber_algebra(D)[0]).d_columns(-1, 1))
+    count = with_degree_0 = 0
+    for X in _cdga_corpus() + [D]:
+        sd = _outcome(semidirect, X, 3)
+        if not isinstance(sd, SemiDirectData):
+            continue
+        Falg = fiber_algebra(X)[0]
+        assert (sd.kernel_dims, sd.base_dims, sd.total_dims) == tuple(
+            HopfPresentation(A, 3).dims() for A in (Falg, X.base, X.total)
+        ), X.total.name
+        count += 1
+        with_degree_0 += any(g.coh == 0 for g in X.total.generators)
+    assert count >= 150 and with_degree_0 >= 5
+
+
 def test_coaction_e4(x4):
     ok, matrix = coaction_check(x4, 4)
     assert ok
@@ -376,12 +446,11 @@ def test_coaction_matches_reference(base, total):
 
 def test_coaction_check_builds_no_bar_construction(x4, monkeypatch):
     """coaction_check reads Gamma off fiber_algebra: it builds no
-    HopfPresentation, whose constructor computes H^0 of a bar
-    construction, where semidirect builds one for the kernel."""
+    BarComplex, where semidirect builds one for the kernel's H^0."""
     def forbidden(*args):
         raise AssertionError("coaction_check built a bar construction")
 
-    monkeypatch.setattr(HopfPresentation, "__init__", forbidden)
+    monkeypatch.setattr(BarComplex, "__init__", forbidden)
     assert coaction_check(x4, 4) == (True, {("v", "t", "u"): F(1)})
     with pytest.raises(AssertionError, match="bar construction"):
         semidirect(x4, 4)
@@ -453,11 +522,13 @@ def test_delta_matches_reference(base, total):
 @pytest.mark.parametrize("base, total", DELTA_CASES + [
     pytest.param(*case.values[:2], id=case.id) for case in ORACLE_CASES])
 def test_delta_facts_hold_without_a_check(base, total, n):
-    """delta-approx checks none of the three facts its tables rely on, as
-    none can fail: no face raises a column's top vertex, q killing the
-    words with a unit letter is a chain map to the bar complex, and d^2 = 0
-    on the slices wherever the total is a cdga.  So its verdict is that
-    the total is a cdga (structure_failures)."""
+    """The three facts about the complex of the simplex that the reading
+    of delta-approx's tables off the bar complex rests on (README,
+    "Simplicial approximation") hold, and delta-approx checks none of
+    them, as none can fail: no face raises a column's top vertex, q
+    killing the words with a unit letter is a chain map to the bar
+    complex, and d^2 = 0 on the slices wherever the total is a cdga.  So
+    its verdict is that the total is a cdga (structure_failures)."""
     X = AugmentedOverN(base(), total())
     da = DeltaApprox(fiber_algebra(X)[0], n)
     is_cdga = not structure_failures(X.total)
@@ -533,6 +604,81 @@ def test_delta_relative_base():
     assert rep["full_dims"] == reference_truncated_h0(fiber_algebra(X)[0], 8, 3)
     assert rep["stable_n"] == 3
     assert rep["ok"]
+
+
+def test_delta_reads_the_former_complex_tables():
+    """Every report of delta_approximation, read off the bar complex's
+    length filtration, equals that of the former program, which read the
+    tables off the one DeltaApprox at n (reference_delta_approximation),
+    on the cdga corpus at n <= 5 and w_max 3: the complex of the
+    nn-simplex and the truncation at length nn have one H^0.  Where the
+    input checks refuse a pair, both raise the same error."""
+    computed = 0
+    for X in _cdga_corpus():
+        for n in range(6):
+            got = _outcome(delta_approximation, X, n, 3)
+            assert got == _outcome(reference_delta_approximation, X, n, 3), (
+                X.total.name, n)
+            computed += isinstance(got, dict)
+    assert computed >= 1000
+
+
+def test_delta_matches_reference_on_the_corpus():
+    """The tables and stable_n equal reference_delta_dims, a separate
+    complex for each simplex size with its own eliminations, on the cdga
+    corpus at n <= 3 and w_max 3."""
+    computed = 0
+    for X in _cdga_corpus():
+        rep = _outcome(delta_approximation, X, 3, 3)
+        if not isinstance(rep, dict):
+            continue
+        Falg = fiber_algebra(X)[0]
+        for n in range(4):
+            rep = delta_approximation(X, n, 3)
+            assert (rep["dims"], rep["stable_n"]) == reference_delta_dims(
+                Falg, n, 3, rep["full_dims"]), (X.total.name, n)
+        computed += 1
+    assert computed >= 160
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_punctured_line_simplex_complex_has_one_class_per_word(k):
+    """The lemma the length-truncation reading rests on, on the line minus
+    k points: its letters are the k - 1 generators, of degree 1 and
+    weight 1, with d and every product 0, so a weight-w word has w
+    letters and each degree-0 word is a cocycle of the bar complex.  The
+    complex of the n-simplex spreads such a word's letters over the faces
+    with unit letters in the gaps, and has exactly one class for each
+    word when w <= n and none when w > n: H^0_w = (k - 1)^w for w <= n,
+    and no cohomology in any other degree or weight."""
+    A = punctured_line_model(k)
+    for n in range(5):
+        da = DeltaApprox(A, n)
+        for w in range(5):
+            for deg in range(-n - 2, 2):
+                want = (k - 1) ** w if deg == 0 and w <= n else 0
+                assert da.cohomology(deg, w)[0] == want, (n, w, deg)
+
+
+@pytest.mark.parametrize("base, total", DELTA_CASES + [
+    pytest.param(trivial_base, lambda s=seed: random_free_cdga(s),
+                 id=f"free{seed}") for seed in range(10)] + [
+    pytest.param(lambda: make_e1("t"), lambda s=seed: random_gen_nilpotent(s),
+                 id=f"gn{seed}") for seed in range(10)])
+def test_delta_complex_and_length_truncation_agree_in_every_degree(
+        base, total):
+    """q, killing the words with a unit letter, is a quasi-isomorphism
+    from the complex of the n-simplex to the bar complex truncated at
+    length n (README, "Simplicial approximation"): the two have the same
+    cohomology in every degree -2..1, at n <= 3 and w <= 3, not only in
+    degree 0."""
+    Falg = fiber_algebra(AugmentedOverN(base(), total()))[0]
+    for n in range(4):
+        da, trunc = DeltaApprox(Falg, n), TruncatedBar(Falg, n)
+        for w in range(4):
+            for deg in range(-2, 2):
+                assert da.cohomology(deg, w)[0] == trunc.cohomology(
+                    deg, w)[0], (n, w, deg)
 
 
 def test_pi1_demo_rejects_one_puncture():

