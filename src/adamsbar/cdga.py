@@ -45,7 +45,6 @@ which validate, the cli's input checks and the relative verdicts read.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -56,12 +55,30 @@ F = Fraction
 UNIT = ()  # the empty monomial
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
-    name: str
-    coh: int
-    adams: int
-    group: str | None = None  # table group; None for free generators
+    """A generator's name, cohomological degree, Adams weight and table
+    group (None for free generators).  A spec is a value: two are equal,
+    and hash alike, exactly when all four fields are, which is how
+    base_mismatches compares a base generator with the total's."""
+
+    __slots__ = ("name", "coh", "adams", "group")
+
+    def __init__(self, name, coh, adams, group=None):
+        self.name = name
+        self.coh = coh
+        self.adams = adams
+        self.group = group
+
+    def _fields(self):
+        return self.name, self.coh, self.adams, self.group
+
+    def __eq__(self, other):
+        if type(other) is not GeneratorSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class CdgaError(Exception):

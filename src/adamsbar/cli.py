@@ -6,7 +6,9 @@ strings, byte-identical across runs.  Exit codes: 0 = pass, 1 = a
 property failed (the report's verdict: validate, minimal-model, quillen,
 kernel, coaction-check and delta-approx only), 2 = input error (a
 non-cdga too, where the verdict does not check it: _flat), 3 = internal
-error (an exception no input check names, with its traceback on stderr).
+error (an exception no input check names, with its traceback on stderr;
+main imports traceback only then, so a run that exits 0, 1 or 2 never
+loads it).
 validate and cohomology take a cdga file with no --base, or a cell file
 with --base naming its algebra, which _flat checks in both (_load_any).
 """
@@ -14,7 +16,6 @@ with --base naming its algebra, which _flat checks in both (_load_any).
 import argparse
 import functools
 import sys
-import traceback
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -369,6 +370,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {e}\n")
         return 2
     except Exception as e:
+        import traceback  # here, not at the top: only exit 3 reads it
         sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n"
                          + traceback.format_exc())
         return 3

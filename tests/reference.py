@@ -49,6 +49,12 @@
 - The maps p* and s* between the base's gamma and the total's, the
   second through reference_eps.  s* o p* = id holds on every input, as
   s o p = id_N, so it is checked here and not by kernel.
+- The paper's extension H^0(Bbar N) -> H^0(Bbar A) -> H^0(Bbar F) as
+  Hopf maps (extension_maps): s_* reads the base's words in the total,
+  q_* kills every letter with a base factor, and hopf_extension gives
+  per weight the ranks that exactness compares: s_* injective, q_* onto
+  and ker q_* the ideal generated by s_* of the augmentation ideal.
+  kernel checks only the dims these force.
 - The reference co-action: the base generator times fiber generator
   monomials of d_A on each degree-1 fiber generator, read off d_A with
   no fiber algebra and no connection.
@@ -1181,6 +1187,57 @@ def sp_composite(p_star, s_star):
         for gj, c in image.items():
             for gk, c2 in s_star[gj].items():
                 _wadd(out[gi], gk, c * c2)
+    return out
+
+
+def extension_maps(X, w_max):
+    """The extension H^0(Bbar N) -> H^0(Bbar A) -> H^0(Bbar F) of X at
+    weights <= w_max, F = A (x)_N Q the fiber after checked_fiber: its
+    three HopfPresentations (base, total, fiber) and its two maps on
+    classes, s[w][i] and q[w][j].  s_* reads each of N's representatives
+    in A, letters unchanged, and classifies it there; q_* sends each of
+    A's representatives through map_letters, killing every letter with a
+    base factor, and classifies the result in F."""
+    fiber, _ = checked_fiber(X, w_max)
+    hn, ha, hf = (HopfPresentation(A, w_max)
+                  for A in (X.base, X.total, fiber))
+
+    def q_letter(letter):
+        if any(name in X.base_names for name, _ in letter):
+            return {}
+        return {letter: 1}
+
+    weights = range(w_max + 1)
+    s = {w: [ha.classify(rep, w) for rep in hn.rep_lins(w)]
+         for w in weights}
+    q = {w: [hf.classify(map_letters(rep, q_letter), w)
+             for rep in ha.rep_lins(w)] for w in weights}
+    return SimpleNamespace(base=hn, total=ha, fiber=hf, s=s, q=q)
+
+
+def hopf_extension(X, w_max):
+    """{w: (rank s_*, rank q_*, dim ker q_*, rank of the ideal)} at each
+    weight w <= w_max of extension_maps(X, w_max), every rank off
+    reference_echelonize.  The ideal H^0(Bbar A) s_*(H^0(Bbar N)_+) is
+    spanned at w by the classes of the shuffles of A's representatives of
+    weight w - w1 with N's of weight w1 >= 1 read in A.  The sequence is
+    exact at w when s_* has rank dim H^0(Bbar N)_w, q_* rank
+    dim H^0(Bbar F)_w, and ker q_* the ideal's dimension (the ideal lies
+    in ker q_*, since q_* is multiplicative and q_* s_* the counit)."""
+    ext = extension_maps(X, w_max)
+    ha, hn = ext.total, ext.base
+
+    def rank(rows):
+        return len(reference_echelonize(rows)[1])
+
+    out = {}
+    for w in range(w_max + 1):
+        ideal = [ha.classify(ha.bar.shuffle_lin(u, v), w)
+                 for w1 in range(1, w + 1)
+                 for u in ha.rep_lins(w - w1) for v in hn.rep_lins(w1)]
+        q_rank = rank(ext.q[w])
+        out[w] = (rank(ext.s[w]), q_rank, len(ext.q[w]) - q_rank,
+                  rank(ideal))
     return out
 
 

@@ -26,6 +26,23 @@ def test_validate_fixtures():
         assert ok, failures
 
 
+def test_generator_specs_are_values():
+    """Two specs are equal, and hash alike, exactly when name, degree,
+    weight and table group all are; the group defaults to None."""
+    spec = GeneratorSpec("x", 1, 2, "g")
+    assert GeneratorSpec("x", 1, 2).group is None
+    assert GeneratorSpec("x", 1, 2) == GeneratorSpec("x", 1, 2, group=None)
+    same = GeneratorSpec("x", 1, 2, group="g")
+    assert spec == same and hash(spec) == hash(same)
+    assert (spec.name, spec.coh, spec.adams, spec.group) == ("x", 1, 2, "g")
+    for other in (GeneratorSpec("y", 1, 2, "g"), GeneratorSpec("x", 0, 2, "g"),
+                  GeneratorSpec("x", 1, 1, "g"), GeneratorSpec("x", 1, 2),
+                  GeneratorSpec("x", 1, 2, "h")):
+        assert spec != other and hash(spec) != hash(other)
+    assert spec != ("x", 1, 2, "g") and spec != None  # noqa: E711
+    assert len({spec, same, GeneratorSpec("x", 1, 2)}) == 2
+
+
 def test_validate_catches_adams_mismatch():
     gens = [GeneratorSpec("x", 1, 1), GeneratorSpec("z", 1, 2)]
     A = CdgaPresentation("bad", "free", gens, {"z": el_gen("x")})

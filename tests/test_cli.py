@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction as F
@@ -345,6 +347,43 @@ def test_unexpected_error_exits_3(capsys, monkeypatch):
     assert "Traceback (most recent call last)" in err.err
 
 
+def test_unexpected_error_exits_3_with_traceback_unloaded(capsys,
+                                                         monkeypatch):
+    """main imports traceback only on the exit-3 path: with the module
+    gone from sys.modules, an injected fault still exits 3 with its
+    traceback, and the import has put traceback back."""
+    def broken(k, w_max):
+        raise RuntimeError("injected fault in pi1_demo")
+
+    monkeypatch.delitem(sys.modules, "traceback", raising=False)
+    monkeypatch.setattr(cli, "pi1_demo", broken)
+    code = main(["pi1-demo", "--punctures", "3", "--wt-max", "2"])
+    err = capsys.readouterr()
+    assert code == 3
+    assert err.out == ""
+    assert err.err.startswith("internal error: RuntimeError: injected fault "
+                              "in pi1_demo\n")
+    assert "Traceback (most recent call last)" in err.err
+    assert "traceback" in sys.modules
+
+
+# stdlib modules that only a dataclass or a formatted traceback needs
+UNUSED_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                 "linecache", "traceback")
+
+
+def test_importing_the_cli_stays_lean():
+    """A fresh interpreter that imports adamsbar.cli adds none of
+    UNUSED_STDLIB to the modules it started with."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import sys\nbefore = set(sys.modules)\nimport adamsbar.cli\n"
+             "added = set(sys.modules) - before\n"
+             f"print(sorted(added & {set(UNUSED_STDLIB)!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
 def test_fault_storing_a_table_product_exits_3(capsys, tmp_path,
                                                monkeypatch):
     """The parser turns only bad input into a ParseError: a fault while it
@@ -369,6 +408,13 @@ def test_fault_storing_a_table_product_exits_3(capsys, tmp_path,
 BASE_MISMATCHES = [
     ("weight", E1_TEXT,
      "cdga T free\ngen t deg 1 wt 2\ngen u deg 1 wt 1\naug u = 0\n",
+     "base generator t not declared identically in T"),
+    ("degree", "cdga N free\ngen t deg 2 wt 2\n",
+     "cdga T free\ngen t deg 1 wt 2\ngen u deg 1 wt 1\naug u = 0\n",
+     "base generator t not declared identically in T"),
+    # a table generator's group is its cdga's name
+    ("group", "cdga N table\ngen t deg 1 wt 1\n",
+     "cdga T table\ngen t deg 1 wt 1\ngen u deg 1 wt 1\naug u = 0\n",
      "base generator t not declared identically in T"),
     ("differential", "cdga N free\ngen t deg 1 wt 2\n",
      "cdga T free\ngen t deg 1 wt 2\ngen u deg 1 wt 1\ngen w deg 1 wt 1\n"

@@ -19,6 +19,7 @@ from adamsbar.relative import (
     AugmentedOverN,
     RelativeError,
     SemiDirectData,
+    checked_fiber,
     coaction_check,
     delta_approximation,
     fiber_algebra,
@@ -54,6 +55,8 @@ from reference import (
     TruncatedBar,
     delta_closure_failures,
     delta_q_chain_failures,
+    extension_maps,
+    hopf_extension,
     reference_coaction_split,
     reference_sp,
     k_kernel_dims,
@@ -387,6 +390,130 @@ def test_semidirect_rank_dims_match_the_classes():
         count += 1
         with_degree_0 += any(g.coh == 0 for g in X.total.generators)
     assert count >= 150 and with_degree_0 >= 5
+
+
+# the totals over E1 on which the extension H^0(Bbar N) -> H^0(Bbar A) ->
+# H^0(Bbar F) is exact at w <= 3
+EXACT_EXTENSIONS = {
+    "e4": make_e4, "e4p": make_e4p, "k4": lambda: make_k(4),
+    **{f"gn{seed}": lambda seed=seed: random_gen_nilpotent(seed)
+       for seed in (1, 2, 3, 29)},
+}
+
+# a table whose base and fiber generators share one group, so a0*a1 = 0
+TABLE_PAIR = "cdga P table\ngen a0 deg 1 wt 1\n"
+
+
+def _table_pair():
+    return AugmentedOverN(parse_text(TABLE_PAIR)[1], parse_text(
+        TABLE_PAIR + "gen a1 deg 1 wt 1\ngen a2 deg 1 wt 1\n"
+        "aug a1 = 0\naug a2 = 0\n")[1])
+
+
+EXTENSIONS = {**{name: lambda mk=mk: AugmentedOverN(make_e1("t"), mk())
+                 for name, mk in EXACT_EXTENSIONS.items()},
+              "table pair": _table_pair}
+
+
+def _exact_ranks(X, w_max):
+    """hopf_extension(X, w_max) of an exact extension: s_* injective, q_*
+    onto and ker q_* the ideal generated by s_*(H^0(Bbar N)_+)."""
+    ext = extension_maps(X, w_max)
+    base, total, fiber = (h.dims() for h in (ext.base, ext.total, ext.fiber))
+    return {w: (base[w], fiber[w], total[w] - fiber[w], total[w] - fiber[w])
+            for w in range(w_max + 1)}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_EXTENSIONS))
+def test_hopf_extension_is_exact(case):
+    """The extension is exact at every weight <= 3 on the named totals."""
+    X = EXTENSIONS[case]()
+    assert hopf_extension(X, 3) == _exact_ranks(X, 3)
+
+
+def test_hopf_extension_is_exact_on_the_seeded_totals():
+    """The extension is exact at every weight <= 3 on each of the 39
+    totals of random_relative_totals(0, 100) that the relative input
+    checks accept and that are cdgas."""
+    count = 0
+    for base, total in random_relative_totals(0, 100):
+        try:
+            X = AugmentedOverN(parse_text(base)[1], parse_text(total)[1])
+            checked_fiber(X, 3)
+        except (RelativeError, ValueError):
+            continue
+        if structure_failures(X.total):
+            continue
+        assert hopf_extension(X, 3) == _exact_ranks(X, 3), total
+        count += 1
+    assert count == 39
+
+
+def test_hopf_extension_fails_on_the_table_pair():
+    """On the table pair s_* is injective and q_* onto (ranks 1 and 2^w),
+    but ker q_* (3^w - 2^w) is larger than the ideal where kernel's dims
+    identity fails, from weight 2 on."""
+    assert hopf_extension(_table_pair(), 3) == {
+        0: (1, 1, 0, 0), 1: (1, 2, 1, 1), 2: (1, 4, 5, 3), 3: (1, 8, 19, 9)}
+
+
+def _linear(coords, image):
+    """sum_k c_k image[k], zero entries dropped."""
+    out = {}
+    for k, c in coords.items():
+        for a, ca in image[k].items():
+            out[a] = out.get(a, 0) + c * ca
+    return {a: c for a, c in out.items() if c}
+
+
+def _hopf_map_failures(src, dst, image, w_max):
+    """The products and coproducts of src's classes at weights <= w_max
+    that the map image[w][i] (dst-class coordinates of src's i-th
+    weight-w class) does not carry to dst's."""
+    failures = []
+    dims = src.dims()
+    for w1 in range(w_max + 1):
+        for w2 in range(w_max + 1 - w1):
+            for i in range(dims[w1]):
+                for j in range(dims[w2]):
+                    left = _linear(src.product_of(w1, i, w2, j),
+                                   image[w1 + w2])
+                    right = {}
+                    for a, ca in image[w1][i].items():
+                        for b, cb in image[w2][j].items():
+                            for k, c in dst.product_of(w1, a, w2, b).items():
+                                right[k] = right.get(k, 0) + ca * cb * c
+                    if left != {k: c for k, c in right.items() if c}:
+                        failures.append(("product", w1, i, w2, j))
+    for w in range(w_max + 1):
+        for k in range(dims[w]):
+            left = {}
+            for k2, c in image[w][k].items():
+                for key, c2 in dst.coproduct_of(w, k2).items():
+                    left[key] = left.get(key, 0) + c * c2
+            right = {}
+            for (w1, i, j), c in src.coproduct_of(w, k).items():
+                for a, ca in image[w1][i].items():
+                    for b, cb in image[w - w1][j].items():
+                        key = (w1, a, b)
+                        right[key] = right.get(key, 0) + c * ca * cb
+            if ({key: c for key, c in left.items() if c}
+                    != {key: c for key, c in right.items() if c}):
+                failures.append(("coproduct", w, k))
+    return failures
+
+
+@pytest.mark.parametrize("case", sorted(EXTENSIONS))
+def test_hopf_extension_maps_are_hopf_maps(case):
+    """q_* s_* is the counit, and s_* and q_* carry products and
+    coproducts to products and coproducts, on the exact cases and on the
+    table pair alike."""
+    ext = extension_maps(EXTENSIONS[case](), 3)
+    for w in range(4):
+        for coords in ext.s[w]:
+            assert _linear(coords, ext.q[w]) == ({0: 1} if w == 0 else {})
+    assert _hopf_map_failures(ext.base, ext.total, ext.s, 3) == []
+    assert _hopf_map_failures(ext.total, ext.fiber, ext.q, 3) == []
 
 
 def test_coaction_e4(x4):
