@@ -22,7 +22,11 @@ a flat nilpotent connection Gamma.  This module computes:
     spread over the faces of the nn-simplex, each read as H^0 of the bar
     complex truncated at word length nn, to which the complex of the
     nn-simplex is quasi-isomorphic (README), and
-  * the punctured-line fundamental-group demo over a mock trivial base.
+  * the punctured-line fundamental-group demo over a mock trivial base:
+    H^0 read by rank, as for the semi-direct data, and gamma's dims by
+    the inverse Euler transform of H^0's (H^0 is free on gamma), so
+    polynomial_dims equals h0_dims by construction and is kept for the
+    report's format; no Hopf or co-Lie class is built.
 """
 
 from fractions import Fraction
@@ -38,7 +42,6 @@ from .cdga import (
 from .bar import (
     BarComplex,
     _wadd,
-    gamma,
     polynomial_dims,
     require_connected,
 )
@@ -284,15 +287,27 @@ def punctured_line_model(k):
 
 
 def pi1_demo(k, w_max):
+    """The pi1-demo report of the line minus k points up to weight w_max.
+
+    h0_dims is read by rank off the bar complex, as semidirect does, with
+    no class built.  H^0 is a commutative connected Hopf algebra over Q,
+    so it is free on gamma (Leray; Milnor-Moore) and its dims fix
+    gamma's: gamma_w = h_w - [t^w] prod_{v<w} (1 - t^v)^(-gamma_v), the
+    inverse Euler transform, so no decomposables echelon is built.
+    polynomial_dims then equals h0_dims by construction; the field is
+    kept for the report's format."""
     A = punctured_line_model(k)
-    gam = gamma(A, w_max)
-    gdims = gam.dims()
+    require_connected(A, w_max)
+    h = BarComplex(A).filtered_h0(len, [w_max], range(w_max + 1))[w_max]
+    g = {}
+    for w in range(1, w_max + 1):
+        g[w] = h[w] - polynomial_dims(g, w)[w]
     return {
         "punctures": k,
         "model": A.name,
-        "h0_dims": gam.hopf.dims(),
-        "gamma_dims": gdims,
-        "polynomial_dims": polynomial_dims(gdims, w_max),
+        "h0_dims": h,
+        "gamma_dims": g,
+        "polynomial_dims": polynomial_dims(g, w_max),
         "note": (
             "coefficients are taken over the mock trivial base field; "
             "the arithmetic cycle algebra of the actual base is not "

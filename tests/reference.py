@@ -102,6 +102,11 @@
   coefficients of a rational function, with no bar construction.
 - gamma of a free algebra by its generators: gamma_w is dim H^1 of the
   linear part of d on the generators of weight w.
+- gamma by the Dynkin operator (dynkin_gamma_dims): dim gamma_w as the
+  trace of S * Y on H^0_w over w, from the Hopf structure constants and
+  the word-level antipode, with no decomposables echelon; pi1-demo reads
+  gamma by the inverse Euler transform of H^0's dims, which this and the
+  echelon check on other algebras than the punctured lines.
 - The Chevalley-Eilenberg complex of gamma: Lambda(gamma) with the
   cobracket extended as a derivation, the 1-minimal model of A, so its
   H^1 is A's and its H^2 injects into A's, weight by weight; all ranks,
@@ -132,6 +137,7 @@ from adamsbar.cellmod import (
     CellModule, FiltrationError, ModuleError, _strict_filtration)
 from adamsbar.parser import ParseError
 from adamsbar.relative import checked_fiber, fiber_algebra
+from hopf_checks import antipode_word
 
 F = Fraction
 
@@ -765,6 +771,45 @@ class AllPairsCoLie(CoLiePresentation):
                 self.basis.append((w, j))
             self.by_weight[w] = list(cols.values())
             self._gamma[w] = (decomp, cols)
+
+
+def dynkin_gamma_dims(h):
+    """{w: dim gamma_w} of the HopfPresentation h, 1 <= w <= h.w_max, read
+    with no decomposables echelon: the trace of the Dynkin operator
+    D = S * Y on H^0_w, over w.  Y multiplies a class by its weight and S
+    is the antipode, antipode_word on a representative classified by h.
+    On a commutative connected Hopf algebra D is an eps-derivation,
+    D(xy) = eps(x) D(y) + D(x) eps(y), so it kills the decomposables, and
+    D = w id modulo them on weight w: D / w is a projection with image a
+    complement of the decomposables.  D(e_k) is sum c S(e_i) e_j (w - w1)
+    over the coproduct terms c e_i (x) e_j of e_k, e_i of weight w1, each
+    product h.product_of's; trace / w is a Fraction."""
+    dims = h.dims()
+    antipode, products = {}, {}
+
+    def antipode_of(w, i):
+        if (w, i) not in antipode:
+            lin = {}
+            for word, c in h.rep_lins(w)[i].items():
+                for nw, nc in antipode_word(h.bar, word).items():
+                    _wadd(lin, nw, c * nc)
+            antipode[w, i] = h.classify(lin, w)
+        return antipode[w, i]
+
+    out = {}
+    for w in range(1, h.w_max + 1):
+        trace = F(0)
+        for k in range(dims[w]):
+            for (w1, i, j), c in h.coproduct_of(w, k).items():
+                if w1 == w:
+                    continue  # Y kills the weight-0 factor
+                for i2, c2 in antipode_of(w1, i).items():
+                    key = (w1, i2, w - w1, j)
+                    if key not in products:
+                        products[key] = h.product_of(*key)
+                    trace += c * c2 * (w - w1) * products[key].get(k, 0)
+        out[w] = trace / w
+    return out
 
 
 # ---- reference word-length truncation -----------------------------------

@@ -718,13 +718,46 @@ POLYNOMIALITY_CASES = [
 def test_polynomiality(mk):
     """H^0 is a commutative connected Hopf algebra over Q, so it is free on
     gamma (Leray; Milnor-Moore): its dims are those of the polynomial
-    algebra on gamma.  colie and pi1-demo report pass without checking
-    it, since no input can fail it."""
+    algebra on gamma.  colie reports pass without checking it, since no
+    input can fail it.  pi1-demo relies on it: it reads H^0 by rank and
+    gamma by the inverse Euler transform of H^0's dims, so its
+    polynomial_dims equals h0_dims by construction; here gamma is the
+    decomposables echelon's."""
     A = mk()
     h = h0_hopf(A, 4)
     g = CoLiePresentation(h)
     assert polynomial_dims(g.dims(), 4) == h.dims()
 
+
+
+def inverse_euler(h_dims, w_max):
+    """{w: gamma_w}, 1 <= w <= w_max, of the polynomial algebra with
+    dims h_dims: gamma_w = h_w - [t^w] prod_{v<w} (1 - t^v)^(-gamma_v)."""
+    g = {}
+    for w in range(1, w_max + 1):
+        g[w] = h_dims[w] - polynomial_dims(g, w)[w]
+    return g
+
+
+@pytest.mark.parametrize("mk", POLYNOMIALITY_CASES)
+def test_dynkin_trace_counts_gamma(mk):
+    """trace(S * Y on H^0_w) / w, read with no decomposables echelon, is
+    dim gamma_w of the echelon and of the inverse Euler transform of H^0's
+    dims: the theorem pi1-demo reads gamma by, beyond the punctured
+    lines."""
+    h = h0_hopf(mk(), 4)
+    got = reference.dynkin_gamma_dims(h)
+    assert got == CoLiePresentation(h).dims() == inverse_euler(h.dims(), 4)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_gamma_of_the_punctured_line_is_witt(k):
+    """The decomposables echelon of the line minus k points counts the
+    Lyndon words on k - 1 letters, the gamma dims pi1-demo now reads off
+    H^0's instead; test_gamma_generators_by_letter_content_follow_witt
+    checks the same echelon per letter content."""
+    dims = gamma(punctured_line_model(k), 5).dims()
+    assert dims == {w: reference.lyndon_count(k - 1, w) for w in range(1, 6)}
 
 def truncated_h0(A, m, w_max):
     """{w: dim H^0} of the truncation at word length m, read off the one

@@ -103,6 +103,10 @@ CASES = {
     "delta-approx_e4_e1_n4_w3": ["delta-approx", "@e4.cdga", "--base",
                                  "@e1.cdga", "--n", "4", "--wt-max", "3"],
     "pi1-demo_k4_w4": ["pi1-demo", "--punctures", "4", "--wt-max", "4"],
+    # the pi1-demo windows of ROADMAP's table, cheap since gamma's dims are
+    # read off H^0's
+    "pi1-demo_k6_w6": ["pi1-demo", "--punctures", "6", "--wt-max", "6"],
+    "pi1-demo_k5_w7": ["pi1-demo", "--punctures", "5", "--wt-max", "7"],
 }
 
 

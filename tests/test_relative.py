@@ -12,7 +12,7 @@ from adamsbar.cdga import (
     structure_failures,
 )
 from adamsbar.bar import (
-    BarComplex, CoLiePresentation, HopfPresentation, h0_hopf)
+    BarComplex, CoLiePresentation, HopfPresentation, gamma, h0_hopf)
 from adamsbar.minimal import trivial_base
 from adamsbar.parser import parse_text
 from adamsbar.relative import (
@@ -817,8 +817,11 @@ def test_pi1_demo_rejects_one_puncture():
 def test_pi1_demo_lyndon(k):
     """H^0 of the line minus k points is the shuffle algebra on k - 1
     letters, (k - 1)^w in weight w, free on gamma, whose dims are Witt's
-    Lyndon-word counts.  pi1-demo reports pass without checking these,
-    since no k it accepts can fail them."""
+    Lyndon-word counts.  pi1-demo reads H^0 by rank and gamma by the
+    inverse Euler transform of H^0's dims, so this checks H^0 and the
+    transform; test_bar's test_gamma_of_the_punctured_line_is_witt checks
+    the decomposables echelon.  pi1-demo reports pass without checking
+    these, since no k it accepts can fail them."""
     rep = pi1_demo(k, 4)
     for w in range(1, 5):
         assert rep["gamma_dims"][w] == lyndon_count(k - 1, w), (k, w)
@@ -827,13 +830,41 @@ def test_pi1_demo_lyndon(k):
     assert "mock" in rep["note"]
 
 
-def test_pi1_demo_builds_no_coproduct(monkeypatch):
-    """pi1-demo reads dims and gamma, never a coproduct."""
-    built = []
-    monkeypatch.setattr(HopfPresentation, "coproduct_of",
-                        lambda self, w, k: built.append((w, k)))
+@pytest.mark.parametrize("k, w_max", [
+    (k, w) for k in range(2, 7) for w in range(6)] + [(40, 2)])
+def test_pi1_demo_matches_the_echelon(k, w_max):
+    """The dims pi1_demo reads off ranks and the inverse Euler transform
+    are the ones it read, before, off h0_hopf and gamma's decomposables
+    echelon."""
+    rep = pi1_demo(k, w_max)
+    A = punctured_line_model(k)
+    assert rep["h0_dims"] == h0_hopf(A, w_max).dims()
+    assert rep["gamma_dims"] == gamma(A, w_max).dims()
+    assert rep["polynomial_dims"] == rep["h0_dims"]
+
+
+def test_pi1_demo_builds_no_hopf_classes(monkeypatch):
+    """pi1-demo reads H^0's dims by rank: it builds no HopfPresentation
+    and no CoLiePresentation, and reads no product or coproduct."""
+    calls = []
+
+    def record(cls, name):
+        method = getattr(cls, name)
+
+        def recorded(self, *args):
+            calls.append((cls.__name__, name))
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, recorded)
+
+    for cls in (HopfPresentation, CoLiePresentation):
+        record(cls, "__init__")
+    record(HopfPresentation, "product_of")
+    record(HopfPresentation, "coproduct_of")
     pi1_demo(4, 4)
-    assert built == []
+    assert calls == []
+    h0_hopf(punctured_line_model(3), 2)  # the recorder sees a build
+    assert calls == [("HopfPresentation", "__init__")]
 
 
 def test_pi1_demo_fixed_tables():
