@@ -39,7 +39,7 @@ and above, the only ones that gain monomials, and the walk's generator
 order; the slices below it are kept.
 
 Whether a presentation is a cdga is the one check structure_failures,
-which validate, the cli's input checks and the relative verdicts read.
+which validate and the cli's input checks (cli._flat) read.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ class CdgaPresentation(linalg.SliceComplex):
         return {n: sorted(g) for n, g in groups.items()}
 
     def d_key(self, n, r, m):
-        return self.apply_d({m: 1})
+        return self.mono_d(m)
 
 
 # ---- validation --------------------------------------------------------

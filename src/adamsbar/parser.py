@@ -14,7 +14,9 @@ One definition per file:
 
 poly: term (('+'|'-') term)*;  term: rational ['*' ident ('*' ident)*];
 rational: int ['/' posint].  Every identifier must be declared before
-use; errors carry line and column numbers.
+use; errors carry line and column numbers.  A generator has at most one
+d and one aug line, and a pair at most one mul line in either order; a
+cell file sums the d lines of one element.
 
 parse_file decodes the file's bytes as UTF-8, and each line is split into
 its token strings by one regex findall before any of it is parsed; the
@@ -224,10 +226,10 @@ def _parse_cdga(lines):
     group = name if kind == "table" else None
     gens = []
     declared = {}  # name -> its position in gens
-    # mul lines and d/aug lines, each with its cursor and the number of
-    # generators declared above it; their sums are read once every
-    # generator exists
-    products, maps = [], []
+    # mul lines by name-sorted pair and d/aug lines by (op, target), each
+    # with its cursor and the number of generators declared above it;
+    # their sums are read once every generator exists
+    products, maps = {}, {}
     for cur in lines[1:]:
         op = cur.next()
         seen = len(gens)
@@ -237,8 +239,10 @@ def _parse_cdga(lines):
             declared[gname] = seen
         elif op in ("d", "aug"):
             target = _declared(cur, declared, seen)
+            if (op, target) in maps:
+                raise cur.error(f"duplicate {op} line for {target!r}", 1)
             cur.next(expect="=")
-            maps.append((op, target, cur, seen))
+            maps[op, target] = cur, seen
         elif op == "mul":
             if kind != "table":
                 raise cur.error("mul line in a free presentation", 0)
@@ -248,16 +252,19 @@ def _parse_cdga(lines):
             cur.i = 1
             pair = (_declared(cur, declared, seen),
                     _declared(cur, declared, seen))
+            key = min(pair), max(pair)
+            if key in products:
+                raise cur.error(f"duplicate mul line for {pair}", 1)
             cur.next(expect="=")
-            products.append((pair, cur, seen))
+            products[key] = pair, cur, seen
         else:
             raise cur.error(f"unknown directive {op!r}", 0)
     A = CdgaPresentation(name, kind, gens)
     # products first, so later polynomials normalize through the table
-    for pair, cur, seen in products:
+    for pair, cur, seen in products.values():
         A.set_product(*pair, _parse_poly(cur, declared, seen, A))
     differential, augmentation = {}, {}
-    for op, target, cur, seen in maps:
+    for (op, target), (cur, seen) in maps.items():
         val = _parse_poly(cur, declared, seen, A)
         if op == "aug":
             augmentation[target] = val

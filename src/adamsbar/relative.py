@@ -4,20 +4,19 @@ An augmented algebra over a base N is a total algebra A that contains
 N's generators verbatim together with an augmentation killing the
 remaining ("fiber") generators.  The fiber algebra Sym*E = A (x)_N Q
 carries the reduced differential d0; the base-valued remainder of d is
-a flat nilpotent connection Gamma.  This module computes:
+a flat nilpotent connection Gamma.  The total is a cdga (cli._augmented
+refuses any other), so the relative bar complex N (x) Bbar(F), which is
+not built, has D^2 = 0.  This module computes, as numbers only:
 
   * the fiber algebra and its connection after the relative input checks
     (checked_fiber, which all four relative commands call first on their
     AugmentedOverN: kernel, coaction-check, delta-approx and
-    minimal.relative_minimal_model);
-    the relative bar complex N (x) Bbar(F) has D^2 = 0 exactly when the
-    total is a cdga, so the verdicts read cdga.structure_failures of the
-    total and no relative bar complex is built,
+    minimal.relative_minimal_model),
   * the semi-direct product data (the dims of the kernel Hopf algebra
     H^0(Bbar(F)), the polynomial-extension dimension identity), every
     H^0 dim read by rank off a bar complex, with no class built,
   * the base's co-action on the degree-1 kernel generators: Gamma
-    restricted to E^1,
+    restricted to E^1 (coaction_matrix),
   * the finite simplicial approximations: H^0 of the bar construction
     spread over the faces of the nn-simplex, each read as H^0 of the bar
     complex truncated at word length nn, to which the complex of the
@@ -37,7 +36,6 @@ from .cdga import (
     GeneratorSpec,
     augmentation_failures,
     base_mismatches,
-    structure_failures,
 )
 from .bar import (
     BarComplex,
@@ -160,12 +158,12 @@ def fiber_algebra(X: AugmentedOverN):
 def checked_fiber(X: AugmentedOverN, w_max):
     """fiber_algebra(X) after the relative input checks, in order: the base
     is connected, the fiber's table products valid and the fiber connected
-    up to weight w_max.  semidirect, coaction_check, delta_approximation
-    and minimal.relative_minimal_model each call it first.  The total must
-    have right bidegrees (cdga.check_bidegrees, which the CLI runs on every
-    input): then (weight, -degree) strictly falls along every use of a
-    fiber generator in d, so the total is generalized nilpotent over the
-    base."""
+    up to weight w_max.  semidirect, delta_approximation, the CLI's
+    coaction-check and minimal.relative_minimal_model each call it first.
+    The total must have right bidegrees (cdga.check_bidegrees, which the
+    CLI runs on every input): then (weight, -degree) strictly falls along
+    every use of a fiber generator in d, so the total is generalized
+    nilpotent over the base."""
     require_connected(X.base, w_max)
     Falg, conn = fiber_algebra(X)
     require_connected(Falg, w_max)
@@ -174,19 +172,18 @@ def checked_fiber(X: AugmentedOverN, w_max):
 
 class SemiDirectData:
     def __init__(self, weights, kernel_dims, base_dims, total_dims,
-                 identity_ok, coaction, verdict):
+                 identity_ok, coaction):
         self.weights = weights
         self.kernel_dims = kernel_dims
         self.base_dims = base_dims
         self.total_dims = total_dims
         self.identity_ok = identity_ok
         self.coaction = coaction
-        self.verdict = verdict
 
 
 def semidirect(X: AugmentedOverN, w_max):
-    """SemiDirectData after checked_fiber's input checks: the verdict is
-    the dimension identity and that the total is a cdga."""
+    """SemiDirectData after checked_fiber's input checks; identity_ok is
+    the dimension identity, which kernel passes or fails on."""
     Falg, conn = checked_fiber(X, w_max)
     require_connected(X.total, w_max)
     weights = list(range(w_max + 1))
@@ -199,10 +196,9 @@ def semidirect(X: AugmentedOverN, w_max):
         == sum(base_dims[w1] * kernel_dims[w - w1] for w1 in range(w + 1))
         for w in weights
     )
-    ok = identity_ok and not structure_failures(X.total)
     return SemiDirectData(
         weights, kernel_dims, base_dims, total_dims, identity_ok,
-        coaction_matrix(X, conn, w_max), "pass" if ok else "fail",
+        coaction_matrix(X, conn, w_max),
     )
 
 
@@ -225,13 +221,6 @@ def coaction_matrix(X: AugmentedOverN, conn, w_max):
     return out
 
 
-def coaction_check(X: AugmentedOverN, w_max):
-    """(ok, coaction_matrix) after checked_fiber's input checks, with no
-    bar construction: ok is that the total is a cdga (structure_failures)."""
-    _, conn = checked_fiber(X, w_max)
-    return not structure_failures(X.total), coaction_matrix(X, conn, w_max)
-
-
 # ---------------------------------------------------------------------------
 # finite simplicial approximations
 # ---------------------------------------------------------------------------
@@ -244,9 +233,9 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
     of the nn-simplex is H^0 of the bar complex truncated at word length
     nn (README, "Simplicial approximation"), so every table is one level
     of the bar complex's length filtration: nn for each nn <= n, and
-    w_max for full_dims, as a weight-w word has at most w letters.  ok is
-    that the total is a cdga (structure_failures): the fiber is its
-    quotient by a dg ideal, so d^2 = 0 on the bar complex then."""
+    w_max for full_dims, as a weight-w word has at most w letters.  The
+    total is a cdga, so d^2 = 0 on the fiber's bar complex: the fiber is
+    the total's quotient by a dg ideal."""
     Falg, _ = checked_fiber(X, w_max)
     weights = range(w_max + 1)
     truncated = BarComplex(Falg).filtered_h0(
@@ -266,7 +255,6 @@ def delta_approximation(X: AugmentedOverN, n, w_max):
         "dims": dims,
         "full_dims": full,
         "stable_n": stable_n,
-        "ok": not structure_failures(X.total),
     }
 
 

@@ -42,8 +42,8 @@
   extended to fiber monomials as a derivation factor by factor, apart
   from the total algebra's bar complex, and flatness as D(D(1 (x) word))
   = 0 word by word, with no cache.  The program builds no relative bar
-  complex; this is the oracle for its verdicts, which read the total's
-  structure_failures in place of D^2.
+  complex; this is the oracle for its refusal of a total, which reads
+  the total's structure_failures in place of D^2.
 - The reference augmentation A -> N: a filter keeping the monomials made
   of base generators only (reference_eps).
 - The maps p* and s* between the base's gamma and the total's, the
@@ -131,8 +131,7 @@ from adamsbar.bar import (
     BarComplex, CoLiePresentation, HopfPresentation, _exact,
     _wadd as bar_wadd, h0_hopf, map_letters)
 from adamsbar.cdga import (
-    UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors,
-    structure_failures)
+    UNIT, CdgaPresentation, GeneratorSpec, el_add, el_gen, mono_factors)
 from adamsbar.cellmod import (
     CellModule, FiltrationError, ModuleError, _strict_filtration)
 from adamsbar.parser import ParseError
@@ -932,10 +931,10 @@ def reference_delta_approximation(X, n, w_max):
     for all simplex sizes up to n, as the levels S[-1] <= nn, with a
     stabilization report against the fiber bar complex's H^0 (a weight-w
     word has at most w letters, so its length truncation at w_max is the
-    whole complex).  ok is that the total is a
-    cdga (structure_failures): the fiber is its quotient by a dg ideal, so
-    d^2 = 0 on the complex then, and the subcomplexes and the map to the
-    bar complex killing unit letters hold by construction."""
+    whole complex).  The total is a cdga, as the CLI refuses any other
+    (cli._augmented): the fiber is its quotient by a dg ideal, so d^2 = 0
+    on the complex, and the subcomplexes and the map to the bar complex
+    killing unit letters hold by construction."""
     Falg, _ = checked_fiber(X, w_max)
     da = DeltaApprox(Falg, n)
     weights = range(w_max + 1)
@@ -954,7 +953,6 @@ def reference_delta_approximation(X, n, w_max):
         "dims": dims,
         "full_dims": full,
         "stable_n": stable_n,
-        "ok": not structure_failures(X.total),
     }
 
 
@@ -2403,6 +2401,9 @@ def _ref_parse_cdga(lines):
             declared.add(gname)
         elif op in ("d", "aug"):
             target = _ref_declared(cur, declared)
+            if any((op, target) == m[:2] for m in maps):
+                raise ParseError(f"duplicate {op} line for {target!r}",
+                                 lineno, cur.toks[1][1])
             cur.next(expect="=")
             maps.append((op, target, cur, set(declared)))
         elif op == "mul":
@@ -2412,6 +2413,9 @@ def _ref_parse_cdga(lines):
             # that ends early reports its end
             names = _RefCursor([cur.next(), cur.next()], lineno)
             pair = _ref_declared(names, declared), _ref_declared(names, declared)
+            if any(set(pair) == set(p) for p, _, _ in products):
+                raise ParseError(f"duplicate mul line for {pair}", lineno,
+                                 names.toks[0][1])
             cur.next(expect="=")
             products.append((pair, cur, set(declared)))
         else:

@@ -65,6 +65,16 @@ TEXT_ERRORS = [
     ("duplicate-generator",
      "cdga A free\ngen x deg 1 wt 1\ngen x deg 2 wt 2\n",
      "line 3, col 5: duplicate generator 'x'"),
+    ("duplicate-d",
+     "cdga A free\ngen t deg 1 wt 1\ngen u deg 1 wt 1\ngen v deg 1 wt 2\n"
+     "d v = 1*t*u\nd v = 0\n",
+     "line 6, col 3: duplicate d line for 'v'"),
+    ("duplicate-aug", "cdga A free\ngen u deg 1 wt 1\naug u = 0\naug u = 0\n",
+     "line 4, col 5: duplicate aug line for 'u'"),
+    ("duplicate-mul",
+     "cdga A table\ngen x deg 1 wt 1\ngen y deg 1 wt 1\ngen p deg 2 wt 2\n"
+     "mul x y = 1*p\nmul y x = -1*p\n",
+     "line 6, col 5: duplicate mul line for ('y', 'x')"),
     ("weight-below-1", "cdga A free\ngen x deg 1 wt 0\n",
      "line 2, col 5: generator 'x' has weight 0 < 1"),
     ("mul-in-free", "cdga A free\ngen x deg 1 wt 1\nmul x x = 0\n",
