@@ -290,12 +290,14 @@ def build_arg_parser():
         "constructions, minimal models, and semidirect kernel data.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    nonneg = _at_least(0)
+    nonneg, positive = _at_least(0), _at_least(1)
 
-    def common(p, file_arg=True):
+    def common(p, file_arg=True, wt_type=nonneg):
+        """The options every command takes.  A command whose tables start
+        at weight 1 takes wt_type positive: at --wt-max 0 they are empty."""
         if file_arg:
             p.add_argument("file", help="presentation file")
-        p.add_argument("--wt-max", dest="wt_max", type=nonneg, default=3)
+        p.add_argument("--wt-max", dest="wt_max", type=wt_type, default=3)
         p.add_argument("--deg-max", dest="deg_max", type=nonneg, default=4)
         p.add_argument("--out", dest="out", default=None)
 
@@ -315,17 +317,17 @@ def build_arg_parser():
     p.set_defaults(func=cmd_bar_h0)
 
     p = sub.add_parser("colie")
-    common(p)
+    common(p, wt_type=positive)
     p.set_defaults(func=cmd_colie)
 
     p = sub.add_parser("minimal-model")
-    common(p)
+    common(p, wt_type=positive)
     p.add_argument("--base", default=None)
-    p.add_argument("--n", type=_at_least(1), default=2)
+    p.add_argument("--n", type=positive, default=2)
     p.set_defaults(func=cmd_minimal_model)
 
     p = sub.add_parser("quillen")
-    common(p)
+    common(p, wt_type=positive)
     p.set_defaults(func=cmd_quillen)
 
     p = sub.add_parser("kernel")
@@ -335,7 +337,7 @@ def build_arg_parser():
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("coaction-check")
-    common(p, file_arg=False)
+    common(p, file_arg=False, wt_type=positive)
     p.add_argument("--base", required=True)
     p.add_argument("--total", required=True)
     p.set_defaults(func=cmd_coaction_check)

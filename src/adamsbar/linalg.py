@@ -40,7 +40,10 @@ attach_cells is the one cell-attaching loop over these views, shared by
 minimal models and cell resolutions.  Their sources grow in place, and
 the loop images each list of source classes once: a stage's later
 rounds and the certificate read the images again for every slice whose
-classes no new cell changed.
+classes no new cell changed.  Each list of class images is eliminated
+once, and its rank serves both of a round's tests and the certificate:
+quotient_basis and kernel_basis run only where the rank says that they
+find something.
 
 Inside Echelon the arithmetic is on Python ints: each row is a primitive
 integer vector over a positive denominator, so a reduction step is an
@@ -500,6 +503,11 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     return a new list whenever the source's classes at (i, m) change, as
     a SliceComplex's cached cohomology does until forget drops it, and
     image(i, m, v) must not change on a vector the source already had.
+    Each list of class images is eliminated once, and its rank serves
+    both tests and the certificate: the images span the dim-dimensional
+    class space exactly when the rank is dim, so a round computes the
+    quotient only below it, and they are independent exactly when the
+    rank is their number, so it computes the kernel only below that.
 
     Returns (the number of rounds each stage ran, certificate): the
     certificate maps each stage and each (top + 1, m) to whether the map
@@ -509,17 +517,25 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     store = {}  # (i, m) -> the class_images of one source_reps list
 
     def class_images(i, m):
-        """(dim H^i(m) of target, source reps, the target class
+        """[dim H^i(m) of target, source reps, the target class
         coordinates of each rep's image, None where the image is outside
-        the target's cocycles), read off the store while source_reps(i,
-        m) returns the list it was computed for."""
+        the target's cocycles, their rank or None until rank reads it],
+        read off the store while source_reps(i, m) returns the list it
+        was computed for."""
         reps = source_reps(i, m)
         out = store.get((i, m))
         if out is None or out[1] is not reps:
             dim, _, projector = target.cohomology(i, m)
-            out = store[i, m] = dim, reps, [
-                projector.class_coords(image(i, m, v)) for v in reps]
+            out = store[i, m] = [dim, reps, [
+                projector.class_coords(image(i, m, v)) for v in reps], None]
         return out
+
+    def rank(out):
+        """The rank of a class_images entry's images, every one a class:
+        one elimination per entry, none for an empty list."""
+        if out[3] is None:
+            out[3] = len(Echelon(out[2])) if out[2] else 0
+        return out[3]
 
     def classes(i, m):
         """class_images of a round, where every image has a class."""
@@ -540,13 +556,17 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
     for i, m in stages:
         d_solver = None
         for k in range(1, STAGE_ROUNDS + 1):
-            dim, _, cols = classes(i, m)
-            reps = target.cohomology(i, m)[1]
-            cells = [(None, combine(cv, reps)) for cv in quotient_basis(
-                cols, [{j: ONE} for j in range(dim)])] if dim else []
+            out = classes(i, m)
+            dim, cols = out[0], out[2]
+            cells = []
+            if rank(out) < dim:
+                reps = target.cohomology(i, m)[1]
+                cells = [(None, combine(cv, reps)) for cv in quotient_basis(
+                    cols, [{j: ONE} for j in range(dim)])]
             if not cells:
-                _, reps, cols = classes(i + 1, m)
-                kernel = kernel_basis(cols)
+                out = classes(i + 1, m)
+                reps, cols = out[1], out[2]
+                kernel = kernel_basis(cols) if rank(out) < len(reps) else []
                 if kernel and d_solver is None:
                     d_solver = solver(target.d_columns(i, m))
                 for kv in kernel:
@@ -564,8 +584,9 @@ def attach_cells(stages, top, target, source_reps, image, adjoin):
         rounds.append(k)
     certificate = {}
     for i, m in stages + [(top + 1, m) for i, m in stages if i == top]:
-        dim, reps, cols = class_images(i, m)
+        out = class_images(i, m)
+        dim, reps, cols = out[:3]
         certificate[(i, m)] = (
-            None not in cols and len(Echelon(cols)) == len(reps)
+            None not in cols and rank(out) == len(reps)
             and (i > top or dim == len(reps)) and (i, m) not in capped)
     return rounds, certificate

@@ -1124,6 +1124,11 @@ def test_parser_shared_across_calls(capsys, tmp_path):
     ["delta-approx", "@e3", "--n", "-1"],
     ["minimal-model", "@e4", "--base", "@e1", "--n", "0"],
     ["minimal-model", "@e4", "--base", "@e1", "--n", "-1"],
+    # the commands whose tables start at weight 1 have nothing at w0
+    ["colie", "@e3", "--wt-max", "0"],
+    ["quillen", "@e3", "--wt-max", "0"],
+    ["minimal-model", "@e4", "--base", "@e1", "--wt-max", "0"],
+    ["coaction-check", "--base", "@e1", "--total", "@e4", "--wt-max", "0"],
 ], ids=" ".join)
 def test_empty_window_exits_2(capsys, tmp_path, argv):
     """A window option (the last one of argv) below its least value leaves
@@ -1235,8 +1240,11 @@ def fuzz_cases(draw):
 
 def below_least(argv):
     """Whether a window option of argv is below its least value: 0, and 1
-    for the stage count of minimal-model."""
-    least = {"--wt-max": 0, "--deg-max": 0,
+    for the stage count of minimal-model and for the weight window of the
+    commands whose tables start at weight 1."""
+    starts_at_1 = argv[0] in ("colie", "quillen", "minimal-model",
+                              "coaction-check")
+    least = {"--wt-max": 1 if starts_at_1 else 0, "--deg-max": 0,
              "--n": 1 if argv[0] == "minimal-model" else 0}
     return any(int(v) < least[a] for a, v in zip(argv, argv[1:])
                if a in least)

@@ -84,6 +84,10 @@ CASES = {
                                   "@e1.cdga", "--n", "2", "--wt-max", "3"],
     "minimal-model_p3_n2_w5": ["minimal-model", "@p3.cdga", "--n", "2",
                                "--wt-max", "5"],
+    # the heaviest minimal-model job of the bench's models workload: its
+    # stage iterations and certification are what attach_cells decides
+    "minimal-model_p4_n2_w5": ["minimal-model", "@p4.cdga", "--n", "2",
+                               "--wt-max", "5"],
     "kernel_e1_e4_w4": ["kernel", "--base", "@e1.cdga", "--total",
                         "@e4.cdga", "--wt-max", "4"],
     "kernel_e1_e4p_w5": ["kernel", "--base", "@e1.cdga", "--total",
@@ -127,6 +131,12 @@ def test_golden_report(name, tmp_path):
     code, got = run_case(name, tmp_path)
     assert code == 0
     assert got == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_goldens_are_the_cases():
+    """tests/golden/ holds one report per case of CASES and no other, so
+    no stray or uncounted golden can rot unnoticed."""
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 
 
 if __name__ == "__main__":

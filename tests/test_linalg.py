@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,12 @@ from adamsbar.linalg import (
     solver,
 )
 from adamsbar import linalg
+from adamsbar.cellmod import cell_resolution
+from adamsbar.minimal import relative_minimal_model
+from adamsbar.relative import AugmentedOverN
 import reference
+from test_cellmod import BENCH_WINDOW, _bench_dg_module
+from test_minimal import LOOP_CASES as MODEL_LOOP_CASES
 
 F = Fraction
 
@@ -680,3 +687,73 @@ def test_attach_cells_raises_on_an_image_with_no_class(projector):
                      lambda i, m, cells: adjoined.append(cells))
     assert str(exc.value) == "vector outside the span of reps + image"
     assert adjoined == []
+
+
+# ---- attach_cells eliminates each list of class images once ----------------
+
+
+def _loop_eliminations(monkeypatch, loop, run):
+    """(the list each quotient_basis and kernel_basis call of loop returns,
+    {id of a list: the Echelons loop builds of it}) while run() resolves
+    or grows a model with loop in place of linalg.attach_cells.  A call or
+    an Echelon is the loop's when its caller is loop or a function nested
+    in it, so the eliminations inside quotient_basis, kernel_basis, solver
+    and the source and target complexes are not counted; every list an
+    Echelon is built of is kept, so no id is reused."""
+    name = loop.__qualname__
+
+    def by_loop():  # frame 1 is the callee that asks, 2 its caller
+        caller = sys._getframe(2).f_code.co_qualname
+        return caller == name or caller.startswith(name + ".")
+
+    results, built, kept = [], Counter(), []
+
+    class Counted(Echelon):
+        def __init__(self, vectors=()):
+            if by_loop():
+                kept.append(vectors)
+                built[id(vectors)] += 1
+            super().__init__(vectors)
+
+    def recorded(view):
+        def call(*args):
+            out = view(*args)
+            if by_loop():
+                results.append(out)
+            return out
+        return call
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "Echelon", Counted)
+        for view in ("quotient_basis", "kernel_basis"):
+            mp.setattr(linalg, view, recorded(getattr(linalg, view)))
+        mp.setattr(linalg, "attach_cells", loop)
+        assert run()
+    return results, built
+
+
+def _bench_resolution():
+    return all(cell_resolution(_bench_dg_module(29), *BENCH_WINDOW)[2].values())
+
+
+def _model(case):
+    def run():
+        return relative_minimal_model(
+            AugmentedOverN(*MODEL_LOOP_CASES[case]()), 2, 4).certified()
+    return run
+
+
+@pytest.mark.parametrize("run", [
+    _bench_resolution, _model("P1minus4"), _model("E4/E1"),
+], ids=["bench 29", "P1minus4", "E4/E1"])
+def test_attach_cells_eliminates_each_class_image_list_once(run, monkeypatch):
+    """Every quotient_basis and kernel_basis call that attach_cells makes
+    finds a class, where the reference loop also makes calls that find
+    none; and the loop builds at most one Echelon of each list of class
+    images, whose rank decides a round's two tests and the certificate."""
+    results, built = _loop_eliminations(monkeypatch, attach_cells, run)
+    assert results and all(results)
+    assert built and set(built.values()) == {1}
+    ref_results, _ = _loop_eliminations(
+        monkeypatch, reference.reference_attach_cells, run)
+    assert not all(ref_results)
