@@ -448,7 +448,7 @@ class CoLiePresentation:
     def project(self, class_vec, w):
         """gamma coordinates (global indices) of a weight-w H^0_+ vector."""
         decomp, cols = self._gamma[w]
-        residue, _ = decomp.reduce(class_vec)
+        residue = decomp.reduce(class_vec)
         return {cols[j]: c for j, c in sorted(residue.items())}
 
     def _cobracket(self, g, gamma_of):

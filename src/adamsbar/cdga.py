@@ -1,9 +1,9 @@
 """Adams-graded cdgas over Q, finitely presented.
 
-A presentation is FREE (polynomial on generators, with odd squares zero)
-or TABLE (generators carry a "table group"; any product of two
-generators in the same group reduces through an explicit multiplication
-table, unlisted products being zero).  The Adams weight of every
+A generator is FREE (polynomial, with odd squares zero) or in the one
+TABLE (GeneratorSpec.table): a product of two table generators reduces
+through an explicit multiplication table, unlisted products being zero,
+so a monomial has at most one table factor.  The Adams weight of every
 generator is >= 1, so the weight-0 part is Q*1 by construction and every
 bidegree slice is finite dimensional.
 
@@ -56,21 +56,21 @@ UNIT = ()  # the empty monomial
 
 
 class GeneratorSpec:
-    """A generator's name, cohomological degree, Adams weight and table
-    group (None for free generators).  A spec is a value: two are equal,
+    """A generator's name, cohomological degree, Adams weight and whether
+    it is in the multiplication table.  A spec is a value: two are equal,
     and hash alike, exactly when all four fields are, which is how
     base_mismatches compares a base generator with the total's."""
 
-    __slots__ = ("name", "coh", "adams", "group")
+    __slots__ = ("name", "coh", "adams", "table")
 
-    def __init__(self, name, coh, adams, group=None):
+    def __init__(self, name, coh, adams, table=False):
         self.name = name
         self.coh = coh
         self.adams = adams
-        self.group = group
+        self.table = table
 
     def _fields(self):
-        return self.name, self.coh, self.adams, self.group
+        return self.name, self.coh, self.adams, self.table
 
     def __eq__(self, other):
         if type(other) is not GeneratorSpec:
@@ -118,11 +118,10 @@ class CdgaPresentation(linalg.SliceComplex):
     """The cdga as a SliceComplex: the keys of slice (n, r) are the
     monomials of A^n(r), sorted, grouped by degree once per weight."""
 
-    def __init__(self, name, kind, generators, differential=None, products=None,
+    def __init__(self, name, generators, differential=None, products=None,
                  augmentation=None):
         super().__init__()
         self.name = name
-        self.kind = kind  # "free" | "table"
         self.generators = list(generators)
         self.gen = {g.name: g for g in self.generators}
         if len(self.gen) != len(self.generators):
@@ -161,8 +160,8 @@ class CdgaPresentation(linalg.SliceComplex):
 
     def set_product(self, a, b, val):
         ga, gb = self.gen[a], self.gen[b]
-        if ga.group is None or ga.group != gb.group:
-            raise CdgaError(f"product {a}*{b} declared outside a table group")
+        if not (ga.table and gb.table):
+            raise CdgaError(f"product {a}*{b} declared outside the table")
         self._mul.clear()
         self._mono_d.clear()
         if (a, b) <= (b, a):
@@ -215,15 +214,15 @@ class CdgaPresentation(linalg.SliceComplex):
         for i in range(len(fs) - 1):
             if fs[i] == fs[i + 1] and self.gen[fs[i]].coh % 2:
                 return {}
-        # find the first pair of factors sharing a table group (they need
-        # not be adjacent after name-sorting) and reduce it
+        # reduce the first two table factors (they need not be adjacent
+        # after name-sorting)
         for i in range(len(fs)):
             gi = self.gen[fs[i]]
-            if gi.group is None:
+            if not gi.table:
                 continue
             for j in range(i + 1, len(fs)):
                 gj = self.gen[fs[j]]
-                if gj.group != gi.group:
+                if not gj.table:
                     continue
                 # commute fs[j] leftwards next to fs[i]
                 sign = 1
@@ -334,9 +333,9 @@ class CdgaPresentation(linalg.SliceComplex):
             self._walk = gens, sorted(at), at
         gens, weights, at = self._walk
         groups = {}
-        stack = [(0, (), 0, 0, frozenset())]
+        stack = [(0, (), 0, 0, False)]
         while stack:
-            idx, mono, coh, adams, used_groups = stack.pop()
+            idx, mono, coh, adams, has_table = stack.pop()
             if adams == r:
                 groups.setdefault(coh, []).append(mono)
                 continue
@@ -347,17 +346,16 @@ class CdgaPresentation(linalg.SliceComplex):
                 ks = at[w]
                 for k in ks[bisect_left(ks, idx):]:
                     g = gens[k]
-                    if g.group is not None:
-                        if g.group not in used_groups:
+                    if g.table:
+                        if not has_table:
                             stack.append((k + 1, mono + ((g.name, 1),),
-                                          coh + g.coh, adams + w,
-                                          used_groups | {g.group}))
+                                          coh + g.coh, adams + w, True))
                         continue
                     # an odd generator squares to 0
                     for e in range(1, 2 if g.coh % 2 else room // w + 1):
                         stack.append((k + 1, mono + ((g.name, e),),
                                       coh + e * g.coh, adams + e * w,
-                                      used_groups))
+                                      has_table))
         return {n: sorted(g) for n, g in groups.items()}
 
     def d_key(self, n, r, m):
@@ -367,31 +365,36 @@ class CdgaPresentation(linalg.SliceComplex):
 # ---- validation --------------------------------------------------------
 
 
-def bidegree_failures(A: CdgaPresentation):
-    """One message per differential, augmentation value or table product
-    that is inhomogeneous or of the wrong bidegree: d(g) must have
-    bidegree (deg + 1, wt), aug(g) that of g, and g*h the sum of theirs."""
-    expected = []
-    for g in A.generators:
-        expected.append((f"d({g.name})", A.differential.get(g.name),
-                         (g.coh + 1, g.adams)))
-        expected.append((f"aug({g.name})", A.augmentation.get(g.name),
-                         (g.coh, g.adams)))
-    for (a, b), val in A.products.items():
-        ga, gb = A.gen[a], A.gen[b]
-        expected.append((f"{a}*{b}", val,
-                         (ga.coh + gb.coh, ga.adams + gb.adams)))
+def bidegree_failures(A: CdgaPresentation, expected=None, label=str):
+    """One message per (key, element of A, bidegree) of expected whose
+    element is nonzero and inhomogeneous or not of that bidegree, named
+    label(key), built only for a failure.  By default expected is each
+    differential, augmentation value and table product of A: d(g) must
+    have bidegree (deg + 1, wt), aug(g) that of g, and g*h the sum of
+    theirs.  CellModule.check passes its entries of d."""
+    if expected is None:
+        expected = []
+        for g in A.generators:
+            expected.append((f"d({g.name})", A.differential.get(g.name),
+                             (g.coh + 1, g.adams)))
+            expected.append((f"aug({g.name})", A.augmentation.get(g.name),
+                             (g.coh, g.adams)))
+        for (a, b), val in A.products.items():
+            ga, gb = A.gen[a], A.gen[b]
+            expected.append((f"{a}*{b}", val,
+                             (ga.coh + gb.coh, ga.adams + gb.adams)))
     failures = []
-    for label, val, want in expected:
+    for key, val, want in expected:
         if not val:
             continue
         try:
             bd = A.el_bidegree(val)
         except CdgaError as e:
-            failures.append(f"{label} inhomogeneous: {e}")
+            failures.append(f"{label(key)} inhomogeneous: {e}")
             continue
         if bd != want:
-            failures.append(f"{label} has bidegree {bd}, expected {want}")
+            failures.append(f"{label(key)} has bidegree {bd}, "
+                            f"expected {want}")
     return failures
 
 
@@ -412,19 +415,19 @@ def d_squared_failures(A: CdgaPresentation):
 
 
 def structure_failures(A: CdgaPresentation):
-    """The presentation is a cdga: d_squared_failures(A), then for a table
-    one message per triple (g, h, k) of one group with (gh)k != g(hk) and
-    per pair (g, h) with d(gh) != d(g)h + (-1)^|g| g d(h), in generator
-    order, each pair's triples before the pair.  A product in a group is
-    0 unless listed, so a table with no product and no d passes unwalked."""
+    """The presentation is a cdga: d_squared_failures(A), then one message
+    per triple (g, h, k) of table generators with (gh)k != g(hk) and per
+    pair (g, h) with d(gh) != d(g)h + (-1)^|g| g d(h), in generator order,
+    each pair's triples before the pair.  A table product is 0 unless
+    listed, so a table with no product and no d passes unwalked."""
     failures = d_squared_failures(A)
-    if A.kind != "table" or not (A.products or any(A.differential.values())):
+    table = [g for g in A.generators if g.table]
+    if not table or not (A.products or any(A.differential.values())):
         return failures
-    grouped = [g for g in A.generators if g.group is not None]
-    for g in grouped:
-        for h in (h for h in grouped if h.group == g.group):
+    for g in table:
+        for h in table:
             gh = A.multiply(el_gen(g.name), el_gen(h.name))
-            for k in (k for k in grouped if k.group == g.group):
+            for k in table:
                 if el_add(A.multiply(gh, el_gen(k.name)), A.multiply(
                         el_gen(g.name),
                         A.multiply(el_gen(h.name), el_gen(k.name))), -1):

@@ -43,7 +43,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cdga import CdgaPresentation, UNIT, el_add, el_scale, mono_factors
+from .cdga import (CdgaPresentation, UNIT, bidegree_failures, el_add,
+                   el_scale, mono_factors)
 from .linalg import ONE, _vec_iadd
 
 F = Fraction
@@ -120,10 +121,6 @@ class CellModule(linalg.SliceComplex):
             for i in idxs:
                 self._stage.setdefault(i, s)
 
-    def bidegree(self, i):
-        _, c, a = self.basis[i]
-        return (c, a)
-
     def stage(self, i):
         if i not in self._stage:
             raise ModuleError(f"basis index {i} missing from filtration")
@@ -132,15 +129,14 @@ class CellModule(linalg.SliceComplex):
     def _bidegree_failures(self):
         """One message per entry a_ij of d that is inhomogeneous or not of
         bidegree (cj + 1 - ci, rj - ri), which d of bidegree (+1, 0)
-        needs."""
-        failures = []
+        needs, read by cdga's one bidegree check."""
+        expected = []
         for (i, j), a in self.differential.items():
-            bd = self.algebra.el_bidegree(a)
-            ci, ri = self.bidegree(i)
-            cj, rj = self.bidegree(j)
-            if bd != (cj + 1 - ci, rj - ri):
-                failures.append(f"entry ({i},{j}) bidegree {bd}")
-        return failures
+            _, ci, ri = self.basis[i]
+            _, cj, rj = self.basis[j]
+            expected.append(((i, j), a, (cj + 1 - ci, rj - ri)))
+        return bidegree_failures(self.algebra, expected,
+                                 lambda ij: f"entry ({ij[0]},{ij[1]})")
 
     def check_bidegrees(self):
         """Raise ModuleError naming each entry of d of the wrong bidegree;

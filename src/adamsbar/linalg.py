@@ -178,10 +178,10 @@ class Echelon:
         return V, C, den
 
     def reduce(self, v):
-        """(residue, combination) with v = residue + the combination of
-        tagged vectors, modulo the untagged ones, residue 0 at the pivots."""
-        V, C, den = self._reduce(v)
-        return _rational(V, den), _rational(C, den)
+        """The residue of v modulo the rows, 0 at the pivots; class_coords
+        reads the combination of tagged vectors."""
+        V, _, den = self._reduce(v)
+        return _rational(V, den)
 
     def add(self, v, tag=None):
         """Keep v as a new row and return its pivot, or return None and keep

@@ -31,12 +31,12 @@ F = Fraction
 
 
 def trivial_base():
-    return CdgaPresentation("Q", "free", [])
+    return CdgaPresentation("Q", [])
 
 
 def augment_absolute(A: CdgaPresentation):
     """Copy of A augmented to Q (every generator killed)."""
-    return CdgaPresentation(A.name, A.kind, A.generators, A.differential,
+    return CdgaPresentation(A.name, A.generators, A.differential,
                             A.products, {g.name: {} for g in A.generators})
 
 
@@ -106,7 +106,7 @@ def relative_minimal_model(X: AugmentedOverN, n, w_max):
     """
     checked_fiber(X, w_max)
     N, A = X.base, X.total
-    model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
+    model = CdgaPresentation(f"{A.name}_min", N.generators,
                              N.differential, N.products)
     ic_A = IdealComplex(A, X.eps)
     ic_M = IdealComplex(model, model.augmentation)

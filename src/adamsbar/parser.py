@@ -5,7 +5,7 @@ One definition per file:
     cdga <name> (free|table)
     gen <ident> deg <int> wt <posint>
     d <ident> = <poly>
-    mul <ident> <ident> = <poly>      # table kind only
+    mul <ident> <ident> = <poly>      # table only; 0 for an odd square
     aug <ident> = <poly>              # relative use; default 0
 
     cell <name> over <cdga-name>
@@ -16,7 +16,8 @@ poly: term (('+'|'-') term)*;  term: rational ['*' ident ('*' ident)*];
 rational: int ['/' posint].  Every identifier must be declared before
 use; errors carry line and column numbers.  A generator has at most one
 d and one aug line, and a pair at most one mul line in either order; a
-cell file sums the d lines of one element.
+cell file sums the d lines of one element.  A table file's generators
+are all in the one table, whatever the file's name.
 
 parse_file decodes the file's bytes as UTF-8, and each line is split into
 its token strings by one regex findall before any of it is parsed; the
@@ -223,7 +224,7 @@ def _parse_cdga(lines):
     if kind not in ("free", "table"):
         raise cur.error(f"kind must be free or table, got {kind!r}", 2)
     cur.done()
-    group = name if kind == "table" else None
+    table = kind == "table"
     gens = []
     declared = {}  # name -> its position in gens
     # mul lines by name-sorted pair and d/aug lines by (op, target), each
@@ -235,7 +236,7 @@ def _parse_cdga(lines):
         seen = len(gens)
         if op == "gen":
             gname, deg, wt = _declaration(cur, declared, "generator", 1)
-            gens.append(GeneratorSpec(gname, deg, wt, group=group))
+            gens.append(GeneratorSpec(gname, deg, wt, table))
             declared[gname] = seen
         elif op in ("d", "aug"):
             target = _declared(cur, declared, seen)
@@ -244,7 +245,7 @@ def _parse_cdga(lines):
             cur.next(expect="=")
             maps[op, target] = cur, seen
         elif op == "mul":
-            if kind != "table":
+            if not table:
                 raise cur.error("mul line in a free presentation", 0)
             # both names are read before either is checked, so a line
             # that ends early reports its end
@@ -259,10 +260,13 @@ def _parse_cdga(lines):
             products[key] = pair, cur, seen
         else:
             raise cur.error(f"unknown directive {op!r}", 0)
-    A = CdgaPresentation(name, kind, gens)
+    A = CdgaPresentation(name, gens)
     # products first, so later polynomials normalize through the table
     for pair, cur, seen in products.values():
-        A.set_product(*pair, _parse_poly(cur, declared, seen, A))
+        val = _parse_poly(cur, declared, seen, A)
+        if val and pair[0] == pair[1] and gens[declared[pair[0]]].coh % 2:
+            raise cur.error(f"odd generator {pair[0]!r} squares to 0", 1)
+        A.set_product(*pair, val)
     differential, augmentation = {}, {}
     for (op, target), (cur, seen) in maps.items():
         val = _parse_poly(cur, declared, seen, A)
@@ -270,7 +274,7 @@ def _parse_cdga(lines):
             augmentation[target] = val
         elif val:
             differential[target] = val
-    return CdgaPresentation(name, kind, gens, differential, A.products,
+    return CdgaPresentation(name, gens, differential, A.products,
                             augmentation)
 
 

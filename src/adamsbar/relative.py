@@ -1,12 +1,13 @@
 """Augmented cdgas over a base, their fibers and semi-direct products.
 
 An augmented algebra over a base N is a total algebra A that contains
-N's generators verbatim together with an augmentation killing the
-remaining ("fiber") generators.  The fiber algebra Sym*E = A (x)_N Q
-carries the reduced differential d0; the base-valued remainder of d is
-a flat nilpotent connection Gamma.  The total is a cdga (cli._augmented
-refuses any other), so the relative bar complex N (x) Bbar(F), which is
-not built, has D^2 = 0.  This module computes, as numbers only:
+N's generators verbatim, whatever the two algebras are named, together
+with an augmentation killing the remaining ("fiber") generators.  The
+fiber algebra Sym*E = A (x)_N Q carries the reduced differential d0; the
+base-valued remainder of d is a flat nilpotent connection Gamma.  The
+total is a cdga (cli._augmented refuses any other), so the relative bar
+complex N (x) Bbar(F), which is not built, has D^2 = 0.  This module
+computes, as numbers only:
 
   * the fiber algebra and its connection after the relative input checks
     (checked_fiber, which all four relative commands call first on their
@@ -114,7 +115,8 @@ def fiber_algebra(X: AugmentedOverN):
     """(Sym*E with the reduced differential d0, connection Gamma).
 
     Gamma maps each fiber generator to a dict {base monomial: fiber
-    Element}; the base monomial is always nontrivial.
+    Element}; the base monomial is always nontrivial.  The fiber keeps
+    the table products of two fiber generators, none in a free total.
     """
     A = X.total
     gens = list(X.fiber)
@@ -138,20 +140,16 @@ def fiber_algebra(X: AugmentedOverN):
         if mixed:
             conn[g.name] = mixed
     products = {}
-    if A.kind == "table":
-        fiber_names = {g.name for g in gens}
-        for (a, b), val in A.products.items():
-            if a in fiber_names and b in fiber_names:
-                for mono in val:
-                    if any(n in X.base_names for n, _ in mono):
-                        raise RelativeError(
-                            f"table product {a}*{b} mixes base factors"
-                        )
-                products[(a, b)] = val
-    Falg = CdgaPresentation(
-        f"{A.name}_fiber", A.kind, gens, d0, products,
-        {g.name: {} for g in gens},
-    )
+    for (a, b), val in A.products.items():
+        if a not in X.base_names and b not in X.base_names:
+            for mono in val:
+                if any(n in X.base_names for n, _ in mono):
+                    raise RelativeError(
+                        f"table product {a}*{b} mixes base factors"
+                    )
+            products[(a, b)] = val
+    Falg = CdgaPresentation(f"{A.name}_fiber", gens, d0, products,
+                            {g.name: {} for g in gens})
     return Falg, conn
 
 
@@ -268,10 +266,8 @@ def punctured_line_model(k):
     k-1 degree-1 weight-1 classes with vanishing products."""
     if k < 2:
         raise RelativeError("need at least 2 punctures")
-    gens = [
-        GeneratorSpec(f"a{i}", 1, 1, group="pts") for i in range(k - 1)
-    ]
-    return CdgaPresentation(f"P1minus{k}", "table", gens)
+    gens = [GeneratorSpec(f"a{i}", 1, 1, table=True) for i in range(k - 1)]
+    return CdgaPresentation(f"P1minus{k}", gens)
 
 
 def pi1_demo(k, w_max):

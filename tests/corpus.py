@@ -25,12 +25,13 @@ F = Fraction
 
 
 def make_e1(letter="x"):
-    return CdgaPresentation("E1", "free", [GeneratorSpec(letter, 1, 1)])
+    return CdgaPresentation("E1", [GeneratorSpec(letter, 1, 1)])
 
 
 def make_e2():
-    gens = [GeneratorSpec("x0", 1, 1, group="e2"), GeneratorSpec("x1", 1, 1, group="e2")]
-    return CdgaPresentation("E2", "table", gens)
+    gens = [GeneratorSpec("x0", 1, 1, table=True),
+            GeneratorSpec("x1", 1, 1, table=True)]
+    return CdgaPresentation("E2", gens)
 
 
 def make_e3():
@@ -39,7 +40,7 @@ def make_e3():
         GeneratorSpec("y", 1, 1),
         GeneratorSpec("z", 1, 2),
     ]
-    return CdgaPresentation("E3", "free", gens, differential={
+    return CdgaPresentation("E3", gens, differential={
         "z": {(("x", 1), ("y", 1)): 1}})
 
 
@@ -49,7 +50,7 @@ def make_e4():
         GeneratorSpec("u", 1, 1),
         GeneratorSpec("v", 1, 2),
     ]
-    return CdgaPresentation("E4", "free", gens,
+    return CdgaPresentation("E4", gens,
                             differential={"v": {(("t", 1), ("u", 1)): 1}},
                             augmentation={"u": {}, "v": {}})
 
@@ -58,7 +59,7 @@ def make_e4p():
     A = make_e4()
     gens = A.generators + [GeneratorSpec("w", 1, 3)]
     dw = {(("u", 1), ("v", 1)): 1, (("t", 1), ("v", 1)): 1}
-    return CdgaPresentation("E4p", "free", gens,
+    return CdgaPresentation("E4p", gens,
                             differential={**A.differential, "w": dw},
                             augmentation={"u": {}, "v": {}, "w": {}})
 
@@ -66,7 +67,7 @@ def make_e4p():
 def make_e4q():
     A = make_e4p()
     ds = {(("t", 1), ("w", 1)): 1, (("u", 1), ("w", 1)): 1}
-    return CdgaPresentation("E4q", "free", A.generators
+    return CdgaPresentation("E4q", A.generators
                             + [GeneratorSpec("s", 1, 4)],
                             differential={**A.differential, "s": ds},
                             augmentation={**A.augmentation, "s": {}})
@@ -103,7 +104,7 @@ def random_free_cdga(seed, max_gens=4, deg_max=2, wt_max=3):
         name = f"g{i}"
         coh = rng.randint(1, deg_max)
         adams = rng.randint(1, wt_max)
-        sub = CdgaPresentation("tmp", "free", gens, diff)
+        sub = CdgaPresentation("tmp", gens, diff)
         choices = []
         basis = sub.slice(coh + 1, adams)
         if basis and rng.random() < 0.7:
@@ -120,7 +121,7 @@ def random_free_cdga(seed, max_gens=4, deg_max=2, wt_max=3):
         if choices and choices[0]:
             diff = dict(diff)
             diff[name] = choices[0]
-    return CdgaPresentation(f"R{seed}", "free", gens, diff)
+    return CdgaPresentation(f"R{seed}", gens, diff)
 
 
 def random_gen_nilpotent(seed, max_fiber=3, wt_max=3):
@@ -138,7 +139,7 @@ def random_gen_nilpotent(seed, max_fiber=3, wt_max=3):
     for i in range(n_fiber):
         name = f"e{i}"
         adams = rng.randint(1, wt_max)
-        sub = CdgaPresentation("tmp", "free", gens, diff)
+        sub = CdgaPresentation("tmp", gens, diff)
         basis = sub.slice(2, adams)
         dval = {}
         if basis and rng.random() < 0.8:
@@ -154,7 +155,7 @@ def random_gen_nilpotent(seed, max_fiber=3, wt_max=3):
             diff = dict(diff)
             diff[name] = dval
         aug[name] = {}
-    return CdgaPresentation(f"GN{seed}", "free", gens, diff,
+    return CdgaPresentation(f"GN{seed}", gens, diff,
                             augmentation=aug)
 
 

@@ -426,8 +426,8 @@ class ReferenceEchelon:
         return V, C, den
 
     def reduce(self, v):
-        V, C, den = self._reduce(v)
-        return _rational(V, den), _rational(C, den)
+        V, _, den = self._reduce(v)
+        return _rational(V, den)
 
     def add(self, v, tag=None):
         R, C, den = self._reduce(v)
@@ -1347,7 +1347,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
     with a copied model and a new ReferenceIdealComplex in every round and
     for the certificate.  Returns model, structure_map, fiber_names,
     iterations (per stage) and certification."""
-    model = CdgaPresentation(f"{A.name}_min", N.kind, N.generators,
+    model = CdgaPresentation(f"{A.name}_min", N.generators,
                              N.differential, N.products)
     ic_A = ReferenceIdealComplex(A, {g.name: {} for g in A.generators
                                      if g.name not in N.gen})
@@ -1369,7 +1369,7 @@ def reference_minimal_model(N, A, n, w_max, rounds=6):
         gens = model.generators + [GeneratorSpec(name, coh, adams)]
         diff = {**model.differential, name: d_el} if d_el else \
             model.differential
-        model = CdgaPresentation(model.name, model.kind, gens, diff,
+        model = CdgaPresentation(model.name, gens, diff,
                                  model.products,
                                  {g: {} for g in fiber_names + [name]})
         fiber_names.append(name)
@@ -1833,11 +1833,11 @@ def _ref_assemble(A, fs):
             return {}
     for i in range(len(fs)):
         gi = A.gen[fs[i]]
-        if gi.group is None:
+        if not gi.table:
             continue
         for j in range(i + 1, len(fs)):
             gj = A.gen[fs[j]]
-            if gj.group != gi.group:
+            if not gj.table:
                 continue
             sign = 1
             for k in range(i + 1, j):
@@ -1934,7 +1934,7 @@ def reference_slice_keys(A, n, r):
     found = []
     gens = sorted(A.generators, key=lambda g: g.name)
 
-    def rec(idx, mono, coh, adams, used_groups):
+    def rec(idx, mono, coh, adams, has_table):
         if adams == r:
             if coh == n:
                 found.append(tuple(mono))
@@ -1942,22 +1942,22 @@ def reference_slice_keys(A, n, r):
         if idx == len(gens):
             return
         g = gens[idx]
-        rec(idx + 1, mono, coh, adams, used_groups)
-        if g.group is not None:
-            if g.group in used_groups:
+        rec(idx + 1, mono, coh, adams, has_table)
+        if g.table:
+            if has_table:
                 return
             if adams + g.adams <= r:
                 rec(idx + 1, mono + [(g.name, 1)], coh + g.coh,
-                    adams + g.adams, used_groups | {g.group})
+                    adams + g.adams, True)
             return
         emax = (r - adams) // g.adams
         if g.coh % 2:
             emax = min(emax, 1)
         for e in range(1, emax + 1):
             rec(idx + 1, mono + [(g.name, e)], coh + e * g.coh,
-                adams + e * g.adams, used_groups)
+                adams + e * g.adams, has_table)
 
-    rec(0, [], 0, 0, frozenset())
+    rec(0, [], 0, 0, False)
     return sorted(found)
 
 
@@ -2386,7 +2386,7 @@ def _ref_parse_cdga(lines):
         raise ParseError(f"kind must be free or table, got {kind!r}",
                          cur.lineno, col)
     cur.done()
-    group = name if kind == "table" else None
+    table = kind == "table"
     gens = []
     declared = set()
     # mul lines and d/aug lines, each with its cursor and the names
@@ -2397,7 +2397,7 @@ def _ref_parse_cdga(lines):
         op, col = cur.next()
         if op == "gen":
             gname, deg, wt = _ref_declaration(cur, declared, "generator", 1)
-            gens.append(GeneratorSpec(gname, deg, wt, group=group))
+            gens.append(GeneratorSpec(gname, deg, wt, table))
             declared.add(gname)
         elif op in ("d", "aug"):
             target = _ref_declared(cur, declared)
@@ -2407,23 +2407,28 @@ def _ref_parse_cdga(lines):
             cur.next(expect="=")
             maps.append((op, target, cur, set(declared)))
         elif op == "mul":
-            if kind != "table":
+            if not table:
                 raise ParseError("mul line in a free presentation", lineno, col)
             # both names are read before either is checked, so a line
             # that ends early reports its end
             names = _RefCursor([cur.next(), cur.next()], lineno)
             pair = _ref_declared(names, declared), _ref_declared(names, declared)
-            if any(set(pair) == set(p) for p, _, _ in products):
+            if any(set(pair) == set(p) for p, *_ in products):
                 raise ParseError(f"duplicate mul line for {pair}", lineno,
                                  names.toks[0][1])
             cur.next(expect="=")
-            products.append((pair, cur, set(declared)))
+            products.append((pair, cur, set(declared), names.toks[0][1]))
         else:
             raise ParseError(f"unknown directive {op!r}", lineno, col)
-    A = CdgaPresentation(name, kind, gens)
+    A = CdgaPresentation(name, gens)
     # products first, so later polynomials normalize through the table
-    for pair, cur, seen in products:
-        A.set_product(*pair, _ref_parse_poly(cur, seen, A))
+    for pair, cur, seen, col in products:
+        val = _ref_parse_poly(cur, seen, A)
+        a, b = pair
+        if a == b and A.gen[a].coh % 2 and val:
+            raise ParseError(f"odd generator {a!r} squares to 0",
+                             cur.lineno, col)
+        A.set_product(a, b, val)
     differential, augmentation = {}, {}
     for op, target, cur, seen in maps:
         val = _ref_parse_poly(cur, seen, A)
@@ -2431,7 +2436,7 @@ def _ref_parse_cdga(lines):
             augmentation[target] = val
         elif val:
             differential[target] = val
-    return CdgaPresentation(name, kind, gens, differential, A.products,
+    return CdgaPresentation(name, gens, differential, A.products,
                             augmentation)
 
 

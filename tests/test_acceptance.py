@@ -248,7 +248,7 @@ def test_criterion_10_base_change():
                 }
                 for k, v in A.differential.items()
             }
-            A2 = CdgaPresentation(A.name + "_bc", A.kind, gens2, diff2,
+            A2 = CdgaPresentation(A.name + "_bc", gens2, diff2,
                                   None, A.augmentation)
             X1 = AugmentedOverN(make_e1("t"), A)
             X2 = AugmentedOverN(base2, A2)

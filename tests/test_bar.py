@@ -33,7 +33,7 @@ X = (("x", 1),)
 def make_even_letters():
     """Free on e (2,1), f (2,2), x (1,1) with df = x*e: exercises signs."""
     gens = [GeneratorSpec("e", 2, 1), GeneratorSpec("f", 2, 2), GeneratorSpec("x", 1, 1)]
-    return CdgaPresentation("EV", "free", gens, differential={
+    return CdgaPresentation("EV", gens, differential={
         "f": {(("e", 1), ("x", 1)): 1}})
 
 
@@ -93,7 +93,7 @@ def make_signed_letters():
     -1, 1 and -2, odd and negative, which no punctured line has."""
     gens = [GeneratorSpec("a", 0, 1), GeneratorSpec("b", 2, 1),
             GeneratorSpec("c", -1, 1)]
-    return CdgaPresentation("SG", "free", gens)
+    return CdgaPresentation("SG", gens)
 
 
 def test_shuffle_words_match_reference():
@@ -257,8 +257,9 @@ def random_formal_table(seed):
     all products zero, like the formal models of the bench workloads."""
     rng = random.Random(seed)
     weights = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
-    return CdgaPresentation(f"F{seed}", "table", [
-        GeneratorSpec(f"g{i}", 1, wt) for i, wt in enumerate(weights)])
+    return CdgaPresentation(f"F{seed}", [
+        GeneratorSpec(f"g{i}", 1, wt, table=True)
+        for i, wt in enumerate(weights)])
 
 
 HOPF_CASES = [
@@ -319,14 +320,14 @@ def test_colie_matches_reference(mk, w_max):
 
 def make_negative_degree():
     """Free on u (-1, 1) and x (1, 1)."""
-    return CdgaPresentation("NEG", "free", [GeneratorSpec("u", -1, 1),
-                                            GeneratorSpec("x", 1, 1)])
+    return CdgaPresentation("NEG", [GeneratorSpec("u", -1, 1),
+                                    GeneratorSpec("x", 1, 1)])
 
 
 def make_e3_half():
     """E3 with d z = 1/2 x*y: Fraction coefficients in d."""
     A = make_e3()
-    return CdgaPresentation("E3h", "free", A.generators, differential={
+    return CdgaPresentation("E3h", A.generators, differential={
         "z": {(("x", 1), ("y", 1)): F(1, 2)}})
 
 
@@ -336,17 +337,17 @@ def make_e3_contractible():
     cocycles modulo the image of the degree -1 words, so they are
     classified after an elimination."""
     A = make_e3()
-    return CdgaPresentation("E3c", "free", [
+    return CdgaPresentation("E3c", [
         GeneratorSpec("a", 0, 1), GeneratorSpec("b", 1, 1), *A.generators],
         differential={"a": {(("b", 1),): 1}, **A.differential})
 
 
 def make_table_with_products():
-    """A table algebra with a mul line: x * y = p in one group, with z of
-    weight 2 beside it."""
-    return CdgaPresentation("TM", "table", [
-        GeneratorSpec("x", 1, 1, group="g"), GeneratorSpec("y", 1, 1, group="g"),
-        GeneratorSpec("p", 2, 2, group="g"), GeneratorSpec("z", 1, 2)],
+    """A table algebra with a mul line: x * y = p in the table, with a
+    free z of weight 2 beside it."""
+    return CdgaPresentation("TM", [
+        GeneratorSpec("x", 1, 1, True), GeneratorSpec("y", 1, 1, True),
+        GeneratorSpec("p", 2, 2, True), GeneratorSpec("z", 1, 2)],
         products={("x", "y"): {(("p", 1),): 1}})
 
 
@@ -693,9 +694,9 @@ def test_co_jacobi(mk):
 def make_f113():
     """The table algebra on degree-1 letters of weights 1, 1 and 3 with
     all products zero (the f113 golden)."""
-    return CdgaPresentation("F113", "table", [
-        GeneratorSpec("a", 1, 1), GeneratorSpec("b", 1, 1),
-        GeneratorSpec("c", 1, 3)])
+    return CdgaPresentation("F113", [
+        GeneratorSpec("a", 1, 1, True), GeneratorSpec("b", 1, 1, True),
+        GeneratorSpec("c", 1, 3, True)])
 
 
 POLYNOMIALITY_CASES = [

@@ -28,24 +28,24 @@ def test_validate_fixtures():
 
 def test_generator_specs_are_values():
     """Two specs are equal, and hash alike, exactly when name, degree,
-    weight and table group all are; the group defaults to None."""
-    spec = GeneratorSpec("x", 1, 2, "g")
-    assert GeneratorSpec("x", 1, 2).group is None
-    assert GeneratorSpec("x", 1, 2) == GeneratorSpec("x", 1, 2, group=None)
-    same = GeneratorSpec("x", 1, 2, group="g")
+    weight and table membership all are; a spec is free by default."""
+    spec = GeneratorSpec("x", 1, 2, True)
+    assert GeneratorSpec("x", 1, 2).table is False
+    assert GeneratorSpec("x", 1, 2) == GeneratorSpec("x", 1, 2, table=False)
+    same = GeneratorSpec("x", 1, 2, table=True)
     assert spec == same and hash(spec) == hash(same)
-    assert (spec.name, spec.coh, spec.adams, spec.group) == ("x", 1, 2, "g")
-    for other in (GeneratorSpec("y", 1, 2, "g"), GeneratorSpec("x", 0, 2, "g"),
-                  GeneratorSpec("x", 1, 1, "g"), GeneratorSpec("x", 1, 2),
-                  GeneratorSpec("x", 1, 2, "h")):
+    assert (spec.name, spec.coh, spec.adams, spec.table) == ("x", 1, 2, True)
+    for other in (GeneratorSpec("y", 1, 2, True),
+                  GeneratorSpec("x", 0, 2, True),
+                  GeneratorSpec("x", 1, 1, True), GeneratorSpec("x", 1, 2)):
         assert spec != other and hash(spec) != hash(other)
-    assert spec != ("x", 1, 2, "g") and spec != None  # noqa: E711
+    assert spec != ("x", 1, 2, True) and spec != None  # noqa: E711
     assert len({spec, same, GeneratorSpec("x", 1, 2)}) == 2
 
 
 def test_validate_catches_adams_mismatch():
     gens = [GeneratorSpec("x", 1, 1), GeneratorSpec("z", 1, 2)]
-    A = CdgaPresentation("bad", "free", gens, {"z": el_gen("x")})
+    A = CdgaPresentation("bad", gens, {"z": el_gen("x")})
     ok, failures = validate(A)
     assert not ok
     assert any("z" in f for f in failures)
@@ -55,7 +55,7 @@ def test_validate_catches_d_squared():
     # du = v, dv = u*... make d^2 nonzero: du = v, dv = w with w closed? use
     # deg bookkeeping-valid chain u(1,1) -> v(2,1) -> x(3,1), dv = x, dx = 0
     gens = [GeneratorSpec("u", 1, 1), GeneratorSpec("v", 2, 1), GeneratorSpec("x", 3, 1)]
-    A = CdgaPresentation("bad2", "free", gens, {"u": el_gen("v"), "v": el_gen("x")})
+    A = CdgaPresentation("bad2", gens, {"u": el_gen("v"), "v": el_gen("x")})
     ok, failures = validate(A)
     assert not ok
     assert any("d^2" in f for f in failures)
@@ -94,12 +94,12 @@ def test_apply_d(e3):
 
 
 def make_table_with_d():
-    """Table group {x0, x1, y} with no products yet, and a free f (0,1)
+    """Table {x0, x1, y} with no products yet, and a free f (0,1)
     with d f = x1: d of a monomial in f reads the table."""
-    gens = [GeneratorSpec("x0", 1, 1, group="g"),
-            GeneratorSpec("x1", 1, 1, group="g"),
-            GeneratorSpec("y", 2, 2, group="g"), GeneratorSpec("f", 0, 1)]
-    return CdgaPresentation("T", "table", gens, {"f": el_gen("x1")})
+    gens = [GeneratorSpec("x0", 1, 1, table=True),
+            GeneratorSpec("x1", 1, 1, table=True),
+            GeneratorSpec("y", 2, 2, table=True), GeneratorSpec("f", 0, 1)]
+    return CdgaPresentation("T", gens, {"f": el_gen("x1")})
 
 
 def _monomials(A, w_max):
@@ -177,7 +177,7 @@ def test_connectedness(e1, e2, e3):
 
 
 def test_not_connected():
-    A = CdgaPresentation("nc", "free", [GeneratorSpec("v", 0, 1)])
+    A = CdgaPresentation("nc", [GeneratorSpec("v", 0, 1)])
     ok, wit = is_coh_connected(A, adams_max=2)
     assert not ok
     assert (0, 1, 1) in wit
@@ -228,9 +228,9 @@ def test_leibniz_table(e2):
 def test_structure_failures_name_non_associative_triples():
     """(xy)z = pz = q while x(yz) = 0: each triple whose two bracketings
     differ is named, in generator order."""
-    gens = [GeneratorSpec(n, 2 * r, r, group="G")
+    gens = [GeneratorSpec(n, 2 * r, r, table=True)
             for n, r in (("x", 1), ("y", 1), ("z", 1), ("p", 2), ("q", 3))]
-    T = CdgaPresentation("T", "table", gens, products={
+    T = CdgaPresentation("T", gens, products={
         ("x", "y"): {(("p", 1),): 1}, ("p", "z"): {(("q", 1),): 1}})
     assert structure_failures(T) == [
         f"table not associative on ({t})"
@@ -238,12 +238,11 @@ def test_structure_failures_name_non_associative_triples():
 
 
 def test_structure_failures_walk_a_table_with_d_and_no_product():
-    """With no product, gh = 0 in the group, but d g = u is free, so
+    """With no product, gh = 0 in the table, but d g = u is free, so
     d(g)h = uh != 0 = d(gh): the d alone makes the table no cdga."""
     T = CdgaPresentation(
-        "T", "table",
-        [GeneratorSpec("g", 1, 1, group="G"),
-         GeneratorSpec("h", 1, 1, group="G"), GeneratorSpec("u", 2, 1)],
+        "T", [GeneratorSpec("g", 1, 1, table=True),
+              GeneratorSpec("h", 1, 1, table=True), GeneratorSpec("u", 2, 1)],
         differential={"g": {(("u", 1),): 1}})
     assert structure_failures(T) == [
         "Leibniz fails on table pair (g,h)", "Leibniz fails on table pair (h,g)"]

@@ -274,7 +274,7 @@ def test_t_truncate_refuses_d_leaving_the_sub():
     """A module whose d sends a degree-0 cell onto a degree-1 cell by a
     degree-0 algebra element passes check(), but tau_{<=0} is not closed
     under d: the d0-kernel vector b0 has d b0 = x b1 outside it."""
-    A = CdgaPresentation("Z", "free", [GeneratorSpec("x", 0, 1)])
+    A = CdgaPresentation("Z", [GeneratorSpec("x", 0, 1)])
     M = CellModule(A, [("a", 0, 1), ("b", 1, 0)], {(1, 0): el_gen("x")},
                    [[1], [0]])
     assert M.check() == (True, [])
@@ -447,8 +447,8 @@ def test_attach_forgets_the_slices_a_cell_joins(monkeypatch):
     """Over an algebra with a generator of negative degree, a cell of
     degree n has keys of degree below n: attach forgets those slices too,
     and the cached slices stay those of a module built afresh."""
-    A = CdgaPresentation("N", "free", [GeneratorSpec("x", 1, 1),
-                                       GeneratorSpec("m", -1, 1)])
+    A = CdgaPresentation("N", [GeneratorSpec("x", 1, 1),
+                               GeneratorSpec("m", -1, 1)])
     P = CellModule(A, [("b", 0, 0)], {})
     window = [(n, r) for r in range(3) for n in range(-3, 4)]
     grown = []
@@ -470,8 +470,8 @@ def test_attach_keeps_the_slices_a_cell_over_a_degree_0_generator_misses(
     of bidegree (n, r) joins the slices (n, r + k) and (n + 1, r + k + 1)
     for every k >= 0: attach forgets those, keeps the others as they
     were, and the cached slices stay those of a module built afresh."""
-    A = CdgaPresentation("F", "free", [GeneratorSpec("x", 1, 1),
-                                       GeneratorSpec("f", 0, 1)])
+    A = CdgaPresentation("F", [GeneratorSpec("x", 1, 1),
+                               GeneratorSpec("f", 0, 1)])
     P = CellModule(A, [("b", 0, 0)], {})
     window = [(n, r) for r in range(4) for n in range(-1, 4)]
     grown = []

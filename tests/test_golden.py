@@ -14,7 +14,7 @@ import pytest
 
 from adamsbar.cli import main
 from corpus import k_text
-from test_cli import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT
+from test_cli import CELL_TEXT, E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,11 +56,30 @@ gen c deg 1 wt 3
 gen a deg 1 wt 1
 """
 
+# a table pair: the base N3 on a0, and the total A3 over it, whose fiber
+# has a1*a2 = b = d c; the two files' names differ, as a pair's may
+N3_TEXT = "cdga N3 table\ngen a0 deg 1 wt 1\n"
+
+A3_TEXT = """cdga A3 table
+gen a0 deg 1 wt 1
+gen a1 deg 1 wt 1
+gen a2 deg 1 wt 1
+gen c deg 1 wt 2
+gen b deg 2 wt 2
+mul a1 a2 = 1*b
+d c = 1*b
+aug a1 = 0
+aug a2 = 0
+aug c = 0
+aug b = 0
+"""
+
 FIXTURES = {"e1.cdga": E1_TEXT, "e2.cdga": E2_TEXT, "e3.cdga": E3_TEXT,
             "e4.cdga": E4_TEXT, "e3_half.cdga": E3_HALF_TEXT,
             "e4_half.cdga": E4_HALF_TEXT, "e4p.cdga": E4P_TEXT,
             "p3.cdga": P3_TEXT, "p4.cdga": P4_TEXT, "k4.cdga": k_text(4),
-            "f113.cdga": F113_TEXT}
+            "f113.cdga": F113_TEXT, "n3.cdga": N3_TEXT, "a3.cdga": A3_TEXT,
+            "t2.cell": CELL_TEXT}
 
 # name -> argv; "@file" is a fixture from FIXTURES
 CASES = {
@@ -80,6 +99,9 @@ CASES = {
     # workload whose colie jobs are the slowest
     "colie_f113_w4": ["colie", "@f113.cdga", "--wt-max", "4"],
     "quillen_e3_w3": ["quillen", "@e3.cdga", "--wt-max", "3"],
+    "cohomology_a3_w4": ["cohomology", "@a3.cdga", "--wt-max", "4"],
+    "cohomology_t2_e1_w3": ["cohomology", "@t2.cell", "--base", "@e1.cdga",
+                            "--wt-max", "3"],
     "minimal-model_e4_e1_n2_w3": ["minimal-model", "@e4.cdga", "--base",
                                   "@e1.cdga", "--n", "2", "--wt-max", "3"],
     "minimal-model_p3_n2_w5": ["minimal-model", "@p3.cdga", "--n", "2",
@@ -106,6 +128,10 @@ CASES = {
                               "--wt-max", "2"],
     "delta-approx_e4_e1_n4_w3": ["delta-approx", "@e4.cdga", "--base",
                                  "@e1.cdga", "--n", "4", "--wt-max", "3"],
+    # a table pair of two names: its report was first recorded with the
+    # total named as the base, when a pair was read only under one name
+    "delta-approx_a3_n3_n3_w3": ["delta-approx", "@a3.cdga", "--base",
+                                 "@n3.cdga", "--n", "3", "--wt-max", "3"],
     "pi1-demo_k4_w4": ["pi1-demo", "--punctures", "4", "--wt-max", "4"],
     # the pi1-demo windows of ROADMAP's table, cheap since gamma's dims are
     # read off H^0's

@@ -248,9 +248,8 @@ def test_echelonize_matches_reference(rows):
     e, got_piv = pivots_of(rows)
     assert sorted(got_piv) == want_piv and len(e) == len(want_piv)
     for j in range(8):
-        residue, combo = e.reduce({j: F(1)})
+        residue = e.reduce({j: F(1)})
         assert residue == reference_residue({j: F(1)}, want_rows, want_piv)
-        assert combo == {}
     m = raw_matrix(rows, 8)
     assert items(kernel_basis(m)) == items(reference.reference_kernel_basis(m))
     assert [list(r.items()) for r in rows] == before
@@ -382,9 +381,8 @@ def test_integer_echelon_matches_reference_on_mixed_entries(case):
     assert items(ker) == items(reference.reference_kernel_basis(m))
     assert_fractions(ker)
     for q in queries:
-        residue, combo = e.reduce(q)
+        residue = e.reduce(q)
         assert residue == reference_residue(q, want_rows, want_piv)
-        assert combo == {}
         assert not set(residue) & set(want_piv)
         assert_fractions([residue])
     assert items(vecs + queries) == before
@@ -483,8 +481,7 @@ def test_integer_cohomology_matches_reference_on_mixed_entries(case):
         else:
             assert list(got.items()) == list(want.items())
             assert_fractions([got])
-        residue, combo = proj.reduce(q)
-        assert_fractions([residue, combo])
+        assert_fractions([proj.reduce(q)])
 
 
 def integral_entries(v):
@@ -568,9 +565,9 @@ HEAP_CASE = ([{0: 1, 3: 1}, {3: 1, 5: 1}, {5: 1, 6: 1}], [0, None, 2],
 @given(echelon_scripts())
 def test_echelon_matches_back_substituting_reference(case):
     """Triangular rows give the back-substituting echelon's pivot on each
-    add, its rank, non-pivots, reduce residues and combinations (values
-    and Fraction type) and class_coords (values, key order, Fraction
-    type and None), and leave their inputs alone."""
+    add, its rank, non-pivots, reduce residues (values and Fraction
+    type) and class_coords (values, key order, Fraction type and None),
+    and leave their inputs alone."""
     vecs, tags, queries = case
     before = items(vecs + queries)
     got, want = Echelon(), reference.ReferenceEchelon()
@@ -579,9 +576,9 @@ def test_echelon_matches_back_substituting_reference(case):
         assert len(got) == len(want)
     assert got.non_pivots(9) == want.non_pivots(9)
     for q in vecs + queries:
-        residue, combo = got.reduce(q)
-        assert (residue, combo) == want.reduce(q)
-        assert_fractions([residue, combo])
+        residue = got.reduce(q)
+        assert residue == want.reduce(q)
+        assert_fractions([residue])
         c = got.class_coords(q)
         w = want.class_coords(q)
         if w is None:

@@ -125,12 +125,12 @@ def test_gen_nilpotent_cycle_detected():
     gens = [GeneratorSpec("a", 2, 1), GeneratorSpec("b", 3, 2)]
     # db depends on a*b's weight... simplest: db = a*b would be (5,3) no.
     # use db involving b itself through a: d(b) has bidegree (4,2): a*a
-    A = CdgaPresentation("cyc", "free", gens,
+    A = CdgaPresentation("cyc", gens,
                          differential={"b": {(("a", 2),): 1}})
     ok, stages = gen_nilpotent(trivial_base(), A)
     assert ok  # a*a is fine: depends only on a
-    B = CdgaPresentation("cyc2", "free", [GeneratorSpec("g", 2, 1),
-                                          GeneratorSpec("h", 2, 2)],
+    B = CdgaPresentation("cyc2", [GeneratorSpec("g", 2, 1),
+                                  GeneratorSpec("h", 2, 2)],
                          differential={"g": {}, "h": {(("h", 1),): F(1)}})
     ok, cyc = gen_nilpotent(trivial_base(), B)
     assert not ok
@@ -150,7 +150,7 @@ def test_gen_nilpotent_check_passes_at_right_bidegrees(data):
     gens = [GeneratorSpec(f"g{i}", data.draw(st.integers(-1, 3)),
                           data.draw(st.integers(1, 3)))
             for i in range(data.draw(st.integers(1, 5)))]
-    free = CdgaPresentation("R", "free", gens)
+    free = CdgaPresentation("R", gens)
     diff = {}
     for g in gens:
         keys = free.slice(g.coh + 1, g.adams)
@@ -158,7 +158,7 @@ def test_gen_nilpotent_check_passes_at_right_bidegrees(data):
                            if keys else st.just([]))
         if chosen:
             diff[g.name] = {m: 1 for m in chosen}
-    A = CdgaPresentation("R", "free", gens, diff)
+    A = CdgaPresentation("R", gens, diff)
     assert bidegree_failures(A) == []
     ok, stages = gen_nilpotent(trivial_base(), A)
     assert ok, stages
@@ -172,7 +172,7 @@ def _with_uses(A, uses):
     for name, used in uses.items():
         for g in used:
             diff.setdefault(name, {})[((g, 1),)] = F(1)
-    return CdgaPresentation(f"{A.name}_uses", A.kind, A.generators, diff,
+    return CdgaPresentation(f"{A.name}_uses", A.generators, diff,
                             augmentation=A.augmentation)
 
 
@@ -190,7 +190,7 @@ INJECTED = {
                    {"u1": ["v3", "v2"], "u2": ["v2"], "u3": ["v3"]}),
     # declared z, y, x, w: z, the first unstaged, uses y and x, and the walk
     # steps to x, whose name sorts first, so the witness is x, w, not z, y
-    "names": (lambda: CdgaPresentation("R", "free", [
+    "names": (lambda: CdgaPresentation("R", [
                   GeneratorSpec(g, 1, 1) for g in "zyxw"]),
               {"z": ["y", "x"], "y": ["z"], "x": ["w"], "w": ["x"]}),
 }
@@ -201,7 +201,7 @@ def _random_uses(seed):
     a few random others (itself included), so cycles are common."""
     rng = random.Random(seed)
     names = rng.sample("abcdefgh", rng.randint(1, 8))
-    A = CdgaPresentation("R", "free", [GeneratorSpec(g, 1, 1) for g in names])
+    A = CdgaPresentation("R", [GeneratorSpec(g, 1, 1) for g in names])
     return _with_uses(A, {g: rng.sample(names, rng.randint(0, 2))
                           for g in names if rng.random() < 0.6})
 
@@ -374,7 +374,7 @@ IDEAL_CASES = {
                          augment_absolute(punctured_line_model(4)), 4),
     # a fiber generator of degree 0
     "degree0": lambda: (make_e1("t"), parse_text(DEGREE_0_FIBER)[1], 4),
-    # base and fiber generators in one table group
+    # base and fiber generators in the one table
     "table pair": lambda: (
         parse_text(TABLE_PAIR)[1],
         parse_text(TABLE_PAIR + "gen a1 deg 1 wt 1\ngen a2 deg 1 wt 1\n"

@@ -87,6 +87,10 @@ TEXT_ERRORS = [
      "line 3, col 1: unknown directive 'let'"),
     ("plus-or-minus-cdga", "cdga A free\ngen x deg 1 wt 1\nd x = 1*x 2\n",
      "line 3, col 11: expected '+' or '-', got '2'"),
+    # an odd square is 0, so its mul line may not say otherwise
+    ("odd-square",
+     "cdga A table\ngen a deg 1 wt 1\ngen c deg 2 wt 2\nmul a a = 1*c\n",
+     "line 4, col 5: odd generator 'a' squares to 0"),
     ("plus-or-minus-mul",
      "cdga A table\ngen x deg 1 wt 1\ngen y deg 1 wt 1\nmul x y = 1 = 2\n",
      "line 4, col 13: expected '+' or '-', got '='"),
@@ -157,6 +161,17 @@ def test_parse_error_message(text, message):
     with pytest.raises(ParseError) as exc:
         parse_text(text)
     assert str(exc.value) == message
+
+
+def test_square_mul_lines():
+    """An odd generator's mul line on itself reads when it is 0, in any
+    form, and an even generator's square reads through the table."""
+    _, A = parse_text("cdga A table\ngen a deg 1 wt 1\ngen b deg 2 wt 1\n"
+                      "gen c deg 4 wt 2\nmul a a = 1*c - 1*c\n"
+                      "mul b b = 2*c\n")
+    assert A.multiply({(("a", 1),): 1}, {(("a", 1),): 1}) == {}
+    assert A.multiply({(("b", 1),): 1}, {(("b", 1),): 1}) == {
+        (("c", 1),): 2}
 
 
 @pytest.mark.parametrize("dline, message", [c[1:] for c in BIND_ERRORS],
@@ -312,7 +327,7 @@ def _read(parse, bind, text, base, cell):
     over base, each part its values with their types and order or the
     ParseError it raised."""
     def cdga_parts(A):
-        return (A.name, A.kind, A.generators, _typed(A.differential),
+        return (A.name, A.generators, _typed(A.differential),
                 _typed(A.products), _typed(A.augmentation))
 
     def read_cell():

@@ -404,7 +404,7 @@ EXACT_EXTENSIONS = {
        for seed in (1, 2, 3, 29)},
 }
 
-# a table whose base and fiber generators share one group, so a0*a1 = 0
+# a table pair: base and fiber generators share the one table, so a0*a1 = 0
 TABLE_PAIR = "cdga P table\ngen a0 deg 1 wt 1\n"
 
 

@@ -137,8 +137,8 @@ def test_empty_kernel_cohomology_builds_no_d_into_it():
 
 def _free_xy():
     """Free on x, y of bidegree (1, 1): H^1(1) = Q^2 and H^2(2) = Q xy."""
-    return CdgaPresentation("A", "free", [GeneratorSpec("x", 1, 1),
-                                          GeneratorSpec("y", 1, 1)])
+    return CdgaPresentation("A", [GeneratorSpec("x", 1, 1),
+                                  GeneratorSpec("y", 1, 1)])
 
 
 XY = {(("x", 1), ("y", 1)): 1}
@@ -187,14 +187,14 @@ def test_cohomology_reads_the_kernel_where_no_d_comes_in():
 
 
 def _two_groups():
-    """A table algebra with two table groups beside free generators of
-    odd, even, zero and negative degree."""
-    return CdgaPresentation("T2", "table", [
-        GeneratorSpec("x0", 1, 1, group="g"),
-        GeneratorSpec("x1", 1, 1, group="g"),
-        GeneratorSpec("y", 2, 2, group="g"),
-        GeneratorSpec("p", 1, 1, group="h"),
-        GeneratorSpec("q", 0, 2, group="h"),
+    """Two groups of generators: a table of odd, even and zero degree,
+    and free generators of odd, even, zero and negative degree."""
+    return CdgaPresentation("T2", [
+        GeneratorSpec("x0", 1, 1, table=True),
+        GeneratorSpec("x1", 1, 1, table=True),
+        GeneratorSpec("y", 2, 2, table=True),
+        GeneratorSpec("p", 1, 1, table=True),
+        GeneratorSpec("q", 0, 2, table=True),
         GeneratorSpec("s", 2, 1),
         GeneratorSpec("o", 1, 2),
         GeneratorSpec("n", -1, 1),
@@ -204,7 +204,7 @@ def _two_groups():
 def _mixed_free():
     """A free algebra on odd and even generators, of degree 0 and of
     negative degree among them, and of weights 1 to 3."""
-    return CdgaPresentation("M", "free", [
+    return CdgaPresentation("M", [
         GeneratorSpec("a", 1, 1), GeneratorSpec("b", 2, 1),
         GeneratorSpec("k", 0, 1), GeneratorSpec("d", -1, 2),
         GeneratorSpec("e", -2, 1), GeneratorSpec("f", 3, 3),
